@@ -5,7 +5,11 @@ DOUBLEWORD represents a value as an unevaluated sum ``hi + lo`` of two
 binary64 floats (a double-word, roughly 32 significant decimal digits).
 All double-word kernels are built from the classic error-free
 transformations: ``two_sum`` (Knuth) and ``two_prod`` (Dekker splitting,
-since ``math.fma`` is not available on the supported interpreters).
+used on every interpreter, including those that provide ``math.fma``).
+The hot ``_dd_*`` kernels inline these transformations, with every
+floating-point operation in the same order, to save Python call
+overhead; the tests hold each kernel bit-identical to its composition
+of ``_two_sum``, ``_two_prod`` and ``_quick_two_sum``.
 
 The hot paths inside the quadrature engines work on raw ``(hi, lo)``
 tuples through the module-private ``_dd_*`` functions; the :class:`Real`
@@ -127,12 +131,19 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
 
 
 def _dd_add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    sh, se = _two_sum(ah, bh)
-    th, te = _two_sum(al, bl)
+    # two_sum(ah, bh), two_sum(al, bl), then two quick_two_sums, inlined
+    sh = ah + bh
+    v = sh - ah
+    se = (ah - (sh - v)) + (bh - v)
+    th = al + bl
+    v = th - al
+    te = (al - (th - v)) + (bl - v)
     se += th
-    sh, se = _quick_two_sum(sh, se)
+    h = sh + se
+    se = se - (h - sh)
     se += te
-    return _quick_two_sum(sh, se)
+    sh = h + se
+    return sh, se - (sh - h)
 
 
 def _dd_sub(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
@@ -140,47 +151,134 @@ def _dd_sub(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
 
 
 def _dd_add_d(ah: float, al: float, b: float) -> tuple[float, float]:
-    sh, se = _two_sum(ah, b)
+    # two_sum(ah, b), then quick_two_sum, inlined
+    sh = ah + b
+    v = sh - ah
+    se = (ah - (sh - v)) + (b - v)
     se += al
-    return _quick_two_sum(sh, se)
+    h = sh + se
+    return h, se - (h - sh)
 
 
 def _dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    p, e = _two_prod(ah, bh)
+    # two_prod(ah, bh) by Dekker splitting, then quick_two_sum, inlined
+    p = ah * bh
+    t = _SPLITTER * ah
+    a1 = t - (t - ah)
+    a2 = ah - a1
+    t = _SPLITTER * bh
+    b1 = t - (t - bh)
+    b2 = bh - b1
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
     e += ah * bl + al * bh
-    return _quick_two_sum(p, e)
+    h = p + e
+    return h, e - (h - p)
 
 
 def _dd_mul_d(ah: float, al: float, b: float) -> tuple[float, float]:
-    p, e = _two_prod(ah, b)
+    # two_prod(ah, b), then quick_two_sum, inlined
+    p = ah * b
+    t = _SPLITTER * ah
+    a1 = t - (t - ah)
+    a2 = ah - a1
+    t = _SPLITTER * b
+    b1 = t - (t - b)
+    b2 = b - b1
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
     e += al * b
-    return _quick_two_sum(p, e)
+    h = p + e
+    return h, e - (h - p)
 
 
 def _dd_sqr(ah: float, al: float) -> tuple[float, float]:
-    p, e = _two_prod(ah, ah)
+    # two_prod(ah, ah) with ah split once, then quick_two_sum, inlined
+    p = ah * ah
+    t = _SPLITTER * ah
+    a1 = t - (t - ah)
+    a2 = ah - a1
+    e = ((a1 * a1 - p) + a1 * a2 + a2 * a1) + a2 * a2
     e += 2.0 * ah * al
-    return _quick_two_sum(p, e)
+    h = p + e
+    return h, e - (h - p)
 
 
 def _dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    # long division with three partial quotients, ~u^2 relative error
+    # long division with three partial quotients, ~u^2 relative error.
+    # Each step is _dd_mul_d(bh, bl, q) followed by _dd_sub, inlined with
+    # bh split once; x + (-y) is written x - y, the same IEEE operation.
+    t = _SPLITTER * bh
+    b1 = t - (t - bh)
+    b2 = bh - b1
     q1 = ah / bh
-    th, tl = _dd_mul_d(bh, bl, q1)
-    rh, rl = _dd_sub(ah, al, th, tl)
+    # (th, tl) = (bh, bl) * q1
+    p = bh * q1
+    t = _SPLITTER * q1
+    c1 = t - (t - q1)
+    c2 = q1 - c1
+    e = ((b1 * c1 - p) + b1 * c2 + b2 * c1) + b2 * c2
+    e += bl * q1
+    th = p + e
+    tl = e - (th - p)
+    # (rh, rl) = (ah, al) - (th, tl)
+    sh = ah - th
+    v = sh - ah
+    se = (ah - (sh - v)) + (-th - v)
+    sl = al - tl
+    v = sl - al
+    te = (al - (sl - v)) + (-tl - v)
+    se += sl
+    h = sh + se
+    se = se - (h - sh)
+    se += te
+    rh = h + se
+    rl = se - (rh - h)
     q2 = rh / bh
-    th, tl = _dd_mul_d(bh, bl, q2)
-    rh, rl = _dd_sub(rh, rl, th, tl)
-    q3 = rh / bh
-    qh, ql = _quick_two_sum(q1, q2)
-    return _dd_add_d(qh, ql, q3)
+    # (th, tl) = (bh, bl) * q2
+    p = bh * q2
+    t = _SPLITTER * q2
+    c1 = t - (t - q2)
+    c2 = q2 - c1
+    e = ((b1 * c1 - p) + b1 * c2 + b2 * c1) + b2 * c2
+    e += bl * q2
+    th = p + e
+    tl = e - (th - p)
+    # rh = hi word of (rh, rl) - (th, tl); its low word is never used
+    sh = rh - th
+    v = sh - rh
+    se = (rh - (sh - v)) + (-th - v)
+    sl = rl - tl
+    v = sl - rl
+    te = (rl - (sl - v)) + (-tl - v)
+    se += sl
+    h = sh + se
+    se = se - (h - sh)
+    se += te
+    q3 = (h + se) / bh
+    # quick_two_sum(q1, q2), then add q3 as _dd_add_d does
+    qh = q1 + q2
+    ql = q2 - (qh - q1)
+    sh = qh + q3
+    v = sh - qh
+    se = (qh - (sh - v)) + (q3 - v)
+    se += ql
+    h = sh + se
+    return h, se - (h - sh)
 
 
 def _dd_div_d(ah: float, al: float, b: float) -> tuple[float, float]:
+    # two_prod(q1, b), then quick_two_sum, inlined
     q1 = ah / b
-    p, e = _two_prod(q1, b)
+    p = q1 * b
+    t = _SPLITTER * q1
+    a1 = t - (t - q1)
+    a2 = q1 - a1
+    t = _SPLITTER * b
+    b1 = t - (t - b)
+    b2 = b - b1
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
     q2 = ((ah - p) - e + al) / b
-    return _quick_two_sum(q1, q2)
+    h = q1 + q2
+    return h, q2 - (h - q1)
 
 
 def _dd_scale2(ah: float, al: float, s: float) -> tuple[float, float]:
@@ -189,17 +287,32 @@ def _dd_scale2(ah: float, al: float, s: float) -> tuple[float, float]:
 
 
 def _dd_sqrt(ah: float, al: float) -> tuple[float, float]:
-    # Karp's method: one Newton correction from the native square root
+    # Karp's method: one Newton correction from the native square root.
+    # two_prod(y, y) and the hi word of _dd_sub are inlined.
     if ah == 0.0 and al == 0.0:
         return 0.0, 0.0
     if ah < 0.0:
         raise DomainError("sqrt of a negative value")
     r = 1.0 / math.sqrt(ah)
     y = ah * r
-    ph, pe = _two_prod(y, y)
-    dh, _ = _dd_sub(ah, al, ph, pe)
-    c = dh * (0.5 * r)
-    return _quick_two_sum(y, c)
+    p = y * y
+    t = _SPLITTER * y
+    y1 = t - (t - y)
+    y2 = y - y1
+    pe = ((y1 * y1 - p) + y1 * y2 + y2 * y1) + y2 * y2
+    sh = ah - p
+    v = sh - ah
+    se = (ah - (sh - v)) + (-p - v)
+    sl = al - pe
+    v = sl - al
+    te = (al - (sl - v)) + (-pe - v)
+    se += sl
+    h = sh + se
+    se = se - (h - sh)
+    se += te
+    c = (h + se) * (0.5 * r)
+    h = y + c
+    return h, c - (h - y)
 
 
 # ----------------------------------------------------------------------
@@ -215,15 +328,6 @@ def _pair_from_decimal_string(s: str) -> tuple[float, float]:
     hi = float(f)
     lo = float(f - Fraction(hi))
     return hi, lo
-
-
-def _triple_from_decimal_string(s: str) -> tuple[float, float, float]:
-    f = Fraction(Decimal(s))
-    a = float(f)
-    f -= Fraction(a)
-    b = float(f)
-    c = float(f - Fraction(b))
-    return a, b, c
 
 
 @functools.lru_cache(maxsize=None)
@@ -765,7 +869,6 @@ def pi(tier: Tier = Tier.NATIVE64) -> Real:
 
 def build_info() -> str:
     """One line describing the numeric configuration of this build."""
-    fma = "fma" if hasattr(math, "fma") else "dekker-split"
     try:
         _pi_pair()
         pi_check = "ok"
@@ -773,5 +876,5 @@ def build_info() -> str:
         pi_check = "FAILED"
     return (
         f"tiers: native64 (eps=2^-52), doubleword (eps=2^-104); "
-        f"two_prod={fma}; pi-self-check={pi_check}"
+        f"two_prod=dekker-split; pi-self-check={pi_check}"
     )

@@ -3,6 +3,8 @@ functions against frozen independent-oracle digit strings."""
 
 import math
 import random
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,8 @@ from ahmedquad import (
     two_prod,
     two_sum,
 )
+from ahmedquad import scalar
+from ahmedquad.scalar import _quick_two_sum, _two_prod, _two_sum
 from helpers import (
     ATAN_SQRT2_STR,
     EXP_5_4_STR,
@@ -310,6 +314,15 @@ def test_build_info_contents():
     assert ("fma" in info) or ("dekker-split" in info)
 
 
+def test_build_info_reports_dekker_split_even_with_fma(monkeypatch):
+    # _two_prod splits by Dekker on every interpreter, so the presence of
+    # math.fma (Python 3.13+) must not change what build_info reports
+    monkeypatch.setattr(math, "fma", lambda x, y, z: x * y + z, raising=False)
+    info = build_info()
+    assert "two_prod=dekker-split" in info
+    assert "two_prod=fma" not in info
+
+
 def test_tier_properties():
     assert Tier.NATIVE64.eps == 2.0**-52
     assert Tier.DOUBLEWORD.eps == 2.0**-104
@@ -317,3 +330,183 @@ def test_tier_properties():
     assert Tier.DOUBLEWORD.sig_digits == 32
     assert Tier("native64") is Tier.NATIVE64
     assert Tier("doubleword") is Tier.DOUBLEWORD
+
+
+# ----------------------------------------------------------------------
+# Fused double-word kernels against their compositions
+# ----------------------------------------------------------------------
+# The references below are the kernels as compositions of the error-free
+# transforms. Every fused kernel in scalar.py must return the same bits.
+
+
+def _ref_dd_add(ah, al, bh, bl):
+    sh, se = _two_sum(ah, bh)
+    th, te = _two_sum(al, bl)
+    se += th
+    sh, se = _quick_two_sum(sh, se)
+    se += te
+    return _quick_two_sum(sh, se)
+
+
+def _ref_dd_sub(ah, al, bh, bl):
+    return _ref_dd_add(ah, al, -bh, -bl)
+
+
+def _ref_dd_add_d(ah, al, b):
+    sh, se = _two_sum(ah, b)
+    se += al
+    return _quick_two_sum(sh, se)
+
+
+def _ref_dd_mul(ah, al, bh, bl):
+    p, e = _two_prod(ah, bh)
+    e += ah * bl + al * bh
+    return _quick_two_sum(p, e)
+
+
+def _ref_dd_mul_d(ah, al, b):
+    p, e = _two_prod(ah, b)
+    e += al * b
+    return _quick_two_sum(p, e)
+
+
+def _ref_dd_sqr(ah, al):
+    p, e = _two_prod(ah, ah)
+    e += 2.0 * ah * al
+    return _quick_two_sum(p, e)
+
+
+def _ref_dd_div(ah, al, bh, bl):
+    q1 = ah / bh
+    th, tl = _ref_dd_mul_d(bh, bl, q1)
+    rh, rl = _ref_dd_sub(ah, al, th, tl)
+    q2 = rh / bh
+    th, tl = _ref_dd_mul_d(bh, bl, q2)
+    rh, rl = _ref_dd_sub(rh, rl, th, tl)
+    q3 = rh / bh
+    qh, ql = _quick_two_sum(q1, q2)
+    return _ref_dd_add_d(qh, ql, q3)
+
+
+def _ref_dd_div_d(ah, al, b):
+    q1 = ah / b
+    p, e = _two_prod(q1, b)
+    q2 = ((ah - p) - e + al) / b
+    return _quick_two_sum(q1, q2)
+
+
+def _ref_dd_sqrt(ah, al):
+    if ah == 0.0 and al == 0.0:
+        return 0.0, 0.0
+    if ah < 0.0:
+        raise DomainError("sqrt of a negative value")
+    r = 1.0 / math.sqrt(ah)
+    y = ah * r
+    ph, pe = _two_prod(y, y)
+    dh, _ = _ref_dd_sub(ah, al, ph, pe)
+    c = dh * (0.5 * r)
+    return _quick_two_sum(y, c)
+
+
+# (name, reference, argument shape): "dd" is one (hi, lo) operand, "d" one float
+FUSED_KERNELS = [
+    ("_dd_add", _ref_dd_add, ("dd", "dd")),
+    ("_dd_sub", _ref_dd_sub, ("dd", "dd")),
+    ("_dd_add_d", _ref_dd_add_d, ("dd", "d")),
+    ("_dd_mul", _ref_dd_mul, ("dd", "dd")),
+    ("_dd_mul_d", _ref_dd_mul_d, ("dd", "d")),
+    ("_dd_sqr", _ref_dd_sqr, ("dd",)),
+    ("_dd_div", _ref_dd_div, ("dd", "dd")),
+    ("_dd_div_d", _ref_dd_div_d, ("dd", "d")),
+    ("_dd_sqrt", _ref_dd_sqrt, ("dd",)),
+]
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # both sides must raise the same type
+        return type(exc)
+
+
+def _bits(v):
+    # NaN matches NaN whatever its sign or payload; -0.0 differs from 0.0
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def _assert_bit_identical(name, reference, cases):
+    fused = getattr(scalar, name)
+    for args in cases:
+        got = _outcome(fused, args)
+        want = _outcome(reference, args)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want, f"{name}{args}: {got!r} != {want!r}"
+            continue
+        assert len(got) == len(want) == 2
+        assert [_bits(v) for v in got] == [_bits(v) for v in want], (
+            f"{name}{args}: {got!r} != {want!r}"
+        )
+
+
+def _seeded_operand_pairs():
+    # pairs (x, y) of double-words built from the seeded pair sets. A
+    # re-associated sum only rounds differently when its terms overlap, so
+    # besides wide-ranging random words the set holds words of comparable
+    # magnitude, low words about one ulp of the high word, products near
+    # underflow (scaled by 2^-520), x == y (full cancellation), and sums
+    # that carry into the next binade, where both halves of two_sum's
+    # error are non-zero.
+    words = []
+    for seed in (0x5EED, 0xBEEF, 0xACE):
+        for span, scale in ((300, 1.0), (2, 1.0), (30, 2.0**-520)):
+            for a, b in _random_pairs(300, seed, span):
+                a, b = a * scale, b * scale
+                words.append((a, b))
+                words.append(_two_sum(a, b * 2.0**-60))
+                words.append((a, b * math.ulp(a)))
+    rng = random.Random(0xF05E)
+    pairs = [(x, rng.choice(words)) for x in words]
+    pairs += [(x, x) for x in words[::4]]
+    for a, b in _random_pairs(1_000, 0xCA77, span=0):
+        big = math.copysign(1.0 - abs(b) * 2.0**-6, a)
+        x = (a * 2.0**-4, rng.uniform(-1.0, 1.0) * 2.0**-60)
+        y = (big, rng.uniform(-1.0, 1.0) * 2.0**-56)
+        pairs += [(x, y), (y, x)]
+    return pairs
+
+
+def _seeded_operands(shape):
+    cases = []
+    for x, y in _seeded_operand_pairs():
+        if shape == ("dd",):
+            cases += [x, y]
+        else:
+            cases.append(x + (y if shape[1] == "dd" else y[:1]))
+    return cases
+
+
+_SPECIAL_HI = [
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+    1e300, -1e300, 1e-300, -1e-300, sys.float_info.max, -sys.float_info.max,
+    math.inf, -math.inf, math.nan, 1.0, -3.0,
+]
+
+
+def _special_operands(shape):
+    words = [(h, l) for h in _SPECIAL_HI for l in (0.0, -0.0, 1e-17 * h)]
+    cases = [()]
+    for kind in shape:
+        pool = words if kind == "dd" else [(h,) for h in _SPECIAL_HI]
+        cases = [c + w for c in cases for w in pool]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name,reference,shape", FUSED_KERNELS, ids=[k[0] for k in FUSED_KERNELS]
+)
+class TestFusedKernelsBitIdentical:
+    def test_seeded_pairs(self, name, reference, shape):
+        _assert_bit_identical(name, reference, _seeded_operands(shape))
+
+    def test_special_values(self, name, reference, shape):
+        _assert_bit_identical(name, reference, _special_operands(shape))
