@@ -218,3 +218,35 @@ class TestPlotFiles:
         blocker.write_text("not a directory\n")
         with pytest.raises(ConfigError):
             write_plot_files(_rows(Tier.NATIVE64), blocker / "sub")
+
+
+class TestHookPoints:
+    def test_engine_calls_go_through_the_module_names(self, monkeypatch):
+        # the benchmark's tracer wraps bench.integrate_1d and
+        # bench._integrate_1d_ts_fixed by name; a sweep that reached the
+        # engines some other way would go untimed
+        from ahmedquad import bench
+
+        calls = {"integrate_1d": 0, "_integrate_1d_ts_fixed": 0}
+
+        def counting(name):
+            inner = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bench, name, counting(name))
+        rows = bench_rows(Tier.NATIVE64)
+        assert calls == {"integrate_1d": 17, "_integrate_1d_ts_fixed": 11}
+
+        def fields(rs):
+            return [
+                (r.method, r.parameter, r.value, r.correct_digits, r.evaluations)
+                for r in rs
+            ]
+
+        assert fields(rows) == fields(_rows(Tier.NATIVE64))

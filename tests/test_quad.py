@@ -25,6 +25,7 @@ from ahmedquad import (
     integrate_2d,
     mul,
     pi,
+    sqrt,
     sub,
     tanh_sinh_abscissas,
 )
@@ -652,3 +653,129 @@ class TestIntegrate2D:
                 (_unit(Tier.DOUBLEWORD), _unit(Tier.DOUBLEWORD)),
                 EngineConfig(GaussLegendre(8), Tier.NATIVE64),
             )
+
+
+# ----------------------------------------------------------------------
+# Bit-for-bit pins of every engine path
+# ----------------------------------------------------------------------
+
+_PIN_TIERS = {"n": Tier.NATIVE64, "d": Tier.DOUBLEWORD}
+
+
+def _pin_1d(tier, method, iid):
+    a = sqrt(Real.from_float(2.0, tier)) if iid == "eq3_kernel" else None
+    return integrate_1d(iid, config=EngineConfig(method, tier), a=a)
+
+
+def _pin_ts(tier, level):
+    return TanhSinh(level, 1e-13 if tier is Tier.NATIVE64 else 1e-26)
+
+
+def _pin_simpson(tier, native_tol, dd_tol):
+    return AdaptiveSimpson(native_tol if tier is Tier.NATIVE64 else dd_tol)
+
+
+def _pin_methods(tier):
+    return {
+        "gl8": GaussLegendre(8),
+        "ts4": _pin_ts(tier, 4),
+        "as": _pin_simpson(tier, 1e-8, 1e-12),
+    }
+
+
+def _pin_run(case):
+    """Run one pinned case, named ``<tier>-<what>``."""
+    t, what = case.split("-", 1)
+    tier = _PIN_TIERS[t]
+    unit = _unit(tier)
+    kind, _, rest = what.partition(":")
+    if kind == "1d":
+        method, iid = rest.split("@")
+        return _pin_1d(tier, _pin_methods(tier)[method], iid)
+    if kind in ("tensor", "iterated"):
+        methods = {
+            "gl8": GaussLegendre(8),
+            "ts3": _pin_ts(tier, 3),
+            "as": _pin_simpson(tier, 1e-6, 1e-8),
+        }
+        mode = Mode.TENSOR if kind == "tensor" else Mode.ITERATED
+        return integrate_2d(
+            "i2_kernel_eq4", config=EngineConfig(methods[rest], tier), mode=mode
+        )
+    if kind == "float-callable":
+        # plain floats back from the callable, at either tier
+        return integrate_1d(
+            lambda x: 1.0 / (1.0 + x.hi * x.hi),
+            unit,
+            EngineConfig(_pin_methods(tier)[rest], tier),
+        )
+    if kind == "real-callable-2d":
+        return integrate_2d(
+            lambda x, y: x * y + Real.from_float(1.0, tier),
+            (unit, unit),
+            EngineConfig(GaussLegendre(8) if rest == "gl8" else _pin_ts(tier, 3), tier),
+        )
+    assert kind == "ts-fixed5"
+    return _integrate_1d_ts_fixed("ahmed_eq1", 5, tier, 10.0 * tier.eps)
+
+
+def _pin_of(res):
+    return (
+        res.value.hi.hex(),
+        res.value.lo.hex(),
+        res.error_estimate.hi.hex(),
+        res.error_estimate.lo.hex(),
+        res.evaluations,
+        res.converged,
+    )
+
+
+PINNED = {
+    'n-1d:gl8@ahmed_eq1': ('0x1.07307fd71fca2p-1', '0x0.0p+0', '0x1.fac4dce940000p-19', '0x0.0p+0', 12, True),
+    'n-1d:gl8@i1_theta': ('0x1.a51a6625307c1p-1', '0x0.0p+0', '0x1.4771576000000p-25', '0x0.0p+0', 12, True),
+    'n-1d:gl8@eq3_kernel': ('0x1.bda7a85bd37f0p-2', '0x0.0p+0', '0x1.68dbce7200000p-22', '0x0.0p+0', 12, True),
+    'n-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x0.0p+0', '0x1.07307fd73e4e4p-51', '0x0.0p+0', 103, True),
+    'n-1d:ts4@i1_theta': ('0x1.a51a6625307d4p-1', '0x0.0p+0', '0x1.a51a6625307d4p-51', '0x0.0p+0', 103, True),
+    'n-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cap-2', '0x0.0p+0', '0x1.bda7a85bd40cap-52', '0x0.0p+0', 103, True),
+    'n-1d:as@ahmed_eq1': ('0x1.07307fd7afab2p-1', '0x0.0p+0', '0x1.872cd9219999ap-29', '0x0.0p+0', 61, True),
+    'n-1d:as@i1_theta': ('0x1.a51a662541db8p-1', '0x0.0p+0', '0x1.c0251d3555555p-29', '0x0.0p+0', 33, True),
+    'n-1d:as@eq3_kernel': ('0x1.bda7a85c2af62p-2', '0x0.0p+0', '0x1.0eb039feaaaaap-28', '0x0.0p+0', 41, True),
+    'n-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '0x0.0p+0', '0x1.fb5a88f4e0000p-19', '0x0.0p+0', 80, True),
+    'n-tensor:ts3': ('0x1.3bd3cc9be45dfp-2', '0x0.0p+0', '0x1.3768750000000p-29', '0x0.0p+0', 2601, False),
+    'n-iterated:gl8': ('0x1.3bd3cc9ba755dp-2', '0x0.0p+0', '0x1.379b087200000p-18', '0x0.0p+0', 144, True),
+    'n-iterated:ts3': ('0x1.3bd3cc9be45dfp-2', '0x0.0p+0', '0x1.76ff150000000p-29', '0x0.0p+0', 2601, False),
+    'n-iterated:as': ('0x1.3bd4dcec1aa2fp-2', '0x0.0p+0', '0x1.83bf91258aaabp-22', '0x0.0p+0', 169, True),
+    'n-float-callable:gl8': ('0x1.921fb5441bf6fp-1', '0x0.0p+0', '0x1.42fd8958a0000p-18', '0x0.0p+0', 12, True),
+    'n-float-callable:ts4': ('0x1.921fb54442d19p-1', '0x0.0p+0', '0x1.921fb54442d19p-51', '0x0.0p+0', 103, True),
+    'n-float-callable:as': ('0x1.921fb544d2d8fp-1', '0x0.0p+0', '0x1.ff57bd9000000p-29', '0x0.0p+0', 61, True),
+    'n-real-callable-2d:gl8': ('0x1.4000000000000p+0', '0x0.0p+0', '0x1.4000000000000p-50', '0x0.0p+0', 80, True),
+    'n-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x0.0p+0', '0x1.9b00000000000p-44', '0x0.0p+0', 2601, True),
+    'n-ts-fixed5': ('0x1.07307fd73e4e4p-1', '0x0.0p+0', '0x1.07307fd73e4e4p-51', '0x0.0p+0', 205, True),
+    'd-1d:gl8@ahmed_eq1': ('0x1.07307fd71fca2p-1', '-0x1.a888161591c8cp-57', '0x1.fac4dce97db5bp-19', '0x0.0p+0', 12, True),
+    'd-1d:gl8@i1_theta': ('0x1.a51a6625307c2p-1', '0x1.dfdfc745964c2p-55', '0x1.4771575fe3e72p-25', '0x0.0p+0', 12, True),
+    'd-1d:gl8@eq3_kernel': ('0x1.bda7a85bd37f2p-2', '-0x1.47454669b34bep-56', '0x1.68dbce72e7ca2p-22', '0x0.0p+0', 12, True),
+    'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afafp-58', '0x1.47791e0fd78d4p-60', '0x0.0p+0', 123, False),
+    'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89122020p-56', '0x1.e72a2b0000000p-80', '0x0.0p+0', 123, False),
+    'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7b08p-56', '0x1.39dee07544000p-66', '0x0.0p+0', 123, False),
+    'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a8cp-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
+    'd-1d:as@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.a420899843500p-55', '0x1.bebd9b01e1064p-41', '0x0.0p+0', 257, True),
+    'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde5798p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
+    'd-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc33p-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
+    'd-tensor:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c850p-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
+    'd-iterated:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc33p-60', '0x1.379b087211193p-18', '0x0.0p+0', 144, True),
+    'd-iterated:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c84ep-56', '0x1.76ff14de5afacp-29', '0x0.0p+0', 3721, False),
+    'd-iterated:as': ('0x1.3bd3cc9c91811p-2', '0x1.f2c16b1ccb662p-56', '0x1.35aa45f027d1bp-28', '0x0.0p+0', 3693, True),
+    'd-float-callable:gl8': ('0x1.921fb5441bf6fp-1', '-0x1.4e1be5bf99fc3p-56', '0x1.42fd8958d5b5cp-18', '0x0.0p+0', 12, True),
+    'd-float-callable:ts4': ('0x1.921fb54442d18p-1', '0x1.c0c949bed8b3ap-56', '0x1.4937830512ec2p-57', '0x0.0p+0', 123, False),
+    'd-float-callable:as': ('0x1.921fb54442d19p-1', '-0x1.222d82d82d82ep-55', '0x1.077c1871c71c7p-41', '0x0.0p+0', 609, True),
+    'd-real-callable-2d:gl8': ('0x1.4000000000000p+0', '0x1.7000000000000p-106', '0x1.4000000000000p-102', '0x0.0p+0', 80, True),
+    'd-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x1.ccc0000000000p-99', '0x1.9be6bc5336c90p-44', '0x0.0p+0', 3721, False),
+    'd-ts-fixed5': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952af86p-58', '0x1.07307fd73e4e4p-103', '0x0.0p+0', 247, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_engine_paths_pinned_bit_for_bit(case):
+    # values captured from the engines before they were folded into one
+    # core per rule; a one-ulp reordering anywhere shows here
+    assert _pin_of(_pin_run(case)) == PINNED[case]
