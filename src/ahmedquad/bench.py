@@ -31,13 +31,9 @@ from .quad import (
     AdaptiveSimpson,
     EngineConfig,
     GaussLegendre,
-    _gl_raw_dd,
-    _gl_raw_native,
+    _gl_table,
     _integrate_1d_ts_fixed,
-    _ts_full_dd,
-    _ts_full_native,
-    _ts_inc_dd,
-    _ts_inc_native,
+    _ts_nodes,
     integrate_1d,
 )
 from .scalar import Real, Tier, _dd_div, _dd_sub
@@ -91,20 +87,13 @@ def correct_digits(value: Real, tier: Tier) -> float:
 
 
 def _warm_gl(order: int, tier: Tier) -> None:
-    if tier is Tier.NATIVE64:
-        _gl_raw_native(order)
-        _gl_raw_native(max(1, order // 2))
-    else:
-        _gl_raw_dd(order)
-        _gl_raw_dd(max(1, order // 2))
+    _gl_table(order, tier)
+    _gl_table(max(1, order // 2), tier)
 
 
 def _warm_ts(level: int, tier: Tier) -> None:
     for k in range(1, level + 1):
-        if tier is Tier.NATIVE64:
-            _ts_full_native(k) if k == 1 else _ts_inc_native(k)
-        else:
-            _ts_full_dd(k) if k == 1 else _ts_inc_dd(k)
+        _ts_nodes(k, tier)
 
 
 def _row(method: str, parameter: int, tier: Tier, result) -> BenchRow:

@@ -656,6 +656,91 @@ class TestIntegrate2D:
 
 
 # ----------------------------------------------------------------------
+# The evaluation boundary
+# ----------------------------------------------------------------------
+
+
+class TestEvaluationBoundary:
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_simpson_names_a_singular_endpoint(self, tier):
+        one = Real.from_float(1.0, tier)
+        with pytest.raises(NonFiniteError) as exc_info:
+            integrate_1d(
+                lambda x: one / sqrt(x),
+                _unit(tier),
+                EngineConfig(AdaptiveSimpson(1e-8 if tier is Tier.NATIVE64 else 1e-20), tier),
+            )
+        assert exc_info.value.point == (0.0,)
+
+    def test_tanh_sinh_names_a_point_that_rounds_onto_the_edge(self):
+        # at binary64, 0.5 + 0.5 x rounds to 1 for the outermost nodes
+        one = Real.from_float(1.0)
+        with pytest.raises(NonFiniteError) as exc_info:
+            integrate_1d(
+                lambda x: one / sqrt((one - x) * (one + x)),
+                _unit(Tier.NATIVE64),
+                EngineConfig(TanhSinh(10, 1e-13)),
+            )
+        assert exc_info.value.point == (1.0,)
+
+    def test_iterated_names_both_coordinates(self):
+        one = Real.from_float(1.0)
+        region = (_unit(Tier.NATIVE64), _unit(Tier.NATIVE64))
+        with pytest.raises(NonFiniteError) as exc_info:
+            integrate_2d(
+                lambda x, y: one / (x + y),
+                region,
+                EngineConfig(AdaptiveSimpson(1e-6)),
+                mode=Mode.ITERATED,
+            )
+        assert exc_info.value.point == (0.0, 0.0)
+
+    def test_an_error_inside_the_domain_is_the_integrands_own(self):
+        def broken(x):
+            raise ZeroDivisionError("a bug in the integrand")
+
+        with pytest.raises(ZeroDivisionError, match="a bug in the integrand"):
+            integrate_1d(broken, _unit(Tier.NATIVE64), EngineConfig(GaussLegendre(8)))
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_a_value_of_the_other_tier_is_refused(self, tier):
+        other = Tier.DOUBLEWORD if tier is Tier.NATIVE64 else Tier.NATIVE64
+        with pytest.raises(TierMismatchError):
+            integrate_1d(
+                lambda x: Real.from_float(1.0, other),
+                _unit(tier),
+                EngineConfig(GaussLegendre(4), tier),
+            )
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_a_string_is_refused(self, tier):
+        for integrate, domain, f in (
+            (integrate_1d, _unit(tier), lambda x: "1"),
+            (integrate_2d, (_unit(tier), _unit(tier)), lambda x, y: "1"),
+        ):
+            with pytest.raises(ConfigError):
+                integrate(f, domain, EngineConfig(GaussLegendre(4), tier))
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_int_and_float_are_accepted(self, tier):
+        for f in (lambda x: 1, lambda x: 1.0):
+            res = integrate_1d(f, _unit(tier), EngineConfig(GaussLegendre(4), tier))
+            assert abs(res.value.to_float() - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_degenerate_probe_names_the_point(self, tier):
+        zero = Interval(Real.from_float(0.0, tier), Real.from_float(0.0, tier))
+        one = Real.from_float(1.0, tier)
+        with pytest.raises(NonFiniteError) as exc_info:
+            integrate_2d(
+                lambda x, y: one / x,
+                (zero, _unit(tier)),
+                EngineConfig(GaussLegendre(8), tier),
+            )
+        assert exc_info.value.point == (0.0, 0.0)
+
+
+# ----------------------------------------------------------------------
 # Bit-for-bit pins of every engine path
 # ----------------------------------------------------------------------
 
