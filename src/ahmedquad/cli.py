@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .bench import bench_rows, rows_to_csv, write_plot_files
@@ -42,7 +41,9 @@ from .scalar import Real, Tier, build_info
 from .verify import (
     check_eq3,
     default_config,
+    report_to_dict,
     reports_to_csv,
+    resolve_mode,
     run_chain,
     seeded_a_values,
 )
@@ -50,18 +51,6 @@ from .verify import (
 _ENV_TIER = "AHMEDQUAD_TIER"
 
 _METHOD_NAMES = ("tanh-sinh", "gauss-legendre", "simpson")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Fully validated invocation: every flag has been resolved and
-    checked before any computation starts."""
-
-    subcommand: str
-    tier: Tier
-    engine: EngineConfig | None
-    fmt: str
-    output: str | None
 
 
 def _resolve_tier(flag: str | None) -> Tier:
@@ -138,12 +127,7 @@ def _cmd_eval(args) -> int:
     else:
         if a is not None:
             raise ConfigError(f"{args.integrand} takes no parameter")
-        if args.mode is not None:
-            mode = Mode.TENSOR if args.mode == "tensor" else Mode.ITERATED
-        elif isinstance(engine.method, AdaptiveSimpson):
-            mode = Mode.ITERATED
-        else:
-            mode = Mode.TENSOR
+        mode = resolve_mode(None if args.mode is None else Mode(args.mode), engine)
         result = integrate_2d(args.integrand, config=engine, mode=mode)
     fields = {
         "integrand": args.integrand,
@@ -175,19 +159,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _report_obj(r) -> dict:
-    return {
-        "key": r.key,
-        "lhs": "" if r.lhs_value is None else r.lhs_value.to_decimal_string(),
-        "rhs": "" if r.rhs_value is None else r.rhs_value.to_decimal_string(),
-        "residual": repr(r.residual),
-        "tolerance": repr(r.tolerance),
-        "passed": r.passed,
-        "evaluations": r.evaluations,
-        "note": r.note,
-    }
-
-
 def _cmd_verify(args) -> int:
     tier = _resolve_tier(args.tier)
     engine = _build_engine(args, tier)
@@ -199,8 +170,8 @@ def _cmd_verify(args) -> int:
         payload = {
             "tier": tier.value,
             "all_passed": all_passed,
-            "steps": [_report_obj(r) for r in chain],
-            "eq3_samples": [_report_obj(r) for r in samples],
+            "steps": [report_to_dict(r) for r in chain],
+            "eq3_samples": [report_to_dict(r) for r in samples],
         }
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":

@@ -66,6 +66,8 @@ __all__ = [
     "check_eq3",
     "seeded_a_values",
     "default_config",
+    "resolve_mode",
+    "report_to_dict",
     "reports_to_json",
     "reports_to_csv",
 ]
@@ -148,9 +150,11 @@ class StepReport:
     note: str = ""
 
 
-def _resolve_mode(q: Integral2DQ, config: EngineConfig) -> Mode:
-    if q.mode is not None:
-        return q.mode
+def resolve_mode(mode: Mode | None, config: EngineConfig) -> Mode:
+    """The 2D assembly to use: ``mode`` when given, else ITERATED for
+    adaptive Simpson (which has no product rule) and TENSOR otherwise."""
+    if mode is not None:
+        return mode
     if isinstance(config.method, AdaptiveSimpson):
         return Mode.ITERATED
     return Mode.TENSOR
@@ -180,7 +184,8 @@ def evaluate(
         r = integrate_1d(q.integrand_id, config=config, a=q.a)
         value, evals = r.value, r.evaluations
     elif isinstance(q, Integral2DQ):
-        r = integrate_2d(q.integrand_id, config=config, mode=_resolve_mode(q, config))
+        mode = resolve_mode(q.mode, config)
+        r = integrate_2d(q.integrand_id, config=config, mode=mode)
         value, evals = r.value, r.evaluations
     elif isinstance(q, CombinationQ):
         acc = Real.from_float(0.0, tier)
@@ -397,25 +402,28 @@ def _fmt_value(v: Real | None) -> str:
     return "" if v is None else v.to_decimal_string()
 
 
+def report_to_dict(r: StepReport) -> dict:
+    """One step report as JSON-ready data: values as decimal strings,
+    residuals and tolerances as shortest round-trip floats."""
+    return {
+        "key": r.key,
+        "lhs": _fmt_value(r.lhs_value),
+        "rhs": _fmt_value(r.rhs_value),
+        "residual": repr(r.residual),
+        "tolerance": repr(r.tolerance),
+        "passed": r.passed,
+        "evaluations": r.evaluations,
+        "note": r.note,
+    }
+
+
 def reports_to_json(reports, tier: Tier) -> str:
-    """Serialize step reports deterministically: values as decimal
-    strings, residuals and tolerances as shortest round-trip floats."""
+    """Serialize step reports deterministically (see
+    :func:`report_to_dict`)."""
     payload = {
         "tier": tier.value,
         "all_passed": all(r.passed for r in reports),
-        "steps": [
-            {
-                "key": r.key,
-                "lhs": _fmt_value(r.lhs_value),
-                "rhs": _fmt_value(r.rhs_value),
-                "residual": repr(r.residual),
-                "tolerance": repr(r.tolerance),
-                "passed": r.passed,
-                "evaluations": r.evaluations,
-                "note": r.note,
-            }
-            for r in reports
-        ],
+        "steps": [report_to_dict(r) for r in reports],
     }
     return json.dumps(payload, indent=2) + "\n"
 
