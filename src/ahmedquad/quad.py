@@ -16,28 +16,27 @@ All reported evaluation counts are exact: every call into the integrand
 is counted once, including the points spent on error estimation.
 
 Each rule is written once, as a core that runs over a tier *lane*:
-:class:`_Native` carries values as binary64 floats and
-:class:`_DoubleWord` as ``(hi, lo)`` pairs. The lane owns the tier
-arithmetic (point mapping, exact power-of-two scaling, differences,
-``hi``, conversion to and from :class:`Real`), each operation in the
-order the earlier per-tier engines used, so values, estimates, counts
-and ``converged`` flags are bit-identical to theirs. A 2-D tensor rule
-is the 1-D weighted sum applied to row sums over a pre-mapped axis.
+:class:`_Native` carries values as binary64 floats, :class:`_DoubleWord`
+as ``(hi, lo)`` pairs. The lane owns the tier arithmetic (point
+mapping, exact power-of-two scaling, differences, ``hi``, conversion
+to and from :class:`Real`), each operation in the order the former
+per-tier engines used, so values, estimates, counts and ``converged``
+flags are bit-identical to theirs. A 2-D tensor rule is the 1-D
+weighted sum applied to row sums over a pre-mapped axis.
 
-Tier-specific code is confined to the node-table arithmetic and to
-each lane's three per-evaluation loops (``sum``, ``row``, ``pairs``),
-written over local floats with the integrand called at fixed arity.
-On a 167k-evaluation native 2-D tensor run, a shared loop calling
-``f(x, *y)`` took 57% longer than ``f(x, y)``; at DOUBLEWORD a
-per-evaluation closure cost 7%, and mapping points inside the nested
-loop instead of once per axis cost about 19%.
+Tier-specific code is confined to the node-table arithmetic and to the
+three per-evaluation loops of each lane (``sum``, ``row``, ``pairs``),
+which keep their sums in local floats and call the integrand at fixed
+arity: over 167k native 2-D evaluations a shared loop calling
+``f(x, *y)`` took 57% longer than one calling ``f(x, y)``; at
+DOUBLEWORD a per-evaluation closure cost 7%, and mapping points inside
+the nested loop instead of once per axis about 19%.
 
-Every integrand passes one evaluation boundary, :func:`_boundary`. It
-converts a user callable between Reals and lane values (a Real of the
-engine's tier, an int or a float is accepted). When an evaluation
-raised or the result came out non-finite, the rule runs again with
-every evaluation checked, and :class:`NonFiniteError` names the first
-point that failed.
+Every integrand passes one evaluation boundary, :func:`_boundary`,
+which also converts user callables between Reals and lane values. When
+an evaluation raised or the result came out non-finite, the rule runs
+again with every evaluation checked, so that :class:`NonFiniteError`
+names the point.
 """
 
 from __future__ import annotations
@@ -386,7 +385,7 @@ class _Native:
     div_d = operator.truediv
     scale = operator.mul  # by a power of two: exact
     neg = operator.neg
-    hi = staticmethod(lambda v: v)
+    hi = float  # the identity on floats, at C speed
     real = staticmethod(lambda v: Real._raw(v, 0.0, Tier.NATIVE64))
     pack = staticmethod(lambda hi, lo: hi)
     words = staticmethod(lambda v: (v,))
@@ -425,12 +424,14 @@ class _Native:
         return r + cr
 
     @staticmethod
-    def pairs(f, axis, acc):
-        # adds w * (f(p) + f(q)) over consecutive (p, w), (q, w) entries
+    def pairs(f, m, h, xs, ws, acc):
+        # adds w * (f(m + h x) + f(m - h x)), or w * f(m) at the center
         s, c = acc
-        it = iter(axis)
-        for (p, w), (q, _) in zip(it, it):
-            v = w * (f(p) + f(q))
+        for x, w in zip(xs, ws):
+            if x == 0.0:
+                v = w * f(m)
+            else:
+                v = w * (f(m + h * x) + f(m - h * x))
             t = s + v
             if abs(s) >= abs(v):
                 c += (s - t) + v
@@ -517,12 +518,18 @@ class _DoubleWord:
         return acc.total()
 
     @staticmethod
-    def pairs(f, axis, acc):
-        it = iter(axis)
-        for ((ph, pl), (wh, wl)), ((qh, ql), _) in zip(it, it):
-            f1h, f1l = f(ph, pl)
-            f2h, f2l = f(qh, ql)
-            acc.add(*_dd_mul(wh, wl, *_dd_add(f1h, f1l, f2h, f2l)))
+    def pairs(f, m, h, xs, ws, acc):
+        mh, ml = m
+        hh, hl = h
+        for (xh, xl), (wh, wl) in zip(xs, ws):
+            if xh == 0.0:
+                fh, fl = f(mh, ml)
+                acc.add(*_dd_mul(wh, wl, fh, fl))
+            else:
+                oh, ol = _dd_mul(hh, hl, xh, xl)
+                f1h, f1l = f(*_dd_add(mh, ml, oh, ol))
+                f2h, f2l = f(*_dd_sub(mh, ml, oh, ol))
+                acc.add(*_dd_mul(wh, wl, *_dd_add(f1h, f1l, f2h, f2l)))
         return acc
 
 
@@ -624,7 +631,7 @@ def _signed_axis(lane, xs, ws, m, h):
     # m + h x then m - h x
     axis = []
     for x, w in zip(xs, ws):
-        if lane.hi(x) == 0.0:
+        if x == lane.zero:
             axis.append((m, w))
         else:
             o = lane.mul(h, x)
@@ -641,15 +648,11 @@ def _ts_1d(lane, f, a, b, max_level: int):
     evals = 0
     for level in range(1, max_level + 1):
         xs, ws = _ts_nodes(level, lane.tier)
-        axis = _signed_axis(lane, xs, ws, m, h)
-        evals += len(axis)
-        if level == 1:
-            # the center, alone at the head of the first level
-            acc = lane.sum(f, axis[:1], acc)
-            axis = axis[1:]
-        else:
+        if level > 1:
             acc = lane.rescale(acc, 0.5)
-        acc = lane.pairs(f, axis, acc)
+        acc = lane.pairs(f, m, h, xs, ws, acc)
+        # two points per node, but one at the center of the first level
+        evals += 2 * len(xs) - (level == 1)
         yield lane.mul(h, lane.total(acc)), evals
 
 
@@ -829,7 +832,7 @@ def _integrate(lane, f, user: bool, domain, core) -> QuadResult:
     every evaluation checked, to name the point. A degenerate domain
     costs one probing evaluation and yields exactly zero."""
     tier = lane.tier
-    box = [(lane.pack(iv.lower.hi, iv.lower.lo), lane.pack(iv.upper.hi, iv.upper.lo)) for iv in domain]
+    box = [tuple(lane.pack(r.hi, r.lo) for r in (iv.lower, iv.upper)) for iv in domain]
     if any(iv.degenerate for iv in domain):
         probe = _boundary(f, lane, user, domain)
         probe(*(w for a, _ in box for w in lane.words(a)))
