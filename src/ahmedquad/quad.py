@@ -503,19 +503,17 @@ class _DoubleWord:
     total = staticmethod(lambda acc: acc.total())
 
     @staticmethod
-    def sum(f, axis, acc):
+    def sum(f, axis, acc, *y):
+        # next to a double-word evaluation, passing a row's coordinate
+        # on as trailing words costs nothing measurable
         for (ph, pl), (wh, wl) in axis:
-            vh, vl = f(ph, pl)
+            vh, vl = f(ph, pl, *y)
             acc.add(*_dd_mul(wh, wl, vh, vl))
         return acc
 
     @staticmethod
     def row(f, axis, yh, yl):
-        acc = _DDAccumulator()
-        for (ph, pl), (wh, wl) in axis:
-            vh, vl = f(ph, pl, yh, yl)
-            acc.add(*_dd_mul(wh, wl, vh, vl))
-        return acc.total()
+        return _DoubleWord.sum(f, axis, _DDAccumulator(), yh, yl).total()
 
     @staticmethod
     def pairs(f, m, h, xs, ws, acc):
@@ -802,48 +800,43 @@ def _iterated(lane, f, box, method):
 _DEFAULT_CONFIG = EngineConfig(TanhSinh(max_level=10, target_eps=1e-13))
 
 
-def _resolve(f, domain, tier: Tier, dim: int, a=None):
-    # (integrand, whether it is a user callable, the domain's intervals)
+def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
+    """Integrate ``f``, a registry id or a callable, over ``domain`` (by
+    default a registry integrand's own) as ``core(lane, integrand, box,
+    method)``, the box holding each axis's endpoints as lane values.
+    When an evaluation raised or the value came out non-finite, the core
+    runs again with every evaluation checked, to name the point. A
+    degenerate domain costs one probing evaluation and yields zero."""
+    lane = _LANES[tier]
     what = "interval" if dim == 1 else "region"
     if isinstance(f, str):
         entry = get_integrand(f)
         if entry.dim != dim:
             raise ConfigError(f"{f} is {entry.dim}D; use integrate_{entry.dim}d")
-        fn, user = raw_fn(f, tier, a), False
-        if domain is None:
-            domain = domain_of(f, tier)
+        f, user = raw_fn(f, tier, a), False
+        domain = domain_of(entry.id, tier) if domain is None else domain
     elif callable(f):
         if a is not None:
             raise ConfigError("parameter a applies only to registry integrands")
         if domain is None:
             raise ConfigError(f"an explicit {what} is required for callables")
-        fn, user = f, True
+        user = True
     else:
         raise ConfigError("f must be an integrand id or a callable")
     if any(iv.tier is not tier for iv in domain):
         raise TierMismatchError(f"{what} tier does not match the engine tier")
-    return fn, user, tuple(domain)
-
-
-def _integrate(lane, f, user: bool, domain, core) -> QuadResult:
-    """Run ``core(integrand, box)`` behind the evaluation boundary, the
-    box holding each axis's endpoints as lane values. When an evaluation
-    raised or the value came out non-finite, the core runs again with
-    every evaluation checked, to name the point. A degenerate domain
-    costs one probing evaluation and yields exactly zero."""
-    tier = lane.tier
     box = [tuple(lane.pack(r.hi, r.lo) for r in (iv.lower, iv.upper)) for iv in domain]
     if any(iv.degenerate for iv in domain):
         probe = _boundary(f, lane, user, domain)
-        probe(*(w for a, _ in box for w in lane.words(a)))
+        probe(*(w for lower, _ in box for w in lane.words(lower)))
         zero = Real.from_float(0.0, tier)
         return QuadResult(zero, zero, 1, True)
     try:
-        out = core(_boundary(f, lane, user), box)
+        out = core(lane, _boundary(f, lane, user), box, method)
     except (ArithmeticError, ValueError, NonFiniteError):
         out = None
     if out is None or not math.isfinite(lane.hi(out[0])):
-        core(_boundary(f, lane, user, domain), box)
+        core(lane, _boundary(f, lane, user, domain), box, method)
         raise NonFiniteError("integration produced a non-finite sum")
     value, est, evals, converged = out
     return QuadResult(lane.real(value), Real.from_float(est, tier), evals, converged)
@@ -859,12 +852,8 @@ def integrate_1d(
     Real`` over an interval. A degenerate interval yields exactly zero
     after a single probing evaluation."""
     config = config if config is not None else _DEFAULT_CONFIG
-    lane = _LANES[config.tier]
     domain = None if interval is None else (interval,)
-    fn, user, domain = _resolve(f, domain, config.tier, 1, a)
-    return _integrate(
-        lane, fn, user, domain, lambda g, box: _tensor(lane, g, box, config.method)
-    )
+    return _integrate(f, domain, config.tier, config.method, _tensor, 1, a)
 
 
 def integrate_2d(
@@ -878,17 +867,18 @@ def integrate_2d(
     rule of a fixed 1D rule (Gauss-Legendre or tanh-sinh); ITERATED
     nests adaptive 1D passes with a tightened inner tolerance."""
     config = config if config is not None else _DEFAULT_CONFIG
-    lane = _LANES[config.tier]
-    method = config.method
     if not isinstance(mode, Mode):
         raise ConfigError("mode must be a Mode")
-    if mode is Mode.TENSOR and isinstance(method, AdaptiveSimpson):
+    if mode is Mode.TENSOR and isinstance(config.method, AdaptiveSimpson):
         raise ConfigError(
             "adaptive Simpson has no fixed product rule; use ITERATED mode"
         )
-    fn, user, region = _resolve(f, region, config.tier, 2)
     core = _iterated if mode is Mode.ITERATED else _tensor
-    return _integrate(lane, fn, user, region, lambda g, box: core(lane, g, box, method))
+    return _integrate(f, region, config.tier, config.method, core, 2)
+
+
+def _ts_fixed(lane, f, box, method: TanhSinh):
+    return _refine(lane, method, _ts_1d(lane, f, *box[0], method.max_level), fixed=True)
 
 
 def _integrate_1d_ts_fixed(
@@ -898,12 +888,5 @@ def _integrate_1d_ts_fixed(
     early exit. Used by the benchmark sweeps so that evaluation counts
     grow strictly with the level."""
     _check_int(level, 1, _MAX_TS_LEVEL, "level")
-    lane = _LANES[tier]
     method = TanhSinh(max_level=level, target_eps=target_eps)
-
-    def core(g, box):
-        return _refine(lane, method, _ts_1d(lane, g, *box[0], level), fixed=True)
-
-    return _integrate(
-        lane, raw_fn(integrand_id, tier), False, domain_of(integrand_id, tier), core
-    )
+    return _integrate(integrand_id, None, tier, method, _ts_fixed)
