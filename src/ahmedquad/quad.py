@@ -395,6 +395,11 @@ class _Native:
     total = staticmethod(lambda acc: acc[0] + acc[1])
 
     @staticmethod
+    def map(m, h, xs):
+        # the points m + h x of a rule's nodes
+        return [m + h * x for x in xs]
+
+    @staticmethod
     def sum(f, axis, acc):
         # adds w * f(p) over the (point, weight) axis to the running sum
         s, c = acc
@@ -503,17 +508,24 @@ class _DoubleWord:
     total = staticmethod(lambda acc: acc.total())
 
     @staticmethod
-    def sum(f, axis, acc, *y):
-        # next to a double-word evaluation, passing a row's coordinate
-        # on as trailing words costs nothing measurable
+    def map(m, h, xs):
+        (mh, ml), (hh, hl) = m, h
+        return [_dd_add(mh, ml, *_dd_mul(hh, hl, xh, xl)) for xh, xl in xs]
+
+    @staticmethod
+    def sum(f, axis, acc):
         for (ph, pl), (wh, wl) in axis:
-            vh, vl = f(ph, pl, *y)
+            vh, vl = f(ph, pl)
             acc.add(*_dd_mul(wh, wl, vh, vl))
         return acc
 
     @staticmethod
     def row(f, axis, yh, yl):
-        return _DoubleWord.sum(f, axis, _DDAccumulator(), yh, yl).total()
+        acc = _DDAccumulator()
+        for (ph, pl), (wh, wl) in axis:
+            vh, vl = f(ph, pl, yh, yl)
+            acc.add(*_dd_mul(wh, wl, vh, vl))
+        return acc.total()
 
     @staticmethod
     def pairs(f, m, h, xs, ws, acc):
@@ -611,10 +623,7 @@ def _gl(lane, f, box, method: GaussLegendre):
     evals = 0
     for n in (method.order, max(1, method.order // 2)):
         xs, ws = _gl_table(n, lane.tier)
-        mapped = [
-            [(lane.add(m, lane.mul(h, x)), w) for x, w in zip(xs, ws)]
-            for m, h in axes
-        ]
+        mapped = [list(zip(lane.map(m, h, xs), ws)) for m, h in axes]
         g = f if len(box) == 1 else functools.partial(lane.row, f, mapped[0])
         sums.append(lane.total(lane.sum(g, mapped[-1], lane.start())))
         evals += n ** len(box)
@@ -688,6 +697,7 @@ def _refine(lane, method: TanhSinh, levels, fixed: bool = False):
     exit, then reports converged when the last difference met
     target_eps."""
     eps = method.target_eps
+    floor_eps = 16.0 * lane.tier.eps
     prev = diff = None
     prev_diff = math.inf
     converged = False
@@ -695,7 +705,7 @@ def _refine(lane, method: TanhSinh, levels, fixed: bool = False):
         if prev is not None:
             diff = abs(lane.hi(lane.sub(value, prev)))
             if not fixed:
-                floor = 16.0 * lane.tier.eps * max(1.0, abs(lane.hi(value)))
+                floor = floor_eps * max(1.0, abs(lane.hi(value)))
                 if diff <= eps or (diff <= floor and prev_diff <= floor):
                     converged = True
                     break
@@ -823,12 +833,15 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         user = True
     else:
         raise ConfigError("f must be an integrand id or a callable")
-    if any(iv.tier is not tier for iv in domain):
-        raise TierMismatchError(f"{what} tier does not match the engine tier")
-    box = [tuple(lane.pack(r.hi, r.lo) for r in (iv.lower, iv.upper)) for iv in domain]
+    box = []
+    for iv in domain:
+        if iv.tier is not tier:
+            raise TierMismatchError(f"{what} tier does not match the engine tier")
+        lower, upper = iv.lower, iv.upper
+        box.append((lane.pack(lower.hi, lower.lo), lane.pack(upper.hi, upper.lo)))
     if any(iv.degenerate for iv in domain):
         probe = _boundary(f, lane, user, domain)
-        probe(*(w for lower, _ in box for w in lane.words(lower)))
+        probe(*(w for corner, _ in box for w in lane.words(corner)))
         zero = Real.from_float(0.0, tier)
         return QuadResult(zero, zero, 1, True)
     try:
