@@ -400,10 +400,10 @@ class _Native:
         return [m + h * x for x in xs]
 
     @staticmethod
-    def sum(f, ps, ws, acc):
-        # adds w * f(p) over points and weights to the running sum
+    def sum(f, axis, acc):
+        # adds w * f(p) over the (point, weight) axis to the running sum
         s, c = acc
-        for p, w in zip(ps, ws):
+        for p, w in axis:
             v = w * f(p)
             t = s + v
             if abs(s) >= abs(v):
@@ -414,11 +414,11 @@ class _Native:
         return s, c
 
     @staticmethod
-    def row(f, xs, ws, y):
+    def row(f, axis, y):
         # the sum of w * f(x, y) over one row of a 2-D rule
         r = 0.0
         cr = 0.0
-        for x, w in zip(xs, ws):
+        for x, w in axis:
             v = w * f(x, y)
             t = r + v
             if abs(r) >= abs(v):
@@ -513,16 +513,16 @@ class _DoubleWord:
         return [_dd_add(mh, ml, *_dd_mul(hh, hl, xh, xl)) for xh, xl in xs]
 
     @staticmethod
-    def sum(f, ps, ws, acc):
-        for (ph, pl), (wh, wl) in zip(ps, ws):
+    def sum(f, axis, acc):
+        for (ph, pl), (wh, wl) in axis:
             vh, vl = f(ph, pl)
             acc.add(*_dd_mul(wh, wl, vh, vl))
         return acc
 
     @staticmethod
-    def row(f, xs, ws, yh, yl):
+    def row(f, axis, yh, yl):
         acc = _DDAccumulator()
-        for (ph, pl), (wh, wl) in zip(xs, ws):
+        for (ph, pl), (wh, wl) in axis:
             vh, vl = f(ph, pl, yh, yl)
             acc.add(*_dd_mul(wh, wl, vh, vl))
         return acc.total()
@@ -623,9 +623,9 @@ def _gl(lane, f, box, method: GaussLegendre):
     evals = 0
     for n in (method.order, max(1, method.order // 2)):
         xs, ws = _gl_table(n, lane.tier)
-        mapped = [lane.map(m, h, xs) for m, h in axes]
-        g = f if len(box) == 1 else functools.partial(lane.row, f, mapped[0], ws)
-        sums.append(lane.total(lane.sum(g, mapped[-1], ws, lane.start())))
+        mapped = [list(zip(lane.map(m, h, xs), ws)) for m, h in axes]
+        g = f if len(box) == 1 else functools.partial(lane.row, f, mapped[0])
+        sums.append(lane.total(lane.sum(g, mapped[-1], lane.start())))
         evals += n ** len(box)
     jac = axes[0][1] if len(box) == 1 else lane.mul(axes[0][1], axes[1][1])
     value = lane.mul(jac, sums[0])
@@ -634,19 +634,17 @@ def _gl(lane, f, box, method: GaussLegendre):
 
 
 def _signed_axis(lane, xs, ws, m, h):
-    # mapped signed expansion, as (points, weights): the center alone,
-    # every other node as m + h x then m - h x
-    ps = []
-    pws = []
+    # mapped signed expansion: the center alone, every other node as
+    # m + h x then m - h x
+    axis = []
     for x, w in zip(xs, ws):
         if x == lane.zero:
-            ps.append(m)
-            pws.append(w)
+            axis.append((m, w))
         else:
             o = lane.mul(h, x)
-            ps += (lane.add(m, o), lane.sub(m, o))
-            pws += (w, w)
-    return ps, pws
+            axis.append((lane.add(m, o), w))
+            axis.append((lane.sub(m, o), w))
+    return axis
 
 
 def _ts_1d(lane, f, a, b, max_level: int):
@@ -672,21 +670,23 @@ def _ts_2d(lane, f, box, max_level: int):
     # on the empty sum before level 1)
     (mx, hx), (my, hy) = (_mid_half(lane, a, b) for a, b in box)
     jac = lane.mul(hx, hy)
-    px, pxw, py, pyw = [], [], [], []
+    px: list = []
+    py: list = []
     acc = lane.start()
     evals = 0
     for level in range(1, max_level + 1):
         xs, ws = _ts_nodes(level, lane.tier)
-        pxw = [lane.scale(w, 0.5) for w in pxw]
-        pyw = [lane.scale(w, 0.5) for w in pyw]
+        px = [(p, lane.scale(w, 0.5)) for p, w in px]
+        py = [(p, lane.scale(w, 0.5)) for p, w in py]
         acc = lane.rescale(acc, 0.25)
-        nx, nxw = _signed_axis(lane, xs, ws, mx, hx)
-        ny, nyw = _signed_axis(lane, xs, ws, my, hy)
-        acc = lane.sum(functools.partial(lane.row, f, nx, nxw), py, pyw, acc)
-        px, pxw = px + nx, pxw + nxw
-        acc = lane.sum(functools.partial(lane.row, f, px, pxw), ny, nyw, acc)
-        evals += len(py) * len(nx) + len(ny) * len(px)
-        py, pyw = py + ny, pyw + nyw
+        nx = _signed_axis(lane, xs, ws, mx, hx)
+        ny = _signed_axis(lane, xs, ws, my, hy)
+        acc = lane.sum(functools.partial(lane.row, f, nx), py, acc)
+        both = px + nx
+        acc = lane.sum(functools.partial(lane.row, f, both), ny, acc)
+        evals += len(py) * len(nx) + len(ny) * len(both)
+        px = both
+        py = py + ny
         yield lane.mul(jac, lane.total(acc)), evals
 
 
