@@ -166,8 +166,10 @@ def get(integrand_id: str) -> Integrand:
         raise ConfigError(f"unknown integrand id: {integrand_id!r}") from None
 
 
+@functools.lru_cache(maxsize=None)
 def domain_of(integrand_id: str, tier: Tier) -> tuple[Interval, ...]:
-    """The integration domain, one Interval per axis."""
+    """The integration domain, one Interval per axis, built once per
+    (id, tier)."""
     entry = get(integrand_id)
     zero = Real.from_float(0.0, tier)
     if entry.id == "i1_theta":
@@ -351,14 +353,20 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
             raise TierMismatchError("parameter tier does not match request")
         if a.hi == 0.0:
             raise DomainError("a = 0 is excluded")
+        # a^2 must be a normal binary64 value; at DOUBLEWORD its low word
+        # must be one too, which needs a^2 >= 2^-969
         if tier is Tier.NATIVE64:
             a2 = a.hi * a.hi
+            if not 2.0**-1022 <= a2 < math.inf:
+                raise DomainError(f"a^2 underflows or overflows at a = {a.hi!r}")
 
             def f_native(x: float) -> float:
                 return 1.0 / (x * x + a2)
 
             return f_native
         a2h, a2l = _dd_sqr(a.hi, a.lo)
+        if not 2.0**-969 <= a2h < math.inf:
+            raise DomainError(f"a^2 underflows or overflows at a = {a.hi!r}")
 
         def f_dd(xh: float, xl: float) -> tuple[float, float]:
             th, tl = _dd_add(*_dd_sqr(xh, xl), a2h, a2l)

@@ -14,6 +14,12 @@ of ``_two_sum``, ``_two_prod`` and ``_quick_two_sum``.
 The hot paths inside the quadrature engines work on raw ``(hi, lo)``
 tuples through the module-private ``_dd_*`` functions; the :class:`Real`
 wrapper provides the safe, tier-checked public surface on top of them.
+
+Double-word ``atan`` uses Tang's table-lookup reduction: x in [0, 1] is
+reduced about the nearest c = k/64 to t = (x - c)/(1 + x c), |t| <= 1/128,
+and atan(c) comes from a 65-entry table that the angle-halving series
+builds on first use. Double-word ``sin`` and ``cos`` fold about pi/2 in
+a loop and raise :class:`DomainError` for |x| > 2^10.
 """
 
 from __future__ import annotations
@@ -389,7 +395,38 @@ def _pi_pair() -> tuple[float, float]:
     return ph, pl
 
 
+def _dd_atan_halving(xh: float, xl: float) -> tuple[float, float]:
+    # atan on 0 <= x <= 1 by angle halving down to the Maclaurin range;
+    # slow, so it only builds the table of _dd_atan
+    halvings = 0
+    while xh > 0.28:
+        # atan(x) = 2 atan(x / (1 + sqrt(1 + x^2)))
+        sh, sl = _dd_sqrt(*_dd_add_d(*_dd_sqr(xh, xl), 1.0))
+        xh, xl = _dd_div(xh, xl, *_dd_add_d(sh, sl, 1.0))
+        halvings += 1
+    rh, rl = _dd_atan_reduced(xh, xl)
+    s = float(1 << halvings)
+    return rh * s, rl * s
+
+
+@functools.lru_cache(maxsize=None)
+def _atan_table() -> tuple[tuple[float, float], ...]:
+    # atan(k / 64) for k = 0..64, built on first use
+    return tuple(_dd_atan_halving(k / 64.0, 0.0) for k in range(65))
+
+
+# double-word coefficients -1/3, 1/5, -1/7 of the atan series, and the
+# binary64 tail 1/9, -1/11, 1/13, -1/15
+_ATAN_C3 = _dd_div_d(-1.0, 0.0, 3.0)
+_ATAN_C5 = _dd_div_d(1.0, 0.0, 5.0)
+_ATAN_C7 = _dd_div_d(-1.0, 0.0, 7.0)
+_ATAN_C9, _ATAN_C11 = 1.0 / 9.0, -1.0 / 11.0
+_ATAN_C13, _ATAN_C15 = 1.0 / 13.0, -1.0 / 15.0
+
+
 def _dd_atan(xh: float, xl: float) -> tuple[float, float]:
+    # Tang's table-lookup reduction: with c = k/64 nearest to x in [0, 1],
+    # atan(x) = atan(c) + atan(t), t = (x - c) / (1 + x c), |t| <= 1/128
     if xh == 0.0 and xl == 0.0:
         return 0.0, 0.0
     neg = xh < 0.0
@@ -397,16 +434,22 @@ def _dd_atan(xh: float, xl: float) -> tuple[float, float]:
         xh, xl = -xh, -xl
     inverted = xh > 1.0 or (xh == 1.0 and xl > 0.0)
     if inverted:
-        xh, xl = _dd_div(1.0, 0.0, xh, xl)
-    halvings = 0
-    while xh > 0.28:
-        # angle halving: atan(x) = 2 atan(x / (1 + sqrt(1 + x^2)))
-        sh, sl = _dd_sqrt(*_dd_add_d(*_dd_sqr(xh, xl), 1.0))
-        xh, xl = _dd_div(xh, xl, *_dd_add_d(sh, sl, 1.0))
-        halvings += 1
-    rh, rl = _dd_atan_reduced(xh, xl)
-    s = float(1 << halvings)
-    rh, rl = rh * s, rl * s
+        # above 2^60, 1/x in binary64 is atan(1/x) to double-word accuracy,
+        # and _dd_div would overflow its split beyond ~2^996
+        xh, xl = (1.0 / xh, 0.0) if xh > 2.0**60 else _dd_div(1.0, 0.0, xh, xl)
+    k = int(xh * 64.0 + 0.5)
+    c = k * 0.015625
+    th, tl = _dd_div(
+        *_dd_add_d(xh, xl, -c), *_dd_add_d(*_dd_mul_d(xh, xl, c), 1.0)
+    )
+    # atan t = t + t z P(z), z = t^2, P in Horner form
+    zh, zl = _dd_sqr(th, tl)
+    q = ((_ATAN_C15 * zh + _ATAN_C13) * zh + _ATAN_C11) * zh + _ATAN_C9
+    ph, pl = _dd_add_d(*_ATAN_C7, zh * q)
+    ph, pl = _dd_add(*_ATAN_C5, *_dd_mul(ph, pl, zh, zl))
+    ph, pl = _dd_add(*_ATAN_C3, *_dd_mul(ph, pl, zh, zl))
+    ph, pl = _dd_mul(*_dd_mul(th, tl, zh, zl), ph, pl)
+    rh, rl = _dd_add(*_atan_table()[k], *_dd_add(th, tl, ph, pl))
     if inverted:
         p2h, p2l = _dd_scale2(*_pi_pair(), 0.5)
         rh, rl = _dd_sub(p2h, p2l, rh, rl)
@@ -459,23 +502,32 @@ def _fold_about_pi_half(xh: float, xl: float) -> tuple[float, float]:
     return _dd_add_d(wh, wl, p2c)
 
 
+def _dd_sin_or_cos(xh: float, xl: float, want_sin: bool) -> tuple[float, float]:
+    # sin(-x) = -sin x, cos(-x) = cos x, and a fold about pi/2 swaps sin
+    # and cos; each step runs until |x| <= pi/4
+    if abs(xh) > 1024.0:
+        raise DomainError("sin/cos argument beyond |x| <= 2^10")
+    neg = False
+    while True:
+        if xh < 0.0:
+            xh, xl = -xh, -xl
+            neg ^= want_sin
+        if xh <= 0.7853981633974483:
+            break
+        xh, xl = _fold_about_pi_half(xh, xl)
+        want_sin = not want_sin
+    sh, sl, ch, cl = _dd_sin_cos_core(xh, xl)
+    if want_sin:
+        return (-sh, -sl) if neg else (sh, sl)
+    return (-ch, -cl) if neg else (ch, cl)
+
+
 def _dd_sin(xh: float, xl: float) -> tuple[float, float]:
-    if xh < 0.0:
-        rh, rl = _dd_sin(-xh, -xl)
-        return -rh, -rl
-    if xh > 0.7853981633974483:
-        return _dd_cos(*_fold_about_pi_half(xh, xl))
-    sh, sl, _, _ = _dd_sin_cos_core(xh, xl)
-    return sh, sl
+    return _dd_sin_or_cos(xh, xl, True)
 
 
 def _dd_cos(xh: float, xl: float) -> tuple[float, float]:
-    if xh < 0.0:
-        xh, xl = -xh, -xl
-    if xh > 0.7853981633974483:
-        return _dd_sin(*_fold_about_pi_half(xh, xl))
-    _, _, ch, cl = _dd_sin_cos_core(xh, xl)
-    return ch, cl
+    return _dd_sin_or_cos(xh, xl, False)
 
 
 def _dd_exp(xh: float, xl: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Integrand registry: frozen point values, closed forms, and the
 pointwise identities that drive the verification chain."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from ahmedquad import (
     ConfigError,
     DomainError,
+    EngineConfig,
+    GaussLegendre,
     Real,
     Tier,
     TierMismatchError,
@@ -18,12 +21,14 @@ from ahmedquad import (
     domain_of,
     eval_integrand,
     ids,
+    integrate_1d,
     mul,
     pi,
     sin,
     sub,
 )
-from ahmedquad.integrands import get, raw_fn
+from ahmedquad.integrands import Interval, get, raw_fn
+from ahmedquad.verify import seeded_a_values
 from helpers import (
     AHMED_AT_0_STR,
     AHMED_AT_1_STR,
@@ -94,6 +99,22 @@ class TestRegistry:
         assert len(square) == 2
         for iv in square:
             assert iv.lower.to_float() == 0.0 and iv.upper.to_float() == 1.0
+
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_domains_built_once(self, tier):
+        for iid in ALL_IDS:
+            assert domain_of(iid, tier) is domain_of(iid, tier)
+        (iv,) = domain_of("i1_theta", tier)
+        assert iv.lower == Real.from_float(0.0, tier)
+        assert iv.upper == pi(tier) * Real.from_float(0.25, tier)
+        (iv,) = domain_of("i1_phi", tier)
+        assert iv.upper == pi(tier) / Real.from_float(6.0, tier)
+        for iid in ("ahmed_eq1", "i2_kernel_eq4"):
+            for iv in domain_of(iid, tier):
+                assert iv == Interval.unit(tier)
+        with pytest.raises(ConfigError):
+            domain_of("nosuch", tier)
 
 
 class TestClosedForms:
@@ -196,6 +217,36 @@ class TestPointValues:
             eval_integrand("ahmed_eq1", x, a=Real.from_float(1.0, t))
         with pytest.raises(TierMismatchError):
             raw_fn("eq3_kernel", t, Real.from_float(1.0, Tier.DOUBLEWORD))
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    @pytest.mark.parametrize("a", [1e-170, 1e-160, 1e200])
+    def test_eq3_rejects_a_squared_out_of_range(self, tier, a):
+        # a^2 underflows (1e-170, 1e-160) or overflows (1e200) binary64;
+        # GL16 used to return 544 +- 400, converged, for the small ones
+        config = EngineConfig(GaussLegendre(16), tier)
+        for sign in (1.0, -1.0):
+            with pytest.raises(DomainError):
+                integrate_1d("eq3_kernel", config=config, a=Real.from_float(sign * a, tier))
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_eq3_accepts_a_squared_in_range(self, tier):
+        config = EngineConfig(GaussLegendre(16), tier)
+        small = integrate_1d("eq3_kernel", config=config, a=Real.from_float(1e-140, tier))
+        assert 0.0 < small.value.to_float() < math.inf
+        for a in seeded_a_values(tier):
+            got = integrate_1d("eq3_kernel", config=config, a=a).value.to_float()
+            want = math.atan(1.0 / a.to_float()) / a.to_float()
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_eq3_doubleword_needs_a_normal_low_word(self):
+        # a^2 = 1e-300 is a normal binary64 value, but below 2^-969 the low
+        # word of the double-word square is subnormal
+        a = 1e-150
+        config = EngineConfig(GaussLegendre(16), Tier.NATIVE64)
+        integrate_1d("eq3_kernel", config=config, a=Real.from_float(a, Tier.NATIVE64))
+        config = EngineConfig(GaussLegendre(16), Tier.DOUBLEWORD)
+        with pytest.raises(DomainError):
+            integrate_1d("eq3_kernel", config=config, a=Real.from_float(a, Tier.DOUBLEWORD))
 
     def test_point_validation(self):
         t = Tier.NATIVE64

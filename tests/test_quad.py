@@ -840,10 +840,10 @@ PINNED = {
     'd-1d:gl8@ahmed_eq1': ('0x1.07307fd71fca2p-1', '-0x1.a888161591c8cp-57', '0x1.fac4dce97db5bp-19', '0x0.0p+0', 12, True),
     'd-1d:gl8@i1_theta': ('0x1.a51a6625307c2p-1', '0x1.dfdfc745964c2p-55', '0x1.4771575fe3e72p-25', '0x0.0p+0', 12, True),
     'd-1d:gl8@eq3_kernel': ('0x1.bda7a85bd37f2p-2', '-0x1.47454669b34bep-56', '0x1.68dbce72e7ca2p-22', '0x0.0p+0', 12, True),
-    'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afafp-58', '0x1.47791e0fd78d4p-60', '0x0.0p+0', 123, False),
+    'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afabp-58', '0x1.47791e0fd78c4p-60', '0x0.0p+0', 123, False),
     'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89122020p-56', '0x1.e72a2b0000000p-80', '0x0.0p+0', 123, False),
     'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7b08p-56', '0x1.39dee07544000p-66', '0x0.0p+0', 123, False),
-    'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a8cp-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
+    'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a8dp-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
     'd-1d:as@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.a420899843500p-55', '0x1.bebd9b01e1064p-41', '0x0.0p+0', 257, True),
     'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde5798p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
     'd-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc33p-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
@@ -856,12 +856,16 @@ PINNED = {
     'd-float-callable:as': ('0x1.921fb54442d19p-1', '-0x1.222d82d82d82ep-55', '0x1.077c1871c71c7p-41', '0x0.0p+0', 609, True),
     'd-real-callable-2d:gl8': ('0x1.4000000000000p+0', '0x1.7000000000000p-106', '0x1.4000000000000p-102', '0x0.0p+0', 80, True),
     'd-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x1.ccc0000000000p-99', '0x1.9be6bc5336c90p-44', '0x0.0p+0', 3721, False),
-    'd-ts-fixed5': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952af86p-58', '0x1.07307fd73e4e4p-103', '0x0.0p+0', 247, True),
+    'd-ts-fixed5': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952af84p-58', '0x1.07307fd73e4e4p-103', '0x0.0p+0', 247, True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_engine_paths_pinned_bit_for_bit(case):
     # values captured from the engines before they were folded into one
-    # core per rule; a one-ulp reordering anywhere shows here
+    # core per rule; a one-ulp reordering anywhere shows here. The three
+    # doubleword ahmed_eq1 cases d-1d:as, d-1d:ts4 and d-ts-fixed5 were
+    # re-pinned when double-word atan became table-driven: their values
+    # moved in the last bits (under 2^-104 relative), with evaluation
+    # counts and convergence flags unchanged
     assert _pin_of(_pin_run(case)) == PINNED[case]

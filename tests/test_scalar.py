@@ -2,10 +2,13 @@
 functions against frozen independent-oracle digit strings."""
 
 import math
+import os
 import random
 import struct
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -510,3 +513,186 @@ class TestFusedKernelsBitIdentical:
 
     def test_special_values(self, name, reference, shape):
         _assert_bit_identical(name, reference, _special_operands(shape))
+
+
+# ----------------------------------------------------------------------
+# Table-driven double-word atan
+# ----------------------------------------------------------------------
+# The kernel reduces x in [0, 1] to t = (x - c)/(1 + x c) about the
+# nearest c = k/64 and adds atan(c) from a table built by the halving
+# series. The oracle bound is 4 units of 2^-104 relative; the kernel
+# measures below 2.
+
+ATAN_BOUND = 4.0 * 2.0**-104
+
+
+def _atan_rel_err(xh, xl):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    x = mp.mpf(xh) + mp.mpf(xl)
+    want = mp.atan(x)
+    rh, rl = scalar._dd_atan(xh, xl)
+    if want == 0:
+        return 0.0 if rh == 0.0 and rl == 0.0 else math.inf
+    return float(abs((mp.mpf(rh) + mp.mpf(rl) - want) / want))
+
+
+def _ulps_around(v, n=3):
+    out = [v]
+    lo = hi = v
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _with_low_words(values, seed):
+    # each value with a zero low word and with a random one below half an ulp
+    rng = random.Random(seed)
+    words = []
+    for v in values:
+        words.append((v, 0.0))
+        words.append(_two_sum(v, rng.uniform(-0.5, 0.5) * math.ulp(v)))
+    return words
+
+
+class TestTableDrivenAtan:
+    def _assert_bound(self, words):
+        for xh, xl in words:
+            err = _atan_rel_err(xh, xl)
+            assert err <= ATAN_BOUND, f"atan({xh!r}, {xl!r}): {err / 2.0**-104:.3g} units"
+
+    def test_lane_arguments(self):
+        # ahmed_eq1 passes sqrt(2 + x^2) in [sqrt2, sqrt3]; i2_x its inverse
+        rng = random.Random(0xA7A2)
+        pts = [rng.uniform(math.sqrt(2.0), math.sqrt(3.0)) for _ in range(300)]
+        pts += [rng.uniform(1.0 / math.sqrt(3.0), 1.0 / math.sqrt(2.0)) for _ in range(300)]
+        self._assert_bound(_with_low_words(pts, 0xA7A3))
+
+    def test_table_points_and_cell_edges(self):
+        pts = []
+        for k in range(65):
+            pts.append(k / 64.0)
+            if k < 64:
+                pts += _ulps_around((k + 0.5) / 64.0)
+        self._assert_bound(_with_low_words([p for p in pts if p > 0.0], 0xED6E))
+
+    def test_around_the_inversion(self):
+        words = [(v, 0.0) for v in _ulps_around(1.0, 4)]
+        words += [(1.0, s * 2.0**-60) for s in (-1.0, 1.0)]
+        words += [(1.0, s * 5e-324) for s in (-1.0, 1.0)]
+        self._assert_bound(words)
+
+    def test_tiny_and_huge(self):
+        tiny = [5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-20, 1e-8, 2.0**-8]
+        huge = [1e8, 1e20, 1e300, sys.float_info.max]
+        self._assert_bound([(v, 0.0) for v in tiny + huge])
+        self._assert_bound([(-v, 0.0) for v in tiny + huge])
+
+    def test_odd(self):
+        for xh, xl in _with_low_words([0.3, 0.9, 1.0, 1.7, 64.0, 1e300], 0x0DD):
+            rh, rl = scalar._dd_atan(xh, xl)
+            assert scalar._dd_atan(-xh, -xl) == (-rh, -rl)
+        assert scalar._dd_atan(0.0, 0.0) == (0.0, 0.0)
+
+    def test_agrees_with_the_halving_series(self):
+        # the table's builder, run on 10k seeded points of [0, 1]
+        rng = random.Random(0x7AB1E)
+        for _ in range(10_000):
+            xh, xl = _two_sum(rng.random(), rng.uniform(-1.0, 1.0) * 2.0**-54)
+            if xh <= 0.0:
+                continue
+            rh, rl = scalar._dd_atan(xh, xl)
+            sh, sl = scalar._dd_atan_halving(xh, xl)
+            dh, _ = scalar._dd_sub(rh, rl, sh, sl)
+            assert abs(dh) <= 4.0 * 2.0**-104 * sh, f"atan({xh!r}, {xl!r})"
+
+    def test_table_is_not_built_at_import(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import ahmedquad\n"
+            "from ahmedquad import scalar\n"
+            "print(scalar._atan_table.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+
+def test_atan_property_against_mpmath():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # half the draws near the table's range [0, 1] and the lanes' [sqrt2, sqrt3]
+    his = st.one_of(
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    )
+    words = st.tuples(his, st.floats(min_value=-0.5, max_value=0.5)).map(
+        lambda p: _two_sum(p[0], p[1] * math.ulp(p[0]))
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(words)
+    def check(word):
+        err = _atan_rel_err(*word)
+        assert err <= ATAN_BOUND, f"atan{word!r}: {err / 2.0**-104:.3g} units"
+
+    check()
+
+
+# ----------------------------------------------------------------------
+# Double-word sin and cos: iterative folding, bounded domain
+# ----------------------------------------------------------------------
+
+# (x, sin hi, sin lo, cos hi, cos lo), captured from the recursive
+# folding that the loop replaced
+SIN_COS_PINNED = [
+    (0.5, "0x1.eaee8744b05f0p-2", "-0x1.789b43c9b0280p-58", "0x1.c1528065b7d50p-1", "-0x1.892111312e828p-55"),
+    (1.0, "0x1.aed548f090ceep-1", "0x1.06374f484e2a0p-59", "0x1.14a280fb5068cp-1", "-0x1.b71edcc9344c0p-55"),
+    (2.5, "0x1.326af0dcfcab1p-1", "-0x1.fd42734161656p-55", "-0x1.9a2f7ef858b7dp-1", "-0x1.587cfaa17e970p-56"),
+    (10.0, "-0x1.1689ef5f34f52p-1", "-0x1.673fd915f0125p-55", "-0x1.ad9ac890c6b1fp-1", "-0x1.04f7e2a0b9997p-56"),
+    (123.456, "-0x1.9b9dadc41aeb6p-1", "0x1.a57a7849f0300p-56", "-0x1.307e5980a1558p-1", "-0x1.445cf27ff9b4ep-55"),
+    (500.0, "-0x1.deff92776755fp-2", "0x1.1eb94baf2783cp-56", "-0x1.c487e457f68f0p-1", "0x1.c0c1317aa5840p-55"),
+    (999.0, "-0x1.b18870e886e35p-6", "-0x1.7fdcf44dbc7bap-60", "0x1.ffd21b0401f9ap-1", "0x1.31391e2a18ad7p-55"),
+    (1000.0, "0x1.a75cc150a206bp-1", "0x1.64b8b22674a18p-55", "0x1.1ff026793f1bbp-1", "0x1.dc0807412c894p-55"),
+]
+
+
+class TestSinCosFolding:
+    @pytest.mark.parametrize("x,sh,sl,ch,cl", SIN_COS_PINNED, ids=[str(p[0]) for p in SIN_COS_PINNED])
+    def test_values_unchanged(self, x, sh, sl, ch, cl):
+        for sign in (1.0, -1.0):
+            s = sin(Real.from_float(sign * x, Tier.DOUBLEWORD))
+            c = cos(Real.from_float(sign * x, Tier.DOUBLEWORD))
+            assert (s.hi, s.lo) == (sign * float.fromhex(sh), sign * float.fromhex(sl))
+            assert (c.hi, c.lo) == (float.fromhex(ch), float.fromhex(cl))
+
+    def test_largest_argument(self):
+        for v in (1024.0, -1024.0):
+            s = sin(Real.from_float(v, Tier.DOUBLEWORD))
+            c = cos(Real.from_float(v, Tier.DOUBLEWORD))
+            assert abs(s.to_float() - math.sin(v)) < 1e-9
+            assert abs(c.to_float() - math.cos(v)) < 1e-9
+
+    @pytest.mark.parametrize("v", [1025.0, 5000.0, 1e300, -1025.0, -1e300])
+    def test_domain_error_beyond_2_pow_10(self, v):
+        x = Real.from_float(v, Tier.DOUBLEWORD)
+        with pytest.raises(DomainError):
+            sin(x)
+        with pytest.raises(DomainError):
+            cos(x)
+
+    def test_no_recursion_under_a_deep_stack(self):
+        # the old mutual recursion ran out of frames far earlier when
+        # called from deep inside the interpreter's stack
+        def nest(depth):
+            if depth:
+                return nest(depth - 1)
+            return sin(Real.from_float(1000.0, Tier.DOUBLEWORD))
+
+        got = nest(sys.getrecursionlimit() - 100)
+        assert got.hi == float.fromhex(SIN_COS_PINNED[-1][1])
