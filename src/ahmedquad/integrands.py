@@ -26,11 +26,10 @@ from .scalar import (
     _dd_add,
     _dd_add_d,
     _dd_atan,
-    _dd_cos,
     _dd_div,
     _dd_mul,
     _dd_scale2,
-    _dd_sin,
+    _dd_sincos,
     _dd_sqr,
     _dd_sqrt,
     _pi_pair,
@@ -253,8 +252,7 @@ def _native_i1_theta(t: float) -> float:
 
 
 def _dd_i1_theta(th: float, tl: float) -> tuple[float, float]:
-    sh, sl = _dd_sin(th, tl)
-    ch, cl = _dd_cos(th, tl)
+    sh, sl, ch, cl = _dd_sincos(th, tl)
     rh, rl = _dd_sqrt(*_dd_add_d(*_dd_scale2(*_dd_sqr(sh, sl), -1.0), 2.0))
     p2h, p2l = _dd_scale2(*_pi_pair(), 0.5)
     nh, nl = _dd_mul(p2h, p2l, ch, cl)

@@ -2,10 +2,13 @@
 
 Three rules share one result contract:
 
-* Gauss-Legendre product rules with memoized node tables. Nodes are
-  found by Newton iteration from Chebyshev initial guesses; DOUBLEWORD
-  tables polish each converged root with two further Newton steps in
-  double-word arithmetic.
+* Gauss-Legendre product rules with memoized node tables, run over a
+  ladder of orders whose successive sums give the error estimate: the
+  fixed rule is (order // 2, order), the adaptive one (with a ``tol``)
+  doubles from 6 or so up to the order and stops once within ``tol``.
+  Nodes are found by Newton iteration from Chebyshev initial guesses;
+  DOUBLEWORD tables polish each converged root with two further Newton
+  steps in double-word arithmetic.
 * Tanh-sinh (double-exponential) rules with level-halved step sizes
   ``h = 2^-k`` and incremental refinement: level ``k`` reuses every
   point of level ``k - 1``.
@@ -108,7 +111,13 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class GaussLegendre:
+    """Gauss-Legendre of a fixed ``order``, or, with a ``tol``, of
+    adaptive order: orders 6, 12, 24, ... doubling up to ``order``,
+    stopping at the first whose difference from the one before is
+    within ``tol``."""
+
     order: int
+    tol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -135,6 +144,8 @@ class EngineConfig:
         m = self.method
         if isinstance(m, GaussLegendre):
             _check_int(m.order, 2, _MAX_GL_ORDER, "Gauss-Legendre order")
+            if m.tol is not None:
+                self._check_tol(m.tol, "tol")
         elif isinstance(m, TanhSinh):
             _check_int(m.max_level, 1, _MAX_TS_LEVEL, "tanh-sinh max_level")
             self._check_tol(m.target_eps, "target_eps")
@@ -615,23 +626,47 @@ def _floored(lane, est: float, value) -> float:
     return max(est, 4.0 * lane.tier.eps * abs(lane.hi(value)))
 
 
+def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
+    """The orders a Gauss-Legendre run goes through, lowest first. The
+    fixed rule is the two rungs (order // 2, order); with a ``tol`` the
+    ladder is the order halved while the half stays >= 6 (6, 12, 24,
+    48, 96 for 96, as mpmath's 3 * 2^m degrees), or the fixed pair
+    below order 12."""
+    n = method.order
+    rungs = [n]
+    if method.tol is not None:
+        while rungs[-1] // 2 >= 6:
+            rungs.append(rungs[-1] // 2)
+    if len(rungs) == 1:
+        rungs.append(max(1, n // 2))
+    return tuple(reversed(rungs))
+
+
 def _gl(lane, f, box, method: GaussLegendre):
-    # the full-order rule, with the half-order rule as its error
-    # estimate; in 2-D the 1-D sum runs over row sums, each axis mapped
-    # once per rule
+    # one rule per rung, each the next one's half-order error estimate,
+    # so the estimate costs no extra evaluations; in 2-D the 1-D sum runs
+    # over row sums, each axis mapped once per rule. With a tol the run
+    # stops at the first estimate <= tol (converged); the fixed rule runs
+    # both rungs and is converged unless the two rules differ by more
+    # than a tenth of the value, agreeing on no leading digit
     axes = [_mid_half(lane, a, b) for a, b in box]
-    sums = []
+    jac = axes[0][1] if len(box) == 1 else lane.mul(axes[0][1], axes[1][1])
+    tol = method.tol
+    prev = None
     evals = 0
-    for n in (method.order, max(1, method.order // 2)):
+    for n in _gl_rungs(method):
         xs, ws = _gl_table(n, lane.tier)
         mapped = [list(zip(lane.map(m, h, xs), ws)) for m, h in axes]
         g = f if len(box) == 1 else functools.partial(lane.row, f, mapped[0])
-        sums.append(lane.total(lane.sum(g, mapped[-1], lane.start())))
+        value = lane.mul(jac, lane.total(lane.sum(g, mapped[-1], lane.start())))
         evals += n ** len(box)
-    jac = axes[0][1] if len(box) == 1 else lane.mul(axes[0][1], axes[1][1])
-    value = lane.mul(jac, sums[0])
-    est = abs(lane.hi(lane.sub(value, lane.mul(jac, sums[1]))))
-    return value, _floored(lane, est, value), evals, True
+        if prev is not None:
+            est = _floored(lane, abs(lane.hi(lane.sub(value, prev))), value)
+            if tol is not None and est <= tol:
+                return value, est, evals, True
+        prev = value
+    converged = tol is None and est <= 0.1 * abs(lane.hi(value))
+    return value, est, evals, converged
 
 
 def _signed_axis(lane, xs, ws, m, h):
@@ -785,6 +820,8 @@ def _iterated(lane, f, box, method):
         inner = TanhSinh(method.max_level, max(method.target_eps * 0.1, floor))
     elif isinstance(method, AdaptiveSimpson):
         inner = AdaptiveSimpson(max(method.tol * 0.1, floor), method.max_depth)
+    elif method.tol is not None:
+        inner = GaussLegendre(method.order, max(method.tol * 0.1, floor))
     else:
         inner = method
     evals = 0

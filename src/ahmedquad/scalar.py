@@ -19,7 +19,14 @@ Double-word ``atan`` uses Tang's table-lookup reduction: x in [0, 1] is
 reduced about the nearest c = k/64 to t = (x - c)/(1 + x c), |t| <= 1/128,
 and atan(c) comes from a 65-entry table that the angle-halving series
 builds on first use. Double-word ``sin`` and ``cos`` fold about pi/2 in
-a loop and raise :class:`DomainError` for |x| > 2^10.
+a loop and raise :class:`DomainError` for |x| > 2^10; one fold and one
+series give both (``_dd_sincos``).
+
+Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul`` and
+``_dd_div`` return NaN. :class:`Real` multiplication and division
+detect that NaN and redo the operation on operands scaled by powers of
+two, so a representable result such as 1 / 1e301 comes out finite; the
+raw kernels are left as they are.
 """
 
 from __future__ import annotations
@@ -55,6 +62,10 @@ class Tier(enum.Enum):
 
     NATIVE64 = "native64"
     DOUBLEWORD = "doubleword"
+
+    # members are singletons, so identity hashing is sound, and it keeps
+    # every Tier-keyed cache off the Python-level Enum.__hash__
+    __hash__ = object.__hash__
 
     @property
     def eps(self) -> float:
@@ -502,32 +513,32 @@ def _fold_about_pi_half(xh: float, xl: float) -> tuple[float, float]:
     return _dd_add_d(wh, wl, p2c)
 
 
-def _dd_sin_or_cos(xh: float, xl: float, want_sin: bool) -> tuple[float, float]:
-    # sin(-x) = -sin x, cos(-x) = cos x, and a fold about pi/2 swaps sin
-    # and cos; each step runs until |x| <= pi/4
+def _dd_sincos(xh: float, xl: float) -> tuple[float, float, float, float]:
+    # (sin x, cos x): sin(-x) = -sin x, cos(-x) = cos x, and a fold about
+    # pi/2 swaps sin and cos; each step runs until |x| <= pi/4, then one
+    # series gives both
     if abs(xh) > 1024.0:
         raise DomainError("sin/cos argument beyond |x| <= 2^10")
-    neg = False
+    swapped = neg_s = neg_c = False
     while True:
         if xh < 0.0:
             xh, xl = -xh, -xl
-            neg ^= want_sin
+            if swapped:
+                neg_c = not neg_c
+            else:
+                neg_s = not neg_s
         if xh <= 0.7853981633974483:
             break
         xh, xl = _fold_about_pi_half(xh, xl)
-        want_sin = not want_sin
+        swapped = not swapped
     sh, sl, ch, cl = _dd_sin_cos_core(xh, xl)
-    if want_sin:
-        return (-sh, -sl) if neg else (sh, sl)
-    return (-ch, -cl) if neg else (ch, cl)
-
-
-def _dd_sin(xh: float, xl: float) -> tuple[float, float]:
-    return _dd_sin_or_cos(xh, xl, True)
-
-
-def _dd_cos(xh: float, xl: float) -> tuple[float, float]:
-    return _dd_sin_or_cos(xh, xl, False)
+    if swapped:
+        sh, sl, ch, cl = ch, cl, sh, sl
+    if neg_s:
+        sh, sl = -sh, -sl
+    if neg_c:
+        ch, cl = -ch, -cl
+    return sh, sl, ch, cl
 
 
 def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
@@ -613,6 +624,25 @@ def _dd_tanh(xh: float, xl: float) -> tuple[float, float]:
 def _check_finite_pair(hi: float, lo: float, what: str) -> None:
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise NonFiniteError(f"{what} produced a non-finite value")
+
+
+def _dd_rescaled(kernel, ah: float, al: float, bh: float, bl: float, sign: int):
+    # kernel(a, b) on operands scaled by powers of two to a high word in
+    # [0.5, 1), then scaled back by 2^(ea + sign * eb): sign 1 for a
+    # product, -1 for a quotient. Dekker's split overflows once a
+    # high word or partial quotient passes ~2^996, and the kernel then
+    # returns NaN, though the result may be representable; on scaled
+    # operands it cannot. A result beyond binary64 comes back infinite.
+    _, ea = math.frexp(ah)
+    _, eb = math.frexp(bh)
+    rh, rl = kernel(
+        math.ldexp(ah, -ea), math.ldexp(al, -ea), math.ldexp(bh, -eb), math.ldexp(bl, -eb)
+    )
+    k = ea + sign * eb
+    try:
+        return math.ldexp(rh, k), math.ldexp(rl, k)
+    except OverflowError:
+        return math.inf, math.inf
 
 
 class Real:
@@ -809,6 +839,8 @@ class Real:
                 raise NonFiniteError("multiplication overflowed")
             return Real._raw(r, 0.0, self.tier)
         rh, rl = _dd_mul(self.hi, self.lo, o.hi, o.lo)
+        if rh != rh:  # NaN from finite operands: the split overflowed
+            rh, rl = _dd_rescaled(_dd_mul, self.hi, self.lo, o.hi, o.lo, 1)
         _check_finite_pair(rh, rl, "multiplication")
         return Real._raw(rh, rl, self.tier)
 
@@ -826,6 +858,8 @@ class Real:
                 raise NonFiniteError("division overflowed")
             return Real._raw(r, 0.0, self.tier)
         rh, rl = _dd_div(self.hi, self.lo, o.hi, o.lo)
+        if rh != rh:  # NaN from finite operands: the split overflowed
+            rh, rl = _dd_rescaled(_dd_div, self.hi, self.lo, o.hi, o.lo, -1)
         _check_finite_pair(rh, rl, "division")
         return Real._raw(rh, rl, self.tier)
 
@@ -886,14 +920,14 @@ def atan(x: Real) -> Real:
 def sin(x: Real) -> Real:
     if x.tier is Tier.NATIVE64:
         return Real._raw(math.sin(x.hi), 0.0, x.tier)
-    rh, rl = _dd_sin(x.hi, x.lo)
+    rh, rl, _, _ = _dd_sincos(x.hi, x.lo)
     return Real._raw(rh, rl, x.tier)
 
 
 def cos(x: Real) -> Real:
     if x.tier is Tier.NATIVE64:
         return Real._raw(math.cos(x.hi), 0.0, x.tier)
-    rh, rl = _dd_cos(x.hi, x.lo)
+    _, _, rh, rl = _dd_sincos(x.hi, x.lo)
     return Real._raw(rh, rl, x.tier)
 
 

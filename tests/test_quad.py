@@ -348,7 +348,7 @@ class TestIntegrate1D:
                         f"{iid} via {type(method).__name__}: err {err:.3g} "
                         f"vs est {est:.3g}"
                     )
-                tol = getattr(method, "target_eps", getattr(method, "tol", est))
+                tol = getattr(method, "target_eps", getattr(method, "tol", None)) or est
                 assert err <= max(est, tol) * 10.0
 
     def test_doubleword_simpson_spot(self):
@@ -739,6 +739,161 @@ class TestEvaluationBoundary:
                 EngineConfig(GaussLegendre(8), tier),
             )
         assert exc_info.value.point == (0.0, 0.0)
+
+
+# ----------------------------------------------------------------------
+# Adaptive-order Gauss-Legendre
+# ----------------------------------------------------------------------
+# With a tol the rule climbs the ladder 6, 12, 24, 48, 96 and stops at
+# the first half-order difference within tol; each rung's sum is the
+# next rung's estimate, so a run that stops at order n costs the rungs
+# up to n and returns the fixed GL(n) value and estimate bit for bit.
+
+LADDER_TOLS = {Tier.NATIVE64: (1e-13,), Tier.DOUBLEWORD: (1e-13, 1e-26)}
+LADDER_CASES = [
+    (tier, tol, iid)
+    for tier in TIERS
+    for tol in LADDER_TOLS[tier]
+    for iid in ONE_D_IDS + ("eq3_kernel",) + TWO_D_IDS
+]
+
+
+def _mp_truth(iid):
+    # 50-digit closed forms, from mpmath rather than the package
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    pi2 = mp.pi**2
+    r2 = mp.sqrt(2)
+    return {
+        "ahmed_eq1": 5 * pi2 / 96,
+        "i1_x": pi2 / 12,
+        "i1_theta": pi2 / 12,
+        "i1_phi": pi2 / 12,
+        "i2_x": pi2 / 32,
+        "eq3_kernel": mp.atan(1 / r2) / r2,
+        "i2_kernel_eq4": pi2 / 32,
+        "product_kernel_eq6a": pi2 / 16,
+        "shifted_kernel_eq6b": pi2 / 32,
+    }[iid]
+
+
+def _ladder_run(iid, method, tier):
+    config = EngineConfig(method, tier)
+    if iid in TWO_D_IDS:
+        return integrate_2d(iid, config=config)
+    a = sqrt(Real.from_float(2.0, tier)) if iid == "eq3_kernel" else None
+    return integrate_1d(iid, config=config, a=a)
+
+
+class TestAdaptiveGaussLegendre:
+    def test_rungs(self):
+        from ahmedquad.quad import _gl_rungs
+
+        assert _gl_rungs(GaussLegendre(96, 1e-26)) == (6, 12, 24, 48, 96)
+        assert _gl_rungs(GaussLegendre(100, 1e-13)) == (6, 12, 25, 50, 100)
+        assert _gl_rungs(GaussLegendre(12, 1e-13)) == (6, 12)
+        # below order 12 the ladder is the fixed pair
+        assert _gl_rungs(GaussLegendre(8, 1e-13)) == (4, 8)
+        assert _gl_rungs(GaussLegendre(96)) == (48, 96)
+        assert _gl_rungs(GaussLegendre(3)) == (1, 3)
+
+    @pytest.mark.parametrize(
+        "tier,tol,iid", LADDER_CASES, ids=[f"{t.value}-{tol:g}-{i}" for t, tol, i in LADDER_CASES]
+    )
+    def test_registry_ladder(self, tier, tol, iid):
+        method = GaussLegendre(96, tol)
+        res = _ladder_run(iid, method, tier)
+        est = res.error_estimate.to_float()
+        if res.converged:
+            assert est <= tol
+        mp = pytest.importorskip("mpmath")
+        err = abs(mp.mpf(res.value.hi) + mp.mpf(res.value.lo) - _mp_truth(iid))
+        assert err <= est, f"error {float(err):.3g} above estimate {est:.3g}"
+        # the evaluations are those of the rungs run, and the run that
+        # stopped at order n is the fixed GL(n) rule
+        dim = 2 if iid in TWO_D_IDS else 1
+        sizes = [n**dim for n in (6, 12, 24, 48, 96)]
+        stops = [k for k in range(2, 6) if sum(sizes[:k]) == res.evaluations]
+        assert stops, res.evaluations
+        n = (6, 12, 24, 48, 96)[stops[0] - 1]
+        assert res.converged or n == 96
+        fixed = _ladder_run(iid, GaussLegendre(n), tier)
+        assert (res.value, res.error_estimate) == (fixed.value, fixed.error_estimate)
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_stops_at_the_first_estimate_within_tol(self, tier):
+        # GL12's estimate against GL6 decides whether the ladder stops at
+        # 12: it does with that estimate as tol, and not with half of it
+        e12 = _ladder_run("ahmed_eq1", GaussLegendre(12), tier).error_estimate.to_float()
+        at = _ladder_run("ahmed_eq1", GaussLegendre(96, e12), tier)
+        assert at.converged and at.evaluations == 6 + 12
+        below = _ladder_run("ahmed_eq1", GaussLegendre(96, 0.5 * e12), tier)
+        assert below.converged and below.evaluations == 6 + 12 + 24
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_stops_early_on_the_chain(self, tier):
+        # ahmed_eq1 converges below the cap at either tolerance
+        tol = LADDER_TOLS[tier][-1]
+        res = _ladder_run("ahmed_eq1", GaussLegendre(96, tol), tier)
+        assert res.converged and res.evaluations < 6 + 12 + 24 + 48 + 96
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_eq3_spike_is_not_converged(self, tier):
+        # at a = 1e-140 the kernel is a spike of width 1e-140 at x = 0:
+        # GL16 gives 544 and GL8 144 (truth ~1.57e140), and the ladder
+        # gives 18624 against 4704
+        from ahmedquad.verify import default_config
+
+        a = Real.from_float(1e-140, tier)
+        for config in (EngineConfig(GaussLegendre(16), tier), default_config(tier)):
+            res = integrate_1d("eq3_kernel", config=config, a=a)
+            assert not res.converged, config
+        res = integrate_1d(
+            "eq3_kernel", config=EngineConfig(GaussLegendre(96, 1e-13), tier), a=a
+        )
+        assert not res.converged and res.evaluations == 6 + 12 + 24 + 48 + 96
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_fixed_order_flag(self, tier):
+        # converged unless the half-order rule agrees on no leading digit
+        unit = _unit(tier)
+        one = Real.from_float(1.0, tier)
+        ok = integrate_1d(lambda x: one, unit, EngineConfig(GaussLegendre(2), tier))
+        assert ok.converged and ok.evaluations == 3
+        step = integrate_1d(
+            lambda x: 1.0 if x.hi > 0.7 else 0.0, unit, EngineConfig(GaussLegendre(4), tier)
+        )
+        # a step at 0.7: GL4 puts 0.174 of the weight beyond it, GL2 0.5
+        assert not step.converged and step.evaluations == 6
+
+    def test_tol_below_ten_eps_is_rejected(self):
+        for tier in TIERS:
+            EngineConfig(GaussLegendre(96, 10.0 * tier.eps), tier)
+            for bad in (9.0 * tier.eps, 0.0, -1e-10, math.inf, math.nan):
+                with pytest.raises(ConfigError):
+                    EngineConfig(GaussLegendre(96, bad), tier)
+        with pytest.raises(ConfigError):
+            EngineConfig(GaussLegendre(96, 1e-26), Tier.NATIVE64)
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_iterated_tightens_the_inner_tol(self, tier, monkeypatch):
+        # every inner solve must meet a tenth of the outer tol
+        from ahmedquad import quad
+
+        tol = 1e-11 if tier is Tier.NATIVE64 else 1e-24
+        methods = set()
+        tensor = quad._tensor
+
+        def recording(lane, f, box, method):
+            methods.add(method)
+            return tensor(lane, f, box, method)
+
+        monkeypatch.setattr(quad, "_tensor", recording)
+        config = EngineConfig(GaussLegendre(96, tol), tier)
+        res = integrate_2d("i2_kernel_eq4", config=config, mode=Mode.ITERATED)
+        assert methods == {GaussLegendre(96, tol), GaussLegendre(96, 0.1 * tol)}
+        assert res.converged
+        assert abs(sub(res.value, ref(I2_STR, tier)).to_float()) <= tol
 
 
 # ----------------------------------------------------------------------

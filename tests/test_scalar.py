@@ -696,3 +696,115 @@ class TestSinCosFolding:
 
         got = nest(sys.getrecursionlimit() - 100)
         assert got.hi == float.fromhex(SIN_COS_PINNED[-1][1])
+
+    def test_sincos_matches_the_two_separate_calls(self):
+        # _dd_sincos folds once and runs the series once; the reference
+        # is the former one-function loop, run once for sin and once for
+        # cos, on a seeded sweep of [-1024, 1024] and of [-4, 4]
+        def ref_sin_or_cos(xh, xl, want_sin):
+            neg = False
+            while True:
+                if xh < 0.0:
+                    xh, xl = -xh, -xl
+                    neg ^= want_sin
+                if xh <= 0.7853981633974483:
+                    break
+                xh, xl = scalar._fold_about_pi_half(xh, xl)
+                want_sin = not want_sin
+            sh, sl, ch, cl = scalar._dd_sin_cos_core(xh, xl)
+            if want_sin:
+                return (-sh, -sl) if neg else (sh, sl)
+            return (-ch, -cl) if neg else (ch, cl)
+
+        rng = random.Random(0x51C05)
+        his = [rng.uniform(-1024.0, 1024.0) for _ in range(500)]
+        his += [rng.uniform(-4.0, 4.0) for _ in range(500)]
+        his += [0.0, -0.0, 1024.0, -1024.0, 0.7853981633974483, -0.7853981633974483]
+        for xh in his:
+            xl = rng.uniform(-0.5, 0.5) * math.ulp(xh)
+            got = scalar._dd_sincos(xh, xl)
+            want = ref_sin_or_cos(xh, xl, True) + ref_sin_or_cos(xh, xl, False)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], (xh, xl)
+
+
+# ----------------------------------------------------------------------
+# Double-word products and quotients beyond Dekker's split range
+# ----------------------------------------------------------------------
+# Dekker's split overflows once a high word (or, in a division, a
+# partial quotient) passes ~2^996, and the raw kernel returns NaN. Real
+# multiplication and division then redo the operation on operands
+# scaled by powers of two; every other result is the raw kernel's.
+
+
+def _exact(x):
+    return Fraction(x.hi) + Fraction(x.lo)
+
+
+def _assert_dd_close(got, want):
+    # a few units of 2^-104 relative, or the subnormal spacing where
+    # the low word (or the result) leaves the normal range
+    err = abs(_exact(got) - want)
+    assert err <= 4 * 2.0**-104 * abs(want) + Fraction(2.0**-1074), (
+        got, float(err / want) if want else float(err)
+    )
+
+
+class TestSplitOverflow:
+    D = Tier.DOUBLEWORD
+
+    def _dd(self, rng, lo_exp, hi_exp):
+        # a double-word with a full low word: a binary64 draw divided by 3
+        three = Real.from_float(3.0, self.D)
+        v = rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(lo_exp, hi_exp)
+        x = Real.from_float(math.copysign(v, rng.random() - 0.5), self.D)
+        return x / three
+
+    def test_results_past_the_split_range(self):
+        D = self.D
+        one, big = Real.from_float(1.0, D), Real.from_float(1e301, D)
+        got = div(one, big)
+        _assert_dd_close(got, Fraction(1) / Fraction(1e301))
+        got = mul(big, Real.from_float(1e-10, D))
+        _assert_dd_close(got, Fraction(1e301) * Fraction(1e-10))
+        # a quotient past 2^996 from operands that are not
+        got = div(Real.from_float(1e296, D), Real.from_float(1e-5, D))
+        _assert_dd_close(got, Fraction(1e296) / Fraction(1e-5))
+
+    def test_seeded_against_fractions(self):
+        rng = random.Random(0x5C41E)
+        for _ in range(400):
+            x = self._dd(rng, 990, 1020)
+            y = self._dd(rng, -900, -30)
+            _assert_dd_close(mul(x, y), _exact(x) * _exact(y))
+            _assert_dd_close(mul(y, x), _exact(x) * _exact(y))
+            z = self._dd(rng, 10, 25)
+            _assert_dd_close(div(x, z), _exact(x) / _exact(z))
+            w = self._dd(rng, -40, 40)
+            _assert_dd_close(div(w, x), _exact(w) / _exact(x))
+
+    def test_out_of_range_still_raises(self):
+        D = self.D
+        big = Real.from_float(1e308, D)
+        with pytest.raises(NonFiniteError):
+            mul(big, big)
+        with pytest.raises(NonFiniteError):
+            div(big, Real.from_float(1e-10, D))
+        # zero times the largest value is zero, not NaN
+        zero = Real.from_float(0.0, D)
+        assert mul(zero, Real.from_float(sys.float_info.max, D)).hi == 0.0
+
+    def test_fast_path_is_the_raw_kernel(self):
+        # in the split's range the Real result is the kernel's, bit for bit
+        for (ah, bh) in _random_pairs(2_000, 0xFA57, span=400):
+            x = Real.from_float(ah, self.D) / Real.from_float(3.0, self.D)
+            y = Real.from_float(bh, self.D) / Real.from_float(7.0, self.D)
+            p = mul(x, y)
+            assert (p.hi, p.lo) == scalar._dd_mul(x.hi, x.lo, y.hi, y.lo)
+            q = div(x, y)
+            assert (q.hi, q.lo) == scalar._dd_div(x.hi, x.lo, y.hi, y.lo)
+
+
+def test_tier_hashes_by_identity():
+    # a Tier-keyed cache hashes the member in C, not through Enum.__hash__
+    assert Tier.__hash__ is object.__hash__
+    assert {Tier.NATIVE64: 1, Tier.DOUBLEWORD: 2}[Tier("doubleword")] == 2
