@@ -11,7 +11,11 @@ Three rules share one result contract:
   steps in double-word arithmetic.
 * Tanh-sinh (double-exponential) rules with level-halved step sizes
   ``h = 2^-k`` and incremental refinement: level ``k`` reuses every
-  point of level ``k - 1``.
+  point of level ``k - 1``, and :func:`tanh_sinh_abscissas` is the union
+  of those increments. Points sit at ``t = J 2^-12``; DOUBLEWORD tables
+  take sinh t and cosh t from two step tables (of ``J >> 6`` and
+  ``J & 63``) by the addition formulas, so a point has the same bits at
+  every level, and make one ``exp`` call per node.
 * Globally adaptive Simpson with Richardson acceptance ``|S2 - S1| <=
   15 * tol`` and left-first deterministic splitting.
 
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -74,7 +79,6 @@ from .scalar import (
     _dd_sqr,
     _dd_sqrt,
     _dd_sub,
-    _dd_tanh,
     _pi_pair,
 )
 
@@ -300,8 +304,9 @@ _TS_CUTOFF_NATIVE = 2.0**-60
 _TS_CUTOFF_DD = 2.0**-106
 
 
-def _ts_point_native(t: float, hp2: float) -> tuple[float, float, bool]:
-    # (abscissa, weight, past the end); hp2 = (pi/2) h
+def _ts_point_native(J: int, hp2: float) -> tuple[float, float, bool]:
+    # (abscissa, weight, past the end) at t = J 2^-12; hp2 = (pi/2) h
+    t = J * _TS_STEP
     u = 0.5 * math.pi * math.sinh(t)
     x = math.tanh(u)
     cu = math.cosh(u)
@@ -309,50 +314,75 @@ def _ts_point_native(t: float, hp2: float) -> tuple[float, float, bool]:
     return x, w, x >= 1.0 or w < _TS_CUTOFF_NATIVE
 
 
-def _ts_point_dd(t: float, hp2: tuple[float, float]):
-    # past the end once the abscissa reaches 1 exactly or the weight
-    # falls below the cutoff
-    if t < 0.5:
-        sh_t, sl_t = _dd_sinh(t, 0.0)
-        ch_t, cl_t = _dd_sqrt(*_dd_add_d(*_dd_sqr(sh_t, sl_t), 1.0))
-    else:
-        eh, el = _dd_exp(t, 0.0)
-        ih, il = _dd_div(1.0, 0.0, eh, el)
-        sh_t, sl_t = _dd_scale2(*_dd_sub(eh, el, ih, il), 0.5)
-        ch_t, cl_t = _dd_scale2(*_dd_add(eh, el, ih, il), 0.5)
+# t runs over multiples of the finest step 2^-12; at DOUBLEWORD the
+# weights fall below the cutoff near t = 3.85 at every level, so the
+# first point past the end lies at t <= 4, inside the range t < 5 of
+# the step tables
+_TS_STEP = 2.0**-_MAX_TS_LEVEL
+_TS_COARSE_STEPS = 320
+
+
+@functools.lru_cache(maxsize=None)
+def _ts_step_tables():
+    """Double-word ``(sinh hi, sinh lo, cosh hi, cosh lo)`` of ``i/64``
+    for ``i < 320`` and of ``m/4096`` for ``m < 64``, built on first use."""
+
+    def sinh_cosh(a):
+        return _dd_sinh(a, 0.0) + _dd_cosh(a, 0.0)
+
+    coarse = tuple(sinh_cosh(i / 64.0) for i in range(_TS_COARSE_STEPS))
+    fine = tuple(sinh_cosh(m * _TS_STEP) for m in range(64))
+    return coarse, fine
+
+
+def _ts_point_dd(J: int, hp2: tuple[float, float]):
+    # the point at t = J 2^-12, past the end once the abscissa rounds to
+    # 1 at 106 bits (1 - x <= 2^-107) or the weight falls below the
+    # cutoff. With t = a + b, a = (J >> 6)/64 and b = (J & 63)/4096,
+    # sinh t and cosh t come from the addition formulas: sums of
+    # nonnegative terms, so nothing cancels, and a given t gets the same
+    # bits at every level
+    coarse, fine = _ts_step_tables()
+    sah, sal, cah, cal = coarse[J >> 6]
+    sbh, sbl, cbh, cbl = fine[J & 63]
+    sh_t, sl_t = _dd_add(*_dd_mul(sah, sal, cbh, cbl), *_dd_mul(cah, cal, sbh, sbl))
+    ch_t, cl_t = _dd_add(*_dd_mul(cah, cal, cbh, cbl), *_dd_mul(sah, sal, sbh, sbl))
     uh, ul = _dd_mul(*_dd_scale2(*_pi_pair(), 0.5), sh_t, sl_t)
-    if uh < 0.5:
-        xh, xl = _dd_tanh(uh, ul)
-        cuh, cul = _dd_cosh(uh, ul)
-    else:
-        eh, el = _dd_exp(uh, ul)
-        ih, il = _dd_div(1.0, 0.0, eh, el)
-        nh, nl = _dd_sub(eh, el, ih, il)
-        dh, dl = _dd_add(eh, el, ih, il)
-        xh, xl = _dd_div(nh, nl, dh, dl)
-        cuh, cul = _dd_scale2(dh, dl, 0.5)
     wh, wl = _dd_mul(*hp2, ch_t, cl_t)
-    wh, wl = _dd_div(wh, wl, *_dd_sqr(cuh, cul))
-    saturated = xh > 1.0 or (xh == 1.0 and xl >= 0.0)
+    if uh < 0.5:
+        # s = sinh u by its series: tanh u = s / sqrt(1 + s^2) and
+        # cosh^2 u = 1 + s^2
+        sh, sl = _dd_sinh(uh, ul)
+        c2h, c2l = _dd_add_d(*_dd_sqr(sh, sl), 1.0)
+        xh, xl = _dd_div(sh, sl, *_dd_sqrt(c2h, c2l))
+        wh, wl = _dd_div(wh, wl, c2h, c2l)
+    else:
+        # q = e^-2u: tanh u = (1 - q)/(1 + q) and 1/cosh^2 u = 4q/(1 + q)^2
+        qh, ql = _dd_exp(-2.0 * uh, -2.0 * ul)
+        dh, dl = _dd_add_d(qh, ql, 1.0)
+        xh, xl = _dd_div(*_dd_add_d(-qh, -ql, 1.0), dh, dl)
+        wh, wl = _dd_div(*_dd_mul(wh, wl, 4.0 * qh, 4.0 * ql), *_dd_sqr(dh, dl))
+    saturated = xh > 1.0 or (xh == 1.0 and xl >= -(2.0**-107))
     return (xh, xl), (wh, wl), saturated or wh < _TS_CUTOFF_DD
 
 
 @functools.lru_cache(maxsize=None)
-def _ts_nodes(level: int, tier: Tier, increment: bool = True):
-    """Tanh-sinh ``(x, w)`` lane values for ``t = j h``, ``j >= 0``,
-    ``h = 2^-level``. The increment keeps only the odd ``j`` new at this
-    level (level 1 keeps everything): the table the engine cores read."""
+def _ts_nodes(level: int, tier: Tier):
+    """Tanh-sinh ``(x, w)`` lane values new at ``level``: those at
+    ``t = j h``, ``h = 2^-level``, for odd ``j`` (every ``j >= 0`` at
+    level 1), up to the weight cutoff. The table the engine cores read."""
     h = 2.0**-level
     if tier is Tier.NATIVE64:
         point, hp2 = _ts_point_native, 0.5 * math.pi * h
     else:
         point, hp2 = _ts_point_dd, _dd_scale2(*_pi_pair(), 0.5 * h)
-    if increment and level > 1:
+    if level > 1:
         xs, ws, j, step = [], [], 1, 2
     else:
         xs, ws, j, step = [_LANES[tier].zero], [hp2], 1, 1
+    shift = _MAX_TS_LEVEL - level
     while True:
-        x, w, past_end = point(j * h, hp2)
+        x, w, past_end = point(j << shift, hp2)
         if past_end:
             return tuple(xs), tuple(ws)
         xs.append(x)
@@ -364,19 +394,30 @@ def _ts_nodes(level: int, tier: Tier, increment: bool = True):
 def tanh_sinh_abscissas(
     level: int, tier: Tier = Tier.NATIVE64
 ) -> tuple[tuple[Real, Real], ...]:
-    """The full tanh-sinh rule at step ``h = 2^-level``: ``(abscissa,
-    weight)`` pairs in non-decreasing abscissa order, truncated where
-    weights fall below the tier floor. Abscissas are strictly inside
-    (-1, 1) and symmetric about zero; the center weight is exactly
-    ``(pi/2) * h``. At NATIVE64 the finest levels place underlying
-    points closer together than one binary64 spacing near the
+    """The tanh-sinh rule at step ``h = 2^-level`` that the engines run:
+    ``(abscissa, weight)`` pairs in non-decreasing abscissa order, the
+    union of the nodes new at levels ``1..level``, each weight scaled by
+    ``2^(k - level)`` (exact) from its level ``k``. Each level truncates
+    where its own weights fall below the tier floor. Abscissas are
+    strictly inside (-1, 1) and symmetric about zero; the center weight
+    is exactly ``(pi/2) * h``. At NATIVE64 the finest levels place
+    underlying points closer together than one binary64 spacing near the
     endpoints, so adjacent table entries there can round to equal
     abscissas (their weights stay distinct)."""
     _check_int(level, 1, _MAX_TS_LEVEL, "level")
     lane = _LANES[tier]
-    xs, ws = _ts_nodes(level, tier, False)
-    left = [(lane.neg(x), w) for x, w in zip(reversed(xs[1:]), reversed(ws[1:]))]
-    return tuple((lane.real(x), lane.real(w)) for x, w in left + list(zip(xs, ws)))
+    nodes = []  # (t / h, x, w)
+    for k in range(1, level + 1):
+        xs, ws = _ts_nodes(k, tier)
+        shift = level - k
+        js = itertools.count(0, 1) if k == 1 else itertools.count(1, 2)
+        nodes += [
+            (j << shift, x, lane.scale(w, 2.0**-shift)) for j, x, w in zip(js, xs, ws)
+        ]
+    nodes.sort(key=operator.itemgetter(0))
+    right = [(x, w) for _, x, w in nodes]
+    left = [(lane.neg(x), w) for x, w in reversed(right[1:])]
+    return tuple((lane.real(x), lane.real(w)) for x, w in left + right)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,14 @@ builds on first use. Double-word ``sin`` and ``cos`` fold about pi/2 in
 a loop and raise :class:`DomainError` for |x| > 2^10; one fold and one
 series give both (``_dd_sincos``).
 
+Double-word ``exp`` follows Tang's table-driven method: x = (64 k + j)
+ln2/64 + r with |r| <= ln2/128, and e^x = 2^k * 2^(j/64) * p(r), with
+2^(j/64) from a 64-entry table built on first use and p the degree-10
+Taylor polynomial in Horner form. It stays within a unit of 2^-104 for
+-671 <= x <= 709; below that the result's low word is subnormal and
+the relative error grows to ~10^15 units near -709. ``_dd_sinh`` and
+``_dd_cosh`` build on it.
+
 Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul`` and
 ``_dd_div`` return NaN. :class:`Real` multiplication and division
 detect that NaN and redo the operation on operands scaled by powers of
@@ -340,23 +348,14 @@ _PI_STR = "3.1415926535897932384626433832795028841971693993751058209749445923078
 _LN2_STR = "0.69314718055994530941723212145817656807550013436025525412068000949339362196969471560586332699641868754"
 
 
-def _pair_from_decimal_string(s: str) -> tuple[float, float]:
-    f = Fraction(Decimal(s))
+def _pair_from_fraction(f: Fraction) -> tuple[float, float]:
+    # the double-word nearest to f
     hi = float(f)
-    lo = float(f - Fraction(hi))
-    return hi, lo
+    return hi, float(f - Fraction(hi))
 
 
-@functools.lru_cache(maxsize=None)
-def _ln2_split() -> tuple[float, float, float]:
-    # head rounded to 42 bits so that k * head is exact for |k| < 2^10,
-    # tail kept as a double-word remainder
-    f = Fraction(Decimal(_LN2_STR))
-    head = math.ldexp(round(math.ldexp(float(f), 42)), -42)
-    rem = f - Fraction(head)
-    b1 = float(rem)
-    b2 = float(rem - Fraction(b1))
-    return head, b1, b2
+def _pair_from_decimal_string(s: str) -> tuple[float, float]:
+    return _pair_from_fraction(Fraction(Decimal(s)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -541,33 +540,88 @@ def _dd_sincos(xh: float, xl: float) -> tuple[float, float, float, float]:
     return sh, sl, ch, cl
 
 
+def _ln2_64_split() -> tuple[float, float, float]:
+    # ln2/64 = l1 + l2 + l3 with l1 and l2 of 36 bits each, so that n * l1
+    # and n * l2 are exact for |n| < 2^17
+    f = Fraction(Decimal(_LN2_STR)) / 64
+    parts = []
+    for _ in range(2):
+        m, e = math.frexp(float(f))
+        head = math.ldexp(round(math.ldexp(m, 36)), e - 36)
+        parts.append(head)
+        f -= Fraction(head)
+    return parts[0], parts[1], float(f)
+
+
+_LN2_64_L1, _LN2_64_L2, _LN2_64_L3 = _ln2_64_split()
+_INV_LN2_64 = 64.0 / 0.6931471805599453
+
+
+@functools.lru_cache(maxsize=None)
+def _exp2_table() -> tuple[tuple[float, float], ...]:
+    # 2^(j/64) for j = 0..63, rounded from 50 decimal digits, built on
+    # first use
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return tuple(
+            _pair_from_fraction(Fraction(Decimal(2) ** (Decimal(j) / 64))) for j in range(64)
+        )
+
+
+# Taylor coefficients 1/k! of e^r: double-word for degrees 5 down to 0,
+# then a binary64 tail for degrees 6-10
+_EXP_C5 = _pair_from_fraction(Fraction(1, 120))
+_EXP_C4_TO_C0 = tuple(
+    _pair_from_fraction(Fraction(1, math.factorial(k))) for k in range(4, -1, -1)
+)
+_EXP_C6, _EXP_C7, _EXP_C8, _EXP_C9, _EXP_C10 = (
+    1.0 / math.factorial(k) for k in range(6, 11)
+)
+
+
 def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
-    if xh == 0.0 and xl == 0.0:
-        return 1.0, 0.0
+    # Tang's table-driven reduction: x = (64 k + j) ln2/64 + r with
+    # |r| <= ln2/128, and e^x = 2^k * 2^(j/64) * p(r), p the degree-10
+    # Taylor polynomial
     if xh > 709.0 or xh < -709.0:
         raise NonFiniteError("exp argument out of range")
-    head, b1, b2 = _ln2_split()
-    k = math.floor(xh / 0.6931471805599453 + 0.5)
-    kf = float(k)
-    sh, se = _two_sum(xh, -kf * head)
-    th, tl = _dd_mul_d(b1, b2, kf)
-    rh, rl = _dd_sub(sh, se, th, tl)
-    rh, rl = _dd_add_d(rh, rl, xl)
-    # |r| <= ln2/2; scale to r/16 and square the series result four times
-    rh, rl = _dd_scale2(rh, rl, 0.0625)
-    sh, sl = _dd_add_d(rh, rl, 1.0)
-    ph, pl = rh, rl
-    k2 = 2
-    while True:
-        ph, pl = _dd_mul(ph, pl, rh, rl)
-        ph, pl = _dd_div_d(ph, pl, float(k2))
-        sh, sl = _dd_add(sh, sl, ph, pl)
-        if abs(ph) <= 9.0e-34 * abs(sh) or k2 > 30:
-            break
-        k2 += 1
-    for _ in range(4):
-        sh, sl = _dd_sqr(sh, sl)
-    return math.ldexp(sh, k), math.ldexp(sl, k)
+    n = math.floor(xh * _INV_LN2_64 + 0.5)
+    # xh - n l1 is exact (Sterbenz); two_sum(s, -n l2) and two_sum(rh, xl)
+    # keep r to ~2^-112 absolute, so (rh, rl) is r for any low word
+    s = xh - n * _LN2_64_L1
+    a = n * _LN2_64_L2
+    rh = s - a
+    v = rh - s
+    e = (s - (rh - v)) + (-a - v)
+    t = rh + xl
+    v = t - rh
+    e += (rh - (t - v)) + (xl - v)
+    e -= n * _LN2_64_L3
+    rh = t + e
+    rl = e - (rh - t)
+    q = (((_EXP_C10 * rh + _EXP_C9) * rh + _EXP_C8) * rh + _EXP_C7) * rh + _EXP_C6
+    ph, pl = _dd_add_d(*_EXP_C5, rh * q)
+    # double-word Horner steps c + p r: two_prod with r split once, then
+    # a two_sum of the high words, inlined; |p r| < |c| / 180, so no
+    # step cancels
+    t = _SPLITTER * rh
+    r1 = t - (t - rh)
+    r2 = rh - r1
+    for ch, cl in _EXP_C4_TO_C0:
+        p = ph * rh
+        t = _SPLITTER * ph
+        a1 = t - (t - ph)
+        a2 = ph - a1
+        e = ((a1 * r1 - p) + a1 * r2 + a2 * r1) + a2 * r2
+        e += ph * rl + pl * rh
+        sh = ch + p
+        v = sh - ch
+        e += ((ch - (sh - v)) + (p - v)) + cl
+        ph = sh + e
+        pl = e - (ph - sh)
+    ph, pl = _dd_mul(*_exp2_table()[n & 63], ph, pl)
+    k = n >> 6
+    return math.ldexp(ph, k), math.ldexp(pl, k)
 
 
 def _dd_sinh(xh: float, xl: float) -> tuple[float, float]:
@@ -596,24 +650,6 @@ def _dd_cosh(xh: float, xl: float) -> tuple[float, float]:
     eh, el = _dd_exp(abs(xh), xl if xh >= 0.0 else -xl)
     ih, il = _dd_div(1.0, 0.0, eh, el)
     return _dd_scale2(*_dd_add(eh, el, ih, il), 0.5)
-
-
-def _dd_tanh(xh: float, xl: float) -> tuple[float, float]:
-    if xh < 0.0:
-        rh, rl = _dd_tanh(-xh, -xl)
-        return -rh, -rl
-    if xh < 0.5:
-        sh, sl = _dd_sinh(xh, xl)
-        ch, cl = _dd_sqrt(*_dd_add_d(*_dd_sqr(sh, sl), 1.0))
-        return _dd_div(sh, sl, ch, cl)
-    if xh < 22.0:
-        eh, el = _dd_exp(*_dd_scale2(xh, xl, 2.0))
-        nh, nl = _dd_add_d(eh, el, -1.0)
-        dh, dl = _dd_add_d(eh, el, 1.0)
-        return _dd_div(nh, nl, dh, dl)
-    qh, ql = _dd_exp(*_dd_scale2(-xh, -xl, 2.0))
-    th, tl = _dd_div(*_dd_scale2(qh, ql, 2.0), *_dd_add_d(qh, ql, 1.0))
-    return _dd_sub(1.0, 0.0, th, tl)
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,9 @@ from ahmedquad import (
     sub,
     tanh_sinh_abscissas,
 )
+from ahmedquad import quad, scalar
 from ahmedquad.integrands import Interval
-from ahmedquad.quad import _integrate_1d_ts_fixed
+from ahmedquad.quad import _integrate_1d_ts_fixed, _ts_nodes
 from helpers import (
     I1_STR,
     I2_STR,
@@ -167,6 +168,19 @@ class TestNodeTables:
 # ----------------------------------------------------------------------
 
 
+def _words(v):
+    # a lane value (a float, or an (hi, lo) pair) as the (hi, lo) of its Real
+    return (v, 0.0) if isinstance(v, float) else tuple(v)
+
+
+def _scaled(v, s):
+    return v * s if isinstance(v, float) else (v[0] * s, v[1] * s)
+
+
+def _neg(v):
+    return -v if isinstance(v, float) else (-v[0], -v[1])
+
+
 class TestTanhSinhAbscissas:
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_center_point(self, tier):
@@ -209,6 +223,66 @@ class TestTanhSinhAbscissas:
             tanh_sinh_abscissas(0, Tier.NATIVE64)
         with pytest.raises(ConfigError):
             tanh_sinh_abscissas(13, Tier.NATIVE64)
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_table_is_the_union_of_the_engine_increments(self, tier):
+        # the public rule is the one the engines sum: every node new at a
+        # level k <= level, its weight scaled by 2^(k - level)
+        for level in (1, 2, 7, 12):
+            right = []
+            for k in range(1, level + 1):
+                xs, ws = _ts_nodes(k, tier)
+                right += [(x, _scaled(w, 2.0 ** (k - level))) for x, w in zip(xs, ws)]
+            # in the order of t; weights fall as t grows
+            right.sort(key=lambda p: (_words(p[0]), tuple(-v for v in _words(p[1]))))
+            left = [(_neg(x), w) for x, w in reversed(right[1:])]
+            table = tanh_sinh_abscissas(level, tier)
+            assert [(_words(x), _words(w)) for x, w in left + right] == [
+                ((x.hi, x.lo), (w.hi, w.lo)) for x, w in table
+            ]
+        one_sided = {Tier.NATIVE64: 13_043, Tier.DOUBLEWORD: 15_599}[tier]
+        assert len(tanh_sinh_abscissas(12, tier)) == 2 * one_sided - 1
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_a_shared_t_gets_the_same_bits_at_every_level(self, tier):
+        # the point at t = J 2^-12 depends on t alone: the abscissa is the
+        # same bits at every level whose grid holds t, and the weight the
+        # same up to the exact factor h
+        point = quad._ts_point_dd if tier is Tier.DOUBLEWORD else quad._ts_point_native
+        for J in (64, 2048, 4096, 6144, 12288, 14336, 15360, 15552):
+            seen = set()
+            for level in range(1, 13):
+                shift = 12 - level
+                if J % (1 << shift):
+                    continue
+                h = 2.0**-level
+                if tier is Tier.DOUBLEWORD:
+                    hp2 = scalar._dd_scale2(*scalar._pi_pair(), 0.5 * h)
+                else:
+                    hp2 = 0.5 * math.pi * h
+                x, w, _ = point(J, hp2)
+                seen.add((_words(x), _words(_scaled(w, 1.0 / h))))
+            assert len(seen) == 1, f"t = {J}/4096"
+
+    def test_doubleword_nodes_against_mpmath(self):
+        # every third node of every level: |dx| <= 2 units of 2^-104 and
+        # the weight within (4u + 16) units relative, u = (pi/2) sinh t,
+        # since an error of e in u moves 1/cosh^2 u by 2u e
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        unit = 2.0**-104
+        for level in range(1, 13):
+            xs, ws = _ts_nodes(level, Tier.DOUBLEWORD)
+            h = mp.mpf(2) ** -level
+            for i in range(0, len(xs), 3):
+                t = (i if level == 1 else 2 * i + 1) * h
+                u = mp.pi / 2 * mp.sinh(t)
+                x = mp.tanh(u)
+                w = mp.pi / 2 * h * mp.cosh(t) / mp.cosh(u) ** 2
+                dx = abs(mp.mpf(xs[i][0]) + mp.mpf(xs[i][1]) - x) / unit
+                dw = abs((mp.mpf(ws[i][0]) + mp.mpf(ws[i][1]) - w) / w) / unit
+                assert dx <= 2, f"level {level}, t = {t}: x off by {float(dx):.3g} units"
+                assert dw <= 4 * u + 16, f"level {level}, t = {t}: w off by {float(dw):.3g} units"
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_per_level_error_shrinks_4x_until_floor(self, tier):
@@ -995,23 +1069,23 @@ PINNED = {
     'd-1d:gl8@ahmed_eq1': ('0x1.07307fd71fca2p-1', '-0x1.a888161591c8cp-57', '0x1.fac4dce97db5bp-19', '0x0.0p+0', 12, True),
     'd-1d:gl8@i1_theta': ('0x1.a51a6625307c2p-1', '0x1.dfdfc745964c2p-55', '0x1.4771575fe3e72p-25', '0x0.0p+0', 12, True),
     'd-1d:gl8@eq3_kernel': ('0x1.bda7a85bd37f2p-2', '-0x1.47454669b34bep-56', '0x1.68dbce72e7ca2p-22', '0x0.0p+0', 12, True),
-    'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afabp-58', '0x1.47791e0fd78c4p-60', '0x0.0p+0', 123, False),
-    'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89122020p-56', '0x1.e72a2b0000000p-80', '0x0.0p+0', 123, False),
-    'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7b08p-56', '0x1.39dee07544000p-66', '0x0.0p+0', 123, False),
+    'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952b003p-58', '0x1.47791e0fd78a4p-60', '0x0.0p+0', 123, False),
+    'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89122000p-56', '0x1.e72a2a8000000p-80', '0x0.0p+0', 123, False),
+    'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af6p-56', '0x1.39dee07544800p-66', '0x0.0p+0', 123, False),
     'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a8dp-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
     'd-1d:as@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.a420899843500p-55', '0x1.bebd9b01e1064p-41', '0x0.0p+0', 257, True),
     'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde5798p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
     'd-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc33p-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
-    'd-tensor:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c850p-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
+    'd-tensor:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c83ap-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
     'd-iterated:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc33p-60', '0x1.379b087211193p-18', '0x0.0p+0', 144, True),
-    'd-iterated:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c84ep-56', '0x1.76ff14de5afacp-29', '0x0.0p+0', 3721, False),
+    'd-iterated:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c83ap-56', '0x1.76ff14de5afacp-29', '0x0.0p+0', 3721, False),
     'd-iterated:as': ('0x1.3bd3cc9c91811p-2', '0x1.f2c16b1ccb662p-56', '0x1.35aa45f027d1bp-28', '0x0.0p+0', 3693, True),
     'd-float-callable:gl8': ('0x1.921fb5441bf6fp-1', '-0x1.4e1be5bf99fc3p-56', '0x1.42fd8958d5b5cp-18', '0x0.0p+0', 12, True),
-    'd-float-callable:ts4': ('0x1.921fb54442d18p-1', '0x1.c0c949bed8b3ap-56', '0x1.4937830512ec2p-57', '0x0.0p+0', 123, False),
+    'd-float-callable:ts4': ('0x1.921fb54442d18p-1', '0x1.c0c949bed8b18p-56', '0x1.4937830512eb6p-57', '0x0.0p+0', 123, False),
     'd-float-callable:as': ('0x1.921fb54442d19p-1', '-0x1.222d82d82d82ep-55', '0x1.077c1871c71c7p-41', '0x0.0p+0', 609, True),
     'd-real-callable-2d:gl8': ('0x1.4000000000000p+0', '0x1.7000000000000p-106', '0x1.4000000000000p-102', '0x0.0p+0', 80, True),
-    'd-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x1.ccc0000000000p-99', '0x1.9be6bc5336c90p-44', '0x0.0p+0', 3721, False),
-    'd-ts-fixed5': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952af84p-58', '0x1.07307fd73e4e4p-103', '0x0.0p+0', 247, True),
+    'd-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x1.a340000000000p-99', '0x1.9be6bc5336c90p-44', '0x0.0p+0', 3721, False),
+    'd-ts-fixed5': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952b010p-58', '0x1.07307fd73e4e4p-103', '0x0.0p+0', 247, True),
 }
 
 
@@ -1022,5 +1096,9 @@ def test_engine_paths_pinned_bit_for_bit(case):
     # doubleword ahmed_eq1 cases d-1d:as, d-1d:ts4 and d-ts-fixed5 were
     # re-pinned when double-word atan became table-driven: their values
     # moved in the last bits (under 2^-104 relative), with evaluation
-    # counts and convergence flags unchanged
+    # counts and convergence flags unchanged. The eight doubleword
+    # tanh-sinh cases (ts3, ts4, ts-fixed5) were re-pinned when the node
+    # tables moved to step tables and a table-driven exp: each value
+    # moved by under 2^-100 relative, toward the exact-arithmetic sum of
+    # the same rule, with counts and flags unchanged
     assert _pin_of(_pin_run(case)) == PINNED[case]

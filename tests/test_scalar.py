@@ -645,6 +645,118 @@ def test_atan_property_against_mpmath():
 
 
 # ----------------------------------------------------------------------
+# Table-driven double-word exp
+# ----------------------------------------------------------------------
+# The kernel reduces x = (64 k + j) ln2/64 + r, |r| <= ln2/128, and
+# returns 2^k * 2^(j/64) * p(r) with 2^(j/64) from a 64-entry table and
+# p a degree-10 Horner polynomial. Its worst measured error is below 1
+# unit of 2^-104 relative; the tests hold it, and sinh and cosh on the
+# range the tanh-sinh nodes feed them, to 4. Below x = -671 the result's
+# low word is subnormal and the bound no longer holds.
+
+EXP_BOUND = 4.0 * 2.0**-104
+
+
+def _rel_err(kernel, oracle, xh, xl):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    want = oracle(mp.mpf(xh) + mp.mpf(xl))
+    rh, rl = kernel(xh, xl)
+    return float(abs((mp.mpf(rh) + mp.mpf(rl) - want) / want))
+
+
+class TestTableDrivenExp:
+    def _assert_bound(self, kernel, oracle, words):
+        for xh, xl in words:
+            err = _rel_err(kernel, oracle, xh, xl)
+            assert err <= EXP_BOUND, f"{kernel.__name__}({xh!r}, {xl!r}): {err / 2.0**-104:.3g} units"
+
+    def test_points_the_squaring_series_missed(self):
+        # the r/16 series squared four times was 18.2, 17.0 and 16.9
+        # units off here, above ELEM_BOUND
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        for v in (7.725651455075308, 14.819721913313877, -31.04506000856949):
+            got = exp(Real.from_float(v, Tier.DOUBLEWORD))
+            want = Real.from_decimal(mp.nstr(mp.exp(mp.mpf(v)), 45), Tier.DOUBLEWORD)
+            assert rel_err(got, want) <= ELEM_BOUND[Tier.DOUBLEWORD]
+        self._assert_bound(
+            scalar._dd_exp,
+            mp.exp,
+            [(7.725651455075308, 0.0), (14.819721913313877, 0.0), (-31.04506000856949, 0.0)],
+        )
+
+    def test_reduction_cells(self):
+        # the centers and edges of the cells j ln2/64, with low words
+        mp = pytest.importorskip("mpmath")
+        step = math.log(2.0) / 64.0
+        pts = []
+        for n in range(-2500, 2500, 37):
+            pts += _ulps_around(n * step, 1) + _ulps_around((n + 0.5) * step, 1)
+        self._assert_bound(scalar._dd_exp, mp.exp, _with_low_words(pts, 0xE4B))
+
+    def test_range_ends_and_zero(self):
+        mp = pytest.importorskip("mpmath")
+        words = [(v, 0.0) for v in (709.0, -671.0, 5e-324, -5e-324, 1e-300, 1e-20, -1e-20)]
+        self._assert_bound(scalar._dd_exp, mp.exp, words)
+        assert scalar._dd_exp(0.0, 0.0) == (1.0, 0.0)
+        assert scalar._dd_exp(-0.0, 0.0) == (1.0, 0.0)
+        for v in (709.5, -709.5, math.inf, -math.inf):
+            with pytest.raises(NonFiniteError):
+                scalar._dd_exp(v, 0.0)
+
+    @pytest.mark.parametrize("name", ["sinh", "cosh"])
+    def test_hyperbolic_on_the_node_range(self, name):
+        # the tanh-sinh step tables call these on [0, 5), and the nodes
+        # call sinh on [0, 0.5)
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(0x5C7)
+        pts = [rng.uniform(0.0, 40.0) for _ in range(300)]
+        pts += [rng.uniform(0.0, 1.0) for _ in range(100)]
+        pts += _ulps_around(0.5, 2) + [1e-300, 2.0**-12, 22.0, 40.0]
+        words = _with_low_words(pts, 0x5C8)
+        self._assert_bound(getattr(scalar, "_dd_" + name), getattr(mp, name), words)
+
+    def test_tables_are_not_built_at_import(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import ahmedquad\n"
+            "from ahmedquad import quad, scalar\n"
+            "print(scalar._exp2_table.cache_info().currsize,"
+            " quad._ts_step_tables.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+
+def test_exp_property_against_mpmath():
+    hypothesis = pytest.importorskip("hypothesis")
+    mp = pytest.importorskip("mpmath")
+    st = hypothesis.strategies
+    # half the draws on the range the tanh-sinh nodes use
+    his = st.one_of(
+        st.floats(min_value=-80.0, max_value=80.0),
+        st.floats(min_value=-671.0, max_value=709.0),
+    )
+    words = st.tuples(his, st.floats(min_value=-0.5, max_value=0.5)).map(
+        lambda p: _two_sum(p[0], p[1] * math.ulp(p[0]))
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(words)
+    def check(word):
+        err = _rel_err(scalar._dd_exp, mp.exp, *word)
+        assert err <= EXP_BOUND, f"exp{word!r}: {err / 2.0**-104:.3g} units"
+
+    check()
+
+
+# ----------------------------------------------------------------------
 # Double-word sin and cos: iterative folding, bounded domain
 # ----------------------------------------------------------------------
 
