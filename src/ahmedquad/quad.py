@@ -26,15 +26,21 @@ Each rule is written once, as a core that runs over a tier *lane*:
 :class:`_Native` carries values as binary64 floats, :class:`_DoubleWord`
 as ``(hi, lo)`` pairs. The lane owns the tier arithmetic (point
 mapping, exact power-of-two scaling, differences, ``hi``, conversion
-to and from :class:`Real`), each operation in the order the former
-per-tier engines used, so values, estimates, counts and ``converged``
-flags are bit-identical to theirs. A 2-D tensor rule is the 1-D
-weighted sum applied to row sums over a pre-mapped axis.
+to and from :class:`Real`). A 2-D tensor rule is the 1-D weighted sum
+applied to row sums over a pre-mapped axis.
+
+Every weighted sum is exactly rounded: a running sum is the list of the
+binary64 words of its terms ``w * f(p)`` (one word per term at NATIVE64,
+both words of each double-word product at DOUBLEWORD), totalled by
+:func:`math.fsum` (Shewchuk's algorithm), so it does not depend on the
+order of its terms. A double-word total is ``s = fsum(words)`` with the
+rounded remainder ``fsum(words + [-s])``. Across tanh-sinh levels the
+words are scaled by an exact power of two.
 
 Tier-specific code is confined to the node-table arithmetic, each
 lane's point mapping and its three per-evaluation loops (``sum``,
-``row``, ``pairs``), which keep their sums in local floats and call the
-integrand at fixed arity. Measured on 2 vCPUs under CPython 3.11: over
+``row``, ``pairs``), which collect the terms and call the integrand at
+fixed arity. Measured on 2 vCPUs under CPython 3.11: over
 167k native 2-D evaluations a row loop calling ``f(x, *y)`` took 65-85%
 longer than one calling ``f(x, y)``; over a 96 x 96 double-word tensor,
 passing the row coordinate on as ``*y`` cost 2-5%, and mapping points
@@ -425,9 +431,25 @@ def tanh_sinh_abscissas(
 # ----------------------------------------------------------------------
 
 
+def _fsum(words):
+    # the exactly rounded sum of binary64 words; NaN where the words hold
+    # inf and -inf or a partial sum overflows, on which math.fsum raises
+    try:
+        return math.fsum(words)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _dd_fsum(words):
+    # the exactly rounded double-word sum: the high word rounds the exact
+    # sum, the low word rounds what the high word leaves
+    s = _fsum(words)
+    return s, _fsum(words + [-s])
+
+
 class _Native:
     """NATIVE64 lane: every value and point is a binary64 float, and a
-    running sum is a compensated pair ``(s, c)``."""
+    running sum is the list of its terms ``w * f(p)``."""
 
     tier = Tier.NATIVE64
     zero = 0.0
@@ -443,9 +465,7 @@ class _Native:
     pack = staticmethod(lambda hi, lo: hi)
     words = staticmethod(lambda v: (v,))
     coords = staticmethod(lambda words: [(x, 0.0) for x in words])
-    start = staticmethod(lambda: (0.0, 0.0))
-    rescale = staticmethod(lambda acc, k: (acc[0] * k, acc[1] * k))
-    total = staticmethod(lambda acc: acc[0] + acc[1])
+    total = staticmethod(_fsum)
 
     @staticmethod
     def map(m, h, xs):
@@ -453,78 +473,22 @@ class _Native:
         return [m + h * x for x in xs]
 
     @staticmethod
-    def sum(f, axis, acc):
-        # adds w * f(p) over the (point, weight) axis to the running sum
-        s, c = acc
-        for p, w in axis:
-            v = w * f(p)
-            t = s + v
-            if abs(s) >= abs(v):
-                c += (s - t) + v
-            else:
-                c += (v - t) + s
-            s = t
-        return s, c
+    def sum(f, axis):
+        # the terms w * f(p) over the (point, weight) axis
+        return [w * f(p) for p, w in axis]
 
     @staticmethod
     def row(f, axis, y):
         # the sum of w * f(x, y) over one row of a 2-D rule
-        r = 0.0
-        cr = 0.0
-        for x, w in axis:
-            v = w * f(x, y)
-            t = r + v
-            if abs(r) >= abs(v):
-                cr += (r - t) + v
-            else:
-                cr += (v - t) + r
-            r = t
-        return r + cr
+        return _fsum([w * f(x, y) for x, w in axis])
 
     @staticmethod
-    def pairs(f, m, h, xs, ws, acc):
-        # adds w * (f(m + h x) + f(m - h x)), or w * f(m) at the center
-        s, c = acc
-        for x, w in zip(xs, ws):
-            if x == 0.0:
-                v = w * f(m)
-            else:
-                v = w * (f(m + h * x) + f(m - h * x))
-            t = s + v
-            if abs(s) >= abs(v):
-                c += (s - t) + v
-            else:
-                c += (v - t) + s
-            s = t
-        return s, c
-
-
-_CHUNK = 256
-
-
-class _DDAccumulator:
-    """Double-word accumulator with periodic chunk flushing, keeping the
-    worst-case accumulated rounding well under the tier plateau. A
-    ``base`` carried over from earlier levels is added to the total."""
-
-    __slots__ = ("ah", "al", "th", "tl", "count", "base")
-
-    def __init__(self, base=None):
-        self.ah = self.al = self.th = self.tl = 0.0
-        self.count = 0
-        self.base = base
-
-    def add(self, vh: float, vl: float) -> None:
-        self.ah, self.al = _dd_add(self.ah, self.al, vh, vl)
-        self.count += 1
-        if self.count >= _CHUNK:
-            self.th, self.tl = _dd_add(self.th, self.tl, self.ah, self.al)
-            self.ah = self.al = 0.0
-            self.count = 0
-
-    def total(self) -> tuple[float, float]:
-        t = _dd_add(self.th, self.tl, self.ah, self.al)
-        return t if self.base is None else _dd_add(*self.base, *t)
+    def pairs(f, m, h, xs, ws):
+        # the terms w * (f(m + h x) + f(m - h x)), or w * f(m) at the center
+        return [
+            w * f(m) if x == 0.0 else w * (f(m + h * x) + f(m - h * x))
+            for x, w in zip(xs, ws)
+        ]
 
 
 def _on_pairs(kernel):
@@ -539,8 +503,8 @@ def _on_pair(kernel):
 
 class _DoubleWord:
     """DOUBLEWORD lane: every value and point is an ``(hi, lo)`` pair,
-    an integrand takes two words per coordinate, and a running sum is a
-    :class:`_DDAccumulator`."""
+    an integrand takes two words per coordinate, and a running sum is the
+    list of both words of each term ``w * f(p)``."""
 
     tier = Tier.DOUBLEWORD
     zero = (0.0, 0.0)
@@ -556,9 +520,7 @@ class _DoubleWord:
     pack = staticmethod(lambda hi, lo: (hi, lo))
     words = staticmethod(lambda a: a)
     coords = staticmethod(lambda words: list(zip(words[::2], words[1::2])))
-    start = _DDAccumulator
-    rescale = staticmethod(lambda acc, k: _DDAccumulator(_dd_scale2(*acc.total(), k)))
-    total = staticmethod(lambda acc: acc.total())
+    total = staticmethod(_dd_fsum)
 
     @staticmethod
     def map(m, h, xs):
@@ -566,34 +528,36 @@ class _DoubleWord:
         return [_dd_add(mh, ml, *_dd_mul(hh, hl, xh, xl)) for xh, xl in xs]
 
     @staticmethod
-    def sum(f, axis, acc):
+    def sum(f, axis):
+        words = []
         for (ph, pl), (wh, wl) in axis:
             vh, vl = f(ph, pl)
-            acc.add(*_dd_mul(wh, wl, vh, vl))
-        return acc
+            words += _dd_mul(wh, wl, vh, vl)
+        return words
 
     @staticmethod
     def row(f, axis, yh, yl):
-        acc = _DDAccumulator()
+        words = []
         for (ph, pl), (wh, wl) in axis:
             vh, vl = f(ph, pl, yh, yl)
-            acc.add(*_dd_mul(wh, wl, vh, vl))
-        return acc.total()
+            words += _dd_mul(wh, wl, vh, vl)
+        return _dd_fsum(words)
 
     @staticmethod
-    def pairs(f, m, h, xs, ws, acc):
+    def pairs(f, m, h, xs, ws):
         mh, ml = m
         hh, hl = h
+        words = []
         for (xh, xl), (wh, wl) in zip(xs, ws):
             if xh == 0.0:
                 fh, fl = f(mh, ml)
-                acc.add(*_dd_mul(wh, wl, fh, fl))
+                words += _dd_mul(wh, wl, fh, fl)
             else:
                 oh, ol = _dd_mul(hh, hl, xh, xl)
                 f1h, f1l = f(*_dd_add(mh, ml, oh, ol))
                 f2h, f2l = f(*_dd_sub(mh, ml, oh, ol))
-                acc.add(*_dd_mul(wh, wl, *_dd_add(f1h, f1l, f2h, f2l)))
-        return acc
+                words += _dd_mul(wh, wl, *_dd_add(f1h, f1l, f2h, f2l))
+        return words
 
 
 _LANES = {Tier.NATIVE64: _Native, Tier.DOUBLEWORD: _DoubleWord}
@@ -699,7 +663,7 @@ def _gl(lane, f, box, method: GaussLegendre):
         xs, ws = _gl_table(n, lane.tier)
         mapped = [list(zip(lane.map(m, h, xs), ws)) for m, h in axes]
         g = f if len(box) == 1 else functools.partial(lane.row, f, mapped[0])
-        value = lane.mul(jac, lane.total(lane.sum(g, mapped[-1], lane.start())))
+        value = lane.mul(jac, lane.total(lane.sum(g, mapped[-1])))
         evals += n ** len(box)
         if prev is not None:
             est = _floored(lane, abs(lane.hi(lane.sub(value, prev))), value)
@@ -725,46 +689,46 @@ def _signed_axis(lane, xs, ws, m, h):
 
 
 def _ts_1d(lane, f, a, b, max_level: int):
-    # yields (value, evaluations) after each level; the running sum
-    # halves with the step (exact), the first level's sum stands as is
+    # yields (value, evaluations) after each level; the running sum's
+    # words halve with the step (exact), a no-op on the empty sum before
+    # level 1
     m, h = _mid_half(lane, a, b)
-    acc = lane.start()
+    words = []
     evals = 0
     for level in range(1, max_level + 1):
         xs, ws = _ts_nodes(level, lane.tier)
-        if level > 1:
-            acc = lane.rescale(acc, 0.5)
-        acc = lane.pairs(f, m, h, xs, ws, acc)
+        words = [w * 0.5 for w in words]
+        words += lane.pairs(f, m, h, xs, ws)
         # two points per node, but one at the center of the first level
         evals += 2 * len(xs) - (level == 1)
-        yield lane.mul(h, lane.total(acc)), evals
+        yield lane.mul(h, lane.total(words)), evals
 
 
 def _ts_2d(lane, f, box, max_level: int):
     # yields (value, evaluations) after each level, which adds the new
     # rows over the new columns, then the new rows over every column;
-    # kept weights halve per axis and the running sum quarters (a no-op
-    # on the empty sum before level 1)
+    # kept weights halve per axis and the running sum's words quarter (a
+    # no-op on the empty sum before level 1)
     (mx, hx), (my, hy) = (_mid_half(lane, a, b) for a, b in box)
     jac = lane.mul(hx, hy)
     px: list = []
     py: list = []
-    acc = lane.start()
+    words = []
     evals = 0
     for level in range(1, max_level + 1):
         xs, ws = _ts_nodes(level, lane.tier)
         px = [(p, lane.scale(w, 0.5)) for p, w in px]
         py = [(p, lane.scale(w, 0.5)) for p, w in py]
-        acc = lane.rescale(acc, 0.25)
+        words = [w * 0.25 for w in words]
         nx = _signed_axis(lane, xs, ws, mx, hx)
         ny = _signed_axis(lane, xs, ws, my, hy)
-        acc = lane.sum(functools.partial(lane.row, f, nx), py, acc)
+        words += lane.sum(functools.partial(lane.row, f, nx), py)
         both = px + nx
-        acc = lane.sum(functools.partial(lane.row, f, both), ny, acc)
+        words += lane.sum(functools.partial(lane.row, f, both), ny)
         evals += len(py) * len(nx) + len(ny) * len(both)
         px = both
         py = py + ny
-        yield lane.mul(jac, lane.total(acc)), evals
+        yield lane.mul(jac, lane.total(words)), evals
 
 
 def _refine(lane, method: TanhSinh, levels, fixed: bool = False):

@@ -5,6 +5,7 @@ entry point declared in ``pyproject.toml`` as a separate process: once
 from a launcher built from ``[project.scripts]``, and once from ``PATH``
 when a script is installed."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -233,6 +234,20 @@ class TestVerifyFormats:
         _, first, _ = run(capsys, "verify", "--format", "json")
         _, second, _ = run(capsys, "verify", "--format", "json")
         assert first == second
+
+    # ROADMAP aim 2: a change of design keeps the default native64 verify
+    # output byte-stable, so its digests stay pinned
+    NATIVE_VERIFY_SHA256 = {
+        "csv": "b8f8ad94eeff35175ec0d4a490b7d5308a3a0913f766b0f5d56de06b7422e454",
+        "json": "b8f0bc40e925b71c90a090def8c8e8366c22c820ed27d1085b6a0fbac5238d24",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(NATIVE_VERIFY_SHA256))
+    def test_native_output_is_byte_stable(self, capsys, fmt):
+        code, out, err = run(capsys, "verify", "--tier", "native64", "--format", fmt)
+        assert code == 0 and err == ""
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.NATIVE_VERIFY_SHA256[fmt]
 
 
 class TestNodes:
