@@ -26,6 +26,7 @@ from .scalar import (
     _dd_add,
     _dd_add_d,
     _dd_atan,
+    _dd_atan_recip,
     _dd_div,
     _dd_mul,
     _dd_scale2,
@@ -276,7 +277,7 @@ def _native_i2_x(x: float) -> float:
 def _dd_i2_x(xh: float, xl: float) -> tuple[float, float]:
     x2h, x2l = _dd_sqr(xh, xl)
     sh, sl = _dd_sqrt(*_dd_add_d(x2h, x2l, 2.0))
-    ah, al = _dd_atan(*_dd_div(1.0, 0.0, sh, sl))
+    ah, al = _dd_atan_recip(sh, sl)
     dh, dl = _dd_mul(*_dd_add_d(x2h, x2l, 1.0), sh, sl)
     return _dd_div(ah, al, dh, dl)
 

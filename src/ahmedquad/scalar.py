@@ -15,12 +15,16 @@ The hot paths inside the quadrature engines work on raw ``(hi, lo)``
 tuples through the module-private ``_dd_*`` functions; the :class:`Real`
 wrapper provides the safe, tier-checked public surface on top of them.
 
-Double-word ``atan`` uses Tang's table-lookup reduction: x in [0, 1] is
-reduced about the nearest c = k/64 to t = (x - c)/(1 + x c), |t| <= 1/128,
-and atan(c) comes from a 65-entry table that the angle-halving series
-builds on first use. Double-word ``sin`` and ``cos`` fold about pi/2 in
-a loop and raise :class:`DomainError` for |x| > 2^10; one fold and one
-series give both (``_dd_sincos``).
+Double-word ``atan`` uses Tang's table-lookup reduction with one
+division: x in [0, 1] is reduced about the nearest c = k/64 to
+t = (x - c)/(1 + x c), and atan(k/64) comes from a 65-entry table that
+the angle-halving series builds on first use. Above 1, c = k/64 is the
+nearest to 1/x, t = (1 - c x)/(x + c), and atan x = atan(64/k) - atan t,
+with atan(64/k) = pi/2 - atan(k/64) from a second table derived from the
+first on first use; ``_dd_atan_recip`` gives atan(1/x) = atan(k/64) +
+atan t from the same t. Always |t| <= 1/128. Double-word ``sin`` and
+``cos`` fold about pi/2 in a loop and raise :class:`DomainError` for
+|x| > 2^10; one fold and one series give both (``_dd_sincos``).
 
 Double-word ``exp`` follows Tang's table-driven method: x = (64 k + j)
 ln2/64 + r with |r| <= ln2/128, and e^x = 2^k * 2^(j/64) * p(r), with
@@ -425,47 +429,97 @@ def _atan_table() -> tuple[tuple[float, float], ...]:
     return tuple(_dd_atan_halving(k / 64.0, 0.0) for k in range(65))
 
 
-# double-word coefficients -1/3, 1/5, -1/7 of the atan series, and the
-# binary64 tail 1/9, -1/11, 1/13, -1/15
-_ATAN_C3 = _dd_div_d(-1.0, 0.0, 3.0)
-_ATAN_C5 = _dd_div_d(1.0, 0.0, 5.0)
+@functools.lru_cache(maxsize=None)
+def _atan_recip_table() -> tuple[tuple[float, float], ...]:
+    # atan(64 / k) = pi/2 - atan(k / 64) for k = 0..64, pi/2 at k = 0;
+    # built on first use from the first table
+    p2h, p2l = _dd_scale2(*_pi_pair(), 0.5)
+    return tuple(_dd_sub(p2h, p2l, ch, cl) for ch, cl in _atan_table())
+
+
+# double-word coefficients -1/7 and then 1/5, -1/3 of the atan series,
+# and the binary64 tail 1/9, -1/11, 1/13, -1/15
 _ATAN_C7 = _dd_div_d(-1.0, 0.0, 7.0)
+_ATAN_C5_C3 = (_dd_div_d(1.0, 0.0, 5.0), _dd_div_d(-1.0, 0.0, 3.0))
 _ATAN_C9, _ATAN_C11 = 1.0 / 9.0, -1.0 / 11.0
 _ATAN_C13, _ATAN_C15 = 1.0 / 13.0, -1.0 / 15.0
 
 
+def _dd_atan_add(ch: float, cl: float, th: float, tl: float) -> tuple[float, float]:
+    # (ch, cl) + atan t for |t| <= 1/128: atan t = t + t z P(z), z = t^2,
+    # P in Horner form
+    zh, zl = _dd_sqr(th, tl)
+    q = ((_ATAN_C15 * zh + _ATAN_C13) * zh + _ATAN_C11) * zh + _ATAN_C9
+    ph, pl = _dd_add_d(*_ATAN_C7, zh * q)
+    # double-word Horner steps c + p z for c = 1/5 and -1/3, as in
+    # _dd_exp: two_prod with z split once, then a two_sum of the high
+    # words, inlined; |p z| < |c| / 10^4, so no step cancels
+    t = _SPLITTER * zh
+    z1 = t - (t - zh)
+    z2 = zh - z1
+    for c_h, c_l in _ATAN_C5_C3:
+        p = ph * zh
+        t = _SPLITTER * ph
+        a1 = t - (t - ph)
+        a2 = ph - a1
+        e = ((a1 * z1 - p) + a1 * z2 + a2 * z1) + a2 * z2
+        e += ph * zl + pl * zh
+        sh = c_h + p
+        v = sh - c_h
+        e += ((c_h - (sh - v)) + (p - v)) + c_l
+        ph = sh + e
+        pl = e - (ph - sh)
+    ph, pl = _dd_mul(*_dd_mul(th, tl, zh, zl), ph, pl)
+    return _dd_add(ch, cl, *_dd_add(th, tl, ph, pl))
+
+
+def _atan_recip_reduction(xh: float, xl: float) -> tuple[int, float, float]:
+    # for x >= 1, the nearest c = k/64 to 1/x (k = 0 above 128) reduces
+    # 1/x to t = (1/x - c)/(1 + c/x) = (1 - c x)/(x + c), |t| <= 1/128,
+    # with one division and without forming 1/x
+    k = int(64.0 / xh + 0.5)
+    c = k * 0.015625
+    return k, *_dd_div(
+        *_dd_add_d(*_dd_mul_d(xh, xl, -c), 1.0), *_dd_add_d(xh, xl, c)
+    )
+
+
 def _dd_atan(xh: float, xl: float) -> tuple[float, float]:
-    # Tang's table-lookup reduction: with c = k/64 nearest to x in [0, 1],
-    # atan(x) = atan(c) + atan(t), t = (x - c) / (1 + x c), |t| <= 1/128
+    # Tang's table-lookup reduction, one division for any x. In [0, 1],
+    # with c = k/64 nearest to x, atan x = atan(k/64) + atan t for
+    # t = (x - c)/(1 + x c); above 1, atan x = atan(64/k) - atan t for the
+    # t of _atan_recip_reduction. |t| <= 1/128 in both.
     if xh == 0.0 and xl == 0.0:
         return 0.0, 0.0
     neg = xh < 0.0
     if neg:
         xh, xl = -xh, -xl
-    inverted = xh > 1.0 or (xh == 1.0 and xl > 0.0)
-    if inverted:
-        # above 2^60, 1/x in binary64 is atan(1/x) to double-word accuracy,
-        # and _dd_div would overflow its split beyond ~2^996
-        xh, xl = (1.0 / xh, 0.0) if xh > 2.0**60 else _dd_div(1.0, 0.0, xh, xl)
-    k = int(xh * 64.0 + 0.5)
-    c = k * 0.015625
-    th, tl = _dd_div(
-        *_dd_add_d(xh, xl, -c), *_dd_add_d(*_dd_mul_d(xh, xl, c), 1.0)
-    )
-    # atan t = t + t z P(z), z = t^2, P in Horner form
-    zh, zl = _dd_sqr(th, tl)
-    q = ((_ATAN_C15 * zh + _ATAN_C13) * zh + _ATAN_C11) * zh + _ATAN_C9
-    ph, pl = _dd_add_d(*_ATAN_C7, zh * q)
-    ph, pl = _dd_add(*_ATAN_C5, *_dd_mul(ph, pl, zh, zl))
-    ph, pl = _dd_add(*_ATAN_C3, *_dd_mul(ph, pl, zh, zl))
-    ph, pl = _dd_mul(*_dd_mul(th, tl, zh, zl), ph, pl)
-    rh, rl = _dd_add(*_atan_table()[k], *_dd_add(th, tl, ph, pl))
-    if inverted:
-        p2h, p2l = _dd_scale2(*_pi_pair(), 0.5)
-        rh, rl = _dd_sub(p2h, p2l, rh, rl)
+    if xh > 1.0 or (xh == 1.0 and xl > 0.0):
+        if xh > 2.0**60:
+            # 1/xh is t = 1/x to double-word accuracy next to pi/2, and
+            # _dd_div would overflow its split beyond ~2^996
+            k, th, tl = 0, 1.0 / xh, 0.0
+        else:
+            k, th, tl = _atan_recip_reduction(xh, xl)
+        rh, rl = _dd_atan_add(*_atan_recip_table()[k], -th, -tl)
+    else:
+        k = int(xh * 64.0 + 0.5)
+        c = k * 0.015625
+        th, tl = _dd_div(
+            *_dd_add_d(xh, xl, -c), *_dd_add_d(*_dd_mul_d(xh, xl, c), 1.0)
+        )
+        rh, rl = _dd_atan_add(*_atan_table()[k], th, tl)
     if neg:
         rh, rl = -rh, -rl
     return rh, rl
+
+
+def _dd_atan_recip(xh: float, xl: float) -> tuple[float, float]:
+    # atan(1/x) for x >= 1, one division: atan(k/64) + atan t for the t
+    # of _atan_recip_reduction; double-word accurate while 1/x >= 2^-968,
+    # below which the low word is subnormal
+    k, th, tl = _atan_recip_reduction(xh, xl)
+    return _dd_atan_add(*_atan_table()[k], th, tl)
 
 
 def _dd_sin_cos_core(xh: float, xl: float) -> tuple[float, float, float, float]:

@@ -32,7 +32,7 @@ from ahmedquad import (
     two_prod,
     two_sum,
 )
-from ahmedquad import scalar
+from ahmedquad import integrands, scalar
 from ahmedquad.scalar import _quick_two_sum, _two_prod, _two_sum
 from helpers import (
     ATAN_SQRT2_STR,
@@ -520,18 +520,24 @@ class TestFusedKernelsBitIdentical:
 # ----------------------------------------------------------------------
 # The kernel reduces x in [0, 1] to t = (x - c)/(1 + x c) about the
 # nearest c = k/64 and adds atan(c) from a table built by the halving
-# series. The oracle bound is 4 units of 2^-104 relative; the kernel
-# measures below 2.
+# series. Above 1 it reduces about the nearest c = k/64 to 1/x, to
+# t = (1 - c x)/(x + c), and subtracts atan t from a table of atan(64/k);
+# _dd_atan_recip adds atan t to atan(k/64) for atan(1/x). The oracle
+# bound is 4 units of 2^-104 relative; the kernel measures below 2.
 
 ATAN_BOUND = 4.0 * 2.0**-104
+# the double-word ahmed_eq1 and i2_x lanes against 50-digit mpmath; they
+# measure below 3.1 units of 2^-104 on 4,000 seeded points of [0, 1]
+LANE_BOUND = 6.0 * 2.0**-104
 
 
-def _atan_rel_err(xh, xl):
+def _atan_rel_err(xh, xl, recip=False):
+    # atan(x), or atan(1/x) from _dd_atan_recip
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     x = mp.mpf(xh) + mp.mpf(xl)
-    want = mp.atan(x)
-    rh, rl = scalar._dd_atan(xh, xl)
+    want = mp.atan(1 / x if recip else x)
+    rh, rl = (scalar._dd_atan_recip if recip else scalar._dd_atan)(xh, xl)
     if want == 0:
         return 0.0 if rh == 0.0 and rl == 0.0 else math.inf
     return float(abs((mp.mpf(rh) + mp.mpf(rl) - want) / want))
@@ -562,12 +568,20 @@ class TestTableDrivenAtan:
             err = _atan_rel_err(xh, xl)
             assert err <= ATAN_BOUND, f"atan({xh!r}, {xl!r}): {err / 2.0**-104:.3g} units"
 
+    def _assert_recip_bound(self, words):
+        for xh, xl in words:
+            err = _atan_rel_err(xh, xl, recip=True)
+            assert err <= ATAN_BOUND, f"atan(1/({xh!r}, {xl!r})): {err / 2.0**-104:.3g} units"
+
     def test_lane_arguments(self):
-        # ahmed_eq1 passes sqrt(2 + x^2) in [sqrt2, sqrt3]; i2_x its inverse
+        # ahmed_eq1 takes atan of s = sqrt(2 + x^2) in [sqrt2, sqrt3], and
+        # i2_x atan(1/s)
         rng = random.Random(0xA7A2)
         pts = [rng.uniform(math.sqrt(2.0), math.sqrt(3.0)) for _ in range(300)]
         pts += [rng.uniform(1.0 / math.sqrt(3.0), 1.0 / math.sqrt(2.0)) for _ in range(300)]
-        self._assert_bound(_with_low_words(pts, 0xA7A3))
+        words = _with_low_words(pts, 0xA7A3)
+        self._assert_bound(words)
+        self._assert_recip_bound([(xh, xl) for xh, xl in words if xh >= 1.0])
 
     def test_table_points_and_cell_edges(self):
         pts = []
@@ -582,6 +596,57 @@ class TestTableDrivenAtan:
         words += [(1.0, s * 2.0**-60) for s in (-1.0, 1.0)]
         words += [(1.0, s * 5e-324) for s in (-1.0, 1.0)]
         self._assert_bound(words)
+
+    def test_reduction_above_one(self):
+        # the cells k = round(64/x) of the reduction above 1: their points
+        # 64/k and edges 64/(k + 1/2), the switch to k = 0 at 128, and the
+        # switch to t = 1/xh at 2^60; atan(1/x) shares the reduction
+        pts = []
+        for k in range(1, 65):
+            pts += _ulps_around(64.0 / k) + _ulps_around(64.0 / (k + 0.5))
+        pts += _ulps_around(128.0, 4) + _ulps_around(2.0**60, 1)
+        words = _with_low_words(pts, 0xAB0E)
+        self._assert_bound(words)
+        self._assert_bound([(-xh, -xl) for xh, xl in words])
+        self._assert_recip_bound([(xh, xl) for xh, xl in words if xh >= 1.0])
+
+    def test_one_division(self, monkeypatch):
+        # atan makes one _dd_div at most, and the i2_x lane two
+        calls = []
+        div = scalar._dd_div
+
+        def counting_div(*args):
+            calls.append(args)
+            return div(*args)
+
+        monkeypatch.setattr(scalar, "_dd_div", counting_div)
+        monkeypatch.setattr(integrands, "_dd_div", counting_div)
+        for v in (1e-300, 0.3, 1.0, 1.5, 100.0, 200.0, 2.0**61, 1e300):
+            for xh in (v, -v):
+                calls.clear()
+                scalar._dd_atan(xh, 0.0)
+                assert len(calls) <= 1, xh
+        calls.clear()
+        integrands._dd_i2_x(0.5, 0.0)
+        assert len(calls) == 2
+
+    def test_lanes_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        rng = random.Random(0x1A2E)
+        lanes = {
+            integrands._dd_ahmed: lambda s: mp.atan(s),
+            integrands._dd_i2_x: lambda s: mp.atan(1 / s),
+        }
+        for _ in range(500):
+            xh, xl = _two_sum(rng.random(), rng.uniform(-1.0, 1.0) * 2.0**-54)
+            x = mp.mpf(xh) + mp.mpf(xl)
+            s = mp.sqrt(x * x + 2)
+            for lane, num in lanes.items():
+                want = num(s) / ((x * x + 1) * s)
+                rh, rl = lane(xh, xl)
+                err = float(abs((mp.mpf(rh) + mp.mpf(rl) - want) / want))
+                assert err <= LANE_BOUND, f"{lane.__name__}({xh!r}, {xl!r})"
 
     def test_tiny_and_huge(self):
         tiny = [5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-20, 1e-8, 2.0**-8]
@@ -614,13 +679,14 @@ class TestTableDrivenAtan:
         code = (
             "import ahmedquad\n"
             "from ahmedquad import scalar\n"
-            "print(scalar._atan_table.cache_info().currsize)\n"
+            "print(scalar._atan_table.cache_info().currsize,"
+            " scalar._atan_recip_table.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
+        assert proc.stdout.split() == ["0", "0"]
 
 
 def test_atan_property_against_mpmath():
