@@ -31,6 +31,7 @@ from .quad import (
     AdaptiveSimpson,
     EngineConfig,
     GaussLegendre,
+    _gl_rungs,
     _gl_table,
     _integrate_1d_ts_fixed,
     _ts_nodes,
@@ -87,8 +88,8 @@ def correct_digits(value: Real, tier: Tier) -> float:
 
 
 def _warm_gl(order: int, tier: Tier) -> None:
-    _gl_table(order, tier)
-    _gl_table(max(1, order // 2), tier)
+    for n in _gl_rungs(GaussLegendre(order)):
+        _gl_table(n, tier)
 
 
 def _warm_ts(level: int, tier: Tier) -> None:

@@ -340,10 +340,11 @@ _DD_LANES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
 def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
     """Raw evaluation lane for the engines: floats in, floats out at
-    NATIVE64; ``(hi, lo)`` components in and a pair out at DOUBLEWORD."""
+    NATIVE64; ``(hi, lo)`` components in and a pair out at DOUBLEWORD.
+    A fixed lane is the same function on every call; a parametric one is
+    a new closure over a^2 on each call, so none outlives its caller."""
     entry = get(integrand_id)
     if entry.parametric:
         if a is None:

@@ -24,7 +24,10 @@ with atan(64/k) = pi/2 - atan(k/64) from a second table derived from the
 first on first use; ``_dd_atan_recip`` gives atan(1/x) = atan(k/64) +
 atan t from the same t. Always |t| <= 1/128. Double-word ``sin`` and
 ``cos`` fold about pi/2 in a loop and raise :class:`DomainError` for
-|x| > 2^10; one fold and one series give both (``_dd_sincos``).
+|x| > 2^10; one fold and one pair of series give both (``_dd_sincos``).
+The sine, cosine and small-argument sinh series share one Taylor loop
+(``_dd_taylor``), and the atan and exp polynomials share one
+double-word Horner kernel (``_dd_horner``).
 
 Double-word ``exp`` follows Tang's table-driven method: x = (64 k + j)
 ln2/64 + r with |r| <= ln2/128, and e^x = 2^k * 2^(j/64) * p(r), with
@@ -38,7 +41,9 @@ Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul`` and
 ``_dd_div`` return NaN. :class:`Real` multiplication and division
 detect that NaN and redo the operation on operands scaled by powers of
 two, so a representable result such as 1 / 1e301 comes out finite; the
-raw kernels are left as they are.
+raw kernels are left as they are. The four :class:`Real` arithmetic
+operators and their reflections share one tier-checked path
+(``_real_op``).
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
@@ -377,6 +383,47 @@ def _pi_half_triple() -> tuple[float, float, float]:
 # ----------------------------------------------------------------------
 
 
+def _dd_taylor(
+    ph: float, pl: float, x2h: float, x2l: float, sign: int, o: int
+) -> tuple[float, float]:
+    # sum of the series whose first term is p and whose term k is term
+    # k - 1 times x^2 / (sign (2k - 1 + o)(2k + o)): o = 1 for the odd
+    # series of sin and sinh, o = 0 for the even one of cos
+    sh, sl = ph, pl
+    k = 1
+    while True:
+        ph, pl = _dd_mul(ph, pl, x2h, x2l)
+        ph, pl = _dd_div_d(ph, pl, float(sign * (2 * k - 1 + o) * (2 * k + o)))
+        sh, sl = _dd_add(sh, sl, ph, pl)
+        if abs(ph) <= 9.0e-34 * abs(sh) + 1e-320 or k > 40:
+            return sh, sl
+        k += 1
+
+
+def _dd_horner(
+    ph: float, pl: float, zh: float, zl: float, coeffs: tuple[tuple[float, float], ...]
+) -> tuple[float, float]:
+    # double-word Horner steps p = c + p z for each double-word c in
+    # coeffs: two_prod with z split once, then a two_sum of the high
+    # words, inlined; callers keep |p z| well below |c|
+    t = _SPLITTER * zh
+    z1 = t - (t - zh)
+    z2 = zh - z1
+    for ch, cl in coeffs:
+        p = ph * zh
+        t = _SPLITTER * ph
+        a1 = t - (t - ph)
+        a2 = ph - a1
+        e = ((a1 * z1 - p) + a1 * z2 + a2 * z1) + a2 * z2
+        e += ph * zl + pl * zh
+        sh = ch + p
+        v = sh - ch
+        e += ((ch - (sh - v)) + (p - v)) + cl
+        ph = sh + e
+        pl = e - (ph - sh)
+    return ph, pl
+
+
 def _dd_atan_reduced(xh: float, xl: float) -> tuple[float, float]:
     # Maclaurin series; callers guarantee |x| <= 0.28
     x2h, x2l = _dd_sqr(xh, xl)
@@ -450,25 +497,9 @@ def _dd_atan_add(ch: float, cl: float, th: float, tl: float) -> tuple[float, flo
     # P in Horner form
     zh, zl = _dd_sqr(th, tl)
     q = ((_ATAN_C15 * zh + _ATAN_C13) * zh + _ATAN_C11) * zh + _ATAN_C9
-    ph, pl = _dd_add_d(*_ATAN_C7, zh * q)
-    # double-word Horner steps c + p z for c = 1/5 and -1/3, as in
-    # _dd_exp: two_prod with z split once, then a two_sum of the high
-    # words, inlined; |p z| < |c| / 10^4, so no step cancels
-    t = _SPLITTER * zh
-    z1 = t - (t - zh)
-    z2 = zh - z1
-    for c_h, c_l in _ATAN_C5_C3:
-        p = ph * zh
-        t = _SPLITTER * ph
-        a1 = t - (t - ph)
-        a2 = ph - a1
-        e = ((a1 * z1 - p) + a1 * z2 + a2 * z1) + a2 * z2
-        e += ph * zl + pl * zh
-        sh = c_h + p
-        v = sh - c_h
-        e += ((c_h - (sh - v)) + (p - v)) + c_l
-        ph = sh + e
-        pl = e - (ph - sh)
+    # double-word Horner steps for c = 1/5 and -1/3; |p z| < |c| / 10^4,
+    # so no step cancels
+    ph, pl = _dd_horner(*_dd_add_d(*_ATAN_C7, zh * q), zh, zl, _ATAN_C5_C3)
     ph, pl = _dd_mul(*_dd_mul(th, tl, zh, zl), ph, pl)
     return _dd_add(ch, cl, *_dd_add(th, tl, ph, pl))
 
@@ -526,28 +557,8 @@ def _dd_sin_cos_core(xh: float, xl: float) -> tuple[float, float, float, float]:
     # series on |x| <= pi/4 + eps: scale down by 8, then double thrice
     th, tl = _dd_scale2(xh, xl, 0.125)
     x2h, x2l = _dd_sqr(th, tl)
-    # sine series
-    sh, sl = th, tl
-    ph, pl = th, tl
-    k = 1
-    while True:
-        ph, pl = _dd_mul(ph, pl, x2h, x2l)
-        ph, pl = _dd_div_d(ph, pl, float(-(2 * k) * (2 * k + 1)))
-        sh, sl = _dd_add(sh, sl, ph, pl)
-        if abs(ph) <= 9.0e-34 * abs(sh) + 1e-320 or k > 40:
-            break
-        k += 1
-    # cosine series
-    ch, cl = 1.0, 0.0
-    qh, ql = 1.0, 0.0
-    k = 1
-    while True:
-        qh, ql = _dd_mul(qh, ql, x2h, x2l)
-        qh, ql = _dd_div_d(qh, ql, float(-(2 * k - 1) * (2 * k)))
-        ch, cl = _dd_add(ch, cl, qh, ql)
-        if abs(qh) <= 9.0e-34 * abs(ch) or k > 40:
-            break
-        k += 1
+    sh, sl = _dd_taylor(th, tl, x2h, x2l, -1, 1)  # sine series
+    ch, cl = _dd_taylor(1.0, 0.0, x2h, x2l, -1, 0)  # cosine series
     for _ in range(3):
         # sin 2t = 2 sin t cos t ; cos 2t = 1 - 2 sin^2 t
         nsh, nsl = _dd_scale2(*_dd_mul(sh, sl, ch, cl), 2.0)
@@ -654,25 +665,9 @@ def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
     rh = t + e
     rl = e - (rh - t)
     q = (((_EXP_C10 * rh + _EXP_C9) * rh + _EXP_C8) * rh + _EXP_C7) * rh + _EXP_C6
-    ph, pl = _dd_add_d(*_EXP_C5, rh * q)
-    # double-word Horner steps c + p r: two_prod with r split once, then
-    # a two_sum of the high words, inlined; |p r| < |c| / 180, so no
-    # step cancels
-    t = _SPLITTER * rh
-    r1 = t - (t - rh)
-    r2 = rh - r1
-    for ch, cl in _EXP_C4_TO_C0:
-        p = ph * rh
-        t = _SPLITTER * ph
-        a1 = t - (t - ph)
-        a2 = ph - a1
-        e = ((a1 * r1 - p) + a1 * r2 + a2 * r1) + a2 * r2
-        e += ph * rl + pl * rh
-        sh = ch + p
-        v = sh - ch
-        e += ((ch - (sh - v)) + (p - v)) + cl
-        ph = sh + e
-        pl = e - (ph - sh)
+    # double-word Horner steps for degrees 4 down to 0; |p r| < |c| / 180,
+    # so no step cancels
+    ph, pl = _dd_horner(*_dd_add_d(*_EXP_C5, rh * q), rh, rl, _EXP_C4_TO_C0)
     ph, pl = _dd_mul(*_exp2_table()[n & 63], ph, pl)
     k = n >> 6
     return math.ldexp(ph, k), math.ldexp(pl, k)
@@ -684,17 +679,7 @@ def _dd_sinh(xh: float, xl: float) -> tuple[float, float]:
         return -rh, -rl
     if xh < 0.5:
         # odd Maclaurin series, immune to the cancellation in (e^x - e^-x)/2
-        x2h, x2l = _dd_sqr(xh, xl)
-        sh, sl = xh, xl
-        ph, pl = xh, xl
-        k = 1
-        while True:
-            ph, pl = _dd_mul(ph, pl, x2h, x2l)
-            ph, pl = _dd_div_d(ph, pl, float((2 * k) * (2 * k + 1)))
-            sh, sl = _dd_add(sh, sl, ph, pl)
-            if abs(ph) <= 9.0e-34 * abs(sh) + 1e-320 or k > 30:
-                return sh, sl
-            k += 1
+        return _dd_taylor(xh, xl, *_dd_sqr(xh, xl), 1, 1)
     eh, el = _dd_exp(xh, xl)
     ih, il = _dd_div(1.0, 0.0, eh, el)
     return _dd_scale2(*_dd_sub(eh, el, ih, il), 0.5)
@@ -733,6 +718,31 @@ def _dd_rescaled(kernel, ah: float, al: float, bh: float, bl: float, sign: int):
         return math.ldexp(rh, k), math.ldexp(rl, k)
     except OverflowError:
         return math.inf, math.inf
+
+
+def _real_op(native, kernel, what: str, sign: int = 0, swap: bool = False):
+    # one Real operator, self op other (other op self when swap): at
+    # NATIVE64 the binary64 native(a, b), at DOUBLEWORD the kernel, with
+    # _dd_rescaled's rescue for a product (sign 1) or a quotient (sign -1)
+    def op(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b = (o, self) if swap else (self, o)
+        if sign < 0 and b.hi == 0.0:
+            raise ZeroDivisionError("division by zero")
+        if self.tier is Tier.NATIVE64:
+            r = native(a.hi, b.hi)
+            if not math.isfinite(r):
+                raise NonFiniteError(f"{what} overflowed")
+            return Real._raw(r, 0.0, self.tier)
+        rh, rl = kernel(a.hi, a.lo, b.hi, b.lo)
+        if sign and rh != rh:  # NaN from finite operands: the split overflowed
+            rh, rl = _dd_rescaled(kernel, a.hi, a.lo, b.hi, b.lo, sign)
+        _check_finite_pair(rh, rl, what)
+        return Real._raw(rh, rl, self.tier)
+
+    return op
 
 
 class Real:
@@ -857,107 +867,30 @@ class Real:
     def __hash__(self):
         return hash((self.hi, self.lo, self.tier))
 
-    def _cmp_key(self, other) -> tuple["Real", "Real"] | None:
-        o = self._coerce(other)
-        return None if o is None else (self, o)
-
     def __lt__(self, other):
-        pair = self._cmp_key(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a.hi < b.hi or (a.hi == b.hi and a.lo < b.lo)
+        o = self._coerce(other)
+        return NotImplemented if o is None else (self.hi, self.lo) < (o.hi, o.lo)
 
     def __le__(self, other):
-        pair = self._cmp_key(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a.hi < b.hi or (a.hi == b.hi and a.lo <= b.lo)
+        o = self._coerce(other)
+        return NotImplemented if o is None else (self.hi, self.lo) <= (o.hi, o.lo)
 
     def __gt__(self, other):
-        result = self.__le__(other)
-        return NotImplemented if result is NotImplemented else not result
+        o = self._coerce(other)
+        return NotImplemented if o is None else (self.hi, self.lo) > (o.hi, o.lo)
 
     def __ge__(self, other):
-        result = self.__lt__(other)
-        return NotImplemented if result is NotImplemented else not result
+        o = self._coerce(other)
+        return NotImplemented if o is None else (self.hi, self.lo) >= (o.hi, o.lo)
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.tier is Tier.NATIVE64:
-            r = self.hi + o.hi
-            if not math.isfinite(r):
-                raise NonFiniteError("addition overflowed")
-            return Real._raw(r, 0.0, self.tier)
-        rh, rl = _dd_add(self.hi, self.lo, o.hi, o.lo)
-        _check_finite_pair(rh, rl, "addition")
-        return Real._raw(rh, rl, self.tier)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.tier is Tier.NATIVE64:
-            r = self.hi - o.hi
-            if not math.isfinite(r):
-                raise NonFiniteError("subtraction overflowed")
-            return Real._raw(r, 0.0, self.tier)
-        rh, rl = _dd_sub(self.hi, self.lo, o.hi, o.lo)
-        _check_finite_pair(rh, rl, "subtraction")
-        return Real._raw(rh, rl, self.tier)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.tier is Tier.NATIVE64:
-            r = self.hi * o.hi
-            if not math.isfinite(r):
-                raise NonFiniteError("multiplication overflowed")
-            return Real._raw(r, 0.0, self.tier)
-        rh, rl = _dd_mul(self.hi, self.lo, o.hi, o.lo)
-        if rh != rh:  # NaN from finite operands: the split overflowed
-            rh, rl = _dd_rescaled(_dd_mul, self.hi, self.lo, o.hi, o.lo, 1)
-        _check_finite_pair(rh, rl, "multiplication")
-        return Real._raw(rh, rl, self.tier)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.hi == 0.0:
-            raise ZeroDivisionError("division by zero")
-        if self.tier is Tier.NATIVE64:
-            r = self.hi / o.hi
-            if not math.isfinite(r):
-                raise NonFiniteError("division overflowed")
-            return Real._raw(r, 0.0, self.tier)
-        rh, rl = _dd_div(self.hi, self.lo, o.hi, o.lo)
-        if rh != rh:  # NaN from finite operands: the split overflowed
-            rh, rl = _dd_rescaled(_dd_div, self.hi, self.lo, o.hi, o.lo, -1)
-        _check_finite_pair(rh, rl, "division")
-        return Real._raw(rh, rl, self.tier)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+    __add__ = __radd__ = _real_op(operator.add, _dd_add, "addition")
+    __sub__ = _real_op(operator.sub, _dd_sub, "subtraction")
+    __rsub__ = _real_op(operator.sub, _dd_sub, "subtraction", swap=True)
+    __mul__ = __rmul__ = _real_op(operator.mul, _dd_mul, "multiplication", 1)
+    __truediv__ = _real_op(operator.truediv, _dd_div, "division", -1)
+    __rtruediv__ = _real_op(operator.truediv, _dd_div, "division", -1, swap=True)
 
     def __neg__(self):
         return Real._raw(-self.hi, -self.lo, self.tier)

@@ -206,14 +206,17 @@ def _inv_a_atan_inv_a(a: Real) -> Real:
     return mul(inv, atan(inv))
 
 
+def _step_tols(tier: Tier) -> tuple[float, float]:
+    # the step tolerance at a tier, and the tenfold one for a step that
+    # compares 2D integrals against 2D integrals
+    return (1e-12, 1e-11) if tier is Tier.NATIVE64 else (1e-25, 1e-24)
+
+
 def builtin_chain(tier: Tier) -> tuple[Step, ...]:
     """The eight-step verification chain at a tier. Default tolerances
     are 1e-12 at NATIVE64 and 1e-25 at DOUBLEWORD, relaxed tenfold for
     the two steps that compare 2D integrals against 2D integrals."""
-    if tier is Tier.NATIVE64:
-        tol, tol_2d = 1e-12, 1e-11
-    else:
-        tol, tol_2d = 1e-25, 1e-24
+    tol, tol_2d = _step_tols(tier)
     root2 = sqrt(Real.from_float(2.0, tier))
     q_ahmed = Integral1DQ("ahmed_eq1")
     q_i1x = Integral1DQ("i1_x")
@@ -379,7 +382,7 @@ def check_eq3(
     The excluded case a = 0 raises :class:`DomainError` up front."""
     if config is None:
         config = default_config(tier if tier is not None else Tier.NATIVE64)
-    tol = 1e-12 if config.tier is Tier.NATIVE64 else 1e-25
+    tol, _ = _step_tols(config.tier)
     values = tuple(a_values)
     for a in values:
         if not isinstance(a, Real):

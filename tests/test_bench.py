@@ -250,3 +250,33 @@ class TestHookPoints:
             ]
 
         assert fields(rows) == fields(_rows(Tier.NATIVE64))
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_timed_calls_build_no_table(self, monkeypatch, tier):
+        # every table an engine call reads is warmed before its clock
+        # starts, so wall_time_s never includes a table build
+        from ahmedquad import bench, quad
+
+        caches = (quad._gl_table, quad._ts_nodes)
+        for cache in caches:
+            cache.cache_clear()
+        missed = []
+
+        def checking(name):
+            inner = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                before = [c.cache_info().misses for c in caches]
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    after = [c.cache_info().misses for c in caches]
+                    if after != before:
+                        missed.append((name, args, kwargs))
+
+            return wrapper
+
+        for name in ("integrate_1d", "_integrate_1d_ts_fixed"):
+            monkeypatch.setattr(bench, name, checking(name))
+        rows = bench_rows(tier)
+        assert len(rows) == 28 and missed == []

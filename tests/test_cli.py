@@ -249,6 +249,20 @@ class TestVerifyFormats:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == self.NATIVE_VERIFY_SHA256[fmt]
 
+    # the doubleword output is pinned the same way: a refactor of the
+    # double-word kernels must leave every printed digit where it was
+    DOUBLEWORD_VERIFY_SHA256 = {
+        "csv": "e437c16c9aacaf0685f1e8a73acaf3f6817f1e6cb906affe3a9b253b09431e2d",
+        "json": "ffe9b671ff5aadd5154782ce319f66c62321b39a0159d56b986f4d50195665d5",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(DOUBLEWORD_VERIFY_SHA256))
+    def test_doubleword_output_is_byte_stable(self, capsys, fmt):
+        code, out, err = run(capsys, "verify", "--tier", "doubleword", "--format", fmt)
+        assert code == 0 and err == ""
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.DOUBLEWORD_VERIFY_SHA256[fmt]
+
 
 class TestNodes:
     def test_text(self, capsys):

@@ -1,8 +1,10 @@
 """Integrand registry: frozen point values, closed forms, and the
 pointwise identities that drive the verification chain."""
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -27,6 +29,7 @@ from ahmedquad import (
     sin,
     sub,
 )
+from ahmedquad import quad
 from ahmedquad.integrands import Interval, get, raw_fn
 from ahmedquad.verify import seeded_a_values
 from helpers import (
@@ -271,6 +274,23 @@ class TestPointValues:
         assert raw_fn("ahmed_eq1", Tier.DOUBLEWORD) is raw_fn(
             "ahmed_eq1", Tier.DOUBLEWORD
         )
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_parametric_lane_is_collected_after_the_call(self, tier, monkeypatch):
+        # every eq3 sample draws a new a; the lane made for it must not
+        # outlive the integration, or memory grows with the samples
+        refs = []
+
+        def spy(*args):
+            fn = raw_fn(*args)
+            refs.append(weakref.ref(fn))
+            return fn
+
+        monkeypatch.setattr(quad, "raw_fn", spy)
+        config = EngineConfig(GaussLegendre(16), tier)
+        integrate_1d("eq3_kernel", config=config, a=Real.from_float(0.75, tier))
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
 
 
 def _points_01():

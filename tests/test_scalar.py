@@ -905,6 +905,75 @@ class TestSinCosFolding:
             assert [_bits(v) for v in got] == [_bits(v) for v in want], (xh, xl)
 
 
+class TestSharedSeriesLoop:
+    # sin, cos and the small-argument sinh share one Taylor loop, capped
+    # at 40 terms; on the callers' domains it must stop well before that
+    def _terms_per_use(self, monkeypatch, call, words):
+        counts, div_d, taylor = [], scalar._dd_div_d, scalar._dd_taylor
+        live = [0]
+
+        def counting_div_d(*args):
+            live[0] += 1
+            return div_d(*args)
+
+        def spy(*args):
+            live[0] = 0
+            out = taylor(*args)
+            counts.append(live[0])
+            return out
+
+        monkeypatch.setattr(scalar, "_dd_div_d", counting_div_d)
+        monkeypatch.setattr(scalar, "_dd_taylor", spy)
+        per_call = set()
+        for xh, xl in words:
+            before = len(counts)
+            call(xh, xl)
+            per_call.add(len(counts) - before)
+        return counts, per_call
+
+    def test_converges_well_before_the_cap(self, monkeypatch):
+        rng = random.Random(0x7A7)
+        quarter = 0.7853981633974483
+        pts = [rng.uniform(-quarter, quarter) for _ in range(1500)]
+        pts += _ulps_around(quarter, 2) + _ulps_around(-quarter, 2) + [0.0, 1e-300]
+        counts, per_call = self._terms_per_use(
+            monkeypatch, scalar._dd_sin_cos_core, _with_low_words(pts, 0x7A8)
+        )
+        assert per_call == {2} and max(counts) <= 20
+        pts = [rng.uniform(0.0, 0.5) for _ in range(1500)]
+        pts += [math.nextafter(0.5, 0.0), 0.0, 5e-324, 1e-300, 2.0**-12]
+        counts, per_call = self._terms_per_use(
+            monkeypatch, scalar._dd_sinh, _with_low_words(pts, 0x7A9)
+        )
+        assert per_call == {1} and max(counts) <= 20
+
+    def test_sinh_matches_the_former_loop(self):
+        # the reference is the series loop _dd_sinh held before it shared
+        # _dd_taylor, capped at 30 terms and without the sign argument
+        def ref_sinh(xh, xl):
+            x2h, x2l = scalar._dd_sqr(xh, xl)
+            sh, sl = xh, xl
+            ph, pl = xh, xl
+            k = 1
+            while True:
+                ph, pl = scalar._dd_mul(ph, pl, x2h, x2l)
+                ph, pl = scalar._dd_div_d(ph, pl, float((2 * k) * (2 * k + 1)))
+                sh, sl = scalar._dd_add(sh, sl, ph, pl)
+                if abs(ph) <= 9.0e-34 * abs(sh) + 1e-320 or k > 30:
+                    return sh, sl
+                k += 1
+
+        rng = random.Random(0x5148)
+        pts = [rng.uniform(0.0, 0.5) for _ in range(2000)]
+        pts += [math.nextafter(0.5, 0.0), 0.0, 5e-324, 1e-300, 2.0**-12]
+        for xh, xl in _with_low_words(pts, 0x5149):
+            got = scalar._dd_sinh(xh, xl)
+            assert [_bits(v) for v in got] == [_bits(v) for v in ref_sinh(xh, xl)], (xh, xl)
+            if xh > 0.0:
+                neg = scalar._dd_sinh(-xh, -xl)
+                assert [_bits(v) for v in neg] == [_bits(-v) for v in got], (xh, xl)
+
+
 # ----------------------------------------------------------------------
 # Double-word products and quotients beyond Dekker's split range
 # ----------------------------------------------------------------------
