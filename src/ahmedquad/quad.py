@@ -74,7 +74,6 @@ from .scalar import (
     Tier,
     _dd_add,
     _dd_add_d,
-    _dd_cosh,
     _dd_div,
     _dd_div_d,
     _dd_exp,
@@ -86,6 +85,7 @@ from .scalar import (
     _dd_sqrt,
     _dd_sub,
     _pi_pair,
+    _sinh_cosh_table,
 )
 
 __all__ = [
@@ -331,14 +331,9 @@ _TS_COARSE_STEPS = 320
 @functools.lru_cache(maxsize=None)
 def _ts_step_tables():
     """Double-word ``(sinh hi, sinh lo, cosh hi, cosh lo)`` of ``i/64``
-    for ``i < 320`` and of ``m/4096`` for ``m < 64``, built on first use."""
-
-    def sinh_cosh(a):
-        return _dd_sinh(a, 0.0) + _dd_cosh(a, 0.0)
-
-    coarse = tuple(sinh_cosh(i / 64.0) for i in range(_TS_COARSE_STEPS))
-    fine = tuple(sinh_cosh(m * _TS_STEP) for m in range(64))
-    return coarse, fine
+    for ``i < 320`` and of ``m/4096`` for ``m < 64``, the nearest pairs,
+    built on first use."""
+    return _sinh_cosh_table(6, _TS_COARSE_STEPS), _sinh_cosh_table(_MAX_TS_LEVEL, 64)
 
 
 def _ts_point_dd(J: int, hp2: tuple[float, float]):

@@ -17,14 +17,14 @@ wrapper provides the safe, tier-checked public surface on top of them.
 
 Double-word ``atan`` uses Tang's table-lookup reduction with one
 division: x in [0, 1] is reduced about the nearest c = k/64 to
-t = (x - c)/(1 + x c), and atan(k/64) comes from a 65-entry table that
-the angle-halving series builds on first use. Above 1, c = k/64 is the
-nearest to 1/x, t = (1 - c x)/(x + c), and atan x = atan(64/k) - atan t,
-with atan(64/k) = pi/2 - atan(k/64) from a second table derived from the
-first on first use; ``_dd_atan_recip`` gives atan(1/x) = atan(k/64) +
-atan t from the same t. Always |t| <= 1/128. Double-word ``sin`` and
-``cos`` fold about pi/2 in a loop and raise :class:`DomainError` for
-|x| > 2^10; one fold and one pair of series give both (``_dd_sincos``).
+t = (x - c)/(1 + x c), and atan(k/64) comes from a 65-entry table built
+on first use. Above 1, c = k/64 is the nearest to 1/x,
+t = (1 - c x)/(x + c), and atan x = atan(64/k) - atan t, with
+atan(64/k) = pi/2 - atan(k/64) from a second table built with the
+first; ``_dd_atan_recip`` gives atan(1/x) = atan(k/64) + atan t from the
+same t. Always |t| <= 1/128. Double-word ``sin`` and ``cos`` fold about
+pi/2 in a loop and raise :class:`DomainError` for |x| > 2^10; one fold
+and one pair of series give both (``_dd_sincos``).
 The sine, cosine and small-argument sinh series share one Taylor loop
 (``_dd_taylor``), and the atan and exp polynomials share one
 double-word Horner kernel (``_dd_horner``).
@@ -34,8 +34,12 @@ ln2/64 + r with |r| <= ln2/128, and e^x = 2^k * 2^(j/64) * p(r), with
 2^(j/64) from a 64-entry table built on first use and p the degree-10
 Taylor polynomial in Horner form. It stays within a unit of 2^-104 for
 -671 <= x <= 709; below that the result's low word is subnormal and
-the relative error grows to ~10^15 units near -709. ``_dd_sinh`` and
-``_dd_cosh`` build on it.
+the relative error grows to ~10^15 units near -709.
+
+Every lazy constant and table (pi, the two atan tables, 2^(j/64) and the
+sinh and cosh steps of the tanh-sinh nodes) is the nearest double-word
+pair, rounded once from a 192-bit fixed-point integer: Euler's series
+for atan(p/q), and the Taylor series of e^x with its integer powers.
 
 Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul`` and
 ``_dd_div`` return NaN. :class:`Real` multiplication and division
@@ -364,10 +368,6 @@ def _pair_from_fraction(f: Fraction) -> tuple[float, float]:
     return hi, float(f - Fraction(hi))
 
 
-def _pair_from_decimal_string(s: str) -> tuple[float, float]:
-    return _pair_from_fraction(Fraction(Decimal(s)))
-
-
 @functools.lru_cache(maxsize=None)
 def _pi_half_triple() -> tuple[float, float, float]:
     f = Fraction(Decimal(_PI_STR)) / 2
@@ -376,6 +376,89 @@ def _pi_half_triple() -> tuple[float, float, float]:
     b = float(f)
     c = float(f - Fraction(b))
     return a, b, c
+
+
+# ----------------------------------------------------------------------
+# Fixed-point builders of the lazy double-word constants and tables
+# ----------------------------------------------------------------------
+# An integer n stands for n / 2^_FIX. With 192 bits, about 85 guard bits
+# lie below the unit of a double-word, so every entry rounds once, from
+# the fixed-point value, to the nearest pair.
+
+_FIX = 192
+_ONE = 1 << _FIX
+_PI_FIXED = int(Fraction(_PI_STR) * _ONE)
+_LN2_FIXED = int(Fraction(_LN2_STR) * _ONE)
+
+
+def _pair_from_fixed(n: int) -> tuple[float, float]:
+    # the double-word nearest to n / 2^_FIX; int / int rounds correctly
+    hi = n / _ONE
+    return hi, (n - int(math.ldexp(hi, _FIX))) / _ONE
+
+
+def _fixed_atan(p: int, q: int) -> int:
+    # atan(p/q) for 0 <= p <= q by Euler's series: with d = p^2 + q^2,
+    # the first term is p q / d and each next one the last times
+    # m p^2 / ((m + 1) d) for m = 2, 4, ..., a ratio of at most 1/2;
+    # no term cancels
+    p2 = p * p
+    d = p2 + q * q
+    term = total = (p * q << _FIX) // d
+    n = 2
+    while term:
+        term = term * n * p2 // ((n + 1) * d)
+        total += term
+        n += 2
+    return total
+
+
+def _fixed_exp_powers(x: int, count: int) -> list[int]:
+    # e^(j x) for j = 0..count - 1, with 0 <= x <= _ONE: the Taylor
+    # series of e^x, then its integer powers
+    base = term = _ONE
+    n = 1
+    while term:
+        term = term * x // (n << _FIX)
+        base += term
+        n += 1
+    powers = [_ONE]
+    for _ in range(count - 1):
+        powers.append(powers[-1] * base >> _FIX)
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_pair() -> tuple[float, float]:
+    return _pair_from_fixed(_PI_FIXED)
+
+
+@functools.lru_cache(maxsize=None)
+def _atan_tables() -> tuple[tuple[tuple[float, float], ...], ...]:
+    # atan(k / 64) and atan(64 / k) = pi/2 - atan(k / 64) for k = 0..64,
+    # pi/2 at k = 0, from one series pass, subtracted in fixed point
+    # before rounding; built on first use
+    fixed = [_fixed_atan(k, 64) for k in range(65)]
+    return (
+        tuple(map(_pair_from_fixed, fixed)),
+        tuple(_pair_from_fixed((_PI_FIXED >> 1) - a) for a in fixed),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _exp2_table() -> tuple[tuple[float, float], ...]:
+    # 2^(j/64) for j = 0..63 as powers of e^(ln2/64), built on first use
+    return tuple(map(_pair_from_fixed, _fixed_exp_powers(_LN2_FIXED >> 6, 64)))
+
+
+def _sinh_cosh_table(shift: int, count: int) -> tuple[tuple[float, float, float, float], ...]:
+    # (sinh hi, sinh lo, cosh hi, cosh lo) of i / 2^shift for i < count,
+    # as (e -/+ 1/e) / 2 from the powers e of e^(2^-shift)
+    out = []
+    for e in _fixed_exp_powers(_ONE >> shift, count):
+        r = (1 << 2 * _FIX) // e
+        out.append(_pair_from_fixed((e - r) >> 1) + _pair_from_fixed((e + r) >> 1))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -422,66 +505,6 @@ def _dd_horner(
         ph = sh + e
         pl = e - (ph - sh)
     return ph, pl
-
-
-def _dd_atan_reduced(xh: float, xl: float) -> tuple[float, float]:
-    # Maclaurin series; callers guarantee |x| <= 0.28
-    x2h, x2l = _dd_sqr(xh, xl)
-    th, tl = xh, xl
-    sh, sl = xh, xl
-    k = 1
-    while True:
-        th, tl = _dd_mul(th, tl, x2h, x2l)
-        ch, cl = _dd_div_d(th, tl, float(2 * k + 1))
-        if k & 1:
-            sh, sl = _dd_sub(sh, sl, ch, cl)
-        else:
-            sh, sl = _dd_add(sh, sl, ch, cl)
-        if abs(ch) <= abs(sh) * 9.0e-34 or k > 60:
-            return sh, sl
-        k += 1
-
-
-@functools.lru_cache(maxsize=None)
-def _pi_pair() -> tuple[float, float]:
-    # Machin's formula, evaluated once in double-word arithmetic and
-    # cross-checked against the compiled-in digit string.
-    a5h, a5l = _dd_atan_reduced(*_dd_div_d(1.0, 0.0, 5.0))
-    a239h, a239l = _dd_atan_reduced(*_dd_div_d(1.0, 0.0, 239.0))
-    ph, pl = _dd_sub(16.0 * a5h, 16.0 * a5l, 4.0 * a239h, 4.0 * a239l)
-    rh, rl = _pair_from_decimal_string(_PI_STR)
-    dh, _ = _dd_sub(ph, pl, rh, rl)
-    if abs(dh) > 1e-30:
-        raise AssertionError("pi self-check failed: series disagrees with digits")
-    return ph, pl
-
-
-def _dd_atan_halving(xh: float, xl: float) -> tuple[float, float]:
-    # atan on 0 <= x <= 1 by angle halving down to the Maclaurin range;
-    # slow, so it only builds the table of _dd_atan
-    halvings = 0
-    while xh > 0.28:
-        # atan(x) = 2 atan(x / (1 + sqrt(1 + x^2)))
-        sh, sl = _dd_sqrt(*_dd_add_d(*_dd_sqr(xh, xl), 1.0))
-        xh, xl = _dd_div(xh, xl, *_dd_add_d(sh, sl, 1.0))
-        halvings += 1
-    rh, rl = _dd_atan_reduced(xh, xl)
-    s = float(1 << halvings)
-    return rh * s, rl * s
-
-
-@functools.lru_cache(maxsize=None)
-def _atan_table() -> tuple[tuple[float, float], ...]:
-    # atan(k / 64) for k = 0..64, built on first use
-    return tuple(_dd_atan_halving(k / 64.0, 0.0) for k in range(65))
-
-
-@functools.lru_cache(maxsize=None)
-def _atan_recip_table() -> tuple[tuple[float, float], ...]:
-    # atan(64 / k) = pi/2 - atan(k / 64) for k = 0..64, pi/2 at k = 0;
-    # built on first use from the first table
-    p2h, p2l = _dd_scale2(*_pi_pair(), 0.5)
-    return tuple(_dd_sub(p2h, p2l, ch, cl) for ch, cl in _atan_table())
 
 
 # double-word coefficients -1/7 and then 1/5, -1/3 of the atan series,
@@ -532,14 +555,14 @@ def _dd_atan(xh: float, xl: float) -> tuple[float, float]:
             k, th, tl = 0, 1.0 / xh, 0.0
         else:
             k, th, tl = _atan_recip_reduction(xh, xl)
-        rh, rl = _dd_atan_add(*_atan_recip_table()[k], -th, -tl)
+        rh, rl = _dd_atan_add(*_atan_tables()[1][k], -th, -tl)
     else:
         k = int(xh * 64.0 + 0.5)
         c = k * 0.015625
         th, tl = _dd_div(
             *_dd_add_d(xh, xl, -c), *_dd_add_d(*_dd_mul_d(xh, xl, c), 1.0)
         )
-        rh, rl = _dd_atan_add(*_atan_table()[k], th, tl)
+        rh, rl = _dd_atan_add(*_atan_tables()[0][k], th, tl)
     if neg:
         rh, rl = -rh, -rl
     return rh, rl
@@ -550,7 +573,7 @@ def _dd_atan_recip(xh: float, xl: float) -> tuple[float, float]:
     # of _atan_recip_reduction; double-word accurate while 1/x >= 2^-968,
     # below which the low word is subnormal
     k, th, tl = _atan_recip_reduction(xh, xl)
-    return _dd_atan_add(*_atan_table()[k], th, tl)
+    return _dd_atan_add(*_atan_tables()[0][k], th, tl)
 
 
 def _dd_sin_cos_core(xh: float, xl: float) -> tuple[float, float, float, float]:
@@ -622,17 +645,6 @@ _LN2_64_L1, _LN2_64_L2, _LN2_64_L3 = _ln2_64_split()
 _INV_LN2_64 = 64.0 / 0.6931471805599453
 
 
-@functools.lru_cache(maxsize=None)
-def _exp2_table() -> tuple[tuple[float, float], ...]:
-    # 2^(j/64) for j = 0..63, rounded from 50 decimal digits, built on
-    # first use
-    with localcontext() as ctx:
-        ctx.prec = 50
-        return tuple(
-            _pair_from_fraction(Fraction(Decimal(2) ** (Decimal(j) / 64))) for j in range(64)
-        )
-
-
 # Taylor coefficients 1/k! of e^r: double-word for degrees 5 down to 0,
 # then a binary64 tail for degrees 6-10
 _EXP_C5 = _pair_from_fraction(Fraction(1, 120))
@@ -674,21 +686,11 @@ def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
 
 
 def _dd_sinh(xh: float, xl: float) -> tuple[float, float]:
+    # the odd Maclaurin series; callers guarantee |x| < 0.5
     if xh < 0.0:
         rh, rl = _dd_sinh(-xh, -xl)
         return -rh, -rl
-    if xh < 0.5:
-        # odd Maclaurin series, immune to the cancellation in (e^x - e^-x)/2
-        return _dd_taylor(xh, xl, *_dd_sqr(xh, xl), 1, 1)
-    eh, el = _dd_exp(xh, xl)
-    ih, il = _dd_div(1.0, 0.0, eh, el)
-    return _dd_scale2(*_dd_sub(eh, el, ih, il), 0.5)
-
-
-def _dd_cosh(xh: float, xl: float) -> tuple[float, float]:
-    eh, el = _dd_exp(abs(xh), xl if xh >= 0.0 else -xl)
-    ih, il = _dd_div(1.0, 0.0, eh, el)
-    return _dd_scale2(*_dd_add(eh, el, ih, il), 0.5)
+    return _dd_taylor(xh, xl, *_dd_sqr(xh, xl), 1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -967,9 +969,8 @@ def exp(x: Real) -> Real:
 
 
 def pi(tier: Tier = Tier.NATIVE64) -> Real:
-    """The circle constant at the tier. The double-word value comes from
-    Machin's arctangent formula and is cross-checked once against a
-    compiled-in digit string."""
+    """The circle constant at the tier. The double-word value is the
+    nearest pair to a compiled-in digit string."""
     if tier is Tier.NATIVE64:
         return Real._raw(math.pi, 0.0, tier)
     ph, pl = _pi_pair()
@@ -978,11 +979,9 @@ def pi(tier: Tier = Tier.NATIVE64) -> Real:
 
 def build_info() -> str:
     """One line describing the numeric configuration of this build."""
-    try:
-        _pi_pair()
-        pi_check = "ok"
-    except AssertionError:  # pragma: no cover - would indicate a broken build
-        pi_check = "FAILED"
+    # Machin's formula through the fixed-point atan, against the digits
+    machin = 16 * _fixed_atan(1, 5) - 4 * _fixed_atan(1, 239)
+    pi_check = "ok" if abs(machin - _PI_FIXED) < 1 << (_FIX - 160) else "FAILED"
     return (
         f"tiers: native64 (eps=2^-52), doubleword (eps=2^-104); "
         f"two_prod=dekker-split; pi-self-check={pi_check}"

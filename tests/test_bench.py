@@ -2,6 +2,7 @@
 profiles, CSV/plot-file serialization, and determinism."""
 
 import functools
+import hashlib
 import math
 
 import pytest
@@ -160,6 +161,22 @@ class TestCsv:
                 (reparsed.hi - r.value.hi) + (reparsed.lo - r.value.lo)
             )
             assert diff <= tol
+
+    # SHA-256 of the sweep's csv with the wall_time_s column cut: the
+    # native sweep is byte-stable across changes of design; the
+    # doubleword one was re-pinned when pi and the atan and step tables
+    # became the nearest double-word pairs
+    SWEEP_SHA256 = {
+        Tier.NATIVE64: "629b548bbe314b25f43620f90833e2bbcb7cf8c854c8ddebf49d199680d47e61",
+        Tier.DOUBLEWORD: "135d157cf55a909bef91be4f97581b92a8af6d9c16ae78b7c6eacab8aa81e302",
+    }
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_sweep_is_pinned(self, tier):
+        text = "".join(
+            line.rsplit(",", 1)[0] + "\n" for line in rows_to_csv(_rows(tier)).splitlines()
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_SHA256[tier]
 
     def test_deterministic_modulo_wall_time(self):
         first = bench_rows(Tier.NATIVE64)

@@ -32,7 +32,7 @@ from ahmedquad import (
     two_prod,
     two_sum,
 )
-from ahmedquad import integrands, scalar
+from ahmedquad import integrands, quad, scalar
 from ahmedquad.scalar import _quick_two_sum, _two_prod, _two_sum
 from helpers import (
     ATAN_SQRT2_STR,
@@ -326,6 +326,45 @@ def test_build_info_reports_dekker_split_even_with_fma(monkeypatch):
     assert "two_prod=fma" not in info
 
 
+def test_build_info_pi_self_check_fails_on_a_wrong_atan(monkeypatch):
+    # Machin's formula through a perturbed fixed-point atan must miss the
+    # compiled-in digits of pi
+    fixed_atan = scalar._fixed_atan
+    monkeypatch.setattr(scalar, "_fixed_atan", lambda p, q: fixed_atan(p, q) + (1 << 40))
+    assert build_info().endswith("pi-self-check=FAILED")
+    monkeypatch.undo()
+    assert build_info().endswith("pi-self-check=ok")
+
+
+def _nearest_pair(v):
+    # the double-word nearest to an mpmath value, rounded from its exact
+    # binary fraction
+    man, exp = v.man_exp
+    f = Fraction(man) * Fraction(2) ** exp
+    hi = float(f)
+    return hi, float(f - Fraction(hi))
+
+
+def test_every_constant_and_table_entry_is_the_nearest_pair():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    assert scalar._pi_pair() == _nearest_pair(mp.pi)
+    atan_k = [mp.atan(mp.mpf(k) / 64) for k in range(65)]
+    table, recip_table = scalar._atan_tables()
+    assert list(table) == [_nearest_pair(a) for a in atan_k]
+    assert list(recip_table) == [_nearest_pair(mp.pi / 2 - a) for a in atan_k]
+    want = [_nearest_pair(mp.mpf(2) ** (mp.mpf(j) / 64)) for j in range(64)]
+    assert list(scalar._exp2_table()) == want
+
+    def sinh_cosh(t):
+        return _nearest_pair(mp.sinh(t)) + _nearest_pair(mp.cosh(t))
+
+    coarse, fine = quad._ts_step_tables()
+    assert list(coarse) == [sinh_cosh(mp.mpf(i) / 64) for i in range(len(coarse))]
+    assert list(fine) == [sinh_cosh(mp.mpf(m) / 4096) for m in range(len(fine))]
+    assert (len(coarse), len(fine)) == (320, 64)
+
+
 def test_tier_properties():
     assert Tier.NATIVE64.eps == 2.0**-52
     assert Tier.DOUBLEWORD.eps == 2.0**-104
@@ -519,13 +558,13 @@ class TestFusedKernelsBitIdentical:
 # Table-driven double-word atan
 # ----------------------------------------------------------------------
 # The kernel reduces x in [0, 1] to t = (x - c)/(1 + x c) about the
-# nearest c = k/64 and adds atan(c) from a table built by the halving
-# series. Above 1 it reduces about the nearest c = k/64 to 1/x, to
-# t = (1 - c x)/(x + c), and subtracts atan t from a table of atan(64/k);
-# _dd_atan_recip adds atan t to atan(k/64) for atan(1/x). The oracle
-# bound is 4 units of 2^-104 relative; the kernel measures below 2.
+# nearest c = k/64 and adds atan(c) from a table of nearest pairs. Above
+# 1 it reduces about the nearest c = k/64 to 1/x, to t = (1 - c x)/(x + c),
+# and subtracts atan t from a table of atan(64/k); _dd_atan_recip adds
+# atan t to atan(k/64) for atan(1/x). The oracle bound is 1 unit of
+# 2^-104 relative; the kernel measures below 0.6.
 
-ATAN_BOUND = 4.0 * 2.0**-104
+ATAN_BOUND = 1.0 * 2.0**-104
 # the double-word ahmed_eq1 and i2_x lanes against 50-digit mpmath; they
 # measure below 3.1 units of 2^-104 on 4,000 seeded points of [0, 1]
 LANE_BOUND = 6.0 * 2.0**-104
@@ -660,17 +699,15 @@ class TestTableDrivenAtan:
             assert scalar._dd_atan(-xh, -xl) == (-rh, -rl)
         assert scalar._dd_atan(0.0, 0.0) == (0.0, 0.0)
 
-    def test_agrees_with_the_halving_series(self):
-        # the table's builder, run on 10k seeded points of [0, 1]
+    def test_agrees_with_mpmath_on_seeded_points(self):
+        # 10k seeded points of [0, 1], each with a random low word
         rng = random.Random(0x7AB1E)
+        words = []
         for _ in range(10_000):
             xh, xl = _two_sum(rng.random(), rng.uniform(-1.0, 1.0) * 2.0**-54)
-            if xh <= 0.0:
-                continue
-            rh, rl = scalar._dd_atan(xh, xl)
-            sh, sl = scalar._dd_atan_halving(xh, xl)
-            dh, _ = scalar._dd_sub(rh, rl, sh, sl)
-            assert abs(dh) <= 4.0 * 2.0**-104 * sh, f"atan({xh!r}, {xl!r})"
+            if xh > 0.0:
+                words.append((xh, xl))
+        self._assert_bound(words)
 
     def test_table_is_not_built_at_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -679,14 +716,13 @@ class TestTableDrivenAtan:
         code = (
             "import ahmedquad\n"
             "from ahmedquad import scalar\n"
-            "print(scalar._atan_table.cache_info().currsize,"
-            " scalar._atan_recip_table.cache_info().currsize)\n"
+            "print(scalar._atan_tables.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0"]
+        assert proc.stdout.split() == ["0"]
 
 
 def test_atan_property_against_mpmath():
@@ -716,8 +752,8 @@ def test_atan_property_against_mpmath():
 # The kernel reduces x = (64 k + j) ln2/64 + r, |r| <= ln2/128, and
 # returns 2^k * 2^(j/64) * p(r) with 2^(j/64) from a 64-entry table and
 # p a degree-10 Horner polynomial. Its worst measured error is below 1
-# unit of 2^-104 relative; the tests hold it, and sinh and cosh on the
-# range the tanh-sinh nodes feed them, to 4. Below x = -671 the result's
+# unit of 2^-104 relative; the tests hold it, and the series sinh on the
+# range the tanh-sinh nodes feed it, to 4. Below x = -671 the result's
 # low word is subnormal and the bound no longer holds.
 
 EXP_BOUND = 4.0 * 2.0**-104
@@ -771,17 +807,13 @@ class TestTableDrivenExp:
             with pytest.raises(NonFiniteError):
                 scalar._dd_exp(v, 0.0)
 
-    @pytest.mark.parametrize("name", ["sinh", "cosh"])
-    def test_hyperbolic_on_the_node_range(self, name):
-        # the tanh-sinh step tables call these on [0, 5), and the nodes
-        # call sinh on [0, 0.5)
+    def test_sinh_on_the_node_range(self):
+        # the tanh-sinh nodes call the series sinh on [0, 0.5) only
         mp = pytest.importorskip("mpmath")
         rng = random.Random(0x5C7)
-        pts = [rng.uniform(0.0, 40.0) for _ in range(300)]
-        pts += [rng.uniform(0.0, 1.0) for _ in range(100)]
-        pts += _ulps_around(0.5, 2) + [1e-300, 2.0**-12, 22.0, 40.0]
-        words = _with_low_words(pts, 0x5C8)
-        self._assert_bound(getattr(scalar, "_dd_" + name), getattr(mp, name), words)
+        pts = [rng.uniform(0.0, 0.5) for _ in range(300)]
+        pts += [math.nextafter(0.5, 0.0), 5e-324, 1e-300, 2.0**-12]
+        self._assert_bound(scalar._dd_sinh, mp.sinh, _with_low_words(pts, 0x5C8))
 
     def test_tables_are_not_built_at_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
