@@ -5,8 +5,8 @@ task: how many correct digits of 5 pi^2 / 96 it reaches per integrand
 evaluation and per second.
 
 * Gauss-Legendre: order in {4, 8, 16, 32, 64, 128}
-* tanh-sinh: level in {2, ..., 12}, forced to run every level so work
-  grows strictly with the parameter
+* tanh-sinh: level in {2, ..., 12}, every row from one run to level 12
+  with no early exit, so work grows strictly with the parameter
 * adaptive Simpson: tolerance decades 1e-4 .. 1e-14 (parameter = decade)
 
 ``correct_digits`` is -log10 of the relative error against the closed
@@ -15,7 +15,9 @@ budget (14.5 at NATIVE64, 27.5 at DOUBLEWORD): past those points the
 measured digits reflect rounding noise, not quadrature quality.
 
 Wall time wraps the engine call only; node tables are warmed first so
-cached-table runs are compared like for like.
+cached-table runs are compared like for like. Tanh-sinh levels are
+nested, so a level-L row's time runs from the start of the one run to
+the end of its level L: the cost of a run stopped there.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ def _warm_ts(level: int, tier: Tier) -> None:
         _ts_nodes(k, tier)
 
 
-def _row(method: str, parameter: int, tier: Tier, result) -> BenchRow:
+def _row(
+    method: str, parameter: int, tier: Tier, result, wall_time_s: float
+) -> BenchRow:
     return BenchRow(
         method=method,
         parameter=parameter,
@@ -105,22 +109,15 @@ def _row(method: str, parameter: int, tier: Tier, result) -> BenchRow:
         value=result.value,
         correct_digits=correct_digits(result.value, tier),
         evaluations=result.evaluations,
-        wall_time_s=result.wall_time_s,
+        wall_time_s=wall_time_s,
     )
 
 
-@dataclass(frozen=True)
-class _Timed:
-    value: Real
-    evaluations: int
-    wall_time_s: float
-
-
-def _timed(fn) -> _Timed:
+def _timed(fn):
+    # (result, seconds) of one engine call
     t0 = time.perf_counter()
     r = fn()
-    dt = time.perf_counter() - t0
-    return _Timed(r.value, r.evaluations, dt)
+    return r, time.perf_counter() - t0
 
 
 def bench_rows(tier: Tier) -> tuple[BenchRow, ...]:
@@ -134,7 +131,7 @@ def bench_rows(tier: Tier) -> tuple[BenchRow, ...]:
                 "gauss-legendre",
                 order,
                 tier,
-                _timed(lambda: integrate_1d(_BENCH_ID, config=cfg)),
+                *_timed(lambda: integrate_1d(_BENCH_ID, config=cfg)),
             )
         )
     for decade in SIMPSON_DECADES:
@@ -144,22 +141,25 @@ def bench_rows(tier: Tier) -> tuple[BenchRow, ...]:
                 "simpson",
                 decade,
                 tier,
-                _timed(lambda: integrate_1d(_BENCH_ID, config=cfg)),
+                *_timed(lambda: integrate_1d(_BENCH_ID, config=cfg)),
             )
         )
+    # one run to the top level; each level's result is stamped with the
+    # time since the run began, and scored only once the run is over
     target = 1e-13 if tier is Tier.NATIVE64 else 1e-26
+    top = TS_LEVELS[-1]
+    _warm_ts(top, tier)
+    stamps = []
+    t0 = time.perf_counter()
+    _integrate_1d_ts_fixed(
+        _BENCH_ID,
+        top,
+        tier,
+        target,
+        lambda r: stamps.append((r, time.perf_counter() - t0)),
+    )
     for level in TS_LEVELS:
-        _warm_ts(level, tier)
-        rows.append(
-            _row(
-                "tanh-sinh",
-                level,
-                tier,
-                _timed(
-                    lambda: _integrate_1d_ts_fixed(_BENCH_ID, level, tier, target)
-                ),
-            )
-        )
+        rows.append(_row("tanh-sinh", level, tier, *stamps[level - 1]))
     rows.sort(key=lambda r: (r.method, r.parameter))
     return tuple(rows)
 

@@ -726,12 +726,11 @@ def _ts_2d(lane, f, box, max_level: int):
         yield lane.mul(jac, lane.total(words)), evals
 
 
-def _refine(lane, method: TanhSinh, levels, fixed: bool = False):
-    """Drive a tanh-sinh level sequence: stop once two successive values
-    agree to target_eps, or the last two differences both sit on the
-    tier's rounding floor. ``fixed`` runs every level with no early
-    exit, then reports converged when the last difference met
-    target_eps."""
+def _refine(lane, method: TanhSinh, levels):
+    """Drive an adaptive tanh-sinh level sequence, in one dimension or
+    two: stop once two successive values agree to target_eps, or the
+    last two differences both sit on the tier's rounding floor. The
+    fixed-level run, with no early exit, is :func:`_ts_fixed`."""
     eps = method.target_eps
     floor_eps = 16.0 * lane.tier.eps
     prev = diff = None
@@ -740,15 +739,12 @@ def _refine(lane, method: TanhSinh, levels, fixed: bool = False):
     for value, evals in levels:
         if prev is not None:
             diff = abs(lane.hi(lane.sub(value, prev)))
-            if not fixed:
-                floor = floor_eps * max(1.0, abs(lane.hi(value)))
-                if diff <= eps or (diff <= floor and prev_diff <= floor):
-                    converged = True
-                    break
+            floor = floor_eps * max(1.0, abs(lane.hi(value)))
+            if diff <= eps or (diff <= floor and prev_diff <= floor):
+                converged = True
+                break
             prev_diff = diff
         prev = value
-    if fixed:
-        converged = diff is not None and diff <= eps
     est = abs(lane.hi(value)) if diff is None else diff
     return value, _floored(lane, est, value), evals, converged
 
@@ -889,8 +885,13 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
     if out is None or not math.isfinite(lane.hi(out[0])):
         core(lane, _boundary(f, lane, user, domain), box, method)
         raise NonFiniteError("integration produced a non-finite sum")
-    value, est, evals, converged = out
-    return QuadResult(lane.real(value), Real.from_float(est, tier), evals, converged)
+    return _result(lane, *out)
+
+
+def _result(lane, value, est: float, evals: int, converged: bool) -> QuadResult:
+    # a core's (value, estimate, evaluations, converged) at the API boundary
+    error = Real.from_float(est, lane.tier)
+    return QuadResult(lane.real(value), error, evals, converged)
 
 
 def integrate_1d(
@@ -928,16 +929,41 @@ def integrate_2d(
     return _integrate(f, region, config.tier, config.method, core, 2)
 
 
-def _ts_fixed(lane, f, box, method: TanhSinh):
-    return _refine(lane, method, _ts_1d(lane, f, *box[0], method.max_level), fixed=True)
+def _ts_fixed(lane, f, box, method: TanhSinh, on_level=None):
+    """Run tanh-sinh through every level up to ``method.max_level`` with
+    no early exit, once. After each level the result is what a run
+    stopped there returns: the value, the difference from the level
+    before as the estimate (the value itself at level 1), the
+    evaluations so far, and converged when that difference met
+    target_eps (never at level 1). ``on_level``, if given, is passed
+    each level's result as a :class:`QuadResult` as soon as its sum is
+    formed; the last level's result is returned. A level whose sum is
+    not finite raises :class:`NonFiniteError`; the checked re-run that
+    names the point (see :func:`_integrate`) reports the levels before
+    it a second time."""
+    eps = method.target_eps
+    prev = None
+    for value, evals in _ts_1d(lane, f, *box[0], method.max_level):
+        if prev is None:
+            est, converged = abs(lane.hi(value)), False
+        else:
+            est = abs(lane.hi(lane.sub(value, prev)))
+            converged = est <= eps
+        out = value, _floored(lane, est, value), evals, converged
+        if on_level is not None:
+            on_level(_result(lane, *out))
+        prev = value
+    return out
 
 
 def _integrate_1d_ts_fixed(
-    integrand_id: str, level: int, tier: Tier, target_eps: float
+    integrand_id: str, level: int, tier: Tier, target_eps: float, on_level=None
 ) -> QuadResult:
     """Run tanh-sinh through exactly ``level`` refinement levels with no
-    early exit. Used by the benchmark sweeps so that evaluation counts
-    grow strictly with the level."""
+    early exit, so that evaluation counts grow strictly with the level.
+    With ``on_level``, the one run also reports every level before: the
+    benchmark sweep takes all its rows from a single run to level 12."""
     _check_int(level, 1, _MAX_TS_LEVEL, "level")
     method = TanhSinh(max_level=level, target_eps=target_eps)
-    return _integrate(integrand_id, None, tier, method, _ts_fixed)
+    core = functools.partial(_ts_fixed, on_level=on_level)
+    return _integrate(integrand_id, None, tier, method, core)

@@ -241,16 +241,20 @@ class TestHookPoints:
     def test_engine_calls_go_through_the_module_names(self, monkeypatch):
         # the benchmark's tracer wraps bench.integrate_1d and
         # bench._integrate_1d_ts_fixed by name; a sweep that reached the
-        # engines some other way would go untimed
+        # engines some other way would go untimed. Every tanh-sinh row
+        # comes from one fixed-level run to the top level
         from ahmedquad import bench
 
         calls = {"integrate_1d": 0, "_integrate_1d_ts_fixed": 0}
+        levels = []
 
         def counting(name):
             inner = getattr(bench, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "_integrate_1d_ts_fixed":
+                    levels.append(args[1])
                 return inner(*args, **kwargs)
 
             return wrapper
@@ -258,7 +262,12 @@ class TestHookPoints:
         for name in calls:
             monkeypatch.setattr(bench, name, counting(name))
         rows = bench_rows(Tier.NATIVE64)
-        assert calls == {"integrate_1d": 17, "_integrate_1d_ts_fixed": 11}
+        assert calls == {"integrate_1d": 17, "_integrate_1d_ts_fixed": 1}
+        assert levels == [TS_LEVELS[-1]]
+        # a row's time runs from the start of the run to the end of its
+        # level, so it cannot fall as the level rises
+        times = [r.wall_time_s for r in _by_method(rows, "tanh-sinh")]
+        assert times == sorted(times) and times[0] > 0.0
 
         def fields(rs):
             return [

@@ -525,6 +525,28 @@ class TestIntegrate1D:
         assert deep.converged
         assert deep.evaluations > evals[-1]
 
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    @pytest.mark.parametrize("fid,top", [("ahmed_eq1", 12), ("i1_theta", 8)])
+    def test_one_fixed_run_reports_every_level_bit_for_bit(self, tier, fid, top):
+        # one run to the top level reports, after each level, exactly the
+        # result of a separate run stopped at that level: the estimate is
+        # the value at level 1 (never converged), then the difference
+        # from the level before, both floored at 4 eps |value|
+        target = 10.0 * tier.eps
+        seen = []
+        last = _integrate_1d_ts_fixed(fid, top, tier, target, seen.append)
+        assert len(seen) == top
+        prev = None
+        for level, res in enumerate(seen, 1):
+            alone = _integrate_1d_ts_fixed(fid, level, tier, target)
+            assert _pin_of(res) == _pin_of(alone), f"level {level}"
+            v = res.value
+            diff = abs(v.hi) if prev is None else abs(sub(v, prev).hi)
+            assert res.error_estimate.hi == max(diff, 4.0 * tier.eps * abs(v.hi))
+            assert res.converged == (prev is not None and diff <= target)
+            prev = v
+        assert _pin_of(last) == _pin_of(seen[-1])
+
     def test_monotone_work_simpson_depth(self):
         evals = []
         for depth in (1, 2, 3, 4, 5, 6):
