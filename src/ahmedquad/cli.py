@@ -78,7 +78,7 @@ def _build_engine(args, tier: Tier) -> EngineConfig:
         method = "tanh-sinh"
     allowed = {
         "tanh-sinh": ("level", "tol"),
-        "gauss-legendre": ("order",),
+        "gauss-legendre": ("order", "tol"),
         "simpson": ("tol", "max_depth"),
     }[method]
     for name, value in flags.items():
@@ -92,7 +92,7 @@ def _build_engine(args, tier: Tier) -> EngineConfig:
         return EngineConfig(TanhSinh(max_level=level, target_eps=tol), tier)
     if method == "gauss-legendre":
         order = args.order if args.order is not None else 64
-        return EngineConfig(GaussLegendre(order=order), tier)
+        return EngineConfig(GaussLegendre(order=order, tol=args.tol), tier)
     tol = args.tol if args.tol is not None else (
         1e-10 if tier is Tier.NATIVE64 else 1e-20
     )
@@ -240,7 +240,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--level", type=int, default=None,
                    help="tanh-sinh maximum refinement level")
     p.add_argument("--tol", type=float, default=None,
-                   help="target tolerance (tanh-sinh or simpson)")
+                   help="target tolerance (any method; with gauss-legendre it "
+                        "makes the order adaptive, doubling up to --order)")
     p.add_argument("--max-depth", type=int, default=None,
                    help="adaptive Simpson recursion limit")
 

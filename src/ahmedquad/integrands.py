@@ -4,7 +4,10 @@ Each integrand is addressable by a stable string id and carries two
 implementations of the same formula: a plain binary64 lane for the
 NATIVE64 tier and a raw ``(hi, lo)`` double-word lane for DOUBLEWORD.
 The quadrature engines select a lane by tier; :func:`eval_integrand`
-is the safe pointwise entry with domain checking.
+is the safe pointwise entry with domain checking. Each 2-D formula is
+written once, as parts that the tensor rules evaluate once per axis
+point and a join they evaluate at each point; the plain lane is derived
+from them.
 
 The closed-form registry exposes the exact targets of the verification
 chain. They are constructed so that the algebraic ties hold bitwise in
@@ -282,38 +285,98 @@ def _dd_i2_x(xh: float, xl: float) -> tuple[float, float]:
     return _dd_div(ah, al, dh, dl)
 
 
-def _native_eq4(x: float, y: float) -> float:
+# A 2-D lane is an x-part, a y-part and a join: f(x, y) = join(xpart(x),
+# ypart(y)). The tensor cores compute each part once per axis point and
+# call only the join at each of the n^2 points.
+
+
+def _native_2d(xpart, ypart, join):
+    def f(x: float, y: float) -> float:
+        return join(xpart(x), ypart(y))
+
+    f.parts = xpart, ypart, join
+    return f
+
+
+def _dd_2d(xpart, ypart, join):
+    def f(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
+        return join(xpart(xh, xl), ypart(yh, yl))
+
+    f.parts = xpart, ypart, join
+    return f
+
+
+def _native_sqr(x: float) -> float:
+    return x * x
+
+
+def _native_one_plus_sqr(x: float) -> float:
+    return 1.0 + x * x
+
+
+def _native_two_plus_sqr(x: float) -> float:
+    return 2.0 + x * x
+
+
+def _native_one_two_plus_sqr(x: float) -> tuple[float, float]:
     x2 = x * x
-    return 1.0 / ((1.0 + x2) * (2.0 + x2 + y * y))
+    return 1.0 + x2, 2.0 + x2
 
 
-def _dd_eq4(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    x2h, x2l = _dd_sqr(xh, xl)
-    th, tl = _dd_add(*_dd_sqr(yh, yl), *_dd_add_d(x2h, x2l, 2.0))
-    dh, dl = _dd_mul(*_dd_add_d(x2h, x2l, 1.0), th, tl)
-    return _dd_div(1.0, 0.0, dh, dl)
-
-
-def _native_eq6a(x: float, y: float) -> float:
-    return 1.0 / ((1.0 + x * x) * (1.0 + y * y))
-
-
-def _dd_eq6a(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    dh, dl = _dd_mul(
-        *_dd_add_d(*_dd_sqr(xh, xl), 1.0), *_dd_add_d(*_dd_sqr(yh, yl), 1.0)
-    )
-    return _dd_div(1.0, 0.0, dh, dl)
-
-
-def _native_eq6b(x: float, y: float) -> float:
+def _native_one_plus_sqr_and_sqr(y: float) -> tuple[float, float]:
     y2 = y * y
-    return 1.0 / ((1.0 + y2) * (2.0 + x * x + y2))
+    return 1.0 + y2, y2
 
 
-def _dd_eq6b(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    y2h, y2l = _dd_sqr(yh, yl)
-    th, tl = _dd_add(*_dd_sqr(xh, xl), *_dd_add_d(y2h, y2l, 2.0))
-    dh, dl = _dd_mul(*_dd_add_d(y2h, y2l, 1.0), th, tl)
+def _native_eq4_join(x: tuple[float, float], y2: float) -> float:
+    # 1 / ((1+x^2) (2+x^2+y^2))
+    one_x2, two_x2 = x
+    return 1.0 / (one_x2 * (two_x2 + y2))
+
+
+def _native_eq6a_join(one_x2: float, one_y2: float) -> float:
+    # 1 / ((1+x^2) (1+y^2))
+    return 1.0 / (one_x2 * one_y2)
+
+
+def _native_eq6b_join(two_x2: float, y: tuple[float, float]) -> float:
+    # 1 / ((1+y^2) (2+x^2+y^2))
+    one_y2, y2 = y
+    return 1.0 / (one_y2 * (two_x2 + y2))
+
+
+def _dd_one_plus_sqr(xh: float, xl: float) -> tuple[float, float]:
+    return _dd_add_d(*_dd_sqr(xh, xl), 1.0)
+
+
+def _dd_one_two_plus_sqr(xh: float, xl: float) -> tuple[float, float, float, float]:
+    x2h, x2l = _dd_sqr(xh, xl)
+    return (*_dd_add_d(x2h, x2l, 1.0), *_dd_add_d(x2h, x2l, 2.0))
+
+
+def _dd_eq4_join(x, y2) -> tuple[float, float]:
+    # 1 / ((1+x^2) (y^2 + (2+x^2)))
+    ah, al, bh, bl = x
+    y2h, y2l = y2
+    th, tl = _dd_add(y2h, y2l, bh, bl)
+    dh, dl = _dd_mul(ah, al, th, tl)
+    return _dd_div(1.0, 0.0, dh, dl)
+
+
+def _dd_eq6a_join(one_x2, one_y2) -> tuple[float, float]:
+    # 1 / ((1+x^2) (1+y^2))
+    xh, xl = one_x2
+    yh, yl = one_y2
+    dh, dl = _dd_mul(xh, xl, yh, yl)
+    return _dd_div(1.0, 0.0, dh, dl)
+
+
+def _dd_eq6b_join(x2, y) -> tuple[float, float]:
+    # 1 / ((1+y^2) (x^2 + (2+y^2))): eq4's join with the axes exchanged
+    x2h, x2l = x2
+    ah, al, bh, bl = y
+    th, tl = _dd_add(x2h, x2l, bh, bl)
+    dh, dl = _dd_mul(ah, al, th, tl)
     return _dd_div(1.0, 0.0, dh, dl)
 
 
@@ -323,9 +386,13 @@ _NATIVE_LANES = {
     "i1_theta": _native_i1_theta,
     "i1_phi": _native_i1_phi,
     "i2_x": _native_i2_x,
-    "i2_kernel_eq4": _native_eq4,
-    "product_kernel_eq6a": _native_eq6a,
-    "shifted_kernel_eq6b": _native_eq6b,
+    "i2_kernel_eq4": _native_2d(_native_one_two_plus_sqr, _native_sqr, _native_eq4_join),
+    "product_kernel_eq6a": _native_2d(
+        _native_one_plus_sqr, _native_one_plus_sqr, _native_eq6a_join
+    ),
+    "shifted_kernel_eq6b": _native_2d(
+        _native_two_plus_sqr, _native_one_plus_sqr_and_sqr, _native_eq6b_join
+    ),
 }
 
 _DD_LANES = {
@@ -334,9 +401,9 @@ _DD_LANES = {
     "i1_theta": _dd_i1_theta,
     "i1_phi": _dd_i1_phi,
     "i2_x": _dd_i2_x,
-    "i2_kernel_eq4": _dd_eq4,
-    "product_kernel_eq6a": _dd_eq6a,
-    "shifted_kernel_eq6b": _dd_eq6b,
+    "i2_kernel_eq4": _dd_2d(_dd_one_two_plus_sqr, _dd_sqr, _dd_eq4_join),
+    "product_kernel_eq6a": _dd_2d(_dd_one_plus_sqr, _dd_one_plus_sqr, _dd_eq6a_join),
+    "shifted_kernel_eq6b": _dd_2d(_dd_sqr, _dd_one_two_plus_sqr, _dd_eq6b_join),
 }
 
 
@@ -344,7 +411,10 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
     """Raw evaluation lane for the engines: floats in, floats out at
     NATIVE64; ``(hi, lo)`` components in and a pair out at DOUBLEWORD.
     A fixed lane is the same function on every call; a parametric one is
-    a new closure over a^2 on each call, so none outlives its caller."""
+    a new closure over a^2 on each call, so none outlives its caller. A
+    2-D lane also carries ``parts``, its ``(xpart, ypart, join)``: an
+    x-part of one coordinate's words, a y-part likewise, and the join of
+    the two parts, which is the lane's value at the point."""
     entry = get(integrand_id)
     if entry.parametric:
         if a is None:

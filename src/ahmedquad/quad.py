@@ -27,7 +27,13 @@ Each rule is written once, as a core that runs over a tier *lane*:
 as ``(hi, lo)`` pairs. The lane owns the tier arithmetic (point
 mapping, exact power-of-two scaling, differences, ``hi``, conversion
 to and from :class:`Real`). A 2-D tensor rule is the 1-D weighted sum
-applied to row sums over a pre-mapped axis.
+applied to row sums over prepared axes. A registry 2-D lane carries
+``parts``, an x-part, a y-part and a join with ``f(x, y) ==
+join(xpart(x), ypart(y))``: each column's x-part is computed once per
+rule (once per new node in tanh-sinh), each row's y-part once per row,
+and only the join runs at each of the n^2 points. An integrand without
+parts (a callable, or the checked re-run's wrapper) is its own join
+over the coordinates themselves; ITERATED runs call the plain lane.
 
 Every weighted sum is exactly rounded: a running sum is the list of the
 binary64 words of its terms ``w * f(p)`` (one word per term at NATIVE64,
@@ -39,7 +45,7 @@ words are scaled by an exact power of two.
 
 Tier-specific code is confined to the node-table arithmetic, each
 lane's point mapping and its three per-evaluation loops (``sum``,
-``row``, ``pairs``), which collect the terms and call the integrand at
+``tensor``, ``pairs``), which collect the terms and call the integrand at
 fixed arity. Measured on 2 vCPUs under CPython 3.11: over
 167k native 2-D evaluations a row loop calling ``f(x, *y)`` took 65-85%
 longer than one calling ``f(x, y)``; over a 96 x 96 double-word tensor,
@@ -50,7 +56,8 @@ Every integrand passes one evaluation boundary, :func:`_boundary`,
 which also converts user callables between Reals and lane values. When
 an evaluation raised or the result came out non-finite, the rule runs
 again with every evaluation checked, so that :class:`NonFiniteError`
-names the point.
+names the point; when every evaluation was finite, a double-word run
+whose products overflowed is rescued (:func:`_rescue`).
 """
 
 from __future__ import annotations
@@ -79,6 +86,7 @@ from .scalar import (
     _dd_exp,
     _dd_mul,
     _dd_mul_d,
+    _dd_rescaled,
     _dd_scale2,
     _dd_sinh,
     _dd_sqr,
@@ -473,9 +481,16 @@ class _Native:
         return [w * f(p) for p, w in axis]
 
     @staticmethod
-    def row(f, axis, y):
-        # the sum of w * f(x, y) over one row of a 2-D rule
-        return _fsum([w * f(x, y) for x, w in axis])
+    def parts(f):
+        # a 2-D lane's (x-part, y-part, join); any other integrand is its
+        # own join over the coordinates themselves
+        return getattr(f, "parts", None) or (float, float, f)
+
+    @staticmethod
+    def tensor(join, cols, rows):
+        # the terms w * (the sum of v * join(x, y) over the columns) over
+        # the rows, each column and row an (axis part, weight) pair
+        return [w * _fsum([v * join(x, y) for x, v in cols]) for y, w in rows]
 
     @staticmethod
     def pairs(f, m, h, xs, ws):
@@ -484,6 +499,10 @@ class _Native:
             w * f(m) if x == 0.0 else w * (f(m + h * x) + f(m - h * x))
             for x, w in zip(xs, ws)
         ]
+
+
+def _pair(hi: float, lo: float) -> tuple[float, float]:
+    return hi, lo
 
 
 def _on_pairs(kernel):
@@ -512,7 +531,7 @@ class _DoubleWord:
     neg = staticmethod(lambda a: (-a[0], -a[1]))
     hi = operator.itemgetter(0)
     real = staticmethod(lambda a: Real._raw(a[0], a[1], Tier.DOUBLEWORD))
-    pack = staticmethod(lambda hi, lo: (hi, lo))
+    pack = staticmethod(_pair)
     words = staticmethod(lambda a: a)
     coords = staticmethod(lambda words: list(zip(words[::2], words[1::2])))
     total = staticmethod(_dd_fsum)
@@ -531,12 +550,19 @@ class _DoubleWord:
         return words
 
     @staticmethod
-    def row(f, axis, yh, yl):
+    def parts(f):
+        return getattr(f, "parts", None) or (_pair, _pair, lambda x, y: f(*x, *y))
+
+    @staticmethod
+    def tensor(join, cols, rows):
         words = []
-        for (ph, pl), (wh, wl) in axis:
-            vh, vl = f(ph, pl, yh, yl)
-            words += _dd_mul(wh, wl, vh, vl)
-        return _dd_fsum(words)
+        for y, (wh, wl) in rows:
+            row = []
+            for x, (vh, vl) in cols:
+                fh, fl = join(x, y)
+                row += _dd_mul(vh, vl, fh, fl)
+            words += _dd_mul(wh, wl, *_dd_fsum(row))
+        return words
 
     @staticmethod
     def pairs(f, m, h, xs, ws):
@@ -556,6 +582,28 @@ class _DoubleWord:
 
 
 _LANES = {Tier.NATIVE64: _Native, Tier.DOUBLEWORD: _DoubleWord}
+
+# an integrand below 2^1024 scaled by 2^-64 keeps every double-word term,
+# row sum and pair sum far below ~2^996, past which Dekker's split
+# overflows
+_RESCUE = 2.0**64
+
+
+class _RescuedDoubleWord(_DoubleWord):
+    """The DOUBLEWORD lane of a rescue run, over an integrand scaled by
+    ``1 / _RESCUE``. Each total is scaled back up, so it is exactly the
+    total of the unscaled terms, infinite where that overflows, and a
+    product whose split overflowed is redone on rescaled operands, as
+    :class:`Real`'s operators do."""
+
+    total = staticmethod(lambda words: _dd_scale2(*_dd_fsum(words), _RESCUE))
+
+    @staticmethod
+    def mul(a, b):
+        rh, rl = _dd_mul(*a, *b)
+        if rh != rh:
+            return _dd_rescaled(_dd_mul, *a, *b, 1)
+        return rh, rl
 
 
 # ----------------------------------------------------------------------
@@ -644,21 +692,27 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
 
 def _gl(lane, f, box, method: GaussLegendre):
     # one rule per rung, each the next one's half-order error estimate,
-    # so the estimate costs no extra evaluations; in 2-D the 1-D sum runs
-    # over row sums, each axis mapped once per rule. With a tol the run
+    # so the estimate costs no extra evaluations; in 2-D the rule is the
+    # tensor over the prepared axes of the rung. With a tol the run
     # stops at the first estimate <= tol (converged); the fixed rule runs
     # both rungs and is converged unless the two rules differ by more
     # than a tenth of the value, agreeing on no leading digit
     axes = [_mid_half(lane, a, b) for a, b in box]
     jac = axes[0][1] if len(box) == 1 else lane.mul(axes[0][1], axes[1][1])
+    parts = lane.parts(f) if len(box) == 2 else None
     tol = method.tol
     prev = None
     evals = 0
     for n in _gl_rungs(method):
         xs, ws = _gl_table(n, lane.tier)
         mapped = [list(zip(lane.map(m, h, xs), ws)) for m, h in axes]
-        g = f if len(box) == 1 else functools.partial(lane.row, f, mapped[0])
-        value = lane.mul(jac, lane.total(lane.sum(g, mapped[-1])))
+        if parts is None:
+            words = lane.sum(f, mapped[0])
+        else:
+            xpart, ypart, join = parts
+            cols = _prepared(lane, xpart, mapped[0])
+            words = lane.tensor(join, cols, _prepared(lane, ypart, mapped[1]))
+        value = lane.mul(jac, lane.total(words))
         evals += n ** len(box)
         if prev is not None:
             est = _floored(lane, abs(lane.hi(lane.sub(value, prev))), value)
@@ -667,6 +721,11 @@ def _gl(lane, f, box, method: GaussLegendre):
         prev = value
     converged = tol is None and est <= 0.1 * abs(lane.hi(value))
     return value, est, evals, converged
+
+
+def _prepared(lane, part, axis):
+    # an axis's (point, weight) pairs as (part of the point, weight)
+    return [(part(*lane.words(p)), w) for p, w in axis]
 
 
 def _signed_axis(lane, xs, ws, m, h):
@@ -700,12 +759,14 @@ def _ts_1d(lane, f, a, b, max_level: int):
 
 
 def _ts_2d(lane, f, box, max_level: int):
-    # yields (value, evaluations) after each level, which adds the new
+    # yields (value, evaluations) after each level, which adds the old
     # rows over the new columns, then the new rows over every column;
-    # kept weights halve per axis and the running sum's words quarter (a
+    # each column and row is prepared once, when its node is new; kept
+    # weights halve per axis and the running sum's words quarter (a
     # no-op on the empty sum before level 1)
     (mx, hx), (my, hy) = (_mid_half(lane, a, b) for a, b in box)
     jac = lane.mul(hx, hy)
+    xpart, ypart, join = lane.parts(f)
     px: list = []
     py: list = []
     words = []
@@ -715,11 +776,11 @@ def _ts_2d(lane, f, box, max_level: int):
         px = [(p, lane.scale(w, 0.5)) for p, w in px]
         py = [(p, lane.scale(w, 0.5)) for p, w in py]
         words = [w * 0.25 for w in words]
-        nx = _signed_axis(lane, xs, ws, mx, hx)
-        ny = _signed_axis(lane, xs, ws, my, hy)
-        words += lane.sum(functools.partial(lane.row, f, nx), py)
+        nx = _prepared(lane, xpart, _signed_axis(lane, xs, ws, mx, hx))
+        ny = _prepared(lane, ypart, _signed_axis(lane, xs, ws, my, hy))
+        words += lane.tensor(join, nx, py)
         both = px + nx
-        words += lane.sum(functools.partial(lane.row, f, both), ny)
+        words += lane.tensor(join, both, ny)
         evals += len(py) * len(nx) + len(ny) * len(both)
         px = both
         py = py + ny
@@ -878,14 +939,39 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         probe(*(w for corner, _ in box for w in lane.words(corner)))
         zero = Real.from_float(0.0, tier)
         return QuadResult(zero, zero, 1, True)
-    try:
-        out = core(lane, _boundary(f, lane, user), box, method)
-    except (ArithmeticError, ValueError, NonFiniteError):
-        out = None
-    if out is None or not math.isfinite(lane.hi(out[0])):
+    out = _finite_run(core, lane, _boundary(f, lane, user), box, method)
+    if out is None:
         core(lane, _boundary(f, lane, user, domain), box, method)
-        raise NonFiniteError("integration produced a non-finite sum")
+        out = _rescue(core, lane, _boundary(f, lane, user), box, method)
+        if out is None:
+            raise NonFiniteError("integration produced a non-finite sum")
     return _result(lane, *out)
+
+
+def _finite_run(core, lane, f, box, method):
+    # the core's result, or None where it raised or its value is not finite
+    try:
+        out = core(lane, f, box, method)
+    except (ArithmeticError, ValueError, NonFiniteError):
+        return None
+    return out if math.isfinite(lane.hi(out[0])) else None
+
+
+def _rescue(core, lane, f, box, method):
+    """The result of a run whose every evaluation was finite but whose
+    sum was not, or None. At DOUBLEWORD a term ``w * f(p)`` is NaN once
+    f passes ~2^996, where Dekker's split overflows, though the integral
+    may be representable: the core runs again on f scaled by
+    ``1 / _RESCUE`` over :class:`_RescuedDoubleWord`, which scales its
+    totals back. NATIVE64 products do not split, and the values of
+    Simpson and ITERATED runs are not lane totals, so none is rescued."""
+    if lane is not _DoubleWord or core is _iterated or isinstance(method, AdaptiveSimpson):
+        return None
+
+    def scaled(*words):
+        return _dd_scale2(*f(*words), 1.0 / _RESCUE)
+
+    return _finite_run(core, _RescuedDoubleWord, scaled, box, method)
 
 
 def _result(lane, value, est: float, evals: int, converged: bool) -> QuadResult:
@@ -939,8 +1025,8 @@ def _ts_fixed(lane, f, box, method: TanhSinh, on_level=None):
     each level's result as a :class:`QuadResult` as soon as its sum is
     formed; the last level's result is returned. A level whose sum is
     not finite raises :class:`NonFiniteError`; the checked re-run that
-    names the point (see :func:`_integrate`) reports the levels before
-    it a second time."""
+    names the point, and the rescue run after it (see
+    :func:`_integrate`), report the levels before it again."""
     eps = method.target_eps
     prev = None
     for value, evals in _ts_1d(lane, f, *box[0], method.max_level):

@@ -52,7 +52,7 @@ class TestExitCodes:
 
     def test_eval_flag_method_mismatch(self, capsys):
         code, _, err = run(
-            capsys, "eval", "ahmed_eq1", "--method", "gauss-legendre", "--tol", "1e-8"
+            capsys, "eval", "ahmed_eq1", "--method", "gauss-legendre", "--level", "6"
         )
         assert code == 2 and "does not apply" in err
 
@@ -186,6 +186,28 @@ class TestEvalFormats:
             "json",
         )
         assert json.loads(out)["evaluations"] == 24  # order + embedded half rule
+
+    def test_gauss_legendre_tol_names_the_doubleword_default(self, capsys):
+        # --tol makes the Gauss-Legendre order adaptive, so the flags can
+        # name the engine that verify uses at DOUBLEWORD
+        from ahmedquad import Tier, integrate_2d
+        from ahmedquad.verify import default_config
+
+        code, out, _ = run(
+            capsys, "eval", "i2_kernel_eq4", "--tier", "doubleword",
+            "--method", "gauss-legendre", "--order", "96", "--tol", "1e-26",
+            "--format", "json",
+        )
+        assert code == 0
+        want = integrate_2d("i2_kernel_eq4", config=default_config(Tier.DOUBLEWORD))
+        assert json.loads(out) == {
+            "integrand": "i2_kernel_eq4",
+            "tier": "doubleword",
+            "value": want.value.to_decimal_string(),
+            "error_estimate": want.error_estimate.to_decimal_string(),
+            "evaluations": want.evaluations,
+            "converged": want.converged,
+        }
 
 
 class TestVerifyFormats:

@@ -31,6 +31,7 @@ from ahmedquad import (
 )
 from ahmedquad import quad
 from ahmedquad.integrands import Interval, get, raw_fn
+from ahmedquad.scalar import _dd_add, _dd_add_d, _dd_div, _dd_mul, _dd_sqr, _two_sum
 from ahmedquad.verify import seeded_a_values
 from helpers import (
     AHMED_AT_0_STR,
@@ -363,3 +364,84 @@ class TestPointwiseIdentities:
             for iid in ("ahmed_eq1", "i1_x", "i2_x"):
                 assert zero < eval_integrand(iid, x)
             assert zero < eval_integrand("i2_kernel_eq4", [x, x])
+
+
+# ----------------------------------------------------------------------
+# Axis-factored 2-D lanes
+# ----------------------------------------------------------------------
+# Each 2-D lane is an x-part, a y-part and a join, and the tensor cores
+# call the join alone at each point. The reference is each kernel as one
+# plain formula, in the operation order the engines' pins were taken
+# with; a regrouped sum or product moves the last bits.
+
+
+def _native_eq4(x, y):
+    x2 = x * x
+    return 1.0 / ((1.0 + x2) * (2.0 + x2 + y * y))
+
+
+def _native_eq6a(x, y):
+    return 1.0 / ((1.0 + x * x) * (1.0 + y * y))
+
+
+def _native_eq6b(x, y):
+    y2 = y * y
+    return 1.0 / ((1.0 + y2) * (2.0 + x * x + y2))
+
+
+def _dd_eq4(xh, xl, yh, yl):
+    x2h, x2l = _dd_sqr(xh, xl)
+    th, tl = _dd_add(*_dd_sqr(yh, yl), *_dd_add_d(x2h, x2l, 2.0))
+    dh, dl = _dd_mul(*_dd_add_d(x2h, x2l, 1.0), th, tl)
+    return _dd_div(1.0, 0.0, dh, dl)
+
+
+def _dd_eq6a(xh, xl, yh, yl):
+    dh, dl = _dd_mul(
+        *_dd_add_d(*_dd_sqr(xh, xl), 1.0), *_dd_add_d(*_dd_sqr(yh, yl), 1.0)
+    )
+    return _dd_div(1.0, 0.0, dh, dl)
+
+
+def _dd_eq6b(xh, xl, yh, yl):
+    y2h, y2l = _dd_sqr(yh, yl)
+    th, tl = _dd_add(*_dd_sqr(xh, xl), *_dd_add_d(y2h, y2l, 2.0))
+    dh, dl = _dd_mul(*_dd_add_d(y2h, y2l, 1.0), th, tl)
+    return _dd_div(1.0, 0.0, dh, dl)
+
+
+PLAIN_2D = {
+    Tier.NATIVE64: {
+        "i2_kernel_eq4": _native_eq4,
+        "product_kernel_eq6a": _native_eq6a,
+        "shifted_kernel_eq6b": _native_eq6b,
+    },
+    Tier.DOUBLEWORD: {
+        "i2_kernel_eq4": _dd_eq4,
+        "product_kernel_eq6a": _dd_eq6a,
+        "shifted_kernel_eq6b": _dd_eq6b,
+    },
+}
+
+
+def test_factored_lanes_equal_the_plain_formulas_word_for_word():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a coordinate in [0, 1] with a full low word
+    coord = st.tuples(
+        st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=-0.5, max_value=0.5)
+    ).map(lambda p: _two_sum(p[0], p[1] * math.ulp(p[0])))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(coord, coord)
+    def check(x, y):
+        for tier, plain in PLAIN_2D.items():
+            xs, ys = (x[:1], y[:1]) if tier is Tier.NATIVE64 else (x, y)
+            for iid, formula in plain.items():
+                lane = raw_fn(iid, tier)
+                xpart, ypart, join = lane.parts
+                want = formula(*xs, *ys)
+                assert join(xpart(*xs), ypart(*ys)) == want, (iid, tier, x, y)
+                assert lane(*xs, *ys) == want, (iid, tier, x, y)
+
+    check()

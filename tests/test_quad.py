@@ -650,6 +650,21 @@ class TestIntegrate2D:
             )
             assert_ulps(res.value, one, 64, "2D constant iterated")
 
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    @pytest.mark.parametrize("iid", TWO_D_IDS)
+    def test_a_kernel_as_an_opaque_callable_is_bit_identical(self, tier, iid):
+        # a callable has no axis parts, so the tensor cores run it as its
+        # own join over the points themselves: the same values, summed in
+        # the same order, as the registry lane's prepared columns give
+        from ahmedquad import eval_integrand
+
+        region = (_unit(tier), _unit(tier))
+        tol = 1e-13 if tier is Tier.NATIVE64 else 1e-26
+        for method in (GaussLegendre(8), GaussLegendre(96, tol), _pin_ts(tier, 3)):
+            config = EngineConfig(method, tier)
+            opaque = integrate_2d(lambda x, y: eval_integrand(iid, [x, y]), region, config)
+            assert _pin_of(opaque) == _pin_of(integrate_2d(iid, config=config)), method
+
     def test_registry_truth_native(self):
         tier = Tier.NATIVE64
         for iid in TWO_D_IDS:
@@ -823,6 +838,46 @@ class TestEvaluationBoundary:
         ):
             with pytest.raises(NonFiniteError, match="non-finite sum"):
                 integrate(f, domain, config)
+
+    @pytest.mark.parametrize("rule", ["gl8", "ts4", "tensor:gl8", "tensor:ts3"])
+    def test_a_doubleword_value_past_the_split_range_is_rescued(self, rule, monkeypatch):
+        # above ~2^996 a double-word product w * f(p) overflows Dekker's
+        # split and comes out NaN, though every value and the integral are
+        # finite; up to 2^1021 here, the sums stay below 2^1024. The
+        # rescued run gives exactly 2^600 times the same rule over the
+        # integrand scaled by 2^-600, which stays in range
+        tier = Tier.DOUBLEWORD
+        unit = _unit(tier)
+        kind, _, name = rule.rpartition(":")
+        method = GaussLegendre(8) if name == "gl8" else _pin_ts(tier, int(name[2:]))
+        config = EngineConfig(method, tier)
+
+        def run(c):
+            if kind:
+                return integrate_2d(lambda x, y: c * (1.0 + x.hi * y.hi), (unit, unit), config)
+            return integrate_1d(lambda x: c * (1.0 + x.hi), unit, config)
+
+        rescues = []
+        rescue = quad._rescue
+        monkeypatch.setattr(quad, "_rescue", lambda *a: rescues.append(a) or rescue(*a))
+        c = 2.0**1020
+        small = run(c * 2.0**-600)
+        assert not rescues
+        big = run(c)
+        assert len(rescues) == 1
+        up = 2.0**600
+        assert (big.value, big.error_estimate) == (small.value * up, small.error_estimate * up)
+        assert (big.evaluations, big.converged) == (small.evaluations, small.converged)
+        exact = (1.25 if kind else 1.5) * c
+        assert abs(big.value.to_float() - exact) <= 1e-6 * exact
+
+    def test_a_doubleword_constant_of_1e300_integrates_as_at_native64(self):
+        values = {}
+        for tier in TIERS:
+            c = Real.from_float(1e300, tier)
+            config = EngineConfig(GaussLegendre(8), tier)
+            values[tier] = integrate_1d(lambda x: c, _unit(tier), config).value.to_float()
+        assert values[Tier.DOUBLEWORD] == values[Tier.NATIVE64] == 1e300
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_value_of_the_other_tier_is_refused(self, tier):
@@ -1041,7 +1096,7 @@ def _random_words(n):
     "words", [_CANCELLING, _random_words(300)], ids=["cancelling", "random"]
 )
 def test_lane_sums_are_exactly_rounded(tier, words):
-    # the sum, row and pairs loops are fed terms w * f(p) of weight one
+    # the sum, tensor and pairs loops are fed terms w * f(p) of weight one
     # whose words are the given pairs (each word a term of its own at
     # NATIVE64); in either term order every total must be the exact sum
     # of the words rounded to the tier: hi, then what hi leaves
@@ -1061,7 +1116,12 @@ def test_lane_sums_are_exactly_rounded(tier, words):
 
         axis = [(lane.pack(float(i), 0.0), one) for i in range(len(order))]
         assert lane.total(lane.sum(at, axis)) == want
-        assert lane.row(at, axis, *lane.words(lane.zero)) == want
+        # one row of the tensor, through the parts of an integrand without
+        # any: the points themselves and the integrand as its own join
+        xpart, ypart, join = lane.parts(at)
+        cols = quad._prepared(lane, xpart, axis)
+        rows = quad._prepared(lane, ypart, [(lane.zero, one)])
+        assert lane.total(lane.tensor(join, cols, rows)) == want
         # pairs about m = -1 with h = 1 evaluate at x - 1 and at -1 - x < 0
         xs = [lane.pack(float(i + 1), 0.0) for i in range(len(order))]
         m = lane.pack(-1.0, 0.0)
@@ -1106,6 +1166,8 @@ def _pin_run(case):
         method, iid = rest.split("@")
         return _pin_1d(tier, _pin_methods(tier)[method], iid)
     if kind in ("tensor", "iterated"):
+        # <method> runs i2_kernel_eq4, <method>@<id> another 2-D integrand
+        rest, _, iid = rest.partition("@")
         methods = {
             "gl8": GaussLegendre(8),
             "ts3": _pin_ts(tier, 3),
@@ -1113,7 +1175,7 @@ def _pin_run(case):
         }
         mode = Mode.TENSOR if kind == "tensor" else Mode.ITERATED
         return integrate_2d(
-            "i2_kernel_eq4", config=EngineConfig(methods[rest], tier), mode=mode
+            iid or "i2_kernel_eq4", config=EngineConfig(methods[rest], tier), mode=mode
         )
     if kind == "float-callable":
         # plain floats back from the callable, at either tier
@@ -1155,6 +1217,10 @@ PINNED = {
     'n-1d:as@eq3_kernel': ('0x1.bda7a85c2af62p-2', '0x0.0p+0', '0x1.0eb039feaaaaap-28', '0x0.0p+0', 41, True),
     'n-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '0x0.0p+0', '0x1.fb5a88f4e0000p-19', '0x0.0p+0', 80, True),
     'n-tensor:ts3': ('0x1.3bd3cc9be45dfp-2', '0x0.0p+0', '0x1.3768750000000p-29', '0x0.0p+0', 2601, False),
+    'n-tensor:gl8@product_kernel_eq6a': ('0x1.3bd3cc9ba755dp-1', '0x0.0p+0', '0x1.fb5a88f4c0000p-18', '0x0.0p+0', 80, True),
+    'n-tensor:gl8@shifted_kernel_eq6b': ('0x1.3bd3cc9ba755cp-2', '0x0.0p+0', '0x1.fb5a88f500000p-19', '0x0.0p+0', 80, True),
+    'n-tensor:ts3@product_kernel_eq6a': ('0x1.3bd3cc9be45dfp-1', '0x0.0p+0', '0x1.3768750000000p-28', '0x0.0p+0', 2601, False),
+    'n-tensor:ts3@shifted_kernel_eq6b': ('0x1.3bd3cc9be45dfp-2', '0x0.0p+0', '0x1.3768748000000p-29', '0x0.0p+0', 2601, False),
     'n-iterated:gl8': ('0x1.3bd3cc9ba755dp-2', '0x0.0p+0', '0x1.379b087200000p-18', '0x0.0p+0', 144, True),
     'n-iterated:ts3': ('0x1.3bd3cc9be45dfp-2', '0x0.0p+0', '0x1.76ff150000000p-29', '0x0.0p+0', 2601, False),
     'n-iterated:as': ('0x1.3bd4dcec1aa2fp-2', '0x0.0p+0', '0x1.83bf91258aaabp-22', '0x0.0p+0', 169, True),
@@ -1175,6 +1241,10 @@ PINNED = {
     'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde5798p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
     'd-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc2dp-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
     'd-tensor:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c83bp-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
+    'd-tensor:gl8@product_kernel_eq6a': ('0x1.3bd3cc9ba755dp-1', '-0x1.db65ecf7dfc3fp-59', '0x1.fb5a88f510c58p-18', '0x0.0p+0', 80, True),
+    'd-tensor:gl8@shifted_kernel_eq6b': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc2dp-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
+    'd-tensor:ts3@product_kernel_eq6a': ('0x1.3bd3cc9be45dep-1', '0x1.54b36d526c83ap-55', '0x1.3768745c3d1f7p-28', '0x0.0p+0', 3721, False),
+    'd-tensor:ts3@shifted_kernel_eq6b': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c83bp-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
     'd-iterated:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc2dp-60', '0x1.379b087211193p-18', '0x0.0p+0', 144, True),
     'd-iterated:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c83ap-56', '0x1.76ff14de5afacp-29', '0x0.0p+0', 3721, False),
     'd-iterated:as': ('0x1.3bd3cc9c91811p-2', '0x1.f2c16b1ccb662p-56', '0x1.35aa45f027d1bp-28', '0x0.0p+0', 3693, True),
@@ -1213,5 +1283,8 @@ def test_engine_paths_pinned_bit_for_bit(case):
     # unchanged. Ten doubleword cases were re-pinned when pi and the atan
     # and tanh-sinh step tables became the nearest double-word pairs,
     # rounded once from fixed-point integers: each value moved by under
-    # 1 unit of 2^-104 relative, with counts and flags unchanged
+    # 1 unit of 2^-104 relative, with counts and flags unchanged. The
+    # product_kernel_eq6a and shifted_kernel_eq6b tensor cases were
+    # pinned from the plain two-coordinate lanes, before each 2-D lane
+    # was split into an x-part, a y-part and a join
     assert _pin_of(_pin_run(case)) == PINNED[case]
