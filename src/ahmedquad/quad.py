@@ -55,9 +55,10 @@ inside the nested loop instead of once per axis cost 30%.
 Every integrand passes one evaluation boundary, :func:`_boundary`,
 which also converts user callables between Reals and lane values. When
 an evaluation raised or the result came out non-finite, the rule runs
-again with every evaluation checked, so that :class:`NonFiniteError`
-names the point; when every evaluation was finite, a double-word run
-whose products overflowed is rescued (:func:`_rescue`).
+once more with every evaluation checked, so that :class:`NonFiniteError`
+names the point; when every evaluation was finite, the error names the
+sum. A double-word product past the range of Dekker's split is not a
+failure: the lane redoes it on rescaled operands where it is formed.
 """
 
 from __future__ import annotations
@@ -518,13 +519,18 @@ def _on_pair(kernel):
 class _DoubleWord:
     """DOUBLEWORD lane: every value and point is an ``(hi, lo)`` pair,
     an integrand takes two words per coordinate, and a running sum is the
-    list of both words of each term ``w * f(p)``."""
+    list of both words of each term ``w * f(p)``.
+
+    A product whose split overflowed (Dekker's split overflows once a
+    high word passes ~2^996, and the product comes out NaN) is redone on
+    rescaled operands, as :class:`Real`'s operators do: ``mul`` and each
+    weight product of the three per-evaluation loops check the high
+    word, so the normal path pays one compare per product."""
 
     tier = Tier.DOUBLEWORD
     zero = (0.0, 0.0)
     add = _on_pairs(_dd_add)
     sub = _on_pairs(_dd_sub)
-    mul = _on_pairs(_dd_mul)
     mul_d = _on_pair(_dd_mul_d)
     div_d = _on_pair(_dd_div_d)
     scale = _on_pair(_dd_scale2)
@@ -537,6 +543,13 @@ class _DoubleWord:
     total = staticmethod(_dd_fsum)
 
     @staticmethod
+    def mul(a, b):
+        t = _dd_mul(*a, *b)
+        if t[0] != t[0]:
+            t = _dd_rescaled(_dd_mul, *a, *b, 1)
+        return t
+
+    @staticmethod
     def map(m, h, xs):
         (mh, ml), (hh, hl) = m, h
         return [_dd_add(mh, ml, *_dd_mul(hh, hl, xh, xl)) for xh, xl in xs]
@@ -546,7 +559,10 @@ class _DoubleWord:
         words = []
         for (ph, pl), (wh, wl) in axis:
             vh, vl = f(ph, pl)
-            words += _dd_mul(wh, wl, vh, vl)
+            t = _dd_mul(wh, wl, vh, vl)
+            if t[0] != t[0]:
+                t = _dd_rescaled(_dd_mul, wh, wl, vh, vl, 1)
+            words += t
         return words
 
     @staticmethod
@@ -560,8 +576,15 @@ class _DoubleWord:
             row = []
             for x, (vh, vl) in cols:
                 fh, fl = join(x, y)
-                row += _dd_mul(vh, vl, fh, fl)
-            words += _dd_mul(wh, wl, *_dd_fsum(row))
+                t = _dd_mul(vh, vl, fh, fl)
+                if t[0] != t[0]:
+                    t = _dd_rescaled(_dd_mul, vh, vl, fh, fl, 1)
+                row += t
+            rh, rl = _dd_fsum(row)
+            t = _dd_mul(wh, wl, rh, rl)
+            if t[0] != t[0]:
+                t = _dd_rescaled(_dd_mul, wh, wl, rh, rl, 1)
+            words += t
         return words
 
     @staticmethod
@@ -572,38 +595,19 @@ class _DoubleWord:
         for (xh, xl), (wh, wl) in zip(xs, ws):
             if xh == 0.0:
                 fh, fl = f(mh, ml)
-                words += _dd_mul(wh, wl, fh, fl)
             else:
                 oh, ol = _dd_mul(hh, hl, xh, xl)
                 f1h, f1l = f(*_dd_add(mh, ml, oh, ol))
                 f2h, f2l = f(*_dd_sub(mh, ml, oh, ol))
-                words += _dd_mul(wh, wl, *_dd_add(f1h, f1l, f2h, f2l))
+                fh, fl = _dd_add(f1h, f1l, f2h, f2l)
+            t = _dd_mul(wh, wl, fh, fl)
+            if t[0] != t[0]:
+                t = _dd_rescaled(_dd_mul, wh, wl, fh, fl, 1)
+            words += t
         return words
 
 
 _LANES = {Tier.NATIVE64: _Native, Tier.DOUBLEWORD: _DoubleWord}
-
-# an integrand below 2^1024 scaled by 2^-64 keeps every double-word term,
-# row sum and pair sum far below ~2^996, past which Dekker's split
-# overflows
-_RESCUE = 2.0**64
-
-
-class _RescuedDoubleWord(_DoubleWord):
-    """The DOUBLEWORD lane of a rescue run, over an integrand scaled by
-    ``1 / _RESCUE``. Each total is scaled back up, so it is exactly the
-    total of the unscaled terms, infinite where that overflows, and a
-    product whose split overflowed is redone on rescaled operands, as
-    :class:`Real`'s operators do."""
-
-    total = staticmethod(lambda words: _dd_scale2(*_dd_fsum(words), _RESCUE))
-
-    @staticmethod
-    def mul(a, b):
-        rh, rl = _dd_mul(*a, *b)
-        if rh != rh:
-            return _dd_rescaled(_dd_mul, *a, *b, 1)
-        return rh, rl
 
 
 # ----------------------------------------------------------------------
@@ -816,14 +820,9 @@ def _simpson(lane, f, a, b, method: AdaptiveSimpson):
     depth_hit = False
 
     def ev(x):
-        # checked at every evaluation: a non-finite value would keep the
-        # recursion splitting down to max_depth
         nonlocal evals
         evals += 1
-        v = f(*lane.words(x))
-        if not math.isfinite(lane.hi(v)):
-            raise NonFiniteError("integrand returned a non-finite value")
-        return v
+        return f(*lane.words(x))
 
     def rule(a, b, fa, fm, fb):
         # (b - a)/6 * (fa + 4 fm + fb)
@@ -841,6 +840,10 @@ def _simpson(lane, f, a, b, method: AdaptiveSimpson):
         s2 = lane.add(left, right)
         d = lane.sub(s2, whole)
         ad = abs(lane.hi(d))
+        if not math.isfinite(ad):
+            # a non-finite evaluation or rule; splitting on would recurse
+            # to max_depth on every branch
+            raise NonFiniteError("integration produced a non-finite sum")
         if ad <= 15.0 * tol or depth >= max_depth:
             if ad > 15.0 * tol:
                 depth_hit = True
@@ -910,7 +913,8 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
     default a registry integrand's own) as ``core(lane, integrand, box,
     method)``, the box holding each axis's endpoints as lane values.
     When an evaluation raised or the value came out non-finite, the core
-    runs again with every evaluation checked, to name the point. A
+    runs again with every evaluation checked, to name the point; when
+    none is named, :class:`NonFiniteError` names the sum. A
     degenerate domain costs one probing evaluation and yields zero."""
     lane = _LANES[tier]
     what = "interval" if dim == 1 else "region"
@@ -939,39 +943,14 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         probe(*(w for corner, _ in box for w in lane.words(corner)))
         zero = Real.from_float(0.0, tier)
         return QuadResult(zero, zero, 1, True)
-    out = _finite_run(core, lane, _boundary(f, lane, user), box, method)
-    if out is None:
-        core(lane, _boundary(f, lane, user, domain), box, method)
-        out = _rescue(core, lane, _boundary(f, lane, user), box, method)
-        if out is None:
-            raise NonFiniteError("integration produced a non-finite sum")
-    return _result(lane, *out)
-
-
-def _finite_run(core, lane, f, box, method):
-    # the core's result, or None where it raised or its value is not finite
     try:
-        out = core(lane, f, box, method)
+        out = core(lane, _boundary(f, lane, user), box, method)
     except (ArithmeticError, ValueError, NonFiniteError):
-        return None
-    return out if math.isfinite(lane.hi(out[0])) else None
-
-
-def _rescue(core, lane, f, box, method):
-    """The result of a run whose every evaluation was finite but whose
-    sum was not, or None. At DOUBLEWORD a term ``w * f(p)`` is NaN once
-    f passes ~2^996, where Dekker's split overflows, though the integral
-    may be representable: the core runs again on f scaled by
-    ``1 / _RESCUE`` over :class:`_RescuedDoubleWord`, which scales its
-    totals back. NATIVE64 products do not split, and the values of
-    Simpson and ITERATED runs are not lane totals, so none is rescued."""
-    if lane is not _DoubleWord or core is _iterated or isinstance(method, AdaptiveSimpson):
-        return None
-
-    def scaled(*words):
-        return _dd_scale2(*f(*words), 1.0 / _RESCUE)
-
-    return _finite_run(core, _RescuedDoubleWord, scaled, box, method)
+        out = None
+    if out is None or not math.isfinite(lane.hi(out[0])):
+        core(lane, _boundary(f, lane, user, domain), box, method)
+        raise NonFiniteError("integration produced a non-finite sum")
+    return _result(lane, *out)
 
 
 def _result(lane, value, est: float, evals: int, converged: bool) -> QuadResult:
@@ -1025,8 +1004,8 @@ def _ts_fixed(lane, f, box, method: TanhSinh, on_level=None):
     each level's result as a :class:`QuadResult` as soon as its sum is
     formed; the last level's result is returned. A level whose sum is
     not finite raises :class:`NonFiniteError`; the checked re-run that
-    names the point, and the rescue run after it (see
-    :func:`_integrate`), report the levels before it again."""
+    names the point (see :func:`_integrate`) reports the levels before
+    it again."""
     eps = method.target_eps
     prev = None
     for value, evals in _ts_1d(lane, f, *box[0], method.max_level):

@@ -840,44 +840,80 @@ class TestEvaluationBoundary:
                 integrate(f, domain, config)
 
     @pytest.mark.parametrize("rule", ["gl8", "ts4", "tensor:gl8", "tensor:ts3"])
-    def test_a_doubleword_value_past_the_split_range_is_rescued(self, rule, monkeypatch):
+    def test_a_doubleword_value_past_the_split_range_is_rescued(self, rule):
         # above ~2^996 a double-word product w * f(p) overflows Dekker's
         # split and comes out NaN, though every value and the integral are
-        # finite; up to 2^1021 here, the sums stay below 2^1024. The
-        # rescued run gives exactly 2^600 times the same rule over the
-        # integrand scaled by 2^-600, which stays in range
+        # finite; up to 2^1021 here, the sums stay below 2^1024. The lane
+        # redoes each such product on rescaled operands in the one run,
+        # which gives exactly 2^600 times the same rule over the integrand
+        # scaled by 2^-600, which stays in range
         tier = Tier.DOUBLEWORD
         unit = _unit(tier)
         kind, _, name = rule.rpartition(":")
         method = GaussLegendre(8) if name == "gl8" else _pin_ts(tier, int(name[2:]))
         config = EngineConfig(method, tier)
+        calls = []
+
+        def counted(f):
+            def g(*p):
+                calls.append(p)
+                return f(*p)
+
+            return g
 
         def run(c):
             if kind:
-                return integrate_2d(lambda x, y: c * (1.0 + x.hi * y.hi), (unit, unit), config)
-            return integrate_1d(lambda x: c * (1.0 + x.hi), unit, config)
+                return integrate_2d(counted(lambda x, y: c * (1.0 + x.hi * y.hi)), (unit, unit), config)
+            return integrate_1d(counted(lambda x: c * (1.0 + x.hi)), unit, config)
 
-        rescues = []
-        rescue = quad._rescue
-        monkeypatch.setattr(quad, "_rescue", lambda *a: rescues.append(a) or rescue(*a))
         c = 2.0**1020
         small = run(c * 2.0**-600)
-        assert not rescues
+        calls.clear()
         big = run(c)
-        assert len(rescues) == 1
+        assert len(calls) == big.evaluations
         up = 2.0**600
         assert (big.value, big.error_estimate) == (small.value * up, small.error_estimate * up)
         assert (big.evaluations, big.converged) == (small.evaluations, small.converged)
         exact = (1.25 if kind else 1.5) * c
         assert abs(big.value.to_float() - exact) <= 1e-6 * exact
 
-    def test_a_doubleword_constant_of_1e300_integrates_as_at_native64(self):
+    @pytest.mark.parametrize("rule", ["gl8", "ts4", "simpson"])
+    @pytest.mark.parametrize("mode", [None, Mode.ITERATED], ids=["1d", "iterated"])
+    def test_a_doubleword_constant_of_1e300_integrates_as_at_native64(self, rule, mode):
+        # at DOUBLEWORD the weight products of 1e300, and Simpson's rule
+        # products of 6e300, pass the split range
         values = {}
         for tier in TIERS:
             c = Real.from_float(1e300, tier)
-            config = EngineConfig(GaussLegendre(8), tier)
-            values[tier] = integrate_1d(lambda x: c, _unit(tier), config).value.to_float()
+            unit = _unit(tier)
+            if rule == "simpson":
+                method = AdaptiveSimpson(1e-8 if tier is Tier.NATIVE64 else 1e-20)
+            else:
+                method = GaussLegendre(8) if rule == "gl8" else _pin_ts(tier, 4)
+            config = EngineConfig(method, tier)
+            if mode is None:
+                res = integrate_1d(lambda x: c, unit, config)
+            else:
+                res = integrate_2d(lambda x, y: c, (unit, unit), config, mode=mode)
+            values[tier] = res.value.to_float()
         assert values[Tier.DOUBLEWORD] == values[Tier.NATIVE64] == 1e300
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_simpson_stops_at_a_rule_that_overflows(self, tier):
+        # every value is finite, but fa + 4 fm + fb is not: the first
+        # rule raises instead of splitting down to max_depth on every
+        # branch, which at the default depth would not end
+        big = Real.from_float(1.5e308, tier)
+        tol = 1e-8 if tier is Tier.NATIVE64 else 1e-20
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return big
+
+        with pytest.raises(NonFiniteError):
+            integrate_1d(f, _unit(tier), EngineConfig(AdaptiveSimpson(tol, max_depth=12), tier))
+        assert len(calls) <= 10
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_value_of_the_other_tier_is_refused(self, tier):
