@@ -7,7 +7,10 @@ The quadrature engines select a lane by tier; :func:`eval_integrand`
 is the safe pointwise entry with domain checking. Each 2-D formula is
 written once, as parts that the tensor rules evaluate once per axis
 point and a join they evaluate at each point; the plain lane is derived
-from them.
+from them. Each lane also carries ``certificate()``, which returns the
+integrand's :class:`Certificate`: bounds on its analytic continuation
+off its domain, from which the Gauss-Legendre engine proves its error
+bounds.
 
 The closed-form registry exposes the exact targets of the verification
 chain. They are constructed so that the algebraic ties hold bitwise in
@@ -181,6 +184,85 @@ def domain_of(integrand_id: str, tier: Tier) -> tuple[Interval, ...]:
         sixth = pi(tier) / Real.from_float(6.0, tier)
         return (Interval(zero, sixth),)
     return tuple(Interval.unit(tier) for _ in range(entry.dim))
+
+
+# ----------------------------------------------------------------------
+# Analyticity certificates
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Where an integrand is analytic, in the form a proven
+    Gauss-Legendre error bound needs. Each axis of the integrand's own
+    domain is mapped onto [-1, 1]; ``axes`` holds, per axis, pairs
+    ``(rho, M)`` with ``|f| <= M`` on the Bernstein ellipse E_rho (foci
+    -1 and 1, semi-axes summing to rho) while every other coordinate
+    ranges over its real interval. ``sup`` bounds ``|f|`` on the real
+    domain."""
+
+    id: str
+    axes: tuple[tuple[tuple[float, float], ...], ...]
+    sup: float
+
+
+# The chain integrands continue analytically up to singularities known in
+# closed form: x = +-i (from 1 + x^2), the branch points +-i sqrt2 of
+# sqrt(2 + x^2) and +-i sqrt3 (where atan of it is singular), and for
+# i1_theta t = +-pi/2 +- i acosh(sqrt2) (where sin^2 t = 2); i1_phi is
+# constant, so entire. On [0, 1] the ellipse through +-i has rho* = 4.61
+# and the one through +-i sqrt2 rho* = 6.13; on [0, pi/4] the one through
+# pi/2 +- i acosh(sqrt2) has rho* = 7.46. Each M is an interval-arithmetic
+# bound on |f| over the ellipse's boundary (which bounds the inside, by
+# the maximum modulus principle), rounded up to two digits; it also
+# covers the binary64 and double-word roundings of pi/4 and pi/6 in the
+# domains. tests/test_certificates.py re-checks every pair with mpmath.iv.
+_NEAR_I = (3.0, 4.0, 4.4)  # rho < 4.61, for an axis limited by +-i
+_NEAR_I_SQRT2 = (4.0, 5.0, 5.8)  # rho < 6.13, for +-i sqrt2
+_EQ4_X = tuple(zip(_NEAR_I, (0.89, 2.8, 9.0)))
+_EQ4_Y = tuple(zip(_NEAR_I_SQRT2, (0.8, 1.4, 4.5)))
+_EQ6A = tuple(zip(_NEAR_I, (1.5, 3.5, 9.9)))
+
+_CERTIFICATES = (
+    Certificate("ahmed_eq1", (tuple(zip(_NEAR_I, (1.1, 2.7, 7.8))),), 0.69),
+    Certificate("i1_x", (tuple(zip(_NEAR_I, (1.9, 4.8, 15.0))),), 1.2),
+    Certificate("i1_theta", (((5.0, 1.4), (6.5, 2.1), (7.2, 4.3)),), 1.2),
+    Certificate("i1_phi", (((1024.0, 1.6),),), 1.6),
+    Certificate("i2_x", (tuple(zip(_NEAR_I, (0.77, 2.3, 7.3))),), 0.45),
+    Certificate("i2_kernel_eq4", (_EQ4_X, _EQ4_Y), 0.51),
+    Certificate("product_kernel_eq6a", (_EQ6A, _EQ6A), 1.1),
+    # eq4 with the axes exchanged
+    Certificate("shifted_kernel_eq6b", (_EQ4_Y, _EQ4_X), 0.51),
+)
+
+# rho = rho*^s over a fixed grid, from halfway to the pole's ellipse (in
+# log rho) to 1/32 short of it
+_EQ3_GRID = (0.5, 0.75, 0.875, 0.9375, 0.96875)
+
+
+def _eq3_certificate(a2: float) -> Certificate:
+    """The certificate of 1/(x^2 + a2) on [0, 1], in closed form. With
+    x = (1 + t)/2 the poles x = +-i a, a = sqrt(a2), sit at t_p = -1 +-
+    2ia, on the ellipse E_rho* with rho* = A + sqrt(A^2 - 1), where A =
+    (|t_p - 1| + |t_p + 1|)/2 = a + sqrt(1 + a^2) and A^2 - 1 = 2aA.
+    Writing t = (w + 1/w)/2 with |w| = rho < rho* and t_p likewise with
+    |w_p| = rho*, t - t_p = (w - w_p)(1 - 1/(w w_p))/2, so |t - t_p| >=
+    d = (rho* - rho)(1 - 1/(rho rho*))/2 for both poles, and |f| =
+    1/(h^2 |t - t_p| |t - conj(t_p)|) <= 1/(h^2 d^2) with h = 1/2.
+    |f| is largest on [0, 1] at x = 0, at 1/a^2. rho* is shrunk, and
+    that and each M widened, by 2^-40 to cover the rounding of these
+    steps; with no room between rho* and 1, no pair is declared."""
+    up = 1.0 + 2.0**-40
+    a = math.sqrt(a2)
+    big_a = a + math.sqrt(1.0 + a2)
+    rho_p = (big_a + math.sqrt(2.0 * a * big_a)) / up
+    pairs = []
+    if rho_p > 1.0 + 2.0**-20:
+        for s in _EQ3_GRID:
+            rho = rho_p**s
+            d = 0.5 * (rho_p - rho) * (1.0 - 1.0 / (rho * rho_p))
+            pairs.append((rho, up * 4.0 / (d * d)))
+    return Certificate("eq3_kernel", (tuple(pairs),), up / a2)
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +488,12 @@ _DD_LANES = {
     "shifted_kernel_eq6b": _dd_2d(_dd_sqr, _dd_one_two_plus_sqr, _dd_eq6b_join),
 }
 
+# each fixed lane carries its integrand's certificate, as a 2-D lane
+# carries its parts
+for _cert in _CERTIFICATES:
+    _NATIVE_LANES[_cert.id].certificate = _DD_LANES[_cert.id].certificate = lambda c=_cert: c
+del _cert
+
 
 def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
     """Raw evaluation lane for the engines: floats in, floats out at
@@ -414,7 +502,10 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
     a new closure over a^2 on each call, so none outlives its caller. A
     2-D lane also carries ``parts``, its ``(xpart, ypart, join)``: an
     x-part of one coordinate's words, a y-part likewise, and the join of
-    the two parts, which is the lane's value at the point."""
+    the two parts, which is the lane's value at the point. Every lane
+    carries ``certificate()``, which returns the :class:`Certificate` of
+    the integrand over its own domain; eq3_kernel's is built on that
+    call, from the lane's a^2, so a run that needs none pays nothing."""
     entry = get(integrand_id)
     if entry.parametric:
         if a is None:
@@ -433,6 +524,7 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
             def f_native(x: float) -> float:
                 return 1.0 / (x * x + a2)
 
+            f_native.certificate = functools.partial(_eq3_certificate, a2)
             return f_native
         a2h, a2l = _dd_sqr(a.hi, a.lo)
         if not 2.0**-969 <= a2h < math.inf:
@@ -442,6 +534,7 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
             th, tl = _dd_add(*_dd_sqr(xh, xl), a2h, a2l)
             return _dd_div(1.0, 0.0, th, tl)
 
+        f_dd.certificate = functools.partial(_eq3_certificate, a2h)
         return f_dd
     if a is not None:
         raise ConfigError(f"{integrand_id} takes no parameter")

@@ -6,6 +6,9 @@ Three rules share one result contract:
   ladder of orders whose successive sums give the error estimate: the
   fixed rule is (order // 2, order), the adaptive one (with a ``tol``)
   doubles from 6 or so up to the order and stops once within ``tol``.
+  With a ``tol``, a registry integrand over its own domain instead runs
+  the lowest order of that ladder whose proven error bound, from the
+  integrand's analyticity certificate, is within ``tol``, alone.
   Nodes are found by Newton iteration from Chebyshev initial guesses;
   DOUBLEWORD tables polish each converged root with two further Newton
   steps in double-word arithmetic.
@@ -133,7 +136,9 @@ class GaussLegendre:
     """Gauss-Legendre of a fixed ``order``, or, with a ``tol``, of
     adaptive order: orders 6, 12, 24, ... doubling up to ``order``,
     stopping at the first whose difference from the one before is
-    within ``tol``."""
+    within ``tol``. A registry integrand over its own domain runs only
+    the first of those orders whose proven error bound is within
+    ``tol``, when there is one."""
 
     order: int
     tol: float | None = None
@@ -506,6 +511,17 @@ def _pair(hi: float, lo: float) -> tuple[float, float]:
     return hi, lo
 
 
+def _rescued_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    return _dd_rescaled(_dd_mul, ah, al, bh, bl, 1)
+
+
+def _point_mul(hh: float):
+    # the kernel for the products h * x of a half-width and a rule's
+    # nodes (|x| < 1), chosen once per rule: past 2^996 Dekker's split of
+    # h overflows, so the product is formed on rescaled operands
+    return _dd_mul if abs(hh) < 2.0**996 else _rescued_mul
+
+
 def _on_pairs(kernel):
     # a double-word kernel of two values, over (hi, lo) pairs
     return staticmethod(lambda a, b: kernel(*a, *b))
@@ -525,7 +541,9 @@ class _DoubleWord:
     high word passes ~2^996, and the product comes out NaN) is redone on
     rescaled operands, as :class:`Real`'s operators do: ``mul`` and each
     weight product of the three per-evaluation loops check the high
-    word, so the normal path pays one compare per product."""
+    word, so the normal path pays one compare per product. The point
+    products ``h * x`` in ``map`` and ``pairs`` take their kernel from
+    the half-width, once per rule."""
 
     tier = Tier.DOUBLEWORD
     zero = (0.0, 0.0)
@@ -552,7 +570,8 @@ class _DoubleWord:
     @staticmethod
     def map(m, h, xs):
         (mh, ml), (hh, hl) = m, h
-        return [_dd_add(mh, ml, *_dd_mul(hh, hl, xh, xl)) for xh, xl in xs]
+        mul = _point_mul(hh)
+        return [_dd_add(mh, ml, *mul(hh, hl, xh, xl)) for xh, xl in xs]
 
     @staticmethod
     def sum(f, axis):
@@ -591,12 +610,13 @@ class _DoubleWord:
     def pairs(f, m, h, xs, ws):
         mh, ml = m
         hh, hl = h
+        mul = _point_mul(hh)
         words = []
         for (xh, xl), (wh, wl) in zip(xs, ws):
             if xh == 0.0:
                 fh, fl = f(mh, ml)
             else:
-                oh, ol = _dd_mul(hh, hl, xh, xl)
+                oh, ol = mul(hh, hl, xh, xl)
                 f1h, f1l = f(*_dd_add(mh, ml, oh, ol))
                 f2h, f2l = f(*_dd_sub(mh, ml, oh, ol))
                 fh, fl = _dd_add(f1h, f1l, f2h, f2l)
@@ -662,6 +682,8 @@ def _boundary(f, lane, user: bool, domain=None):
             raise NonFiniteError(f"integrand is not finite at {point!r}", point=point)
         return v
 
+    # the re-run of a certified lane runs the same rung
+    located.certificate = getattr(call, "certificate", None)
     return located
 
 
@@ -683,7 +705,8 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
     fixed rule is the two rungs (order // 2, order); with a ``tol`` the
     ladder is the order halved while the half stays >= 6 (6, 12, 24,
     48, 96 for 96, as mpmath's 3 * 2^m degrees), or the fixed pair
-    below order 12."""
+    below order 12. A proven run (:func:`_proven_rung`) runs one of
+    the ladder's rungs, so it needs no table the ladder would not."""
     n = method.order
     rungs = [n]
     if method.tol is not None:
@@ -694,20 +717,97 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
     return tuple(reversed(rungs))
 
 
+# The rounding term of a proven bound is c * u * |domain| * sup|f|, with
+# c = _ROUNDING and u the tier's eps: the sum of |w f(p)| over the rule is
+# at most |domain| * sup|f|, and each term carries, in units of u, the
+# lane's error (6: the tests' LANE_BOUND, measured against mpmath, not
+# proven), the weight table's and the mapped point's (about 1 each, the
+# latter times the integrand's relative condition |x f'/f| <= 2 on the
+# registry domains), the weight and Jacobian products (about 1.25 each,
+# Joldes-Muller-Popescu) and the exactly rounded sum (0.5): about 15,
+# doubled for a margin. _OUTWARD widens the whole bound for the binary64
+# rounding of its own few dozen steps, each within 2^-53 relative; none
+# cancels badly, since every rho used exceeds 1 + 2^-21.
+_ROUNDING = 32.0
+_OUTWARD = 1.0 + 2.0**-20
+
+
+def _gl_bound(cert, halves, n: int, u: float) -> float:
+    """A proven bound on |I - Q_n| for the n-point Gauss-Legendre rule Q_n
+    (the tensor rule in 2-D) of an integrand over its own domain, with
+    ``halves`` the half-lengths of its axes: truncation plus rounding.
+    On [-1, 1] the rule is symmetric and exact to degree 2n - 1, so its
+    error is the sum over even k >= 2n of a_k (I - Q_n)(T_k); with the
+    Chebyshev coefficients |a_k| <= 2 M rho^-k of an f bounded by M on
+    E_rho, |I(T_k)| = 2/(k^2 - 1) and |Q_n(T_k)| <= 2 it is at most
+    4 (1 + 1/(4n^2 - 1)) M rho^(2 - 2n) / (rho^2 - 1): Trefethen, "Is
+    Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 2008,
+    Thm 4.5, with his n + 1 points written n. An axis of half-length h
+    scales it by h. In 2-D, I - Q(x)Q = (I - Q)(x)I + Q(x)(I - Q), and Q's
+    weights are positive and sum to the length, so the bound is the
+    y-length times the x-axis bound plus the x-length times the y-axis
+    one."""
+    k = 4.0 * (1.0 + 1.0 / (4 * n * n - 1))
+    lengths = [2.0 * h for h in halves]
+    volume = math.prod(lengths)
+    trunc = 0.0
+    for h, length, pairs in zip(halves, lengths, cert.axes):
+        axis = min(
+            (m * rho ** (2 - 2 * n) / (rho * rho - 1.0) for rho, m in pairs),
+            default=math.inf,
+        )
+        trunc += (volume / length) * h * k * axis
+    return (trunc + _ROUNDING * u * volume * cert.sup) * _OUTWARD
+
+
+def _first_proven(cert, tier: Tier, method: GaussLegendre):
+    # the lowest rung whose bound is within tol, as (order, bound)
+    lane = _LANES[tier]
+    halves = [0.5 * (lane.hi(b) - lane.hi(a)) for a, b in _own_box(cert.id, tier)]
+    for n in _gl_rungs(method):
+        bound = _gl_bound(cert, halves, n, tier.eps)
+        if bound <= method.tol:
+            return n, bound
+    return None
+
+
+_fixed_proven = functools.lru_cache(maxsize=None)(_first_proven)
+
+
+@functools.lru_cache(maxsize=None)
+def _own_box(integrand_id: str, tier: Tier):
+    return _box(_LANES[tier], domain_of(integrand_id, tier))
+
+
+def _proven_rung(lane, cert, box, method: GaussLegendre):
+    """The rung a certified integrand runs alone, as ``(order, bound)``:
+    the lowest of :func:`_gl_rungs` whose proven bound is within tol.
+    None, for the ladder, when no rung is proven or the box is not the
+    integrand's own domain. Nothing is evaluated: a fixed integrand's
+    rung is cached per (certificate, tier, method), and eq3_kernel's
+    costs a few float operations per call."""
+    if box != _own_box(cert.id, lane.tier):
+        return None
+    if get_integrand(cert.id).parametric:
+        return _first_proven(cert, lane.tier, method)
+    return _fixed_proven(cert, lane.tier, method)
+
+
 def _gl(lane, f, box, method: GaussLegendre):
     # one rule per rung, each the next one's half-order error estimate,
     # so the estimate costs no extra evaluations; in 2-D the rule is the
     # tensor over the prepared axes of the rung. With a tol the run
     # stops at the first estimate <= tol (converged); the fixed rule runs
     # both rungs and is converged unless the two rules differ by more
-    # than a tenth of the value, agreeing on no leading digit
+    # than a tenth of the value, agreeing on no leading digit. With a
+    # tol, an integrand carrying a certificate (a registry lane, or the
+    # checked re-run's wrapper of one) runs its proven rung alone, with
+    # the proven bound as the estimate
     axes = [_mid_half(lane, a, b) for a, b in box]
     jac = axes[0][1] if len(box) == 1 else lane.mul(axes[0][1], axes[1][1])
     parts = lane.parts(f) if len(box) == 2 else None
-    tol = method.tol
-    prev = None
-    evals = 0
-    for n in _gl_rungs(method):
+
+    def rule(n):
         xs, ws = _gl_table(n, lane.tier)
         mapped = [list(zip(lane.map(m, h, xs), ws)) for m, h in axes]
         if parts is None:
@@ -716,7 +816,20 @@ def _gl(lane, f, box, method: GaussLegendre):
             xpart, ypart, join = parts
             cols = _prepared(lane, xpart, mapped[0])
             words = lane.tensor(join, cols, _prepared(lane, ypart, mapped[1]))
-        value = lane.mul(jac, lane.total(words))
+        return lane.mul(jac, lane.total(words))
+
+    tol = method.tol
+    certificate = None if tol is None else getattr(f, "certificate", None)
+    proven = None if certificate is None else _proven_rung(lane, certificate(), box, method)
+    if proven is not None:
+        n, bound = proven
+        value = rule(n)
+        est = _floored(lane, bound, value)
+        return value, est, n ** len(box), est <= tol
+    prev = None
+    evals = 0
+    for n in _gl_rungs(method):
+        value = rule(n)
         evals += n ** len(box)
         if prev is not None:
             est = _floored(lane, abs(lane.hi(lane.sub(value, prev))), value)
@@ -932,12 +1045,10 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         user = True
     else:
         raise ConfigError("f must be an integrand id or a callable")
-    box = []
     for iv in domain:
         if iv.tier is not tier:
             raise TierMismatchError(f"{what} tier does not match the engine tier")
-        lower, upper = iv.lower, iv.upper
-        box.append((lane.pack(lower.hi, lower.lo), lane.pack(upper.hi, upper.lo)))
+    box = _box(lane, domain)
     if any(iv.degenerate for iv in domain):
         probe = _boundary(f, lane, user, domain)
         probe(*(w for corner, _ in box for w in lane.words(corner)))
@@ -951,6 +1062,13 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         core(lane, _boundary(f, lane, user, domain), box, method)
         raise NonFiniteError("integration produced a non-finite sum")
     return _result(lane, *out)
+
+
+def _box(lane, domain):
+    # each axis's endpoints as lane values
+    return tuple(
+        [(lane.pack(iv.lower.hi, iv.lower.lo), lane.pack(iv.upper.hi, iv.upper.lo)) for iv in domain]
+    )
 
 
 def _result(lane, value, est: float, evals: int, converged: bool) -> QuadResult:

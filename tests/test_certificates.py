@@ -1,0 +1,277 @@
+"""Analyticity certificates and the proven Gauss-Legendre bounds built on
+them, checked against independent oracles: every declared (rho, M) pair
+with mpmath's interval arithmetic over the boundary of its Bernstein
+ellipse, and every proven estimate against the 50-digit mpmath error."""
+
+import math
+
+import pytest
+
+from ahmedquad import (
+    EngineConfig,
+    GaussLegendre,
+    Real,
+    Tier,
+    integrate_1d,
+    seeded_a_values,
+)
+from ahmedquad import integrands
+from ahmedquad.verify import default_config
+from helpers import TIER_IDS, TIERS
+
+mpmath = pytest.importorskip("mpmath")
+iv = mpmath.iv
+
+
+# ----------------------------------------------------------------------
+# |f| over boxes of the complex plane, in real interval arithmetic
+# ----------------------------------------------------------------------
+# A complex interval is a pair (re, im) of real intervals; every function
+# below returns an interval enclosing |f| over the box. Y stands for the
+# square of the other coordinate of a 2-D kernel, anywhere in [0, 1].
+
+
+def _nonneg(x):
+    return iv.mpf([max(x.a, 0), x.b])
+
+
+def _cadd(u, c):
+    return (u[0] + c, u[1])
+
+
+def _csq(u):
+    return (u[0] ** 2 - u[1] ** 2, 2 * u[0] * u[1])
+
+
+def _cabs(u):
+    return iv.sqrt(_nonneg(u[0] ** 2 + u[1] ** 2))
+
+
+def _csqrt(w):
+    # the principal square root, by components
+    r = _cabs(w)
+    p = iv.sqrt(_nonneg((r + w[0]) / 2))
+    q = iv.sqrt(_nonneg((r - w[0]) / 2))
+    if w[1].b <= 0:
+        q = -q
+    elif w[1].a < 0:
+        q = iv.mpf([-q.b, q.b])
+    return p, q
+
+
+def _catan(s):
+    # atan(s) for s = p + i q, p > 0: Re = pi/2 - (atan((1 - q)/p) +
+    # atan((1 + q)/p))/2 and |Im| = |log(|1 + i s|^2 / |1 - i s|^2)| / 4
+    p, q = s
+    assert p.a > 0
+    re = iv.pi / 2 - (iv.atan2((1 - q) / p, 1) + iv.atan2((1 + q) / p, 1)) / 2
+    im = iv.log(((1 + q) ** 2 + p**2) / ((1 - q) ** 2 + p**2)) / 4
+    return re, im
+
+
+def _ahmed(z):
+    z2 = _csq(z)
+    s = _csqrt(_cadd(z2, 2))
+    return _cabs(_catan(s)) / (_cabs(_cadd(z2, 1)) * _cabs(s))
+
+
+def _i1_x(z):
+    z2 = _csq(z)
+    return (iv.pi / 2) / (_cabs(_cadd(z2, 1)) * iv.sqrt(_cabs(_cadd(z2, 2))))
+
+
+def _i2_x(z):
+    # atan(1/s) = pi/2 - atan(s) for Re s > 0
+    z2 = _csq(z)
+    s = _csqrt(_cadd(z2, 2))
+    re, im = _catan(s)
+    return _cabs((iv.pi / 2 - re, im)) / (_cabs(_cadd(z2, 1)) * _cabs(s))
+
+
+def _i1_theta(t):
+    x, y = t
+    ey, emy = iv.exp(y), iv.exp(-y)
+    ch, sh = (ey + emy) / 2, (ey - emy) / 2
+    sin2 = _csq((iv.sin(x) * ch, iv.cos(x) * sh))
+    cos_abs2 = iv.cos(x) ** 2 + sh**2
+    return (iv.pi / 2) * iv.sqrt(_nonneg(cos_abs2 / _cabs((2 - sin2[0], sin2[1]))))
+
+
+def _i1_phi(_t):
+    return iv.pi / 2
+
+
+_Y = iv.mpf([0, 1])
+
+
+def _near_i_axis(z):
+    # 1 / ((1 + z^2)(2 + z^2 + Y)): eq4 in x, eq6b in y
+    z2 = _csq(z)
+    return 1 / (_cabs(_cadd(z2, 1)) * _cabs(_cadd(z2, 2 + _Y)))
+
+
+def _near_i_sqrt2_axis(z):
+    # 1 / ((1 + Y)(2 + Y + z^2)): eq4 in y, eq6b in x
+    return 1 / ((1 + _Y) * _cabs(_cadd(_csq(z), 2 + _Y)))
+
+
+def _eq6a_axis(z):
+    return 1 / (_cabs(_cadd(_csq(z), 1)) * (1 + _Y))
+
+
+def _eq3(a2):
+    return lambda z: 1 / _cabs(_cadd(_csq(z), a2))
+
+
+def _domain_mid_half(integrand_id):
+    # the axis map x = m + h t, as intervals that hold the exact domain
+    # and its binary64 and double-word roundings
+    uppers = [integrands.domain_of(integrand_id, t)[0].upper for t in TIERS]
+    ends = [mpmath.mpf(u.hi) + mpmath.mpf(u.lo) for u in uppers]
+    exact = {"i1_theta": mpmath.pi / 4, "i1_phi": mpmath.pi / 6}.get(integrand_id, mpmath.mpf(1))
+    lo, hi = min(ends + [exact]) / 2, max(ends + [exact]) / 2
+    half = iv.mpf([lo * (1 - 2**-60), hi * (1 + 2**-60)])
+    return half, half
+
+
+_AXES = {
+    "ahmed_eq1": (_ahmed,),
+    "i1_x": (_i1_x,),
+    "i1_theta": (_i1_theta,),
+    "i1_phi": (_i1_phi,),
+    "i2_x": (_i2_x,),
+    "i2_kernel_eq4": (_near_i_axis, _near_i_sqrt2_axis),
+    "product_kernel_eq6a": (_eq6a_axis, _eq6a_axis),
+    "shifted_kernel_eq6b": (_near_i_sqrt2_axis, _near_i_axis),
+}
+
+
+def _arc(rho, m, h, t0, t1):
+    # the arc theta in [t0, t1] of the boundary of E_rho, mapped by m + h t
+    th = iv.mpf([t0, t1])
+    a = (iv.mpf(rho) + 1 / iv.mpf(rho)) / 2
+    b = (iv.mpf(rho) - 1 / iv.mpf(rho)) / 2
+    return m + h * a * iv.cos(th), h * b * iv.sin(th)
+
+
+def _bounded_on_ellipse(f, rho, m, h, bound, depth=10):
+    # |f| <= bound on the boundary of E_rho (rho = 1: on the segment),
+    # bisecting arcs whose enclosure is too wide; the lower half is the
+    # mirror image, as f is real on the real axis
+    iv.prec = 53
+    arcs = [(math.pi * k / 16, math.pi * (k + 1) / 16, 0) for k in range(16)]
+    while arcs:
+        t0, t1, d = arcs.pop()
+        if f(_arc(rho, m, h, t0, t1)).b <= bound:
+            continue
+        if d == depth:
+            return False
+        tm = 0.5 * (t0 + t1)
+        arcs += [(t0, tm, d + 1), (tm, t1, d + 1)]
+    return True
+
+
+def _certificate(integrand_id):
+    return integrands.raw_fn(integrand_id, Tier.NATIVE64).certificate()
+
+
+# ----------------------------------------------------------------------
+# The declared pairs
+# ----------------------------------------------------------------------
+
+
+def test_every_fixed_integrand_is_certified_at_both_tiers():
+    for entry in integrands._ENTRIES:
+        if entry.parametric:
+            continue
+        cert = _certificate(entry.id)
+        assert cert.id == entry.id and len(cert.axes) == entry.dim
+        assert integrands.raw_fn(entry.id, Tier.DOUBLEWORD).certificate() is cert
+        assert all(pairs for pairs in cert.axes)
+
+
+@pytest.mark.parametrize("integrand_id", sorted(_AXES))
+def test_declared_pairs_bound_the_integrand_on_their_ellipses(integrand_id):
+    cert = _certificate(integrand_id)
+    m, h = _domain_mid_half(integrand_id)
+    for axis, (f, pairs) in enumerate(zip(_AXES[integrand_id], cert.axes)):
+        for rho, bound in pairs:
+            assert _bounded_on_ellipse(f, rho, m, h, bound), (axis, rho, bound)
+        # the real domain is the degenerate ellipse E_1
+        assert _bounded_on_ellipse(f, 1.0, m, h, cert.sup), (axis, cert.sup)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, 1.0, math.sqrt(2.0), 5.0, 10.0])
+def test_eq3_pairs_bound_the_kernel_on_their_ellipses(a):
+    a2 = a * a
+    cert = integrands._eq3_certificate(a2)
+    half = iv.mpf(0.5)
+    f = _eq3(iv.mpf(a2))
+    (pairs,) = cert.axes
+    assert len(pairs) == len(integrands._EQ3_GRID)
+    for rho, bound in pairs:
+        assert _bounded_on_ellipse(f, rho, half, half, bound), (rho, bound)
+    assert _bounded_on_ellipse(f, 1.0, half, half, cert.sup)
+
+
+def test_eq3_declares_no_pair_without_room_off_the_axis():
+    # at a = 1e-140 the poles sit 1e-140 off [0, 1]: rho* rounds to 1
+    assert integrands._eq3_certificate(1e-280).axes == ((),)
+
+
+# ----------------------------------------------------------------------
+# Proven estimates against the 50-digit error
+# ----------------------------------------------------------------------
+
+
+def _mp_value(res):
+    return mpmath.mpf(res.value.hi) + mpmath.mpf(res.value.lo)
+
+
+TOLS = [(t, tol) for t in TIERS for tol in ((1e-13,) if t is Tier.NATIVE64 else (1e-13, 1e-26))]
+TOL_IDS = [f"{t.value}-{tol:g}" for t, tol in TOLS]
+
+# every fixed registry integral is held to its proven estimate at these
+# tolerances by tests/test_quad.py::TestAdaptiveGaussLegendre::test_registry_proven_rung
+
+
+def _eq3_sweep(tier):
+    # the seeded draws of the verifier, and 25 log-spaced a in [0.1, 10]
+    logs = [Real.from_float(10.0 ** (-1.0 + 2.0 * k / 24), tier) for k in range(25)]
+    return tuple(seeded_a_values(tier)) + tuple(logs)
+
+
+@pytest.mark.parametrize("tier,tol", TOLS, ids=TOL_IDS)
+def test_eq3_is_within_its_estimate_over_the_sweep(tier, tol):
+    mpmath.mp.dps = 50
+    config = EngineConfig(GaussLegendre(96, tol), tier)
+    for a in _eq3_sweep(tier):
+        res = integrate_1d("eq3_kernel", config=config, a=a)
+        est = res.error_estimate.to_float()
+        if res.converged:
+            assert est <= tol
+        am = mpmath.mpf(a.hi) + mpmath.mpf(a.lo)
+        err = abs(_mp_value(res) - mpmath.atan(1 / am) / am)
+        assert err <= est, f"a={a.hi!r}: error {float(err):.3g} above {est:.3g}"
+
+
+@pytest.mark.parametrize("a", [0.1, 0.15])
+def test_eq3_near_its_poles_is_proven_converged(a):
+    # the half-order ladder reported these unconverged (estimates 4.4e-18
+    # and 1.0e-22) though GL96 is within 1e-30 of the truth
+    mpmath.mp.dps = 50
+    tier = Tier.DOUBLEWORD
+    res = integrate_1d("eq3_kernel", config=default_config(tier), a=Real.from_float(a, tier))
+    est = res.error_estimate.to_float()
+    assert res.converged and est <= 1e-26
+    am = mpmath.mpf(a)
+    assert abs(_mp_value(res) - mpmath.atan(1 / am) / am) <= est
+
+
+@pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+def test_another_domain_keeps_the_ladder(tier):
+    # the certificates hold for an integrand's own domain only
+    half = integrands.Interval(Real.from_float(0.0, tier), Real.from_float(0.5, tier))
+    tol = 1e-13 if tier is Tier.NATIVE64 else 1e-26
+    res = integrate_1d("ahmed_eq1", half, EngineConfig(GaussLegendre(96, tol), tier))
+    assert res.evaluations in (6 + 12, 6 + 12 + 24, 6 + 12 + 24 + 48, 6 + 12 + 24 + 48 + 96)

@@ -32,7 +32,7 @@ from ahmedquad import (
     tanh_sinh_abscissas,
 )
 from ahmedquad import quad, scalar
-from ahmedquad.integrands import Interval
+from ahmedquad.integrands import Interval, domain_of, raw_fn
 from ahmedquad.quad import _integrate_1d_ts_fixed, _ts_nodes
 from helpers import (
     I1_STR,
@@ -659,11 +659,21 @@ class TestIntegrate2D:
         from ahmedquad import eval_integrand
 
         region = (_unit(tier), _unit(tier))
-        tol = 1e-13 if tier is Tier.NATIVE64 else 1e-26
-        for method in (GaussLegendre(8), GaussLegendre(96, tol), _pin_ts(tier, 3)):
+
+        def opaque(config):
+            return integrate_2d(lambda x, y: eval_integrand(iid, [x, y]), region, config)
+
+        for method in (GaussLegendre(8), _pin_ts(tier, 3)):
             config = EngineConfig(method, tier)
-            opaque = integrate_2d(lambda x, y: eval_integrand(iid, [x, y]), region, config)
-            assert _pin_of(opaque) == _pin_of(integrate_2d(iid, config=config)), method
+            assert _pin_of(opaque(config)) == _pin_of(integrate_2d(iid, config=config)), method
+        # with a tol the registry id runs its proven rung n alone, and the
+        # callable, which keeps the ladder, gives the same value at GL(n)
+        tol = 1e-13 if tier is Tier.NATIVE64 else 1e-26
+        proven = integrate_2d(iid, config=EngineConfig(GaussLegendre(96, tol), tier))
+        n = math.isqrt(proven.evaluations)
+        assert n * n == proven.evaluations
+        fixed = opaque(EngineConfig(GaussLegendre(n), tier))
+        assert _pin_of(proven)[:2] == _pin_of(fixed)[:2]
 
     def test_registry_truth_native(self):
         tier = Tier.NATIVE64
@@ -898,6 +908,27 @@ class TestEvaluationBoundary:
             values[tier] = res.value.to_float()
         assert values[Tier.DOUBLEWORD] == values[Tier.NATIVE64] == 1e300
 
+    @pytest.mark.parametrize("rule", ["gl8", "ts4", "tensor:gl8"])
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_a_half_width_past_the_split_range_maps_its_points(self, tier, rule):
+        # at DOUBLEWORD the products h * x of a half-width of 2e300 and the
+        # nodes pass the split range; the lane forms them on rescaled
+        # operands instead of mapping every node to NaN. The integral of
+        # c x over [0, 4e300] is 8e600 c / 2, which rounds to
+        # 2.0000000000000004e300 for these binary64 constants
+        c = Real.from_float(2.5e-301, tier)
+        wide = Interval(Real.from_float(0.0, tier), Real.from_float(4e300, tier))
+        method = _pin_ts(tier, 4) if rule == "ts4" else GaussLegendre(8)
+        config = EngineConfig(method, tier)
+        if rule.startswith("tensor"):
+            res = integrate_2d(lambda x, y: x * c, (wide, _unit(tier)), config)
+        else:
+            res = integrate_1d(lambda x: x * c, wide, config)
+        exact = Fraction(4e300) ** 2 * Fraction(2.5e-301) / 2
+        err = abs(Fraction(res.value.hi) + Fraction(res.value.lo) - exact) / exact
+        assert err <= (1e-30 if tier is Tier.DOUBLEWORD else 2.0**-52)
+        assert abs(res.value.to_float() - 2e300) <= math.ulp(2e300)
+
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_simpson_stops_at_a_rule_that_overflows(self, tier):
         # every value is finite, but fa + 4 fm + fb is not: the first
@@ -960,6 +991,9 @@ class TestEvaluationBoundary:
 # the first half-order difference within tol; each rung's sum is the
 # next rung's estimate, so a run that stops at order n costs the rungs
 # up to n and returns the fixed GL(n) value and estimate bit for bit.
+# A registry integrand over its own domain instead runs its proven rung
+# alone, so the ladder is exercised here through opaque callables that
+# wrap the same lanes.
 
 LADDER_TOLS = {Tier.NATIVE64: (1e-13,), Tier.DOUBLEWORD: (1e-13, 1e-26)}
 LADDER_CASES = [
@@ -989,12 +1023,45 @@ def _mp_truth(iid):
     }[iid]
 
 
-def _ladder_run(iid, method, tier):
+def _registry_run(iid, method, tier):
     config = EngineConfig(method, tier)
     if iid in TWO_D_IDS:
         return integrate_2d(iid, config=config)
     a = sqrt(Real.from_float(2.0, tier)) if iid == "eq3_kernel" else None
     return integrate_1d(iid, config=config, a=a)
+
+
+def _lane_callable(iid, tier, a=None):
+    # the registry lane behind an opaque callable, which carries no
+    # certificate: its values are the lane's, word for word
+    fn = raw_fn(iid, tier, a)
+    if tier is Tier.NATIVE64:
+        return lambda *p: fn(*(c.hi for c in p))
+    return lambda *p: Real._raw(*fn(*(w for c in p for w in (c.hi, c.lo))), tier)
+
+
+def _ladder_run(iid, method, tier):
+    # the run of a registry integral through its lane as a callable, over
+    # the integrand's own domain: the ladder
+    config = EngineConfig(method, tier)
+    domain = domain_of(iid, tier)
+    if iid in TWO_D_IDS:
+        return integrate_2d(_lane_callable(iid, tier), domain, config)
+    a = sqrt(Real.from_float(2.0, tier)) if iid == "eq3_kernel" else None
+    return integrate_1d(_lane_callable(iid, tier, a), domain[0], config)
+
+
+def _record_gl_tables(monkeypatch):
+    # the orders of the Gauss-Legendre tables the engines ask for
+    orders = []
+    table = quad._gl_table
+
+    def recording(n, tier):
+        orders.append(n)
+        return table(n, tier)
+
+    monkeypatch.setattr(quad, "_gl_table", recording)
+    return orders
 
 
 class TestAdaptiveGaussLegendre:
@@ -1031,6 +1098,64 @@ class TestAdaptiveGaussLegendre:
         assert res.converged or n == 96
         fixed = _ladder_run(iid, GaussLegendre(n), tier)
         assert (res.value, res.error_estimate) == (fixed.value, fixed.error_estimate)
+
+    @pytest.mark.parametrize(
+        "tier,tol,iid", LADDER_CASES, ids=[f"{t.value}-{tol:g}-{i}" for t, tol, i in LADDER_CASES]
+    )
+    def test_registry_proven_rung(self, tier, tol, iid):
+        # the registry id runs one rung of the ladder, alone, and its
+        # proven bound is the estimate
+        from ahmedquad.quad import _gl_rungs
+
+        method = GaussLegendre(96, tol)
+        res = _registry_run(iid, method, tier)
+        est = res.error_estimate.to_float()
+        assert res.converged and est <= tol
+        mp = pytest.importorskip("mpmath")
+        err = abs(mp.mpf(res.value.hi) + mp.mpf(res.value.lo) - _mp_truth(iid))
+        assert err <= est, f"error {float(err):.3g} above estimate {est:.3g}"
+        dim = 2 if iid in TWO_D_IDS else 1
+        (n,) = [n for n in _gl_rungs(method) if n**dim == res.evaluations]
+        fixed = _registry_run(iid, GaussLegendre(n), tier)
+        assert _pin_of(res)[:2] == _pin_of(fixed)[:2]
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_a_proven_run_reads_only_ladder_tables(self, tier, monkeypatch):
+        # the proven rung is one of _gl_rungs(method), so it asks for no
+        # table the ladder would not build
+        from ahmedquad.quad import _gl_rungs
+
+        orders = _record_gl_tables(monkeypatch)
+        for tol in LADDER_TOLS[tier]:
+            for method in (GaussLegendre(96, tol), GaussLegendre(100, tol)):
+                for iid in ONE_D_IDS + ("eq3_kernel",) + TWO_D_IDS:
+                    orders.clear()
+                    _registry_run(iid, method, tier)
+                    assert len(orders) == 1 and orders[0] in _gl_rungs(method), (iid, orders)
+
+    def test_fixed_order_never_looks_up_a_certificate(self, monkeypatch):
+        from ahmedquad.bench import bench_rows
+
+        def refuse(*args):
+            raise AssertionError("certificate lookup under fixed-order Gauss-Legendre")
+
+        monkeypatch.setattr(quad, "_proven_rung", refuse)
+        assert len(bench_rows(Tier.NATIVE64)) == 28
+        for tier in TIERS:
+            for n in (2, 8, 24, 96):
+                for iid in ONE_D_IDS + ("eq3_kernel",) + TWO_D_IDS:
+                    _registry_run(iid, GaussLegendre(n), tier)
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_the_checked_rerun_runs_the_proven_rung(self, tier, monkeypatch):
+        # a sum made non-finite after the run sends it to the checked
+        # re-run, which must evaluate the same points: the one rung again
+        orders = _record_gl_tables(monkeypatch)
+        lane = quad._LANES[tier]
+        monkeypatch.setattr(lane, "total", staticmethod(lambda words: lane.pack(math.nan, 0.0)))
+        with pytest.raises(NonFiniteError, match="non-finite sum"):
+            _registry_run("i2_kernel_eq4", GaussLegendre(96, LADDER_TOLS[tier][-1]), tier)
+        assert len(orders) == 2 and orders[0] == orders[1]
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_stops_at_the_first_estimate_within_tol(self, tier):

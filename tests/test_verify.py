@@ -165,13 +165,14 @@ class TestRunChain:
         assert s8.residual <= 1e-25
 
     def test_doubleword_default_is_the_gl_ladder(self):
-        # adaptive GL capped at 96, tol a tenth of the step tolerance: the
-        # 2-D tensors stop at order 48 (6^2 + ... + 48^2 = 3060), the 1-D
-        # integrals at 48 (90) and the constant i1_phi at 12 (18)
+        # adaptive GL capped at 96, tol a tenth of the step tolerance; each
+        # registry integral runs its proven rung of the ladder alone: order
+        # 24 for the 1-D integrals (24) and the 2-D tensors (576), order 6
+        # for the constant i1_phi
         cfg = default_config(Tier.DOUBLEWORD)
         assert cfg == EngineConfig(GaussLegendre(96, tol=1e-26), Tier.DOUBLEWORD)
         reports = run_chain(Tier.DOUBLEWORD)
-        assert [r.evaluations for r in reports] == [270, 90, 18, 90, 3060, 6120, 0, 0]
+        assert [r.evaluations for r in reports] == [72, 24, 6, 24, 576, 1152, 0, 0]
         assert max(r.residual for r in reports) <= 1e-31
 
     def test_doubleword_tanh_sinh_level_12(self):
