@@ -34,6 +34,7 @@ from .scalar import (
     _dd_atan,
     _dd_atan_recip,
     _dd_div,
+    _dd_div_rescued,
     _dd_mul,
     _dd_scale2,
     _dd_sincos,
@@ -532,7 +533,7 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
 
         def f_dd(xh: float, xl: float) -> tuple[float, float]:
             th, tl = _dd_add(*_dd_sqr(xh, xl), a2h, a2l)
-            return _dd_div(1.0, 0.0, th, tl)
+            return _dd_div_rescued(1.0, 0.0, th, tl)
 
         f_dd.certificate = functools.partial(_eq3_certificate, a2h)
         return f_dd

@@ -61,7 +61,7 @@ an evaluation raised or the result came out non-finite, the rule runs
 once more with every evaluation checked, so that :class:`NonFiniteError`
 names the point; when every evaluation was finite, the error names the
 sum. A double-word product past the range of Dekker's split is not a
-failure: the lane redoes it on rescaled operands where it is formed.
+failure: the lane forms every product through a rescuing entry.
 """
 
 from __future__ import annotations
@@ -87,10 +87,12 @@ from .scalar import (
     _dd_add_d,
     _dd_div,
     _dd_div_d,
+    _dd_div_d_rescued,
     _dd_exp,
     _dd_mul,
     _dd_mul_d,
-    _dd_rescaled,
+    _dd_mul_d_rescued,
+    _dd_mul_rescued,
     _dd_scale2,
     _dd_sinh,
     _dd_sqr,
@@ -511,17 +513,6 @@ def _pair(hi: float, lo: float) -> tuple[float, float]:
     return hi, lo
 
 
-def _rescued_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    return _dd_rescaled(_dd_mul, ah, al, bh, bl, 1)
-
-
-def _point_mul(hh: float):
-    # the kernel for the products h * x of a half-width and a rule's
-    # nodes (|x| < 1), chosen once per rule: past 2^996 Dekker's split of
-    # h overflows, so the product is formed on rescaled operands
-    return _dd_mul if abs(hh) < 2.0**996 else _rescued_mul
-
-
 def _on_pairs(kernel):
     # a double-word kernel of two values, over (hi, lo) pairs
     return staticmethod(lambda a, b: kernel(*a, *b))
@@ -537,20 +528,16 @@ class _DoubleWord:
     an integrand takes two words per coordinate, and a running sum is the
     list of both words of each term ``w * f(p)``.
 
-    A product whose split overflowed (Dekker's split overflows once a
-    high word passes ~2^996, and the product comes out NaN) is redone on
-    rescaled operands, as :class:`Real`'s operators do: ``mul`` and each
-    weight product of the three per-evaluation loops check the high
-    word, so the normal path pays one compare per product. The point
-    products ``h * x`` in ``map`` and ``pairs`` take their kernel from
-    the half-width, once per rule."""
+    Its products and scaled quotients take :mod:`.scalar`'s rescuing
+    entries, which redo one past the range of Dekker's split."""
 
     tier = Tier.DOUBLEWORD
     zero = (0.0, 0.0)
     add = _on_pairs(_dd_add)
     sub = _on_pairs(_dd_sub)
-    mul_d = _on_pair(_dd_mul_d)
-    div_d = _on_pair(_dd_div_d)
+    mul = _on_pairs(_dd_mul_rescued)
+    mul_d = _on_pair(_dd_mul_d_rescued)
+    div_d = _on_pair(_dd_div_d_rescued)
     scale = _on_pair(_dd_scale2)
     neg = staticmethod(lambda a: (-a[0], -a[1]))
     hi = operator.itemgetter(0)
@@ -561,27 +548,16 @@ class _DoubleWord:
     total = staticmethod(_dd_fsum)
 
     @staticmethod
-    def mul(a, b):
-        t = _dd_mul(*a, *b)
-        if t[0] != t[0]:
-            t = _dd_rescaled(_dd_mul, *a, *b, 1)
-        return t
-
-    @staticmethod
     def map(m, h, xs):
         (mh, ml), (hh, hl) = m, h
-        mul = _point_mul(hh)
-        return [_dd_add(mh, ml, *mul(hh, hl, xh, xl)) for xh, xl in xs]
+        return [_dd_add(mh, ml, *_dd_mul_rescued(hh, hl, xh, xl)) for xh, xl in xs]
 
     @staticmethod
     def sum(f, axis):
         words = []
         for (ph, pl), (wh, wl) in axis:
             vh, vl = f(ph, pl)
-            t = _dd_mul(wh, wl, vh, vl)
-            if t[0] != t[0]:
-                t = _dd_rescaled(_dd_mul, wh, wl, vh, vl, 1)
-            words += t
+            words += _dd_mul_rescued(wh, wl, vh, vl)
         return words
 
     @staticmethod
@@ -595,35 +571,25 @@ class _DoubleWord:
             row = []
             for x, (vh, vl) in cols:
                 fh, fl = join(x, y)
-                t = _dd_mul(vh, vl, fh, fl)
-                if t[0] != t[0]:
-                    t = _dd_rescaled(_dd_mul, vh, vl, fh, fl, 1)
-                row += t
+                row += _dd_mul_rescued(vh, vl, fh, fl)
             rh, rl = _dd_fsum(row)
-            t = _dd_mul(wh, wl, rh, rl)
-            if t[0] != t[0]:
-                t = _dd_rescaled(_dd_mul, wh, wl, rh, rl, 1)
-            words += t
+            words += _dd_mul_rescued(wh, wl, rh, rl)
         return words
 
     @staticmethod
     def pairs(f, m, h, xs, ws):
         mh, ml = m
         hh, hl = h
-        mul = _point_mul(hh)
         words = []
         for (xh, xl), (wh, wl) in zip(xs, ws):
             if xh == 0.0:
                 fh, fl = f(mh, ml)
             else:
-                oh, ol = mul(hh, hl, xh, xl)
+                oh, ol = _dd_mul_rescued(hh, hl, xh, xl)
                 f1h, f1l = f(*_dd_add(mh, ml, oh, ol))
                 f2h, f2l = f(*_dd_sub(mh, ml, oh, ol))
                 fh, fl = _dd_add(f1h, f1l, f2h, f2l)
-            t = _dd_mul(wh, wl, fh, fl)
-            if t[0] != t[0]:
-                t = _dd_rescaled(_dd_mul, wh, wl, fh, fl, 1)
-            words += t
+            words += _dd_mul_rescued(wh, wl, fh, fl)
         return words
 
 
@@ -721,13 +687,15 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
 # c = _ROUNDING and u the tier's eps: the sum of |w f(p)| over the rule is
 # at most |domain| * sup|f|, and each term carries, in units of u, the
 # lane's error (6: the tests' LANE_BOUND, measured against mpmath, not
-# proven), the weight table's and the mapped point's (about 1 each, the
-# latter times the integrand's relative condition |x f'/f| <= 2 on the
-# registry domains), the weight and Jacobian products (about 1.25 each,
-# Joldes-Muller-Popescu) and the exactly rounded sum (0.5): about 15,
-# doubled for a margin. _OUTWARD widens the whole bound for the binary64
-# rounding of its own few dozen steps, each within 2^-53 relative; none
-# cancels badly, since every rho used exceeds 1 + 2^-21.
+# proven), the weight table's (sum |dw_i| / sum w_i against mpmath's
+# 240-bit nodes: 0.39 at order 6 to 2.3 at 96; the tests hold 2.5), the
+# mapped point's (about 1, times the relative condition |x f'/f| <= 2 on
+# the registry domains), the weight and Jacobian products (about 1.25
+# each, Joldes-Muller-Popescu) and the exactly rounded sum (0.5): about
+# 13, which 32 still covers with a 2x margin. _OUTWARD widens the whole
+# bound for the binary64 rounding of its own few dozen steps, each within
+# 2^-53 relative; none cancels badly, since every rho used exceeds
+# 1 + 2^-21.
 _ROUNDING = 32.0
 _OUTWARD = 1.0 + 2.0**-20
 

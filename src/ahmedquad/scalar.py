@@ -41,13 +41,12 @@ sinh and cosh steps of the tanh-sinh nodes) is the nearest double-word
 pair, rounded once from a 192-bit fixed-point integer: Euler's series
 for atan(p/q), and the Taylor series of e^x with its integer powers.
 
-Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul`` and
-``_dd_div`` return NaN. :class:`Real` multiplication and division
-detect that NaN and redo the operation on operands scaled by powers of
-two, so a representable result such as 1 / 1e301 comes out finite; the
-raw kernels are left as they are. The four :class:`Real` arithmetic
-operators and their reflections share one tier-checked path
-(``_real_op``).
+Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``,
+``_dd_div`` and their ``_d`` forms return NaN. Their rescuing entries,
+which :class:`Real`, the quadrature lanes and the eq3 lane call, redo
+such an operation on operands scaled by powers of two, so that 1 / 1e301
+comes out finite; the raw kernels keep their NaNs. The :class:`Real`
+arithmetic operators share one tier-checked path (``_real_op``).
 """
 
 from __future__ import annotations
@@ -352,6 +351,69 @@ def _dd_sqrt(ah: float, al: float) -> tuple[float, float]:
     c = (h + se) * (0.5 * r)
     h = y + c
     return h, c - (h - y)
+
+
+def _dd_rescaled(kernel, ah: float, al: float, bh: float, bl: float, sign: int):
+    # kernel(a, b) on operands scaled by powers of two to a high word in
+    # [0.5, 1), then scaled back by 2^(ea + sign * eb): sign 1 for a
+    # product, -1 for a quotient. Dekker's split overflows once a
+    # high word or partial quotient passes ~2^996, and the kernel then
+    # returns NaN, though the result may be representable; on scaled
+    # operands it cannot. A result beyond binary64 comes back infinite.
+    _, ea = math.frexp(ah)
+    _, eb = math.frexp(bh)
+    rh, rl = kernel(
+        math.ldexp(ah, -ea), math.ldexp(al, -ea), math.ldexp(bh, -eb), math.ldexp(bl, -eb)
+    )
+    k = ea + sign * eb
+    try:
+        return math.ldexp(rh, k), math.ldexp(rl, k)
+    except OverflowError:
+        return math.inf, math.inf
+
+
+def _dd_mul_rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    # _dd_mul's body in the same operation order, then one test of its high
+    # word: fused, as it runs at every weight and point product. On 2 vCPUs
+    # (CPython 3.11.7) a wrapper's extra call cost 1-5% on GL24 tensors, a
+    # doubleword verify round and level-8 tanh-sinh; this copy, under 1%
+    p = ah * bh
+    t = _SPLITTER * ah
+    a1 = t - (t - ah)
+    a2 = ah - a1
+    t = _SPLITTER * bh
+    b1 = t - (t - bh)
+    b2 = bh - b1
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    e += ah * bl + al * bh
+    h = p + e
+    if h != h:  # NaN: the split overflowed, or an operand is not finite
+        return _dd_rescaled(_dd_mul, ah, al, bh, bl, 1)
+    return h, e - (h - p)
+
+
+def _rescuing(kernel, sign: int, two_word=None):
+    # the kernel's bits, or where NaN the operation redone by _dd_rescaled
+    # (a pair-and-float kernel through its two-word form). Fixed-arity
+    # wrappers: none runs per tensor point; *args cost ~1% a doubleword round
+    def rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+        r = kernel(ah, al, bh, bl)
+        if r[0] != r[0]:
+            return _dd_rescaled(kernel, ah, al, bh, bl, sign)
+        return r
+
+    def rescued_d(ah: float, al: float, b: float) -> tuple[float, float]:
+        r = kernel(ah, al, b)
+        if r[0] != r[0]:
+            return _dd_rescaled(two_word, ah, al, b, 0.0, sign)
+        return r
+
+    return rescued if two_word is None else rescued_d
+
+
+_dd_div_rescued = _rescuing(_dd_div, -1)
+_dd_mul_d_rescued = _rescuing(_dd_mul_d, 1, _dd_mul)
+_dd_div_d_rescued = _rescuing(_dd_div_d, -1, _dd_div)
 
 
 # ----------------------------------------------------------------------
@@ -703,46 +765,32 @@ def _check_finite_pair(hi: float, lo: float, what: str) -> None:
         raise NonFiniteError(f"{what} produced a non-finite value")
 
 
-def _dd_rescaled(kernel, ah: float, al: float, bh: float, bl: float, sign: int):
-    # kernel(a, b) on operands scaled by powers of two to a high word in
-    # [0.5, 1), then scaled back by 2^(ea + sign * eb): sign 1 for a
-    # product, -1 for a quotient. Dekker's split overflows once a
-    # high word or partial quotient passes ~2^996, and the kernel then
-    # returns NaN, though the result may be representable; on scaled
-    # operands it cannot. A result beyond binary64 comes back infinite.
-    _, ea = math.frexp(ah)
-    _, eb = math.frexp(bh)
-    rh, rl = kernel(
-        math.ldexp(ah, -ea), math.ldexp(al, -ea), math.ldexp(bh, -eb), math.ldexp(bl, -eb)
-    )
-    k = ea + sign * eb
-    try:
-        return math.ldexp(rh, k), math.ldexp(rl, k)
-    except OverflowError:
-        return math.inf, math.inf
-
-
-def _real_op(native, kernel, what: str, sign: int = 0, swap: bool = False):
+def _real_op(native, kernel, what: str, swap: bool = False):
     # one Real operator, self op other (other op self when swap): at
-    # NATIVE64 the binary64 native(a, b), at DOUBLEWORD the kernel, with
-    # _dd_rescaled's rescue for a product (sign 1) or a quotient (sign -1)
+    # NATIVE64 the binary64 native(a, b), at DOUBLEWORD the kernel, a
+    # rescuing entry for a product or a quotient
     def op(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = (o, self) if swap else (self, o)
-        if sign < 0 and b.hi == 0.0:
+        if native is operator.truediv and b.hi == 0.0:
             raise ZeroDivisionError("division by zero")
         if self.tier is Tier.NATIVE64:
-            r = native(a.hi, b.hi)
-            if not math.isfinite(r):
-                raise NonFiniteError(f"{what} overflowed")
-            return Real._raw(r, 0.0, self.tier)
-        rh, rl = kernel(a.hi, a.lo, b.hi, b.lo)
-        if sign and rh != rh:  # NaN from finite operands: the split overflowed
-            rh, rl = _dd_rescaled(kernel, a.hi, a.lo, b.hi, b.lo, sign)
+            rh, rl = native(a.hi, b.hi), 0.0
+        else:
+            rh, rl = kernel(a.hi, a.lo, b.hi, b.lo)
         _check_finite_pair(rh, rl, what)
         return Real._raw(rh, rl, self.tier)
+
+    return op
+
+
+def _real_cmp(compare):
+    # one Real ordering, compare on the (hi, lo) pairs
+    def op(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else compare((self.hi, self.lo), (o.hi, o.lo))
 
     return op
 
@@ -766,12 +814,10 @@ class Real:
         if tier is Tier.NATIVE64:
             hi = hi + lo
             lo = 0.0
-            if not math.isfinite(hi):
-                raise NonFiniteError("Real value overflowed")
         else:
             hi, lo = _two_sum(hi, lo)
-            if not math.isfinite(hi):
-                raise NonFiniteError("Real value overflowed")
+        if not math.isfinite(hi):
+            raise NonFiniteError("Real value overflowed")
         self.hi = hi
         self.lo = lo
         self.tier = tier
@@ -801,16 +847,12 @@ class Real:
             raise ConfigError(f"not a decimal literal: {text!r}") from exc
         if not d.is_finite():
             raise NonFiniteError("decimal literal is not finite")
-        if tier is Tier.NATIVE64:
-            hi = float(d)
-            if not math.isfinite(hi):
-                raise NonFiniteError("decimal literal overflows binary64")
-            return cls._raw(hi, 0.0, tier)
-        f = Fraction(d)
-        hi = float(f)
+        hi = float(d)  # correctly rounded, as float(Fraction(d)) is
         if not math.isfinite(hi):
-            raise NonFiniteError("decimal literal overflows the tier")
-        lo = float(f - Fraction(hi))
+            raise NonFiniteError("decimal literal overflows binary64")
+        if tier is Tier.NATIVE64:
+            return cls._raw(hi, 0.0, tier)
+        lo = float(Fraction(d) - Fraction(hi))
         hi, lo = _quick_two_sum(hi, lo)
         return cls._raw(hi, lo, tier)
 
@@ -869,30 +911,19 @@ class Real:
     def __hash__(self):
         return hash((self.hi, self.lo, self.tier))
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else (self.hi, self.lo) < (o.hi, o.lo)
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else (self.hi, self.lo) <= (o.hi, o.lo)
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else (self.hi, self.lo) > (o.hi, o.lo)
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else (self.hi, self.lo) >= (o.hi, o.lo)
+    __lt__ = _real_cmp(operator.lt)
+    __le__ = _real_cmp(operator.le)
+    __gt__ = _real_cmp(operator.gt)
+    __ge__ = _real_cmp(operator.ge)
 
     # -- arithmetic -------------------------------------------------------
 
     __add__ = __radd__ = _real_op(operator.add, _dd_add, "addition")
     __sub__ = _real_op(operator.sub, _dd_sub, "subtraction")
     __rsub__ = _real_op(operator.sub, _dd_sub, "subtraction", swap=True)
-    __mul__ = __rmul__ = _real_op(operator.mul, _dd_mul, "multiplication", 1)
-    __truediv__ = _real_op(operator.truediv, _dd_div, "division", -1)
-    __rtruediv__ = _real_op(operator.truediv, _dd_div, "division", -1, swap=True)
+    __mul__ = __rmul__ = _real_op(operator.mul, _dd_mul_rescued, "multiplication")
+    __truediv__ = _real_op(operator.truediv, _dd_div_rescued, "division")
+    __rtruediv__ = _real_op(operator.truediv, _dd_div_rescued, "division", swap=True)
 
     def __neg__(self):
         return Real._raw(-self.hi, -self.lo, self.tier)

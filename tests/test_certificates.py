@@ -15,7 +15,7 @@ from ahmedquad import (
     integrate_1d,
     seeded_a_values,
 )
-from ahmedquad import integrands
+from ahmedquad import integrands, quad
 from ahmedquad.verify import default_config
 from helpers import TIER_IDS, TIERS
 
@@ -275,3 +275,18 @@ def test_another_domain_keeps_the_ladder(tier):
     tol = 1e-13 if tier is Tier.NATIVE64 else 1e-26
     res = integrate_1d("ahmed_eq1", half, EngineConfig(GaussLegendre(96, tol), tier))
     assert res.evaluations in (6 + 12, 6 + 12 + 24, 6 + 12 + 24 + 48, 6 + 12 + 24 + 48 + 96)
+
+
+@pytest.mark.parametrize("n", [6, 12, 24, 48, 96])
+def test_the_weight_tables_error_is_within_the_rounding_budget(n):
+    # quad._ROUNDING budgets 2.5 u for the double-word weight table of each
+    # ladder order: sum |w_i - w_i*| <= 2.5 u sum w_i* for the Gauss-Legendre
+    # weights w_i* from mpmath's nodes at 240 bits (n = 3 * 2^(degree - 1))
+    degree = n.bit_length() - 1
+    with mpmath.workprec(240):
+        nodes = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(degree, 240)
+        want = [w for _, w in sorted(nodes, key=lambda p: p[0])]
+        _, ws = quad._gl_table(n, Tier.DOUBLEWORD)
+        assert len(want) == len(ws) == n
+        err = sum(abs(mpmath.mpf(wh) + mpmath.mpf(wl) - w) for (wh, wl), w in zip(ws, want))
+        assert err <= 2.5 * 2.0**-104 * sum(want)

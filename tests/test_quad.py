@@ -891,24 +891,37 @@ class TestEvaluationBoundary:
     @pytest.mark.parametrize("mode", [None, Mode.ITERATED], ids=["1d", "iterated"])
     def test_a_doubleword_constant_of_1e300_integrates_as_at_native64(self, rule, mode):
         # at DOUBLEWORD the weight products of 1e300, and Simpson's rule
-        # products of 6e300, pass the split range
-        values = {}
-        for tier in TIERS:
-            c = Real.from_float(1e300, tier)
-            unit = _unit(tier)
-            if rule == "simpson":
-                method = AdaptiveSimpson(1e-8 if tier is Tier.NATIVE64 else 1e-20)
-            else:
-                method = GaussLegendre(8) if rule == "gl8" else _pin_ts(tier, 4)
-            config = EngineConfig(method, tier)
-            if mode is None:
-                res = integrate_1d(lambda x: c, unit, config)
-            else:
-                res = integrate_2d(lambda x, y: c, (unit, unit), config, mode=mode)
-            values[tier] = res.value.to_float()
-        assert values[Tier.DOUBLEWORD] == values[Tier.NATIVE64] == 1e300
+        # products of 6e300, pass the split range; at 1e305 so do
+        # Simpson's 4 fm and every weight product. Native Simpson rounds
+        # 1e305 a few ulp off
+        for value, native_ulps in ((1e300, 0), (1e305, 4)):
+            values = {}
+            for tier in TIERS:
+                c = Real.from_float(value, tier)
+                unit = _unit(tier)
+                if rule == "simpson":
+                    method = AdaptiveSimpson(1e-8 if tier is Tier.NATIVE64 else 1e-20)
+                else:
+                    method = GaussLegendre(8) if rule == "gl8" else _pin_ts(tier, 4)
+                config = EngineConfig(method, tier)
+                if mode is None:
+                    res = integrate_1d(lambda x: c, unit, config)
+                else:
+                    res = integrate_2d(lambda x, y: c, (unit, unit), config, mode=mode)
+                values[tier] = res.value
+            dw = values[Tier.DOUBLEWORD]
+            err = abs(Fraction(dw.hi) + Fraction(dw.lo) - Fraction(value))
+            assert err <= 2.0**-100 * value
+            assert dw.to_float() == value
+            assert abs(values[Tier.NATIVE64].hi - value) <= native_ulps * math.ulp(value)
 
-    @pytest.mark.parametrize("rule", ["gl8", "ts4", "tensor:gl8"])
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "gl8", "ts4", "simpson", "tensor:gl8", "tensor:ts3",
+            "iterated:gl8", "iterated:ts3", "iterated:simpson",
+        ],
+    )
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_half_width_past_the_split_range_maps_its_points(self, tier, rule):
         # at DOUBLEWORD the products h * x of a half-width of 2e300 and the
@@ -916,18 +929,41 @@ class TestEvaluationBoundary:
         # operands instead of mapping every node to NaN. The integral of
         # c x over [0, 4e300] is 8e600 c / 2, which rounds to
         # 2.0000000000000004e300 for these binary64 constants
-        c = Real.from_float(2.5e-301, tier)
-        wide = Interval(Real.from_float(0.0, tier), Real.from_float(4e300, tier))
-        method = _pin_ts(tier, 4) if rule == "ts4" else GaussLegendre(8)
-        config = EngineConfig(method, tier)
-        if rule.startswith("tensor"):
-            res = integrate_2d(lambda x, y: x * c, (wide, _unit(tier)), config)
+        kind, _, name = rule.rpartition(":")
+        if name == "simpson":
+            method = AdaptiveSimpson(1e-8 if tier is Tier.NATIVE64 else 1e-20)
         else:
-            res = integrate_1d(lambda x: x * c, wide, config)
-        exact = Fraction(4e300) ** 2 * Fraction(2.5e-301) / 2
-        err = abs(Fraction(res.value.hi) + Fraction(res.value.lo) - exact) / exact
-        assert err <= (1e-30 if tier is Tier.DOUBLEWORD else 2.0**-52)
-        assert abs(res.value.to_float() - 2e300) <= math.ulp(2e300)
+            method = GaussLegendre(8) if name == "gl8" else _pin_ts(tier, int(name[2:]))
+        config = EngineConfig(method, tier)
+
+        def run(f, width):
+            wide = Interval(Real.from_float(0.0, tier), Real.from_float(width, tier))
+            if kind:
+                mode = Mode.ITERATED if kind == "iterated" else Mode.TENSOR
+                return integrate_2d(lambda x, y: f(x), (wide, _unit(tier)), config, mode=mode)
+            return integrate_1d(f, wide, config)
+
+        def error(res, exact):
+            return abs(Fraction(res.value.hi) + Fraction(res.value.lo) - exact)
+
+        if rule in ("gl8", "ts4", "tensor:gl8"):
+            c = Real.from_float(2.5e-301, tier)
+            res = run(lambda x: x * c, 4e300)
+            exact = Fraction(4e300) ** 2 * Fraction(2.5e-301) / 2
+            assert error(res, exact) / exact <= (1e-30 if tier is Tier.DOUBLEWORD else 2.0**-52)
+            assert abs(res.value.to_float() - 2e300) <= math.ulp(2e300)
+        # the constant 1e-302 over a width of 1e301: Simpson's (b - a)/6 is
+        # a quotient of 1.7e300. The double-word terms w f(p) are near
+        # 1e-303, where their low words are subnormal, each within 2^-1075,
+        # and the Jacobian (at most the width) scales those errors up
+        c = Real.from_float(1e-302, tier)
+        res = run(lambda x: c, 1e301)
+        exact = Fraction(1e-302) * Fraction(1e301)
+        if tier is Tier.DOUBLEWORD:
+            bound = 2.0**-100 * exact + res.evaluations * 2.0**-1074 * Fraction(1e301)
+            assert error(res, exact) <= bound
+        else:
+            assert error(res, exact) <= 4 * math.ulp(0.1)
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_simpson_stops_at_a_rule_that_overflows(self, tier):

@@ -161,6 +161,9 @@ class TestRealBasics:
             exp(Real.from_float(1000.0, Tier.DOUBLEWORD))
         with pytest.raises(NonFiniteError):
             Real(math.inf, 0.0, Tier.NATIVE64)
+        for tier in TIERS:
+            with pytest.raises(NonFiniteError):
+                Real.from_decimal("1e400", tier)
 
     def test_sqrt_negative_raises(self):
         for tier in TIERS:
@@ -406,6 +409,15 @@ def _ref_dd_mul(ah, al, bh, bl):
     return _quick_two_sum(p, e)
 
 
+def _ref_dd_mul_rescued(ah, al, bh, bl):
+    # _dd_mul's reference, or where that is NaN the product on rescaled
+    # operands
+    r = _ref_dd_mul(ah, al, bh, bl)
+    if math.isnan(r[0]):
+        return scalar._dd_rescaled(scalar._dd_mul, ah, al, bh, bl, 1)
+    return r
+
+
 def _ref_dd_mul_d(ah, al, b):
     p, e = _two_prod(ah, b)
     e += al * b
@@ -456,6 +468,7 @@ FUSED_KERNELS = [
     ("_dd_sub", _ref_dd_sub, ("dd", "dd")),
     ("_dd_add_d", _ref_dd_add_d, ("dd", "d")),
     ("_dd_mul", _ref_dd_mul, ("dd", "dd")),
+    ("_dd_mul_rescued", _ref_dd_mul_rescued, ("dd", "dd")),
     ("_dd_mul_d", _ref_dd_mul_d, ("dd", "d")),
     ("_dd_sqr", _ref_dd_sqr, ("dd",)),
     ("_dd_div", _ref_dd_div, ("dd", "dd")),
@@ -1010,9 +1023,10 @@ class TestSharedSeriesLoop:
 # Double-word products and quotients beyond Dekker's split range
 # ----------------------------------------------------------------------
 # Dekker's split overflows once a high word (or, in a division, a
-# partial quotient) passes ~2^996, and the raw kernel returns NaN. Real
-# multiplication and division then redo the operation on operands
-# scaled by powers of two; every other result is the raw kernel's.
+# partial quotient) passes ~2^996, and the raw kernel returns NaN. The
+# rescuing entries that Real multiplication and division and the
+# double-word lane call then redo the operation on operands scaled by
+# powers of two; every other result is the raw kernel's.
 
 
 def _exact(x):
@@ -1060,6 +1074,35 @@ class TestSplitOverflow:
             _assert_dd_close(div(x, z), _exact(x) / _exact(z))
             w = self._dd(rng, -40, 40)
             _assert_dd_close(div(w, x), _exact(w) / _exact(x))
+
+    def test_lane_and_real_entries_against_fractions(self):
+        # operands with a high word in [2^990, 2^1023) and a result in
+        # range, through the double-word lane's mul, mul_d and div_d and
+        # Real's * and /; past 2^996 each is rescued
+        lane = quad._DoubleWord
+        rng = random.Random(0x5E1F)
+
+        def close(got, want):
+            got = Fraction(got[0]) + Fraction(got[1])
+            assert abs(got - want) <= 2.0**-103 * abs(want), float((got - want) / want)
+
+        for _ in range(300):
+            # |x| and |big| in [2^990, 2^1021), |y| < 1, 1 < |z| < 2^30,
+            # 2^-30 <= |k| < 4: every result stays below 2^1023
+            x, big = self._dd(rng, 992, 1021), self._dd(rng, 992, 1021)
+            y, z = self._dd(rng, -40, 0), self._dd(rng, 2, 30)
+            k = math.copysign(rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-30, 1), rng.random() - 0.5)
+            xw, yw = (x.hi, x.lo), (y.hi, y.lo)
+            close(lane.mul(xw, yw), _exact(x) * _exact(y))
+            close(lane.mul(yw, xw), _exact(x) * _exact(y))
+            close(lane.mul_d(xw, k), _exact(x) * Fraction(k))
+            close(lane.div_d(xw, 1.0 / k), _exact(x) / Fraction(1.0 / k))
+            for got, want in (
+                (x * y, _exact(x) * _exact(y)),
+                (x / z, _exact(x) / _exact(z)),
+                (x / big, _exact(x) / _exact(big)),
+            ):
+                close((got.hi, got.lo), want)
 
     def test_out_of_range_still_raises(self):
         D = self.D

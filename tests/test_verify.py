@@ -24,7 +24,9 @@ from ahmedquad import (
     builtin_chain,
     check_eq3,
     closed_form,
+    eval_integrand,
     evaluate,
+    integrate_1d,
     integrate_2d,
     reports_to_csv,
     reports_to_json,
@@ -312,6 +314,31 @@ class TestCheckEq3:
         reports = check_eq3(values, tier=tier)
         for r in reports:
             assert r.passed, r.key
+
+    @pytest.mark.parametrize("a, evaluations", [(1.2e150, 6), (1e152, 6), (1e154, 18)])
+    def test_doubleword_parameter_past_the_split_range(self, a, evaluations):
+        # x^2 + a^2 passes ~2^996 here, where Dekker's split of the divisor
+        # overflows; the lane's quotient is rescued. The low words are
+        # subnormal, hence the absolute term. From a = 1e154 the
+        # certificate's 2aA overflows, no rung is proven, and the run
+        # takes the ladder
+        mp = pytest.importorskip("mpmath")
+        tier = Tier.DOUBLEWORD
+        ra = Real.from_float(a, tier)
+
+        def close(got, want):
+            err = abs(mp.mpf(got.hi) + mp.mpf(got.lo) - want)
+            assert err <= 2.0**-104 * abs(want) + 4 * 2.0**-1074, (a, got)
+
+        with mp.workdps(50):
+            am = mp.mpf(a)
+            point = eval_integrand("eq3_kernel", Real.from_float(0.5, tier), a=ra)
+            close(point, 1 / (mp.mpf(0.25) + am * am))
+            res = integrate_1d("eq3_kernel", config=default_config(tier), a=ra)
+            close(res.value, mp.atan(1 / am) / am)
+        assert (res.evaluations, res.converged) == (evaluations, True)
+        (report,) = check_eq3([ra], tier=tier)
+        assert report.passed
 
     def test_zero_parameter_rejected_up_front(self):
         with pytest.raises(DomainError):
