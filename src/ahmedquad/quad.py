@@ -7,8 +7,10 @@ Three rules share one result contract:
   fixed rule is (order // 2, order), the adaptive one (with a ``tol``)
   doubles from 6 or so up to the order and stops once within ``tol``.
   With a ``tol``, a registry integrand over its own domain instead runs
-  the lowest order of that ladder whose proven error bound, from the
-  integrand's analyticity certificate, is within ``tol``, alone.
+  alone the orders, one per axis, whose proven error bound, from the
+  integrand's analyticity certificate, is within ``tol``: a fixed
+  integrand the cheapest such orders up to the cap, the parametric
+  eq3_kernel the lowest such rung of the ladder.
   Nodes are found by Newton iteration from Chebyshev initial guesses;
   DOUBLEWORD tables polish each converged root with two further Newton
   steps in double-word arithmetic.
@@ -20,7 +22,9 @@ Three rules share one result contract:
   ``J & 63``) by the addition formulas, so a point has the same bits at
   every level, and make one ``exp`` call per node.
 * Globally adaptive Simpson with Richardson acceptance ``|S2 - S1| <=
-  15 * tol`` and left-first deterministic splitting.
+  15 * tol`` and left-first deterministic splitting; an interval whose
+  ``|S2 - S1|`` is within the rounding floor ``16 eps |S2|`` stops too,
+  unconverged unless it met ``15 * tol``.
 
 All reported evaluation counts are exact: every call into the integrand
 is counted once, including the points spent on error estimation.
@@ -138,9 +142,10 @@ class GaussLegendre:
     """Gauss-Legendre of a fixed ``order``, or, with a ``tol``, of
     adaptive order: orders 6, 12, 24, ... doubling up to ``order``,
     stopping at the first whose difference from the one before is
-    within ``tol``. A registry integrand over its own domain runs only
-    the first of those orders whose proven error bound is within
-    ``tol``, when there is one."""
+    within ``tol``. A registry integrand over its own domain runs alone
+    the orders whose proven error bound is within ``tol``, when there
+    are any: the fewest points up to ``order``, one order per axis, or
+    for the parametric eq3_kernel the first such order of the ladder."""
 
     order: int
     tol: float | None = None
@@ -671,8 +676,9 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
     fixed rule is the two rungs (order // 2, order); with a ``tol`` the
     ladder is the order halved while the half stays >= 6 (6, 12, 24,
     48, 96 for 96, as mpmath's 3 * 2^m degrees), or the fixed pair
-    below order 12. A proven run (:func:`_proven_rung`) runs one of
-    the ladder's rungs, so it needs no table the ladder would not."""
+    below order 12. A proven run (:func:`_proven_rung`) of eq3_kernel
+    runs one of these rungs; one of a fixed integrand runs any orders
+    from 2 to the cap, whose tables are built on first use."""
     n = method.order
     rungs = [n]
     if method.tol is not None:
@@ -687,59 +693,130 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
 # c = _ROUNDING and u the tier's eps: the sum of |w f(p)| over the rule is
 # at most |domain| * sup|f|, and each term carries, in units of u, the
 # lane's error (6: the tests' LANE_BOUND, measured against mpmath, not
-# proven), the weight table's (sum |dw_i| / sum w_i against mpmath's
-# 240-bit nodes: 0.39 at order 6 to 2.3 at 96; the tests hold 2.5), the
-# mapped point's (about 1, times the relative condition |x f'/f| <= 2 on
-# the registry domains), the weight and Jacobian products (about 1.25
-# each, Joldes-Muller-Popescu) and the exactly rounded sum (0.5): about
-# 13, which 32 still covers with a 2x margin. _OUTWARD widens the whole
-# bound for the binary64 rounding of its own few dozen steps, each within
-# 2^-53 relative; none cancels badly, since every rho used exceeds
-# 1 + 2^-21.
+# proven), the weight table's (sum |dw_i| / sum w_i against 240-bit
+# weights: 0.12 to 2.13 at orders 2 to 32, the worst at 21, and 0.39 to
+# 2.3 at the ladder's 6 to 96; the tests hold 2.5 at every order a
+# proven run picks), the mapped point's (about 1, times the relative
+# condition |x f'/f| <= 2 on the registry domains), the weight and
+# Jacobian products (about 1.25 each, Joldes-Muller-Popescu) and the
+# exactly rounded sum (0.5): about 13, which 32 still covers with a 2x
+# margin. _OUTWARD widens the whole bound for the binary64 rounding of
+# its own few dozen steps, each within 2^-53 relative; none cancels
+# badly, since every rho used exceeds 1 + 2^-21.
 _ROUNDING = 32.0
 _OUTWARD = 1.0 + 2.0**-20
 
 
-def _gl_bound(cert, halves, n: int, u: float) -> float:
-    """A proven bound on |I - Q_n| for the n-point Gauss-Legendre rule Q_n
-    (the tensor rule in 2-D) of an integrand over its own domain, with
-    ``halves`` the half-lengths of its axes: truncation plus rounding.
-    On [-1, 1] the rule is symmetric and exact to degree 2n - 1, so its
-    error is the sum over even k >= 2n of a_k (I - Q_n)(T_k); with the
-    Chebyshev coefficients |a_k| <= 2 M rho^-k of an f bounded by M on
-    E_rho, |I(T_k)| = 2/(k^2 - 1) and |Q_n(T_k)| <= 2 it is at most
-    4 (1 + 1/(4n^2 - 1)) M rho^(2 - 2n) / (rho^2 - 1): Trefethen, "Is
-    Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 2008,
-    Thm 4.5, with his n + 1 points written n. An axis of half-length h
-    scales it by h. In 2-D, I - Q(x)Q = (I - Q)(x)I + Q(x)(I - Q), and Q's
-    weights are positive and sum to the length, so the bound is the
-    y-length times the x-axis bound plus the x-length times the y-axis
-    one."""
-    k = 4.0 * (1.0 + 1.0 / (4 * n * n - 1))
+def _gl_terms(cert, halves, u: float):
+    """A proven bound on |I - Q| for a Gauss-Legendre rule Q (the tensor
+    rule in 2-D) of an integrand over its own domain, with ``halves``
+    the half-lengths of its axes, split as ``(terms, rounding)``:
+    ``terms[i](n)`` is axis i's truncation term at n points on that
+    axis, and :func:`_bound` adds them up at per-axis orders. On
+    [-1, 1] the n-point rule is symmetric and exact to degree 2n - 1,
+    so its error is the sum over even k >= 2n of a_k (I - Q_n)(T_k);
+    with the Chebyshev coefficients |a_k| <= 2 M rho^-k of an f bounded
+    by M on E_rho, |I(T_k)| = 2/(k^2 - 1) and |Q_n(T_k)| <= 2 it is at
+    most 4 (1 + 1/(4n^2 - 1)) M rho^(2 - 2n) / (rho^2 - 1): Trefethen,
+    "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM Review
+    2008, Thm 4.5, with his n + 1 points written n. An axis of
+    half-length h scales it by h. In 2-D, I - Qx(x)Qy = (I - Qx)(x)I +
+    Qx(x)(I - Qy), and Qx's weights are positive and sum to the length,
+    so the bound is the y-length times the x-axis bound at n_x plus the
+    x-length times the y-axis one at n_y: each axis's term depends on
+    its own order alone."""
     lengths = [2.0 * h for h in halves]
     volume = math.prod(lengths)
+
+    def term(scale, pairs):
+        def at(n):
+            k = 4.0 * (1.0 + 1.0 / (4 * n * n - 1))
+            axis = min(
+                (m * rho ** (2 - 2 * n) / (rho * rho - 1.0) for rho, m in pairs),
+                default=math.inf,
+            )
+            return scale * k * axis
+
+        return at
+
+    terms = [term((volume / length) * h, pairs) for h, length, pairs in zip(halves, lengths, cert.axes)]
+    return terms, _ROUNDING * u * volume * cert.sup
+
+
+def _bound(terms, rounding: float, orders) -> float:
+    # the proven bound of :func:`_gl_terms` at per-axis orders
     trunc = 0.0
-    for h, length, pairs in zip(halves, lengths, cert.axes):
-        axis = min(
-            (m * rho ** (2 - 2 * n) / (rho * rho - 1.0) for rho, m in pairs),
-            default=math.inf,
-        )
-        trunc += (volume / length) * h * k * axis
-    return (trunc + _ROUNDING * u * volume * cert.sup) * _OUTWARD
+    for term, n in zip(terms, orders):
+        trunc += term(n)
+    return (trunc + rounding) * _OUTWARD
+
+
+def _gl_bound(cert, halves, orders, u: float) -> float:
+    """The proven bound on |I - Q| of :func:`_gl_terms` at ``orders``,
+    one per axis."""
+    return _bound(*_gl_terms(cert, halves, u), orders)
+
+
+def _own_halves(cert, tier: Tier):
+    lane = _LANES[tier]
+    return [0.5 * (lane.hi(b) - lane.hi(a)) for a, b in _own_box(cert.id, tier)]
 
 
 def _first_proven(cert, tier: Tier, method: GaussLegendre):
-    # the lowest rung whose bound is within tol, as (order, bound)
-    lane = _LANES[tier]
-    halves = [0.5 * (lane.hi(b) - lane.hi(a)) for a, b in _own_box(cert.id, tier)]
+    # the lowest rung, on every axis, whose bound is within tol, as
+    # (orders, bound)
+    terms, rounding = _gl_terms(cert, _own_halves(cert, tier), tier.eps)
     for n in _gl_rungs(method):
-        bound = _gl_bound(cert, halves, n, tier.eps)
+        orders = (n,) * len(terms)
+        bound = _bound(terms, rounding, orders)
         if bound <= method.tol:
-            return n, bound
+            return orders, bound
     return None
 
 
-_fixed_proven = functools.lru_cache(maxsize=None)(_first_proven)
+def _lowest(ok, lo: int, hi: int):
+    # the lowest n in [lo, hi] with ok(n), for an ok that turns true as n
+    # rises and stays true; None when ok(hi) is false
+    if not ok(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_proven(cert, tier: Tier, method: GaussLegendre):
+    """The cheapest proven orders of a fixed integrand, as ``(orders,
+    bound)``: in 1-D the lowest n in [2, cap] whose bound is within tol;
+    in 2-D the (n_x, n_y) of fewest points, the lower n_x on a tie. Each
+    axis's term falls as its own order rises, so each search bisects one
+    axis with the other's order fixed, over terms computed once each."""
+    terms, rounding = _gl_terms(cert, _own_halves(cert, tier), tier.eps)
+    terms = [functools.cache(t) for t in terms]
+    cap, tol = method.order, method.tol
+
+    def ok(*orders):
+        return _bound(terms, rounding, orders) <= tol
+
+    if len(terms) == 1:
+        n = _lowest(ok, 2, cap)
+        return None if n is None else ((n,), _bound(terms, rounding, (n,)))
+    lo_x = _lowest(lambda n: ok(n, cap), 2, cap)
+    if lo_x is None:
+        return None
+    lo_y = _lowest(lambda n: ok(cap, n), 2, cap)
+    best = None
+    for nx in range(lo_x, cap + 1):
+        if best is not None and nx * lo_y >= best[0] * best[1]:
+            break
+        ny = _lowest(lambda n: ok(nx, n), lo_y, cap)
+        if best is None or nx * ny < best[0] * best[1]:
+            best = nx, ny
+    return best, _bound(terms, rounding, best)
 
 
 @functools.lru_cache(maxsize=None)
@@ -748,12 +825,15 @@ def _own_box(integrand_id: str, tier: Tier):
 
 
 def _proven_rung(lane, cert, box, method: GaussLegendre):
-    """The rung a certified integrand runs alone, as ``(order, bound)``:
-    the lowest of :func:`_gl_rungs` whose proven bound is within tol.
-    None, for the ladder, when no rung is proven or the box is not the
-    integrand's own domain. Nothing is evaluated: a fixed integrand's
-    rung is cached per (certificate, tier, method), and eq3_kernel's
-    costs a few float operations per call."""
+    """The orders a certified integrand runs alone, one per axis, as
+    ``(orders, bound)``, or None, for the ladder, when none is proven or
+    the box is not the integrand's own domain. Nothing is evaluated. A
+    fixed integrand takes its cheapest proven orders (:func:`_fixed_proven`),
+    cached per (certificate, tier, method). eq3_kernel takes the lowest
+    of :func:`_gl_rungs` proven on its own, at a cost of a few float
+    operations per call: its orders move with a, so any order would
+    build a new table in nearly every call, while the rungs' tables are
+    built once."""
     if box != _own_box(cert.id, lane.tier):
         return None
     if get_integrand(cert.id).parametric:
@@ -761,43 +841,63 @@ def _proven_rung(lane, cert, box, method: GaussLegendre):
     return _fixed_proven(cert, lane.tier, method)
 
 
+# The mapped (point, weight) rule of each (order, tier, axis) a proven run
+# has used. A proven run covers an integrand's own domain only, so the
+# keys are a bounded set: the picked orders of the fixed integrands and
+# at most the ladder's rungs on eq3_kernel's [0, 1].
+_OWN_AXES: dict = {}
+
+
+def _gl_rule(lane, f, box, orders, own: bool = False):
+    """The Gauss-Legendre rule of ``orders[i]`` points on axis i of the
+    box: the 1-D weighted sum, or in 2-D the tensor over the prepared
+    axes. ``own`` (the box is the integrand's own domain) reads each
+    mapped axis from :data:`_OWN_AXES`, bit-identical to mapping it."""
+    axes = [_mid_half(lane, a, b) for a, b in box]
+    mapped = []
+    for n, (m, h) in zip(orders, axes):
+        xs, ws = _gl_table(n, lane.tier)
+        if own:
+            key = n, lane.tier, m, h
+            axis = _OWN_AXES.get(key)
+            if axis is None:
+                axis = _OWN_AXES[key] = tuple(zip(lane.map(m, h, xs), ws))
+        else:
+            axis = list(zip(lane.map(m, h, xs), ws))
+        mapped.append(axis)
+    if len(box) == 1:
+        jac = axes[0][1]
+        words = lane.sum(f, mapped[0])
+    else:
+        jac = lane.mul(axes[0][1], axes[1][1])
+        xpart, ypart, join = lane.parts(f)
+        cols = _prepared(lane, xpart, mapped[0])
+        words = lane.tensor(join, cols, _prepared(lane, ypart, mapped[1]))
+    return lane.mul(jac, lane.total(words))
+
+
 def _gl(lane, f, box, method: GaussLegendre):
     # one rule per rung, each the next one's half-order error estimate,
     # so the estimate costs no extra evaluations; in 2-D the rule is the
-    # tensor over the prepared axes of the rung. With a tol the run
-    # stops at the first estimate <= tol (converged); the fixed rule runs
-    # both rungs and is converged unless the two rules differ by more
-    # than a tenth of the value, agreeing on no leading digit. With a
-    # tol, an integrand carrying a certificate (a registry lane, or the
-    # checked re-run's wrapper of one) runs its proven rung alone, with
-    # the proven bound as the estimate
-    axes = [_mid_half(lane, a, b) for a, b in box]
-    jac = axes[0][1] if len(box) == 1 else lane.mul(axes[0][1], axes[1][1])
-    parts = lane.parts(f) if len(box) == 2 else None
-
-    def rule(n):
-        xs, ws = _gl_table(n, lane.tier)
-        mapped = [list(zip(lane.map(m, h, xs), ws)) for m, h in axes]
-        if parts is None:
-            words = lane.sum(f, mapped[0])
-        else:
-            xpart, ypart, join = parts
-            cols = _prepared(lane, xpart, mapped[0])
-            words = lane.tensor(join, cols, _prepared(lane, ypart, mapped[1]))
-        return lane.mul(jac, lane.total(words))
-
+    # tensor of the rung on both axes. With a tol the run stops at the
+    # first estimate <= tol (converged); the fixed rule runs both rungs
+    # and is converged unless the two rules differ by more than a tenth
+    # of the value, agreeing on no leading digit. With a tol, an
+    # integrand carrying a certificate (a registry lane, or the checked
+    # re-run's wrapper of one) runs its proven orders alone, with the
+    # proven bound as the estimate
     tol = method.tol
     certificate = None if tol is None else getattr(f, "certificate", None)
     proven = None if certificate is None else _proven_rung(lane, certificate(), box, method)
     if proven is not None:
-        n, bound = proven
-        value = rule(n)
+        orders, bound = proven
+        value = _gl_rule(lane, f, box, orders, own=True)
         est = _floored(lane, bound, value)
-        return value, est, n ** len(box), est <= tol
+        return value, est, math.prod(orders), est <= tol
     prev = None
     evals = 0
     for n in _gl_rungs(method):
-        value = rule(n)
+        value = _gl_rule(lane, f, box, (n,) * len(box))
         evals += n ** len(box)
         if prev is not None:
             est = _floored(lane, abs(lane.hi(lane.sub(value, prev))), value)
@@ -896,9 +996,16 @@ def _refine(lane, method: TanhSinh, levels):
 
 
 def _simpson(lane, f, a, b, method: AdaptiveSimpson):
+    # an interval stops splitting once |S2 - S1| <= 15 tol, at max_depth,
+    # or once |S2 - S1| is within the rounding floor 16 eps |S2| that
+    # _refine also uses: on a large integral rounding alone can exceed the
+    # absolute 15 tol, and splitting on would reach max_depth on every
+    # branch. An interval that stops without meeting 15 tol leaves the
+    # run unconverged
     max_depth = method.max_depth
+    floor_eps = 16.0 * lane.tier.eps
     evals = 0
-    depth_hit = False
+    unmet = False
 
     def ev(x):
         nonlocal evals
@@ -911,7 +1018,7 @@ def _simpson(lane, f, a, b, method: AdaptiveSimpson):
         return lane.mul(lane.div_d(lane.sub(b, a), 6.0), weighted)
 
     def rec(a, fa, m, fm, b, fb, whole, tol, depth):
-        nonlocal depth_hit
+        nonlocal unmet
         lm = lane.scale(lane.add(a, m), 0.5)
         rm = lane.scale(lane.add(m, b), 0.5)
         flm = ev(lm)
@@ -925,9 +1032,9 @@ def _simpson(lane, f, a, b, method: AdaptiveSimpson):
             # a non-finite evaluation or rule; splitting on would recurse
             # to max_depth on every branch
             raise NonFiniteError("integration produced a non-finite sum")
-        if ad <= 15.0 * tol or depth >= max_depth:
+        if ad <= 15.0 * tol or depth >= max_depth or ad <= floor_eps * abs(lane.hi(s2)):
             if ad > 15.0 * tol:
-                depth_hit = True
+                unmet = True
             return lane.add(s2, lane.div_d(d, 15.0)), ad / 15.0
         half = 0.5 * tol
         lv, le = rec(a, fa, lm, flm, m, fm, left, half, depth + 1)
@@ -939,7 +1046,7 @@ def _simpson(lane, f, a, b, method: AdaptiveSimpson):
     fm = ev(m)
     fb = ev(b)
     value, est = rec(a, fa, m, fm, b, fb, rule(a, b, fa, fm, fb), method.tol, 0)
-    return value, _floored(lane, est, value), evals, not depth_hit
+    return value, _floored(lane, est, value), evals, not unmet
 
 
 def _tensor(lane, f, box, method):

@@ -292,10 +292,14 @@ def default_config(tier: Tier) -> EngineConfig:
     order 96 with tol 1e-26, a tenth of the step tolerance as
     tanh-sinh's 1e-13 is at NATIVE64. Every integral of the chain and
     of the eq3 samples is a registry integrand over its own domain, so
-    it runs alone the first of the orders 6, 12, 24, 48, 96 whose proven
-    error bound is within tol: order 24 for every chain integral but
-    the constant i1_phi (order 6), with residuals below 1e-32, and 12
-    to 96 for eq3 as a falls from 10 to 0.1."""
+    it runs alone orders whose proven error bound is within tol. A
+    fixed integrand runs its cheapest such orders, one per axis: 22
+    for ahmed_eq1, i1_x and i2_x, 16 for i1_theta, 5 for the constant
+    i1_phi, 22 x 18, 22 x 22 and 18 x 22 for the eq4, eq6a and eq6b
+    tensors, 1,387 chain evaluations with residuals below 4e-29. The
+    parametric eq3_kernel runs the first of the orders 6, 12, 24, 48,
+    96 proven for its a: 24 at a = sqrt 2, and 12 to 96 as a falls
+    from 10 to 0.1."""
     if tier is Tier.NATIVE64:
         return EngineConfig(TanhSinh(max_level=10, target_eps=1e-13), tier)
     return EngineConfig(GaussLegendre(order=96, tol=1e-26), tier)

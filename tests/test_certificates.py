@@ -3,6 +3,7 @@ them, checked against independent oracles: every declared (rho, M) pair
 with mpmath's interval arithmetic over the boundary of its Bernstein
 ellipse, and every proven estimate against the 50-digit mpmath error."""
 
+import itertools
 import math
 
 import pytest
@@ -277,16 +278,148 @@ def test_another_domain_keeps_the_ladder(tier):
     assert res.evaluations in (6 + 12, 6 + 12 + 24, 6 + 12 + 24 + 48, 6 + 12 + 24 + 48 + 96)
 
 
+def _mp_truth(integrand_id):
+    # 50-digit closed forms of the fixed integrals, from mpmath
+    pi2 = mpmath.pi**2
+    return {
+        "ahmed_eq1": 5 * pi2 / 96,
+        "i1_x": pi2 / 12,
+        "i1_theta": pi2 / 12,
+        "i1_phi": pi2 / 12,
+        "i2_x": pi2 / 32,
+        "i2_kernel_eq4": pi2 / 32,
+        "product_kernel_eq6a": pi2 / 16,
+        "shifted_kernel_eq6b": pi2 / 32,
+    }[integrand_id]
+
+
+def _picks():
+    # the orders each fixed integrand runs at each tier and tolerance
+    return {
+        (cert.id, t, tol): quad._fixed_proven(cert, t, GaussLegendre(96, tol))[0]
+        for cert in integrands._CERTIFICATES
+        for t, tol in TOLS
+    }
+
+
+def _near_picks(orders):
+    # the picked orders, each axis one lower, and in 2-D the axes swapped
+    out = {orders}
+    for i in range(len(orders)):
+        out.add(orders[:i] + (orders[i] - 1,) + orders[i + 1 :])
+    out.add(orders[::-1])
+    return sorted(o for o in out if min(o) >= 2)
+
+
+@pytest.mark.parametrize("integrand_id", sorted(_AXES))
+def test_fixed_integrands_are_within_their_bound_near_their_picks(integrand_id):
+    # the bound at per-axis orders holds at each pick, on each axis one
+    # order below it (where the bound exceeds tol but must still hold)
+    # and, in 2-D, with the orders exchanged
+    mpmath.mp.dps = 50
+    cert = _certificate(integrand_id)
+    truth = _mp_truth(integrand_id)
+    for (iid, tier, tol), orders in _picks().items():
+        if iid != integrand_id:
+            continue
+        lane = quad._LANES[tier]
+        box = quad._own_box(iid, tier)
+        halves = quad._own_halves(cert, tier)
+        for near in _near_picks(orders):
+            value = quad._gl_rule(lane, integrands.raw_fn(iid, tier), box, near)
+            got = sum(mpmath.mpf(w) for w in lane.words(value))
+            bound = quad._gl_bound(cert, halves, near, tier.eps)
+            assert abs(got - truth) <= bound, (tier.value, tol, near)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_cheapest_orders_are_those_of_a_search_over_every_pair(seed):
+    # quad._fixed_proven against trying every order (pair) up to the cap,
+    # on seeded certificates over eq4's box: the fewest points, then the
+    # lower n_x. Slowly falling terms (rho near 1) put the cheapest pair
+    # above the lowest feasible n_x, symmetric axes make ties between
+    # (a, b) and (b, a), and every fourth certificate's steep terms can
+    # pick n = 2
+    import random
+
+    rng = random.Random(seed)
+    tier = TIERS[seed % 2]
+    for k in range(8):
+        def pairs():
+            top = 1.2 if k % 4 else 3.0
+            return tuple((1.0 + 10.0 ** rng.uniform(-0.7, top), rng.uniform(0.05, 20.0)) for _ in range(2))
+
+        x = pairs()
+        axes = (x,) if k < 2 else (x, x if k % 2 else pairs())
+        cert = integrands.Certificate("i2_kernel_eq4", axes, rng.uniform(0.1, 2.0))
+        halves = quad._own_halves(cert, tier)
+        tol = 10.0 ** rng.uniform(math.log10(50 * tier.eps), -4)
+        cap = rng.choice([16, 40, 96])
+        want = min(
+            (
+                (math.prod(o), o)
+                for o in itertools.product(range(2, cap + 1), repeat=len(axes))
+                if quad._gl_bound(cert, halves, o, tier.eps) <= tol
+            ),
+            default=None,
+        )
+        got = quad._fixed_proven(cert, tier, GaussLegendre(cap, tol))
+        assert (got and got[0]) == (want and want[1]), (axes, tol, cap)
+
+
+def _legendre_mp(n, x):
+    # P_n(x) and P_n'(x) by the three-term recurrence, at mpmath precision
+    p0, p1 = mpmath.mpf(1), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+def _newton_rule(n, nodes):
+    # the n-point Gauss-Legendre (node, weight) pairs at 240 bits, by
+    # Newton on P_n from each double-word node: the node starts ~2^-104
+    # off, and three quadratic steps reach 2^-240
+    out = []
+    with mpmath.workprec(240):
+        for xh, xl in nodes:
+            x = mpmath.mpf(xh) + mpmath.mpf(xl)
+            for _ in range(4):
+                p, dp = _legendre_mp(n, x)
+                x -= p / dp
+            _, dp = _legendre_mp(n, x)
+            out.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return out
+
+
 @pytest.mark.parametrize("n", [6, 12, 24, 48, 96])
-def test_the_weight_tables_error_is_within_the_rounding_budget(n):
-    # quad._ROUNDING budgets 2.5 u for the double-word weight table of each
-    # ladder order: sum |w_i - w_i*| <= 2.5 u sum w_i* for the Gauss-Legendre
-    # weights w_i* from mpmath's nodes at 240 bits (n = 3 * 2^(degree - 1))
+def test_the_newton_oracle_agrees_with_calc_nodes(n):
+    # mpmath's calc_nodes gives only the ladder orders (n = 3 * 2^(degree - 1))
     degree = n.bit_length() - 1
+    xs, _ = quad._gl_table(n, Tier.DOUBLEWORD)
     with mpmath.workprec(240):
         nodes = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(degree, 240)
-        want = [w for _, w in sorted(nodes, key=lambda p: p[0])]
-        _, ws = quad._gl_table(n, Tier.DOUBLEWORD)
-        assert len(want) == len(ws) == n
+        want = sorted(nodes, key=lambda p: p[0])
+        got = _newton_rule(n, xs)
+        assert len(want) == len(got) == n
+        for (x, w), (gx, gw) in zip(want, got):
+            assert abs(x - gx) <= 2.0**-230 and abs(w - gw) <= 2.0**-230
+
+
+# every order a proven run picks at either tier, every order up to 32, and
+# the ladder's
+BUDGET_ORDERS = sorted(
+    set(range(2, 33)) | {6, 12, 24, 48, 96} | {n for orders in _picks().values() for n in orders}
+)
+
+
+@pytest.mark.parametrize("n", BUDGET_ORDERS)
+def test_the_weight_tables_error_is_within_the_rounding_budget(n):
+    # quad._ROUNDING budgets 2.5 u for the double-word weight table:
+    # sum |w_i - w_i*| <= 2.5 u sum w_i* for the Gauss-Legendre weights
+    # w_i* at 240 bits (measured: 0.12 to 2.13 u at n = 2 to 32, the worst
+    # at 21, and 2.3 u at 96)
+    xs, ws = quad._gl_table(n, Tier.DOUBLEWORD)
+    with mpmath.workprec(240):
+        want = [w for _, w in _newton_rule(n, xs)]
         err = sum(abs(mpmath.mpf(wh) + mpmath.mpf(wl) - w) for (wh, wl), w in zip(ws, want))
         assert err <= 2.5 * 2.0**-104 * sum(want)

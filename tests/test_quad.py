@@ -2,6 +2,7 @@
 error-estimate honesty, and configuration guards."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -666,14 +667,14 @@ class TestIntegrate2D:
         for method in (GaussLegendre(8), _pin_ts(tier, 3)):
             config = EngineConfig(method, tier)
             assert _pin_of(opaque(config)) == _pin_of(integrate_2d(iid, config=config)), method
-        # with a tol the registry id runs its proven rung n alone, and the
-        # callable, which keeps the ladder, gives the same value at GL(n)
+        # with a tol the registry id runs its proven orders (n_x, n_y)
+        # alone, and the same core run as the fixed rule at those orders
+        # gives the callable, which carries no certificate, the same value
         tol = 1e-13 if tier is Tier.NATIVE64 else 1e-26
-        proven = integrate_2d(iid, config=EngineConfig(GaussLegendre(96, tol), tier))
-        n = math.isqrt(proven.evaluations)
-        assert n * n == proven.evaluations
-        fixed = opaque(EngineConfig(GaussLegendre(n), tier))
-        assert _pin_of(proven)[:2] == _pin_of(fixed)[:2]
+        proven, orders = _proven_run(iid, GaussLegendre(96, tol), tier)
+        assert len(orders) == 2 and math.prod(orders) == proven.evaluations
+        fixed = _fixed_rule(lambda x, y: eval_integrand(iid, [x, y]), region, tier, orders)
+        assert _pin_of(proven)[:2] == (fixed.hi.hex(), fixed.lo.hex())
 
     def test_registry_truth_native(self):
         tier = Tier.NATIVE64
@@ -983,6 +984,34 @@ class TestEvaluationBoundary:
         assert len(calls) <= 10
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_simpson_ends_on_a_large_integral(self, tier):
+        # x * 2.5e-301 over [0, 4e300]: at doubleword rounding alone keeps
+        # |S2 - S1| above 15 tol = 1.5e-19 on sums near 1e300, so every
+        # interval split down to the default max_depth of 40 and the run
+        # did not end. An interval now stops at the rounding floor
+        # 16 eps |S2|, unconverged; native64 meets its tol at once, with
+        # the same result as before
+        c = Real.from_float(2.5e-301, tier)
+        interval = Interval(Real.from_float(0.0, tier), Real.from_float(4e300, tier))
+        tol = 1e-10 if tier is Tier.NATIVE64 else 1e-20
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) >= 100:
+                raise AssertionError("adaptive Simpson is still splitting")
+            return x * c
+
+        res = integrate_1d(f, interval, EngineConfig(AdaptiveSimpson(tol), tier))
+        assert res.evaluations == len(calls) < 100
+        if tier is Tier.NATIVE64:
+            assert (res.value.hi, res.evaluations, res.converged) == (2e300, 5, True)
+        else:
+            exact = Fraction(2.5e-301) * Fraction(4e300) ** 2 / 2
+            assert abs(Fraction(res.value.hi) + Fraction(res.value.lo) - exact) <= 2.0**-100 * exact
+            assert not res.converged
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_value_of_the_other_tier_is_refused(self, tier):
         other = Tier.DOUBLEWORD if tier is Tier.NATIVE64 else Tier.NATIVE64
         with pytest.raises(TierMismatchError):
@@ -1087,6 +1116,23 @@ def _ladder_run(iid, method, tier):
     return integrate_1d(_lane_callable(iid, tier, a), domain[0], config)
 
 
+def _fixed_rule(f, domain, tier, orders):
+    # the value of the Gauss-Legendre core run as the fixed rule of
+    # orders[i] points on axis i, over a callable
+    lane = quad._LANES[tier]
+    box = quad._box(lane, domain)
+    return lane.real(quad._gl_rule(lane, quad._boundary(f, lane, True), box, orders))
+
+
+def _proven_run(iid, method, tier):
+    # a registry run with a tol, and the per-axis orders of the tables it
+    # read: a proven run reads one table per axis, in axis order
+    with pytest.MonkeyPatch.context() as mp:
+        orders = _record_gl_tables(mp)
+        res = _registry_run(iid, method, tier)
+    return res, tuple(orders)
+
+
 def _record_gl_tables(monkeypatch):
     # the orders of the Gauss-Legendre tables the engines ask for
     orders = []
@@ -1139,35 +1185,102 @@ class TestAdaptiveGaussLegendre:
         "tier,tol,iid", LADDER_CASES, ids=[f"{t.value}-{tol:g}-{i}" for t, tol, i in LADDER_CASES]
     )
     def test_registry_proven_rung(self, tier, tol, iid):
-        # the registry id runs one rung of the ladder, alone, and its
-        # proven bound is the estimate
+        # the registry id runs its proven orders alone, one per axis, with
+        # its proven bound as the estimate: eq3_kernel one rung of the
+        # ladder, a fixed integrand the orders of fewest points whose
+        # bound is within tol
         from ahmedquad.quad import _gl_rungs
 
         method = GaussLegendre(96, tol)
-        res = _registry_run(iid, method, tier)
+        res, orders = _proven_run(iid, method, tier)
         est = res.error_estimate.to_float()
         assert res.converged and est <= tol
         mp = pytest.importorskip("mpmath")
         err = abs(mp.mpf(res.value.hi) + mp.mpf(res.value.lo) - _mp_truth(iid))
         assert err <= est, f"error {float(err):.3g} above estimate {est:.3g}"
         dim = 2 if iid in TWO_D_IDS else 1
-        (n,) = [n for n in _gl_rungs(method) if n**dim == res.evaluations]
-        fixed = _registry_run(iid, GaussLegendre(n), tier)
-        assert _pin_of(res)[:2] == _pin_of(fixed)[:2]
+        assert len(orders) == dim and math.prod(orders) == res.evaluations
+        a = sqrt(Real.from_float(2.0, tier)) if iid == "eq3_kernel" else None
+        if a is not None:
+            assert orders[0] in _gl_rungs(method)
+        else:
+            cert = raw_fn(iid, tier).certificate()
+            halves = quad._own_halves(cert, tier)
+            assert quad._gl_bound(cert, halves, orders, tier.eps) == est
+            # no rule of fewer points is proven, nor one of as many with a
+            # lower n_x, by the bound tried at every such order up to the cap
+            for other in itertools.product(range(2, 97), repeat=dim):
+                if (math.prod(other), other) < (res.evaluations, orders):
+                    assert quad._gl_bound(cert, halves, other, tier.eps) > tol, other
+        fixed = _fixed_rule(_lane_callable(iid, tier, a), domain_of(iid, tier), tier, orders)
+        assert _pin_of(res)[:2] == (fixed.hi.hex(), fixed.lo.hex())
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_proven_run_reads_only_ladder_tables(self, tier, monkeypatch):
-        # the proven rung is one of _gl_rungs(method), so it asks for no
-        # table the ladder would not build
+        # eq3_kernel's proven rung is one of _gl_rungs(method), so it asks
+        # for no table the ladder would not build: its order moves with a
         from ahmedquad.quad import _gl_rungs
 
         orders = _record_gl_tables(monkeypatch)
         for tol in LADDER_TOLS[tier]:
             for method in (GaussLegendre(96, tol), GaussLegendre(100, tol)):
-                for iid in ONE_D_IDS + ("eq3_kernel",) + TWO_D_IDS:
+                orders.clear()
+                _registry_run("eq3_kernel", method, tier)
+                assert len(orders) == 1 and orders[0] in _gl_rungs(method), orders
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_a_fixed_integrand_reads_the_tables_of_its_orders(self, tier, monkeypatch):
+        # one table per axis, of the order picked for that axis, and no
+        # other; a pick never exceeds the cap, and with none proven below
+        # it the run takes the ladder
+        from ahmedquad.quad import _gl_rungs
+
+        orders = _record_gl_tables(monkeypatch)
+        for tol in LADDER_TOLS[tier]:
+            for method in (GaussLegendre(96, tol), GaussLegendre(100, tol), GaussLegendre(16, tol)):
+                for iid in ONE_D_IDS + TWO_D_IDS:
                     orders.clear()
-                    _registry_run(iid, method, tier)
-                    assert len(orders) == 1 and orders[0] in _gl_rungs(method), (iid, orders)
+                    res = _registry_run(iid, method, tier)
+                    proven = quad._fixed_proven(raw_fn(iid, tier).certificate(), tier, method)
+                    if proven is None:
+                        assert set(orders) <= set(_gl_rungs(method)), (iid, orders)
+                        continue
+                    picked, _ = proven
+                    assert orders == list(picked), (iid, orders)
+                    assert max(picked) <= method.order and math.prod(picked) == res.evaluations
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_the_mapped_axis_cache_is_bounded(self, tier):
+        # a proven run reads each mapped axis from quad._OWN_AXES, keyed by
+        # (order, tier, own-domain axis): eq3_kernel at any a adds at most
+        # one entry per ladder order, and only proven runs add entries
+        from ahmedquad.quad import _gl_rungs
+
+        lane = quad._LANES[tier]
+        method = GaussLegendre(96, LADDER_TOLS[tier][-1])
+        config = EngineConfig(method, tier)
+        quad._OWN_AXES.clear()
+        for k in range(200):
+            integrate_1d("eq3_kernel", config=config, a=Real.from_float(0.1 * 1.02**k, tier))
+        ((m, h),) = [quad._mid_half(lane, *axis) for axis in quad._own_box("eq3_kernel", tier)]
+        assert 1 < len(quad._OWN_AXES)
+        assert set(quad._OWN_AXES) <= {(n, tier, m, h) for n in _gl_rungs(method)}
+        before = dict(quad._OWN_AXES)
+        domain = domain_of("ahmed_eq1", tier)
+        integrate_1d(_lane_callable("ahmed_eq1", tier), domain[0], config)
+        half = Interval(domain[0].lower, Real.from_float(0.5, tier))
+        integrate_1d("ahmed_eq1", half, config)
+        integrate_1d("ahmed_eq1", config=EngineConfig(GaussLegendre(22), tier))
+        integrate_2d("i2_kernel_eq4", config=EngineConfig(GaussLegendre(18), tier))
+        assert quad._OWN_AXES == before
+        for iid in ONE_D_IDS + TWO_D_IDS:
+            _registry_run(iid, method, tier)
+        assert len(quad._OWN_AXES) > len(before)
+        for (n, t, m, h), axis in quad._OWN_AXES.items():
+            xs, ws = quad._gl_table(n, t)
+            fresh = list(zip(lane.map(m, h, xs), ws))
+            words = [[w.hex() for v in pair for w in lane.words(v)] for pair in axis]
+            assert words == [[w.hex() for v in pair for w in lane.words(v)] for pair in fresh]
 
     def test_fixed_order_never_looks_up_a_certificate(self, monkeypatch):
         from ahmedquad.bench import bench_rows
@@ -1189,9 +1302,11 @@ class TestAdaptiveGaussLegendre:
         orders = _record_gl_tables(monkeypatch)
         lane = quad._LANES[tier]
         monkeypatch.setattr(lane, "total", staticmethod(lambda words: lane.pack(math.nan, 0.0)))
+        method = GaussLegendre(96, LADDER_TOLS[tier][-1])
         with pytest.raises(NonFiniteError, match="non-finite sum"):
-            _registry_run("i2_kernel_eq4", GaussLegendre(96, LADDER_TOLS[tier][-1]), tier)
-        assert len(orders) == 2 and orders[0] == orders[1]
+            _registry_run("i2_kernel_eq4", method, tier)
+        picked, _ = quad._fixed_proven(raw_fn("i2_kernel_eq4", tier).certificate(), tier, method)
+        assert orders == list(picked) * 2
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_stops_at_the_first_estimate_within_tol(self, tier):

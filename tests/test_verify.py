@@ -150,6 +150,17 @@ class TestEvaluate:
             evaluate("eq1", default_config(Tier.NATIVE64))
 
 
+def _proven_error(q, config):
+    # the sum of |coefficient| * error estimate over a quantity's integrals
+    if isinstance(q, Integral1DQ):
+        return integrate_1d(q.integrand_id, config=config, a=q.a).error_estimate.to_float()
+    if isinstance(q, Integral2DQ):
+        return integrate_2d(q.integrand_id, config=config).error_estimate.to_float()
+    if isinstance(q, CombinationQ):
+        return sum(abs(c) * _proven_error(t, config) for c, t in q.terms)
+    return 0.0
+
+
 class TestRunChain:
     def test_native_all_pass(self):
         reports = run_chain(Tier.NATIVE64)
@@ -168,14 +179,22 @@ class TestRunChain:
 
     def test_doubleword_default_is_the_gl_ladder(self):
         # adaptive GL capped at 96, tol a tenth of the step tolerance; each
-        # registry integral runs its proven rung of the ladder alone: order
-        # 24 for the 1-D integrals (24) and the 2-D tensors (576), order 6
-        # for the constant i1_phi
+        # fixed registry integral runs alone its cheapest orders whose
+        # proven bound is within tol: 22 for ahmed_eq1, i1_x and i2_x, 16
+        # for i1_theta, 5 for the constant i1_phi, 22 x 18 for eq4, 22 x 22
+        # for eq6a and 18 x 22 for eq6b; eq3 at a = sqrt 2 runs the ladder
+        # rung 24
         cfg = default_config(Tier.DOUBLEWORD)
         assert cfg == EngineConfig(GaussLegendre(96, tol=1e-26), Tier.DOUBLEWORD)
         reports = run_chain(Tier.DOUBLEWORD)
-        assert [r.evaluations for r in reports] == [72, 24, 6, 24, 576, 1152, 0, 0]
-        assert max(r.residual for r in reports) <= 1e-31
+        assert [r.evaluations for r in reports] == [66, 16, 5, 24, 396, 880, 0, 0]
+        # each residual is within the proven bounds of its step's
+        # integrals, plus the rounding of the closed forms and constants;
+        # the worst is 3.4e-29
+        for step, r in zip(builtin_chain(Tier.DOUBLEWORD), reports):
+            bound = _proven_error(step.lhs, cfg) + _proven_error(step.rhs, cfg)
+            assert r.residual <= bound + 1e-30, step.key
+        assert max(r.residual for r in reports) <= 1e-28
 
     def test_doubleword_tanh_sinh_level_12(self):
         cfg = EngineConfig(TanhSinh(12, 1e-26), Tier.DOUBLEWORD)
