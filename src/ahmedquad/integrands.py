@@ -34,8 +34,9 @@ from .scalar import (
     _dd_atan,
     _dd_atan_recip,
     _dd_div,
-    _dd_div_rescued,
     _dd_mul,
+    _dd_recip,
+    _dd_recip_rescued,
     _dd_scale2,
     _dd_sincos,
     _dd_sqr,
@@ -443,7 +444,7 @@ def _dd_eq4_join(x, y2) -> tuple[float, float]:
     y2h, y2l = y2
     th, tl = _dd_add(y2h, y2l, bh, bl)
     dh, dl = _dd_mul(ah, al, th, tl)
-    return _dd_div(1.0, 0.0, dh, dl)
+    return _dd_recip(dh, dl)
 
 
 def _dd_eq6a_join(one_x2, one_y2) -> tuple[float, float]:
@@ -451,7 +452,7 @@ def _dd_eq6a_join(one_x2, one_y2) -> tuple[float, float]:
     xh, xl = one_x2
     yh, yl = one_y2
     dh, dl = _dd_mul(xh, xl, yh, yl)
-    return _dd_div(1.0, 0.0, dh, dl)
+    return _dd_recip(dh, dl)
 
 
 def _dd_eq6b_join(x2, y) -> tuple[float, float]:
@@ -460,7 +461,7 @@ def _dd_eq6b_join(x2, y) -> tuple[float, float]:
     ah, al, bh, bl = y
     th, tl = _dd_add(x2h, x2l, bh, bl)
     dh, dl = _dd_mul(ah, al, th, tl)
-    return _dd_div(1.0, 0.0, dh, dl)
+    return _dd_recip(dh, dl)
 
 
 _NATIVE_LANES = {
@@ -533,7 +534,7 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
 
         def f_dd(xh: float, xl: float) -> tuple[float, float]:
             th, tl = _dd_add(*_dd_sqr(xh, xl), a2h, a2l)
-            return _dd_div_rescued(1.0, 0.0, th, tl)
+            return _dd_recip_rescued(th, tl)
 
         f_dd.certificate = functools.partial(_eq3_certificate, a2h)
         return f_dd

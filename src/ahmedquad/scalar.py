@@ -29,6 +29,13 @@ The sine, cosine and small-argument sinh series share one Taylor loop
 (``_dd_taylor``), and the atan and exp polynomials share one
 double-word Horner kernel (``_dd_horner``).
 
+A reciprocal 1/b, which the three 2-D kernels' joins and the eq3 lane
+form at every point, takes one Newton step from r = 1/b_hi
+(``_dd_recip``, Karp and Markstein, ACM TOMS 23, 1997): with
+two_prod(b_hi, r) = p + pe, e = (1 - p) - pe - b_lo r, and 1/b = r (1 +
+e + e^2). It stays within a unit of 2^-104, at under 40% of the cost of
+the long division ``_dd_div(1, 0, b)``.
+
 Double-word ``exp`` follows Tang's table-driven method: x = (64 k + j)
 ln2/64 + r with |r| <= ln2/128, and e^x = 2^k * 2^(j/64) * p(r), with
 2^(j/64) from a 64-entry table built on first use and p the degree-10
@@ -42,11 +49,13 @@ pair, rounded once from a 192-bit fixed-point integer: Euler's series
 for atan(p/q), and the Taylor series of e^x with its integer powers.
 
 Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``,
-``_dd_div`` and their ``_d`` forms return NaN. Their rescuing entries,
-which :class:`Real`, the quadrature lanes and the eq3 lane call, redo
-such an operation on operands scaled by powers of two, so that 1 / 1e301
-comes out finite; the raw kernels keep their NaNs. The :class:`Real`
-arithmetic operators share one tier-checked path (``_real_op``).
+``_dd_div``, their ``_d`` forms and ``_dd_recip`` return NaN. Their
+rescuing entries, which :class:`Real`, the quadrature lanes and the eq3
+lane call, redo such an operation on operands scaled by powers of two,
+so that 1 / 1e301 comes out finite; the raw kernels keep their NaNs
+(``_dd_recip_rescued`` falls back to the rescuing quotient). The
+:class:`Real` arithmetic operators share one tier-checked path
+(``_real_op``).
 """
 
 from __future__ import annotations
@@ -319,6 +328,25 @@ def _dd_div_d(ah: float, al: float, b: float) -> tuple[float, float]:
     return h, q2 - (h - q1)
 
 
+def _dd_recip(bh: float, bl: float) -> tuple[float, float]:
+    # 1/b by one Newton step from r = 1/bh (Karp-Markstein, ACM TOMS 23,
+    # 1997): e = 1 - b r from two_prod(bh, r) = p + pe, then r (1 + e + e^2)
+    # by quick_two_sum, inlined. 1 - p is exact (Sterbenz)
+    r = 1.0 / bh
+    p = bh * r
+    t = _SPLITTER * bh
+    b1 = t - (t - bh)
+    b2 = bh - b1
+    t = _SPLITTER * r
+    r1 = t - (t - r)
+    r2 = r - r1
+    pe = ((b1 * r1 - p) + b1 * r2 + b2 * r1) + b2 * r2
+    e = (1.0 - p) - pe - bl * r
+    c = r * (e + e * e)
+    h = r + c
+    return h, c - (h - r)
+
+
 def _dd_scale2(ah: float, al: float, s: float) -> tuple[float, float]:
     # s must be a power of two: the scaling is exact
     return ah * s, al * s
@@ -414,6 +442,14 @@ def _rescuing(kernel, sign: int, two_word=None):
 _dd_div_rescued = _rescuing(_dd_div, -1)
 _dd_mul_d_rescued = _rescuing(_dd_mul_d, 1, _dd_mul)
 _dd_div_d_rescued = _rescuing(_dd_div_d, -1, _dd_div)
+
+
+def _dd_recip_rescued(bh: float, bl: float) -> tuple[float, float]:
+    # _dd_recip's bits, or where NaN those of _dd_div_rescued(1, 0, b)
+    r = _dd_recip(bh, bl)
+    if r[0] != r[0]:
+        return _dd_div_rescued(1.0, 0.0, bh, bl)
+    return r
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from ahmedquad import (
 )
 from ahmedquad import quad
 from ahmedquad.integrands import Interval, get, raw_fn
-from ahmedquad.scalar import _dd_add, _dd_add_d, _dd_div, _dd_mul, _dd_sqr, _two_sum
+from ahmedquad.scalar import _dd_add, _dd_add_d, _dd_mul, _dd_recip, _dd_sqr, _two_sum
 from ahmedquad.verify import seeded_a_values
 from helpers import (
     AHMED_AT_0_STR,
@@ -372,7 +372,8 @@ class TestPointwiseIdentities:
 # Each 2-D lane is an x-part, a y-part and a join, and the tensor cores
 # call the join alone at each point. The reference is each kernel as one
 # plain formula, in the operation order the engines' pins were taken
-# with; a regrouped sum or product moves the last bits.
+# with; a regrouped sum or product moves the last bits. The double-word
+# formulas end in _dd_recip, the reciprocal the joins take.
 
 
 def _native_eq4(x, y):
@@ -393,21 +394,21 @@ def _dd_eq4(xh, xl, yh, yl):
     x2h, x2l = _dd_sqr(xh, xl)
     th, tl = _dd_add(*_dd_sqr(yh, yl), *_dd_add_d(x2h, x2l, 2.0))
     dh, dl = _dd_mul(*_dd_add_d(x2h, x2l, 1.0), th, tl)
-    return _dd_div(1.0, 0.0, dh, dl)
+    return _dd_recip(dh, dl)
 
 
 def _dd_eq6a(xh, xl, yh, yl):
     dh, dl = _dd_mul(
         *_dd_add_d(*_dd_sqr(xh, xl), 1.0), *_dd_add_d(*_dd_sqr(yh, yl), 1.0)
     )
-    return _dd_div(1.0, 0.0, dh, dl)
+    return _dd_recip(dh, dl)
 
 
 def _dd_eq6b(xh, xl, yh, yl):
     y2h, y2l = _dd_sqr(yh, yl)
     th, tl = _dd_add(*_dd_sqr(xh, xl), *_dd_add_d(y2h, y2l, 2.0))
     dh, dl = _dd_mul(*_dd_add_d(y2h, y2l, 1.0), th, tl)
-    return _dd_div(1.0, 0.0, dh, dl)
+    return _dd_recip(dh, dl)
 
 
 PLAIN_2D = {
