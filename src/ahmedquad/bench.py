@@ -193,6 +193,9 @@ def write_plot_files(rows, directory) -> list[str]:
         group.sort(key=lambda r: r.parameter)
         path = directory / f"{method}.{tier.value}.dat"
         body = "".join(f"{r.evaluations} {r.correct_digits!r}\n" for r in group)
-        path.write_text(body)
+        try:
+            path.write_text(body)
+        except OSError as exc:
+            raise ConfigError(f"cannot write plot file: {exc}") from exc
         paths.append(str(path))
     return paths

@@ -70,6 +70,7 @@ failure: the lane forms every product through a rescuing entry.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -95,7 +96,6 @@ from .scalar import (
     _dd_exp,
     _dd_mul,
     _dd_mul_d,
-    _dd_mul_d_rescued,
     _dd_mul_rescued,
     _dd_scale2,
     _dd_sinh,
@@ -126,7 +126,7 @@ _MAX_AS_DEPTH = 60
 
 
 def _check_int(value, lo: int, hi: int, name: str) -> None:
-    if not isinstance(value, int) or not lo <= value <= hi:
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
         raise ConfigError(f"{name} must be an int in [{lo}, {hi}]")
 
 
@@ -187,7 +187,8 @@ class EngineConfig:
             raise ConfigError(f"unknown method: {m!r}")
 
     def _check_tol(self, tol: float, name: str) -> None:
-        if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol <= 0.0:
+        number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+        if not number or not math.isfinite(tol) or tol <= 0.0:
             raise ConfigError(f"{name} must be a positive finite number")
         if tol < 10.0 * self.tier.eps:
             raise ConfigError(
@@ -228,7 +229,7 @@ def _legendre_native(n: int, x: float) -> tuple[float, float]:
     p0, p1 = 1.0, x
     for k in range(1, n):
         p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    dp = n * (x * p1 - p0) / (x * x - 1.0) if x != 0.0 else n * -p0 / -1.0
+    dp = n * (x * p1 - p0) / (x * x - 1.0)
     return p1, dp
 
 
@@ -310,7 +311,7 @@ def _gl_table(n: int, tier: Tier):
     return tuple(xs), tuple(ws)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def gl_nodes(order: int, tier: Tier = Tier.NATIVE64) -> NodeTable:
     """The memoized Gauss-Legendre rule of a given order at a tier.
     Repeated calls return the identical table object."""
@@ -412,7 +413,7 @@ def _ts_nodes(level: int, tier: Tier):
         j += step
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def tanh_sinh_abscissas(
     level: int, tier: Tier = Tier.NATIVE64
 ) -> tuple[tuple[Real, Real], ...]:
@@ -472,7 +473,6 @@ class _Native:
     add = operator.add
     sub = operator.sub
     mul = operator.mul
-    mul_d = operator.mul
     div_d = operator.truediv
     scale = operator.mul  # by a power of two: exact
     neg = operator.neg
@@ -541,7 +541,6 @@ class _DoubleWord:
     add = _on_pairs(_dd_add)
     sub = _on_pairs(_dd_sub)
     mul = _on_pairs(_dd_mul_rescued)
-    mul_d = _on_pair(_dd_mul_d_rescued)
     div_d = _on_pair(_dd_div_d_rescued)
     scale = _on_pair(_dd_scale2)
     neg = staticmethod(lambda a: (-a[0], -a[1]))
@@ -709,10 +708,10 @@ _ROUNDING = 32.0
 _OUTWARD = 1.0 + 2.0**-20
 
 
-def _gl_terms(cert, halves, u: float):
+def _gl_terms(cert, tier: Tier):
     """A proven bound on |I - Q| for a Gauss-Legendre rule Q (the tensor
-    rule in 2-D) of an integrand over its own domain, with ``halves``
-    the half-lengths of its axes, split as ``(terms, rounding)``:
+    rule in 2-D) of an integrand over its own domain at ``tier``, with
+    the tier's eps as the unit roundoff, split as ``(terms, rounding)``:
     ``terms[i](n)`` is axis i's truncation term at n points on that
     axis, and :func:`_bound` adds them up at per-axis orders. On
     [-1, 1] the n-point rule is symmetric and exact to degree 2n - 1,
@@ -727,6 +726,8 @@ def _gl_terms(cert, halves, u: float):
     so the bound is the y-length times the x-axis bound at n_x plus the
     x-length times the y-axis one at n_y: each axis's term depends on
     its own order alone."""
+    lane = _LANES[tier]
+    halves = [0.5 * (lane.hi(b) - lane.hi(a)) for a, b in _own_box(cert.id, tier)]
     lengths = [2.0 * h for h in halves]
     volume = math.prod(lengths)
 
@@ -742,7 +743,7 @@ def _gl_terms(cert, halves, u: float):
         return at
 
     terms = [term((volume / length) * h, pairs) for h, length, pairs in zip(halves, lengths, cert.axes)]
-    return terms, _ROUNDING * u * volume * cert.sup
+    return terms, _ROUNDING * tier.eps * volume * cert.sup
 
 
 def _bound(terms, rounding: float, orders) -> float:
@@ -753,72 +754,58 @@ def _bound(terms, rounding: float, orders) -> float:
     return (trunc + rounding) * _OUTWARD
 
 
-def _gl_bound(cert, halves, orders, u: float) -> float:
+def _gl_bound(cert, tier: Tier, orders) -> float:
     """The proven bound on |I - Q| of :func:`_gl_terms` at ``orders``,
     one per axis."""
-    return _bound(*_gl_terms(cert, halves, u), orders)
+    return _bound(*_gl_terms(cert, tier), orders)
 
 
-def _own_halves(cert, tier: Tier):
-    lane = _LANES[tier]
-    return [0.5 * (lane.hi(b) - lane.hi(a)) for a, b in _own_box(cert.id, tier)]
+def _lowest(ok, seq):
+    # the lowest n of the ascending seq with ok(n), for an ok that turns
+    # true as n rises and stays true; None when there is none
+    i = bisect.bisect_left(seq, True, key=ok)
+    return seq[i] if i < len(seq) else None
 
 
-def _first_proven(cert, tier: Tier, method: GaussLegendre):
-    # the lowest rung, on every axis, whose bound is within tol, as
-    # (orders, bound)
-    terms, rounding = _gl_terms(cert, _own_halves(cert, tier), tier.eps)
-    for n in _gl_rungs(method):
-        orders = (n,) * len(terms)
-        bound = _bound(terms, rounding, orders)
-        if bound <= method.tol:
-            return orders, bound
-    return None
+def _cheapest(cert, tier: Tier, orders, tol: float):
+    """The cheapest proven orders, one per axis and each from the
+    ascending ``orders``, as ``(orders, bound)``, or None when even the
+    highest is not within ``tol``: in 1-D the lowest order whose bound is
+    within tol; in 2-D the (n_x, n_y) of fewest points, the lower n_x on
+    a tie. Each axis's term falls as its own order rises, so each search
+    bisects one axis with the other's order fixed. The pick is one of the
+    orders tried, and its bound the one computed there."""
+    terms, rounding = _gl_terms(cert, tier)
+    top = orders[-1]
+    bounds = {}
 
+    def ok(*picked):
+        bounds[picked] = _bound(terms, rounding, picked)
+        return bounds[picked] <= tol
 
-def _lowest(ok, lo: int, hi: int):
-    # the lowest n in [lo, hi] with ok(n), for an ok that turns true as n
-    # rises and stays true; None when ok(hi) is false
-    if not ok(hi):
+    if len(terms) == 1:
+        n = _lowest(ok, orders)
+        return None if n is None else ((n,), bounds[n,])
+    lo_x = _lowest(lambda n: ok(n, top), orders)
+    if lo_x is None:
         return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    lo_y = _lowest(lambda n: ok(top, n), orders)
+    ys = orders[orders.index(lo_y):]
+    best = None
+    for nx in orders[orders.index(lo_x):]:
+        if best is not None and nx * lo_y >= best[0] * best[1]:
+            break
+        ny = _lowest(lambda n: ok(nx, n), ys)
+        if best is None or nx * ny < best[0] * best[1]:
+            best = nx, ny
+    return best, bounds[best]
 
 
 @functools.lru_cache(maxsize=None)
 def _fixed_proven(cert, tier: Tier, method: GaussLegendre):
-    """The cheapest proven orders of a fixed integrand, as ``(orders,
-    bound)``: in 1-D the lowest n in [2, cap] whose bound is within tol;
-    in 2-D the (n_x, n_y) of fewest points, the lower n_x on a tie. Each
-    axis's term falls as its own order rises, so each search bisects one
-    axis with the other's order fixed, over terms computed once each."""
-    terms, rounding = _gl_terms(cert, _own_halves(cert, tier), tier.eps)
-    terms = [functools.cache(t) for t in terms]
-    cap, tol = method.order, method.tol
-
-    def ok(*orders):
-        return _bound(terms, rounding, orders) <= tol
-
-    if len(terms) == 1:
-        n = _lowest(ok, 2, cap)
-        return None if n is None else ((n,), _bound(terms, rounding, (n,)))
-    lo_x = _lowest(lambda n: ok(n, cap), 2, cap)
-    if lo_x is None:
-        return None
-    lo_y = _lowest(lambda n: ok(cap, n), 2, cap)
-    best = None
-    for nx in range(lo_x, cap + 1):
-        if best is not None and nx * lo_y >= best[0] * best[1]:
-            break
-        ny = _lowest(lambda n: ok(nx, n), lo_y, cap)
-        if best is None or nx * ny < best[0] * best[1]:
-            best = nx, ny
-    return best, _bound(terms, rounding, best)
+    """The cheapest proven orders of a fixed integrand, each from 2 to
+    the cap, cached per (certificate, tier, method)."""
+    return _cheapest(cert, tier, range(2, method.order + 1), method.tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -829,17 +816,17 @@ def _own_box(integrand_id: str, tier: Tier):
 def _proven_rung(lane, cert, box, method: GaussLegendre):
     """The orders a certified integrand runs alone, one per axis, as
     ``(orders, bound)``, or None, for the ladder, when none is proven or
-    the box is not the integrand's own domain. Nothing is evaluated. A
-    fixed integrand takes its cheapest proven orders (:func:`_fixed_proven`),
-    cached per (certificate, tier, method). eq3_kernel takes the lowest
-    of :func:`_gl_rungs` proven on its own, at a cost of a few float
-    operations per call: its orders move with a, so any order would
-    build a new table in nearly every call, while the rungs' tables are
-    built once."""
+    the box is not the integrand's own domain. Nothing is evaluated.
+    Both take :func:`_cheapest`'s orders: a fixed integrand's from 2 to
+    the cap (:func:`_fixed_proven`, cached per (certificate, tier,
+    method)), eq3_kernel's from the rungs of :func:`_gl_rungs`, at a
+    cost of a few float operations per call: its orders move with a, so
+    any order would build a new table in nearly every call, while the
+    rungs' tables are built once."""
     if box != _own_box(cert.id, lane.tier):
         return None
     if get_integrand(cert.id).parametric:
-        return _first_proven(cert, lane.tier, method)
+        return _cheapest(cert, lane.tier, _gl_rungs(method), method.tol)
     return _fixed_proven(cert, lane.tier, method)
 
 
@@ -1016,7 +1003,7 @@ def _simpson(lane, f, a, b, method: AdaptiveSimpson):
 
     def rule(a, b, fa, fm, fb):
         # (b - a)/6 * (fa + 4 fm + fb)
-        weighted = lane.add(lane.add(fa, lane.mul_d(fm, 4.0)), fb)
+        weighted = lane.add(lane.add(fa, lane.scale(fm, 4.0)), fb)
         return lane.mul(lane.div_d(lane.sub(b, a), 6.0), weighted)
 
     def rec(a, fa, m, fm, b, fb, whole, tol, depth):

@@ -49,11 +49,13 @@ pair, rounded once from a 192-bit fixed-point integer: Euler's series
 for atan(p/q), and the Taylor series of e^x with its integer powers.
 
 Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``,
-``_dd_div``, their ``_d`` forms and ``_dd_recip`` return NaN. Their
-rescuing entries, which :class:`Real`, the quadrature lanes and the eq3
-lane call, redo such an operation on operands scaled by powers of two,
-so that 1 / 1e301 comes out finite; the raw kernels keep their NaNs
-(``_dd_recip_rescued`` falls back to the rescuing quotient). The
+``_dd_div``, their ``_d`` forms and ``_dd_recip`` return NaN. Four
+rescuing entries redo such an operation on operands scaled by powers of
+two (``_dd_rescaled``), so that 1 / 1e301 comes out finite:
+``_dd_mul_rescued`` (:class:`Real` and the quadrature lanes),
+``_dd_div_rescued`` (:class:`Real`), ``_dd_div_d_rescued`` (the
+quadrature lanes) and ``_dd_recip_rescued`` (the eq3 lane, falling back
+to the rescuing quotient). The raw kernels keep their NaNs. The
 :class:`Real` arithmetic operators share one tier-checked path
 (``_real_op``).
 """
@@ -420,28 +422,21 @@ def _dd_mul_rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, 
     return h, e - (h - p)
 
 
-def _rescuing(kernel, sign: int, two_word=None):
-    # the kernel's bits, or where NaN the operation redone by _dd_rescaled
-    # (a pair-and-float kernel through its two-word form). Fixed-arity
-    # wrappers: none runs per tensor point; *args cost ~1% a doubleword round
-    def rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-        r = kernel(ah, al, bh, bl)
-        if r[0] != r[0]:
-            return _dd_rescaled(kernel, ah, al, bh, bl, sign)
-        return r
-
-    def rescued_d(ah: float, al: float, b: float) -> tuple[float, float]:
-        r = kernel(ah, al, b)
-        if r[0] != r[0]:
-            return _dd_rescaled(two_word, ah, al, b, 0.0, sign)
-        return r
-
-    return rescued if two_word is None else rescued_d
+def _dd_div_rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    # _dd_div's bits, or where NaN the quotient redone by _dd_rescaled
+    r = _dd_div(ah, al, bh, bl)
+    if r[0] != r[0]:
+        return _dd_rescaled(_dd_div, ah, al, bh, bl, -1)
+    return r
 
 
-_dd_div_rescued = _rescuing(_dd_div, -1)
-_dd_mul_d_rescued = _rescuing(_dd_mul_d, 1, _dd_mul)
-_dd_div_d_rescued = _rescuing(_dd_div_d, -1, _dd_div)
+def _dd_div_d_rescued(ah: float, al: float, b: float) -> tuple[float, float]:
+    # _dd_div_d's bits, or where NaN the quotient redone by _dd_rescaled
+    # through _dd_div
+    r = _dd_div_d(ah, al, b)
+    if r[0] != r[0]:
+        return _dd_rescaled(_dd_div, ah, al, b, 0.0, -1)
+    return r
 
 
 def _dd_recip_rescued(bh: float, bl: float) -> tuple[float, float]:

@@ -230,11 +230,19 @@ class TestPlotFiles:
             "tanh-sinh.native64.dat",
         ]
 
-    def test_unwritable_directory(self, tmp_path):
-        blocker = tmp_path / "occupied"
-        blocker.write_text("not a directory\n")
+    @pytest.mark.parametrize("blocked", ["directory", "file"])
+    def test_unwritable_directory(self, tmp_path, blocked):
+        # a file where the directory should go, or a directory where a
+        # data file should go
+        if blocked == "directory":
+            blocker = tmp_path / "occupied"
+            blocker.write_text("not a directory\n")
+            target = blocker / "sub"
+        else:
+            target = tmp_path / "plots"
+            (target / "simpson.native64.dat").mkdir(parents=True)
         with pytest.raises(ConfigError):
-            write_plot_files(_rows(Tier.NATIVE64), blocker / "sub")
+            write_plot_files(_rows(Tier.NATIVE64), target)
 
 
 class TestHookPoints:

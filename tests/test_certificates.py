@@ -324,11 +324,10 @@ def test_fixed_integrands_are_within_their_bound_near_their_picks(integrand_id):
             continue
         lane = quad._LANES[tier]
         box = quad._own_box(iid, tier)
-        halves = quad._own_halves(cert, tier)
         for near in _near_picks(orders):
             value = quad._gl_rule(lane, integrands.raw_fn(iid, tier), box, near)
             got = sum(mpmath.mpf(w) for w in lane.words(value))
-            bound = quad._gl_bound(cert, halves, near, tier.eps)
+            bound = quad._gl_bound(cert, tier, near)
             assert abs(got - truth) <= bound, (tier.value, tol, near)
 
 
@@ -352,14 +351,13 @@ def test_the_cheapest_orders_are_those_of_a_search_over_every_pair(seed):
         x = pairs()
         axes = (x,) if k < 2 else (x, x if k % 2 else pairs())
         cert = integrands.Certificate("i2_kernel_eq4", axes, rng.uniform(0.1, 2.0))
-        halves = quad._own_halves(cert, tier)
         tol = 10.0 ** rng.uniform(math.log10(50 * tier.eps), -4)
         cap = rng.choice([16, 40, 96])
         want = min(
             (
                 (math.prod(o), o)
                 for o in itertools.product(range(2, cap + 1), repeat=len(axes))
-                if quad._gl_bound(cert, halves, o, tier.eps) <= tol
+                if quad._gl_bound(cert, tier, o) <= tol
             ),
             default=None,
         )

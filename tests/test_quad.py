@@ -348,6 +348,29 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             EngineConfig("trapezoid")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EngineConfig(TanhSinh(max_level=True, target_eps=1e-10)),
+            lambda: EngineConfig(TanhSinh(10, target_eps=True)),
+            lambda: EngineConfig(AdaptiveSimpson(tol=True)),
+            lambda: EngineConfig(AdaptiveSimpson(1e-8, max_depth=True)),
+            lambda: EngineConfig(GaussLegendre(8, tol=True)),
+            lambda: EngineConfig(GaussLegendre(True)),
+            lambda: tanh_sinh_abscissas(True),
+            # after the int's table is cached, the bool must not reach it
+            lambda: (tanh_sinh_abscissas(1, Tier.NATIVE64), tanh_sinh_abscissas(True, Tier.NATIVE64)),
+            lambda: _integrate_1d_ts_fixed("ahmed_eq1", True, Tier.NATIVE64, 1e-10),
+        ],
+        ids=[
+            "ts-max_level", "ts-target_eps", "simpson-tol", "simpson-max_depth", "gl-tol",
+            "gl-order", "abscissas", "abscissas-cached", "ts-fixed-level",
+        ],
+    )
+    def test_bool_is_neither_an_int_nor_a_tolerance(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
 
 # ----------------------------------------------------------------------
 # 1D integration
@@ -1205,15 +1228,51 @@ class TestAdaptiveGaussLegendre:
             assert orders[0] in _gl_rungs(method)
         else:
             cert = raw_fn(iid, tier).certificate()
-            halves = quad._own_halves(cert, tier)
-            assert quad._gl_bound(cert, halves, orders, tier.eps) == est
+            assert quad._gl_bound(cert, tier, orders) == est
             # no rule of fewer points is proven, nor one of as many with a
             # lower n_x, by the bound tried at every such order up to the cap
             for other in itertools.product(range(2, 97), repeat=dim):
                 if (math.prod(other), other) < (res.evaluations, orders):
-                    assert quad._gl_bound(cert, halves, other, tier.eps) > tol, other
+                    assert quad._gl_bound(cert, tier, other) > tol, other
         fixed = _fixed_rule(_lane_callable(iid, tier, a), domain_of(iid, tier), tier, orders)
         assert _pin_of(res)[:2] == (fixed.hi.hex(), fixed.lo.hex())
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_eq3_runs_the_lowest_rung_within_tol(self, tier):
+        # eq3_kernel's proven pick against trying every rung of the ladder:
+        # the lowest whose bound is within tol. At a = 1e-140 (a spike of
+        # width 1e-140 at x = 0) no rung is proven and the run takes the
+        # ladder, unconverged
+        from ahmedquad.quad import _gl_rungs
+
+        rng = random.Random(0xE93)
+        a_values = [10.0 ** rng.uniform(-3, 3) for _ in range(12)] + [1e-140]
+        tols = {Tier.NATIVE64: (1e-6, 1e-10, 1e-13), Tier.DOUBLEWORD: (1e-13, 1e-20, 1e-26)}[tier]
+        lane = quad._LANES[tier]
+        box = quad._own_box("eq3_kernel", tier)
+        picked = set()
+        for tol in tols:
+            for cap in (16, 96, 100):
+                method = GaussLegendre(cap, tol)
+                rungs = _gl_rungs(method)
+                for a_val in a_values:
+                    a = Real.from_float(a_val, tier)
+                    cert = raw_fn("eq3_kernel", tier, a).certificate()
+                    want = [n for n in rungs if quad._gl_bound(cert, tier, (n,)) <= tol][:1]
+                    proven = quad._proven_rung(lane, cert, box, method)
+                    res = integrate_1d("eq3_kernel", config=EngineConfig(method, tier), a=a)
+                    if a_val == 1e-140:
+                        assert proven is None and not want, (tol, cap)
+                        assert not res.converged and res.evaluations == sum(rungs)
+                    elif want:
+                        bound = quad._gl_bound(cert, tier, tuple(want))
+                        assert proven == (tuple(want), bound), (a_val, tol, cap)
+                        assert res.evaluations == want[0]
+                        picked.add(want[0])
+                    else:
+                        assert proven is None, (a_val, tol, cap)
+        # the seeded a reach more than one rung
+        assert len(picked) > 1, picked
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_proven_run_reads_only_ladder_tables(self, tier, monkeypatch):
