@@ -7,10 +7,7 @@ Three rules share one result contract:
   fixed rule is (order // 2, order), the adaptive one (with a ``tol``)
   doubles from 6 or so up to the order and stops once within ``tol``.
   With a ``tol``, a registry integrand over its own domain instead runs
-  alone the orders, one per axis, whose proven error bound, from the
-  integrand's analyticity certificate, is within ``tol``: a fixed
-  integrand the cheapest such orders up to the cap, the parametric
-  eq3_kernel the lowest such rung of the ladder.
+  alone the orders that :mod:`.bounds` proves within ``tol``.
   Nodes are found by Newton iteration from Chebyshev initial guesses;
   DOUBLEWORD tables polish each converged root with two further Newton
   steps in double-word arithmetic.
@@ -70,14 +67,14 @@ failure: the lane forms every product through a rescuing entry.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from . import bounds
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -675,9 +672,7 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
     fixed rule is the two rungs (order // 2, order); with a ``tol`` the
     ladder is the order halved while the half stays >= 6 (6, 12, 24,
     48, 96 for 96, as mpmath's 3 * 2^m degrees), or the fixed pair
-    below order 12. A proven run (:func:`_proven_rung`) of eq3_kernel
-    runs one of these rungs; one of a fixed integrand runs any orders
-    from 2 to the cap, whose tables are built on first use."""
+    below order 12. They are eq3_kernel's proven candidates too."""
     n = method.order
     rungs = [n]
     if method.tol is not None:
@@ -688,146 +683,9 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
     return tuple(reversed(rungs))
 
 
-# The rounding term of a proven bound is c * u * |domain| * sup|f|, with
-# c = _ROUNDING and u the tier's eps: the sum of |w f(p)| over the rule is
-# at most |domain| * sup|f|, and each term carries, in units of u, the
-# lane's error (6: the tests' LANE_BOUND, measured, not proven, against
-# 50-digit mpmath for every doubleword registry lane by
-# tests/test_scalar.py::test_every_lane_against_mpmath; the worst is 3.8,
-# for i2_x), the weight table's (sum |dw_i| / sum w_i against 240-bit
-# weights: 0.12 to 2.13 at orders 2 to 32, the worst at 21, and 0.39 to
-# 2.3 at the ladder's 6 to 96; the tests hold 2.5 at every order a
-# proven run picks), the mapped point's (about 1, times the relative
-# condition |x f'/f| <= 2 on the registry domains), the weight and
-# Jacobian products (about 1.25 each, Joldes-Muller-Popescu) and the
-# exactly rounded sum (0.5): about 13, which 32 still covers with a 2x
-# margin. _OUTWARD widens the whole bound for the binary64 rounding of
-# its own few dozen steps, each within 2^-53 relative; none cancels
-# badly, since every rho used exceeds 1 + 2^-21.
-_ROUNDING = 32.0
-_OUTWARD = 1.0 + 2.0**-20
-
-
-def _gl_terms(cert, tier: Tier):
-    """A proven bound on |I - Q| for a Gauss-Legendre rule Q (the tensor
-    rule in 2-D) of an integrand over its own domain at ``tier``, with
-    the tier's eps as the unit roundoff, split as ``(terms, rounding)``:
-    ``terms[i](n)`` is axis i's truncation term at n points on that
-    axis, and :func:`_bound` adds them up at per-axis orders. On
-    [-1, 1] the n-point rule is symmetric and exact to degree 2n - 1,
-    so its error is the sum over even k >= 2n of a_k (I - Q_n)(T_k);
-    with the Chebyshev coefficients |a_k| <= 2 M rho^-k of an f bounded
-    by M on E_rho, |I(T_k)| = 2/(k^2 - 1) and |Q_n(T_k)| <= 2 it is at
-    most 4 (1 + 1/(4n^2 - 1)) M rho^(2 - 2n) / (rho^2 - 1): Trefethen,
-    "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM Review
-    2008, Thm 4.5, with his n + 1 points written n. An axis of
-    half-length h scales it by h. In 2-D, I - Qx(x)Qy = (I - Qx)(x)I +
-    Qx(x)(I - Qy), and Qx's weights are positive and sum to the length,
-    so the bound is the y-length times the x-axis bound at n_x plus the
-    x-length times the y-axis one at n_y: each axis's term depends on
-    its own order alone."""
-    lane = _LANES[tier]
-    halves = [0.5 * (lane.hi(b) - lane.hi(a)) for a, b in _own_box(cert.id, tier)]
-    lengths = [2.0 * h for h in halves]
-    volume = math.prod(lengths)
-
-    def term(scale, pairs):
-        def at(n):
-            k = 4.0 * (1.0 + 1.0 / (4 * n * n - 1))
-            axis = min(
-                (m * rho ** (2 - 2 * n) / (rho * rho - 1.0) for rho, m in pairs),
-                default=math.inf,
-            )
-            return scale * k * axis
-
-        return at
-
-    terms = [term((volume / length) * h, pairs) for h, length, pairs in zip(halves, lengths, cert.axes)]
-    return terms, _ROUNDING * tier.eps * volume * cert.sup
-
-
-def _bound(terms, rounding: float, orders) -> float:
-    # the proven bound of :func:`_gl_terms` at per-axis orders
-    trunc = 0.0
-    for term, n in zip(terms, orders):
-        trunc += term(n)
-    return (trunc + rounding) * _OUTWARD
-
-
-def _gl_bound(cert, tier: Tier, orders) -> float:
-    """The proven bound on |I - Q| of :func:`_gl_terms` at ``orders``,
-    one per axis."""
-    return _bound(*_gl_terms(cert, tier), orders)
-
-
-def _lowest(ok, seq):
-    # the lowest n of the ascending seq with ok(n), for an ok that turns
-    # true as n rises and stays true; None when there is none
-    i = bisect.bisect_left(seq, True, key=ok)
-    return seq[i] if i < len(seq) else None
-
-
-def _cheapest(cert, tier: Tier, orders, tol: float):
-    """The cheapest proven orders, one per axis and each from the
-    ascending ``orders``, as ``(orders, bound)``, or None when even the
-    highest is not within ``tol``: in 1-D the lowest order whose bound is
-    within tol; in 2-D the (n_x, n_y) of fewest points, the lower n_x on
-    a tie. Each axis's term falls as its own order rises, so each search
-    bisects one axis with the other's order fixed. The pick is one of the
-    orders tried, and its bound the one computed there."""
-    terms, rounding = _gl_terms(cert, tier)
-    top = orders[-1]
-    bounds = {}
-
-    def ok(*picked):
-        bounds[picked] = _bound(terms, rounding, picked)
-        return bounds[picked] <= tol
-
-    if len(terms) == 1:
-        n = _lowest(ok, orders)
-        return None if n is None else ((n,), bounds[n,])
-    lo_x = _lowest(lambda n: ok(n, top), orders)
-    if lo_x is None:
-        return None
-    lo_y = _lowest(lambda n: ok(top, n), orders)
-    ys = orders[orders.index(lo_y):]
-    best = None
-    for nx in orders[orders.index(lo_x):]:
-        if best is not None and nx * lo_y >= best[0] * best[1]:
-            break
-        ny = _lowest(lambda n: ok(nx, n), ys)
-        if best is None or nx * ny < best[0] * best[1]:
-            best = nx, ny
-    return best, bounds[best]
-
-
-@functools.lru_cache(maxsize=None)
-def _fixed_proven(cert, tier: Tier, method: GaussLegendre):
-    """The cheapest proven orders of a fixed integrand, each from 2 to
-    the cap, cached per (certificate, tier, method)."""
-    return _cheapest(cert, tier, range(2, method.order + 1), method.tol)
-
-
 @functools.lru_cache(maxsize=None)
 def _own_box(integrand_id: str, tier: Tier):
     return _box(_LANES[tier], domain_of(integrand_id, tier))
-
-
-def _proven_rung(lane, cert, box, method: GaussLegendre):
-    """The orders a certified integrand runs alone, one per axis, as
-    ``(orders, bound)``, or None, for the ladder, when none is proven or
-    the box is not the integrand's own domain. Nothing is evaluated.
-    Both take :func:`_cheapest`'s orders: a fixed integrand's from 2 to
-    the cap (:func:`_fixed_proven`, cached per (certificate, tier,
-    method)), eq3_kernel's from the rungs of :func:`_gl_rungs`, at a
-    cost of a few float operations per call: its orders move with a, so
-    any order would build a new table in nearly every call, while the
-    rungs' tables are built once."""
-    if box != _own_box(cert.id, lane.tier):
-        return None
-    if get_integrand(cert.id).parametric:
-        return _cheapest(cert, lane.tier, _gl_rungs(method), method.tol)
-    return _fixed_proven(cert, lane.tier, method)
 
 
 # The mapped (point, weight) rule of each (order, tier, axis) a proven run
@@ -872,12 +730,14 @@ def _gl(lane, f, box, method: GaussLegendre):
     # first estimate <= tol (converged); the fixed rule runs both rungs
     # and is converged unless the two rules differ by more than a tenth
     # of the value, agreeing on no leading digit. With a tol, an
-    # integrand carrying a certificate (a registry lane, or the checked
-    # re-run's wrapper of one) runs its proven orders alone, with the
-    # proven bound as the estimate
+    # integrand with a certificate (a registry lane, or the checked
+    # re-run's wrapper of one) over its own domain runs its proven orders
+    # alone (:mod:`.bounds`), with the proven bound as the estimate
     tol = method.tol
-    certificate = None if tol is None else getattr(f, "certificate", None)
-    proven = None if certificate is None else _proven_rung(lane, certificate(), box, method)
+    rungs = _gl_rungs(method)
+    cert = None if tol is None else getattr(f, "certificate", lambda: None)()
+    own = cert is not None and box == _own_box(cert.id, lane.tier)
+    proven = bounds._proven_rung(cert, lane.tier, method, rungs) if own else None
     if proven is not None:
         orders, bound = proven
         value = _gl_rule(lane, f, box, orders, own=True)
@@ -885,7 +745,7 @@ def _gl(lane, f, box, method: GaussLegendre):
         return value, est, math.prod(orders), est <= tol
     prev = None
     evals = 0
-    for n in _gl_rungs(method):
+    for n in rungs:
         value = _gl_rule(lane, f, box, (n,) * len(box))
         evals += n ** len(box)
         if prev is not None:
@@ -1052,15 +912,10 @@ def _tensor(lane, f, box, method):
 def _iterated(lane, f, box, method):
     # adaptive 1-D passes over x inside a 1-D pass over y, the inner
     # tolerance ten times tighter; only inner evaluations are counted
+    field = "target_eps" if isinstance(method, TanhSinh) else "tol"
+    tol = getattr(method, field)
     floor = 10.0 * lane.tier.eps
-    if isinstance(method, TanhSinh):
-        inner = TanhSinh(method.max_level, max(method.target_eps * 0.1, floor))
-    elif isinstance(method, AdaptiveSimpson):
-        inner = AdaptiveSimpson(max(method.tol * 0.1, floor), method.max_depth)
-    elif method.tol is not None:
-        inner = GaussLegendre(method.order, max(method.tol * 0.1, floor))
-    else:
-        inner = method
+    inner = method if tol is None else replace(method, **{field: max(tol * 0.1, floor)})
     evals = 0
     conv = True
     inner_est = 0.0
@@ -1130,9 +985,8 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
 
 def _box(lane, domain):
     # each axis's endpoints as lane values
-    return tuple(
-        [(lane.pack(iv.lower.hi, iv.lower.lo), lane.pack(iv.upper.hi, iv.upper.lo)) for iv in domain]
-    )
+    pack = lane.pack
+    return tuple([(pack(iv.lower.hi, iv.lower.lo), pack(iv.upper.hi, iv.upper.lo)) for iv in domain])
 
 
 def _result(lane, value, est: float, evals: int, converged: bool) -> QuadResult:

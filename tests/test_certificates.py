@@ -16,7 +16,7 @@ from ahmedquad import (
     integrate_1d,
     seeded_a_values,
 )
-from ahmedquad import integrands, quad
+from ahmedquad import bounds, integrands, quad
 from ahmedquad.verify import default_config
 from helpers import TIER_IDS, TIERS
 
@@ -296,7 +296,7 @@ def _mp_truth(integrand_id):
 def _picks():
     # the orders each fixed integrand runs at each tier and tolerance
     return {
-        (cert.id, t, tol): quad._fixed_proven(cert, t, GaussLegendre(96, tol))[0]
+        (cert.id, t, tol): bounds._fixed_proven(cert, t, GaussLegendre(96, tol))[0]
         for cert in integrands._CERTIFICATES
         for t, tol in TOLS
     }
@@ -327,13 +327,13 @@ def test_fixed_integrands_are_within_their_bound_near_their_picks(integrand_id):
         for near in _near_picks(orders):
             value = quad._gl_rule(lane, integrands.raw_fn(iid, tier), box, near)
             got = sum(mpmath.mpf(w) for w in lane.words(value))
-            bound = quad._gl_bound(cert, tier, near)
+            bound = bounds._gl_bound(cert, tier, near)
             assert abs(got - truth) <= bound, (tier.value, tol, near)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_the_cheapest_orders_are_those_of_a_search_over_every_pair(seed):
-    # quad._fixed_proven against trying every order (pair) up to the cap,
+    # bounds._fixed_proven against trying every order (pair) up to the cap,
     # on seeded certificates over eq4's box: the fewest points, then the
     # lower n_x. Slowly falling terms (rho near 1) put the cheapest pair
     # above the lowest feasible n_x, symmetric axes make ties between
@@ -357,11 +357,11 @@ def test_the_cheapest_orders_are_those_of_a_search_over_every_pair(seed):
             (
                 (math.prod(o), o)
                 for o in itertools.product(range(2, cap + 1), repeat=len(axes))
-                if quad._gl_bound(cert, tier, o) <= tol
+                if bounds._gl_bound(cert, tier, o) <= tol
             ),
             default=None,
         )
-        got = quad._fixed_proven(cert, tier, GaussLegendre(cap, tol))
+        got = bounds._fixed_proven(cert, tier, GaussLegendre(cap, tol))
         assert (got and got[0]) == (want and want[1]), (axes, tol, cap)
 
 
@@ -412,12 +412,22 @@ BUDGET_ORDERS = sorted(
 
 @pytest.mark.parametrize("n", BUDGET_ORDERS)
 def test_the_weight_tables_error_is_within_the_rounding_budget(n):
-    # quad._ROUNDING budgets 2.5 u for the double-word weight table:
+    # the rounding budget's weights term for the double-word weight table:
     # sum |w_i - w_i*| <= 2.5 u sum w_i* for the Gauss-Legendre weights
     # w_i* at 240 bits (measured: 0.12 to 2.13 u at n = 2 to 32, the worst
     # at 21, and 2.3 u at 96)
     xs, ws = quad._gl_table(n, Tier.DOUBLEWORD)
+    budget = bounds._ROUNDING_TERMS["weights"] * 2.0**-104
     with mpmath.workprec(240):
         want = [w for _, w in _newton_rule(n, xs)]
         err = sum(abs(mpmath.mpf(wh) + mpmath.mpf(wl) - w) for (wh, wl), w in zip(ws, want))
-        assert err <= 2.5 * 2.0**-104 * sum(want)
+        assert err <= budget * sum(want)
+
+
+def test_the_rounding_constant_covers_twice_its_terms():
+    # _ROUNDING charges every term of a proven rule with twice the sum of
+    # the measured and estimated per-source errors, or more; raising one
+    # term without raising the constant fails here
+    terms = bounds._ROUNDING_TERMS
+    assert set(terms) == {"lane", "weights", "point", "products", "sum"}
+    assert bounds._ROUNDING >= 2.0 * sum(terms.values())

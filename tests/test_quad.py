@@ -32,7 +32,7 @@ from ahmedquad import (
     sub,
     tanh_sinh_abscissas,
 )
-from ahmedquad import quad, scalar
+from ahmedquad import bounds, quad, scalar
 from ahmedquad.integrands import Interval, domain_of, raw_fn
 from ahmedquad.quad import _integrate_1d_ts_fixed, _ts_nodes
 from helpers import (
@@ -1228,12 +1228,12 @@ class TestAdaptiveGaussLegendre:
             assert orders[0] in _gl_rungs(method)
         else:
             cert = raw_fn(iid, tier).certificate()
-            assert quad._gl_bound(cert, tier, orders) == est
+            assert bounds._gl_bound(cert, tier, orders) == est
             # no rule of fewer points is proven, nor one of as many with a
             # lower n_x, by the bound tried at every such order up to the cap
             for other in itertools.product(range(2, 97), repeat=dim):
                 if (math.prod(other), other) < (res.evaluations, orders):
-                    assert quad._gl_bound(cert, tier, other) > tol, other
+                    assert bounds._gl_bound(cert, tier, other) > tol, other
         fixed = _fixed_rule(_lane_callable(iid, tier, a), domain_of(iid, tier), tier, orders)
         assert _pin_of(res)[:2] == (fixed.hi.hex(), fixed.lo.hex())
 
@@ -1248,8 +1248,6 @@ class TestAdaptiveGaussLegendre:
         rng = random.Random(0xE93)
         a_values = [10.0 ** rng.uniform(-3, 3) for _ in range(12)] + [1e-140]
         tols = {Tier.NATIVE64: (1e-6, 1e-10, 1e-13), Tier.DOUBLEWORD: (1e-13, 1e-20, 1e-26)}[tier]
-        lane = quad._LANES[tier]
-        box = quad._own_box("eq3_kernel", tier)
         picked = set()
         for tol in tols:
             for cap in (16, 96, 100):
@@ -1258,14 +1256,14 @@ class TestAdaptiveGaussLegendre:
                 for a_val in a_values:
                     a = Real.from_float(a_val, tier)
                     cert = raw_fn("eq3_kernel", tier, a).certificate()
-                    want = [n for n in rungs if quad._gl_bound(cert, tier, (n,)) <= tol][:1]
-                    proven = quad._proven_rung(lane, cert, box, method)
+                    want = [n for n in rungs if bounds._gl_bound(cert, tier, (n,)) <= tol][:1]
+                    proven = bounds._proven_rung(cert, tier, method, rungs)
                     res = integrate_1d("eq3_kernel", config=EngineConfig(method, tier), a=a)
                     if a_val == 1e-140:
                         assert proven is None and not want, (tol, cap)
                         assert not res.converged and res.evaluations == sum(rungs)
                     elif want:
-                        bound = quad._gl_bound(cert, tier, tuple(want))
+                        bound = bounds._gl_bound(cert, tier, tuple(want))
                         assert proven == (tuple(want), bound), (a_val, tol, cap)
                         assert res.evaluations == want[0]
                         picked.add(want[0])
@@ -1300,7 +1298,7 @@ class TestAdaptiveGaussLegendre:
                 for iid in ONE_D_IDS + TWO_D_IDS:
                     orders.clear()
                     res = _registry_run(iid, method, tier)
-                    proven = quad._fixed_proven(raw_fn(iid, tier).certificate(), tier, method)
+                    proven = bounds._fixed_proven(raw_fn(iid, tier).certificate(), tier, method)
                     if proven is None:
                         assert set(orders) <= set(_gl_rungs(method)), (iid, orders)
                         continue
@@ -1347,7 +1345,7 @@ class TestAdaptiveGaussLegendre:
         def refuse(*args):
             raise AssertionError("certificate lookup under fixed-order Gauss-Legendre")
 
-        monkeypatch.setattr(quad, "_proven_rung", refuse)
+        monkeypatch.setattr(bounds, "_proven_rung", refuse)
         assert len(bench_rows(Tier.NATIVE64)) == 28
         for tier in TIERS:
             for n in (2, 8, 24, 96):
@@ -1364,7 +1362,7 @@ class TestAdaptiveGaussLegendre:
         method = GaussLegendre(96, LADDER_TOLS[tier][-1])
         with pytest.raises(NonFiniteError, match="non-finite sum"):
             _registry_run("i2_kernel_eq4", method, tier)
-        picked, _ = quad._fixed_proven(raw_fn("i2_kernel_eq4", tier).certificate(), tier, method)
+        picked, _ = bounds._fixed_proven(raw_fn("i2_kernel_eq4", tier).certificate(), tier, method)
         assert orders == list(picked) * 2
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
@@ -1519,9 +1517,16 @@ def _pin_simpson(tier, native_tol, dd_tol):
     return AdaptiveSimpson(native_tol if tier is Tier.NATIVE64 else dd_tol)
 
 
+def _pin_glp(tier):
+    # proven Gauss-Legendre: a registry integrand over its own domain
+    # runs the orders its certificate proves within tol
+    return GaussLegendre(96, 1e-13 if tier is Tier.NATIVE64 else 1e-26)
+
+
 def _pin_methods(tier):
     return {
         "gl8": GaussLegendre(8),
+        "glp": _pin_glp(tier),
         "ts4": _pin_ts(tier, 4),
         "as": _pin_simpson(tier, 1e-8, 1e-12),
     }
@@ -1541,6 +1546,7 @@ def _pin_run(case):
         rest, _, iid = rest.partition("@")
         methods = {
             "gl8": GaussLegendre(8),
+            "glp": _pin_glp(tier),
             "ts3": _pin_ts(tier, 3),
             "as": _pin_simpson(tier, 1e-6, 1e-8),
         }
@@ -1580,6 +1586,9 @@ PINNED = {
     'n-1d:gl8@ahmed_eq1': ('0x1.07307fd71fca2p-1', '0x0.0p+0', '0x1.fac4dce940000p-19', '0x0.0p+0', 12, True),
     'n-1d:gl8@i1_theta': ('0x1.a51a6625307c1p-1', '0x0.0p+0', '0x1.4771576000000p-25', '0x0.0p+0', 12, True),
     'n-1d:gl8@eq3_kernel': ('0x1.bda7a85bd37f0p-2', '0x0.0p+0', '0x1.68dbce7200000p-22', '0x0.0p+0', 12, True),
+    'n-1d:glp@ahmed_eq1': ('0x1.07307fd73e4e5p-1', '0x0.0p+0', '0x1.86c7bae4b9967p-47', '0x0.0p+0', 12, True),
+    'n-1d:glp@i1_theta': ('0x1.a51a6625307d2p-1', '0x0.0p+0', '0x1.4d54ce0b3cbbfp-47', '0x0.0p+0', 9, True),
+    'n-1d:glp@eq3_kernel': ('0x1.bda7a85bd40ccp-2', '0x0.0p+0', '0x1.0ae5321601545p-48', '0x0.0p+0', 12, True),
     'n-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x0.0p+0', '0x1.07307fd73e4e4p-51', '0x0.0p+0', 103, True),
     'n-1d:ts4@i1_theta': ('0x1.a51a6625307d4p-1', '0x0.0p+0', '0x1.a51a6625307d4p-51', '0x0.0p+0', 103, True),
     'n-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cap-2', '0x0.0p+0', '0x1.bda7a85bd40cap-52', '0x0.0p+0', 103, True),
@@ -1587,6 +1596,9 @@ PINNED = {
     'n-1d:as@i1_theta': ('0x1.a51a662541db8p-1', '0x0.0p+0', '0x1.c0251d3555555p-29', '0x0.0p+0', 33, True),
     'n-1d:as@eq3_kernel': ('0x1.bda7a85c2af62p-2', '0x0.0p+0', '0x1.0eb039feaaaaap-28', '0x0.0p+0', 41, True),
     'n-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '0x0.0p+0', '0x1.fb5a88f4e0000p-19', '0x0.0p+0', 80, True),
+    'n-tensor:glp': ('0x1.3bd3cc9be45dep-2', '0x0.0p+0', '0x1.17151cf6c7089p-46', '0x0.0p+0', 120, True),
+    'n-tensor:glp@product_kernel_eq6a': ('0x1.3bd3cc9be45e1p-1', '0x0.0p+0', '0x1.9c97def0ae1d2p-46', '0x0.0p+0', 144, True),
+    'n-tensor:glp@shifted_kernel_eq6b': ('0x1.3bd3cc9be45dfp-2', '0x0.0p+0', '0x1.17151cf6c7089p-46', '0x0.0p+0', 120, True),
     'n-tensor:ts3': ('0x1.3bd3cc9be45dfp-2', '0x0.0p+0', '0x1.3768750000000p-29', '0x0.0p+0', 2601, False),
     'n-tensor:gl8@product_kernel_eq6a': ('0x1.3bd3cc9ba755dp-1', '0x0.0p+0', '0x1.fb5a88f4c0000p-18', '0x0.0p+0', 80, True),
     'n-tensor:gl8@shifted_kernel_eq6b': ('0x1.3bd3cc9ba755cp-2', '0x0.0p+0', '0x1.fb5a88f500000p-19', '0x0.0p+0', 80, True),
@@ -1604,6 +1616,9 @@ PINNED = {
     'd-1d:gl8@ahmed_eq1': ('0x1.07307fd71fca2p-1', '-0x1.a888161591c81p-57', '0x1.fac4dce97db5bp-19', '0x0.0p+0', 12, True),
     'd-1d:gl8@i1_theta': ('0x1.a51a6625307c2p-1', '0x1.dfdfc745964c8p-55', '0x1.4771575fe3e72p-25', '0x0.0p+0', 12, True),
     'd-1d:gl8@eq3_kernel': ('0x1.bda7a85bd37f2p-2', '-0x1.47454669b34bep-56', '0x1.68dbce72e7ca2p-22', '0x0.0p+0', 12, True),
+    'd-1d:glp@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952ceb6p-58', '0x1.fd5b7c815294ep-91', '0x0.0p+0', 22, True),
+    'd-1d:glp@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89123b98p-56', '0x1.91c9baf3a4dfep-89', '0x0.0p+0', 16, True),
+    'd-1d:glp@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af9p-56', '0x1.00063e396012ap-100', '0x0.0p+0', 24, True),
     'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afe8p-58', '0x1.47791e0fd78a4p-60', '0x0.0p+0', 123, False),
     'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d8912200cp-56', '0x1.e72a2a8000000p-80', '0x0.0p+0', 123, False),
     'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af7p-56', '0x1.39dee07544800p-66', '0x0.0p+0', 123, False),
@@ -1611,6 +1626,9 @@ PINNED = {
     'd-1d:as@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.a420899843504p-55', '0x1.bebd9b01e1064p-41', '0x0.0p+0', 257, True),
     'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde5798p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
     'd-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc33p-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
+    'd-tensor:glp': ('0x1.3bd3cc9be45dep-2', '0x1.692b71366bb76p-56', '0x1.3b0fdec39805bp-88', '0x0.0p+0', 396, True),
+    'd-tensor:glp@product_kernel_eq6a': ('0x1.3bd3cc9be45dep-1', '0x1.692b71366c451p-55', '0x1.4315488116ac1p-89', '0x0.0p+0', 484, True),
+    'd-tensor:glp@shifted_kernel_eq6b': ('0x1.3bd3cc9be45dep-2', '0x1.692b71366bb76p-56', '0x1.3b0fdec39805bp-88', '0x0.0p+0', 396, True),
     'd-tensor:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c83bp-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
     'd-tensor:gl8@product_kernel_eq6a': ('0x1.3bd3cc9ba755dp-1', '-0x1.db65ecf7dfc3ep-59', '0x1.fb5a88f510c58p-18', '0x0.0p+0', 80, True),
     'd-tensor:gl8@shifted_kernel_eq6b': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc2fp-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
@@ -1662,5 +1680,7 @@ def test_engine_paths_pinned_bit_for_bit(case):
     # the ts3 eq6a tensor) were re-pinned when the joins came to take 1/D
     # by one Newton step (_dd_recip): only low words moved, and each value
     # stays within 0.15 units of 2^-104 relative of the same rule summed in
-    # 50-digit arithmetic, with counts, estimates and flags unchanged
+    # 50-digit arithmetic, with counts, estimates and flags unchanged.
+    # The twelve glp cases pin the proven Gauss-Legendre path: each
+    # registry run's picked orders, value and proven bound
     assert _pin_of(_pin_run(case)) == PINNED[case]

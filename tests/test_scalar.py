@@ -32,7 +32,7 @@ from ahmedquad import (
     two_prod,
     two_sum,
 )
-from ahmedquad import integrands, quad, scalar
+from ahmedquad import bounds, integrands, quad, scalar
 from ahmedquad.scalar import _quick_two_sum, _two_prod, _two_sum
 from helpers import (
     ATAN_SQRT2_STR,
@@ -699,10 +699,11 @@ class TestReciprocal:
 # 2^-104 relative; the kernel measures below 0.6.
 
 ATAN_BOUND = 1.0 * 2.0**-104
-# every double-word registry lane against 50-digit mpmath; on 4,200
-# seeded points each the worst is 3.78 units of 2^-104 (i2_x), and the
-# four lanes that end in _dd_recip measure 1.28 at most (i2_kernel_eq4)
-LANE_BOUND = 6.0 * 2.0**-104
+# every double-word registry lane against 50-digit mpmath, within the
+# lane term of the proven bound's rounding budget; on 4,200 seeded points
+# each the worst is 3.78 units of 2^-104 (i2_x), and the four lanes that
+# end in _dd_recip measure 1.28 at most (i2_kernel_eq4)
+LANE_BOUND = bounds._ROUNDING_TERMS["lane"] * 2.0**-104
 
 
 def _atan_rel_err(xh, xl, recip=False):
@@ -909,7 +910,7 @@ def _lane_points(integrand_id, rng):
 @pytest.mark.parametrize("integrand_id", integrands.ids())
 def test_every_lane_against_mpmath(integrand_id):
     # each doubleword registry lane within LANE_BOUND of 50-digit mpmath,
-    # the lane error the proven Gauss-Legendre bound charges (quad._ROUNDING)
+    # the lane error the proven Gauss-Legendre bound charges (bounds._ROUNDING_TERMS)
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     rng = random.Random(0x1A2F)
