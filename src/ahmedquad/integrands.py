@@ -512,6 +512,8 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
     if entry.parametric:
         if a is None:
             raise ConfigError(f"{integrand_id} requires the parameter a")
+        if not isinstance(a, Real):
+            raise ConfigError(f"parameter a must be a Real, not {type(a).__name__}")
         if a.tier is not tier:
             raise TierMismatchError("parameter tier does not match request")
         if a.hi == 0.0:

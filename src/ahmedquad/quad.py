@@ -98,6 +98,7 @@ from .scalar import (
     _dd_sinh,
     _dd_sqr,
     _dd_sqrt,
+    _check_tier,
     _dd_sub,
     _pi_pair,
     _sinh_cosh_table,
@@ -169,6 +170,7 @@ class EngineConfig:
     tier: Tier = Tier.NATIVE64
 
     def __post_init__(self):
+        _check_tier(self.tier)
         m = self.method
         if isinstance(m, GaussLegendre):
             _check_int(m.order, 2, _MAX_GL_ORDER, "Gauss-Legendre order")
@@ -313,6 +315,7 @@ def gl_nodes(order: int, tier: Tier = Tier.NATIVE64) -> NodeTable:
     """The memoized Gauss-Legendre rule of a given order at a tier.
     Repeated calls return the identical table object."""
     _check_int(order, 2, _MAX_GL_ORDER, "order")
+    _check_tier(tier)
     real = _LANES[tier].real
     xs, ws = _gl_table(order, tier)
     return NodeTable(order, tier, tuple(map(real, xs)), tuple(map(real, ws)))
@@ -425,6 +428,7 @@ def tanh_sinh_abscissas(
     endpoints, so adjacent table entries there can round to equal
     abscissas (their weights stay distinct)."""
     _check_int(level, 1, _MAX_TS_LEVEL, "level")
+    _check_tier(tier)
     lane = _LANES[tier]
     nodes = []  # (t / h, x, w)
     for k in range(1, level + 1):
@@ -950,6 +954,10 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
     degenerate domain costs one probing evaluation and yields zero."""
     lane = _LANES[tier]
     what = "interval" if dim == 1 else "region"
+    if domain is not None:
+        ok = isinstance(domain, (tuple, list)) and len(domain) == dim
+        if not (ok and all(isinstance(iv, Interval) for iv in domain)):
+            raise ConfigError(f"{what} must be " + ("an Interval" if dim == 1 else "two Intervals"))
     if isinstance(f, str):
         entry = get_integrand(f)
         if entry.dim != dim:

@@ -110,6 +110,11 @@ class Tier(enum.Enum):
         return 17 if self is Tier.NATIVE64 else 32
 
 
+def _check_tier(tier) -> None:
+    if not isinstance(tier, Tier):
+        raise ConfigError(f"tier must be a Tier, not {tier!r}")
+
+
 # ----------------------------------------------------------------------
 # Error-free transformations on raw floats
 # ----------------------------------------------------------------------
@@ -838,6 +843,7 @@ class Real:
     __slots__ = ("hi", "lo", "tier")
 
     def __init__(self, value: float = 0.0, lo: float = 0.0, tier: Tier = Tier.NATIVE64):
+        _check_tier(tier)
         hi = float(value)
         lo = float(lo)
         if not (math.isfinite(hi) and math.isfinite(lo)):
@@ -872,6 +878,7 @@ class Real:
     @classmethod
     def from_decimal(cls, text: str, tier: Tier = Tier.NATIVE64) -> "Real":
         """Parse a decimal literal with correct rounding at the tier."""
+        _check_tier(tier)
         try:
             d = Decimal(text)
         except InvalidOperation as exc:
@@ -993,6 +1000,11 @@ def sqrt(x: Real) -> Real:
         raise DomainError("sqrt of a negative value")
     if x.tier is Tier.NATIVE64:
         return Real._raw(math.sqrt(x.hi), 0.0, x.tier)
+    if 0.0 < x.hi < 2.0**-968:
+        # Karp's y^2 would have a subnormal low word: sqrt(x) = 2^-500
+        # sqrt(2^1000 x), each scaling exact
+        rh, rl = _dd_sqrt(x.hi * 2.0**1000, x.lo * 2.0**1000)
+        return Real._raw(rh * 2.0**-500, rl * 2.0**-500, x.tier)
     rh, rl = _dd_sqrt(x.hi, x.lo)
     return Real._raw(rh, rl, x.tier)
 
@@ -1033,6 +1045,7 @@ def exp(x: Real) -> Real:
 def pi(tier: Tier = Tier.NATIVE64) -> Real:
     """The circle constant at the tier. The double-word value is the
     nearest pair to a compiled-in digit string."""
+    _check_tier(tier)
     if tier is Tier.NATIVE64:
         return Real._raw(math.pi, 0.0, tier)
     ph, pl = _pi_pair()

@@ -23,6 +23,7 @@ from ahmedquad import (
     TierMismatchError,
     closed_form,
     div,
+    eval_integrand,
     gl_nodes,
     integrate_1d,
     integrate_2d,
@@ -368,6 +369,30 @@ class TestEngineConfig:
         ],
     )
     def test_bool_is_neither_an_int_nor_a_tolerance(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EngineConfig(GaussLegendre(8), "native64"),
+            lambda: EngineConfig(TanhSinh(4, 1e-10), "native64"),
+            lambda: Real(1.0, 0.0, "x"),
+            lambda: Real.from_float(1.0, "doubleword"),
+            lambda: Real.from_decimal("1.5", "x"),
+            lambda: pi("doubleword"),
+            lambda: gl_nodes(4, "native64"),
+            lambda: tanh_sinh_abscissas(4, "doubleword"),
+            lambda: integrate_1d("eq3_kernel", a=2.0),
+            lambda: eval_integrand("eq3_kernel", Real.from_float(0.5), a=2.0),
+        ],
+        ids=[
+            "config-gl", "config-ts", "real", "real-from-float", "real-from-decimal", "pi",
+            "gl-nodes", "abscissas", "integrate-a", "eval-a",
+        ],
+    )
+    def test_a_tier_or_parameter_of_the_wrong_type(self, build):
+        # a tier that is not a Tier, or a parameter a that is not a Real
         with pytest.raises(ConfigError):
             build()
 
@@ -810,6 +835,29 @@ class TestIntegrate2D:
                 (_unit(Tier.DOUBLEWORD), _unit(Tier.DOUBLEWORD)),
                 EngineConfig(GaussLegendre(8), Tier.NATIVE64),
             )
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda u: integrate_2d(lambda x, y: x, (u, u, u), EngineConfig(GaussLegendre(8))),
+            lambda u: integrate_2d(lambda x, y: x, (u,)),
+            lambda u: integrate_2d("i2_kernel_eq4", (u,)),
+            lambda u: integrate_2d("i2_kernel_eq4", u),
+            lambda u: integrate_2d("i2_kernel_eq4", (u, 1.0)),
+            lambda u: integrate_1d(lambda x: x, [u]),
+            lambda u: integrate_1d("ahmed_eq1", (u,)),
+        ],
+        ids=["three", "one", "registry-one", "interval", "float", "1d-list", "1d-tuple"],
+    )
+    def test_a_domain_of_the_wrong_shape(self, run):
+        # an interval is an Interval, and a region exactly two of them
+        with pytest.raises(ConfigError):
+            run(_unit(Tier.NATIVE64))
+
+    def test_a_region_may_be_a_list(self):
+        u = _unit(Tier.NATIVE64)
+        config = EngineConfig(GaussLegendre(8))
+        assert integrate_2d(lambda x, y: x, [u, u], config) == integrate_2d(lambda x, y: x, (u, u), config)
 
 
 # ----------------------------------------------------------------------

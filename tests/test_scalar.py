@@ -1311,3 +1311,29 @@ def test_tier_hashes_by_identity():
     # a Tier-keyed cache hashes the member in C, not through Enum.__hash__
     assert Tier.__hash__ is object.__hash__
     assert {Tier.NATIVE64: 1, Tier.DOUBLEWORD: 2}[Tier("doubleword")] == 2
+
+
+def test_sqrt_over_every_binade():
+    # the public double-word sqrt against 50-digit mpmath on three seeded
+    # words per binade from 2^-1022 to 2^1020. Below 2^-968 the input is
+    # prescaled; unscaled, the kernel's error grew to ~10^15 units at
+    # 2^-1022. Above, Karp's one Newton step measures up to 1.63 units
+    # (20 seeded words per binade of [2^-900, 2^900]), so it is held to 2
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = random.Random(0x5091)
+    for k in range(-1022, 1021):
+        for _ in range(3):
+            xh = rng.uniform(1.0, 2.0) * 2.0**k
+            xh, xl = _two_sum(xh, rng.uniform(-0.5, 0.5) * math.ulp(xh))
+            r = sqrt(Real._raw(xh, xl, Tier.DOUBLEWORD))
+            want = mp.sqrt(mp.mpf(xh) + mp.mpf(xl))
+            err = float(abs((mp.mpf(r.hi) + mp.mpf(r.lo) - want) / want)) / 2.0**-104
+            assert err <= 2.0, f"sqrt({xh!r}, {xl!r}): {err:.3g} units"
+
+
+def test_sqrt_keeps_the_kernels_bits_from_2_to_the_minus_968():
+    # only inputs below 2^-968 are prescaled
+    for xh in (2.0**-968, 1e-291, 1e-300 * 2.0**100, 2.0, 1e300):
+        r = sqrt(Real._raw(xh, 0.0, Tier.DOUBLEWORD))
+        assert (r.hi, r.lo) == scalar._dd_sqrt(xh, 0.0)
