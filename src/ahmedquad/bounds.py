@@ -61,8 +61,11 @@ def _gl_terms(cert, tier: Tier):
     def term(scale, pairs):
         def at(n):
             k = 4.0 * (1.0 + 1.0 / (4 * n * n - 1))
-            axis = (m * rho ** (2 - 2 * n) / (rho * rho - 1.0) for rho, m in pairs)
-            return scale * k * min(axis, default=math.inf)
+            axis = min(
+                (m * rho ** (2 - 2 * n) / (rho * rho - 1.0) for rho, m in pairs),
+                default=math.inf,
+            )
+            return scale * k * axis
 
         return at
 

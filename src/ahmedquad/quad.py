@@ -85,6 +85,7 @@ from .integrands import Interval, domain_of, get as get_integrand, raw_fn
 from .scalar import (
     Real,
     Tier,
+    _check_tier,
     _dd_add,
     _dd_add_d,
     _dd_div,
@@ -98,7 +99,6 @@ from .scalar import (
     _dd_sinh,
     _dd_sqr,
     _dd_sqrt,
-    _check_tier,
     _dd_sub,
     _pi_pair,
     _sinh_cosh_table,
@@ -993,8 +993,9 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
 
 def _box(lane, domain):
     # each axis's endpoints as lane values
-    pack = lane.pack
-    return tuple([(pack(iv.lower.hi, iv.lower.lo), pack(iv.upper.hi, iv.upper.lo)) for iv in domain])
+    return tuple(
+        [(lane.pack(iv.lower.hi, iv.lower.lo), lane.pack(iv.upper.hi, iv.upper.lo)) for iv in domain]
+    )
 
 
 def _result(lane, value, est: float, evals: int, converged: bool) -> QuadResult:
