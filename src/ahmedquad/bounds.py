@@ -135,11 +135,12 @@ def _fixed_proven(cert, tier: Tier, method):
     return _cheapest(cert, tier, range(2, method.order + 1), method.tol)
 
 
-def _proven_rung(cert, tier: Tier, method, rungs):
+def _proven_rung(cert, tier: Tier, method, ladder):
     """The orders an integrand over its own domain runs alone, one per
     axis, as ``(orders, bound)`` within ``method.tol``, or None: a fixed
-    integrand's from 2 to the cap, eq3_kernel's from the ladder's
-    ``rungs``, whose tables are built once while its orders move with a."""
+    integrand's from 2 to the cap, eq3_kernel's from the rungs
+    ``ladder(method)``, whose tables are built once while its orders
+    move with a."""
     if get_integrand(cert.id).parametric:
-        return _cheapest(cert, tier, rungs, method.tol)
+        return _cheapest(cert, tier, ladder(method), method.tol)
     return _fixed_proven(cert, tier, method)

@@ -72,7 +72,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import bounds
 from .errors import (
@@ -738,10 +738,10 @@ def _gl(lane, f, box, method: GaussLegendre):
     # re-run's wrapper of one) over its own domain runs its proven orders
     # alone (:mod:`.bounds`), with the proven bound as the estimate
     tol = method.tol
-    rungs = _gl_rungs(method)
-    cert = None if tol is None else getattr(f, "certificate", lambda: None)()
+    certificate = None if tol is None else getattr(f, "certificate", None)
+    cert = None if certificate is None else certificate()
     own = cert is not None and box == _own_box(cert.id, lane.tier)
-    proven = bounds._proven_rung(cert, lane.tier, method, rungs) if own else None
+    proven = bounds._proven_rung(cert, lane.tier, method, _gl_rungs) if own else None
     if proven is not None:
         orders, bound = proven
         value = _gl_rule(lane, f, box, orders, own=True)
@@ -749,7 +749,7 @@ def _gl(lane, f, box, method: GaussLegendre):
         return value, est, math.prod(orders), est <= tol
     prev = None
     evals = 0
-    for n in rungs:
+    for n in _gl_rungs(method):
         value = _gl_rule(lane, f, box, (n,) * len(box))
         evals += n ** len(box)
         if prev is not None:
@@ -916,10 +916,15 @@ def _tensor(lane, f, box, method):
 def _iterated(lane, f, box, method):
     # adaptive 1-D passes over x inside a 1-D pass over y, the inner
     # tolerance ten times tighter; only inner evaluations are counted
-    field = "target_eps" if isinstance(method, TanhSinh) else "tol"
-    tol = getattr(method, field)
     floor = 10.0 * lane.tier.eps
-    inner = method if tol is None else replace(method, **{field: max(tol * 0.1, floor)})
+    if isinstance(method, TanhSinh):
+        inner = TanhSinh(method.max_level, max(method.target_eps * 0.1, floor))
+    elif isinstance(method, AdaptiveSimpson):
+        inner = AdaptiveSimpson(max(method.tol * 0.1, floor), method.max_depth)
+    elif method.tol is not None:
+        inner = GaussLegendre(method.order, max(method.tol * 0.1, floor))
+    else:
+        inner = method
     evals = 0
     conv = True
     inner_est = 0.0
