@@ -33,10 +33,11 @@ _ROUNDING_TERMS = {
     # lane by tests/test_scalar.py::test_every_lane_against_mpmath (the
     # worst is 3.8, for i2_x)
     "lane": 6.0,
-    # the table's sum |dw_i| / sum w_i against 240-bit weights, measured
-    # at 0.12 to 2.13 at orders 2 to 32 and 0.39 to 2.3 at the ladder's 6
-    # to 96, and held by tests/test_certificates.py at every picked order
-    "weights": 2.5,
+    # the table's sum |dw_i| / sum w_i against 240-bit weights: each
+    # doubleword weight is the nearest pair, within 0.25 (measured at
+    # orders 2 to 128: 0.123, the sum 0.056; tests/test_certificates.py
+    # holds both to 0.5). Native64 weights measure up to 6.9 (ROADMAP 17)
+    "weights": 0.5,
     # the mapped point's, about 1, times |x f'/f| <= 2 on the domains
     "point": 2.0,
     # the weight and Jacobian products, about 1.25 each (Joldes, Muller
@@ -44,7 +45,7 @@ _ROUNDING_TERMS = {
     "products": 2.5,
     "sum": 0.5,  # exactly rounded
 }
-# over twice the terms' 13.5. _OUTWARD widens the whole bound for the
+# over twice the terms' 11.5. _OUTWARD widens the whole bound for the
 # binary64 rounding of its own few dozen steps, each within 2^-53
 # relative; none cancels badly, since every rho used exceeds 1 + 2^-21
 _ROUNDING = 32.0

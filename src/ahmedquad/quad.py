@@ -9,8 +9,9 @@ Three rules share one result contract:
   With a ``tol``, a registry integrand over its own domain instead runs
   alone the orders that :mod:`.bounds` proves within ``tol``.
   Nodes are found by Newton iteration from Chebyshev initial guesses;
-  DOUBLEWORD tables polish each converged root with two further Newton
-  steps in double-word arithmetic.
+  DOUBLEWORD tables take each converged root two further Newton steps
+  in integers at the 2^-192 fixed point and round each node and weight
+  once, to the nearest double-word pair.
 * Tanh-sinh (double-exponential) rules with level-halved step sizes
   ``h = 2^-k`` and incremental refinement: level ``k`` reuses every
   point of level ``k - 1``, and :func:`tanh_sinh_abscissas` is the union
@@ -83,23 +84,24 @@ from .errors import (
 )
 from .integrands import Interval, domain_of, get as get_integrand, raw_fn
 from .scalar import (
+    _FIX,
+    _ONE,
     Real,
     Tier,
     _check_tier,
     _dd_add,
     _dd_add_d,
     _dd_div,
-    _dd_div_d,
     _dd_div_d_rescued,
     _dd_exp,
     _dd_mul,
-    _dd_mul_d,
     _dd_mul_rescued,
     _dd_scale2,
     _dd_sinh,
     _dd_sqr,
     _dd_sqrt,
     _dd_sub,
+    _pair_from_fixed,
     _pi_pair,
     _sinh_cosh_table,
 )
@@ -232,21 +234,12 @@ def _legendre_native(n: int, x: float) -> tuple[float, float]:
     return p1, dp
 
 
-def _legendre_dd(n: int, xh: float, xl: float) -> tuple[float, float, float, float]:
-    p0h, p0l = 1.0, 0.0
-    p1h, p1l = xh, xl
+def _legendre_fixed(n: int, x: int) -> tuple[int, int]:
+    # P_(n-1)(x) and P_n(x) by the recurrence, at the 2^-_FIX fixed point
+    p0, p1 = _ONE, x
     for k in range(1, n):
-        th, tl = _dd_mul(p1h, p1l, xh, xl)
-        th, tl = _dd_mul_d(th, tl, float(2 * k + 1))
-        sh, sl = _dd_mul_d(p0h, p0l, float(k))
-        th, tl = _dd_sub(th, tl, sh, sl)
-        th, tl = _dd_div_d(th, tl, float(k + 1))
-        p0h, p0l, p1h, p1l = p1h, p1l, th, tl
-    numh, numl = _dd_sub(*_dd_mul(p1h, p1l, xh, xl), p0h, p0l)
-    numh, numl = _dd_mul_d(numh, numl, float(n))
-    denh, denl = _dd_add_d(*_dd_sqr(xh, xl), -1.0)
-    dph, dpl = _dd_div(numh, numl, denh, denl)
-    return p1h, p1l, dph, dpl
+        p0, p1 = p1, (((2 * k + 1) * x * p1 >> _FIX) - k * p0) // (k + 1)
+    return p0, p1
 
 
 def _gl_positive_roots_native(n: int) -> list[tuple[float, float]]:
@@ -273,29 +266,33 @@ def _gl_positive_roots_native(n: int) -> list[tuple[float, float]]:
     return out
 
 
-def _gl_polish_dd(n: int, x0: float):
-    # two double-word Newton steps from the native root, then its weight
-    xh, xl = x0, 0.0
+def _gl_nearest_pairs(n: int, x0: float):
+    # the root x of P_n by two Newton steps at the fixed point from the
+    # native root x0, and its weight 2 (1 - x^2) / d^2, d = n (x P_n -
+    # P_(n-1)) = (x^2 - 1) P_n'(x), each rounded once to the nearest pair.
+    # d is the last step's: its derivative n (n + 1) P_n vanishes at the
+    # root, so it is off by a term in the square of that step
+    x = int(math.ldexp(x0, _FIX))
     for _ in range(2):
-        ph, pl, dph, dpl = _legendre_dd(n, xh, xl)
-        dxh, dxl = _dd_div(ph, pl, dph, dpl)
-        xh, xl = _dd_sub(xh, xl, dxh, dxl)
-    _, _, dph, dpl = _legendre_dd(n, xh, xl)
-    oh, ol = _dd_sub(1.0, 0.0, *_dd_sqr(xh, xl))
-    dh, dl = _dd_mul(oh, ol, *_dd_sqr(dph, dpl))
-    return (xh, xl), _dd_div(2.0, 0.0, dh, dl)
+        q, p = _legendre_fixed(n, x)
+        d = n * ((x * p >> _FIX) - q)
+        x -= p * ((x * x >> _FIX) - _ONE) // d
+    return _pair_from_fixed(x), _pair_from_fixed(((_ONE * _ONE - x * x) << _FIX + 1) // (d * d))
 
 
 @functools.lru_cache(maxsize=None)
 def _gl_table(n: int, tier: Tier):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], as lane
-    values of the tier: the table the engine cores read."""
+    values of the tier: the table the engine cores read. DOUBLEWORD
+    nodes and weights are the nearest double-word pairs to the exact
+    ones, from Newton on the Legendre recurrence in integers at the
+    2^-192 fixed point."""
     lane = _LANES[tier]
     xs = [lane.zero] * n
     ws = [lane.zero] * n
     for i, (x, w) in enumerate(_gl_positive_roots_native(n)):
         if tier is Tier.DOUBLEWORD:
-            x, w = _gl_polish_dd(n, x)
+            x, w = _gl_nearest_pairs(n, x)
         xs[n - 1 - i] = x
         ws[n - 1 - i] = w
         xs[i] = lane.neg(x)
@@ -305,8 +302,7 @@ def _gl_table(n: int, tier: Tier):
             _, dp = _legendre_native(n, 0.0)
             ws[n // 2] = 2.0 / (dp * dp)
         else:
-            _, _, dph, dpl = _legendre_dd(n, 0.0, 0.0)
-            ws[n // 2] = _dd_div(2.0, 0.0, *_dd_sqr(dph, dpl))
+            ws[n // 2] = _gl_nearest_pairs(n, 0.0)[1]
     return tuple(xs), tuple(ws)
 
 

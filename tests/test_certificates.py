@@ -410,12 +410,30 @@ BUDGET_ORDERS = sorted(
 )
 
 
+# the budget's orders, every 8th up to 128, and 127
+NEAREST_ORDERS = sorted(set(BUDGET_ORDERS) | set(range(8, 129, 8)) | {127})
+
+
+@pytest.mark.parametrize("n", NEAREST_ORDERS)
+def test_every_double_word_node_and_weight_is_the_nearest_pair(n):
+    # each node and weight of the positive half, the middle one of an odd
+    # n included, within 0.5 u of the 240-bit rule, u = 2^-104 relative;
+    # the halves' symmetry is held by tests/test_quad.py
+    xs, ws = quad._gl_table(n, Tier.DOUBLEWORD)
+    half = slice(n // 2, n)
+    with mpmath.workprec(240):
+        want = _newton_rule(n, xs[half])
+        for got, (x, w) in zip(zip(xs[half], ws[half]), want):
+            for (hi, lo), exact in zip(got, (x, w)):
+                assert abs(mpmath.mpf(hi) + mpmath.mpf(lo) - exact) <= 2.0**-105 * abs(exact), (hi, lo)
+
+
 @pytest.mark.parametrize("n", BUDGET_ORDERS)
 def test_the_weight_tables_error_is_within_the_rounding_budget(n):
     # the rounding budget's weights term for the double-word weight table:
-    # sum |w_i - w_i*| <= 2.5 u sum w_i* for the Gauss-Legendre weights
-    # w_i* at 240 bits (measured: 0.12 to 2.13 u at n = 2 to 32, the worst
-    # at 21, and 2.3 u at 96)
+    # sum |w_i - w_i*| <= 0.5 u sum w_i* for the Gauss-Legendre weights
+    # w_i* at 240 bits (measured: at most 0.056 u, at n = 9, over n = 2
+    # to 128, each weight being the nearest pair)
     xs, ws = quad._gl_table(n, Tier.DOUBLEWORD)
     budget = bounds._ROUNDING_TERMS["weights"] * 2.0**-104
     with mpmath.workprec(240):

@@ -286,10 +286,14 @@ class TestVerifyFormats:
     # (_dd_recip): nine of the 20 eq3 samples move in their low words and
     # stay within 0.1 units of 2^-104 relative of the same rule summed in
     # 50-digit arithmetic; every chain step, S4, evaluation count and pass
-    # flag is unchanged
+    # flag is unchanged. Re-pinned when the Gauss-Legendre nodes and
+    # weights became the nearest pairs: S1, S2, S5-S8 and 18 of the eq3
+    # samples move in their last printed digits or residuals (S1's
+    # residual from 1.5e-33 to 0, S8's from 6.078e-30 to 6.095e-30), and
+    # every evaluation count and pass flag is unchanged
     DOUBLEWORD_VERIFY_SHA256 = {
-        "csv": "93fc09eed9069d2f9cbba5649375d636caa03d603a5fa267c43a0733cdda8f44",
-        "json": "a3ac7cc804ca8d1ba5416f0f219f72965fb17068df5902ea2ff1cc8d73e07b63",
+        "csv": "7d7603862ce8123cd0b609df06dbb8a8e058bc022a84a628d99096a29d766cc3",
+        "json": "b003ffc20c1f2b702af15f3e49ac1f20f20ec647164face36de2429c65c3ad16",
     }
 
     @pytest.mark.parametrize("fmt", sorted(DOUBLEWORD_VERIFY_SHA256))
