@@ -35,8 +35,9 @@ _ROUNDING_TERMS = {
     "lane": 6.0,
     # the table's sum |dw_i| / sum w_i against 240-bit weights: each
     # doubleword weight is the nearest pair, within 0.25 (measured at
-    # orders 2 to 128: 0.123, the sum 0.056; tests/test_certificates.py
-    # holds both to 0.5). Native64 weights measure up to 6.9 (ROADMAP 17)
+    # orders 2 to 128: 0.123, the sum 0.056), and each native64 weight
+    # its high word, the nearest double, within 0.5 (measured: 0.493,
+    # the sum 0.294); tests/test_certificates.py holds both to 0.5
     "weights": 0.5,
     # the mapped point's, about 1, times |x f'/f| <= 2 on the domains
     "point": 2.0,

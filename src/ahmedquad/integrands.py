@@ -557,17 +557,16 @@ def eval_integrand(
     outside the domain and :class:`ConfigError` for arity or parameter
     mistakes."""
     entry = get(integrand_id)
-    coords = (point,) if isinstance(point, Real) else tuple(point)
+    coords = tuple(point) if isinstance(point, (tuple, list)) else (point,)
     if len(coords) != entry.dim:
         raise ConfigError(
             f"{integrand_id} expects {entry.dim} coordinate(s), got {len(coords)}"
         )
+    if not all(isinstance(c, Real) for c in coords):
+        raise ConfigError("coordinates must be Real")
     tier = coords[0].tier
-    for c in coords:
-        if not isinstance(c, Real):
-            raise ConfigError("coordinates must be Real")
-        if c.tier is not tier:
-            raise TierMismatchError("mixed coordinate tiers")
+    if any(c.tier is not tier for c in coords):
+        raise TierMismatchError("mixed coordinate tiers")
     domain = domain_of(integrand_id, tier)
     for c, iv in zip(coords, domain):
         if not (iv.lower <= c and c <= iv.upper):

@@ -9,9 +9,10 @@ Three rules share one result contract:
   With a ``tol``, a registry integrand over its own domain instead runs
   alone the orders that :mod:`.bounds` proves within ``tol``.
   Nodes are found by Newton iteration from Chebyshev initial guesses;
-  DOUBLEWORD tables take each converged root two further Newton steps
-  in integers at the 2^-192 fixed point and round each node and weight
-  once, to the nearest double-word pair.
+  each converged root takes two further Newton steps in integers at the
+  2^-192 fixed point, and each node and weight is rounded once, to the
+  nearest double-word pair. NATIVE64 tables keep the high words, the
+  nearest doubles.
 * Tanh-sinh (double-exponential) rules with level-halved step sizes
   ``h = 2^-k`` and incremental refinement: level ``k`` reuses every
   point of level ``k - 1``, and :func:`tanh_sinh_abscissas` is the union
@@ -48,14 +49,15 @@ order of its terms. A double-word total is ``s = fsum(words)`` with the
 rounded remainder ``fsum(words + [-s])``. Across tanh-sinh levels the
 words are scaled by an exact power of two.
 
-Tier-specific code is confined to the node-table arithmetic, each
-lane's point mapping and its three per-evaluation loops (``sum``,
-``tensor``, ``pairs``), which collect the terms and call the integrand at
-fixed arity. Measured on 2 vCPUs under CPython 3.11: over
-167k native 2-D evaluations a row loop calling ``f(x, *y)`` took 65-85%
-longer than one calling ``f(x, y)``; over a 96 x 96 double-word tensor,
-passing the row coordinate on as ``*y`` cost 2-5%, and mapping points
-inside the nested loop instead of once per axis cost 30%.
+Tier-specific code is confined to the tanh-sinh node arithmetic, each
+lane's packing of the Gauss-Legendre pairs, its point mapping and its
+three per-evaluation loops (``sum``, ``tensor``, ``pairs``), which
+collect the terms and call the integrand at fixed arity. Measured on 2
+vCPUs under CPython 3.11: over 167k native 2-D evaluations a row loop
+calling ``f(x, *y)`` took 65-85% longer than one calling ``f(x, y)``;
+over a 96 x 96 double-word tensor, passing the row coordinate on as
+``*y`` cost 2-5%, and mapping points inside the nested loop instead of
+once per axis cost 30%.
 
 Every integrand passes one evaluation boundary, :func:`_boundary`,
 which also converts user callables between Reals and lane values. When
@@ -242,8 +244,9 @@ def _legendre_fixed(n: int, x: int) -> tuple[int, int]:
     return p0, p1
 
 
-def _gl_positive_roots_native(n: int) -> list[tuple[float, float]]:
-    # positive half (descending), each entry (node, weight)
+def _gl_positive_roots_native(n: int) -> list[float]:
+    # the positive roots of P_n (descending), to binary64 accuracy: the
+    # seeds of the integer Newton steps
     out = []
     for i in range(n // 2):
         x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
@@ -260,9 +263,7 @@ def _gl_positive_roots_native(n: int) -> list[tuple[float, float]]:
             raise ConvergenceError(
                 f"Gauss-Legendre node {i} of order {n} did not converge"
             )
-        p, dp = _legendre_native(n, x)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        out.append((x, w))
+        out.append(x)
     return out
 
 
@@ -283,26 +284,21 @@ def _gl_nearest_pairs(n: int, x0: float):
 @functools.lru_cache(maxsize=None)
 def _gl_table(n: int, tier: Tier):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], as lane
-    values of the tier: the table the engine cores read. DOUBLEWORD
-    nodes and weights are the nearest double-word pairs to the exact
-    ones, from Newton on the Legendre recurrence in integers at the
-    2^-192 fixed point."""
+    values of the tier: the table the engine cores read. Each node and
+    weight is the nearest double-word pair to the exact one, from Newton
+    on the Legendre recurrence in integers at the 2^-192 fixed point,
+    packed by the lane: NATIVE64 keeps its high word, the nearest
+    double."""
     lane = _LANES[tier]
     xs = [lane.zero] * n
     ws = [lane.zero] * n
-    for i, (x, w) in enumerate(_gl_positive_roots_native(n)):
-        if tier is Tier.DOUBLEWORD:
-            x, w = _gl_nearest_pairs(n, x)
-        xs[n - 1 - i] = x
-        ws[n - 1 - i] = w
+    # an odd n's middle root is 0, where P_n vanishes exactly; it is
+    # stored last, as +0
+    for i, x0 in enumerate(_gl_positive_roots_native(n) + [0.0] * (n % 2)):
+        x, w = (lane.pack(*pair) for pair in _gl_nearest_pairs(n, x0))
         xs[i] = lane.neg(x)
-        ws[i] = w
-    if n % 2 == 1:
-        if tier is Tier.NATIVE64:
-            _, dp = _legendre_native(n, 0.0)
-            ws[n // 2] = 2.0 / (dp * dp)
-        else:
-            ws[n // 2] = _gl_nearest_pairs(n, 0.0)[1]
+        xs[n - 1 - i] = x
+        ws[i] = ws[n - 1 - i] = w
     return tuple(xs), tuple(ws)
 
 

@@ -386,9 +386,12 @@ def check_eq3(
 
         integral[0,1] dx / (x^2 + a^2)   with   (1/a) atan(1/a).
 
-    The excluded case a = 0 raises :class:`DomainError` up front."""
+    The excluded case a = 0 raises :class:`DomainError` up front, and a
+    ``config`` at another tier than ``tier`` :class:`ConfigError`."""
     if config is None:
         config = default_config(tier if tier is not None else Tier.NATIVE64)
+    elif tier is not None and config.tier is not tier:
+        raise ConfigError("config tier does not match the requested tier")
     tol, _ = _step_tols(config.tier)
     values = tuple(a_values)
     for a in values:

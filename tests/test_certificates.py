@@ -3,6 +3,7 @@ them, checked against independent oracles: every declared (rho, M) pair
 with mpmath's interval arithmetic over the boundary of its Bernstein
 ellipse, and every proven estimate against the 50-digit mpmath error."""
 
+import functools
 import itertools
 import math
 
@@ -414,31 +415,50 @@ BUDGET_ORDERS = sorted(
 NEAREST_ORDERS = sorted(set(BUDGET_ORDERS) | set(range(8, 129, 8)) | {127})
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_half(n):
+    # the 240-bit (node, weight) pairs of the upper half of the order-n
+    # table, the middle one of an odd n first, computed once for both
+    # tiers' checks
+    xs, _ = quad._gl_table(n, Tier.DOUBLEWORD)
+    return _newton_rule(n, xs[n // 2 :])
+
+
+def _exact(v, tier):
+    # a lane value as one mpf, exactly
+    return mpmath.fsum(map(mpmath.mpf, quad._LANES[tier].words(v)))
+
+
 @pytest.mark.parametrize("n", NEAREST_ORDERS)
 def test_every_double_word_node_and_weight_is_the_nearest_pair(n):
     # each node and weight of the positive half, the middle one of an odd
-    # n included, within 0.5 u of the 240-bit rule, u = 2^-104 relative;
-    # the halves' symmetry is held by tests/test_quad.py
-    xs, ws = quad._gl_table(n, Tier.DOUBLEWORD)
+    # n included, within 0.5 u of the 240-bit rule, u = 2^-104 relative
+    # for the double-word pairs and 2^-52 for the native doubles, their
+    # high words (measured over n = 2 to 128: at most 0.49 u, native64
+    # at n = 80); the halves' symmetry is held by tests/test_quad.py
     half = slice(n // 2, n)
     with mpmath.workprec(240):
-        want = _newton_rule(n, xs[half])
-        for got, (x, w) in zip(zip(xs[half], ws[half]), want):
-            for (hi, lo), exact in zip(got, (x, w)):
-                assert abs(mpmath.mpf(hi) + mpmath.mpf(lo) - exact) <= 2.0**-105 * abs(exact), (hi, lo)
+        for tier in TIERS:
+            xs, ws = quad._gl_table(n, tier)
+            for got, want in zip(zip(xs[half], ws[half]), _exact_half(n)):
+                for v, exact in zip(got, want):
+                    assert abs(_exact(v, tier) - exact) <= 0.5 * tier.eps * abs(exact), (tier, v)
 
 
+@pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
 @pytest.mark.parametrize("n", BUDGET_ORDERS)
-def test_the_weight_tables_error_is_within_the_rounding_budget(n):
-    # the rounding budget's weights term for the double-word weight table:
-    # sum |w_i - w_i*| <= 0.5 u sum w_i* for the Gauss-Legendre weights
-    # w_i* at 240 bits (measured: at most 0.056 u, at n = 9, over n = 2
-    # to 128, each weight being the nearest pair)
-    xs, ws = quad._gl_table(n, Tier.DOUBLEWORD)
-    budget = bounds._ROUNDING_TERMS["weights"] * 2.0**-104
+def test_the_weight_tables_error_is_within_the_rounding_budget(n, tier):
+    # the rounding budget's weights term for the weight table: sum |w_i -
+    # w_i*| <= 0.5 u sum w_i* for the Gauss-Legendre weights w_i* at 240
+    # bits, u the tier's eps (measured over n = 2 to 128, each weight
+    # being the nearest pair or double: at most 0.056 u at doubleword, at
+    # n = 9, and 0.29 u at native64, also at n = 9)
+    _, ws = quad._gl_table(n, tier)
+    budget = bounds._ROUNDING_TERMS["weights"] * tier.eps
     with mpmath.workprec(240):
-        want = [w for _, w in _newton_rule(n, xs)]
-        err = sum(abs(mpmath.mpf(wh) + mpmath.mpf(wl) - w) for (wh, wl), w in zip(ws, want))
+        half = [w for _, w in _exact_half(n)]
+        want = half[::-1][: n // 2] + half
+        err = sum(abs(_exact(w, tier) - exact) for w, exact in zip(ws, want))
         assert err <= budget * sum(want)
 
 

@@ -269,6 +269,11 @@ class TestPointValues:
                 "i2_kernel_eq4",
                 [Real.from_float(0.5, t), Real.from_float(0.5, Tier.DOUBLEWORD)],
             )
+        # a float point, or a float among the coordinates, used to escape
+        # as a raw TypeError or AttributeError
+        for iid, point in [("ahmed_eq1", 0.5), ("ahmed_eq1", [0.5]), ("i2_kernel_eq4", (0.5, 0.5))]:
+            with pytest.raises(ConfigError, match="coordinates must be Real"):
+                eval_integrand(iid, point)
 
     def test_raw_fn_cached(self):
         assert raw_fn("ahmed_eq1", Tier.NATIVE64) is raw_fn("ahmed_eq1", Tier.NATIVE64)

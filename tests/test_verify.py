@@ -367,6 +367,15 @@ class TestCheckEq3:
         with pytest.raises(ConfigError):
             check_eq3([1.0], tier=Tier.NATIVE64)
 
+    def test_config_of_another_tier_rejected(self):
+        # a native config asked for at doubleword used to run native64
+        # against the native tolerance and pass
+        values = [Real.from_float(1.0, Tier.DOUBLEWORD)]
+        with pytest.raises(ConfigError, match="config tier"):
+            check_eq3(values, config=default_config(Tier.NATIVE64), tier=Tier.DOUBLEWORD)
+        (report,) = check_eq3(values, config=default_config(Tier.DOUBLEWORD), tier=Tier.DOUBLEWORD)
+        assert report.passed
+
 
 class TestSerialization:
     def test_json_schema(self):
