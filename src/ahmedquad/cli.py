@@ -123,6 +123,8 @@ def _cmd_eval(args) -> int:
     entry = get_integrand(args.integrand)
     a = _parse_a(args.a, tier)
     if entry.dim == 1:
+        if args.mode is not None:
+            raise ConfigError(f"--mode applies only to 2-D integrands; {args.integrand} is 1-D")
         result = integrate_1d(args.integrand, config=engine, a=a)
     else:
         if a is not None:

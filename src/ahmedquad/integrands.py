@@ -64,6 +64,8 @@ class Interval:
     upper: Real
 
     def __post_init__(self):
+        if not (isinstance(self.lower, Real) and isinstance(self.upper, Real)):
+            raise ConfigError("interval endpoints must be Real")
         if self.lower.tier is not self.upper.tier:
             raise TierMismatchError("interval endpoints of different tiers")
         if not self.lower <= self.upper:

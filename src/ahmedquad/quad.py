@@ -16,10 +16,11 @@ Three rules share one result contract:
 * Tanh-sinh (double-exponential) rules with level-halved step sizes
   ``h = 2^-k`` and incremental refinement: level ``k`` reuses every
   point of level ``k - 1``, and :func:`tanh_sinh_abscissas` is the union
-  of those increments. Points sit at ``t = J 2^-12``; DOUBLEWORD tables
-  take sinh t and cosh t from two step tables (of ``J >> 6`` and
-  ``J & 63``) by the addition formulas, so a point has the same bits at
-  every level, and make one ``exp`` call per node.
+  of those increments. Points sit at ``t = J 2^-12``; a DOUBLEWORD point
+  is computed in integers at the 2^-192 fixed point from e^t and
+  e^(pi sinh t), its node and weight each rounded once to the nearest
+  double-word pair, so a point has the same bits at every level (its
+  weight up to the exact factor h).
 * Globally adaptive Simpson with Richardson acceptance ``|S2 - S1| <=
   15 * tol`` and left-first deterministic splitting; an interval whose
   ``|S2 - S1|`` is within the rounding floor ``16 eps |S2|`` stops too,
@@ -88,24 +89,17 @@ from .integrands import Interval, domain_of, get as get_integrand, raw_fn
 from .scalar import (
     _FIX,
     _ONE,
+    _PI_FIXED,
     Real,
     Tier,
     _check_tier,
     _dd_add,
-    _dd_add_d,
-    _dd_div,
     _dd_div_d_rescued,
-    _dd_exp,
-    _dd_mul,
     _dd_mul_rescued,
     _dd_scale2,
-    _dd_sinh,
-    _dd_sqr,
-    _dd_sqrt,
     _dd_sub,
+    _fixed_exp,
     _pair_from_fixed,
-    _pi_pair,
-    _sinh_cosh_table,
 )
 
 __all__ = [
@@ -324,61 +318,39 @@ _TS_CUTOFF_NATIVE = 2.0**-60
 _TS_CUTOFF_DD = 2.0**-106
 
 
-def _ts_point_native(J: int, hp2: float) -> tuple[float, float, bool]:
-    # (abscissa, weight, past the end) at t = J 2^-12; hp2 = (pi/2) h
+def _ts_point_native(J: int, level: int) -> tuple[float, float, bool]:
+    # (abscissa, weight, past the end) at t = J 2^-12 on level's step h
     t = J * _TS_STEP
     u = 0.5 * math.pi * math.sinh(t)
     x = math.tanh(u)
     cu = math.cosh(u)
-    w = hp2 * math.cosh(t) / (cu * cu)
+    w = 0.5 * math.pi * 2.0**-level * math.cosh(t) / (cu * cu)
     return x, w, x >= 1.0 or w < _TS_CUTOFF_NATIVE
 
 
 # t runs over multiples of the finest step 2^-12; at DOUBLEWORD the
-# weights fall below the cutoff near t = 3.85 at every level, so the
-# first point past the end lies at t <= 4, inside the range t < 5 of
-# the step tables
+# first point past the end lies at t <= 4.25 (level 2's), where
+# 2u = pi sinh t < 111, inside the range 2u < 128 of _fixed_exp
 _TS_STEP = 2.0**-_MAX_TS_LEVEL
-_TS_COARSE_STEPS = 320
 
 
-@functools.lru_cache(maxsize=None)
-def _ts_step_tables():
-    """Double-word ``(sinh hi, sinh lo, cosh hi, cosh lo)`` of ``i/64``
-    for ``i < 320`` and of ``m/4096`` for ``m < 64``, the nearest pairs,
-    built on first use."""
-    return _sinh_cosh_table(6, _TS_COARSE_STEPS), _sinh_cosh_table(_MAX_TS_LEVEL, 64)
-
-
-def _ts_point_dd(J: int, hp2: tuple[float, float]):
-    # the point at t = J 2^-12, past the end once the abscissa rounds to
-    # 1 at 106 bits (1 - x <= 2^-107) or the weight falls below the
-    # cutoff. With t = a + b, a = (J >> 6)/64 and b = (J & 63)/4096,
-    # sinh t and cosh t come from the addition formulas: sums of
-    # nonnegative terms, so nothing cancels, and a given t gets the same
-    # bits at every level
-    coarse, fine = _ts_step_tables()
-    sah, sal, cah, cal = coarse[J >> 6]
-    sbh, sbl, cbh, cbl = fine[J & 63]
-    sh_t, sl_t = _dd_add(*_dd_mul(sah, sal, cbh, cbl), *_dd_mul(cah, cal, sbh, sbl))
-    ch_t, cl_t = _dd_add(*_dd_mul(cah, cal, cbh, cbl), *_dd_mul(sah, sal, sbh, sbl))
-    uh, ul = _dd_mul(*_dd_scale2(*_pi_pair(), 0.5), sh_t, sl_t)
-    wh, wl = _dd_mul(*hp2, ch_t, cl_t)
-    if uh < 0.5:
-        # s = sinh u by its series: tanh u = s / sqrt(1 + s^2) and
-        # cosh^2 u = 1 + s^2
-        sh, sl = _dd_sinh(uh, ul)
-        c2h, c2l = _dd_add_d(*_dd_sqr(sh, sl), 1.0)
-        xh, xl = _dd_div(sh, sl, *_dd_sqrt(c2h, c2l))
-        wh, wl = _dd_div(wh, wl, c2h, c2l)
-    else:
-        # q = e^-2u: tanh u = (1 - q)/(1 + q) and 1/cosh^2 u = 4q/(1 + q)^2
-        qh, ql = _dd_exp(-2.0 * uh, -2.0 * ul)
-        dh, dl = _dd_add_d(qh, ql, 1.0)
-        xh, xl = _dd_div(*_dd_add_d(-qh, -ql, 1.0), dh, dl)
-        wh, wl = _dd_div(*_dd_mul(wh, wl, 4.0 * qh, 4.0 * ql), *_dd_sqr(dh, dl))
-    saturated = xh > 1.0 or (xh == 1.0 and xl >= -(2.0**-107))
-    return (xh, xl), (wh, wl), saturated or wh < _TS_CUTOFF_DD
+def _ts_point_dd(J: int, level: int):
+    # the point at t = J 2^-12 in integers at the 2^-192 fixed point: from
+    # e^t and E = e^(2u) = e^(pi sinh t), x = tanh u = (E - 1)/(E + 1) and
+    # w = (pi/2) h cosh t 4E/(E + 1)^2, each rounded once to the nearest
+    # pair. w falls as 1/E, so it is formed 2k bits finer, where E + 1 has
+    # k bits above 1, and h joins the shift as an exact exponent: w/h has
+    # the same bits at every level. Past the end once the abscissa rounds
+    # to 1 at 106 bits, 1 - x = 2/(E + 1) <= 2^-107 (exactly when k >=
+    # 108), or the weight falls below the cutoff
+    et = _fixed_exp(J << _FIX - _MAX_TS_LEVEL)
+    rt = _ONE * _ONE // et
+    e2u = _fixed_exp(_PI_FIXED * (et - rt) >> _FIX + 1)
+    d = e2u + _ONE
+    k = d.bit_length() - 1 - _FIX
+    x = _pair_from_fixed((e2u - _ONE << _FIX) // d)
+    w = _pair_from_fixed((_PI_FIXED * (et + rt) * e2u << 2 * k) // (d * d), _FIX + 2 * k + level)
+    return x, w, k >= 108 or w[0] < _TS_CUTOFF_DD
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,18 +358,12 @@ def _ts_nodes(level: int, tier: Tier):
     """Tanh-sinh ``(x, w)`` lane values new at ``level``: those at
     ``t = j h``, ``h = 2^-level``, for odd ``j`` (every ``j >= 0`` at
     level 1), up to the weight cutoff. The table the engine cores read."""
-    h = 2.0**-level
-    if tier is Tier.NATIVE64:
-        point, hp2 = _ts_point_native, 0.5 * math.pi * h
-    else:
-        point, hp2 = _ts_point_dd, _dd_scale2(*_pi_pair(), 0.5 * h)
-    if level > 1:
-        xs, ws, j, step = [], [], 1, 2
-    else:
-        xs, ws, j, step = [_LANES[tier].zero], [hp2], 1, 1
+    point = _ts_point_native if tier is Tier.NATIVE64 else _ts_point_dd
+    xs, ws = [], []
+    j, step = (0, 1) if level == 1 else (1, 2)
     shift = _MAX_TS_LEVEL - level
     while True:
-        x, w, past_end = point(j << shift, hp2)
+        x, w, past_end = point(j << shift, level)
         if past_end:
             return tuple(xs), tuple(ws)
         xs.append(x)
@@ -941,6 +907,11 @@ def _iterated(lane, f, box, method):
 _DEFAULT_CONFIG = EngineConfig(TanhSinh(max_level=10, target_eps=1e-13))
 
 
+def _check_config(config) -> None:
+    if not isinstance(config, EngineConfig):
+        raise ConfigError(f"config must be an EngineConfig, not {type(config).__name__}")
+
+
 def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
     """Integrate ``f``, a registry id or a callable, over ``domain`` (by
     default a registry integrand's own) as ``core(lane, integrand, box,
@@ -1011,6 +982,7 @@ def integrate_1d(
     Real`` over an interval. A degenerate interval yields exactly zero
     after a single probing evaluation."""
     config = config if config is not None else _DEFAULT_CONFIG
+    _check_config(config)
     domain = None if interval is None else (interval,)
     return _integrate(f, domain, config.tier, config.method, _tensor, 1, a)
 
@@ -1026,6 +998,7 @@ def integrate_2d(
     rule of a fixed 1D rule (Gauss-Legendre or tanh-sinh); ITERATED
     nests adaptive 1D passes with a tightened inner tolerance."""
     config = config if config is not None else _DEFAULT_CONFIG
+    _check_config(config)
     if not isinstance(mode, Mode):
         raise ConfigError("mode must be a Mode")
     if mode is Mode.TENSOR and isinstance(config.method, AdaptiveSimpson):

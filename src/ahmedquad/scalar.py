@@ -25,9 +25,9 @@ first; ``_dd_atan_recip`` gives atan(1/x) = atan(k/64) + atan t from the
 same t. Always |t| <= 1/128. Double-word ``sin`` and ``cos`` fold about
 pi/2 in a loop and raise :class:`DomainError` for |x| > 2^10; one fold
 and one pair of series give both (``_dd_sincos``).
-The sine, cosine and small-argument sinh series share one Taylor loop
-(``_dd_taylor``), and the atan and exp polynomials share one
-double-word Horner kernel (``_dd_horner``).
+The sine and cosine series share one Taylor loop (``_dd_taylor``), and
+the atan and exp polynomials share one double-word Horner kernel
+(``_dd_horner``).
 
 A reciprocal 1/b, which the three 2-D kernels' joins and the eq3 lane
 form at every point, takes one Newton step from r = 1/b_hi
@@ -43,10 +43,12 @@ Taylor polynomial in Horner form. It stays within a unit of 2^-104 for
 -671 <= x <= 709; below that the result's low word is subnormal and
 the relative error grows to ~10^15 units near -709.
 
-Every lazy constant and table (pi, the two atan tables, 2^(j/64) and the
-sinh and cosh steps of the tanh-sinh nodes) is the nearest double-word
-pair, rounded once from a 192-bit fixed-point integer: Euler's series
-for atan(p/q), and the Taylor series of e^x with its integer powers.
+Every lazy constant and table (pi, the two atan tables and 2^(j/64)) is
+the nearest double-word pair, rounded once from a 192-bit fixed-point
+integer: Euler's series for atan(p/q), and the Taylor series of e^x with
+its integer powers. The same block gives e^v for 0 <= v < 128
+(``_fixed_exp``) from three power tables and a short series, from which
+the quadrature module computes each double-word tanh-sinh point.
 
 Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``,
 ``_dd_div``, their ``_d`` forms and ``_dd_recip`` return NaN. Four
@@ -489,10 +491,11 @@ _PI_FIXED = int(Fraction(_PI_STR) * _ONE)
 _LN2_FIXED = int(Fraction(_LN2_STR) * _ONE)
 
 
-def _pair_from_fixed(n: int) -> tuple[float, float]:
-    # the double-word nearest to n / 2^_FIX; int / int rounds correctly
-    hi = n / _ONE
-    return hi, (n - int(math.ldexp(hi, _FIX))) / _ONE
+def _pair_from_fixed(n: int, shift: int = _FIX) -> tuple[float, float]:
+    # the double-word nearest to n / 2^shift; int / int rounds correctly
+    one = 1 << shift
+    hi = n / one
+    return hi, (n - int(math.ldexp(hi, shift))) / one
 
 
 def _fixed_atan(p: int, q: int) -> int:
@@ -511,19 +514,46 @@ def _fixed_atan(p: int, q: int) -> int:
     return total
 
 
-def _fixed_exp_powers(x: int, count: int) -> list[int]:
-    # e^(j x) for j = 0..count - 1, with 0 <= x <= _ONE: the Taylor
-    # series of e^x, then its integer powers
-    base = term = _ONE
+def _fixed_exp_series(x: int) -> int:
+    # e^x for 0 <= x <= _ONE by its Taylor series
+    total = term = _ONE
     n = 1
     while term:
-        term = term * x // (n << _FIX)
-        base += term
+        term = (term * x >> _FIX) // n
+        total += term
         n += 1
+    return total
+
+
+def _fixed_exp_powers(x: int, count: int) -> tuple[int, ...]:
+    # e^(j x) for j = 0..count - 1, with 0 <= x <= _ONE: the integer
+    # powers of e^x
+    base = _fixed_exp_series(x)
     powers = [_ONE]
     for _ in range(count - 1):
         powers.append(powers[-1] * base >> _FIX)
-    return powers
+    return tuple(powers)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_exp_tables() -> tuple[tuple[int, ...], ...]:
+    # e^i for i < 128 and e^(i/64), e^(i/4096) for i < 64, built on first
+    # use; one table of e^(i/64) for i < 8192 would cost 0.5 MiB more
+    return (
+        _fixed_exp_powers(_ONE, 128),
+        _fixed_exp_powers(_ONE >> 6, 64),
+        _fixed_exp_powers(_ONE >> 12, 64),
+    )
+
+
+def _fixed_exp(v: int) -> int:
+    # e^v for 0 <= v < 128 at the fixed point: v = i + j/64 + k/4096 + r
+    # with r < 2^-12, e^i, e^(j/64) and e^(k/4096) read from the tables
+    # and e^r summed; the relative error stays below 2^-180
+    ones, steps, fine = _fixed_exp_tables()
+    e = ones[v >> _FIX] * steps[(v >> _FIX - 6) & 63] >> _FIX
+    e = e * fine[(v >> _FIX - 12) & 63] >> _FIX
+    return e * _fixed_exp_series(v & ((_ONE >> 12) - 1)) >> _FIX
 
 
 @functools.lru_cache(maxsize=None)
@@ -549,32 +579,20 @@ def _exp2_table() -> tuple[tuple[float, float], ...]:
     return tuple(map(_pair_from_fixed, _fixed_exp_powers(_LN2_FIXED >> 6, 64)))
 
 
-def _sinh_cosh_table(shift: int, count: int) -> tuple[tuple[float, float, float, float], ...]:
-    # (sinh hi, sinh lo, cosh hi, cosh lo) of i / 2^shift for i < count,
-    # as (e -/+ 1/e) / 2 from the powers e of e^(2^-shift)
-    out = []
-    for e in _fixed_exp_powers(_ONE >> shift, count):
-        r = (1 << 2 * _FIX) // e
-        out.append(_pair_from_fixed((e - r) >> 1) + _pair_from_fixed((e + r) >> 1))
-    return tuple(out)
-
-
 # ----------------------------------------------------------------------
 # Double-word elementary functions
 # ----------------------------------------------------------------------
 
 
-def _dd_taylor(
-    ph: float, pl: float, x2h: float, x2l: float, sign: int, o: int
-) -> tuple[float, float]:
+def _dd_taylor(ph: float, pl: float, x2h: float, x2l: float, o: int) -> tuple[float, float]:
     # sum of the series whose first term is p and whose term k is term
-    # k - 1 times x^2 / (sign (2k - 1 + o)(2k + o)): o = 1 for the odd
-    # series of sin and sinh, o = 0 for the even one of cos
+    # k - 1 times -x^2 / ((2k - 1 + o)(2k + o)): o = 1 for the odd series
+    # of sin, o = 0 for the even one of cos
     sh, sl = ph, pl
     k = 1
     while True:
         ph, pl = _dd_mul(ph, pl, x2h, x2l)
-        ph, pl = _dd_div_d(ph, pl, float(sign * (2 * k - 1 + o) * (2 * k + o)))
+        ph, pl = _dd_div_d(ph, pl, -float((2 * k - 1 + o) * (2 * k + o)))
         sh, sl = _dd_add(sh, sl, ph, pl)
         if abs(ph) <= 9.0e-34 * abs(sh) + 1e-320 or k > 40:
             return sh, sl
@@ -678,8 +696,8 @@ def _dd_sin_cos_core(xh: float, xl: float) -> tuple[float, float, float, float]:
     # series on |x| <= pi/4 + eps: scale down by 8, then double thrice
     th, tl = _dd_scale2(xh, xl, 0.125)
     x2h, x2l = _dd_sqr(th, tl)
-    sh, sl = _dd_taylor(th, tl, x2h, x2l, -1, 1)  # sine series
-    ch, cl = _dd_taylor(1.0, 0.0, x2h, x2l, -1, 0)  # cosine series
+    sh, sl = _dd_taylor(th, tl, x2h, x2l, 1)  # sine series
+    ch, cl = _dd_taylor(1.0, 0.0, x2h, x2l, 0)  # cosine series
     for _ in range(3):
         # sin 2t = 2 sin t cos t ; cos 2t = 1 - 2 sin^2 t
         nsh, nsl = _dd_scale2(*_dd_mul(sh, sl, ch, cl), 2.0)
@@ -781,14 +799,6 @@ def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
     ph, pl = _dd_mul(*_exp2_table()[n & 63], ph, pl)
     k = n >> 6
     return math.ldexp(ph, k), math.ldexp(pl, k)
-
-
-def _dd_sinh(xh: float, xl: float) -> tuple[float, float]:
-    # the odd Maclaurin series; callers guarantee |x| < 0.5
-    if xh < 0.0:
-        rh, rl = _dd_sinh(-xh, -xl)
-        return -rh, -rl
-    return _dd_taylor(xh, xl, *_dd_sqr(xh, xl), 1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -947,6 +957,9 @@ class Real:
         return NotImplemented
 
     def __hash__(self):
+        # a value equal to a float hashes as that float does
+        if self.lo == 0.0:
+            return hash(self.hi)
         return hash((self.hi, self.lo, self.tier))
 
     __lt__ = _real_cmp(operator.lt)

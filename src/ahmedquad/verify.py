@@ -46,6 +46,7 @@ from .quad import (
     GaussLegendre,
     Mode,
     TanhSinh,
+    _check_config,
     integrate_1d,
     integrate_2d,
 )
@@ -347,6 +348,7 @@ def run_chain(
     without touching the other steps."""
     if config is None:
         config = default_config(tier)
+    _check_config(config)
     if config.tier is not tier:
         raise ConfigError("config tier does not match the requested tier")
     steps = builtin_chain(tier)
@@ -390,7 +392,8 @@ def check_eq3(
     ``config`` at another tier than ``tier`` :class:`ConfigError`."""
     if config is None:
         config = default_config(tier if tier is not None else Tier.NATIVE64)
-    elif tier is not None and config.tier is not tier:
+    _check_config(config)
+    if tier is not None and config.tier is not tier:
         raise ConfigError("config tier does not match the requested tier")
     tol, _ = _step_tols(config.tier)
     values = tuple(a_values)

@@ -9,6 +9,7 @@ values back into the expectations.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from ahmedquad import Real, Tier
 
@@ -60,6 +61,15 @@ def assert_ulps(x: Real, y: Real, limit: float, label: str = "") -> None:
         f"{label or 'values'} differ by {got:.3g} ulps (> {limit}): "
         f"{x.to_decimal_string()} vs {y.to_decimal_string()}"
     )
+
+
+def nearest_pair(v) -> tuple[float, float]:
+    """The double-word nearest to an mpmath value, rounded from its
+    exact binary fraction."""
+    man, exp = v.man_exp
+    f = Fraction(man) * Fraction(2) ** exp
+    hi = float(f)
+    return hi, float(f - Fraction(hi))
 
 
 def rel_err(value: Real, truth: Real) -> float:

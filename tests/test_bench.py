@@ -169,10 +169,13 @@ class TestCsv:
     # when its Gauss-Legendre nodes and weights became the nearest
     # doubles: GL4, 16, 32, 64 and 128 moved by 1 or 2 ulps, each toward
     # the same rule summed at 240 bits, and GL16 to 128 now all print the
-    # nearest double to 5 pi^2 / 96; digits and counts are unchanged
+    # nearest double to 5 pi^2 / 96; digits and counts are unchanged. The
+    # doubleword one was re-pinned when the tanh-sinh nodes and weights
+    # became the nearest pairs: levels 3 and 10 moved in the 32nd digit,
+    # with digits and counts unchanged
     SWEEP_SHA256 = {
         Tier.NATIVE64: "b75440acda898773ee16e8a82e080a6e90e75837cbcb7e5fd35e1d87658d8b8b",
-        Tier.DOUBLEWORD: "135d157cf55a909bef91be4f97581b92a8af6d9c16ae78b7c6eacab8aa81e302",
+        Tier.DOUBLEWORD: "5f3d342ef57e0053c63d588cd938f6331b15e94e3ca6ae99bd6fa4440c6dee86",
     }
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)

@@ -62,6 +62,10 @@ class TestExitCodes:
         assert run(capsys, "eval", "i2_kernel_eq4", "--a", "2.0")[0] == 2
         assert run(capsys, "eval", "eq3_kernel", "--a", "0")[0] == 1  # domain
 
+    def test_mode_on_a_1d_integrand_rejected(self, capsys):
+        code, out, err = run(capsys, "eval", "i1_x", "--mode", "tensor")
+        assert code == 2 and out == "" and "--mode" in err
+
     def test_simpson_tensor_rejected(self, capsys):
         code, _, err = run(
             capsys, "eval", "i2_kernel_eq4", "--method", "simpson", "--mode", "tensor"

@@ -33,7 +33,7 @@ from ahmedquad import (
     sub,
     tanh_sinh_abscissas,
 )
-from ahmedquad import bounds, quad, scalar
+from ahmedquad import bounds, quad
 from ahmedquad.integrands import Interval, domain_of, raw_fn
 from ahmedquad.quad import _integrate_1d_ts_fixed, _ts_nodes
 from helpers import (
@@ -45,6 +45,7 @@ from helpers import (
     TIERS,
     TWO_I2_STR,
     assert_ulps,
+    nearest_pair,
     ref,
 )
 
@@ -258,28 +259,20 @@ class TestTanhSinhAbscissas:
         # same bits at every level whose grid holds t, and the weight the
         # same up to the exact factor h
         point = quad._ts_point_dd if tier is Tier.DOUBLEWORD else quad._ts_point_native
-        for J in (64, 2048, 4096, 6144, 12288, 14336, 15360, 15552):
+        for J in (0, 64, 2048, 4096, 6144, 12288, 14336, 15360, 15552):
             seen = set()
             for level in range(1, 13):
-                shift = 12 - level
-                if J % (1 << shift):
+                if J % (1 << 12 - level):
                     continue
-                h = 2.0**-level
-                if tier is Tier.DOUBLEWORD:
-                    hp2 = scalar._dd_scale2(*scalar._pi_pair(), 0.5 * h)
-                else:
-                    hp2 = 0.5 * math.pi * h
-                x, w, _ = point(J, hp2)
-                seen.add((_words(x), _words(_scaled(w, 1.0 / h))))
+                x, w, _ = point(J, level)
+                seen.add((_words(x), _words(_scaled(w, 2.0**level))))
             assert len(seen) == 1, f"t = {J}/4096"
 
     def test_doubleword_nodes_against_mpmath(self):
-        # every third node of every level: |dx| <= 2 units of 2^-104 and
-        # the weight within (4u + 16) units relative, u = (pi/2) sinh t,
-        # since an error of e in u moves 1/cosh^2 u by 2u e
+        # every third node of every level is the nearest pair to its
+        # abscissa and weight at 60 digits
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
-        unit = 2.0**-104
+        mp.mp.dps = 60
         for level in range(1, 13):
             xs, ws = _ts_nodes(level, Tier.DOUBLEWORD)
             h = mp.mpf(2) ** -level
@@ -288,10 +281,8 @@ class TestTanhSinhAbscissas:
                 u = mp.pi / 2 * mp.sinh(t)
                 x = mp.tanh(u)
                 w = mp.pi / 2 * h * mp.cosh(t) / mp.cosh(u) ** 2
-                dx = abs(mp.mpf(xs[i][0]) + mp.mpf(xs[i][1]) - x) / unit
-                dw = abs((mp.mpf(ws[i][0]) + mp.mpf(ws[i][1]) - w) / w) / unit
-                assert dx <= 2, f"level {level}, t = {t}: x off by {float(dx):.3g} units"
-                assert dw <= 4 * u + 16, f"level {level}, t = {t}: w off by {float(dw):.3g} units"
+                assert xs[i] == nearest_pair(x), f"level {level}, t = {t}"
+                assert ws[i] == nearest_pair(w), f"level {level}, t = {t}"
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_per_level_error_shrinks_4x_until_floor(self, tier):
@@ -399,6 +390,23 @@ class TestEngineConfig:
     def test_a_tier_or_parameter_of_the_wrong_type(self, build):
         # a tier that is not a Tier, or a parameter a that is not a Real
         with pytest.raises(ConfigError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: integrate_1d("ahmed_eq1", config=GaussLegendre(8)),
+            lambda: integrate_2d("i2_kernel_eq4", config=TanhSinh(3, 1e-10)),
+            lambda: Interval(0.0, 1.0),
+            lambda: Interval(Real.from_float(0.0), 1.0),
+            lambda: Interval(0, Real.from_float(1.0)),
+        ],
+        ids=["integrate-1d", "integrate-2d", "interval", "interval-upper", "interval-lower"],
+    )
+    def test_a_config_or_endpoint_of_the_wrong_type(self, build):
+        # a bare method in place of an EngineConfig, or an interval
+        # endpoint that is not a Real
+        with pytest.raises(ConfigError, match="EngineConfig|Real"):
             build()
 
 
@@ -1675,9 +1683,9 @@ PINNED = {
     'd-1d:glp@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952ceccp-58', '0x1.fd5b7c815294ep-91', '0x0.0p+0', 22, True),
     'd-1d:glp@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89123b98p-56', '0x1.91c9baf3a4dfep-89', '0x0.0p+0', 16, True),
     'd-1d:glp@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af9p-56', '0x1.00063e396012ap-100', '0x0.0p+0', 24, True),
-    'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afe8p-58', '0x1.47791e0fd78a4p-60', '0x0.0p+0', 123, False),
-    'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d8912200cp-56', '0x1.e72a2a8000000p-80', '0x0.0p+0', 123, False),
-    'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af7p-56', '0x1.39dee07544800p-66', '0x0.0p+0', 123, False),
+    'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afebp-58', '0x1.47791e0fd78acp-60', '0x0.0p+0', 123, False),
+    'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89122008p-56', '0x1.e72a2a8000000p-80', '0x0.0p+0', 123, False),
+    'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af7p-56', '0x1.39dee07544400p-66', '0x0.0p+0', 123, False),
     'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a90p-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
     'd-1d:as@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.a420899843504p-55', '0x1.bebd9b01e1064p-41', '0x0.0p+0', 257, True),
     'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde5798p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
@@ -1685,20 +1693,20 @@ PINNED = {
     'd-tensor:glp': ('0x1.3bd3cc9be45dep-2', '0x1.692b71366bb72p-56', '0x1.3b0fdec39805bp-88', '0x0.0p+0', 396, True),
     'd-tensor:glp@product_kernel_eq6a': ('0x1.3bd3cc9be45dep-1', '0x1.692b71366c44ap-55', '0x1.4315488116ac1p-89', '0x0.0p+0', 484, True),
     'd-tensor:glp@shifted_kernel_eq6b': ('0x1.3bd3cc9be45dep-2', '0x1.692b71366bb73p-56', '0x1.3b0fdec39805bp-88', '0x0.0p+0', 396, True),
-    'd-tensor:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c83bp-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
+    'd-tensor:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c839p-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
     'd-tensor:gl8@product_kernel_eq6a': ('0x1.3bd3cc9ba755dp-1', '-0x1.db65ecf7dfc58p-59', '0x1.fb5a88f510c58p-18', '0x0.0p+0', 80, True),
     'd-tensor:gl8@shifted_kernel_eq6b': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc54p-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
-    'd-tensor:ts3@product_kernel_eq6a': ('0x1.3bd3cc9be45dep-1', '0x1.54b36d526c83bp-55', '0x1.3768745c3d1f7p-28', '0x0.0p+0', 3721, False),
-    'd-tensor:ts3@shifted_kernel_eq6b': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c83bp-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
+    'd-tensor:ts3@product_kernel_eq6a': ('0x1.3bd3cc9be45dep-1', '0x1.54b36d526c839p-55', '0x1.3768745c3d1f7p-28', '0x0.0p+0', 3721, False),
+    'd-tensor:ts3@shifted_kernel_eq6b': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c839p-56', '0x1.3768745c3d1f7p-29', '0x0.0p+0', 3721, False),
     'd-iterated:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc50p-60', '0x1.379b087211193p-18', '0x0.0p+0', 144, True),
-    'd-iterated:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c83ap-56', '0x1.76ff14de5afacp-29', '0x0.0p+0', 3721, False),
+    'd-iterated:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c839p-56', '0x1.76ff14de5afacp-29', '0x0.0p+0', 3721, False),
     'd-iterated:as': ('0x1.3bd3cc9c91811p-2', '0x1.f2c16b1ccb662p-56', '0x1.35aa45f027d1bp-28', '0x0.0p+0', 3693, True),
     'd-float-callable:gl8': ('0x1.921fb5441bf6fp-1', '-0x1.4e1be5bf99fc7p-56', '0x1.42fd8958d5b5cp-18', '0x0.0p+0', 12, True),
-    'd-float-callable:ts4': ('0x1.921fb54442d18p-1', '0x1.c0c949bed8b19p-56', '0x1.4937830512eb8p-57', '0x0.0p+0', 123, False),
+    'd-float-callable:ts4': ('0x1.921fb54442d18p-1', '0x1.c0c949bed8b18p-56', '0x1.4937830512ebap-57', '0x0.0p+0', 123, False),
     'd-float-callable:as': ('0x1.921fb54442d19p-1', '-0x1.222d82d82d82ep-55', '0x1.077c1871c71c7p-41', '0x0.0p+0', 609, True),
     'd-real-callable-2d:gl8': ('0x1.4000000000000p+0', '-0x1.0000000000000p-109', '0x1.4000000000000p-102', '0x0.0p+0', 80, True),
-    'd-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x1.a0a8cbfe27cd8p-99', '0x1.9be6bc5336c90p-44', '0x0.0p+0', 3721, False),
-    'd-ts-fixed5': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afe4p-58', '0x1.07307fd73e4e4p-103', '0x0.0p+0', 247, True),
+    'd-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x1.9e22eafbbd673p-99', '0x1.9be6bc5336c90p-44', '0x0.0p+0', 3721, False),
+    'd-ts-fixed5': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afe7p-58', '0x1.07307fd73e4e4p-103', '0x0.0p+0', 247, True),
 }
 
 
@@ -1749,5 +1757,10 @@ def test_engine_paths_pinned_bit_for_bit(case):
     # of those pairs, the nearest doubles: a value or gl8 estimate moved
     # by 1 or 2 units in the last place of the value, every value now
     # within 0.43 of them of the same rule summed at 240 bits (the worst
-    # was 1.59), with counts and flags unchanged
+    # was 1.59), with counts and flags unchanged. The ten doubleword
+    # tanh-sinh cases were re-pinned when each point came to be computed
+    # in integers at the 2^-192 fixed point, its node and weight the
+    # nearest pairs: only low words and estimates moved, each value toward
+    # the same rule summed at 60 digits (the worst from 0.40 to 0.06 units
+    # of 2^-104 relative), with counts and flags unchanged
     assert _pin_of(_pin_run(case)) == PINNED[case]

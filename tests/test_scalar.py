@@ -43,6 +43,7 @@ from helpers import (
     TIER_IDS,
     TIERS,
     assert_ulps,
+    nearest_pair,
     ref,
     rel_err,
 )
@@ -181,6 +182,14 @@ class TestRealBasics:
         b = Real.from_decimal("0.5", Tier.DOUBLEWORD)
         assert a == b and hash(a) == hash(b)
         assert a != Real.from_decimal("0.5", Tier.NATIVE64)
+        # a Real equal to a float or an int hashes as it does
+        for tier in TIERS:
+            half = Real.from_float(0.5, tier)
+            assert half == 0.5 and len({half, 0.5}) == 1
+            assert len({Real.from_float(3.0, tier), 3}) == 1
+        tenth = Real.from_decimal("0.1", Tier.DOUBLEWORD)
+        assert tenth.lo != 0.0 and tenth != 0.1
+        assert hash(tenth) == hash(Real(tenth.hi, tenth.lo, Tier.DOUBLEWORD))
 
 
 class TestArithmeticAccuracy:
@@ -339,33 +348,35 @@ def test_build_info_pi_self_check_fails_on_a_wrong_atan(monkeypatch):
     assert build_info().endswith("pi-self-check=ok")
 
 
-def _nearest_pair(v):
-    # the double-word nearest to an mpmath value, rounded from its exact
-    # binary fraction
-    man, exp = v.man_exp
-    f = Fraction(man) * Fraction(2) ** exp
-    hi = float(f)
-    return hi, float(f - Fraction(hi))
-
-
 def test_every_constant_and_table_entry_is_the_nearest_pair():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
-    assert scalar._pi_pair() == _nearest_pair(mp.pi)
+    assert scalar._pi_pair() == nearest_pair(mp.pi)
     atan_k = [mp.atan(mp.mpf(k) / 64) for k in range(65)]
     table, recip_table = scalar._atan_tables()
-    assert list(table) == [_nearest_pair(a) for a in atan_k]
-    assert list(recip_table) == [_nearest_pair(mp.pi / 2 - a) for a in atan_k]
-    want = [_nearest_pair(mp.mpf(2) ** (mp.mpf(j) / 64)) for j in range(64)]
+    assert list(table) == [nearest_pair(a) for a in atan_k]
+    assert list(recip_table) == [nearest_pair(mp.pi / 2 - a) for a in atan_k]
+    want = [nearest_pair(mp.mpf(2) ** (mp.mpf(j) / 64)) for j in range(64)]
     assert list(scalar._exp2_table()) == want
+    # e^i, e^(i/64) and e^(i/4096), read by the tanh-sinh points
+    tables = scalar._fixed_exp_tables()
+    for table, q in zip(tables, (1, 64, 4096)):
+        want = [nearest_pair(mp.exp(mp.mpf(i) / q)) for i in range(len(table))]
+        assert list(map(scalar._pair_from_fixed, table)) == want
+    assert tuple(map(len, tables)) == (128, 64, 64)
 
-    def sinh_cosh(t):
-        return _nearest_pair(mp.sinh(t)) + _nearest_pair(mp.cosh(t))
 
-    coarse, fine = quad._ts_step_tables()
-    assert list(coarse) == [sinh_cosh(mp.mpf(i) / 64) for i in range(len(coarse))]
-    assert list(fine) == [sinh_cosh(mp.mpf(m) / 4096) for m in range(len(fine))]
-    assert (len(coarse), len(fine)) == (320, 64)
+def test_fixed_exp_against_mpmath():
+    # relative error below 2^-180 over the range 0 <= v < 128
+    mp = pytest.importorskip("mpmath")
+    one = scalar._ONE
+    rng = random.Random(0xE4F)
+    vs = [rng.randrange(128 * one) for _ in range(500)]
+    vs += [0, 1, one - 1, one, (one >> 12) - 1, 111 * one, 128 * one - 1]
+    with mp.workprec(400):
+        for v in vs:
+            want = mp.exp(mp.mpf(v) / one) * one
+            assert abs(scalar._fixed_exp(v) - want) <= want * mp.mpf(2) ** -180, v
 
 
 def test_tier_properties():
@@ -947,9 +958,8 @@ def test_atan_property_against_mpmath():
 # The kernel reduces x = (64 k + j) ln2/64 + r, |r| <= ln2/128, and
 # returns 2^k * 2^(j/64) * p(r) with 2^(j/64) from a 64-entry table and
 # p a degree-10 Horner polynomial. Its worst measured error is below 1
-# unit of 2^-104 relative; the tests hold it, and the series sinh on the
-# range the tanh-sinh nodes feed it, to 4. Below x = -671 the result's
-# low word is subnormal and the bound no longer holds.
+# unit of 2^-104 relative; the tests hold it to 4. Below x = -671 the
+# result's low word is subnormal and the bound no longer holds.
 
 EXP_BOUND = 4.0 * 2.0**-104
 
@@ -1002,14 +1012,6 @@ class TestTableDrivenExp:
             with pytest.raises(NonFiniteError):
                 scalar._dd_exp(v, 0.0)
 
-    def test_sinh_on_the_node_range(self):
-        # the tanh-sinh nodes call the series sinh on [0, 0.5) only
-        mp = pytest.importorskip("mpmath")
-        rng = random.Random(0x5C7)
-        pts = [rng.uniform(0.0, 0.5) for _ in range(300)]
-        pts += [math.nextafter(0.5, 0.0), 5e-324, 1e-300, 2.0**-12]
-        self._assert_bound(scalar._dd_sinh, mp.sinh, _with_low_words(pts, 0x5C8))
-
     def test_tables_are_not_built_at_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
@@ -1018,7 +1020,7 @@ class TestTableDrivenExp:
             "import ahmedquad\n"
             "from ahmedquad import quad, scalar\n"
             "print(scalar._exp2_table.cache_info().currsize,"
-            " quad._ts_step_tables.cache_info().currsize)\n"
+            " scalar._fixed_exp_tables.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
@@ -1031,7 +1033,7 @@ def test_exp_property_against_mpmath():
     hypothesis = pytest.importorskip("hypothesis")
     mp = pytest.importorskip("mpmath")
     st = hypothesis.strategies
-    # half the draws on the range the tanh-sinh nodes use
+    # half the draws on [-80, 80]
     his = st.one_of(
         st.floats(min_value=-80.0, max_value=80.0),
         st.floats(min_value=-671.0, max_value=709.0),
@@ -1133,8 +1135,8 @@ class TestSinCosFolding:
 
 
 class TestSharedSeriesLoop:
-    # sin, cos and the small-argument sinh share one Taylor loop, capped
-    # at 40 terms; on the callers' domains it must stop well before that
+    # sin and cos share one Taylor loop, capped at 40 terms; on their
+    # domain it must stop well before that
     def _terms_per_use(self, monkeypatch, call, words):
         counts, div_d, taylor = [], scalar._dd_div_d, scalar._dd_taylor
         live = [0]
@@ -1167,38 +1169,6 @@ class TestSharedSeriesLoop:
             monkeypatch, scalar._dd_sin_cos_core, _with_low_words(pts, 0x7A8)
         )
         assert per_call == {2} and max(counts) <= 20
-        pts = [rng.uniform(0.0, 0.5) for _ in range(1500)]
-        pts += [math.nextafter(0.5, 0.0), 0.0, 5e-324, 1e-300, 2.0**-12]
-        counts, per_call = self._terms_per_use(
-            monkeypatch, scalar._dd_sinh, _with_low_words(pts, 0x7A9)
-        )
-        assert per_call == {1} and max(counts) <= 20
-
-    def test_sinh_matches_the_former_loop(self):
-        # the reference is the series loop _dd_sinh held before it shared
-        # _dd_taylor, capped at 30 terms and without the sign argument
-        def ref_sinh(xh, xl):
-            x2h, x2l = scalar._dd_sqr(xh, xl)
-            sh, sl = xh, xl
-            ph, pl = xh, xl
-            k = 1
-            while True:
-                ph, pl = scalar._dd_mul(ph, pl, x2h, x2l)
-                ph, pl = scalar._dd_div_d(ph, pl, float((2 * k) * (2 * k + 1)))
-                sh, sl = scalar._dd_add(sh, sl, ph, pl)
-                if abs(ph) <= 9.0e-34 * abs(sh) + 1e-320 or k > 30:
-                    return sh, sl
-                k += 1
-
-        rng = random.Random(0x5148)
-        pts = [rng.uniform(0.0, 0.5) for _ in range(2000)]
-        pts += [math.nextafter(0.5, 0.0), 0.0, 5e-324, 1e-300, 2.0**-12]
-        for xh, xl in _with_low_words(pts, 0x5149):
-            got = scalar._dd_sinh(xh, xl)
-            assert [_bits(v) for v in got] == [_bits(v) for v in ref_sinh(xh, xl)], (xh, xl)
-            if xh > 0.0:
-                neg = scalar._dd_sinh(-xh, -xl)
-                assert [_bits(v) for v in neg] == [_bits(-v) for v in got], (xh, xl)
 
 
 # ----------------------------------------------------------------------

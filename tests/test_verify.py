@@ -376,6 +376,15 @@ class TestCheckEq3:
         (report,) = check_eq3(values, config=default_config(Tier.DOUBLEWORD), tier=Tier.DOUBLEWORD)
         assert report.passed
 
+    def test_a_bare_method_as_config_rejected(self):
+        values = [Real.from_float(1.0, Tier.NATIVE64)]
+        with pytest.raises(ConfigError, match="EngineConfig"):
+            check_eq3(values, config=GaussLegendre(8))
+        with pytest.raises(ConfigError, match="EngineConfig"):
+            check_eq3(values, config=GaussLegendre(8), tier=Tier.NATIVE64)
+        with pytest.raises(ConfigError, match="EngineConfig"):
+            run_chain(Tier.NATIVE64, GaussLegendre(8))
+
 
 class TestSerialization:
     def test_json_schema(self):
