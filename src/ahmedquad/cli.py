@@ -25,7 +25,7 @@ import sys
 
 from . import __version__
 from .bench import bench_rows, rows_to_csv, write_plot_files
-from .errors import AhmedQuadError, ConfigError
+from .errors import AhmedQuadError, ConfigError, NonFiniteError
 from .integrands import get as get_integrand
 from .quad import (
     AdaptiveSimpson,
@@ -112,9 +112,13 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _parse_a(text: str | None, tier: Tier) -> Real | None:
+    # a literal that is not a finite binary64 value is a usage error
     if text is None:
         return None
-    return Real.from_decimal(text, tier)
+    try:
+        return Real.from_decimal(text, tier)
+    except NonFiniteError as exc:
+        raise ConfigError(f"--a must be a finite number, not {text!r}") from exc
 
 
 def _cmd_eval(args) -> int:

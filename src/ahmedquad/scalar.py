@@ -22,12 +22,8 @@ on first use. Above 1, c = k/64 is the nearest to 1/x,
 t = (1 - c x)/(x + c), and atan x = atan(64/k) - atan t, with
 atan(64/k) = pi/2 - atan(k/64) from a second table built with the
 first; ``_dd_atan_recip`` gives atan(1/x) = atan(k/64) + atan t from the
-same t. Always |t| <= 1/128. Double-word ``sin`` and ``cos`` fold about
-pi/2 in a loop and raise :class:`DomainError` for |x| > 2^10; one fold
-and one pair of series give both (``_dd_sincos``).
-The sine and cosine series share one Taylor loop (``_dd_taylor``), and
-the atan and exp polynomials share one double-word Horner kernel
-(``_dd_horner``).
+same t. Always |t| <= 1/128. Its polynomial runs in one double-word
+Horner kernel (``_dd_horner``).
 
 A reciprocal 1/b, which the three 2-D kernels' joins and the eq3 lane
 form at every point, takes one Newton step from r = 1/b_hi
@@ -36,19 +32,14 @@ two_prod(b_hi, r) = p + pe, e = (1 - p) - pe - b_lo r, and 1/b = r (1 +
 e + e^2). It stays within a unit of 2^-104, at under 40% of the cost of
 the long division ``_dd_div(1, 0, b)``.
 
-Double-word ``exp`` follows Tang's table-driven method: x = (64 k + j)
-ln2/64 + r with |r| <= ln2/128, and e^x = 2^k * 2^(j/64) * p(r), with
-2^(j/64) from a 64-entry table built on first use and p the degree-10
-Taylor polynomial in Horner form. It stays within a unit of 2^-104 for
--671 <= x <= 709; below that the result's low word is subnormal and
-the relative error grows to ~10^15 units near -709.
-
-Every lazy constant and table (pi, the two atan tables and 2^(j/64)) is
-the nearest double-word pair, rounded once from a 192-bit fixed-point
-integer: Euler's series for atan(p/q), and the Taylor series of e^x with
-its integer powers. The same block gives e^v for 0 <= v < 128
-(``_fixed_exp``) from three power tables and a short series, from which
-the quadrature module computes each double-word tanh-sinh point.
+One block of fixed-point integer code, at 2^-192, builds every lazy
+constant and table on first use (pi, the two atan tables and the power
+tables of ``_fixed_exp``, which the quadrature module calls for each
+tanh-sinh point), and computes double-word ``sin``, ``cos`` and ``exp``:
+``_dd_sincos`` takes the nearest multiple of pi/2 off |x| <= 2^10
+(:class:`DomainError` beyond) and sums both Taylor series, and
+``_dd_exp`` takes e^r for r = x mod ln2 from ``_fixed_exp``. Each value
+is rounded once, to the nearest double-word pair.
 
 Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``,
 ``_dd_div``, their ``_d`` forms and ``_dd_recip`` return NaN. Four
@@ -462,22 +453,6 @@ _PI_STR = "3.1415926535897932384626433832795028841971693993751058209749445923078
 _LN2_STR = "0.69314718055994530941723212145817656807550013436025525412068000949339362196969471560586332699641868754"
 
 
-def _pair_from_fraction(f: Fraction) -> tuple[float, float]:
-    # the double-word nearest to f
-    hi = float(f)
-    return hi, float(f - Fraction(hi))
-
-
-@functools.lru_cache(maxsize=None)
-def _pi_half_triple() -> tuple[float, float, float]:
-    f = Fraction(Decimal(_PI_STR)) / 2
-    a = float(f)
-    f -= Fraction(a)
-    b = float(f)
-    c = float(f - Fraction(b))
-    return a, b, c
-
-
 # ----------------------------------------------------------------------
 # Fixed-point builders of the lazy double-word constants and tables
 # ----------------------------------------------------------------------
@@ -492,10 +467,20 @@ _LN2_FIXED = int(Fraction(_LN2_STR) * _ONE)
 
 
 def _pair_from_fixed(n: int, shift: int = _FIX) -> tuple[float, float]:
-    # the double-word nearest to n / 2^shift; int / int rounds correctly
+    # the double-word nearest to n / 2^shift; int / int rounds correctly,
+    # subnormal words too, and hi 2^shift is an integer, formed exactly
+    # from hi's ratio p / q at any shift
     one = 1 << shift
     hi = n / one
-    return hi, (n - int(math.ldexp(hi, shift))) / one
+    p, q = hi.as_integer_ratio()
+    return hi, (n - (p << shift) // q) / one
+
+
+def _fixed_from_pair(hi: float, lo: float, shift: int = _FIX) -> int:
+    # floor((hi + lo) 2^shift), from the words' exact ratios
+    p, q = hi.as_integer_ratio()
+    r, s = lo.as_integer_ratio()
+    return ((p * s + r * q) << shift) // (q * s)
 
 
 def _fixed_atan(p: int, q: int) -> int:
@@ -514,12 +499,12 @@ def _fixed_atan(p: int, q: int) -> int:
     return total
 
 
-def _fixed_exp_series(x: int) -> int:
-    # e^x for 0 <= x <= _ONE by its Taylor series
-    total = term = _ONE
+def _fixed_exp_series(x: int, shift: int = _FIX) -> int:
+    # e^x at 2^-shift for |x| <= 1 by its Taylor series
+    total = term = 1 << shift
     n = 1
     while term:
-        term = (term * x >> _FIX) // n
+        term = (term * x >> shift) // n
         total += term
         n += 1
     return total
@@ -556,6 +541,24 @@ def _fixed_exp(v: int) -> int:
     return e * _fixed_exp_series(v & ((_ONE >> 12) - 1)) >> _FIX
 
 
+def _fixed_sincos(t: int, shift: int) -> tuple[int, int]:
+    # sin 8t and cos 8t at 2^-shift for |t| <= pi/32: both Taylor series
+    # in t, summed in one loop, then three doublings
+    t2 = t * t >> shift
+    s = ts = t
+    c = tc = 1 << shift
+    n = 1
+    while tc:
+        tc = -(tc * t2 >> shift) // (n * (n + 1))
+        ts = -(ts * t2 >> shift) // ((n + 1) * (n + 2))
+        c += tc
+        s += ts
+        n += 2
+    for _ in range(3):
+        s, c = s * c >> shift - 1, c * c - s * s >> shift
+    return s, c
+
+
 @functools.lru_cache(maxsize=None)
 def _pi_pair() -> tuple[float, float]:
     return _pair_from_fixed(_PI_FIXED)
@@ -573,30 +576,9 @@ def _atan_tables() -> tuple[tuple[tuple[float, float], ...], ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _exp2_table() -> tuple[tuple[float, float], ...]:
-    # 2^(j/64) for j = 0..63 as powers of e^(ln2/64), built on first use
-    return tuple(map(_pair_from_fixed, _fixed_exp_powers(_LN2_FIXED >> 6, 64)))
-
-
 # ----------------------------------------------------------------------
 # Double-word elementary functions
 # ----------------------------------------------------------------------
-
-
-def _dd_taylor(ph: float, pl: float, x2h: float, x2l: float, o: int) -> tuple[float, float]:
-    # sum of the series whose first term is p and whose term k is term
-    # k - 1 times -x^2 / ((2k - 1 + o)(2k + o)): o = 1 for the odd series
-    # of sin, o = 0 for the even one of cos
-    sh, sl = ph, pl
-    k = 1
-    while True:
-        ph, pl = _dd_mul(ph, pl, x2h, x2l)
-        ph, pl = _dd_div_d(ph, pl, -float((2 * k - 1 + o) * (2 * k + o)))
-        sh, sl = _dd_add(sh, sl, ph, pl)
-        if abs(ph) <= 9.0e-34 * abs(sh) + 1e-320 or k > 40:
-            return sh, sl
-        k += 1
 
 
 def _dd_horner(
@@ -604,7 +586,7 @@ def _dd_horner(
 ) -> tuple[float, float]:
     # double-word Horner steps p = c + p z for each double-word c in
     # coeffs: two_prod with z split once, then a two_sum of the high
-    # words, inlined; callers keep |p z| well below |c|
+    # words, inlined; atan's polynomial keeps |p z| well below |c|
     t = _SPLITTER * zh
     z1 = t - (t - zh)
     z2 = zh - z1
@@ -692,113 +674,39 @@ def _dd_atan_recip(xh: float, xl: float) -> tuple[float, float]:
     return _dd_atan_add(*_atan_tables()[0][k], th, tl)
 
 
-def _dd_sin_cos_core(xh: float, xl: float) -> tuple[float, float, float, float]:
-    # series on |x| <= pi/4 + eps: scale down by 8, then double thrice
-    th, tl = _dd_scale2(xh, xl, 0.125)
-    x2h, x2l = _dd_sqr(th, tl)
-    sh, sl = _dd_taylor(th, tl, x2h, x2l, 1)  # sine series
-    ch, cl = _dd_taylor(1.0, 0.0, x2h, x2l, 0)  # cosine series
-    for _ in range(3):
-        # sin 2t = 2 sin t cos t ; cos 2t = 1 - 2 sin^2 t
-        nsh, nsl = _dd_scale2(*_dd_mul(sh, sl, ch, cl), 2.0)
-        nch, ncl = _dd_sub(1.0, 0.0, *_dd_scale2(*_dd_sqr(sh, sl), 2.0))
-        sh, sl, ch, cl = nsh, nsl, nch, ncl
-    return sh, sl, ch, cl
-
-
-def _fold_about_pi_half(xh: float, xl: float) -> tuple[float, float]:
-    # w = pi/2 - x, carried past double-word precision so that sin/cos
-    # stay relatively accurate near the quarter turn
-    p2a, p2b, p2c = _pi_half_triple()
-    s1h, s1l = _two_sum(p2a, -xh)
-    s2h, s2l = _two_sum(p2b, -xl)
-    wh, wl = _dd_add(s1h, s1l, s2h, s2l)
-    return _dd_add_d(wh, wl, p2c)
-
-
 def _dd_sincos(xh: float, xl: float) -> tuple[float, float, float, float]:
-    # (sin x, cos x): sin(-x) = -sin x, cos(-x) = cos x, and a fold about
-    # pi/2 swaps sin and cos; each step runs until |x| <= pi/4, then one
-    # series gives both
+    # (sin x, cos x): x = q pi/2 + r with |r| <= pi/4 at 2^-f, f = 192, or
+    # 192 + 3m where |x| < 2^-m, so that the low words of a small x's
+    # sine and cosine, x^3/6 and x^2/2 below it, keep their bits; sin r
+    # and cos r from _fixed_sincos(r / 8), swapped and negated by q mod 4,
+    # each rounded once. The pi/2 used is 0.016 units of 2^-192 short, so
+    # r is within 11 units for q <= 651
     if abs(xh) > 1024.0:
         raise DomainError("sin/cos argument beyond |x| <= 2^10")
-    swapped = neg_s = neg_c = False
-    while True:
-        if xh < 0.0:
-            xh, xl = -xh, -xl
-            if swapped:
-                neg_c = not neg_c
-            else:
-                neg_s = not neg_s
-        if xh <= 0.7853981633974483:
-            break
-        xh, xl = _fold_about_pi_half(xh, xl)
-        swapped = not swapped
-    sh, sl, ch, cl = _dd_sin_cos_core(xh, xl)
-    if swapped:
-        sh, sl, ch, cl = ch, cl, sh, sl
-    if neg_s:
-        sh, sl = -sh, -sl
-    if neg_c:
-        ch, cl = -ch, -cl
-    return sh, sl, ch, cl
-
-
-def _ln2_64_split() -> tuple[float, float, float]:
-    # ln2/64 = l1 + l2 + l3 with l1 and l2 of 36 bits each, so that n * l1
-    # and n * l2 are exact for |n| < 2^17
-    f = Fraction(Decimal(_LN2_STR)) / 64
-    parts = []
-    for _ in range(2):
-        m, e = math.frexp(float(f))
-        head = math.ldexp(round(math.ldexp(m, 36)), e - 36)
-        parts.append(head)
-        f -= Fraction(head)
-    return parts[0], parts[1], float(f)
-
-
-_LN2_64_L1, _LN2_64_L2, _LN2_64_L3 = _ln2_64_split()
-_INV_LN2_64 = 64.0 / 0.6931471805599453
-
-
-# Taylor coefficients 1/k! of e^r: double-word for degrees 5 down to 0,
-# then a binary64 tail for degrees 6-10
-_EXP_C5 = _pair_from_fraction(Fraction(1, 120))
-_EXP_C4_TO_C0 = tuple(
-    _pair_from_fraction(Fraction(1, math.factorial(k))) for k in range(4, -1, -1)
-)
-_EXP_C6, _EXP_C7, _EXP_C8, _EXP_C9, _EXP_C10 = (
-    1.0 / math.factorial(k) for k in range(6, 11)
-)
+    f = _FIX - 3 * min(math.frexp(xh)[1], 0)
+    half = _PI_FIXED << f - _FIX >> 1
+    q, r = divmod(_fixed_from_pair(xh, xl, f) + (half >> 1), half)
+    s, c = _fixed_sincos(r - (half >> 1), f + 3)
+    if q & 1:
+        s, c = c, -s
+    if q & 2:
+        s, c = -s, -c
+    return *_pair_from_fixed(s, f + 3), *_pair_from_fixed(c, f + 3)
 
 
 def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
-    # Tang's table-driven reduction: x = (64 k + j) ln2/64 + r with
-    # |r| <= ln2/128, and e^x = 2^k * 2^(j/64) * p(r), p the degree-10
-    # Taylor polynomial
+    # e^x = 2^k e^r for k, r = divmod(x, ln2) at the fixed point, rounded
+    # once to the nearest pair at 2^(k - 1216): the shift stays positive,
+    # and a subnormal word rounds once too. Below |x| = 2^-12, where the
+    # low word of e^x holds the bits of x, the series alone runs m bits
+    # finer for |x| < 2^-m
     if xh > 709.0 or xh < -709.0:
         raise NonFiniteError("exp argument out of range")
-    n = math.floor(xh * _INV_LN2_64 + 0.5)
-    # xh - n l1 is exact (Sterbenz); two_sum(s, -n l2) and two_sum(rh, xl)
-    # keep r to ~2^-112 absolute, so (rh, rl) is r for any low word
-    s = xh - n * _LN2_64_L1
-    a = n * _LN2_64_L2
-    rh = s - a
-    v = rh - s
-    e = (s - (rh - v)) + (-a - v)
-    t = rh + xl
-    v = t - rh
-    e += (rh - (t - v)) + (xl - v)
-    e -= n * _LN2_64_L3
-    rh = t + e
-    rl = e - (rh - t)
-    q = (((_EXP_C10 * rh + _EXP_C9) * rh + _EXP_C8) * rh + _EXP_C7) * rh + _EXP_C6
-    # double-word Horner steps for degrees 4 down to 0; |p r| < |c| / 180,
-    # so no step cancels
-    ph, pl = _dd_horner(*_dd_add_d(*_EXP_C5, rh * q), rh, rl, _EXP_C4_TO_C0)
-    ph, pl = _dd_mul(*_exp2_table()[n & 63], ph, pl)
-    k = n >> 6
-    return math.ldexp(ph, k), math.ldexp(pl, k)
+    if abs(xh) < 2.0**-12:
+        f = _FIX - math.frexp(xh)[1]
+        return _pair_from_fixed(_fixed_exp_series(_fixed_from_pair(xh, xl, f), f), f)
+    k, r = divmod(_fixed_from_pair(xh, xl), _LN2_FIXED)
+    return _pair_from_fixed(_fixed_exp(r) << 1024, _FIX + 1024 - k)
 
 
 # ----------------------------------------------------------------------
@@ -832,9 +740,23 @@ def _real_op(native, kernel, what: str, swap: bool = False):
     return op
 
 
+def _int_words(n: int) -> tuple[float, float, int]:
+    # n as its nearest pair and the integer rest below it, 0 under 2^106;
+    # NonFiniteError past binary64's range
+    try:
+        hi = float(n)
+    except OverflowError:
+        raise NonFiniteError("operand is not finite") from None
+    lo = float(n - int(hi))
+    return hi, lo, n - int(hi) - int(lo)
+
+
 def _real_cmp(compare):
-    # one Real ordering, compare on the (hi, lo) pairs
+    # one Real ordering, exact: compare on the (hi, lo) pairs, and against
+    # an int on (hi, lo, rest)
     def op(self, other):
+        if isinstance(other, int):
+            return compare((self.hi, self.lo, 0), _int_words(other))
         o = self._coerce(other)
         return NotImplemented if o is None else compare((self.hi, self.lo), (o.hi, o.lo))
 
@@ -846,16 +768,23 @@ class Real:
 
     NATIVE64 values keep ``lo == 0.0``. DOUBLEWORD values maintain the
     non-overlap invariant ``fl(hi + lo) == hi``. Arithmetic between
-    different tiers raises :class:`TierMismatchError`; ints and floats
-    are promoted exactly to the tier of the other operand.
+    different tiers raises :class:`TierMismatchError`. A float operand
+    is promoted exactly to the tier of the other operand; an int to its
+    nearest double at NATIVE64 and to its nearest pair at DOUBLEWORD,
+    exact below 2^106. Comparisons with an int are exact at both tiers.
+    An int past binary64's range equals no Real, and arithmetic or
+    ordering with it raises :class:`NonFiniteError`.
     """
 
     __slots__ = ("hi", "lo", "tier")
 
     def __init__(self, value: float = 0.0, lo: float = 0.0, tier: Tier = Tier.NATIVE64):
         _check_tier(tier)
-        hi = float(value)
-        lo = float(lo)
+        try:
+            hi = float(value)
+            lo = float(lo)
+        except OverflowError:
+            raise NonFiniteError("Real components must be finite") from None
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise NonFiniteError("Real components must be finite")
         if tier is Tier.NATIVE64:
@@ -882,8 +811,9 @@ class Real:
 
     @classmethod
     def from_float(cls, value: float, tier: Tier = Tier.NATIVE64) -> "Real":
-        """Exact embedding of a binary64 float (or int) into a tier."""
-        return cls(float(value), 0.0, tier)
+        """Exact embedding of a binary64 float into a tier; an int is
+        rounded to the nearest double."""
+        return cls(value, 0.0, tier)
 
     @classmethod
     def from_decimal(cls, text: str, tier: Tier = Tier.NATIVE64) -> "Real":
@@ -938,11 +868,13 @@ class Real:
                     f"mixed tiers: {self.tier.name} and {other.tier.name}"
                 )
             return other
-        if isinstance(other, (int, float)):
-            v = float(other)
-            if not math.isfinite(v):
+        if isinstance(other, int):
+            hi, lo, _ = _int_words(other)
+            return Real(hi, lo, self.tier)
+        if isinstance(other, float):
+            if not math.isfinite(other):
                 raise NonFiniteError("operand is not finite")
-            return Real._raw(v, 0.0, self.tier)
+            return Real._raw(other, 0.0, self.tier)
         return None
 
     def __eq__(self, other) -> bool:
@@ -952,14 +884,22 @@ class Real:
                 and self.hi == other.hi
                 and self.lo == other.lo
             )
-        if isinstance(other, (int, float)):
-            return self.hi == float(other) and self.lo == 0.0
+        if isinstance(other, int):
+            try:
+                return (self.hi, self.lo, 0) == _int_words(other)
+            except NonFiniteError:
+                return False
+        if isinstance(other, float):
+            return self.hi == other and self.lo == 0.0
         return NotImplemented
 
     def __hash__(self):
-        # a value equal to a float hashes as that float does
+        # a value equal to a float or an int hashes as it does; a low word
+        # that is a whole number makes the high word one too
         if self.lo == 0.0:
             return hash(self.hi)
+        if self.lo.is_integer():
+            return hash(int(self.hi) + int(self.lo))
         return hash((self.hi, self.lo, self.tier))
 
     __lt__ = _real_cmp(operator.lt)

@@ -66,8 +66,8 @@ def assert_ulps(x: Real, y: Real, limit: float, label: str = "") -> None:
 def nearest_pair(v) -> tuple[float, float]:
     """The double-word nearest to an mpmath value, rounded from its
     exact binary fraction."""
-    man, exp = v.man_exp
-    f = Fraction(man) * Fraction(2) ** exp
+    man, exp = v.man_exp  # the magnitude's
+    f = Fraction(-man if v < 0 else man) * Fraction(2) ** exp
     hi = float(f)
     return hi, float(f - Fraction(hi))
 

@@ -62,6 +62,11 @@ class TestExitCodes:
         assert run(capsys, "eval", "i2_kernel_eq4", "--a", "2.0")[0] == 2
         assert run(capsys, "eval", "eq3_kernel", "--a", "0")[0] == 1  # domain
 
+    @pytest.mark.parametrize("a", ["nan", "inf", "-inf", "1e400", "abc"])
+    def test_eval_a_not_a_finite_number(self, capsys, a):
+        code, out, err = run(capsys, "eval", "eq3_kernel", f"--a={a}")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_mode_on_a_1d_integrand_rejected(self, capsys):
         code, out, err = run(capsys, "eval", "i1_x", "--mode", "tensor")
         assert code == 2 and out == "" and "--mode" in err

@@ -141,6 +141,36 @@ class TestRealBasics:
         assert (0.5 * x).to_float() == 1.0
         assert (1 / x).to_float() == 0.5
 
+    def test_int_operands(self):
+        # compared exactly at both tiers, promoted to the nearest pair at
+        # DOUBLEWORD, and an int past binary64 is unequal or raises
+        D, N = Tier.DOUBLEWORD, Tier.NATIVE64
+        big = 2**53 + 1
+        assert Real.from_float(2.0**53, N) != big
+        assert Real.from_float(2.0**53, N) < big and not Real.from_float(2.0**53, N) >= big
+        pair = Real(2.0**53, 1.0, D)
+        assert pair == big and big == pair and len({pair, big}) == 1
+        assert pair <= big and not pair < big and pair < big + 1
+        s = Real.from_float(0.0, D) + big
+        assert (s.hi, s.lo) == (2.0**53, 1.0)
+        # past 2^106 the rest below the pair still counts
+        wide = Real(2.0**200, 2.0**100, D)
+        assert wide != 2**200 + 2**100 + 1 and wide < 2**200 + 2**100 + 1
+        huge = 10**400
+        for tier in TIERS:
+            one = Real.from_float(1.0, tier)
+            assert one != huge and not (one == huge) and one != -huge
+            for bad in (
+                lambda: Real(huge, 0.0, tier),
+                lambda: Real.from_float(huge, tier),
+                lambda: one + huge,
+                lambda: huge * one,
+                lambda: one < huge,
+                lambda: -huge >= one,
+            ):
+                with pytest.raises(NonFiniteError):
+                    bad()
+
     def test_comparisons(self):
         a = Real.from_decimal("1", Tier.DOUBLEWORD)
         b = a + Real(0.0, 1e-30, Tier.DOUBLEWORD)
@@ -356,8 +386,6 @@ def test_every_constant_and_table_entry_is_the_nearest_pair():
     table, recip_table = scalar._atan_tables()
     assert list(table) == [nearest_pair(a) for a in atan_k]
     assert list(recip_table) == [nearest_pair(mp.pi / 2 - a) for a in atan_k]
-    want = [nearest_pair(mp.mpf(2) ** (mp.mpf(j) / 64)) for j in range(64)]
-    assert list(scalar._exp2_table()) == want
     # e^i, e^(i/64) and e^(i/4096), read by the tanh-sinh points
     tables = scalar._fixed_exp_tables()
     for table, q in zip(tables, (1, 64, 4096)):
@@ -953,30 +981,34 @@ def test_atan_property_against_mpmath():
 
 
 # ----------------------------------------------------------------------
-# Table-driven double-word exp
+# Double-word exp from the fixed-point block
 # ----------------------------------------------------------------------
-# The kernel reduces x = (64 k + j) ln2/64 + r, |r| <= ln2/128, and
-# returns 2^k * 2^(j/64) * p(r) with 2^(j/64) from a 64-entry table and
-# p a degree-10 Horner polynomial. Its worst measured error is below 1
-# unit of 2^-104 relative; the tests hold it to 4. Below x = -671 the
-# result's low word is subnormal and the bound no longer holds.
+# The kernel takes k, r = divmod(x, ln2) at 2^-192 and rounds 2^k e^r,
+# e^r from the power tables of _fixed_exp, once to the nearest pair;
+# below |x| = 2^-12 the series runs alone, finer by the bits x lacks. On
+# [-671, 709] every result tested is the nearest pair to the mpmath
+# value, so within a quarter unit of 2^-104 relative; below -671 a word
+# is subnormal and the nearest pair itself carries fewer bits.
 
-EXP_BOUND = 4.0 * 2.0**-104
+EXP_BOUND = 0.25 * 2.0**-104
 
 
-def _rel_err(kernel, oracle, xh, xl):
+def _exp_err(xh, xl):
+    # the relative error of _dd_exp(xh, xl), which must be the nearest
+    # pair; 1,300 bits keep 1 + x exact for any x down to 2^-1074
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    want = oracle(mp.mpf(xh) + mp.mpf(xl))
-    rh, rl = kernel(xh, xl)
-    return float(abs((mp.mpf(rh) + mp.mpf(rl) - want) / want))
+    with mp.workprec(1300):
+        want = mp.exp(mp.mpf(xh) + mp.mpf(xl))
+        got = scalar._dd_exp(xh, xl)
+        assert got == nearest_pair(want), f"exp({xh!r}, {xl!r}) = {got!r}"
+        return float(abs((mp.mpf(got[0]) + mp.mpf(got[1]) - want) / want))
 
 
 class TestTableDrivenExp:
-    def _assert_bound(self, kernel, oracle, words):
+    def _assert_bound(self, words):
         for xh, xl in words:
-            err = _rel_err(kernel, oracle, xh, xl)
-            assert err <= EXP_BOUND, f"{kernel.__name__}({xh!r}, {xl!r}): {err / 2.0**-104:.3g} units"
+            err = _exp_err(xh, xl)
+            assert err <= EXP_BOUND, f"exp({xh!r}, {xl!r}): {err / 2.0**-104:.3g} units"
 
     def test_points_the_squaring_series_missed(self):
         # the r/16 series squared four times was 18.2, 17.0 and 16.9
@@ -988,24 +1020,20 @@ class TestTableDrivenExp:
             want = Real.from_decimal(mp.nstr(mp.exp(mp.mpf(v)), 45), Tier.DOUBLEWORD)
             assert rel_err(got, want) <= ELEM_BOUND[Tier.DOUBLEWORD]
         self._assert_bound(
-            scalar._dd_exp,
-            mp.exp,
-            [(7.725651455075308, 0.0), (14.819721913313877, 0.0), (-31.04506000856949, 0.0)],
+            [(7.725651455075308, 0.0), (14.819721913313877, 0.0), (-31.04506000856949, 0.0)]
         )
 
     def test_reduction_cells(self):
         # the centers and edges of the cells j ln2/64, with low words
-        mp = pytest.importorskip("mpmath")
         step = math.log(2.0) / 64.0
         pts = []
         for n in range(-2500, 2500, 37):
             pts += _ulps_around(n * step, 1) + _ulps_around((n + 0.5) * step, 1)
-        self._assert_bound(scalar._dd_exp, mp.exp, _with_low_words(pts, 0xE4B))
+        self._assert_bound(_with_low_words(pts, 0xE4B))
 
     def test_range_ends_and_zero(self):
-        mp = pytest.importorskip("mpmath")
         words = [(v, 0.0) for v in (709.0, -671.0, 5e-324, -5e-324, 1e-300, 1e-20, -1e-20)]
-        self._assert_bound(scalar._dd_exp, mp.exp, words)
+        self._assert_bound(words)
         assert scalar._dd_exp(0.0, 0.0) == (1.0, 0.0)
         assert scalar._dd_exp(-0.0, 0.0) == (1.0, 0.0)
         for v in (709.5, -709.5, math.inf, -math.inf):
@@ -1016,22 +1044,22 @@ class TestTableDrivenExp:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # every lazy constant and table of the scalar module
         code = (
             "import ahmedquad\n"
-            "from ahmedquad import quad, scalar\n"
-            "print(scalar._exp2_table.cache_info().currsize,"
-            " scalar._fixed_exp_tables.cache_info().currsize)\n"
+            "from ahmedquad import scalar\n"
+            "for f in (scalar._pi_pair, scalar._atan_tables, scalar._fixed_exp_tables):\n"
+            "    print(f.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0"]
+        assert proc.stdout.split() == ["0", "0", "0"]
 
 
 def test_exp_property_against_mpmath():
     hypothesis = pytest.importorskip("hypothesis")
-    mp = pytest.importorskip("mpmath")
     st = hypothesis.strategies
     # half the draws on [-80, 80]
     his = st.one_of(
@@ -1045,27 +1073,47 @@ def test_exp_property_against_mpmath():
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
     @hypothesis.given(words)
     def check(word):
-        err = _rel_err(scalar._dd_exp, mp.exp, *word)
+        err = _exp_err(*word)
         assert err <= EXP_BOUND, f"exp{word!r}: {err / 2.0**-104:.3g} units"
 
     check()
 
 
 # ----------------------------------------------------------------------
-# Double-word sin and cos: iterative folding, bounded domain
+# Double-word sin and cos: one reduction at the fixed point, bounded domain
 # ----------------------------------------------------------------------
+# The kernel subtracts the nearest multiple q of pi/2 at 2^-192 (finer for
+# |x| < 1), sums both series at r/8 and doubles three times, and rounds
+# each result once. Every result tested is the nearest pair to the mpmath
+# value; next to a multiple of pi/2 the error is absolute, below 2^-182.
 
-# (x, sin hi, sin lo, cos hi, cos lo), captured from the recursive
-# folding that the loop replaced
+
+
+def _assert_sincos_nearest(xh, xl):
+    # _dd_sincos(xh, xl) and the public sin and cos are the nearest pairs
+    # to the mpmath values; 1,300 bits resolve a subnormal low word next
+    # to 1 or to a tiny x
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(1300):
+        v = mp.mpf(xh) + mp.mpf(xl)
+        want = nearest_pair(mp.sin(v)) + nearest_pair(mp.cos(v))
+    assert scalar._dd_sincos(xh, xl) == want, (xh, xl)
+    x = Real._raw(xh, xl, Tier.DOUBLEWORD)
+    s, c = sin(x), cos(x)
+    assert (s.hi, s.lo, c.hi, c.lo) == want, (xh, xl)
+
+
+# (x, sin hi, sin lo, cos hi, cos lo), each the nearest pair to the
+# 60-digit mpmath value
 SIN_COS_PINNED = [
-    (0.5, "0x1.eaee8744b05f0p-2", "-0x1.789b43c9b0280p-58", "0x1.c1528065b7d50p-1", "-0x1.892111312e828p-55"),
-    (1.0, "0x1.aed548f090ceep-1", "0x1.06374f484e2a0p-59", "0x1.14a280fb5068cp-1", "-0x1.b71edcc9344c0p-55"),
-    (2.5, "0x1.326af0dcfcab1p-1", "-0x1.fd42734161656p-55", "-0x1.9a2f7ef858b7dp-1", "-0x1.587cfaa17e970p-56"),
-    (10.0, "-0x1.1689ef5f34f52p-1", "-0x1.673fd915f0125p-55", "-0x1.ad9ac890c6b1fp-1", "-0x1.04f7e2a0b9997p-56"),
-    (123.456, "-0x1.9b9dadc41aeb6p-1", "0x1.a57a7849f0300p-56", "-0x1.307e5980a1558p-1", "-0x1.445cf27ff9b4ep-55"),
-    (500.0, "-0x1.deff92776755fp-2", "0x1.1eb94baf2783cp-56", "-0x1.c487e457f68f0p-1", "0x1.c0c1317aa5840p-55"),
-    (999.0, "-0x1.b18870e886e35p-6", "-0x1.7fdcf44dbc7bap-60", "0x1.ffd21b0401f9ap-1", "0x1.31391e2a18ad7p-55"),
-    (1000.0, "0x1.a75cc150a206bp-1", "0x1.64b8b22674a18p-55", "0x1.1ff026793f1bbp-1", "0x1.dc0807412c894p-55"),
+    (0.5, "0x1.eaee8744b05f0p-2", "-0x1.789b43c9b027dp-58", "0x1.c1528065b7d50p-1", "-0x1.892111312e828p-55"),
+    (1.0, "0x1.aed548f090ceep-1", "0x1.06374f484e288p-59", "0x1.14a280fb5068cp-1", "-0x1.b71edcc9344bcp-55"),
+    (2.5, "0x1.326af0dcfcab1p-1", "-0x1.fd42734161659p-55", "-0x1.9a2f7ef858b7dp-1", "-0x1.587cfaa17e973p-56"),
+    (10.0, "-0x1.1689ef5f34f52p-1", "-0x1.673fd915f0127p-55", "-0x1.ad9ac890c6b1fp-1", "-0x1.04f7e2a0b9995p-56"),
+    (123.456, "-0x1.9b9dadc41aeb6p-1", "0x1.a57a7849f0736p-56", "-0x1.307e5980a1558p-1", "-0x1.445cf27ff9e26p-55"),
+    (500.0, "-0x1.deff92776755fp-2", "0x1.1eb94baf2955ap-56", "-0x1.c487e457f68f0p-1", "0x1.c0c1317aa508cp-55"),
+    (999.0, "-0x1.b18870e886e35p-6", "-0x1.7fdcf44dff790p-60", "0x1.ffd21b0401f9ap-1", "0x1.31391e2a189f4p-55"),
+    (1000.0, "0x1.a75cc150a206bp-1", "0x1.64b8b22673741p-55", "0x1.1ff026793f1bbp-1", "0x1.dc0807412e446p-55"),
 ]
 
 
@@ -1104,71 +1152,37 @@ class TestSinCosFolding:
         got = nest(sys.getrecursionlimit() - 100)
         assert got.hi == float.fromhex(SIN_COS_PINNED[-1][1])
 
-    def test_sincos_matches_the_two_separate_calls(self):
-        # _dd_sincos folds once and runs the series once; the reference
-        # is the former one-function loop, run once for sin and once for
-        # cos, on a seeded sweep of [-1024, 1024] and of [-4, 4]
-        def ref_sin_or_cos(xh, xl, want_sin):
-            neg = False
-            while True:
-                if xh < 0.0:
-                    xh, xl = -xh, -xl
-                    neg ^= want_sin
-                if xh <= 0.7853981633974483:
-                    break
-                xh, xl = scalar._fold_about_pi_half(xh, xl)
-                want_sin = not want_sin
-            sh, sl, ch, cl = scalar._dd_sin_cos_core(xh, xl)
-            if want_sin:
-                return (-sh, -sl) if neg else (sh, sl)
-            return (-ch, -cl) if neg else (ch, cl)
-
+    def test_nearest_pair_against_mpmath(self):
+        # a seeded sweep of [-1024, 1024] and of [-4, 4], zero, tiny
+        # arguments and the reduction's edges +-pi/4, with low words
         rng = random.Random(0x51C05)
-        his = [rng.uniform(-1024.0, 1024.0) for _ in range(500)]
-        his += [rng.uniform(-4.0, 4.0) for _ in range(500)]
-        his += [0.0, -0.0, 1024.0, -1024.0, 0.7853981633974483, -0.7853981633974483]
-        for xh in his:
-            xl = rng.uniform(-0.5, 0.5) * math.ulp(xh)
-            got = scalar._dd_sincos(xh, xl)
-            want = ref_sin_or_cos(xh, xl, True) + ref_sin_or_cos(xh, xl, False)
-            assert [_bits(v) for v in got] == [_bits(v) for v in want], (xh, xl)
-
-
-class TestSharedSeriesLoop:
-    # sin and cos share one Taylor loop, capped at 40 terms; on their
-    # domain it must stop well before that
-    def _terms_per_use(self, monkeypatch, call, words):
-        counts, div_d, taylor = [], scalar._dd_div_d, scalar._dd_taylor
-        live = [0]
-
-        def counting_div_d(*args):
-            live[0] += 1
-            return div_d(*args)
-
-        def spy(*args):
-            live[0] = 0
-            out = taylor(*args)
-            counts.append(live[0])
-            return out
-
-        monkeypatch.setattr(scalar, "_dd_div_d", counting_div_d)
-        monkeypatch.setattr(scalar, "_dd_taylor", spy)
-        per_call = set()
-        for xh, xl in words:
-            before = len(counts)
-            call(xh, xl)
-            per_call.add(len(counts) - before)
-        return counts, per_call
-
-    def test_converges_well_before_the_cap(self, monkeypatch):
-        rng = random.Random(0x7A7)
+        pts = [rng.uniform(-1024.0, 1024.0) for _ in range(500)]
+        pts += [rng.uniform(-4.0, 4.0) for _ in range(500)]
         quarter = 0.7853981633974483
-        pts = [rng.uniform(-quarter, quarter) for _ in range(1500)]
-        pts += _ulps_around(quarter, 2) + _ulps_around(-quarter, 2) + [0.0, 1e-300]
-        counts, per_call = self._terms_per_use(
-            monkeypatch, scalar._dd_sin_cos_core, _with_low_words(pts, 0x7A8)
-        )
-        assert per_call == {2} and max(counts) <= 20
+        pts += _ulps_around(quarter, 2) + _ulps_around(-quarter, 2)
+        pts += [1e-300, 1e-100, 2.0**-60, -(2.0**-60), 1024.0, -1024.0]
+        for word in [(0.0, 0.0), (-0.0, 0.0)] + _with_low_words(pts, 0x51C06):
+            _assert_sincos_nearest(*word)
+
+
+def test_sincos_property_against_mpmath():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # half the draws on the i1_theta domain [0, pi/4]
+    his = st.one_of(
+        st.floats(min_value=0.0, max_value=0.7853981633974483),
+        st.floats(min_value=-1024.0, max_value=1024.0),
+    )
+    words = st.tuples(his, st.floats(min_value=-0.5, max_value=0.5)).map(
+        lambda p: _two_sum(p[0], p[1] * math.ulp(p[0]))
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(words)
+    def check(word):
+        _assert_sincos_nearest(*word)
+
+    check()
 
 
 # ----------------------------------------------------------------------
