@@ -7,7 +7,12 @@ The quadrature engines select a lane by tier; :func:`eval_integrand`
 is the safe pointwise entry with domain checking. Each 2-D formula is
 written once, as parts that the tensor rules evaluate once per axis
 point and a join they evaluate at each point; the plain lane is derived
-from them. Each lane also carries ``certificate()``, which returns the
+from them. The double-word lanes of ahmed_eq1, i1_x, i2_x and i1_theta
+run in integers at the 2^-192 fixed point of :mod:`.scalar`, from the
+sine and cosine of ``_fixed_sincos`` or from x^2, s = sqrt(2 + x^2) and
+the atan of ``_fixed_atan_ratio``, and round each value once, to the
+nearest pair; the 2-D and eq3 lanes stay in double-word floating point.
+Each lane also carries ``certificate()``, which returns the
 integrand's :class:`Certificate`: bounds on its analytic continuation
 off its domain, from which the Gauss-Legendre engine proves its error
 bounds.
@@ -26,21 +31,22 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, TierMismatchError
 from .scalar import (
+    _FIX,
+    _PI_FIXED,
     Real,
     Tier,
     pi,
     _dd_add,
     _dd_add_d,
-    _dd_atan,
-    _dd_atan_recip,
-    _dd_div,
     _dd_mul,
     _dd_recip,
     _dd_recip_rescued,
     _dd_scale2,
-    _dd_sincos,
     _dd_sqr,
-    _dd_sqrt,
+    _fixed_atan_ratio,
+    _fixed_from_pair,
+    _fixed_sincos,
+    _pair_from_fixed,
     _pi_pair,
 )
 
@@ -308,6 +314,24 @@ def closed_form_of(integrand_id: str, tier: Tier) -> Real | None:
 # ----------------------------------------------------------------------
 
 
+def _fixed_x_parts(xh: float, xl: float) -> tuple[int, int, int, int]:
+    # (e, f, x^2, s = sqrt(2 + x^2)), at 2^-f with f = 192 + e, where e
+    # is the larger of 0 and x's binary exponent, so that atan(1/s) keeps
+    # its bits for a large x
+    e = max(math.frexp(xh)[1], 0)
+    f = _FIX + e
+    x = _fixed_from_pair(xh, xl, f)
+    x2 = x * x >> f
+    return e, f, x2, math.isqrt(x2 + (2 << f) << f)
+
+
+def _over_x_parts(n: int, e: int, f: int, x2: int, s: int) -> tuple[float, float]:
+    # n / ((1 + x^2) s) for n at 2^-f, one quotient at 2^-(f + 3e) (the
+    # denominator grows as x^3), rounded once to the nearest pair
+    out = f + 3 * e
+    return _pair_from_fixed((n << f + out) // ((x2 + (1 << f)) * s), out)
+
+
 def _native_ahmed(x: float) -> float:
     x2 = x * x
     s = math.sqrt(2.0 + x2)
@@ -315,11 +339,8 @@ def _native_ahmed(x: float) -> float:
 
 
 def _dd_ahmed(xh: float, xl: float) -> tuple[float, float]:
-    x2h, x2l = _dd_sqr(xh, xl)
-    sh, sl = _dd_sqrt(*_dd_add_d(x2h, x2l, 2.0))
-    ah, al = _dd_atan(sh, sl)
-    dh, dl = _dd_mul(*_dd_add_d(x2h, x2l, 1.0), sh, sl)
-    return _dd_div(ah, al, dh, dl)
+    e, f, x2, s = _fixed_x_parts(xh, xl)
+    return _over_x_parts(_fixed_atan_ratio(s, 1 << f, f), e, f, x2, s)
 
 
 def _native_i1_x(x: float) -> float:
@@ -329,11 +350,8 @@ def _native_i1_x(x: float) -> float:
 
 
 def _dd_i1_x(xh: float, xl: float) -> tuple[float, float]:
-    x2h, x2l = _dd_sqr(xh, xl)
-    sh, sl = _dd_sqrt(*_dd_add_d(x2h, x2l, 2.0))
-    dh, dl = _dd_mul(*_dd_add_d(x2h, x2l, 1.0), sh, sl)
-    p2h, p2l = _dd_scale2(*_pi_pair(), 0.5)
-    return _dd_div(p2h, p2l, dh, dl)
+    e, f, x2, s = _fixed_x_parts(xh, xl)
+    return _over_x_parts(_PI_FIXED << e >> 1, e, f, x2, s)
 
 
 def _native_i1_theta(t: float) -> float:
@@ -342,11 +360,11 @@ def _native_i1_theta(t: float) -> float:
 
 
 def _dd_i1_theta(th: float, tl: float) -> tuple[float, float]:
-    sh, sl, ch, cl = _dd_sincos(th, tl)
-    rh, rl = _dd_sqrt(*_dd_add_d(*_dd_scale2(*_dd_sqr(sh, sl), -1.0), 2.0))
-    p2h, p2l = _dd_scale2(*_pi_pair(), 0.5)
-    nh, nl = _dd_mul(p2h, p2l, ch, cl)
-    return _dd_div(nh, nl, rh, rl)
+    # (pi/2) cos t / sqrt(2 - sin^2 t), the root at the 2^-g of the sine
+    # and cosine, the quotient at 2^-192
+    s, c, g = _fixed_sincos(th, tl)
+    r = math.isqrt((2 << g) - (s * s >> g) << g)
+    return _pair_from_fixed(_PI_FIXED * c // (r << 1))
 
 
 def _native_i1_phi(_t: float) -> float:
@@ -364,11 +382,8 @@ def _native_i2_x(x: float) -> float:
 
 
 def _dd_i2_x(xh: float, xl: float) -> tuple[float, float]:
-    x2h, x2l = _dd_sqr(xh, xl)
-    sh, sl = _dd_sqrt(*_dd_add_d(x2h, x2l, 2.0))
-    ah, al = _dd_atan_recip(sh, sl)
-    dh, dl = _dd_mul(*_dd_add_d(x2h, x2l, 1.0), sh, sl)
-    return _dd_div(ah, al, dh, dl)
+    e, f, x2, s = _fixed_x_parts(xh, xl)
+    return _over_x_parts(_fixed_atan_ratio(1 << f, s, f), e, f, x2, s)
 
 
 # A 2-D lane is an x-part, a y-part and a join: f(x, y) = join(xpart(x),

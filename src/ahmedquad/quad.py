@@ -571,9 +571,11 @@ def _boundary(f, lane, user: bool, domain=None):
 
     With a ``domain`` every evaluation is checked: a non-finite value,
     or an arithmetic error raised on the domain's edge (where an
-    integrable singularity sits), raises :class:`NonFiniteError`
-    carrying the point. An error raised inside the domain is the
-    integrand's own and propagates unchanged."""
+    integrable singularity sits) or at a point with a non-finite
+    coordinate (where a mapping overflowed), raises
+    :class:`NonFiniteError` carrying the point. An error raised at a
+    finite point inside the domain is the integrand's own and propagates
+    unchanged."""
     tier = lane.tier
     call = f
     if user:
@@ -603,7 +605,8 @@ def _boundary(f, lane, user: bool, domain=None):
         try:
             v = call(*words)
         except (ArithmeticError, ValueError):
-            if not any(c in edge for c, edge in zip(coords, edges)):
+            finite = all(math.isfinite(h) for h, _ in coords)
+            if finite and not any(c in edge for c, edge in zip(coords, edges)):
                 raise
             v = None
         if v is None or not math.isfinite(lane.hi(v)):

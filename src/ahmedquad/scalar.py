@@ -15,16 +15,6 @@ The hot paths inside the quadrature engines work on raw ``(hi, lo)``
 tuples through the module-private ``_dd_*`` functions; the :class:`Real`
 wrapper provides the safe, tier-checked public surface on top of them.
 
-Double-word ``atan`` uses Tang's table-lookup reduction with one
-division: x in [0, 1] is reduced about the nearest c = k/64 to
-t = (x - c)/(1 + x c), and atan(k/64) comes from a 65-entry table built
-on first use. Above 1, c = k/64 is the nearest to 1/x,
-t = (1 - c x)/(x + c), and atan x = atan(64/k) - atan t, with
-atan(64/k) = pi/2 - atan(k/64) from a second table built with the
-first; ``_dd_atan_recip`` gives atan(1/x) = atan(k/64) + atan t from the
-same t. Always |t| <= 1/128. Its polynomial runs in one double-word
-Horner kernel (``_dd_horner``).
-
 A reciprocal 1/b, which the three 2-D kernels' joins and the eq3 lane
 form at every point, takes one Newton step from r = 1/b_hi
 (``_dd_recip``, Karp and Markstein, ACM TOMS 23, 1997): with
@@ -33,13 +23,18 @@ e + e^2). It stays within a unit of 2^-104, at under 40% of the cost of
 the long division ``_dd_div(1, 0, b)``.
 
 One block of fixed-point integer code, at 2^-192, builds every lazy
-constant and table on first use (pi, the two atan tables and the power
-tables of ``_fixed_exp``, which the quadrature module calls for each
-tanh-sinh point), and computes double-word ``sin``, ``cos`` and ``exp``:
-``_dd_sincos`` takes the nearest multiple of pi/2 off |x| <= 2^10
-(:class:`DomainError` beyond) and sums both Taylor series, and
-``_dd_exp`` takes e^r for r = x mod ln2 from ``_fixed_exp``. Each value
-is rounded once, to the nearest double-word pair.
+constant and table on first use (pi, the 65 integers atan(k/64) and the
+power tables of ``_fixed_exp``, which the quadrature module calls for
+each tanh-sinh point), and computes double-word ``sin``, ``cos``,
+``exp``, ``atan`` and ``sqrt``: ``_fixed_sincos`` takes the nearest
+multiple of pi/2 off |x| <= 2^10 (:class:`DomainError` beyond) and sums
+both Taylor series; ``_dd_exp`` takes e^r for r = x mod ln2 from
+``_fixed_exp``; ``_fixed_atan_ratio`` gives atan(p/q) as atan(k/64) from
+the table plus the series of t = (64p - kq)/(64q + kp), |t| <= 1/128,
+for k/64 the nearest to p/q, and as pi/2 - atan(q/p) above 1; ``sqrt``
+takes ``math.isqrt`` of x at a shift that keeps 192 bits. The
+:mod:`.integrands` lanes of the chain integrands use the same code.
+Each value is rounded once, to the nearest double-word pair.
 
 Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``,
 ``_dd_div``, their ``_d`` forms and ``_dd_recip`` return NaN. Four
@@ -352,35 +347,6 @@ def _dd_scale2(ah: float, al: float, s: float) -> tuple[float, float]:
     return ah * s, al * s
 
 
-def _dd_sqrt(ah: float, al: float) -> tuple[float, float]:
-    # Karp's method: one Newton correction from the native square root.
-    # two_prod(y, y) and the hi word of _dd_sub are inlined.
-    if ah == 0.0 and al == 0.0:
-        return 0.0, 0.0
-    if ah < 0.0:
-        raise DomainError("sqrt of a negative value")
-    r = 1.0 / math.sqrt(ah)
-    y = ah * r
-    p = y * y
-    t = _SPLITTER * y
-    y1 = t - (t - y)
-    y2 = y - y1
-    pe = ((y1 * y1 - p) + y1 * y2 + y2 * y1) + y2 * y2
-    sh = ah - p
-    v = sh - ah
-    se = (ah - (sh - v)) + (-p - v)
-    sl = al - pe
-    v = sl - al
-    te = (al - (sl - v)) + (-pe - v)
-    se += sl
-    h = sh + se
-    se = se - (h - sh)
-    se += te
-    c = (h + se) * (0.5 * r)
-    h = y + c
-    return h, c - (h - y)
-
-
 def _dd_rescaled(kernel, ah: float, al: float, bh: float, bl: float, sign: int):
     # kernel(a, b) on operands scaled by powers of two to a high word in
     # [0.5, 1), then scaled back by 2^(ea + sign * eb): sign 1 for a
@@ -541,22 +507,56 @@ def _fixed_exp(v: int) -> int:
     return e * _fixed_exp_series(v & ((_ONE >> 12) - 1)) >> _FIX
 
 
-def _fixed_sincos(t: int, shift: int) -> tuple[int, int]:
-    # sin 8t and cos 8t at 2^-shift for |t| <= pi/32: both Taylor series
-    # in t, summed in one loop, then three doublings
-    t2 = t * t >> shift
-    s = ts = t
-    c = tc = 1 << shift
+def _fixed_sincos(xh: float, xl: float) -> tuple[int, int, int]:
+    # (sin x, cos x, g), both at 2^-g: x = q pi/2 + r with |r| <= pi/4 at
+    # 2^-f, f = 192, or 192 + 3m where |x| < 2^-m, so that the low words
+    # of a small x's sine and cosine, x^3/6 and x^2/2 below it, keep their
+    # bits; both Taylor series at r/8 and g = f + 3, summed in one loop,
+    # then three doublings, swapped and negated by q mod 4. The pi/2 used
+    # is 0.016 units of 2^-192 short, so r is within 11 units for q <= 651
+    if abs(xh) > 1024.0:
+        raise DomainError("sin/cos argument beyond |x| <= 2^10")
+    f = _FIX - 3 * min(math.frexp(xh)[1], 0)
+    half = _PI_FIXED << f - _FIX >> 1
+    q, r = divmod(_fixed_from_pair(xh, xl, f) + (half >> 1), half)
+    r -= half >> 1
+    g = f + 3
+    r2 = r * r >> g
+    s = ts = r
+    c = tc = 1 << g
     n = 1
     while tc:
-        tc = -(tc * t2 >> shift) // (n * (n + 1))
-        ts = -(ts * t2 >> shift) // ((n + 1) * (n + 2))
+        tc = -(tc * r2 >> g) // (n * (n + 1))
+        ts = -(ts * r2 >> g) // ((n + 1) * (n + 2))
         c += tc
         s += ts
         n += 2
     for _ in range(3):
-        s, c = s * c >> shift - 1, c * c - s * s >> shift
-    return s, c
+        s, c = s * c >> g - 1, c * c - s * s >> g
+    if q & 1:
+        s, c = c, -s
+    if q & 2:
+        s, c = -s, -c
+    return s, c, g
+
+
+def _fixed_atan_ratio(p: int, q: int, shift: int) -> int:
+    # atan(p/q) at 2^-shift for p, q >= 0, shift >= 192: below 1 it is
+    # atan(k/64) + atan t with k/64 the nearest to p/q and t = (64p -
+    # kq)/(64q + kp), |t| <= 1/128, whose Taylor terms each fall under
+    # 2^-14 of the last; above 1, pi/2 - atan(q/p)
+    if p > q:
+        return (_PI_FIXED << shift - _FIX >> 1) - _fixed_atan_ratio(q, p, shift)
+    k = (p << 7) // q + 1 >> 1
+    t = ((p << 6) - k * q << shift) // ((q << 6) + k * p)
+    t2 = t * t >> shift
+    total = term = t
+    n = 1
+    while term:
+        term = -(term * t2 >> shift)
+        n += 2
+        total += term // n
+    return (_atan_table()[k] << shift - _FIX) + total
 
 
 @functools.lru_cache(maxsize=None)
@@ -565,15 +565,9 @@ def _pi_pair() -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _atan_tables() -> tuple[tuple[tuple[float, float], ...], ...]:
-    # atan(k / 64) and atan(64 / k) = pi/2 - atan(k / 64) for k = 0..64,
-    # pi/2 at k = 0, from one series pass, subtracted in fixed point
-    # before rounding; built on first use
-    fixed = [_fixed_atan(k, 64) for k in range(65)]
-    return (
-        tuple(map(_pair_from_fixed, fixed)),
-        tuple(_pair_from_fixed((_PI_FIXED >> 1) - a) for a in fixed),
-    )
+def _atan_table() -> tuple[int, ...]:
+    # atan(k / 64) at 2^-192 for k = 0..64, built on first use
+    return tuple(_fixed_atan(k, 64) for k in range(65))
 
 
 # ----------------------------------------------------------------------
@@ -581,117 +575,10 @@ def _atan_tables() -> tuple[tuple[tuple[float, float], ...], ...]:
 # ----------------------------------------------------------------------
 
 
-def _dd_horner(
-    ph: float, pl: float, zh: float, zl: float, coeffs: tuple[tuple[float, float], ...]
-) -> tuple[float, float]:
-    # double-word Horner steps p = c + p z for each double-word c in
-    # coeffs: two_prod with z split once, then a two_sum of the high
-    # words, inlined; atan's polynomial keeps |p z| well below |c|
-    t = _SPLITTER * zh
-    z1 = t - (t - zh)
-    z2 = zh - z1
-    for ch, cl in coeffs:
-        p = ph * zh
-        t = _SPLITTER * ph
-        a1 = t - (t - ph)
-        a2 = ph - a1
-        e = ((a1 * z1 - p) + a1 * z2 + a2 * z1) + a2 * z2
-        e += ph * zl + pl * zh
-        sh = ch + p
-        v = sh - ch
-        e += ((ch - (sh - v)) + (p - v)) + cl
-        ph = sh + e
-        pl = e - (ph - sh)
-    return ph, pl
-
-
-# double-word coefficients -1/7 and then 1/5, -1/3 of the atan series,
-# and the binary64 tail 1/9, -1/11, 1/13, -1/15
-_ATAN_C7 = _dd_div_d(-1.0, 0.0, 7.0)
-_ATAN_C5_C3 = (_dd_div_d(1.0, 0.0, 5.0), _dd_div_d(-1.0, 0.0, 3.0))
-_ATAN_C9, _ATAN_C11 = 1.0 / 9.0, -1.0 / 11.0
-_ATAN_C13, _ATAN_C15 = 1.0 / 13.0, -1.0 / 15.0
-
-
-def _dd_atan_add(ch: float, cl: float, th: float, tl: float) -> tuple[float, float]:
-    # (ch, cl) + atan t for |t| <= 1/128: atan t = t + t z P(z), z = t^2,
-    # P in Horner form
-    zh, zl = _dd_sqr(th, tl)
-    q = ((_ATAN_C15 * zh + _ATAN_C13) * zh + _ATAN_C11) * zh + _ATAN_C9
-    # double-word Horner steps for c = 1/5 and -1/3; |p z| < |c| / 10^4,
-    # so no step cancels
-    ph, pl = _dd_horner(*_dd_add_d(*_ATAN_C7, zh * q), zh, zl, _ATAN_C5_C3)
-    ph, pl = _dd_mul(*_dd_mul(th, tl, zh, zl), ph, pl)
-    return _dd_add(ch, cl, *_dd_add(th, tl, ph, pl))
-
-
-def _atan_recip_reduction(xh: float, xl: float) -> tuple[int, float, float]:
-    # for x >= 1, the nearest c = k/64 to 1/x (k = 0 above 128) reduces
-    # 1/x to t = (1/x - c)/(1 + c/x) = (1 - c x)/(x + c), |t| <= 1/128,
-    # with one division and without forming 1/x
-    k = int(64.0 / xh + 0.5)
-    c = k * 0.015625
-    return k, *_dd_div(
-        *_dd_add_d(*_dd_mul_d(xh, xl, -c), 1.0), *_dd_add_d(xh, xl, c)
-    )
-
-
-def _dd_atan(xh: float, xl: float) -> tuple[float, float]:
-    # Tang's table-lookup reduction, one division for any x. In [0, 1],
-    # with c = k/64 nearest to x, atan x = atan(k/64) + atan t for
-    # t = (x - c)/(1 + x c); above 1, atan x = atan(64/k) - atan t for the
-    # t of _atan_recip_reduction. |t| <= 1/128 in both.
-    if xh == 0.0 and xl == 0.0:
-        return 0.0, 0.0
-    neg = xh < 0.0
-    if neg:
-        xh, xl = -xh, -xl
-    if xh > 1.0 or (xh == 1.0 and xl > 0.0):
-        if xh > 2.0**60:
-            # 1/xh is t = 1/x to double-word accuracy next to pi/2, and
-            # _dd_div would overflow its split beyond ~2^996
-            k, th, tl = 0, 1.0 / xh, 0.0
-        else:
-            k, th, tl = _atan_recip_reduction(xh, xl)
-        rh, rl = _dd_atan_add(*_atan_tables()[1][k], -th, -tl)
-    else:
-        k = int(xh * 64.0 + 0.5)
-        c = k * 0.015625
-        th, tl = _dd_div(
-            *_dd_add_d(xh, xl, -c), *_dd_add_d(*_dd_mul_d(xh, xl, c), 1.0)
-        )
-        rh, rl = _dd_atan_add(*_atan_tables()[0][k], th, tl)
-    if neg:
-        rh, rl = -rh, -rl
-    return rh, rl
-
-
-def _dd_atan_recip(xh: float, xl: float) -> tuple[float, float]:
-    # atan(1/x) for x >= 1, one division: atan(k/64) + atan t for the t
-    # of _atan_recip_reduction; double-word accurate while 1/x >= 2^-968,
-    # below which the low word is subnormal
-    k, th, tl = _atan_recip_reduction(xh, xl)
-    return _dd_atan_add(*_atan_tables()[0][k], th, tl)
-
-
 def _dd_sincos(xh: float, xl: float) -> tuple[float, float, float, float]:
-    # (sin x, cos x): x = q pi/2 + r with |r| <= pi/4 at 2^-f, f = 192, or
-    # 192 + 3m where |x| < 2^-m, so that the low words of a small x's
-    # sine and cosine, x^3/6 and x^2/2 below it, keep their bits; sin r
-    # and cos r from _fixed_sincos(r / 8), swapped and negated by q mod 4,
-    # each rounded once. The pi/2 used is 0.016 units of 2^-192 short, so
-    # r is within 11 units for q <= 651
-    if abs(xh) > 1024.0:
-        raise DomainError("sin/cos argument beyond |x| <= 2^10")
-    f = _FIX - 3 * min(math.frexp(xh)[1], 0)
-    half = _PI_FIXED << f - _FIX >> 1
-    q, r = divmod(_fixed_from_pair(xh, xl, f) + (half >> 1), half)
-    s, c = _fixed_sincos(r - (half >> 1), f + 3)
-    if q & 1:
-        s, c = c, -s
-    if q & 2:
-        s, c = -s, -c
-    return *_pair_from_fixed(s, f + 3), *_pair_from_fixed(c, f + 3)
+    # (sin x, cos x), each rounded once from _fixed_sincos
+    s, c, g = _fixed_sincos(xh, xl)
+    return *_pair_from_fixed(s, g), *_pair_from_fixed(c, g)
 
 
 def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
@@ -790,6 +677,8 @@ class Real:
         if tier is Tier.NATIVE64:
             hi = hi + lo
             lo = 0.0
+        elif isinstance(value, int):
+            hi, lo = _dd_add_d(*_int_words(value)[:2], lo)
         else:
             hi, lo = _two_sum(hi, lo)
         if not math.isfinite(hi):
@@ -812,7 +701,8 @@ class Real:
     @classmethod
     def from_float(cls, value: float, tier: Tier = Tier.NATIVE64) -> "Real":
         """Exact embedding of a binary64 float into a tier; an int is
-        rounded to the nearest double."""
+        rounded to the nearest double at NATIVE64 and to its nearest pair
+        at DOUBLEWORD."""
         return cls(value, 0.0, tier)
 
     @classmethod
@@ -948,25 +838,29 @@ def div(x: Real, y: Real) -> Real:
 
 
 def sqrt(x: Real) -> Real:
-    """Square root; raises :class:`DomainError` for negative input."""
+    """Square root; raises :class:`DomainError` for negative input. At
+    DOUBLEWORD the nearest pair, from the integer square root of x at
+    2^-2f, f = max(0, 192 - floor(e/2)) for 2^(e-1) <= x < 2^e."""
     if x.hi < 0.0:
         raise DomainError("sqrt of a negative value")
     if x.tier is Tier.NATIVE64:
         return Real._raw(math.sqrt(x.hi), 0.0, x.tier)
-    if 0.0 < x.hi < 2.0**-968:
-        # Karp's y^2 would have a subnormal low word: sqrt(x) = 2^-500
-        # sqrt(2^1000 x), each scaling exact
-        rh, rl = _dd_sqrt(x.hi * 2.0**1000, x.lo * 2.0**1000)
-        return Real._raw(rh * 2.0**-500, rl * 2.0**-500, x.tier)
-    rh, rl = _dd_sqrt(x.hi, x.lo)
+    f = max(_FIX - (math.frexp(x.hi)[1] >> 1), 0)
+    rh, rl = _pair_from_fixed(math.isqrt(_fixed_from_pair(x.hi, x.lo, 2 * f)), f)
     return Real._raw(rh, rl, x.tier)
 
 
 def atan(x: Real) -> Real:
+    """Arctangent. At DOUBLEWORD the nearest pair, from the integer
+    atan of |x| at 2^-f: f = 192, or 192 + 3m where |x| < 2^-m, so that
+    x^3/3 keeps its bits below a small x."""
     if x.tier is Tier.NATIVE64:
         return Real._raw(math.atan(x.hi), 0.0, x.tier)
-    rh, rl = _dd_atan(x.hi, x.lo)
-    return Real._raw(rh, rl, x.tier)
+    neg = x.hi < 0.0
+    xh, xl = (-x.hi, -x.lo) if neg else (x.hi, x.lo)
+    f = _FIX - 3 * min(math.frexp(xh)[1], 0)
+    rh, rl = _pair_from_fixed(_fixed_atan_ratio(_fixed_from_pair(xh, xl, f), 1 << f, f), f)
+    return Real._raw(-rh, -rl, x.tier) if neg else Real._raw(rh, rl, x.tier)
 
 
 def sin(x: Real) -> Real:

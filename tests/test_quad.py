@@ -925,6 +925,20 @@ class TestEvaluationBoundary:
             integrate_1d(broken, _unit(Tier.NATIVE64), EngineConfig(GaussLegendre(8)))
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    @pytest.mark.parametrize("method", [GaussLegendre(8), TanhSinh(4, 1e-10)], ids=["gl8", "ts4"])
+    @pytest.mark.parametrize("iid", ["ahmed_eq1", "i1_x", "i2_x", "i1_theta"])
+    def test_an_error_at_a_non_finite_point_is_named(self, iid, method, tier):
+        # over [-DBL_MAX, DBL_MAX] the mapped points come out infinite or
+        # NaN; a lane that raises there, or returns a non-finite value,
+        # gives NonFiniteError, naming the point, not a raw ValueError
+        big = 1.7976931348623157e308  # the largest double
+        domain = Interval(Real.from_float(-big, tier), Real.from_float(big, tier))
+        with pytest.raises(NonFiniteError) as exc_info:
+            integrate_1d(iid, domain, EngineConfig(method, tier))
+        point = exc_info.value.point
+        assert point is None or not all(map(math.isfinite, point)), point
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_sum_that_overflows_is_not_finite(self, tier):
         # every evaluation is finite, but the weighted sums overflow, on
         # which math.fsum raises OverflowError
@@ -1677,18 +1691,18 @@ PINNED = {
     'n-real-callable-2d:gl8': ('0x1.4000000000000p+0', '0x0.0p+0', '0x1.4000000000000p-50', '0x0.0p+0', 80, True),
     'n-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x0.0p+0', '0x1.9b00000000000p-44', '0x0.0p+0', 2601, True),
     'n-ts-fixed5': ('0x1.07307fd73e4e4p-1', '0x0.0p+0', '0x1.07307fd73e4e4p-51', '0x0.0p+0', 205, True),
-    'd-1d:gl8@ahmed_eq1': ('0x1.07307fd71fca2p-1', '-0x1.a888161591c84p-57', '0x1.fac4dce97db5bp-19', '0x0.0p+0', 12, True),
-    'd-1d:gl8@i1_theta': ('0x1.a51a6625307c2p-1', '0x1.dfdfc745964c7p-55', '0x1.4771575fe3e72p-25', '0x0.0p+0', 12, True),
-    'd-1d:gl8@eq3_kernel': ('0x1.bda7a85bd37f2p-2', '-0x1.47454669b34c0p-56', '0x1.68dbce72e7ca2p-22', '0x0.0p+0', 12, True),
-    'd-1d:glp@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952ceccp-58', '0x1.fd5b7c815294ep-91', '0x0.0p+0', 22, True),
+    'd-1d:gl8@ahmed_eq1': ('0x1.07307fd71fca2p-1', '-0x1.a888161591c85p-57', '0x1.fac4dce97db5bp-19', '0x0.0p+0', 12, True),
+    'd-1d:gl8@i1_theta': ('0x1.a51a6625307c2p-1', '0x1.dfdfc745964c6p-55', '0x1.4771575fe3e72p-25', '0x0.0p+0', 12, True),
+    'd-1d:gl8@eq3_kernel': ('0x1.bda7a85bd37f2p-2', '-0x1.47454669b34c5p-56', '0x1.68dbce72e7ca2p-22', '0x0.0p+0', 12, True),
+    'd-1d:glp@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952cecdp-58', '0x1.fd5b7c815294ep-91', '0x0.0p+0', 22, True),
     'd-1d:glp@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89123b98p-56', '0x1.91c9baf3a4dfep-89', '0x0.0p+0', 16, True),
-    'd-1d:glp@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af9p-56', '0x1.00063e396012ap-100', '0x0.0p+0', 24, True),
-    'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afebp-58', '0x1.47791e0fd78acp-60', '0x0.0p+0', 123, False),
+    'd-1d:glp@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af3p-56', '0x1.00063e396012ap-100', '0x0.0p+0', 24, True),
+    'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afebp-58', '0x1.47791e0fd78a8p-60', '0x0.0p+0', 123, False),
     'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89122008p-56', '0x1.e72a2a8000000p-80', '0x0.0p+0', 123, False),
-    'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af7p-56', '0x1.39dee07544400p-66', '0x0.0p+0', 123, False),
-    'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a90p-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
+    'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af0p-56', '0x1.39dee07544800p-66', '0x0.0p+0', 123, False),
+    'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a8fp-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
     'd-1d:as@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.a420899843504p-55', '0x1.bebd9b01e1064p-41', '0x0.0p+0', 257, True),
-    'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde5798p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
+    'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde57a4p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
     'd-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc50p-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
     'd-tensor:glp': ('0x1.3bd3cc9be45dep-2', '0x1.692b71366bb72p-56', '0x1.3b0fdec39805bp-88', '0x0.0p+0', 396, True),
     'd-tensor:glp@product_kernel_eq6a': ('0x1.3bd3cc9be45dep-1', '0x1.692b71366c44ap-55', '0x1.4315488116ac1p-89', '0x0.0p+0', 484, True),
@@ -1762,5 +1776,11 @@ def test_engine_paths_pinned_bit_for_bit(case):
     # in integers at the 2^-192 fixed point, its node and weight the
     # nearest pairs: only low words and estimates moved, each value toward
     # the same rule summed at 60 digits (the worst from 0.40 to 0.06 units
-    # of 2^-104 relative), with counts and flags unchanged
+    # of 2^-104 relative), with counts and flags unchanged. The doubleword
+    # ahmed_eq1 and i1_theta cases that moved were re-pinned when those
+    # lanes came to round each value once from integers at 2^-192, and
+    # the eq3 cases when the double-word sqrt(2) they take as a became the
+    # nearest pair: only low words and two tanh-sinh estimates moved, each
+    # value within 0.25 units of 2^-104 relative of the same rule summed
+    # at 400 bits, with counts and flags unchanged
     assert _pin_of(_pin_run(case)) == PINNED[case]

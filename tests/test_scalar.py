@@ -153,6 +153,13 @@ class TestRealBasics:
         assert pair <= big and not pair < big and pair < big + 1
         s = Real.from_float(0.0, D) + big
         assert (s.hi, s.lo) == (2.0**53, 1.0)
+        # so do the constructor and from_float, and NATIVE64 keeps the
+        # nearest double
+        for r in (Real(big, 0.0, D), Real.from_float(big, D)):
+            assert (r.hi, r.lo) == (2.0**53, 1.0) and r == big
+        r = Real(big, 0.5, D)
+        assert (r.hi, r.lo) == (2.0**53 + 2.0, -0.5)
+        assert Real.from_float(big, N).hi == 2.0**53
         # past 2^106 the rest below the pair still counts
         wide = Real(2.0**200, 2.0**100, D)
         assert wide != 2**200 + 2**100 + 1 and wide < 2**200 + 2**100 + 1
@@ -383,9 +390,8 @@ def test_every_constant_and_table_entry_is_the_nearest_pair():
     mp.mp.dps = 60
     assert scalar._pi_pair() == nearest_pair(mp.pi)
     atan_k = [mp.atan(mp.mpf(k) / 64) for k in range(65)]
-    table, recip_table = scalar._atan_tables()
-    assert list(table) == [nearest_pair(a) for a in atan_k]
-    assert list(recip_table) == [nearest_pair(mp.pi / 2 - a) for a in atan_k]
+    table = scalar._atan_table()
+    assert list(map(scalar._pair_from_fixed, table)) == [nearest_pair(a) for a in atan_k]
     # e^i, e^(i/64) and e^(i/4096), read by the tanh-sinh points
     tables = scalar._fixed_exp_tables()
     for table, q in zip(tables, (1, 64, 4096)):
@@ -488,19 +494,6 @@ def _ref_dd_div_d(ah, al, b):
     return _quick_two_sum(q1, q2)
 
 
-def _ref_dd_sqrt(ah, al):
-    if ah == 0.0 and al == 0.0:
-        return 0.0, 0.0
-    if ah < 0.0:
-        raise DomainError("sqrt of a negative value")
-    r = 1.0 / math.sqrt(ah)
-    y = ah * r
-    ph, pe = _two_prod(y, y)
-    dh, _ = _ref_dd_sub(ah, al, ph, pe)
-    c = dh * (0.5 * r)
-    return _quick_two_sum(y, c)
-
-
 def _ref_dd_recip(bh, bl):
     r = 1.0 / bh
     p, pe = _two_prod(bh, r)
@@ -519,7 +512,6 @@ FUSED_KERNELS = [
     ("_dd_sqr", _ref_dd_sqr, ("dd",)),
     ("_dd_div", _ref_dd_div, ("dd", "dd")),
     ("_dd_div_d", _ref_dd_div_d, ("dd", "d")),
-    ("_dd_sqrt", _ref_dd_sqrt, ("dd",)),
     ("_dd_recip", _ref_dd_recip, ("dd",)),
 ]
 
@@ -706,8 +698,8 @@ class TestReciprocal:
 
         div = counting("div", scalar._dd_div)
         recip = counting("recip", scalar._dd_recip)
+        monkeypatch.setattr(scalar, "_dd_div", div)
         for module in (scalar, integrands):
-            monkeypatch.setattr(module, "_dd_div", div)
             monkeypatch.setattr(module, "_dd_recip", recip)
         monkeypatch.setattr(scalar, "_dd_div_rescued", counting("div", scalar._dd_div_rescued))
         D = Tier.DOUBLEWORD
@@ -728,33 +720,48 @@ class TestReciprocal:
 
 
 # ----------------------------------------------------------------------
-# Table-driven double-word atan
+# Double-word atan and the atan lanes from the fixed-point block
 # ----------------------------------------------------------------------
-# The kernel reduces x in [0, 1] to t = (x - c)/(1 + x c) about the
-# nearest c = k/64 and adds atan(c) from a table of nearest pairs. Above
-# 1 it reduces about the nearest c = k/64 to 1/x, to t = (1 - c x)/(x + c),
-# and subtracts atan t from a table of atan(64/k); _dd_atan_recip adds
-# atan t to atan(k/64) for atan(1/x). The oracle bound is 1 unit of
-# 2^-104 relative; the kernel measures below 0.6.
+# atan(p/q) at 2^-192 (finer for |x| < 1/2) is atan(k/64), from a table
+# of 65 integers, plus the series of t = (64p - kq)/(64q + kp), |t| <=
+# 1/128, for k/64 the nearest to p/q; above 1 it is pi/2 - atan(q/p).
+# Public atan, ahmed_eq1 (atan s, s = sqrt(2 + x^2)) and i2_x (atan(1/s))
+# round each result once; every result tested is the nearest pair to the
+# mpmath value.
 
-ATAN_BOUND = 1.0 * 2.0**-104
-# every double-word registry lane against 50-digit mpmath, within the
+# every double-word 2-D and eq3 lane against 50-digit mpmath, within the
 # lane term of the proven bound's rounding budget; on 4,200 seeded points
-# each the worst is 3.78 units of 2^-104 (i2_x), and the four lanes that
-# end in _dd_recip measure 1.28 at most (i2_kernel_eq4)
+# each the four that end in _dd_recip measure 1.28 units of 2^-104 at
+# most (i2_kernel_eq4)
 LANE_BOUND = bounds._ROUNDING_TERMS["lane"] * 2.0**-104
+# the lanes whose every value is the nearest pair to the mpmath value
+NEAREST_LANES = ("ahmed_eq1", "i1_x", "i1_theta", "i1_phi", "i2_x")
 
 
-def _atan_rel_err(xh, xl, recip=False):
-    # atan(x), or atan(1/x) from _dd_atan_recip
+def _assert_atan_nearest(xh, xl):
+    # the public atan of (xh, xl), and of its negation, are the nearest
+    # pairs to the mpmath values; 1,300 bits resolve x^3/3 below a tiny x
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    x = mp.mpf(xh) + mp.mpf(xl)
-    want = mp.atan(1 / x if recip else x)
-    rh, rl = (scalar._dd_atan_recip if recip else scalar._dd_atan)(xh, xl)
-    if want == 0:
-        return 0.0 if rh == 0.0 and rl == 0.0 else math.inf
-    return float(abs((mp.mpf(rh) + mp.mpf(rl) - want) / want))
+    with mp.workprec(1300):
+        want = nearest_pair(mp.atan(mp.mpf(xh) + mp.mpf(xl)))
+    for sign in (1.0, -1.0):
+        r = atan(Real._raw(sign * xh, sign * xl, Tier.DOUBLEWORD))
+        assert (r.hi, r.lo) == (sign * want[0], sign * want[1]), (sign * xh, sign * xl)
+
+
+def _assert_lane_nearest(integrand_id, xh, xl):
+    # the lane's value at (xh, xl) is the nearest pair to the mpmath value
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(600):
+        x = mp.mpf(xh) + mp.mpf(xl)
+        if integrand_id == "i1_theta":
+            want = nearest_pair(mp.pi / 2 * mp.cos(x) / mp.sqrt(2 - mp.sin(x) ** 2))
+        else:
+            s = mp.sqrt(x * x + 2)
+            num = {"ahmed_eq1": mp.atan(s), "i1_x": mp.pi / 2, "i2_x": mp.atan(1 / s)}
+            want = nearest_pair(num[integrand_id] / ((x * x + 1) * s))
+    got = integrands.raw_fn(integrand_id, Tier.DOUBLEWORD)(xh, xl)
+    assert got == want, f"{integrand_id}({xh!r}, {xl!r}) = {got!r}"
 
 
 def _ulps_around(v, n=3):
@@ -777,25 +784,14 @@ def _with_low_words(values, seed):
 
 
 class TestTableDrivenAtan:
-    def _assert_bound(self, words):
-        for xh, xl in words:
-            err = _atan_rel_err(xh, xl)
-            assert err <= ATAN_BOUND, f"atan({xh!r}, {xl!r}): {err / 2.0**-104:.3g} units"
-
-    def _assert_recip_bound(self, words):
-        for xh, xl in words:
-            err = _atan_rel_err(xh, xl, recip=True)
-            assert err <= ATAN_BOUND, f"atan(1/({xh!r}, {xl!r})): {err / 2.0**-104:.3g} units"
-
     def test_lane_arguments(self):
         # ahmed_eq1 takes atan of s = sqrt(2 + x^2) in [sqrt2, sqrt3], and
         # i2_x atan(1/s)
         rng = random.Random(0xA7A2)
         pts = [rng.uniform(math.sqrt(2.0), math.sqrt(3.0)) for _ in range(300)]
         pts += [rng.uniform(1.0 / math.sqrt(3.0), 1.0 / math.sqrt(2.0)) for _ in range(300)]
-        words = _with_low_words(pts, 0xA7A3)
-        self._assert_bound(words)
-        self._assert_recip_bound([(xh, xl) for xh, xl in words if xh >= 1.0])
+        for word in _with_low_words(pts, 0xA7A3):
+            _assert_atan_nearest(*word)
 
     def test_table_points_and_cell_edges(self):
         pts = []
@@ -803,86 +799,103 @@ class TestTableDrivenAtan:
             pts.append(k / 64.0)
             if k < 64:
                 pts += _ulps_around((k + 0.5) / 64.0)
-        self._assert_bound(_with_low_words([p for p in pts if p > 0.0], 0xED6E))
+        for word in _with_low_words([p for p in pts if p > 0.0], 0xED6E):
+            _assert_atan_nearest(*word)
 
     def test_around_the_inversion(self):
         words = [(v, 0.0) for v in _ulps_around(1.0, 4)]
         words += [(1.0, s * 2.0**-60) for s in (-1.0, 1.0)]
         words += [(1.0, s * 5e-324) for s in (-1.0, 1.0)]
-        self._assert_bound(words)
+        for word in words:
+            _assert_atan_nearest(*word)
 
     def test_reduction_above_one(self):
         # the cells k = round(64/x) of the reduction above 1: their points
-        # 64/k and edges 64/(k + 1/2), the switch to k = 0 at 128, and the
-        # switch to t = 1/xh at 2^60; atan(1/x) shares the reduction
+        # 64/k and edges 64/(k + 1/2), and the switch to k = 0 at 128
         pts = []
         for k in range(1, 65):
             pts += _ulps_around(64.0 / k) + _ulps_around(64.0 / (k + 0.5))
         pts += _ulps_around(128.0, 4) + _ulps_around(2.0**60, 1)
-        words = _with_low_words(pts, 0xAB0E)
-        self._assert_bound(words)
-        self._assert_bound([(-xh, -xl) for xh, xl in words])
-        self._assert_recip_bound([(xh, xl) for xh, xl in words if xh >= 1.0])
+        for word in _with_low_words(pts, 0xAB0E):
+            _assert_atan_nearest(*word)
 
-    def test_one_division(self, monkeypatch):
-        # atan makes one _dd_div at most, and the i2_x lane two
+    def test_i2_x_through_the_reduction_cells(self):
+        # the i2_x lane's atan(1/s) at the x where s = sqrt(2 + x^2) sits
+        # on a cell's point 64/k or edge 64/(k + 1/2), k <= 45 (s >= sqrt2),
+        # and past the switch to k = 0 at s = 128
+        pts = []
+        for k in range(1, 46):
+            for s in (64.0 / k, 64.0 / (k + 0.5)):
+                if s * s > 2.0:
+                    pts += _ulps_around(math.sqrt(s * s - 2.0), 1)
+        pts += _ulps_around(math.sqrt(128.0**2 - 2.0), 2) + [2.0**60, 1e300]
+        for word in _with_low_words(pts, 0x12E1):
+            _assert_lane_nearest("i2_x", *word)
+            _assert_lane_nearest("ahmed_eq1", *word)
+
+    def test_one_rounding(self, monkeypatch):
+        # atan, sqrt and each integer lane round their result once
         calls = []
-        div = scalar._dd_div
+        pair = scalar._pair_from_fixed
 
-        def counting_div(*args):
+        def counting(*args):
             calls.append(args)
-            return div(*args)
+            return pair(*args)
 
-        monkeypatch.setattr(scalar, "_dd_div", counting_div)
-        monkeypatch.setattr(integrands, "_dd_div", counting_div)
+        monkeypatch.setattr(scalar, "_pair_from_fixed", counting)
+        monkeypatch.setattr(integrands, "_pair_from_fixed", counting)
+        D = Tier.DOUBLEWORD
+        lanes = [integrands.raw_fn(i, D) for i in ("ahmed_eq1", "i1_x", "i2_x", "i1_theta")]
         for v in (1e-300, 0.3, 1.0, 1.5, 100.0, 200.0, 2.0**61, 1e300):
-            for xh in (v, -v):
+            x = Real.from_float(v, D)
+            runs = [lambda: atan(x), lambda: sqrt(x)]
+            # i1_theta's sine and cosine take |t| <= 2^10
+            runs += [lambda lane=lane: lane(v, 0.0) for lane in lanes[: 4 if v <= 1024.0 else 3]]
+            for run in runs:
                 calls.clear()
-                scalar._dd_atan(xh, 0.0)
-                assert len(calls) <= 1, xh
-        calls.clear()
-        integrands._dd_i2_x(0.5, 0.0)
-        assert len(calls) == 2
+                run()
+                assert len(calls) == 1, v
 
     def test_lanes_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
         rng = random.Random(0x1A2E)
-        lanes = {
-            integrands._dd_ahmed: lambda s: mp.atan(s),
-            integrands._dd_i2_x: lambda s: mp.atan(1 / s),
-        }
         for _ in range(500):
             xh, xl = _two_sum(rng.random(), rng.uniform(-1.0, 1.0) * 2.0**-54)
-            x = mp.mpf(xh) + mp.mpf(xl)
-            s = mp.sqrt(x * x + 2)
-            for lane, num in lanes.items():
-                want = num(s) / ((x * x + 1) * s)
-                rh, rl = lane(xh, xl)
-                err = float(abs((mp.mpf(rh) + mp.mpf(rl) - want) / want))
-                assert err <= LANE_BOUND, f"{lane.__name__}({xh!r}, {xl!r})"
+            _assert_lane_nearest("ahmed_eq1", xh, xl)
+            _assert_lane_nearest("i2_x", xh, xl)
 
     def test_tiny_and_huge(self):
         tiny = [5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-20, 1e-8, 2.0**-8]
         huge = [1e8, 1e20, 1e300, sys.float_info.max]
-        self._assert_bound([(v, 0.0) for v in tiny + huge])
-        self._assert_bound([(-v, 0.0) for v in tiny + huge])
+        for v in tiny + huge:
+            _assert_atan_nearest(v, 0.0)
+        zero = atan(Real.from_float(0.0, Tier.DOUBLEWORD))
+        assert (zero.hi, zero.lo) == (0.0, 0.0)
+
+    def test_every_binade(self):
+        # a seeded word with a low word in each binade from 2^-1074 to
+        # 2^1023, and the largest double, both signs
+        rng = random.Random(0xB1AD)
+        words = [(sys.float_info.max, 0.0)]
+        for k in range(-1074, 1024):
+            xh = rng.uniform(1.0, 2.0) * 2.0**k
+            words.append(_two_sum(xh, rng.uniform(-0.5, 0.5) * math.ulp(xh)))
+        for word in words:
+            _assert_atan_nearest(*word)
 
     def test_odd(self):
+        D = Tier.DOUBLEWORD
         for xh, xl in _with_low_words([0.3, 0.9, 1.0, 1.7, 64.0, 1e300], 0x0DD):
-            rh, rl = scalar._dd_atan(xh, xl)
-            assert scalar._dd_atan(-xh, -xl) == (-rh, -rl)
-        assert scalar._dd_atan(0.0, 0.0) == (0.0, 0.0)
+            r = atan(Real._raw(xh, xl, D))
+            m = atan(Real._raw(-xh, -xl, D))
+            assert (m.hi, m.lo) == (-r.hi, -r.lo)
 
     def test_agrees_with_mpmath_on_seeded_points(self):
         # 10k seeded points of [0, 1], each with a random low word
         rng = random.Random(0x7AB1E)
-        words = []
         for _ in range(10_000):
             xh, xl = _two_sum(rng.random(), rng.uniform(-1.0, 1.0) * 2.0**-54)
             if xh > 0.0:
-                words.append((xh, xl))
-        self._assert_bound(words)
+                _assert_atan_nearest(xh, xl)
 
     def test_table_is_not_built_at_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -891,7 +904,7 @@ class TestTableDrivenAtan:
         code = (
             "import ahmedquad\n"
             "from ahmedquad import scalar\n"
-            "print(scalar._atan_tables.cache_info().currsize)\n"
+            "print(scalar._atan_table.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
@@ -948,13 +961,18 @@ def _lane_points(integrand_id, rng):
 
 @pytest.mark.parametrize("integrand_id", integrands.ids())
 def test_every_lane_against_mpmath(integrand_id):
-    # each doubleword registry lane within LANE_BOUND of 50-digit mpmath,
-    # the lane error the proven Gauss-Legendre bound charges (bounds._ROUNDING_TERMS)
+    # each doubleword registry lane against 50-digit mpmath: the nearest
+    # pair for the NEAREST_LANES, and within LANE_BOUND, the lane error
+    # the proven Gauss-Legendre bound charges (bounds._ROUNDING_TERMS),
+    # for the 2-D and eq3 lanes
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     rng = random.Random(0x1A2F)
     for lane, args, want in _lane_points(integrand_id, rng):
         rh, rl = lane(*args)
+        if integrand_id in NEAREST_LANES:
+            assert (rh, rl) == nearest_pair(want), f"{integrand_id}{args}"
+            continue
         err = float(abs((mp.mpf(rh) + mp.mpf(rl) - want) / want))
         assert err <= LANE_BOUND, f"{integrand_id}{args}: {err / 2.0**-104:.3g} units"
 
@@ -974,8 +992,30 @@ def test_atan_property_against_mpmath():
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
     @hypothesis.given(words)
     def check(word):
-        err = _atan_rel_err(*word)
-        assert err <= ATAN_BOUND, f"atan{word!r}: {err / 2.0**-104:.3g} units"
+        _assert_atan_nearest(*word)
+
+    check()
+
+
+def test_lanes_property_against_mpmath():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # two thirds of the draws on the lanes' domains, [0, pi/4] (i1_theta)
+    # and [0, 1]
+    his = st.one_of(
+        st.floats(min_value=0.0, max_value=0.7853981633974483),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-1024.0, max_value=1024.0),
+    )
+    words = st.tuples(his, st.floats(min_value=-0.5, max_value=0.5)).map(
+        lambda p: _two_sum(p[0], p[1] * math.ulp(p[0]))
+    )
+    lanes = st.sampled_from(("ahmed_eq1", "i1_x", "i2_x", "i1_theta"))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(lanes, words)
+    def check(integrand_id, word):
+        _assert_lane_nearest(integrand_id, *word)
 
     check()
 
@@ -1048,7 +1088,7 @@ class TestTableDrivenExp:
         code = (
             "import ahmedquad\n"
             "from ahmedquad import scalar\n"
-            "for f in (scalar._pi_pair, scalar._atan_tables, scalar._fixed_exp_tables):\n"
+            "for f in (scalar._pi_pair, scalar._atan_table, scalar._fixed_exp_tables):\n"
             "    print(f.cache_info().currsize)\n"
         )
         proc = subprocess.run(
@@ -1298,26 +1338,19 @@ def test_tier_hashes_by_identity():
 
 
 def test_sqrt_over_every_binade():
-    # the public double-word sqrt against 50-digit mpmath on three seeded
-    # words per binade from 2^-1022 to 2^1020. Below 2^-968 the input is
-    # prescaled; unscaled, the kernel's error grew to ~10^15 units at
-    # 2^-1022. Above, Karp's one Newton step measures up to 1.63 units
-    # (20 seeded words per binade of [2^-900, 2^900]), so it is held to 2
+    # the public double-word sqrt is the nearest pair to the mpmath value
+    # on three seeded words per binade from 2^-1074 to 2^1023, and on the
+    # largest double, whose square root Karp's step (y^2 overflowing) once
+    # returned as NaN
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
     rng = random.Random(0x5091)
-    for k in range(-1022, 1021):
+    words = [(sys.float_info.max, 0.0)]
+    for k in range(-1074, 1024):
         for _ in range(3):
             xh = rng.uniform(1.0, 2.0) * 2.0**k
-            xh, xl = _two_sum(xh, rng.uniform(-0.5, 0.5) * math.ulp(xh))
+            words.append(_two_sum(xh, rng.uniform(-0.5, 0.5) * math.ulp(xh)))
+    with mp.workprec(300):
+        for xh, xl in words:
             r = sqrt(Real._raw(xh, xl, Tier.DOUBLEWORD))
-            want = mp.sqrt(mp.mpf(xh) + mp.mpf(xl))
-            err = float(abs((mp.mpf(r.hi) + mp.mpf(r.lo) - want) / want)) / 2.0**-104
-            assert err <= 2.0, f"sqrt({xh!r}, {xl!r}): {err:.3g} units"
-
-
-def test_sqrt_keeps_the_kernels_bits_from_2_to_the_minus_968():
-    # only inputs below 2^-968 are prescaled
-    for xh in (2.0**-968, 1e-291, 1e-300 * 2.0**100, 2.0, 1e300):
-        r = sqrt(Real._raw(xh, 0.0, Tier.DOUBLEWORD))
-        assert (r.hi, r.lo) == scalar._dd_sqrt(xh, 0.0)
+            want = nearest_pair(mp.sqrt(mp.mpf(xh) + mp.mpf(xl)))
+            assert (r.hi, r.lo) == want, f"sqrt({xh!r}, {xl!r})"
