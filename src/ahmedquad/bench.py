@@ -39,7 +39,7 @@ from .quad import (
     _ts_nodes,
     integrate_1d,
 )
-from .scalar import Real, Tier, _dd_div, _dd_sub
+from .scalar import Real, Tier, _pair_from_ratio, _pair_ratio
 
 __all__ = [
     "BenchRow",
@@ -78,10 +78,10 @@ def correct_digits(value: Real, tier: Tier) -> float:
     clamped to [0, tier cap] and rounded to millidigits so reports are
     byte-stable."""
     truth = closed_form("I", Tier.DOUBLEWORD)
-    dh, dl = _dd_sub(value.hi, value.lo, truth.hi, truth.lo)
-    if dh < 0.0 or (dh == 0.0 and dl < 0.0):
-        dh, dl = -dh, -dl
-    rel, _ = _dd_div(dh, dl, truth.hi, truth.lo)
+    # |v - t| / t for v = n / q and t = m / s, exactly, rounded once
+    n, q = _pair_ratio(value.hi, value.lo)
+    m, s = _pair_ratio(truth.hi, truth.lo)
+    rel, _ = _pair_from_ratio(abs(n * s - m * q), m * q)
     cap = DIGIT_CAP[tier]
     if rel == 0.0:
         return cap

@@ -12,6 +12,10 @@ run in integers at the 2^-192 fixed point of :mod:`.scalar`, from the
 sine and cosine of ``_fixed_sincos`` or from x^2, s = sqrt(2 + x^2) and
 the atan of ``_fixed_atan_ratio``, and round each value once, to the
 nearest pair; the 2-D and eq3 lanes stay in double-word floating point.
+The double-word i1_theta lane shares the reduction of ``sin`` and
+``cos``, so it takes |t| <= 2^10 and raises :class:`DomainError`
+beyond, where the native lane returns a value; its own domain is
+[0, pi/4].
 Each lane also carries ``certificate()``, which returns the
 integrand's :class:`Certificate`: bounds on its analytic continuation
 off its domain, from which the Gauss-Legendre engine proves its error
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, DomainError, TierMismatchError
 from .scalar import (
     _FIX,
+    _ONE,
     _PI_FIXED,
     Real,
     Tier,
@@ -46,7 +51,7 @@ from .scalar import (
     _fixed_atan_ratio,
     _fixed_from_pair,
     _fixed_sincos,
-    _pair_from_fixed,
+    _pair_from_ratio,
     _pi_pair,
 )
 
@@ -329,7 +334,7 @@ def _over_x_parts(n: int, e: int, f: int, x2: int, s: int) -> tuple[float, float
     # n / ((1 + x^2) s) for n at 2^-f, one quotient at 2^-(f + 3e) (the
     # denominator grows as x^3), rounded once to the nearest pair
     out = f + 3 * e
-    return _pair_from_fixed((n << f + out) // ((x2 + (1 << f)) * s), out)
+    return _pair_from_ratio((n << f + out) // ((x2 + (1 << f)) * s), 1 << out)
 
 
 def _native_ahmed(x: float) -> float:
@@ -364,7 +369,7 @@ def _dd_i1_theta(th: float, tl: float) -> tuple[float, float]:
     # and cosine, the quotient at 2^-192
     s, c, g = _fixed_sincos(th, tl)
     r = math.isqrt((2 << g) - (s * s >> g) << g)
-    return _pair_from_fixed(_PI_FIXED * c // (r << 1))
+    return _pair_from_ratio(_PI_FIXED * c // (r << 1), _ONE)
 
 
 def _native_i1_phi(_t: float) -> float:

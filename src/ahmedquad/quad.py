@@ -99,7 +99,7 @@ from .scalar import (
     _dd_scale2,
     _dd_sub,
     _fixed_exp,
-    _pair_from_fixed,
+    _pair_from_ratio,
 )
 
 __all__ = [
@@ -272,7 +272,7 @@ def _gl_nearest_pairs(n: int, x0: float):
         q, p = _legendre_fixed(n, x)
         d = n * ((x * p >> _FIX) - q)
         x -= p * ((x * x >> _FIX) - _ONE) // d
-    return _pair_from_fixed(x), _pair_from_fixed(((_ONE * _ONE - x * x) << _FIX + 1) // (d * d))
+    return _pair_from_ratio(x, _ONE), _pair_from_ratio(((_ONE * _ONE - x * x) << _FIX + 1) // (d * d), _ONE)
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,8 +348,8 @@ def _ts_point_dd(J: int, level: int):
     e2u = _fixed_exp(_PI_FIXED * (et - rt) >> _FIX + 1)
     d = e2u + _ONE
     k = d.bit_length() - 1 - _FIX
-    x = _pair_from_fixed((e2u - _ONE << _FIX) // d)
-    w = _pair_from_fixed((_PI_FIXED * (et + rt) * e2u << 2 * k) // (d * d), _FIX + 2 * k + level)
+    x = _pair_from_ratio((e2u - _ONE << _FIX) // d, _ONE)
+    w = _pair_from_ratio((_PI_FIXED * (et + rt) * e2u << 2 * k) // (d * d), 1 << _FIX + 2 * k + level)
     return x, w, k >= 108 or w[0] < _TS_CUTOFF_DD
 
 

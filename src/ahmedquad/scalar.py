@@ -9,7 +9,7 @@ used on every interpreter, including those that provide ``math.fma``).
 The hot ``_dd_*`` kernels inline these transformations, with every
 floating-point operation in the same order, to save Python call
 overhead; the tests hold each kernel bit-identical to its composition
-of ``_two_sum``, ``_two_prod`` and ``_quick_two_sum``.
+of ``_two_sum``, ``_two_prod`` and a quick two-sum.
 
 The hot paths inside the quadrature engines work on raw ``(hi, lo)``
 tuples through the module-private ``_dd_*`` functions; the :class:`Real`
@@ -19,8 +19,8 @@ A reciprocal 1/b, which the three 2-D kernels' joins and the eq3 lane
 form at every point, takes one Newton step from r = 1/b_hi
 (``_dd_recip``, Karp and Markstein, ACM TOMS 23, 1997): with
 two_prod(b_hi, r) = p + pe, e = (1 - p) - pe - b_lo r, and 1/b = r (1 +
-e + e^2). It stays within a unit of 2^-104, at under 40% of the cost of
-the long division ``_dd_div(1, 0, b)``.
+e + e^2). It stays within a unit of 2^-104, at under a fifth of the
+cost of the exact quotient that :class:`Real` division rounds.
 
 One block of fixed-point integer code, at 2^-192, builds every lazy
 constant and table on first use (pi, the 65 integers atan(k/64) and the
@@ -34,18 +34,22 @@ the table plus the series of t = (64p - kq)/(64q + kp), |t| <= 1/128,
 for k/64 the nearest to p/q, and as pi/2 - atan(q/p) above 1; ``sqrt``
 takes ``math.isqrt`` of x at a shift that keeps 192 bits. The
 :mod:`.integrands` lanes of the chain integrands use the same code.
-Each value is rounded once, to the nearest double-word pair.
+Each value is rounded once, to the nearest double-word pair, by one
+routine, ``_pair_from_ratio(n, d)``: int / int rounds correctly, so the
+high word is n / d and the low word the exact rest divided by d. The
+same routine rounds :class:`Real` division at DOUBLEWORD, from the
+exact ratios of both operands' words (``_dd_quotient``), an int with a
+low word given to the constructor, and a decimal literal.
 
 Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``,
-``_dd_div``, their ``_d`` forms and ``_dd_recip`` return NaN. Four
-rescuing entries redo such an operation on operands scaled by powers of
-two (``_dd_rescaled``), so that 1 / 1e301 comes out finite:
-``_dd_mul_rescued`` (:class:`Real` and the quadrature lanes),
-``_dd_div_rescued`` (:class:`Real`), ``_dd_div_d_rescued`` (the
-quadrature lanes) and ``_dd_recip_rescued`` (the eq3 lane, falling back
-to the rescuing quotient). The raw kernels keep their NaNs. The
-:class:`Real` arithmetic operators share one tier-checked path
-(``_real_op``).
+``_dd_div_d`` and ``_dd_recip`` return NaN. Three rescuing entries redo
+such an operation through the same kernel on operands scaled by powers
+of two (``_dd_rescaled``), so that a product or quotient past 2^996 or
+a reciprocal of 1e301 comes out finite: ``_dd_mul_rescued``
+(:class:`Real` and the quadrature lanes), ``_dd_div_d_rescued`` (the
+quadrature lanes) and ``_dd_recip_rescued`` (the eq3 lane). The raw
+kernels keep their NaNs. The :class:`Real` arithmetic operators share
+one tier-checked path (``_real_op``).
 """
 
 from __future__ import annotations
@@ -115,13 +119,6 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     s = a + b
     v = s - a
     e = (a - (s - v)) + (b - v)
-    return s, e
-
-
-def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    # requires |a| >= |b| (or a == 0)
-    s = a + b
-    e = b - (s - a)
     return s, e
 
 
@@ -217,21 +214,6 @@ def _dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     return h, e - (h - p)
 
 
-def _dd_mul_d(ah: float, al: float, b: float) -> tuple[float, float]:
-    # two_prod(ah, b), then quick_two_sum, inlined
-    p = ah * b
-    t = _SPLITTER * ah
-    a1 = t - (t - ah)
-    a2 = ah - a1
-    t = _SPLITTER * b
-    b1 = t - (t - b)
-    b2 = b - b1
-    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-    e += al * b
-    h = p + e
-    return h, e - (h - p)
-
-
 def _dd_sqr(ah: float, al: float) -> tuple[float, float]:
     # two_prod(ah, ah) with ah split once, then quick_two_sum, inlined
     p = ah * ah
@@ -242,69 +224,6 @@ def _dd_sqr(ah: float, al: float) -> tuple[float, float]:
     e += 2.0 * ah * al
     h = p + e
     return h, e - (h - p)
-
-
-def _dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    # long division with three partial quotients, ~u^2 relative error.
-    # Each step is _dd_mul_d(bh, bl, q) followed by _dd_sub, inlined with
-    # bh split once; x + (-y) is written x - y, the same IEEE operation.
-    t = _SPLITTER * bh
-    b1 = t - (t - bh)
-    b2 = bh - b1
-    q1 = ah / bh
-    # (th, tl) = (bh, bl) * q1
-    p = bh * q1
-    t = _SPLITTER * q1
-    c1 = t - (t - q1)
-    c2 = q1 - c1
-    e = ((b1 * c1 - p) + b1 * c2 + b2 * c1) + b2 * c2
-    e += bl * q1
-    th = p + e
-    tl = e - (th - p)
-    # (rh, rl) = (ah, al) - (th, tl)
-    sh = ah - th
-    v = sh - ah
-    se = (ah - (sh - v)) + (-th - v)
-    sl = al - tl
-    v = sl - al
-    te = (al - (sl - v)) + (-tl - v)
-    se += sl
-    h = sh + se
-    se = se - (h - sh)
-    se += te
-    rh = h + se
-    rl = se - (rh - h)
-    q2 = rh / bh
-    # (th, tl) = (bh, bl) * q2
-    p = bh * q2
-    t = _SPLITTER * q2
-    c1 = t - (t - q2)
-    c2 = q2 - c1
-    e = ((b1 * c1 - p) + b1 * c2 + b2 * c1) + b2 * c2
-    e += bl * q2
-    th = p + e
-    tl = e - (th - p)
-    # rh = hi word of (rh, rl) - (th, tl); its low word is never used
-    sh = rh - th
-    v = sh - rh
-    se = (rh - (sh - v)) + (-th - v)
-    sl = rl - tl
-    v = sl - rl
-    te = (rl - (sl - v)) + (-tl - v)
-    se += sl
-    h = sh + se
-    se = se - (h - sh)
-    se += te
-    q3 = (h + se) / bh
-    # quick_two_sum(q1, q2), then add q3 as _dd_add_d does
-    qh = q1 + q2
-    ql = q2 - (qh - q1)
-    sh = qh + q3
-    v = sh - qh
-    se = (qh - (sh - v)) + (q3 - v)
-    se += ql
-    h = sh + se
-    return h, se - (h - sh)
 
 
 def _dd_div_d(ah: float, al: float, b: float) -> tuple[float, float]:
@@ -347,18 +266,17 @@ def _dd_scale2(ah: float, al: float, s: float) -> tuple[float, float]:
     return ah * s, al * s
 
 
-def _dd_rescaled(kernel, ah: float, al: float, bh: float, bl: float, sign: int):
-    # kernel(a, b) on operands scaled by powers of two to a high word in
-    # [0.5, 1), then scaled back by 2^(ea + sign * eb): sign 1 for a
-    # product, -1 for a quotient. Dekker's split overflows once a
-    # high word or partial quotient passes ~2^996, and the kernel then
-    # returns NaN, though the result may be representable; on scaled
-    # operands it cannot. A result beyond binary64 comes back infinite.
-    _, ea = math.frexp(ah)
-    _, eb = math.frexp(bh)
-    rh, rl = kernel(
-        math.ldexp(ah, -ea), math.ldexp(al, -ea), math.ldexp(bh, -eb), math.ldexp(bl, -eb)
-    )
+def _dd_rescaled(kernel, a: tuple, b: tuple, sign: int) -> tuple[float, float]:
+    # kernel(*a, *b) on the words of a and of b, each scaled by a power of
+    # two to a high word in [0.5, 1), then scaled back by 2^(ea + sign *
+    # eb): sign 1 for a product, -1 for a quotient, and a empty for a
+    # reciprocal. Dekker's split overflows once a high word or partial
+    # quotient passes ~2^996, and the kernel then returns NaN, though the
+    # result may be representable; on scaled operands it cannot. A result
+    # beyond binary64 comes back infinite.
+    ea = math.frexp(a[0])[1] if a else 0
+    eb = math.frexp(b[0])[1]
+    rh, rl = kernel(*[math.ldexp(w, -ea) for w in a], *[math.ldexp(w, -eb) for w in b])
     k = ea + sign * eb
     try:
         return math.ldexp(rh, k), math.ldexp(rl, k)
@@ -382,32 +300,23 @@ def _dd_mul_rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, 
     e += ah * bl + al * bh
     h = p + e
     if h != h:  # NaN: the split overflowed, or an operand is not finite
-        return _dd_rescaled(_dd_mul, ah, al, bh, bl, 1)
+        return _dd_rescaled(_dd_mul, (ah, al), (bh, bl), 1)
     return h, e - (h - p)
 
 
-def _dd_div_rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    # _dd_div's bits, or where NaN the quotient redone by _dd_rescaled
-    r = _dd_div(ah, al, bh, bl)
-    if r[0] != r[0]:
-        return _dd_rescaled(_dd_div, ah, al, bh, bl, -1)
-    return r
-
-
 def _dd_div_d_rescued(ah: float, al: float, b: float) -> tuple[float, float]:
-    # _dd_div_d's bits, or where NaN the quotient redone by _dd_rescaled
-    # through _dd_div
+    # _dd_div_d's bits, or where NaN its quotient redone by _dd_rescaled
     r = _dd_div_d(ah, al, b)
     if r[0] != r[0]:
-        return _dd_rescaled(_dd_div, ah, al, b, 0.0, -1)
+        return _dd_rescaled(_dd_div_d, (ah, al), (b,), -1)
     return r
 
 
 def _dd_recip_rescued(bh: float, bl: float) -> tuple[float, float]:
-    # _dd_recip's bits, or where NaN those of _dd_div_rescued(1, 0, b)
+    # _dd_recip's bits, or where NaN its reciprocal redone by _dd_rescaled
     r = _dd_recip(bh, bl)
     if r[0] != r[0]:
-        return _dd_div_rescued(1.0, 0.0, bh, bl)
+        return _dd_rescaled(_dd_recip, (), (bh, bl), -1)
     return r
 
 
@@ -432,21 +341,39 @@ _PI_FIXED = int(Fraction(_PI_STR) * _ONE)
 _LN2_FIXED = int(Fraction(_LN2_STR) * _ONE)
 
 
-def _pair_from_fixed(n: int, shift: int = _FIX) -> tuple[float, float]:
-    # the double-word nearest to n / 2^shift; int / int rounds correctly,
-    # subnormal words too, and hi 2^shift is an integer, formed exactly
-    # from hi's ratio p / q at any shift
-    one = 1 << shift
-    hi = n / one
+def _pair_from_ratio(n: int, d: int) -> tuple[float, float]:
+    # the double-word nearest to n / d: int / int rounds correctly,
+    # subnormal words too, and the rest below hi = p / q is exactly
+    # (n q - p d) / (d q); infinite words past binary64's range
+    try:
+        hi = n / d
+    except OverflowError:
+        return math.inf, math.inf
     p, q = hi.as_integer_ratio()
-    return hi, (n - (p << shift) // q) / one
+    return hi, (n * q - p * d) / (d * q)
+
+
+def _pair_ratio(hi: float, lo: float) -> tuple[int, int]:
+    # hi + lo as n / d exactly, d > 0 a power of two
+    p, q = hi.as_integer_ratio()
+    r, s = lo.as_integer_ratio()
+    return p * s + r * q, q * s
 
 
 def _fixed_from_pair(hi: float, lo: float, shift: int = _FIX) -> int:
-    # floor((hi + lo) 2^shift), from the words' exact ratios
+    # floor((hi + lo) 2^shift), from the words' exact ratios as
+    # _pair_ratio takes them, inlined for the lanes
     p, q = hi.as_integer_ratio()
     r, s = lo.as_integer_ratio()
     return ((p * s + r * q) << shift) // (q * s)
+
+
+def _dd_quotient(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    # the nearest pair to (ah + al) / (bh + bl), from the exact ratios;
+    # infinite past binary64's range
+    n, q = _pair_ratio(ah, al)
+    d, s = _pair_ratio(bh, bl)
+    return _pair_from_ratio(n * s, d * q)
 
 
 def _fixed_atan(p: int, q: int) -> int:
@@ -561,7 +488,7 @@ def _fixed_atan_ratio(p: int, q: int, shift: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _pi_pair() -> tuple[float, float]:
-    return _pair_from_fixed(_PI_FIXED)
+    return _pair_from_ratio(_PI_FIXED, _ONE)
 
 
 @functools.lru_cache(maxsize=None)
@@ -578,7 +505,7 @@ def _atan_table() -> tuple[int, ...]:
 def _dd_sincos(xh: float, xl: float) -> tuple[float, float, float, float]:
     # (sin x, cos x), each rounded once from _fixed_sincos
     s, c, g = _fixed_sincos(xh, xl)
-    return *_pair_from_fixed(s, g), *_pair_from_fixed(c, g)
+    return *_pair_from_ratio(s, 1 << g), *_pair_from_ratio(c, 1 << g)
 
 
 def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
@@ -591,9 +518,9 @@ def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
         raise NonFiniteError("exp argument out of range")
     if abs(xh) < 2.0**-12:
         f = _FIX - math.frexp(xh)[1]
-        return _pair_from_fixed(_fixed_exp_series(_fixed_from_pair(xh, xl, f), f), f)
+        return _pair_from_ratio(_fixed_exp_series(_fixed_from_pair(xh, xl, f), f), 1 << f)
     k, r = divmod(_fixed_from_pair(xh, xl), _LN2_FIXED)
-    return _pair_from_fixed(_fixed_exp(r) << 1024, _FIX + 1024 - k)
+    return _pair_from_ratio(_fixed_exp(r) << 1024, 1 << _FIX + 1024 - k)
 
 
 # ----------------------------------------------------------------------
@@ -608,8 +535,8 @@ def _check_finite_pair(hi: float, lo: float, what: str) -> None:
 
 def _real_op(native, kernel, what: str, swap: bool = False):
     # one Real operator, self op other (other op self when swap): at
-    # NATIVE64 the binary64 native(a, b), at DOUBLEWORD the kernel, a
-    # rescuing entry for a product or a quotient
+    # NATIVE64 the binary64 native(a, b), at DOUBLEWORD the kernel: the
+    # rescuing entry for a product, the nearest pair for a quotient
     def op(self, other):
         o = self._coerce(other)
         if o is None:
@@ -661,6 +588,13 @@ class Real:
     exact below 2^106. Comparisons with an int are exact at both tiers.
     An int past binary64's range equals no Real, and arithmetic or
     ordering with it raises :class:`NonFiniteError`.
+
+    At DOUBLEWORD, ``+`` and ``-`` return the double-word sum
+    (``_dd_add``) and ``*`` Dekker's product (``_dd_mul_rescued``),
+    each within 4 units of 2^-104 relative where the result lies above
+    2^-969; ``/`` returns the nearest pair to the exact quotient. A
+    result past binary64's range raises :class:`NonFiniteError`, and a
+    zero divisor :class:`ZeroDivisionError`.
     """
 
     __slots__ = ("hi", "lo", "tier")
@@ -678,7 +612,8 @@ class Real:
             hi = hi + lo
             lo = 0.0
         elif isinstance(value, int):
-            hi, lo = _dd_add_d(*_int_words(value)[:2], lo)
+            r, s = lo.as_integer_ratio()
+            hi, lo = _pair_from_ratio(value * s + r, s)
         else:
             hi, lo = _two_sum(hi, lo)
         if not math.isfinite(hi):
@@ -718,10 +653,9 @@ class Real:
         hi = float(d)  # correctly rounded, as float(Fraction(d)) is
         if not math.isfinite(hi):
             raise NonFiniteError("decimal literal overflows binary64")
-        if tier is Tier.NATIVE64:
+        if tier is Tier.NATIVE64 or hi == 0.0:
             return cls._raw(hi, 0.0, tier)
-        lo = float(Fraction(d) - Fraction(hi))
-        hi, lo = _quick_two_sum(hi, lo)
+        hi, lo = _pair_from_ratio(*d.as_integer_ratio())
         return cls._raw(hi, lo, tier)
 
     # -- conversions ----------------------------------------------------
@@ -803,8 +737,8 @@ class Real:
     __sub__ = _real_op(operator.sub, _dd_sub, "subtraction")
     __rsub__ = _real_op(operator.sub, _dd_sub, "subtraction", swap=True)
     __mul__ = __rmul__ = _real_op(operator.mul, _dd_mul_rescued, "multiplication")
-    __truediv__ = _real_op(operator.truediv, _dd_div_rescued, "division")
-    __rtruediv__ = _real_op(operator.truediv, _dd_div_rescued, "division", swap=True)
+    __truediv__ = _real_op(operator.truediv, _dd_quotient, "division")
+    __rtruediv__ = _real_op(operator.truediv, _dd_quotient, "division", swap=True)
 
     def __neg__(self):
         return Real._raw(-self.hi, -self.lo, self.tier)
@@ -846,7 +780,7 @@ def sqrt(x: Real) -> Real:
     if x.tier is Tier.NATIVE64:
         return Real._raw(math.sqrt(x.hi), 0.0, x.tier)
     f = max(_FIX - (math.frexp(x.hi)[1] >> 1), 0)
-    rh, rl = _pair_from_fixed(math.isqrt(_fixed_from_pair(x.hi, x.lo, 2 * f)), f)
+    rh, rl = _pair_from_ratio(math.isqrt(_fixed_from_pair(x.hi, x.lo, 2 * f)), 1 << f)
     return Real._raw(rh, rl, x.tier)
 
 
@@ -859,7 +793,7 @@ def atan(x: Real) -> Real:
     neg = x.hi < 0.0
     xh, xl = (-x.hi, -x.lo) if neg else (x.hi, x.lo)
     f = _FIX - 3 * min(math.frexp(xh)[1], 0)
-    rh, rl = _pair_from_fixed(_fixed_atan_ratio(_fixed_from_pair(xh, xl, f), 1 << f, f), f)
+    rh, rl = _pair_from_ratio(_fixed_atan_ratio(_fixed_from_pair(xh, xl, f), 1 << f, f), 1 << f)
     return Real._raw(-rh, -rl, x.tier) if neg else Real._raw(rh, rl, x.tier)
 
 

@@ -1,12 +1,15 @@
 """Scalar layer: error-free transforms, tier arithmetic, elementary
 functions against frozen independent-oracle digit strings."""
 
+import ast
 import math
+import operator
 import os
 import random
 import struct
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +36,7 @@ from ahmedquad import (
     two_sum,
 )
 from ahmedquad import bounds, integrands, quad, scalar
-from ahmedquad.scalar import _quick_two_sum, _two_prod, _two_sum
+from ahmedquad.scalar import _two_prod, _two_sum
 from helpers import (
     ATAN_SQRT2_STR,
     EXP_5_4_STR,
@@ -391,12 +394,12 @@ def test_every_constant_and_table_entry_is_the_nearest_pair():
     assert scalar._pi_pair() == nearest_pair(mp.pi)
     atan_k = [mp.atan(mp.mpf(k) / 64) for k in range(65)]
     table = scalar._atan_table()
-    assert list(map(scalar._pair_from_fixed, table)) == [nearest_pair(a) for a in atan_k]
+    assert [scalar._pair_from_ratio(n, scalar._ONE) for n in table] == [nearest_pair(a) for a in atan_k]
     # e^i, e^(i/64) and e^(i/4096), read by the tanh-sinh points
     tables = scalar._fixed_exp_tables()
     for table, q in zip(tables, (1, 64, 4096)):
         want = [nearest_pair(mp.exp(mp.mpf(i) / q)) for i in range(len(table))]
-        assert list(map(scalar._pair_from_fixed, table)) == want
+        assert [scalar._pair_from_ratio(n, scalar._ONE) for n in table] == want
     assert tuple(map(len, tables)) == (128, 64, 64)
 
 
@@ -429,6 +432,12 @@ def test_tier_properties():
 # transforms. Every fused kernel in scalar.py must return the same bits.
 
 
+def _quick_two_sum(a, b):
+    # requires |a| >= |b| (or a == 0)
+    s = a + b
+    return s, b - (s - a)
+
+
 def _ref_dd_add(ah, al, bh, bl):
     sh, se = _two_sum(ah, bh)
     th, te = _two_sum(al, bl)
@@ -459,32 +468,14 @@ def _ref_dd_mul_rescued(ah, al, bh, bl):
     # operands
     r = _ref_dd_mul(ah, al, bh, bl)
     if math.isnan(r[0]):
-        return scalar._dd_rescaled(scalar._dd_mul, ah, al, bh, bl, 1)
+        return scalar._dd_rescaled(scalar._dd_mul, (ah, al), (bh, bl), 1)
     return r
-
-
-def _ref_dd_mul_d(ah, al, b):
-    p, e = _two_prod(ah, b)
-    e += al * b
-    return _quick_two_sum(p, e)
 
 
 def _ref_dd_sqr(ah, al):
     p, e = _two_prod(ah, ah)
     e += 2.0 * ah * al
     return _quick_two_sum(p, e)
-
-
-def _ref_dd_div(ah, al, bh, bl):
-    q1 = ah / bh
-    th, tl = _ref_dd_mul_d(bh, bl, q1)
-    rh, rl = _ref_dd_sub(ah, al, th, tl)
-    q2 = rh / bh
-    th, tl = _ref_dd_mul_d(bh, bl, q2)
-    rh, rl = _ref_dd_sub(rh, rl, th, tl)
-    q3 = rh / bh
-    qh, ql = _quick_two_sum(q1, q2)
-    return _ref_dd_add_d(qh, ql, q3)
 
 
 def _ref_dd_div_d(ah, al, b):
@@ -508,9 +499,7 @@ FUSED_KERNELS = [
     ("_dd_add_d", _ref_dd_add_d, ("dd", "d")),
     ("_dd_mul", _ref_dd_mul, ("dd", "dd")),
     ("_dd_mul_rescued", _ref_dd_mul_rescued, ("dd", "dd")),
-    ("_dd_mul_d", _ref_dd_mul_d, ("dd", "d")),
     ("_dd_sqr", _ref_dd_sqr, ("dd",)),
-    ("_dd_div", _ref_dd_div, ("dd", "dd")),
     ("_dd_div_d", _ref_dd_div_d, ("dd", "d")),
     ("_dd_recip", _ref_dd_recip, ("dd",)),
 ]
@@ -540,6 +529,29 @@ def _assert_bit_identical(name, reference, cases):
         assert [_bits(v) for v in got] == [_bits(v) for v in want], (
             f"{name}{args}: {got!r} != {want!r}"
         )
+
+
+def test_every_kernel_has_a_caller():
+    # every top-level _dd_* function of scalar.py is named in the
+    # package's code outside its own definition (an import alone does
+    # not count), so that a kernel whose last caller goes goes with it
+    paths = Path(scalar.__file__).parent.glob("*.py")
+    trees = {p.name: ast.parse(p.read_text()) for p in paths}
+    kernels = {
+        node.name
+        for node in trees["scalar.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_dd_")
+    }
+    used = set()
+    for module in trees.values():
+        for stmt in module.body:
+            own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in kernels and name != own:
+                    used.add(name)
+    assert len(kernels) > 10
+    assert kernels <= used, sorted(kernels - used)
 
 
 def _seeded_operand_pairs():
@@ -611,7 +623,7 @@ class TestFusedKernelsBitIdentical:
 # ----------------------------------------------------------------------
 # _dd_recip takes r = 1/bh, e = 1 - b r and returns r (1 + e + e^2). Its
 # oracle bound is 1 unit of 2^-104 relative; it measures below 0.75, where
-# _dd_div(1, 0, b) measures below 0.5. Each 1/D lane calls it once.
+# the nearest pair is within 0.5. Each 1/D lane calls it once.
 
 RECIP_BOUND = 1.0 * 2.0**-104
 
@@ -651,24 +663,22 @@ class TestReciprocal:
         self._assert_bound(words)
 
     def test_special_values_as_the_quotient(self):
-        # the same exception, NaN where the quotient is NaN, and elsewhere
-        # the same high word
+        # ZeroDivisionError at b = 0, and wherever the kernel is not NaN
+        # the exact quotient's high word, the nearest double to 1/b
         for args in _special_operands(("dd",)):
             got = _outcome(scalar._dd_recip, args)
-            want = _outcome(lambda h, l: scalar._dd_div(1.0, 0.0, h, l), args)
-            if isinstance(want, type) or isinstance(got, type):
-                assert got is want, (args, got, want)
-            elif math.isnan(want[0]) or math.isnan(got[0]):
-                assert math.isnan(want[0]) and math.isnan(got[0]), (args, got, want)
-            else:
-                assert got[0] == want[0], (args, got, want)
+            if isinstance(got, type):
+                assert got is ZeroDivisionError and args[0] == 0.0, (args, got)
+            elif not math.isnan(got[0]):
+                want = float(1 / (Fraction(args[0]) + Fraction(args[1])))
+                assert got[0] == want, (args, got, want)
         for zero in (0.0, -0.0):
             with pytest.raises(ZeroDivisionError):
                 scalar._dd_recip(zero, 0.0)
 
     def test_rescued_entry(self):
-        # the quotient's rescue where the kernel is NaN (past the split's
-        # range), and elsewhere the kernel's own bits
+        # the kernel redone on a rescaled operand where it is NaN (past
+        # the split's range), and elsewhere the kernel's own bits
         rng = random.Random(0x2E5C)
         cases = list(_special_operands(("dd",)))
         for lo, hi in ((990, 1023), (-1022, -990), (-30, 30)):
@@ -680,13 +690,13 @@ class TestReciprocal:
             raw = _outcome(scalar._dd_recip, args)
             nan = not isinstance(raw, type) and math.isnan(raw[0])
             rescued += nan
-            want = (lambda h, l: scalar._dd_div_rescued(1.0, 0.0, h, l)) if nan else scalar._dd_recip
+            want = (lambda h, l: scalar._dd_rescaled(scalar._dd_recip, (), (h, l), -1)) if nan else scalar._dd_recip
             _assert_bit_identical("_dd_recip_rescued", want, [args])
         assert rescued > 300
 
     def test_one_reciprocal_per_lane_evaluation(self, monkeypatch):
         # the three 2-D joins and the eq3 lane form 1/D with one _dd_recip
-        # and no long division
+        # and no exact quotient
         calls = {"div": 0, "recip": 0}
 
         def counting(kind, fn):
@@ -696,12 +706,10 @@ class TestReciprocal:
 
             return counted
 
-        div = counting("div", scalar._dd_div)
         recip = counting("recip", scalar._dd_recip)
-        monkeypatch.setattr(scalar, "_dd_div", div)
+        monkeypatch.setattr(scalar, "_dd_quotient", counting("div", scalar._dd_quotient))
         for module in (scalar, integrands):
             monkeypatch.setattr(module, "_dd_recip", recip)
-        monkeypatch.setattr(scalar, "_dd_div_rescued", counting("div", scalar._dd_div_rescued))
         D = Tier.DOUBLEWORD
         lanes = [integrands.raw_fn(i, D) for i in integrands.ids() if integrands.get(i).dim == 2]
         eq3 = integrands.raw_fn("eq3_kernel", D, Real.from_float(0.7, D))
@@ -836,14 +844,14 @@ class TestTableDrivenAtan:
     def test_one_rounding(self, monkeypatch):
         # atan, sqrt and each integer lane round their result once
         calls = []
-        pair = scalar._pair_from_fixed
+        pair = scalar._pair_from_ratio
 
         def counting(*args):
             calls.append(args)
             return pair(*args)
 
-        monkeypatch.setattr(scalar, "_pair_from_fixed", counting)
-        monkeypatch.setattr(integrands, "_pair_from_fixed", counting)
+        monkeypatch.setattr(scalar, "_pair_from_ratio", counting)
+        monkeypatch.setattr(integrands, "_pair_from_ratio", counting)
         D = Tier.DOUBLEWORD
         lanes = [integrands.raw_fn(i, D) for i in ("ahmed_eq1", "i1_x", "i2_x", "i1_theta")]
         for v in (1e-300, 0.3, 1.0, 1.5, 100.0, 200.0, 2.0**61, 1e300):
@@ -1230,13 +1238,20 @@ def test_sincos_property_against_mpmath():
 # ----------------------------------------------------------------------
 # Dekker's split overflows once a high word (or, in a division, a
 # partial quotient) passes ~2^996, and the raw kernel returns NaN. The
-# rescuing entries that Real multiplication and division and the
-# double-word lane call then redo the operation on operands scaled by
-# powers of two; every other result is the raw kernel's.
+# rescuing entries that Real multiplication and the double-word lane
+# call then redo the operation on operands scaled by powers of two;
+# every other result is the raw kernel's. Real division rounds the exact
+# quotient, which needs no rescue.
 
 
 def _exact(x):
     return Fraction(x.hi) + Fraction(x.lo)
+
+
+def _pair_of(f):
+    # the nearest pair to the Fraction f
+    hi = float(f)
+    return hi, float(f - Fraction(hi))
 
 
 def _assert_dd_close(got, want):
@@ -1321,14 +1336,15 @@ class TestSplitOverflow:
         assert mul(zero, Real.from_float(sys.float_info.max, D)).hi == 0.0
 
     def test_fast_path_is_the_raw_kernel(self):
-        # in the split's range the Real result is the kernel's, bit for bit
+        # in the split's range the Real product is the kernel's, bit for
+        # bit, and the quotient is the nearest pair
         for (ah, bh) in _random_pairs(2_000, 0xFA57, span=400):
             x = Real.from_float(ah, self.D) / Real.from_float(3.0, self.D)
             y = Real.from_float(bh, self.D) / Real.from_float(7.0, self.D)
             p = mul(x, y)
             assert (p.hi, p.lo) == scalar._dd_mul(x.hi, x.lo, y.hi, y.lo)
             q = div(x, y)
-            assert (q.hi, q.lo) == scalar._dd_div(x.hi, x.lo, y.hi, y.lo)
+            assert (q.hi, q.lo) == _pair_of(_exact(x) / _exact(y))
 
 
 def test_tier_hashes_by_identity():
@@ -1354,3 +1370,162 @@ def test_sqrt_over_every_binade():
             r = sqrt(Real._raw(xh, xl, Tier.DOUBLEWORD))
             want = nearest_pair(mp.sqrt(mp.mpf(xh) + mp.mpf(xl)))
             assert (r.hi, r.lo) == want, f"sqrt({xh!r}, {xl!r})"
+
+
+# ----------------------------------------------------------------------
+# Real arithmetic and the rescued reciprocal over every binade
+# ----------------------------------------------------------------------
+# Seeded words in every binade from 2^-1074 to 2^1023, against exact
+# Fractions. Above the 2^-969 floor each result keeps the README's
+# relative claim: 4 units of 2^-104 (ARITH_DD) for +, - and *, and
+# RECIP_BOUND for the reciprocal. Below it the low word is subnormal;
+# there each stays within FLOOR_ABS, and on two runs of 60,000 seeded
+# draws a product measured 2.07 and a reciprocal 1.31 units of 2^-1074.
+# A quotient is the nearest pair everywhere.
+
+FLOOR = Fraction(2) ** -969
+FLOOR_ABS = 4 * Fraction(2) ** -1074
+_TOP = Fraction(2) ** 1024 - Fraction(2) ** 970  # the first value that rounds to inf
+
+
+def _word(rng, k):
+    # a double-word with its high word in [2^k, 2^(k+1)), random sign and
+    # a random low word; at the bottom binades the high word is subnormal
+    hi = math.copysign(rng.uniform(1.0, 2.0) * 2.0**k, rng.random() - 0.5)
+    return _two_sum(hi, rng.uniform(-0.5, 0.5) * math.ulp(hi))
+
+
+def _binade_words(seed):
+    # two seeded words in each binade from 2^-1074 to 2^1023
+    rng = random.Random(seed)
+    return [_word(rng, k) for k in range(-1074, 1024) for _ in range(2)], rng
+
+
+def _assert_within(got, want, units, what):
+    # units of 2^-104 relative above the floor, FLOOR_ABS below it
+    err = abs(Fraction(got[0]) + Fraction(got[1]) - want)
+    if abs(want) >= FLOOR:
+        assert err <= units * abs(want), (what, float(err / abs(want) / 2.0**-104))
+    else:
+        assert err <= FLOOR_ABS, (what, float(err / Fraction(2) ** -1074))
+
+
+def _real_outcome(op, x, y):
+    # op on the Reals of words x and y at DOUBLEWORD: its pair, or the
+    # exception type it raised
+    D = Tier.DOUBLEWORD
+    try:
+        r = op(Real._raw(*x, D), Real._raw(*y, D))
+    except (NonFiniteError, ZeroDivisionError) as exc:
+        return type(exc)
+    return r.hi, r.lo
+
+
+def _assert_real_op(op, x, y, units):
+    # op's Real result within units of the exact value, or NonFiniteError
+    # where the exact value rounds past binary64
+    want = op(Fraction(x[0]) + Fraction(x[1]), Fraction(y[0]) + Fraction(y[1]))
+    got = _real_outcome(op, x, y)
+    if abs(want) >= _TOP:
+        assert got is NonFiniteError, (x, y, got)
+    else:
+        _assert_within(got, want, units, (x, y))
+
+
+class TestEveryBinade:
+    def test_add_and_sub(self):
+        # with a word of any binade, and with one of the same binade or
+        # up to three below, where the sum cancels
+        words, rng = _binade_words(0xB1AD)
+        for k, x in enumerate(words):
+            near = _word(rng, k // 2 - 1074 - rng.randint(0, 3))
+            for y in (rng.choice(words), near):
+                for op in (operator.add, operator.sub):
+                    _assert_real_op(op, x, y, ARITH_DD)
+                    _assert_real_op(op, y, x, ARITH_DD)
+
+    def test_mul(self):
+        # with a word picked so that the product lands in a seeded binade
+        # from 2^-1080 to 2^1023, and with any word of the sweep
+        words, rng = _binade_words(0x3A1)
+        for k, x in enumerate(words):
+            k = k // 2 - 1074
+            j = min(max(rng.randint(-1080, 1023) - k, -1074), 1023)
+            for y in (_word(rng, j), rng.choice(words)):
+                _assert_real_op(operator.mul, x, y, ARITH_DD)
+
+    def test_rescued_reciprocal(self):
+        # infinite where 1/b rounds past binary64, at the bottom binades
+        words, _ = _binade_words(0x2EC2)
+        for bh, bl in words:
+            want = 1 / (Fraction(bh) + Fraction(bl))
+            got = scalar._dd_recip_rescued(bh, bl)
+            if abs(want) >= _TOP:
+                assert math.isinf(got[0]), (bh, bl, got)
+            else:
+                _assert_within(got, want, RECIP_BOUND, (bh, bl))
+
+
+class TestExactQuotient:
+    # Real / at DOUBLEWORD is the nearest pair to the exact quotient,
+    # NonFiniteError where that rounds past binary64, and ZeroDivisionError
+    # for a zero divisor
+
+    def _assert_nearest(self, x, y):
+        got = _real_outcome(operator.truediv, x, y)
+        if y[0] == 0.0:
+            assert got is ZeroDivisionError, (x, y, got)
+            return
+        want = (Fraction(x[0]) + Fraction(x[1])) / (Fraction(y[0]) + Fraction(y[1]))
+        if abs(want) >= _TOP:
+            assert got is NonFiniteError, (x, y, got)
+        else:
+            assert got == _pair_of(want), (x, y, got)
+
+    def test_every_binade(self):
+        # a dividend in every binade, by a word picked so that the
+        # quotient lands in a seeded binade from 2^-1080 to 2^1026
+        words, rng = _binade_words(0xD1F)
+        for k, x in enumerate(words):
+            k = k // 2 - 1074
+            j = min(max(k - rng.randint(-1080, 1026), -1074), 1023)
+            self._assert_nearest(x, _word(rng, j))
+            self._assert_nearest(x, rng.choice(words))
+
+    def test_seeded_operands(self):
+        for x, y in _seeded_operand_pairs():
+            self._assert_nearest(x, y)
+
+    def test_special_operands(self):
+        finite = [c for c in _special_operands(("dd", "dd")) if all(map(math.isfinite, c))]
+        assert len(finite) > 1_000
+        for c in finite:
+            self._assert_nearest(c[:2], c[2:])
+
+    def test_one_rounding(self, monkeypatch):
+        # the quotient is one _pair_from_ratio of the exact ratios
+        calls = []
+        pair = scalar._pair_from_ratio
+        monkeypatch.setattr(scalar, "_pair_from_ratio", lambda n, d: calls.append(d) or pair(n, d))
+        x = Real.from_float(1.0, Tier.DOUBLEWORD) / 3
+        assert len(calls) == 1 and (x.hi, x.lo) == _pair_of(Fraction(1, 3))
+
+
+def test_constructor_and_decimal_are_nearest_pairs():
+    # an int with a low word, and a decimal literal, each round once to
+    # the nearest pair at DOUBLEWORD
+    D = Tier.DOUBLEWORD
+    rng = random.Random(0xC0F)
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(1, 1000)) * rng.choice((1, -1))
+        lo = rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-60, 1000)
+        r = Real(n, lo, D)
+        assert (r.hi, r.lo) == _pair_of(n + Fraction(lo)), (n, lo)
+        text = f"{rng.randint(-10**40, 10**40)}e{rng.randint(-380, 260)}"
+        r = Real.from_decimal(text, D)
+        assert (r.hi, r.lo) == _pair_of(Fraction(Decimal(text))), text
+    with pytest.raises(NonFiniteError):
+        Real(2**1023 + 2**1022 + 2**1021, sys.float_info.max, D)
+    # a literal below half the least subnormal is zero, without forming
+    # its 10^1000000 denominator
+    assert Real.from_decimal("1e-1000000", D) == 0
