@@ -39,7 +39,7 @@ from .quad import (
     _ts_nodes,
     integrate_1d,
 )
-from .scalar import Real, Tier, _pair_from_ratio, _pair_ratio
+from .scalar import Real, Tier, _pair_ratio
 
 __all__ = [
     "BenchRow",
@@ -78,10 +78,13 @@ def correct_digits(value: Real, tier: Tier) -> float:
     clamped to [0, tier cap] and rounded to millidigits so reports are
     byte-stable."""
     truth = closed_form("I", Tier.DOUBLEWORD)
-    # |v - t| / t for v = n / q and t = m / s, exactly, rounded once
+    # |v - t| / t for v = n / q, t = m / s, rounded once by int / int
     n, q = _pair_ratio(value.hi, value.lo)
     m, s = _pair_ratio(truth.hi, truth.lo)
-    rel, _ = _pair_from_ratio(abs(n * s - m * q), m * q)
+    try:
+        rel = abs(n * s - m * q) / (m * q)
+    except OverflowError:
+        return 0.0
     cap = DIGIT_CAP[tier]
     if rel == 0.0:
         return cap

@@ -361,11 +361,9 @@ def _pair_ratio(hi: float, lo: float) -> tuple[int, int]:
 
 
 def _fixed_from_pair(hi: float, lo: float, shift: int = _FIX) -> int:
-    # floor((hi + lo) 2^shift), from the words' exact ratios as
-    # _pair_ratio takes them, inlined for the lanes
-    p, q = hi.as_integer_ratio()
-    r, s = lo.as_integer_ratio()
-    return ((p * s + r * q) << shift) // (q * s)
+    # floor((hi + lo) 2^shift), from the words' exact ratio
+    n, d = _pair_ratio(hi, lo)
+    return (n << shift) // d
 
 
 def _dd_quotient(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:

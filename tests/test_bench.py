@@ -133,6 +133,11 @@ class TestCorrectDigitsFunction:
     def test_wild_value_floors_at_zero(self):
         assert correct_digits(Real.from_float(5.0, Tier.NATIVE64), Tier.NATIVE64) == 0.0
 
+    def test_relative_error_past_binary64_floors_at_zero(self):
+        # |v - t| / t overflows binary64 for v near its largest double
+        for tier in TIERS:
+            assert correct_digits(Real.from_float(1.7e308, tier), tier) == 0.0
+
 
 class TestCsv:
     def test_header_and_shape(self):

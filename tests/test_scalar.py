@@ -663,13 +663,17 @@ class TestReciprocal:
         self._assert_bound(words)
 
     def test_special_values_as_the_quotient(self):
-        # ZeroDivisionError at b = 0, and wherever the kernel is not NaN
+        # ZeroDivisionError at b = 0; NaN only for a non-finite b or one
+        # whose reciprocal or itself is past the split's range; elsewhere
         # the exact quotient's high word, the nearest double to 1/b
         for args in _special_operands(("dd",)):
             got = _outcome(scalar._dd_recip, args)
             if isinstance(got, type):
                 assert got is ZeroDivisionError and args[0] == 0.0, (args, got)
-            elif not math.isnan(got[0]):
+            elif math.isnan(got[0]):
+                bh = abs(args[0])
+                assert not math.isfinite(bh) or not 2.0**-990 < bh < 2.0**990, (args, got)
+            else:
                 want = float(1 / (Fraction(args[0]) + Fraction(args[1])))
                 assert got[0] == want, (args, got, want)
         for zero in (0.0, -0.0):
@@ -696,7 +700,7 @@ class TestReciprocal:
 
     def test_one_reciprocal_per_lane_evaluation(self, monkeypatch):
         # the three 2-D joins and the eq3 lane form 1/D with one _dd_recip
-        # and no exact quotient
+        # and no Real division, the one caller of the exact quotient
         calls = {"div": 0, "recip": 0}
 
         def counting(kind, fn):
@@ -707,10 +711,16 @@ class TestReciprocal:
             return counted
 
         recip = counting("recip", scalar._dd_recip)
-        monkeypatch.setattr(scalar, "_dd_quotient", counting("div", scalar._dd_quotient))
+        for name in ("__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(Real, name, counting("div", getattr(Real, name)))
         for module in (scalar, integrands):
             monkeypatch.setattr(module, "_dd_recip", recip)
         D = Tier.DOUBLEWORD
+        # the counter sees a division either way round
+        Real.from_float(1.0, D) / Real.from_float(3.0, D)
+        assert calls == {"div": 1, "recip": 0}
+        1 / Real.from_float(3.0, D)
+        assert calls == {"div": 2, "recip": 0}
         lanes = [integrands.raw_fn(i, D) for i in integrands.ids() if integrands.get(i).dim == 2]
         eq3 = integrands.raw_fn("eq3_kernel", D, Real.from_float(0.7, D))
         rng = random.Random(0xC0DE)
