@@ -28,15 +28,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .integrands import closed_form
+from .integrands import closed_form, raw_fn
 from .quad import (
     AdaptiveSimpson,
     EngineConfig,
     GaussLegendre,
     _gl_rungs,
-    _gl_table,
     _integrate_1d_ts_fixed,
-    _ts_nodes,
+    _own_lane,
     integrate_1d,
 )
 from .scalar import Real, Tier, _pair_ratio
@@ -92,14 +91,21 @@ def correct_digits(value: Real, tier: Tier) -> float:
     return round(min(cap, max(0.0, digits)), 3)
 
 
+def _bench_lane(tier: Tier):
+    # the lane the benchmark integral runs on: it reads that lane's tables
+    return _own_lane(raw_fn(_BENCH_ID, tier), tier)[0]
+
+
 def _warm_gl(order: int, tier: Tier) -> None:
+    lane = _bench_lane(tier)
     for n in _gl_rungs(GaussLegendre(order)):
-        _gl_table(n, tier)
+        lane.gl_table(n)
 
 
 def _warm_ts(level: int, tier: Tier) -> None:
+    lane = _bench_lane(tier)
     for k in range(1, level + 1):
-        _ts_nodes(k, tier)
+        lane.ts_nodes(k)
 
 
 def _row(

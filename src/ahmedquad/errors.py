@@ -9,7 +9,13 @@ from __future__ import annotations
 
 
 class AhmedQuadError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. ``point`` is
+    the evaluation point where it happened, a tuple of the coordinates'
+    high words, when one is known, and None otherwise."""
+
+    def __init__(self, message: str = "", point: tuple[float, ...] | None = None):
+        super().__init__(message)
+        self.point = point
 
 
 class ConfigError(AhmedQuadError):
@@ -29,10 +35,6 @@ class DomainError(AhmedQuadError):
 
 class NonFiniteError(AhmedQuadError):
     """A computation produced or consumed an infinity or NaN."""
-
-    def __init__(self, message: str, point: tuple[float, ...] | None = None):
-        super().__init__(message)
-        self.point = point
 
 
 class ConvergenceError(AhmedQuadError):

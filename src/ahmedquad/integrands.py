@@ -7,11 +7,15 @@ The quadrature engines select a lane by tier; :func:`eval_integrand`
 is the safe pointwise entry with domain checking. Each 2-D formula is
 written once, as parts that the tensor rules evaluate once per axis
 point and a join they evaluate at each point; the plain lane is derived
-from them. The double-word lanes of ahmed_eq1, i1_x, i2_x and i1_theta
-run in integers at the 2^-192 fixed point of :mod:`.scalar`, from the
-sine and cosine of ``_fixed_sincos`` or from x^2, s = sqrt(2 + x^2) and
-the atan of ``_fixed_atan_ratio``, and round each value once, to the
-nearest pair; the 2-D and eq3 lanes stay in double-word floating point.
+from them. Each 1-D chain formula (ahmed_eq1, i1_x, i2_x, i1_theta,
+i1_phi) is written once more, as an integer body at a fixed point of
+:mod:`.scalar`: an int x standing for x 2^-f in, f = 192 by default,
+an int value out, from the sine and cosine of ``_fixed_sincos`` or from
+x^2, s = sqrt(2 + x^2) and the atan of ``_fixed_atan_ratio``. The
+engines' integer lane calls the body, carried by the double-word lane
+as ``fixed``, at 2^-192; the double-word lane takes its pair to an int
+at a shift that keeps its bits and rounds the body's value once, to the
+nearest pair. The 2-D and eq3 lanes stay in double-word floating point.
 The double-word i1_theta lane shares the reduction of ``sin`` and
 ``cos``, so it takes |t| <= 2^10 and raises :class:`DomainError`
 beyond, where the native lane returns a value; its own domain is
@@ -36,7 +40,6 @@ from dataclasses import dataclass
 from .errors import ConfigError, DomainError, TierMismatchError
 from .scalar import (
     _FIX,
-    _ONE,
     _PI_FIXED,
     Real,
     Tier,
@@ -46,13 +49,12 @@ from .scalar import (
     _dd_mul,
     _dd_recip,
     _dd_recip_rescued,
-    _dd_scale2,
     _dd_sqr,
     _fixed_atan_ratio,
     _fixed_from_pair,
     _fixed_sincos,
     _pair_from_ratio,
-    _pi_pair,
+    _sincos_shift,
 )
 
 __all__ = [
@@ -319,22 +321,43 @@ def closed_form_of(integrand_id: str, tier: Tier) -> Real | None:
 # ----------------------------------------------------------------------
 
 
-def _fixed_x_parts(xh: float, xl: float) -> tuple[int, int, int, int]:
-    # (e, f, x^2, s = sqrt(2 + x^2)), at 2^-f with f = 192 + e, where e
-    # is the larger of 0 and x's binary exponent, so that atan(1/s) keeps
-    # its bits for a large x
-    e = max(math.frexp(xh)[1], 0)
-    f = _FIX + e
-    x = _fixed_from_pair(xh, xl, f)
+def _pair_lane(body, shifts):
+    # the double-word lane of an integer body: the point enters at 2^-f
+    # and the value, at 2^-out for (f, out) = shifts(high word), is
+    # rounded once to the nearest pair. The lane carries the body as
+    # ``fixed``
+    def lane(xh: float, xl: float) -> tuple[float, float]:
+        f, out = shifts(xh)
+        return _pair_from_ratio(body(_fixed_from_pair(xh, xl, f), f), 1 << out)
+
+    lane.fixed = body
+    return lane
+
+
+def _x_shifts(xh: float) -> tuple[int, int]:
+    # f = 192 + e, where e is the larger of 0 and x's binary exponent, so
+    # that atan(1/s) keeps its bits for a large x; the value at 2^-(f +
+    # 3e), as the denominator grows as x^3
+    f = _FIX + max(math.frexp(xh)[1], 0)
+    return f, 4 * f - 3 * _FIX
+
+
+def _theta_shifts(th: float) -> tuple[int, int]:
+    # t at the shift of _fixed_sincos, which keeps a small t's bits; the
+    # value at 2^-192
+    return _sincos_shift(th), _FIX
+
+
+def _x_parts(x: int, f: int) -> tuple[int, int]:
+    # (x^2, s = sqrt(2 + x^2)) at 2^-f
     x2 = x * x >> f
-    return e, f, x2, math.isqrt(x2 + (2 << f) << f)
+    return x2, math.isqrt(x2 + (2 << f) << f)
 
 
-def _over_x_parts(n: int, e: int, f: int, x2: int, s: int) -> tuple[float, float]:
-    # n / ((1 + x^2) s) for n at 2^-f, one quotient at 2^-(f + 3e) (the
-    # denominator grows as x^3), rounded once to the nearest pair
-    out = f + 3 * e
-    return _pair_from_ratio((n << f + out) // ((x2 + (1 << f)) * s), 1 << out)
+def _over_x_parts(n: int, f: int, x2: int, s: int) -> int:
+    # n / ((1 + x^2) s) for n at 2^-f, at 2^-(f + 3e), e = f - 192
+    out = 4 * f - 3 * _FIX
+    return (n << f + out) // ((x2 + (1 << f)) * s)
 
 
 def _native_ahmed(x: float) -> float:
@@ -343,9 +366,9 @@ def _native_ahmed(x: float) -> float:
     return math.atan(s) / ((1.0 + x2) * s)
 
 
-def _dd_ahmed(xh: float, xl: float) -> tuple[float, float]:
-    e, f, x2, s = _fixed_x_parts(xh, xl)
-    return _over_x_parts(_fixed_atan_ratio(s, 1 << f, f), e, f, x2, s)
+def _fixed_ahmed(x: int, f: int = _FIX) -> int:
+    x2, s = _x_parts(x, f)
+    return _over_x_parts(_fixed_atan_ratio(s, 1 << f, f), f, x2, s)
 
 
 def _native_i1_x(x: float) -> float:
@@ -354,9 +377,9 @@ def _native_i1_x(x: float) -> float:
     return (0.5 * math.pi) / ((1.0 + x2) * s)
 
 
-def _dd_i1_x(xh: float, xl: float) -> tuple[float, float]:
-    e, f, x2, s = _fixed_x_parts(xh, xl)
-    return _over_x_parts(_PI_FIXED << e >> 1, e, f, x2, s)
+def _fixed_i1_x(x: int, f: int = _FIX) -> int:
+    x2, s = _x_parts(x, f)
+    return _over_x_parts(_PI_FIXED << f - _FIX >> 1, f, x2, s)
 
 
 def _native_i1_theta(t: float) -> float:
@@ -364,20 +387,20 @@ def _native_i1_theta(t: float) -> float:
     return 0.5 * math.pi * math.cos(t) / math.sqrt(2.0 - s * s)
 
 
-def _dd_i1_theta(th: float, tl: float) -> tuple[float, float]:
+def _fixed_i1_theta(t: int, f: int = _FIX) -> int:
     # (pi/2) cos t / sqrt(2 - sin^2 t), the root at the 2^-g of the sine
     # and cosine, the quotient at 2^-192
-    s, c, g = _fixed_sincos(th, tl)
+    s, c, g = _fixed_sincos(t, f)
     r = math.isqrt((2 << g) - (s * s >> g) << g)
-    return _pair_from_ratio(_PI_FIXED * c // (r << 1), _ONE)
+    return _PI_FIXED * c // (r << 1)
 
 
 def _native_i1_phi(_t: float) -> float:
     return 0.5 * math.pi
 
 
-def _dd_i1_phi(_th: float, _tl: float) -> tuple[float, float]:
-    return _dd_scale2(*_pi_pair(), 0.5)
+def _fixed_i1_phi(_t: int, _f: int = _FIX) -> int:
+    return _PI_FIXED >> 1
 
 
 def _native_i2_x(x: float) -> float:
@@ -386,9 +409,9 @@ def _native_i2_x(x: float) -> float:
     return math.atan(1.0 / s) / ((1.0 + x2) * s)
 
 
-def _dd_i2_x(xh: float, xl: float) -> tuple[float, float]:
-    e, f, x2, s = _fixed_x_parts(xh, xl)
-    return _over_x_parts(_fixed_atan_ratio(1 << f, s, f), e, f, x2, s)
+def _fixed_i2_x(x: int, f: int = _FIX) -> int:
+    x2, s = _x_parts(x, f)
+    return _over_x_parts(_fixed_atan_ratio(1 << f, s, f), f, x2, s)
 
 
 # A 2-D lane is an x-part, a y-part and a join: f(x, y) = join(xpart(x),
@@ -502,11 +525,11 @@ _NATIVE_LANES = {
 }
 
 _DD_LANES = {
-    "ahmed_eq1": _dd_ahmed,
-    "i1_x": _dd_i1_x,
-    "i1_theta": _dd_i1_theta,
-    "i1_phi": _dd_i1_phi,
-    "i2_x": _dd_i2_x,
+    "ahmed_eq1": _pair_lane(_fixed_ahmed, _x_shifts),
+    "i1_x": _pair_lane(_fixed_i1_x, _x_shifts),
+    "i1_theta": _pair_lane(_fixed_i1_theta, _theta_shifts),
+    "i1_phi": _pair_lane(_fixed_i1_phi, lambda _t: (_FIX, _FIX)),
+    "i2_x": _pair_lane(_fixed_i2_x, _x_shifts),
     "i2_kernel_eq4": _dd_2d(_dd_one_two_plus_sqr, _dd_sqr, _dd_eq4_join),
     "product_kernel_eq6a": _dd_2d(_dd_one_plus_sqr, _dd_one_plus_sqr, _dd_eq6a_join),
     "shifted_kernel_eq6b": _dd_2d(_dd_sqr, _dd_one_two_plus_sqr, _dd_eq6b_join),
@@ -515,8 +538,10 @@ _DD_LANES = {
 # each fixed lane carries its integrand's certificate, as a 2-D lane
 # carries its parts
 for _cert in _CERTIFICATES:
-    _NATIVE_LANES[_cert.id].certificate = _DD_LANES[_cert.id].certificate = lambda c=_cert: c
-del _cert
+    _dd = _DD_LANES[_cert.id]
+    for _lane in (_NATIVE_LANES[_cert.id], _dd, getattr(_dd, "fixed", _dd)):
+        _lane.certificate = lambda c=_cert: c
+del _cert, _dd, _lane
 
 
 def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
@@ -526,7 +551,8 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
     a new closure over a^2 on each call, so none outlives its caller. A
     2-D lane also carries ``parts``, its ``(xpart, ypart, join)``: an
     x-part of one coordinate's words, a y-part likewise, and the join of
-    the two parts, which is the lane's value at the point. Every lane
+    the two parts, which is the lane's value at the point. A DOUBLEWORD
+    1-D chain lane also carries ``fixed``, its integer body. Every lane
     carries ``certificate()``, which returns the :class:`Certificate` of
     the integrand over its own domain; eq3_kernel's is built on that
     call, from the lane's a^2, so a run that needs none pays nothing."""

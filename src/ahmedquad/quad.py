@@ -10,17 +10,19 @@ Three rules share one result contract:
   alone the orders that :mod:`.bounds` proves within ``tol``.
   Nodes are found by Newton iteration from Chebyshev initial guesses;
   each converged root takes two further Newton steps in integers at the
-  2^-192 fixed point, and each node and weight is rounded once, to the
-  nearest double-word pair. NATIVE64 tables keep the high words, the
-  nearest doubles.
+  2^-192 fixed point. The integer lane reads those ints; each node and
+  weight of a pair table is rounded once from them, to the nearest
+  double-word pair, and NATIVE64 tables keep the high words, the nearest
+  doubles.
 * Tanh-sinh (double-exponential) rules with level-halved step sizes
   ``h = 2^-k`` and incremental refinement: level ``k`` reuses every
   point of level ``k - 1``, and :func:`tanh_sinh_abscissas` is the union
   of those increments. Points sit at ``t = J 2^-12``; a DOUBLEWORD point
-  is computed in integers at the 2^-192 fixed point from e^t and
-  e^(pi sinh t), its node and weight each rounded once to the nearest
-  double-word pair, so a point has the same bits at every level (its
-  weight up to the exact factor h).
+  is computed in integers from e^t and e^(pi sinh t), its node at
+  2^-192 and its weight at 2^-396. The integer lane reads those ints;
+  the pair table rounds each once, to the nearest double-word pair, so
+  a point has the same bits at every level (its weight up to the exact
+  factor h).
 * Globally adaptive Simpson with Richardson acceptance ``|S2 - S1| <=
   15 * tol`` and left-first deterministic splitting; an interval whose
   ``|S2 - S1|`` is within the rounding floor ``16 eps |S2|`` stops too,
@@ -29,18 +31,23 @@ Three rules share one result contract:
 All reported evaluation counts are exact: every call into the integrand
 is counted once, including the points spent on error estimation.
 
-Each rule is written once, as a core that runs over a tier *lane*:
+Each rule is written once, as a core that runs over a *lane*:
 :class:`_Native` carries values as binary64 floats, :class:`_DoubleWord`
-as ``(hi, lo)`` pairs. The lane owns the tier arithmetic (point
+as ``(hi, lo)`` pairs, and :class:`_FixedPoint` as ints at the 2^-192
+fixed point of :mod:`.scalar`. The lane owns the arithmetic (point
 mapping, exact power-of-two scaling, differences, ``hi``, conversion
-to and from :class:`Real`). A 2-D tensor rule is the 1-D weighted sum
-applied to row sums over prepared axes. A registry 2-D lane carries
-``parts``, an x-part, a y-part and a join with ``f(x, y) ==
-join(xpart(x), ypart(y))``: each column's x-part is computed once per
-rule (once per new node in tanh-sinh), each row's y-part once per row,
-and only the join runs at each of the n^2 points. An integrand without
-parts (a callable, or the checked re-run's wrapper) is its own join
-over the coordinates themselves; ITERATED runs call the plain lane.
+to and from :class:`Real`) and the rule tables it reads. A registry
+1-D integrand with an integer body (ahmed_eq1, i1_x, i2_x, i1_theta,
+i1_phi) runs on the integer lane at DOUBLEWORD over its own domain;
+callables, eq3_kernel, every 2-D run and NATIVE64 run on their tier's
+lane. A 2-D tensor rule is the 1-D weighted sum applied to row sums
+over prepared axes. A registry 2-D lane carries ``parts``, an x-part, a
+y-part and a join with ``f(x, y) == join(xpart(x), ypart(y))``: each
+column's x-part is computed once per rule (once per new node in
+tanh-sinh), each row's y-part once per row, and only the join runs at
+each of the n^2 points. An integrand without parts (a callable, or the
+checked re-run's wrapper) is its own join over the coordinates
+themselves; ITERATED runs call the plain lane.
 
 Every weighted sum is exactly rounded: a running sum is the list of the
 binary64 words of its terms ``w * f(p)`` (one word per term at NATIVE64,
@@ -48,25 +55,30 @@ both words of each double-word product at DOUBLEWORD), totalled by
 :func:`math.fsum` (Shewchuk's algorithm), so it does not depend on the
 order of its terms. A double-word total is ``s = fsum(words)`` with the
 rounded remainder ``fsum(words + [-s])``. Across tanh-sinh levels the
-words are scaled by an exact power of two.
+words are scaled by an exact power of two. On the integer lane the
+words are the exact int products, so sums are exact; its products,
+quotients and halvings are floored at 2^-192, and each result (a
+rule, a tanh-sinh level, a Simpson run) is rounded once, to the
+nearest pair.
 
 Tier-specific code is confined to the tanh-sinh node arithmetic, each
 lane's packing of the Gauss-Legendre pairs, its point mapping and its
-three per-evaluation loops (``sum``, ``tensor``, ``pairs``), which
-collect the terms and call the integrand at fixed arity. Measured on 2
-vCPUs under CPython 3.11: over 167k native 2-D evaluations a row loop
-calling ``f(x, *y)`` took 65-85% longer than one calling ``f(x, y)``;
-over a 96 x 96 double-word tensor, passing the row coordinate on as
-``*y`` cost 2-5%, and mapping points inside the nested loop instead of
-once per axis cost 30%.
+per-evaluation loops (``sum``, ``tensor``, ``pairs``; the integer lane
+has no ``tensor``), which collect the terms and call the integrand at
+fixed arity. Measured on 2 vCPUs under CPython 3.11: over 167k native
+2-D evaluations a row loop calling ``f(x, *y)`` took 65-85% longer
+than one calling ``f(x, y)``; over a 96 x 96 double-word tensor,
+passing the row coordinate on as ``*y`` cost 2-5%, and mapping points
+inside the nested loop instead of once per axis cost 30%.
 
 Every integrand passes one evaluation boundary, :func:`_boundary`,
 which also converts user callables between Reals and lane values. When
 an evaluation raised or the result came out non-finite, the rule runs
 once more with every evaluation checked, so that :class:`NonFiniteError`
-names the point; when every evaluation was finite, the error names the
-sum. A double-word product past the range of Dekker's split is not a
-failure: the lane forms every product through a rescuing entry.
+names the point, as does a package error the integrand raises; when
+every evaluation was finite, the error names the sum. A double-word
+product past the range of Dekker's split is not a failure: the lane
+forms every product through a rescuing entry.
 """
 
 from __future__ import annotations
@@ -80,6 +92,7 @@ from dataclasses import dataclass
 
 from . import bounds
 from .errors import (
+    AhmedQuadError,
     ConfigError,
     ConvergenceError,
     NonFiniteError,
@@ -99,6 +112,7 @@ from .scalar import (
     _dd_scale2,
     _dd_sub,
     _fixed_exp,
+    _fixed_from_pair,
     _pair_from_ratio,
 )
 
@@ -261,39 +275,46 @@ def _gl_positive_roots_native(n: int) -> list[float]:
     return out
 
 
-def _gl_nearest_pairs(n: int, x0: float):
+def _gl_fixed_point(n: int, x0: float) -> tuple[int, int]:
     # the root x of P_n by two Newton steps at the fixed point from the
     # native root x0, and its weight 2 (1 - x^2) / d^2, d = n (x P_n -
-    # P_(n-1)) = (x^2 - 1) P_n'(x), each rounded once to the nearest pair.
-    # d is the last step's: its derivative n (n + 1) P_n vanishes at the
-    # root, so it is off by a term in the square of that step
+    # P_(n-1)) = (x^2 - 1) P_n'(x), both at 2^-192. d is the last step's:
+    # its derivative n (n + 1) P_n vanishes at the root, so it is off by
+    # a term in the square of that step
     x = int(math.ldexp(x0, _FIX))
     for _ in range(2):
         q, p = _legendre_fixed(n, x)
         d = n * ((x * p >> _FIX) - q)
         x -= p * ((x * x >> _FIX) - _ONE) // d
-    return _pair_from_ratio(x, _ONE), _pair_from_ratio(((_ONE * _ONE - x * x) << _FIX + 1) // (d * d), _ONE)
+    return x, ((_ONE * _ONE - x * x) << _FIX + 1) // (d * d)
+
+
+@functools.lru_cache(maxsize=None)
+def _gl_ints(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] as ints
+    at the 2^-192 fixed point, from Newton on the Legendre recurrence:
+    the table the integer lane reads, and the one each tier's table is
+    rounded from."""
+    xs = [0] * n
+    ws = [0] * n
+    # an odd n's middle root is 0, where P_n vanishes exactly
+    for i, x0 in enumerate(_gl_positive_roots_native(n) + [0.0] * (n % 2)):
+        x, w = _gl_fixed_point(n, x0)
+        xs[i] = -x
+        xs[n - 1 - i] = x
+        ws[i] = ws[n - 1 - i] = w
+    return tuple(xs), tuple(ws)
 
 
 @functools.lru_cache(maxsize=None)
 def _gl_table(n: int, tier: Tier):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], as lane
-    values of the tier: the table the engine cores read. Each node and
-    weight is the nearest double-word pair to the exact one, from Newton
-    on the Legendre recurrence in integers at the 2^-192 fixed point,
-    packed by the lane: NATIVE64 keeps its high word, the nearest
-    double."""
-    lane = _LANES[tier]
-    xs = [lane.zero] * n
-    ws = [lane.zero] * n
-    # an odd n's middle root is 0, where P_n vanishes exactly; it is
-    # stored last, as +0
-    for i, x0 in enumerate(_gl_positive_roots_native(n) + [0.0] * (n % 2)):
-        x, w = (lane.pack(*pair) for pair in _gl_nearest_pairs(n, x0))
-        xs[i] = lane.neg(x)
-        xs[n - 1 - i] = x
-        ws[i] = ws[n - 1 - i] = w
-    return tuple(xs), tuple(ws)
+    values of the tier: the table the tier's lane reads. Each node and
+    weight is the nearest double-word pair to its int in
+    :func:`_gl_ints`, packed by the lane: NATIVE64 keeps its high word,
+    the nearest double."""
+    pack = _LANES[tier].pack
+    return tuple(tuple(pack(*_pair_from_ratio(v, _ONE)) for v in vs) for vs in _gl_ints(n))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -334,31 +355,34 @@ def _ts_point_native(J: int, level: int) -> tuple[float, float, bool]:
 _TS_STEP = 2.0**-_MAX_TS_LEVEL
 
 
-def _ts_point_dd(J: int, level: int):
-    # the point at t = J 2^-12 in integers at the 2^-192 fixed point: from
-    # e^t and E = e^(2u) = e^(pi sinh t), x = tanh u = (E - 1)/(E + 1) and
-    # w = (pi/2) h cosh t 4E/(E + 1)^2, each rounded once to the nearest
-    # pair. w falls as 1/E, so it is formed 2k bits finer, where E + 1 has
-    # k bits above 1, and h joins the shift as an exact exponent: w/h has
-    # the same bits at every level. Past the end once the abscissa rounds
-    # to 1 at 106 bits, 1 - x = 2/(E + 1) <= 2^-107 (exactly when k >=
-    # 108), or the weight falls below the cutoff
+# a tanh-sinh weight in the integer table is an int at 2^-_W_SHIFT
+_W_SHIFT = 2 * _FIX + _MAX_TS_LEVEL
+
+
+def _ts_point_fixed(J: int, level: int) -> tuple[int, int, bool]:
+    # the point at t = J 2^-12 in integers: from e^t and E = e^(2u) =
+    # e^(pi sinh t), x = tanh u = (E - 1)/(E + 1) at 2^-192 and w = (pi/2)
+    # h cosh t 4E/(E + 1)^2 at 2^-396. w falls as 1/E, so w/h is formed
+    # at 2^-384, where a kept weight (at least 2^-106) keeps 278 bits, and
+    # h = 2^-level joins it as an exact factor: w/h has the same int at
+    # every level, and each of x and w rounds to its nearest pair. Past
+    # the end once the abscissa rounds to 1 at 106 bits, 1 - x = 2/(E +
+    # 1) <= 2^-107 (exactly when k >= 108, where E + 1 has k bits above
+    # 1), or the weight's high word falls below the cutoff
     et = _fixed_exp(J << _FIX - _MAX_TS_LEVEL)
     rt = _ONE * _ONE // et
     e2u = _fixed_exp(_PI_FIXED * (et - rt) >> _FIX + 1)
     d = e2u + _ONE
     k = d.bit_length() - 1 - _FIX
-    x = _pair_from_ratio((e2u - _ONE << _FIX) // d, _ONE)
-    w = _pair_from_ratio((_PI_FIXED * (et + rt) * e2u << 2 * k) // (d * d), 1 << _FIX + 2 * k + level)
-    return x, w, k >= 108 or w[0] < _TS_CUTOFF_DD
+    x = (e2u - _ONE << _FIX) // d
+    w = (_PI_FIXED * (et + rt) * e2u << _FIX) // (d * d) << _MAX_TS_LEVEL - level
+    return x, w, k >= 108 or w / (1 << _W_SHIFT) < _TS_CUTOFF_DD
 
 
-@functools.lru_cache(maxsize=None)
-def _ts_nodes(level: int, tier: Tier):
-    """Tanh-sinh ``(x, w)`` lane values new at ``level``: those at
-    ``t = j h``, ``h = 2^-level``, for odd ``j`` (every ``j >= 0`` at
-    level 1), up to the weight cutoff. The table the engine cores read."""
-    point = _ts_point_native if tier is Tier.NATIVE64 else _ts_point_dd
+def _ts_level(level: int, point) -> tuple[tuple, tuple]:
+    # the (x, w) of point(J, level) new at level: at t = j h, h =
+    # 2^-level, for odd j (every j >= 0 at level 1), up to the first point
+    # past the end
     xs, ws = [], []
     j, step = (0, 1) if level == 1 else (1, 2)
     shift = _MAX_TS_LEVEL - level
@@ -369,6 +393,28 @@ def _ts_nodes(level: int, tier: Tier):
         xs.append(x)
         ws.append(w)
         j += step
+
+
+@functools.lru_cache(maxsize=None)
+def _ts_ints(level: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Tanh-sinh points new at ``level`` as ints, x at 2^-192 and w at
+    2^-396: the table the integer lane reads, and the one the DOUBLEWORD
+    table is rounded from."""
+    return _ts_level(level, _ts_point_fixed)
+
+
+@functools.lru_cache(maxsize=None)
+def _ts_nodes(level: int, tier: Tier):
+    """Tanh-sinh ``(x, w)`` lane values new at ``level``, up to the
+    weight cutoff: the table the tier's lane reads. A DOUBLEWORD node and
+    weight is the nearest pair to its int in :func:`_ts_ints`."""
+    if tier is Tier.NATIVE64:
+        return _ts_level(level, _ts_point_native)
+    xs, ws = _ts_ints(level)
+    return (
+        tuple(_pair_from_ratio(x, _ONE) for x in xs),
+        tuple(_pair_from_ratio(w, 1 << _W_SHIFT) for w in ws),
+    )
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -441,6 +487,10 @@ class _Native:
     words = staticmethod(lambda v: (v,))
     coords = staticmethod(lambda words: [(x, 0.0) for x in words])
     total = staticmethod(_fsum)
+    scale_words = staticmethod(lambda words, s: [w * s for w in words])
+    rounded = staticmethod(lambda v: v)  # a value is already the tier's
+    gl_table = staticmethod(lambda n: _gl_table(n, Tier.NATIVE64))
+    ts_nodes = staticmethod(lambda level: _ts_nodes(level, Tier.NATIVE64))
 
     @staticmethod
     def map(m, h, xs):
@@ -509,6 +559,10 @@ class _DoubleWord:
     words = staticmethod(lambda a: a)
     coords = staticmethod(lambda words: list(zip(words[::2], words[1::2])))
     total = staticmethod(_dd_fsum)
+    scale_words = _Native.scale_words
+    rounded = _Native.rounded
+    gl_table = staticmethod(lambda n: _gl_table(n, Tier.DOUBLEWORD))
+    ts_nodes = staticmethod(lambda level: _ts_nodes(level, Tier.DOUBLEWORD))
 
     @staticmethod
     def map(m, h, xs):
@@ -556,7 +610,71 @@ class _DoubleWord:
         return words
 
 
+def _shifted(v: int, s: float) -> int:
+    # v s for a power of two s, floored at the fixed point
+    e = math.frexp(s)[1] - 1
+    return v << e if e >= 0 else v >> -e
+
+
+class _FixedPoint:
+    """DOUBLEWORD lane of a registry integrand's integer body over its
+    own domain: every point, weight and value is an int n standing for
+    n 2^-192, the fixed point of :mod:`.scalar`, and a running sum is the
+    list of the exact products ``w * f(p)`` at 2^-384. Sums are exact;
+    products, quotients and halvings are floored at 2^-192, far below
+    the unit of a pair on these domains, and a value is rounded once, to
+    the nearest pair, where it leaves the lane (:meth:`real`). It serves
+    the 1-D cores only."""
+
+    tier = Tier.DOUBLEWORD
+    add = operator.add
+    sub = operator.sub
+    mul = staticmethod(lambda a, b: a * b >> _FIX)
+    div_d = staticmethod(lambda a, k: a // int(k))  # by an integral float
+    scale = staticmethod(_shifted)
+    hi = staticmethod(lambda v: v / _ONE)  # int / int rounds correctly
+    real = staticmethod(lambda v: Real._raw(*_pair_from_ratio(v, _ONE), Tier.DOUBLEWORD))
+    pack = staticmethod(_fixed_from_pair)
+    words = staticmethod(lambda v: (v,))
+    coords = staticmethod(lambda words: [_pair_from_ratio(v, _ONE) for v in words])
+    total = staticmethod(lambda words: sum(words) >> _FIX)
+    scale_words = staticmethod(lambda words, s: [_shifted(w, s) for w in words])
+    # the int of the nearest pair, on which real is exact
+    rounded = staticmethod(lambda v: _fixed_from_pair(*_pair_from_ratio(v, _ONE)))
+    gl_table = staticmethod(_gl_ints)
+    ts_nodes = staticmethod(_ts_ints)
+
+    @staticmethod
+    def map(m, h, xs):
+        return [m + (h * x >> _FIX) for x in xs]
+
+    @staticmethod
+    def sum(f, axis):
+        return [w * f(p) for p, w in axis]
+
+    @staticmethod
+    def pairs(f, m, h, xs, ws):
+        # a tanh-sinh weight is at 2^-396, so the sum is formed at 2^-588
+        acc = 0
+        for x, w in zip(xs, ws):
+            if x:
+                o = h * x >> _FIX
+                acc += w * (f(m + o) + f(m - o))
+            else:
+                acc += w * f(m)
+        return [acc >> _W_SHIFT - _FIX]
+
+
 _LANES = {Tier.NATIVE64: _Native, Tier.DOUBLEWORD: _DoubleWord}
+
+
+def _own_lane(f, tier: Tier):
+    """The lane that runs the registry lane ``f`` of a tier over its
+    integrand's own domain, and what that lane calls: the integer lane
+    and ``f.fixed`` where ``f`` has an integer body (the DOUBLEWORD 1-D
+    chain lanes), else the tier's lane and ``f``."""
+    body = getattr(f, "fixed", None)
+    return (_LANES[tier], f) if body is None else (_FixedPoint, body)
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +691,9 @@ def _boundary(f, lane, user: bool, domain=None):
     or an arithmetic error raised on the domain's edge (where an
     integrable singularity sits) or at a point with a non-finite
     coordinate (where a mapping overflowed), raises
-    :class:`NonFiniteError` carrying the point. An error raised at a
+    :class:`NonFiniteError` carrying the point. An
+    :class:`AhmedQuadError` the integrand raises keeps its type and is
+    given the point, unless it carries one. Any other error raised at a
     finite point inside the domain is the integrand's own and propagates
     unchanged."""
     tier = lane.tier
@@ -604,6 +724,10 @@ def _boundary(f, lane, user: bool, domain=None):
         coords = lane.coords(words)
         try:
             v = call(*words)
+        except AhmedQuadError as exc:
+            if exc.point is None:
+                exc.point = tuple(h for h, _ in coords)
+            raise
         except (ArithmeticError, ValueError):
             finite = all(math.isfinite(h) for h, _ in coords)
             if finite and not any(c in edge for c, edge in zip(coords, edges)):
@@ -649,11 +773,12 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _own_box(integrand_id: str, tier: Tier):
-    return _box(_LANES[tier], domain_of(integrand_id, tier))
+def _own_box(integrand_id: str, lane):
+    # the integrand's own domain as the lane's box
+    return _box(lane, domain_of(integrand_id, lane.tier))
 
 
-# The mapped (point, weight) rule of each (order, tier, axis) a proven run
+# The mapped (point, weight) rule of each (order, lane, axis) a proven run
 # has used. A proven run covers an integrand's own domain only, so the
 # keys are a bounded set: the picked orders of the fixed integrands and
 # at most the ladder's rungs on eq3_kernel's [0, 1].
@@ -668,9 +793,9 @@ def _gl_rule(lane, f, box, orders, own: bool = False):
     axes = [_mid_half(lane, a, b) for a, b in box]
     mapped = []
     for n, (m, h) in zip(orders, axes):
-        xs, ws = _gl_table(n, lane.tier)
+        xs, ws = lane.gl_table(n)
         if own:
-            key = n, lane.tier, m, h
+            key = n, lane, m, h
             axis = _OWN_AXES.get(key)
             if axis is None:
                 axis = _OWN_AXES[key] = tuple(zip(lane.map(m, h, xs), ws))
@@ -685,7 +810,7 @@ def _gl_rule(lane, f, box, orders, own: bool = False):
         xpart, ypart, join = lane.parts(f)
         cols = _prepared(lane, xpart, mapped[0])
         words = lane.tensor(join, cols, _prepared(lane, ypart, mapped[1]))
-    return lane.mul(jac, lane.total(words))
+    return lane.rounded(lane.mul(jac, lane.total(words)))
 
 
 def _gl(lane, f, box, method: GaussLegendre):
@@ -701,7 +826,7 @@ def _gl(lane, f, box, method: GaussLegendre):
     tol = method.tol
     certificate = None if tol is None else getattr(f, "certificate", None)
     cert = None if certificate is None else certificate()
-    own = cert is not None and box == _own_box(cert.id, lane.tier)
+    own = cert is not None and box == _own_box(cert.id, lane)
     proven = bounds._proven_rung(cert, lane.tier, method, _gl_rungs) if own else None
     if proven is not None:
         orders, bound = proven
@@ -749,12 +874,12 @@ def _ts_1d(lane, f, a, b, max_level: int):
     words = []
     evals = 0
     for level in range(1, max_level + 1):
-        xs, ws = _ts_nodes(level, lane.tier)
-        words = [w * 0.5 for w in words]
+        xs, ws = lane.ts_nodes(level)
+        words = lane.scale_words(words, 0.5)
         words += lane.pairs(f, m, h, xs, ws)
         # two points per node, but one at the center of the first level
         evals += 2 * len(xs) - (level == 1)
-        yield lane.mul(h, lane.total(words)), evals
+        yield lane.rounded(lane.mul(h, lane.total(words))), evals
 
 
 def _ts_2d(lane, f, box, max_level: int):
@@ -771,10 +896,10 @@ def _ts_2d(lane, f, box, max_level: int):
     words = []
     evals = 0
     for level in range(1, max_level + 1):
-        xs, ws = _ts_nodes(level, lane.tier)
+        xs, ws = lane.ts_nodes(level)
         px = [(p, lane.scale(w, 0.5)) for p, w in px]
         py = [(p, lane.scale(w, 0.5)) for p, w in py]
-        words = [w * 0.25 for w in words]
+        words = lane.scale_words(words, 0.25)
         nx = _prepared(lane, xpart, _signed_axis(lane, xs, ws, mx, hx))
         ny = _prepared(lane, ypart, _signed_axis(lane, xs, ws, my, hy))
         words += lane.tensor(join, nx, py)
@@ -918,12 +1043,14 @@ def _check_config(config) -> None:
 def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
     """Integrate ``f``, a registry id or a callable, over ``domain`` (by
     default a registry integrand's own) as ``core(lane, integrand, box,
-    method)``, the box holding each axis's endpoints as lane values.
-    When an evaluation raised or the value came out non-finite, the core
-    runs again with every evaluation checked, to name the point; when
-    none is named, :class:`NonFiniteError` names the sum. A
+    method)``, the box holding each axis's endpoints as lane values. A
+    registry integrand over its own domain runs on :func:`_own_lane`'s
+    lane. When an evaluation raised or the value came out non-finite,
+    the core runs again with every evaluation checked, to name the
+    point; when none is named, :class:`NonFiniteError` names the sum. A
     degenerate domain costs one probing evaluation and yields zero."""
     lane = _LANES[tier]
+    integrand_id = None
     what = "interval" if dim == 1 else "region"
     if domain is not None:
         ok = isinstance(domain, (tuple, list)) and len(domain) == dim
@@ -934,6 +1061,7 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         if entry.dim != dim:
             raise ConfigError(f"{f} is {entry.dim}D; use integrate_{entry.dim}d")
         f, user = raw_fn(f, tier, a), False
+        integrand_id = entry.id
         domain = domain_of(entry.id, tier) if domain is None else domain
     elif callable(f):
         if a is not None:
@@ -952,9 +1080,12 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         probe(*(w for corner, _ in box for w in lane.words(corner)))
         zero = Real.from_float(0.0, tier)
         return QuadResult(zero, zero, 1, True)
+    if integrand_id is not None and box == _own_box(integrand_id, lane):
+        lane, f = _own_lane(f, tier)
+        box = _own_box(integrand_id, lane)
     try:
         out = core(lane, _boundary(f, lane, user), box, method)
-    except (ArithmeticError, ValueError, NonFiniteError):
+    except (ArithmeticError, ValueError, AhmedQuadError):
         out = None
     if out is None or not math.isfinite(lane.hi(out[0])):
         core(lane, _boundary(f, lane, user, domain), box, method)

@@ -27,13 +27,16 @@ constant and table on first use (pi, the 65 integers atan(k/64) and the
 power tables of ``_fixed_exp``, which the quadrature module calls for
 each tanh-sinh point), and computes double-word ``sin``, ``cos``,
 ``exp``, ``atan`` and ``sqrt``: ``_fixed_sincos`` takes the nearest
-multiple of pi/2 off |x| <= 2^10 (:class:`DomainError` beyond) and sums
-both Taylor series; ``_dd_exp`` takes e^r for r = x mod ln2 from
-``_fixed_exp``; ``_fixed_atan_ratio`` gives atan(p/q) as atan(k/64) from
-the table plus the series of t = (64p - kq)/(64q + kp), |t| <= 1/128,
-for k/64 the nearest to p/q, and as pi/2 - atan(q/p) above 1; ``sqrt``
-takes ``math.isqrt`` of x at a shift that keeps 192 bits. The
-:mod:`.integrands` lanes of the chain integrands use the same code.
+multiple of pi/2 off an int x, |x| <= 2^10, and sums both Taylor series
+(``_sincos_shift`` gives the shift a double-word x enters at, and
+raises :class:`DomainError` beyond 2^10); ``_dd_exp`` takes e^r for r =
+x mod ln2 from ``_fixed_exp``; ``_fixed_atan_ratio`` gives atan(p/q) as
+atan(k/64) from the table plus the series of t = (64p - kq)/(64q + kp),
+|t| <= 1/128, for k/64 the nearest to p/q, and as pi/2 - atan(q/p)
+above 1; ``sqrt`` takes ``math.isqrt`` of x at a shift that keeps 192
+bits. The integer
+bodies of the chain integrands in :mod:`.integrands` use the same code,
+and the quadrature module's integer lane sums them at 2^-192.
 Each value is rounded once, to the nearest double-word pair, by one
 routine, ``_pair_from_ratio(n, d)``: int / int rounds correctly, so the
 high word is n / d and the low word the exact rest divided by d. The
@@ -432,18 +435,23 @@ def _fixed_exp(v: int) -> int:
     return e * _fixed_exp_series(v & ((_ONE >> 12) - 1)) >> _FIX
 
 
-def _fixed_sincos(xh: float, xl: float) -> tuple[int, int, int]:
-    # (sin x, cos x, g), both at 2^-g: x = q pi/2 + r with |r| <= pi/4 at
-    # 2^-f, f = 192, or 192 + 3m where |x| < 2^-m, so that the low words
-    # of a small x's sine and cosine, x^3/6 and x^2/2 below it, keep their
-    # bits; both Taylor series at r/8 and g = f + 3, summed in one loop,
-    # then three doublings, swapped and negated by q mod 4. The pi/2 used
-    # is 0.016 units of 2^-192 short, so r is within 11 units for q <= 651
+def _sincos_shift(xh: float) -> int:
+    # the fixed point 2^-f at which a double-word x enters _fixed_sincos:
+    # f = 192, or 192 + 3m where |x| < 2^-m, so that the low words of a
+    # small x's sine and cosine, x^3/6 and x^2/2 below it, keep their bits
     if abs(xh) > 1024.0:
         raise DomainError("sin/cos argument beyond |x| <= 2^10")
-    f = _FIX - 3 * min(math.frexp(xh)[1], 0)
+    return _FIX - 3 * min(math.frexp(xh)[1], 0)
+
+
+def _fixed_sincos(x: int, f: int) -> tuple[int, int, int]:
+    # (sin x, cos x, g) for x at 2^-f, f >= 192, |x| <= 2^10, both at
+    # 2^-g: x = q pi/2 + r with |r| <= pi/4, both Taylor series at r/8
+    # and g = f + 3, summed in one loop, then three doublings, swapped and
+    # negated by q mod 4. The pi/2 used is 0.016 units of 2^-192 short,
+    # so r is within 11 units for q <= 651
     half = _PI_FIXED << f - _FIX >> 1
-    q, r = divmod(_fixed_from_pair(xh, xl, f) + (half >> 1), half)
+    q, r = divmod(x + (half >> 1), half)
     r -= half >> 1
     g = f + 3
     r2 = r * r >> g
@@ -502,7 +510,8 @@ def _atan_table() -> tuple[int, ...]:
 
 def _dd_sincos(xh: float, xl: float) -> tuple[float, float, float, float]:
     # (sin x, cos x), each rounded once from _fixed_sincos
-    s, c, g = _fixed_sincos(xh, xl)
+    f = _sincos_shift(xh)
+    s, c, g = _fixed_sincos(_fixed_from_pair(xh, xl, f), f)
     return *_pair_from_ratio(s, 1 << g), *_pair_from_ratio(c, 1 << g)
 
 

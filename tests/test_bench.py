@@ -180,10 +180,15 @@ class TestCsv:
     # with digits and counts unchanged. The doubleword one was re-pinned
     # when the ahmed_eq1 lane came to round each value once from integers
     # at 2^-192: GL32, Simpson 7, 12 and 13 and tanh-sinh level 11 moved
-    # by one in the 32nd digit, with digits and counts unchanged
+    # by one in the 32nd digit, with digits and counts unchanged. The
+    # doubleword one was re-pinned when the registry's 1-D integrals came
+    # to sum in integers at 2^-192 and round each result once: GL16, 32
+    # and 64, Simpson 7 and 9-14 and tanh-sinh level 8 moved by one low
+    # word ulp, each toward the same rule summed at 400 bits (the worst
+    # now 0.051 units of 2^-104), with digits and counts unchanged
     SWEEP_SHA256 = {
         Tier.NATIVE64: "b75440acda898773ee16e8a82e080a6e90e75837cbcb7e5fd35e1d87658d8b8b",
-        Tier.DOUBLEWORD: "93621e7438a4af333f3ce6032f6907a657d7caf4193ed7d516547bf318141a58",
+        Tier.DOUBLEWORD: "d1f8e67f59356abd87090a41ae519e00fcaff79ac4f69d2103c5a11cc1c26171",
     }
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
@@ -306,7 +311,7 @@ class TestHookPoints:
         # starts, so wall_time_s never includes a table build
         from ahmedquad import bench, quad
 
-        caches = (quad._gl_table, quad._ts_nodes)
+        caches = (quad._gl_table, quad._ts_nodes, quad._gl_ints, quad._ts_ints)
         for cache in caches:
             cache.cache_clear()
         missed = []
@@ -329,3 +334,15 @@ class TestHookPoints:
             monkeypatch.setattr(bench, name, checking(name))
         rows = bench_rows(tier)
         assert len(rows) == 28 and missed == []
+
+    def test_doubleword_sweep_builds_no_pair_table(self):
+        # at DOUBLEWORD the benchmark integral runs on the integer lane,
+        # which reads the integer tables: building the pair tables too
+        # would cost the time and memory that lane saves
+        from ahmedquad import quad
+
+        for cache in (quad._gl_table, quad._ts_nodes):
+            cache.cache_clear()
+        bench_rows(Tier.DOUBLEWORD)
+        assert quad._ts_nodes.cache_info().misses == 0
+        assert quad._gl_table.cache_info().misses == 0

@@ -324,7 +324,7 @@ def test_fixed_integrands_are_within_their_bound_near_their_picks(integrand_id):
         if iid != integrand_id:
             continue
         lane = quad._LANES[tier]
-        box = quad._own_box(iid, tier)
+        box = quad._own_box(iid, lane)
         for near in _near_picks(orders):
             value = quad._gl_rule(lane, integrands.raw_fn(iid, tier), box, near)
             got = sum(mpmath.mpf(w) for w in lane.words(value))

@@ -123,14 +123,19 @@ class TestRegistry:
     def test_i1_theta_past_the_sine_domain(self):
         # the doubleword lane takes its sine and cosine from the reduction
         # that sin and cos use, which holds |t| <= 2^10: over [0, 2000]
-        # the native lane integrates and the doubleword one raises
+        # the native lane integrates and the doubleword one raises,
+        # naming a point past 2^10 where the lane raises
         def run(tier):
             wide = Interval(Real.from_float(0.0, tier), Real.from_float(2000.0, tier))
             return integrate_1d("i1_theta", wide, EngineConfig(GaussLegendre(8), tier))
 
         assert run(Tier.NATIVE64).value.hi == -2.877230096656115
-        with pytest.raises(DomainError, match=r"2\^10"):
+        with pytest.raises(DomainError, match=r"2\^10") as exc_info:
             run(Tier.DOUBLEWORD)
+        (t,) = exc_info.value.point
+        assert 1024.0 < t < 2000.0
+        with pytest.raises(DomainError, match=r"2\^10"):
+            raw_fn("i1_theta", Tier.DOUBLEWORD)(t, 0.0)
 
 
 class TestClosedForms:

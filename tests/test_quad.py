@@ -36,6 +36,7 @@ from ahmedquad import (
 from ahmedquad import bounds, quad
 from ahmedquad.integrands import Interval, domain_of, raw_fn
 from ahmedquad.quad import _integrate_1d_ts_fixed, _ts_nodes
+from ahmedquad.scalar import _pair_from_ratio
 from helpers import (
     I1_STR,
     I2_STR,
@@ -257,8 +258,15 @@ class TestTanhSinhAbscissas:
     def test_a_shared_t_gets_the_same_bits_at_every_level(self, tier):
         # the point at t = J 2^-12 depends on t alone: the abscissa is the
         # same bits at every level whose grid holds t, and the weight the
-        # same up to the exact factor h
-        point = quad._ts_point_dd if tier is Tier.DOUBLEWORD else quad._ts_point_native
+        # same up to the exact factor h. A DOUBLEWORD point is its ints
+        # rounded to pairs as its table rounds them, and equals the entry
+        # of the table of the level where t is new
+        def point(J, level):
+            if tier is Tier.NATIVE64:
+                return quad._ts_point_native(J, level)
+            x, w, past_end = quad._ts_point_fixed(J, level)
+            return _pair_from_ratio(x, 1 << 192), _pair_from_ratio(w, 1 << quad._W_SHIFT), past_end
+
         for J in (0, 64, 2048, 4096, 6144, 12288, 14336, 15360, 15552):
             seen = set()
             for level in range(1, 13):
@@ -266,6 +274,12 @@ class TestTanhSinhAbscissas:
                     continue
                 x, w, _ = point(J, level)
                 seen.add((_words(x), _words(_scaled(w, 2.0**level))))
+                j = J >> 12 - level
+                if level == 1 or j % 2:
+                    xs, ws = _ts_nodes(level, tier)
+                    i = j if level == 1 else j // 2
+                    if i < len(xs):
+                        assert (_words(xs[i]), _words(ws[i])) == (_words(x), _words(w))
             assert len(seen) == 1, f"t = {J}/4096"
 
     def test_doubleword_nodes_against_mpmath(self):
@@ -283,6 +297,24 @@ class TestTanhSinhAbscissas:
                 w = mp.pi / 2 * h * mp.cosh(t) / mp.cosh(u) ** 2
                 assert xs[i] == nearest_pair(x), f"level {level}, t = {t}"
                 assert ws[i] == nearest_pair(w), f"level {level}, t = {t}"
+
+    def test_integer_nodes_against_mpmath(self):
+        # every third point of every level of the integer table, x at
+        # 2^-192 and w at 2^-396, is within 2^-180 of its abscissa and
+        # weight at 60 digits: the relative error of _fixed_exp, which
+        # forms e^t and e^(pi sinh t)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        for level in range(1, 13):
+            xs, ws = quad._ts_ints(level)
+            h = mp.mpf(2) ** -level
+            for i in range(0, len(xs), 3):
+                t = (i if level == 1 else 2 * i + 1) * h
+                u = mp.pi / 2 * mp.sinh(t)
+                x = mp.tanh(u)
+                w = mp.pi / 2 * h * mp.cosh(t) / mp.cosh(u) ** 2
+                assert abs(mp.ldexp(xs[i], -192) - x) <= mp.ldexp(1, -180), f"level {level}, t = {t}"
+                assert abs(mp.ldexp(ws[i], -quad._W_SHIFT) - w) <= mp.ldexp(1, -180), f"level {level}, t = {t}"
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_per_level_error_shrinks_4x_until_floor(self, tier):
@@ -501,6 +533,52 @@ class TestIntegrate1D:
         gl = _run_cached("ahmed_eq1", GaussLegendre(96), tier)
         gap = abs(sub(res.value, gl.value).to_float())
         assert gap <= 4.0 * max(est, gl.error_estimate.to_float())
+
+    @pytest.mark.parametrize("iid", ["ahmed_eq1", "i1_theta"])
+    def test_doubleword_simpson_sums_its_leaves_exactly(self, iid):
+        # a registry integrand's Simpson run over its own domain sums its
+        # rules and leaves in integers and rounds once: its value is within
+        # 0.05 units of 2^-104 of the same partition (the same recursion,
+        # acceptance test and points) summed at 400 bits
+        mp = pytest.importorskip("mpmath")
+        tol = 1e-12
+        res = integrate_1d(iid, config=EngineConfig(AdaptiveSimpson(tol), Tier.DOUBLEWORD))
+        evals = 0
+
+        def ev(x):
+            nonlocal evals
+            evals += 1
+            if iid == "i1_theta":
+                return mp.pi / 2 * mp.cos(x) / mp.sqrt(2 - mp.sin(x) ** 2)
+            s = mp.sqrt(2 + x * x)
+            return mp.atan(s) / ((1 + x * x) * s)
+
+        def rule(a, b, fa, fm, fb):
+            return (b - a) / 6 * (fa + 4 * fm + fb)
+
+        def rec(a, fa, m, fm, b, fb, whole, tol, depth):
+            lm, rm = (a + m) / 2, (m + b) / 2
+            flm, frm = ev(lm), ev(rm)
+            left, right = rule(a, m, fa, flm, fm), rule(m, b, fm, frm, fb)
+            s2 = left + right
+            d = s2 - whole
+            ad = abs(float(d))
+            if ad <= 15.0 * tol or depth >= 40 or ad <= 16.0 * Tier.DOUBLEWORD.eps * abs(float(s2)):
+                return s2 + d / 15
+            return rec(a, fa, lm, flm, m, fm, left, 0.5 * tol, depth + 1) + rec(
+                m, fm, rm, frm, b, fb, right, 0.5 * tol, depth + 1
+            )
+
+        with mp.workprec(400):
+            (iv,) = domain_of(iid, Tier.DOUBLEWORD)
+            a = mp.mpf(iv.lower.hi) + iv.lower.lo
+            b = mp.mpf(iv.upper.hi) + iv.upper.lo
+            fa, m, fb = ev(a), (a + b) / 2, ev(b)
+            fm = ev(m)
+            want = rec(a, fa, m, fm, b, fb, rule(a, b, fa, fm, fb), tol, 0)
+            got = mp.mpf(res.value.hi) + res.value.lo
+            assert evals == res.evaluations
+            assert abs(got - want) / want <= 0.05 * mp.ldexp(1, -104)
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_pairwise_engine_agreement(self, tier):
@@ -917,6 +995,27 @@ class TestEvaluationBoundary:
             )
         assert exc_info.value.point == (0.0, 0.0)
 
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_a_package_error_inside_the_domain_is_given_its_point(self, tier):
+        # an AhmedQuadError an integrand raises keeps its type and is given
+        # the point where it was raised, unless it carries one already
+        def past_half(x):
+            if x.hi > 0.5:
+                raise DomainError("past one half")
+            return x
+
+        with pytest.raises(DomainError, match="past one half") as exc_info:
+            integrate_1d(past_half, _unit(tier), EngineConfig(GaussLegendre(8), tier))
+        (x,) = exc_info.value.point
+        assert 0.5 < x < 1.0
+
+        def located(x):
+            raise ConfigError("its own point", point=(7.0,))
+
+        with pytest.raises(ConfigError) as exc_info:
+            integrate_1d(located, _unit(tier), EngineConfig(GaussLegendre(8), tier))
+        assert exc_info.value.point == (7.0,)
+
     def test_an_error_inside_the_domain_is_the_integrands_own(self):
         def broken(x):
             raise ZeroDivisionError("a bug in the integrand")
@@ -1235,15 +1334,19 @@ def _proven_run(iid, method, tier):
 
 
 def _record_gl_tables(monkeypatch):
-    # the orders of the Gauss-Legendre tables the engines ask for
+    # the orders of the Gauss-Legendre tables the engines ask for, on
+    # every lane
     orders = []
-    table = quad._gl_table
 
-    def recording(n, tier):
-        orders.append(n)
-        return table(n, tier)
+    def recording(table):
+        def gl_table(n):
+            orders.append(n)
+            return table(n)
 
-    monkeypatch.setattr(quad, "_gl_table", recording)
+        return staticmethod(gl_table)
+
+    for lane in (quad._Native, quad._DoubleWord, quad._FixedPoint):
+        monkeypatch.setattr(lane, "gl_table", recording(lane.gl_table))
     return orders
 
 
@@ -1312,7 +1415,9 @@ class TestAdaptiveGaussLegendre:
             for other in itertools.product(range(2, 97), repeat=dim):
                 if (math.prod(other), other) < (res.evaluations, orders):
                     assert bounds._gl_bound(cert, tier, other) > tol, other
-        fixed = _fixed_rule(_lane_callable(iid, tier, a), domain_of(iid, tier), tier, orders)
+        # the plain rule of the picked orders, on the lane the run takes
+        lane, fn = quad._own_lane(raw_fn(iid, tier, a), tier)
+        fixed = lane.real(quad._gl_rule(lane, fn, quad._own_box(iid, lane), orders))
         assert _pin_of(res)[:2] == (fixed.hi.hex(), fixed.lo.hex())
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
@@ -1397,9 +1502,9 @@ class TestAdaptiveGaussLegendre:
         quad._OWN_AXES.clear()
         for k in range(200):
             integrate_1d("eq3_kernel", config=config, a=Real.from_float(0.1 * 1.02**k, tier))
-        ((m, h),) = [quad._mid_half(lane, *axis) for axis in quad._own_box("eq3_kernel", tier)]
+        ((m, h),) = [quad._mid_half(lane, *axis) for axis in quad._own_box("eq3_kernel", lane)]
         assert 1 < len(quad._OWN_AXES)
-        assert set(quad._OWN_AXES) <= {(n, tier, m, h) for n in _gl_rungs(method)}
+        assert set(quad._OWN_AXES) <= {(n, lane, m, h) for n in _gl_rungs(method)}
         before = dict(quad._OWN_AXES)
         domain = domain_of("ahmed_eq1", tier)
         integrate_1d(_lane_callable("ahmed_eq1", tier), domain[0], config)
@@ -1411,11 +1516,15 @@ class TestAdaptiveGaussLegendre:
         for iid in ONE_D_IDS + TWO_D_IDS:
             _registry_run(iid, method, tier)
         assert len(quad._OWN_AXES) > len(before)
-        for (n, t, m, h), axis in quad._OWN_AXES.items():
-            xs, ws = quad._gl_table(n, t)
-            fresh = list(zip(lane.map(m, h, xs), ws))
-            words = [[w.hex() for v in pair for w in lane.words(v)] for pair in axis]
-            assert words == [[w.hex() for v in pair for w in lane.words(v)] for pair in fresh]
+        for (n, own, m, h), axis in quad._OWN_AXES.items():
+            xs, ws = own.gl_table(n)
+            fresh = list(zip(own.map(m, h, xs), ws))
+
+            def words(rule):
+                # an int word as itself, a float one by its bits
+                return [[getattr(w, "hex", lambda: w)() for v in pair for w in own.words(v)] for pair in rule]
+
+            assert words(axis) == words(fresh)
 
     def test_fixed_order_never_looks_up_a_certificate(self, monkeypatch):
         from ahmedquad.bench import bench_rows
@@ -1536,6 +1645,35 @@ def _random_words(n):
         hi = rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-80, 80)
         words.append((hi, rng.uniform(-0.5, 0.5) * math.ulp(hi)))
     return words
+
+
+def test_the_integer_lane_runs_the_registry_1d_integrals_at_doubleword(monkeypatch):
+    # the integer lane runs a 1-D registry integrand with an integer body
+    # at DOUBLEWORD over its own domain, under every 1-D rule; callables,
+    # eq3_kernel, other domains, 2-D runs and NATIVE64 keep their tier's
+    # lane
+    calls = []
+    hi = quad._FixedPoint.hi
+    monkeypatch.setattr(quad._FixedPoint, "hi", staticmethod(lambda v: calls.append(v) or hi(v)))
+    dd = Tier.DOUBLEWORD
+    for method in (GaussLegendre(8), GaussLegendre(96, 1e-26), _pin_ts(dd, 3), AdaptiveSimpson(1e-8)):
+        config = EngineConfig(method, dd)
+        for iid in ONE_D_IDS:
+            calls.clear()
+            integrate_1d(iid, config=config)
+            integrate_1d(iid, domain_of(iid, dd)[0], config)
+            assert calls, (iid, method)
+            assert quad._own_lane(raw_fn(iid, dd), dd) == (quad._FixedPoint, raw_fn(iid, dd).fixed)
+        calls.clear()
+        half = Interval(Real.from_float(0.0, dd), Real.from_float(0.5, dd))
+        integrate_1d("ahmed_eq1", half, config)
+        integrate_1d(_lane_callable("ahmed_eq1", dd), _unit(dd), config)
+        integrate_1d("eq3_kernel", config=config, a=Real.from_float(1.5, dd))
+        if not isinstance(method, AdaptiveSimpson):
+            integrate_2d("i2_kernel_eq4", config=config)
+        assert calls == []
+    integrate_1d("ahmed_eq1", config=EngineConfig(GaussLegendre(8), Tier.NATIVE64))
+    assert calls == []
 
 
 @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
@@ -1695,13 +1833,13 @@ PINNED = {
     'd-1d:gl8@i1_theta': ('0x1.a51a6625307c2p-1', '0x1.dfdfc745964c6p-55', '0x1.4771575fe3e72p-25', '0x0.0p+0', 12, True),
     'd-1d:gl8@eq3_kernel': ('0x1.bda7a85bd37f2p-2', '-0x1.47454669b34c5p-56', '0x1.68dbce72e7ca2p-22', '0x0.0p+0', 12, True),
     'd-1d:glp@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952cecdp-58', '0x1.fd5b7c815294ep-91', '0x0.0p+0', 22, True),
-    'd-1d:glp@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89123b98p-56', '0x1.91c9baf3a4dfep-89', '0x0.0p+0', 16, True),
+    'd-1d:glp@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89123b97p-56', '0x1.91c9baf3a4dfep-89', '0x0.0p+0', 16, True),
     'd-1d:glp@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af3p-56', '0x1.00063e396012ap-100', '0x0.0p+0', 24, True),
     'd-1d:ts4@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afebp-58', '0x1.47791e0fd78a8p-60', '0x0.0p+0', 123, False),
-    'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89122008p-56', '0x1.e72a2a8000000p-80', '0x0.0p+0', 123, False),
+    'd-1d:ts4@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.1873d89122008p-56', '0x1.e72a2aa000000p-80', '0x0.0p+0', 123, False),
     'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af0p-56', '0x1.39dee07544800p-66', '0x0.0p+0', 123, False),
-    'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a8fp-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
-    'd-1d:as@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.a420899843504p-55', '0x1.bebd9b01e1064p-41', '0x0.0p+0', 257, True),
+    'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a90p-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
+    'd-1d:as@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.a420899843503p-55', '0x1.bebd9b01e1064p-41', '0x0.0p+0', 257, True),
     'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde57a4p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
     'd-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc50p-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
     'd-tensor:glp': ('0x1.3bd3cc9be45dep-2', '0x1.692b71366bb72p-56', '0x1.3b0fdec39805bp-88', '0x0.0p+0', 396, True),
@@ -1782,5 +1920,13 @@ def test_engine_paths_pinned_bit_for_bit(case):
     # the eq3 cases when the double-word sqrt(2) they take as a became the
     # nearest pair: only low words and two tanh-sinh estimates moved, each
     # value within 0.25 units of 2^-104 relative of the same rule summed
-    # at 400 bits, with counts and flags unchanged
+    # at 400 bits, with counts and flags unchanged. Four doubleword cases
+    # were re-pinned when the registry's 1-D integrals over their own
+    # domains came to sum in integers at 2^-192 and round each result
+    # once: d-1d:as@ahmed_eq1, as@i1_theta and glp@i1_theta moved by one
+    # low-word ulp toward the same rule summed at 400 bits (0.249 to
+    # 0.006, 0.126 to 0.026 and 0.054 to 0.022 units of 2^-104
+    # relative), and the ts4@i1_theta estimate moved with its level-3
+    # value, two low-word ulps, with every other value, count and flag
+    # unchanged
     assert _pin_of(_pin_run(case)) == PINNED[case]

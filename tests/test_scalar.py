@@ -532,15 +532,19 @@ def _assert_bit_identical(name, reference, cases):
 
 
 def test_every_kernel_has_a_caller():
-    # every top-level _dd_* function of scalar.py is named in the
-    # package's code outside its own definition (an import alone does
-    # not count), so that a kernel whose last caller goes goes with it
+    # every top-level _dd_* and _fixed_* function of scalar.py, and every
+    # private top-level function of quad.py and integrands.py, is named
+    # in the package's code outside its own definition (an import alone
+    # does not count), so that a helper whose last caller goes goes with
+    # it
     paths = Path(scalar.__file__).parent.glob("*.py")
     trees = {p.name: ast.parse(p.read_text()) for p in paths}
+    prefixes = {"scalar.py": ("_dd_", "_fixed_"), "quad.py": ("_",), "integrands.py": ("_",)}
     kernels = {
         node.name
-        for node in trees["scalar.py"].body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_dd_")
+        for name, prefix in prefixes.items()
+        for node in trees[name].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(prefix)
     }
     used = set()
     for module in trees.values():
