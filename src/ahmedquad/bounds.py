@@ -30,8 +30,9 @@ from .scalar import Tier
 # carries these errors, in units of u
 _ROUNDING_TERMS = {
     # measured, not proven, against 50-digit mpmath for every doubleword
-    # lane by tests/test_scalar.py::test_every_lane_against_mpmath (the
-    # worst is 3.8, for i2_x)
+    # lane by tests/test_scalar.py::test_every_lane_against_mpmath: the
+    # 1-D chain lanes are the nearest pair, and the worst of the 2-D and
+    # eq3 lanes is 1.28, for i2_kernel_eq4
     "lane": 6.0,
     # the table's sum |dw_i| / sum w_i against 240-bit weights: each
     # doubleword weight is the nearest pair, within 0.25 (measured at
@@ -81,12 +82,6 @@ def _bound(terms, rounding: float, orders) -> float:
     for term, n in zip(terms, orders):
         trunc += term(n)
     return (trunc + rounding) * _OUTWARD
-
-
-def _gl_bound(cert, tier: Tier, orders) -> float:
-    """The proven bound on |I - Q| of :func:`_gl_terms` at ``orders``,
-    one per axis."""
-    return _bound(*_gl_terms(cert, tier), orders)
 
 
 def _lowest(ok, seq):

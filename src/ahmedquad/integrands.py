@@ -45,7 +45,6 @@ from .scalar import (
     Tier,
     pi,
     _dd_add,
-    _dd_add_d,
     _dd_mul,
     _dd_recip,
     _dd_recip_rescued,
@@ -475,12 +474,12 @@ def _native_eq6b_join(two_x2: float, y: tuple[float, float]) -> float:
 
 
 def _dd_one_plus_sqr(xh: float, xl: float) -> tuple[float, float]:
-    return _dd_add_d(*_dd_sqr(xh, xl), 1.0)
+    return _dd_add(*_dd_sqr(xh, xl), 1.0, 0.0)
 
 
 def _dd_one_two_plus_sqr(xh: float, xl: float) -> tuple[float, float, float, float]:
     x2h, x2l = _dd_sqr(xh, xl)
-    return (*_dd_add_d(x2h, x2l, 1.0), *_dd_add_d(x2h, x2l, 2.0))
+    return (*_dd_add(x2h, x2l, 1.0, 0.0), *_dd_add(x2h, x2l, 2.0, 0.0))
 
 
 def _dd_eq4_join(x, y2) -> tuple[float, float]:

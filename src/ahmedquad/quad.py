@@ -107,9 +107,8 @@ from .scalar import (
     Tier,
     _check_tier,
     _dd_add,
-    _dd_div_d_rescued,
     _dd_mul_rescued,
-    _dd_scale2,
+    _dd_quotient,
     _dd_sub,
     _fixed_exp,
     _fixed_from_pair,
@@ -444,7 +443,7 @@ def tanh_sinh_abscissas(
         ]
     nodes.sort(key=operator.itemgetter(0))
     right = [(x, w) for _, x, w in nodes]
-    left = [(lane.neg(x), w) for x, w in reversed(right[1:])]
+    left = [(lane.scale(x, -1.0), w) for x, w in reversed(right[1:])]
     return tuple((lane.real(x), lane.real(w)) for x, w in left + right)
 
 
@@ -474,13 +473,11 @@ class _Native:
     running sum is the list of its terms ``w * f(p)``."""
 
     tier = Tier.NATIVE64
-    zero = 0.0
     add = operator.add
     sub = operator.sub
     mul = operator.mul
     div_d = operator.truediv
     scale = operator.mul  # by a power of two: exact
-    neg = operator.neg
     hi = float  # the identity on floats, at C speed
     real = staticmethod(lambda v: Real._raw(v, 0.0, Tier.NATIVE64))
     pack = staticmethod(lambda hi, lo: hi)
@@ -532,27 +529,20 @@ def _on_pairs(kernel):
     return staticmethod(lambda a, b: kernel(*a, *b))
 
 
-def _on_pair(kernel):
-    # a double-word kernel of a value and a float
-    return staticmethod(lambda a, k: kernel(*a, k))
-
-
 class _DoubleWord:
     """DOUBLEWORD lane: every value and point is an ``(hi, lo)`` pair,
     an integrand takes two words per coordinate, and a running sum is the
     list of both words of each term ``w * f(p)``.
 
-    Its products and scaled quotients take :mod:`.scalar`'s rescuing
-    entries, which redo one past the range of Dekker's split."""
+    Its products take :mod:`.scalar`'s rescuing entry, which redoes one
+    past the range of Dekker's split, and its quotients are the nearest
+    pairs to the exact ones."""
 
     tier = Tier.DOUBLEWORD
-    zero = (0.0, 0.0)
     add = _on_pairs(_dd_add)
     sub = _on_pairs(_dd_sub)
     mul = _on_pairs(_dd_mul_rescued)
-    div_d = _on_pair(_dd_div_d_rescued)
-    scale = _on_pair(_dd_scale2)
-    neg = staticmethod(lambda a: (-a[0], -a[1]))
+    scale = staticmethod(lambda a, s: (a[0] * s, a[1] * s))  # by a power of two
     hi = operator.itemgetter(0)
     real = staticmethod(lambda a: Real._raw(a[0], a[1], Tier.DOUBLEWORD))
     pack = staticmethod(_pair)
@@ -563,6 +553,14 @@ class _DoubleWord:
     rounded = _Native.rounded
     gl_table = staticmethod(lambda n: _gl_table(n, Tier.DOUBLEWORD))
     ts_nodes = staticmethod(lambda level: _ts_nodes(level, Tier.DOUBLEWORD))
+
+    @staticmethod
+    def div_d(a, k):
+        # the nearest pair to a / k; non-finite words, not an error, where
+        # a word of a is not finite
+        if math.isfinite(a[0]) and math.isfinite(a[1]):
+            return _dd_quotient(*a, k, 0.0)
+        return a[0] / k, a[1] / k
 
     @staticmethod
     def map(m, h, xs):
@@ -857,7 +855,7 @@ def _signed_axis(lane, xs, ws, m, h):
     # m + h x then m - h x
     axis = []
     for x, w in zip(xs, ws):
-        if x == lane.zero:
+        if lane.hi(x) == 0.0:
             axis.append((m, w))
         else:
             o = lane.mul(h, x)

@@ -40,16 +40,16 @@ and the quadrature module's integer lane sums them at 2^-192.
 Each value is rounded once, to the nearest double-word pair, by one
 routine, ``_pair_from_ratio(n, d)``: int / int rounds correctly, so the
 high word is n / d and the low word the exact rest divided by d. The
-same routine rounds :class:`Real` division at DOUBLEWORD, from the
-exact ratios of both operands' words (``_dd_quotient``), an int with a
-low word given to the constructor, and a decimal literal.
+same routine rounds :class:`Real` division at DOUBLEWORD and the
+double-word quadrature lane's quotients in Simpson's rule, from the exact ratios of
+both operands' words (``_dd_quotient``), an int with a low word given
+to the constructor, and a decimal literal.
 
-Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``,
-``_dd_div_d`` and ``_dd_recip`` return NaN. Three rescuing entries redo
-such an operation through the same kernel on operands scaled by powers
-of two (``_dd_rescaled``), so that a product or quotient past 2^996 or
-a reciprocal of 1e301 comes out finite: ``_dd_mul_rescued``
-(:class:`Real` and the quadrature lanes), ``_dd_div_d_rescued`` (the
+Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul`` and
+``_dd_recip`` return NaN. Two rescuing entries redo such an operation
+through the same kernel on operands scaled by powers of two
+(``_dd_rescaled``), so that a product past 2^996 or a reciprocal of
+1e301 comes out finite: ``_dd_mul_rescued`` (:class:`Real` and the
 quadrature lanes) and ``_dd_recip_rescued`` (the eq3 lane). The raw
 kernels keep their NaNs. The :class:`Real` arithmetic operators share
 one tier-checked path (``_real_op``).
@@ -192,16 +192,6 @@ def _dd_sub(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     return _dd_add(ah, al, -bh, -bl)
 
 
-def _dd_add_d(ah: float, al: float, b: float) -> tuple[float, float]:
-    # two_sum(ah, b), then quick_two_sum, inlined
-    sh = ah + b
-    v = sh - ah
-    se = (ah - (sh - v)) + (b - v)
-    se += al
-    h = sh + se
-    return h, se - (h - sh)
-
-
 def _dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     # two_prod(ah, bh) by Dekker splitting, then quick_two_sum, inlined
     p = ah * bh
@@ -229,22 +219,6 @@ def _dd_sqr(ah: float, al: float) -> tuple[float, float]:
     return h, e - (h - p)
 
 
-def _dd_div_d(ah: float, al: float, b: float) -> tuple[float, float]:
-    # two_prod(q1, b), then quick_two_sum, inlined
-    q1 = ah / b
-    p = q1 * b
-    t = _SPLITTER * q1
-    a1 = t - (t - q1)
-    a2 = q1 - a1
-    t = _SPLITTER * b
-    b1 = t - (t - b)
-    b2 = b - b1
-    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-    q2 = ((ah - p) - e + al) / b
-    h = q1 + q2
-    return h, q2 - (h - q1)
-
-
 def _dd_recip(bh: float, bl: float) -> tuple[float, float]:
     # 1/b by one Newton step from r = 1/bh (Karp-Markstein, ACM TOMS 23,
     # 1997): e = 1 - b r from two_prod(bh, r) = p + pe, then r (1 + e + e^2)
@@ -264,23 +238,17 @@ def _dd_recip(bh: float, bl: float) -> tuple[float, float]:
     return h, c - (h - r)
 
 
-def _dd_scale2(ah: float, al: float, s: float) -> tuple[float, float]:
-    # s must be a power of two: the scaling is exact
-    return ah * s, al * s
-
-
-def _dd_rescaled(kernel, a: tuple, b: tuple, sign: int) -> tuple[float, float]:
+def _dd_rescaled(kernel, a: tuple, b: tuple) -> tuple[float, float]:
     # kernel(*a, *b) on the words of a and of b, each scaled by a power of
-    # two to a high word in [0.5, 1), then scaled back by 2^(ea + sign *
-    # eb): sign 1 for a product, -1 for a quotient, and a empty for a
-    # reciprocal. Dekker's split overflows once a high word or partial
-    # quotient passes ~2^996, and the kernel then returns NaN, though the
-    # result may be representable; on scaled operands it cannot. A result
-    # beyond binary64 comes back infinite.
+    # two to a high word in [0.5, 1), then scaled back: by 2^(ea + eb) for
+    # a product, and by 2^-eb for a reciprocal (a empty). Dekker's split
+    # overflows once a word it splits passes ~2^996, and the kernel then
+    # returns NaN, though the result may be representable; on scaled
+    # operands it cannot. A result beyond binary64 comes back infinite.
     ea = math.frexp(a[0])[1] if a else 0
     eb = math.frexp(b[0])[1]
     rh, rl = kernel(*[math.ldexp(w, -ea) for w in a], *[math.ldexp(w, -eb) for w in b])
-    k = ea + sign * eb
+    k = ea + eb if a else -eb
     try:
         return math.ldexp(rh, k), math.ldexp(rl, k)
     except OverflowError:
@@ -303,23 +271,15 @@ def _dd_mul_rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, 
     e += ah * bl + al * bh
     h = p + e
     if h != h:  # NaN: the split overflowed, or an operand is not finite
-        return _dd_rescaled(_dd_mul, (ah, al), (bh, bl), 1)
+        return _dd_rescaled(_dd_mul, (ah, al), (bh, bl))
     return h, e - (h - p)
-
-
-def _dd_div_d_rescued(ah: float, al: float, b: float) -> tuple[float, float]:
-    # _dd_div_d's bits, or where NaN its quotient redone by _dd_rescaled
-    r = _dd_div_d(ah, al, b)
-    if r[0] != r[0]:
-        return _dd_rescaled(_dd_div_d, (ah, al), (b,), -1)
-    return r
 
 
 def _dd_recip_rescued(bh: float, bl: float) -> tuple[float, float]:
     # _dd_recip's bits, or where NaN its reciprocal redone by _dd_rescaled
     r = _dd_recip(bh, bl)
     if r[0] != r[0]:
-        return _dd_rescaled(_dd_recip, (), (bh, bl), -1)
+        return _dd_rescaled(_dd_recip, (), (bh, bl))
     return r
 
 

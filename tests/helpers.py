@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ahmedquad import Real, Tier
+from ahmedquad import Real, Tier, bounds
 
 TIERS = (Tier.NATIVE64, Tier.DOUBLEWORD)
 TIER_IDS = tuple(t.value for t in TIERS)
@@ -70,6 +70,12 @@ def nearest_pair(v) -> tuple[float, float]:
     f = Fraction(-man if v < 0 else man) * Fraction(2) ** exp
     hi = float(f)
     return hi, float(f - Fraction(hi))
+
+
+def gl_bound(cert, tier: Tier, orders) -> float:
+    """The proven bound on |I - Q| of ``bounds._gl_terms`` at ``orders``,
+    one per axis."""
+    return bounds._bound(*bounds._gl_terms(cert, tier), orders)
 
 
 def rel_err(value: Real, truth: Real) -> float:

@@ -19,7 +19,7 @@ from ahmedquad import (
 )
 from ahmedquad import bounds, integrands, quad
 from ahmedquad.verify import default_config
-from helpers import TIER_IDS, TIERS
+from helpers import TIER_IDS, TIERS, gl_bound
 
 mpmath = pytest.importorskip("mpmath")
 iv = mpmath.iv
@@ -328,7 +328,7 @@ def test_fixed_integrands_are_within_their_bound_near_their_picks(integrand_id):
         for near in _near_picks(orders):
             value = quad._gl_rule(lane, integrands.raw_fn(iid, tier), box, near)
             got = sum(mpmath.mpf(w) for w in lane.words(value))
-            bound = bounds._gl_bound(cert, tier, near)
+            bound = gl_bound(cert, tier, near)
             assert abs(got - truth) <= bound, (tier.value, tol, near)
 
 
@@ -358,7 +358,7 @@ def test_the_cheapest_orders_are_those_of_a_search_over_every_pair(seed):
             (
                 (math.prod(o), o)
                 for o in itertools.product(range(2, cap + 1), repeat=len(axes))
-                if bounds._gl_bound(cert, tier, o) <= tol
+                if gl_bound(cert, tier, o) <= tol
             ),
             default=None,
         )

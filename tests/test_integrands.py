@@ -31,7 +31,7 @@ from ahmedquad import (
 )
 from ahmedquad import quad
 from ahmedquad.integrands import Interval, get, raw_fn
-from ahmedquad.scalar import _dd_add, _dd_add_d, _dd_mul, _dd_recip, _dd_sqr, _two_sum
+from ahmedquad.scalar import _dd_add, _dd_mul, _dd_recip, _dd_sqr, _two_sum
 from ahmedquad.verify import seeded_a_values
 from helpers import (
     AHMED_AT_0_STR,
@@ -412,24 +412,32 @@ def _native_eq6b(x, y):
     return 1.0 / ((1.0 + y2) * (2.0 + x * x + y2))
 
 
+def _add_d(ah, al, b):
+    # a double-word plus a float: two_sum(ah, b), then a quick two-sum
+    sh, se = _two_sum(ah, b)
+    se += al
+    h = sh + se
+    return h, se - (h - sh)
+
+
 def _dd_eq4(xh, xl, yh, yl):
     x2h, x2l = _dd_sqr(xh, xl)
-    th, tl = _dd_add(*_dd_sqr(yh, yl), *_dd_add_d(x2h, x2l, 2.0))
-    dh, dl = _dd_mul(*_dd_add_d(x2h, x2l, 1.0), th, tl)
+    th, tl = _dd_add(*_dd_sqr(yh, yl), *_add_d(x2h, x2l, 2.0))
+    dh, dl = _dd_mul(*_add_d(x2h, x2l, 1.0), th, tl)
     return _dd_recip(dh, dl)
 
 
 def _dd_eq6a(xh, xl, yh, yl):
     dh, dl = _dd_mul(
-        *_dd_add_d(*_dd_sqr(xh, xl), 1.0), *_dd_add_d(*_dd_sqr(yh, yl), 1.0)
+        *_add_d(*_dd_sqr(xh, xl), 1.0), *_add_d(*_dd_sqr(yh, yl), 1.0)
     )
     return _dd_recip(dh, dl)
 
 
 def _dd_eq6b(xh, xl, yh, yl):
     y2h, y2l = _dd_sqr(yh, yl)
-    th, tl = _dd_add(*_dd_sqr(xh, xl), *_dd_add_d(y2h, y2l, 2.0))
-    dh, dl = _dd_mul(*_dd_add_d(y2h, y2l, 1.0), th, tl)
+    th, tl = _dd_add(*_dd_sqr(xh, xl), *_add_d(y2h, y2l, 2.0))
+    dh, dl = _dd_mul(*_add_d(y2h, y2l, 1.0), th, tl)
     return _dd_recip(dh, dl)
 
 

@@ -46,6 +46,7 @@ from helpers import (
     TIERS,
     TWO_I2_STR,
     assert_ulps,
+    gl_bound,
     nearest_pair,
     ref,
 )
@@ -1050,6 +1051,24 @@ class TestEvaluationBoundary:
             with pytest.raises(NonFiniteError, match="non-finite sum"):
                 integrate(f, domain, config)
 
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    @pytest.mark.parametrize(
+        "method",
+        [AdaptiveSimpson(1e-10), GaussLegendre(8), TanhSinh(4, 1e-10)],
+        ids=["simpson", "gl8", "ts4"],
+    )
+    def test_a_constant_over_every_double_is_not_finite(self, method, tier):
+        # over [-DBL_MAX, DBL_MAX] the width b - a overflows, though every
+        # value of the constant is finite: the sum is not finite, and no
+        # point is named. Simpson's (b - a)/6 at doubleword takes the
+        # quotient of non-finite words, which must come out non-finite,
+        # not raise from the exact ratio of an infinite word
+        big = 1.7976931348623157e308  # the largest double
+        domain = Interval(Real.from_float(-big, tier), Real.from_float(big, tier))
+        with pytest.raises(NonFiniteError, match="non-finite sum") as exc_info:
+            integrate_1d(lambda x: 1.0, domain, EngineConfig(method, tier))
+        assert exc_info.value.point is None
+
     @pytest.mark.parametrize("rule", ["gl8", "ts4", "tensor:gl8", "tensor:ts3"])
     def test_a_doubleword_value_past_the_split_range_is_rescued(self, rule):
         # above ~2^996 a double-word product w * f(p) overflows Dekker's
@@ -1409,12 +1428,12 @@ class TestAdaptiveGaussLegendre:
             assert orders[0] in _gl_rungs(method)
         else:
             cert = raw_fn(iid, tier).certificate()
-            assert bounds._gl_bound(cert, tier, orders) == est
+            assert gl_bound(cert, tier, orders) == est
             # no rule of fewer points is proven, nor one of as many with a
             # lower n_x, by the bound tried at every such order up to the cap
             for other in itertools.product(range(2, 97), repeat=dim):
                 if (math.prod(other), other) < (res.evaluations, orders):
-                    assert bounds._gl_bound(cert, tier, other) > tol, other
+                    assert gl_bound(cert, tier, other) > tol, other
         # the plain rule of the picked orders, on the lane the run takes
         lane, fn = quad._own_lane(raw_fn(iid, tier, a), tier)
         fixed = lane.real(quad._gl_rule(lane, fn, quad._own_box(iid, lane), orders))
@@ -1439,14 +1458,14 @@ class TestAdaptiveGaussLegendre:
                 for a_val in a_values:
                     a = Real.from_float(a_val, tier)
                     cert = raw_fn("eq3_kernel", tier, a).certificate()
-                    want = [n for n in rungs if bounds._gl_bound(cert, tier, (n,)) <= tol][:1]
+                    want = [n for n in rungs if gl_bound(cert, tier, (n,)) <= tol][:1]
                     proven = bounds._proven_rung(cert, tier, method, _gl_rungs)
                     res = integrate_1d("eq3_kernel", config=EngineConfig(method, tier), a=a)
                     if a_val == 1e-140:
                         assert proven is None and not want, (tol, cap)
                         assert not res.converged and res.evaluations == sum(rungs)
                     elif want:
-                        bound = bounds._gl_bound(cert, tier, tuple(want))
+                        bound = gl_bound(cert, tier, tuple(want))
                         assert proven == (tuple(want), bound), (a_val, tol, cap)
                         assert res.evaluations == want[0]
                         picked.add(want[0])
@@ -1692,12 +1711,12 @@ def test_lane_sums_are_exactly_rounded(tier, words):
         want, terms = hi, [w for pair in words for w in pair]
     else:
         want, terms = (hi, float(exact - Fraction(hi))), words
-    one = lane.pack(1.0, 0.0)
+    zero, one = lane.pack(0.0, 0.0), lane.pack(1.0, 0.0)
     for order in (terms, terms[::-1]):
 
         def at(p, *_):
             # the term at point index p, zero at a negative point
-            return order[int(p)] if p >= 0.0 else lane.zero
+            return order[int(p)] if p >= 0.0 else zero
 
         axis = [(lane.pack(float(i), 0.0), one) for i in range(len(order))]
         assert lane.total(lane.sum(at, axis)) == want
@@ -1705,7 +1724,7 @@ def test_lane_sums_are_exactly_rounded(tier, words):
         # any: the points themselves and the integrand as its own join
         xpart, ypart, join = lane.parts(at)
         cols = quad._prepared(lane, xpart, axis)
-        rows = quad._prepared(lane, ypart, [(lane.zero, one)])
+        rows = quad._prepared(lane, ypart, [(zero, one)])
         assert lane.total(lane.tensor(join, cols, rows)) == want
         # pairs about m = -1 with h = 1 evaluate at x - 1 and at -1 - x < 0
         xs = [lane.pack(float(i + 1), 0.0) for i in range(len(order))]
