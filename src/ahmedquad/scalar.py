@@ -41,9 +41,9 @@ Each value is rounded once, to the nearest double-word pair, by one
 routine, ``_pair_from_ratio(n, d)``: int / int rounds correctly, so the
 high word is n / d and the low word the exact rest divided by d. The
 same routine rounds :class:`Real` division at DOUBLEWORD and the
-double-word quadrature lane's quotients in Simpson's rule, from the exact ratios of
-both operands' words (``_dd_quotient``), an int with a low word given
-to the constructor, and a decimal literal.
+double-word quadrature lane's quotients in Simpson's rule, from the
+exact ratios of both operands' words (``_dd_quotient``), an int with a
+low word given to the constructor, and a decimal literal.
 
 Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul`` and
 ``_dd_recip`` return NaN. Two rescuing entries redo such an operation
