@@ -30,9 +30,9 @@ from .scalar import Tier
 # carries these errors, in units of u
 _ROUNDING_TERMS = {
     # measured, not proven, against 50-digit mpmath for every doubleword
-    # lane by tests/test_scalar.py::test_every_lane_against_mpmath: the
-    # 1-D chain lanes are the nearest pair, and the worst of the 2-D and
-    # eq3 lanes is 1.28, for i2_kernel_eq4
+    # registry lane by tests/test_scalar.py::test_every_lane_against_mpmath:
+    # each is within 0.125, the eq3 lane always the nearest pair and every
+    # other lane the nearest pair on its own domain
     "lane": 6.0,
     # the table's sum |dw_i| / sum w_i against 240-bit weights: each
     # doubleword weight is the nearest pair, within 0.25 (measured at

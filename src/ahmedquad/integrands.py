@@ -5,17 +5,22 @@ implementations of the same formula: a plain binary64 lane for the
 NATIVE64 tier and a raw ``(hi, lo)`` double-word lane for DOUBLEWORD.
 The quadrature engines select a lane by tier; :func:`eval_integrand`
 is the safe pointwise entry with domain checking. Each 2-D formula is
-written once, as parts that the tensor rules evaluate once per axis
-point and a join they evaluate at each point; the plain lane is derived
-from them. Each 1-D chain formula (ahmed_eq1, i1_x, i2_x, i1_theta,
-i1_phi) is written once more, as an integer body at a fixed point of
-:mod:`.scalar`: an int x standing for x 2^-f in, f = 192 by default,
-an int value out, from the sine and cosine of ``_fixed_sincos`` or from
-x^2, s = sqrt(2 + x^2) and the atan of ``_fixed_atan_ratio``. The
-engines' integer lane calls the body, carried by the double-word lane
-as ``fixed``, at 2^-192; the double-word lane takes its pair to an int
-at a shift that keeps its bits and rounds the body's value once, to the
-nearest pair. The 2-D and eq3 lanes stay in double-word floating point.
+written as parts that the tensor rules evaluate once per axis point and
+a join they evaluate at each point; the plain lane is derived from them.
+Each chain formula is written once more, as an integer body at a fixed
+point of :mod:`.scalar`: ints standing for coordinates x 2^-f in, f =
+192 by default, an int value out. The 1-D bodies (ahmed_eq1, i1_x,
+i2_x, i1_theta, i1_phi) take the sine and cosine of
+``_fixed_sincos``, or x^2, s = sqrt(2 + x^2) and the atan of
+``_fixed_atan_ratio``; the 2-D bodies (i2_kernel_eq4,
+product_kernel_eq6a, shifted_kernel_eq6b) have integer parts and joins
+of their own, 1 + x^2 and 2 + x^2 per axis and one quotient per point.
+The engines' integer lane calls the body, carried by the double-word
+lane as ``fixed``, at 2^-192; the double-word lane takes its pair
+coordinates to ints at a shift that keeps their bits and rounds the
+body's value once, to the nearest pair. The double-word eq3 lane is the
+nearest pair to the exact quotient 1/(x^2 + a^2), from the exact ratios
+of the words.
 The double-word i1_theta lane shares the reduction of ``sin`` and
 ``cos``, so it takes |t| <= 2^10 and raises :class:`DomainError`
 beyond, where the native lane returns a value; its own domain is
@@ -44,15 +49,11 @@ from .scalar import (
     Real,
     Tier,
     pi,
-    _dd_add,
-    _dd_mul,
-    _dd_recip,
-    _dd_recip_rescued,
-    _dd_sqr,
     _fixed_atan_ratio,
     _fixed_from_pair,
     _fixed_sincos,
     _pair_from_ratio,
+    _pair_ratio,
     _sincos_shift,
 )
 
@@ -321,23 +322,26 @@ def closed_form_of(integrand_id: str, tier: Tier) -> Real | None:
 
 
 def _pair_lane(body, shifts):
-    # the double-word lane of an integer body: the point enters at 2^-f
-    # and the value, at 2^-out for (f, out) = shifts(high word), is
-    # rounded once to the nearest pair. The lane carries the body as
-    # ``fixed``
-    def lane(xh: float, xl: float) -> tuple[float, float]:
-        f, out = shifts(xh)
-        return _pair_from_ratio(body(_fixed_from_pair(xh, xl, f), f), 1 << out)
+    # the double-word lane of an integer body of any number of
+    # coordinates: each enters at 2^-f and the value, at 2^-out for (f,
+    # out) = shifts(the high words), is rounded once to the nearest pair.
+    # The lane carries the body as ``fixed``
+    def lane(*words: float) -> tuple[float, float]:
+        his = words[::2]
+        f, out = shifts(*his)
+        xs = [_fixed_from_pair(h, l, f) for h, l in zip(his, words[1::2])]
+        return _pair_from_ratio(body(*xs, f), 1 << out)
 
     lane.fixed = body
     return lane
 
 
-def _x_shifts(xh: float) -> tuple[int, int]:
-    # f = 192 + e, where e is the larger of 0 and x's binary exponent, so
-    # that atan(1/s) keeps its bits for a large x; the value at 2^-(f +
-    # 3e), as the denominator grows as x^3
-    f = _FIX + max(math.frexp(xh)[1], 0)
+def _x_shifts(*his: float) -> tuple[int, int]:
+    # f = 192 + e, where e is the larger of 0 and the coordinates' binary
+    # exponents, so that atan(1/s) keeps its bits for a large x; the value
+    # at 2^-(f + 3e), as the denominator grows as x^3 (in 2-D as x^4 at
+    # most, which 2^-(f + 3e) leaves 192 bits above)
+    f = _FIX + max(0, *(math.frexp(h)[1] for h in his))
     return f, 4 * f - 3 * _FIX
 
 
@@ -415,20 +419,16 @@ def _fixed_i2_x(x: int, f: int = _FIX) -> int:
 
 # A 2-D lane is an x-part, a y-part and a join: f(x, y) = join(xpart(x),
 # ypart(y)). The tensor cores compute each part once per axis point and
-# call only the join at each of the n^2 points.
+# call only the join at each of the n^2 points. An integer body's parts
+# and join take the shift f of its coordinates, 192 by default, and its
+# value is at 2^-(4f - 576), as a 1-D x body's.
 
 
 def _native_2d(xpart, ypart, join):
-    def f(x: float, y: float) -> float:
-        return join(xpart(x), ypart(y))
-
-    f.parts = xpart, ypart, join
-    return f
-
-
-def _dd_2d(xpart, ypart, join):
-    def f(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-        return join(xpart(xh, xl), ypart(yh, yl))
+    # the plain lane of a native or integer 2-D formula, carrying its parts;
+    # an integer body passes its shift on to each of the three
+    def f(x, y, *shift):
+        return join(xpart(x, *shift), ypart(y, *shift), *shift)
 
     f.parts = xpart, ypart, join
     return f
@@ -473,39 +473,34 @@ def _native_eq6b_join(two_x2: float, y: tuple[float, float]) -> float:
     return 1.0 / (one_y2 * (two_x2 + y2))
 
 
-def _dd_one_plus_sqr(xh: float, xl: float) -> tuple[float, float]:
-    return _dd_add(*_dd_sqr(xh, xl), 1.0, 0.0)
+def _fixed_sqr(x: int, f: int = _FIX) -> int:
+    return x * x >> f
 
 
-def _dd_one_two_plus_sqr(xh: float, xl: float) -> tuple[float, float, float, float]:
-    x2h, x2l = _dd_sqr(xh, xl)
-    return (*_dd_add(x2h, x2l, 1.0, 0.0), *_dd_add(x2h, x2l, 2.0, 0.0))
+def _fixed_one_plus_sqr(x: int, f: int = _FIX) -> int:
+    return (x * x >> f) + (1 << f)
 
 
-def _dd_eq4_join(x, y2) -> tuple[float, float]:
-    # 1 / ((1+x^2) (y^2 + (2+x^2)))
-    ah, al, bh, bl = x
-    y2h, y2l = y2
-    th, tl = _dd_add(y2h, y2l, bh, bl)
-    dh, dl = _dd_mul(ah, al, th, tl)
-    return _dd_recip(dh, dl)
+def _fixed_one_two_plus_sqr(x: int, f: int = _FIX) -> tuple[int, int]:
+    x2 = x * x >> f
+    return x2 + (1 << f), x2 + (2 << f)
 
 
-def _dd_eq6a_join(one_x2, one_y2) -> tuple[float, float]:
+def _fixed_eq4_join(x: tuple[int, int], y2: int, f: int = _FIX) -> int:
+    # 1 / ((1+x^2) (2+x^2+y^2)), the parts at 2^-f
+    one_x2, two_x2 = x
+    return (1 << 6 * f - 3 * _FIX) // (one_x2 * (two_x2 + y2))
+
+
+def _fixed_eq6a_join(one_x2: int, one_y2: int, f: int = _FIX) -> int:
     # 1 / ((1+x^2) (1+y^2))
-    xh, xl = one_x2
-    yh, yl = one_y2
-    dh, dl = _dd_mul(xh, xl, yh, yl)
-    return _dd_recip(dh, dl)
+    return (1 << 6 * f - 3 * _FIX) // (one_x2 * one_y2)
 
 
-def _dd_eq6b_join(x2, y) -> tuple[float, float]:
-    # 1 / ((1+y^2) (x^2 + (2+y^2))): eq4's join with the axes exchanged
-    x2h, x2l = x2
-    ah, al, bh, bl = y
-    th, tl = _dd_add(x2h, x2l, bh, bl)
-    dh, dl = _dd_mul(ah, al, th, tl)
-    return _dd_recip(dh, dl)
+def _fixed_eq6b_join(x2: int, y: tuple[int, int], f: int = _FIX) -> int:
+    # 1 / ((1+y^2) (2+x^2+y^2)): eq4's join with the axes exchanged
+    one_y2, two_y2 = y
+    return (1 << 6 * f - 3 * _FIX) // (one_y2 * (x2 + two_y2))
 
 
 _NATIVE_LANES = {
@@ -529,16 +524,22 @@ _DD_LANES = {
     "i1_theta": _pair_lane(_fixed_i1_theta, _theta_shifts),
     "i1_phi": _pair_lane(_fixed_i1_phi, lambda _t: (_FIX, _FIX)),
     "i2_x": _pair_lane(_fixed_i2_x, _x_shifts),
-    "i2_kernel_eq4": _dd_2d(_dd_one_two_plus_sqr, _dd_sqr, _dd_eq4_join),
-    "product_kernel_eq6a": _dd_2d(_dd_one_plus_sqr, _dd_one_plus_sqr, _dd_eq6a_join),
-    "shifted_kernel_eq6b": _dd_2d(_dd_sqr, _dd_one_two_plus_sqr, _dd_eq6b_join),
+    "i2_kernel_eq4": _pair_lane(
+        _native_2d(_fixed_one_two_plus_sqr, _fixed_sqr, _fixed_eq4_join), _x_shifts
+    ),
+    "product_kernel_eq6a": _pair_lane(
+        _native_2d(_fixed_one_plus_sqr, _fixed_one_plus_sqr, _fixed_eq6a_join), _x_shifts
+    ),
+    "shifted_kernel_eq6b": _pair_lane(
+        _native_2d(_fixed_sqr, _fixed_one_two_plus_sqr, _fixed_eq6b_join), _x_shifts
+    ),
 }
 
-# each fixed lane carries its integrand's certificate, as a 2-D lane
-# carries its parts
+# each fixed lane and integer body carries its integrand's certificate,
+# as a 2-D lane carries its parts
 for _cert in _CERTIFICATES:
     _dd = _DD_LANES[_cert.id]
-    for _lane in (_NATIVE_LANES[_cert.id], _dd, getattr(_dd, "fixed", _dd)):
+    for _lane in (_NATIVE_LANES[_cert.id], _dd, _dd.fixed):
         _lane.certificate = lambda c=_cert: c
 del _cert, _dd, _lane
 
@@ -548,13 +549,14 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
     NATIVE64; ``(hi, lo)`` components in and a pair out at DOUBLEWORD.
     A fixed lane is the same function on every call; a parametric one is
     a new closure over a^2 on each call, so none outlives its caller. A
-    2-D lane also carries ``parts``, its ``(xpart, ypart, join)``: an
-    x-part of one coordinate's words, a y-part likewise, and the join of
-    the two parts, which is the lane's value at the point. A DOUBLEWORD
-    1-D chain lane also carries ``fixed``, its integer body. Every lane
-    carries ``certificate()``, which returns the :class:`Certificate` of
-    the integrand over its own domain; eq3_kernel's is built on that
-    call, from the lane's a^2, so a run that needs none pays nothing."""
+    native 2-D lane also carries ``parts``, its ``(xpart, ypart,
+    join)``: an x-part of one coordinate, a y-part likewise, and the
+    join of the two parts, which is the lane's value at the point. A
+    DOUBLEWORD fixed lane carries ``fixed``, its integer body, and a 2-D
+    body carries its integer ``parts``. Every lane carries
+    ``certificate()``, which returns the :class:`Certificate` of the
+    integrand over its own domain; eq3_kernel's is built on that call,
+    from the lane's a^2, so a run that needs none pays nothing."""
     entry = get(integrand_id)
     if entry.parametric:
         if a is None:
@@ -565,8 +567,8 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
             raise TierMismatchError("parameter tier does not match request")
         if a.hi == 0.0:
             raise DomainError("a = 0 is excluded")
-        # a^2 must be a normal binary64 value; at DOUBLEWORD its low word
-        # must be one too, which needs a^2 >= 2^-969
+        # input checks: a^2 must be a normal binary64 value, and at
+        # DOUBLEWORD at least 2^-969
         if tier is Tier.NATIVE64:
             a2 = a.hi * a.hi
             if not 2.0**-1022 <= a2 < math.inf:
@@ -577,13 +579,17 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
 
             f_native.certificate = functools.partial(_eq3_certificate, a2)
             return f_native
-        a2h, a2l = _dd_sqr(a.hi, a.lo)
+        n, d = _pair_ratio(a.hi, a.lo)
+        n2, d2 = n * n, d * d
+        a2h = _pair_from_ratio(n2, d2)[0]
         if not 2.0**-969 <= a2h < math.inf:
             raise DomainError(f"a^2 underflows or overflows at a = {a.hi!r}")
 
         def f_dd(xh: float, xl: float) -> tuple[float, float]:
-            th, tl = _dd_add(*_dd_sqr(xh, xl), a2h, a2l)
-            return _dd_recip_rescued(th, tl)
+            # the nearest pair to 1 / (x^2 + a^2), x = p / q exactly
+            p, q = _pair_ratio(xh, xl)
+            q2 = q * q
+            return _pair_from_ratio(q2 * d2, p * p * d2 + n2 * q2)
 
         f_dd.certificate = functools.partial(_eq3_certificate, a2h)
         return f_dd

@@ -37,17 +37,18 @@ as ``(hi, lo)`` pairs, and :class:`_FixedPoint` as ints at the 2^-192
 fixed point of :mod:`.scalar`. The lane owns the arithmetic (point
 mapping, exact power-of-two scaling, differences, ``hi``, conversion
 to and from :class:`Real`) and the rule tables it reads. A registry
-1-D integrand with an integer body (ahmed_eq1, i1_x, i2_x, i1_theta,
-i1_phi) runs on the integer lane at DOUBLEWORD over its own domain;
-callables, eq3_kernel, every 2-D run and NATIVE64 run on their tier's
-lane. A 2-D tensor rule is the 1-D weighted sum applied to row sums
-over prepared axes. A registry 2-D lane carries ``parts``, an x-part, a
-y-part and a join with ``f(x, y) == join(xpart(x), ypart(y))``: each
-column's x-part is computed once per rule (once per new node in
-tanh-sinh), each row's y-part once per row, and only the join runs at
-each of the n^2 points. An integrand without parts (a callable, or the
+integrand with an integer body (every one but eq3_kernel) runs on the
+integer lane at DOUBLEWORD over its own domain, in 1-D and in 2-D,
+under every rule and mode; callables, eq3_kernel, other domains and
+NATIVE64 run on their tier's lane. A 2-D tensor rule is the 1-D
+weighted sum applied to row sums over prepared axes. A native 2-D lane
+and a 2-D integer body carry ``parts``, an x-part, a y-part and a join
+with ``f(x, y) == join(xpart(x), ypart(y))``: each column's x-part is
+computed once per rule (once per new node in tanh-sinh), each row's
+y-part once per row, and only the join runs at each of the n^2 points.
+An integrand without parts (a callable, a double-word pair lane, or the
 checked re-run's wrapper) is its own join over the coordinates
-themselves; ITERATED runs call the plain lane.
+themselves; ITERATED runs call the plain lane or body.
 
 Every weighted sum is exactly rounded: a running sum is the list of the
 binary64 words of its terms ``w * f(p)`` (one word per term at NATIVE64,
@@ -56,16 +57,16 @@ both words of each double-word product at DOUBLEWORD), totalled by
 order of its terms. A double-word total is ``s = fsum(words)`` with the
 rounded remainder ``fsum(words + [-s])``. Across tanh-sinh levels the
 words are scaled by an exact power of two. On the integer lane the
-words are the exact int products, so sums are exact; its products,
-quotients and halvings are floored at 2^-192, and each result (a
-rule, a tanh-sinh level, a Simpson run) is rounded once, to the
-nearest pair.
+words are the exact int products of values and weights, each weight an
+int at 2^-396 in both rules' tables, so sums are exact; its products,
+quotients and halvings are floored at 2^-192, a tensor's sum once at
+2^-588, and each result (a rule, a tanh-sinh level, a Simpson run) is
+rounded once, to the nearest pair.
 
 Tier-specific code is confined to the tanh-sinh node arithmetic, each
 lane's packing of the Gauss-Legendre pairs, its point mapping and its
-per-evaluation loops (``sum``, ``tensor``, ``pairs``; the integer lane
-has no ``tensor``), which collect the terms and call the integrand at
-fixed arity. Measured on 2 vCPUs under CPython 3.11: over 167k native
+per-evaluation loops (``sum``, ``tensor``, ``pairs``), which collect
+the terms and call the integrand at fixed arity. Measured on 2 vCPUs under CPython 3.11: over 167k native
 2-D evaluations a row loop calling ``f(x, *y)`` took 65-85% longer
 than one calling ``f(x, y)``; over a 96 x 96 double-word tensor,
 passing the row coordinate on as ``*y`` cost 2-5%, and mapping points
@@ -288,12 +289,18 @@ def _gl_fixed_point(n: int, x0: float) -> tuple[int, int]:
     return x, ((_ONE * _ONE - x * x) << _FIX + 1) // (d * d)
 
 
+# a weight in either integer table, Gauss-Legendre or tanh-sinh, is an
+# int at 2^-_W_SHIFT, 2^-396: a tanh-sinh weight carries its level's
+# step h >= 2^-12 as an exact factor
+_W_SHIFT = 2 * _FIX + _MAX_TS_LEVEL
+
+
 @functools.lru_cache(maxsize=None)
 def _gl_ints(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] as ints
-    at the 2^-192 fixed point, from Newton on the Legendre recurrence:
-    the table the integer lane reads, and the one each tier's table is
-    rounded from."""
+    """Gauss-Legendre nodes (ascending) at the 2^-192 fixed point and
+    weights at 2^-396 on [-1, 1], as ints, from Newton on the Legendre
+    recurrence: the table the integer lane reads, and the one each
+    tier's table is rounded from."""
     xs = [0] * n
     ws = [0] * n
     # an odd n's middle root is 0, where P_n vanishes exactly
@@ -301,7 +308,7 @@ def _gl_ints(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         x, w = _gl_fixed_point(n, x0)
         xs[i] = -x
         xs[n - 1 - i] = x
-        ws[i] = ws[n - 1 - i] = w
+        ws[i] = ws[n - 1 - i] = w << _W_SHIFT - _FIX
     return tuple(xs), tuple(ws)
 
 
@@ -312,8 +319,17 @@ def _gl_table(n: int, tier: Tier):
     weight is the nearest double-word pair to its int in
     :func:`_gl_ints`, packed by the lane: NATIVE64 keeps its high word,
     the nearest double."""
-    pack = _LANES[tier].pack
-    return tuple(tuple(pack(*_pair_from_ratio(v, _ONE)) for v in vs) for vs in _gl_ints(n))
+    return _pair_table(_gl_ints(n), _LANES[tier].pack)
+
+
+def _pair_table(ints, pack):
+    # the nearest pairs to an integer table's nodes, at 2^-192, and
+    # weights, at 2^-396, each packed by a lane
+    xs, ws = ints
+    return (
+        tuple(pack(*_pair_from_ratio(x, _ONE)) for x in xs),
+        tuple(pack(*_pair_from_ratio(w, 1 << _W_SHIFT)) for w in ws),
+    )
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -352,10 +368,6 @@ def _ts_point_native(J: int, level: int) -> tuple[float, float, bool]:
 # first point past the end lies at t <= 4.25 (level 2's), where
 # 2u = pi sinh t < 111, inside the range 2u < 128 of _fixed_exp
 _TS_STEP = 2.0**-_MAX_TS_LEVEL
-
-
-# a tanh-sinh weight in the integer table is an int at 2^-_W_SHIFT
-_W_SHIFT = 2 * _FIX + _MAX_TS_LEVEL
 
 
 def _ts_point_fixed(J: int, level: int) -> tuple[int, int, bool]:
@@ -409,11 +421,7 @@ def _ts_nodes(level: int, tier: Tier):
     weight is the nearest pair to its int in :func:`_ts_ints`."""
     if tier is Tier.NATIVE64:
         return _ts_level(level, _ts_point_native)
-    xs, ws = _ts_ints(level)
-    return (
-        tuple(_pair_from_ratio(x, _ONE) for x in xs),
-        tuple(_pair_from_ratio(w, 1 << _W_SHIFT) for w in ws),
-    )
+    return _pair_table(_ts_ints(level), _pair)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -616,13 +624,13 @@ def _shifted(v: int, s: float) -> int:
 
 class _FixedPoint:
     """DOUBLEWORD lane of a registry integrand's integer body over its
-    own domain: every point, weight and value is an int n standing for
-    n 2^-192, the fixed point of :mod:`.scalar`, and a running sum is the
-    list of the exact products ``w * f(p)`` at 2^-384. Sums are exact;
-    products, quotients and halvings are floored at 2^-192, far below
-    the unit of a pair on these domains, and a value is rounded once, to
-    the nearest pair, where it leaves the lane (:meth:`real`). It serves
-    the 1-D cores only."""
+    own domain: every point and value is an int n standing for n 2^-192,
+    the fixed point of :mod:`.scalar`, every weight an int at 2^-396
+    (:data:`_W_SHIFT`), and a running sum is the list of the exact
+    products ``w * f(p)`` at 2^-588. Sums are exact; products, quotients
+    and halvings are floored at 2^-192, a tensor's sum once at 2^-588,
+    far below the unit of a pair on these domains, and a value is rounded
+    once, to the nearest pair, where it leaves the lane (:meth:`real`)."""
 
     tier = Tier.DOUBLEWORD
     add = operator.add
@@ -635,7 +643,7 @@ class _FixedPoint:
     pack = staticmethod(_fixed_from_pair)
     words = staticmethod(lambda v: (v,))
     coords = staticmethod(lambda words: [_pair_from_ratio(v, _ONE) for v in words])
-    total = staticmethod(lambda words: sum(words) >> _FIX)
+    total = staticmethod(lambda words: sum(words) >> _W_SHIFT)
     scale_words = staticmethod(lambda words, s: [_shifted(w, s) for w in words])
     # the int of the nearest pair, on which real is exact
     rounded = staticmethod(lambda v: _fixed_from_pair(*_pair_from_ratio(v, _ONE)))
@@ -651,8 +659,19 @@ class _FixedPoint:
         return [w * f(p) for p, w in axis]
 
     @staticmethod
+    def parts(f):
+        return getattr(f, "parts", None) or (int, int, f)
+
+    @staticmethod
+    def tensor(join, cols, rows):
+        # the exact sum of w * v * join(x, y), as one word at 2^-588
+        acc = 0
+        for y, w in rows:
+            acc += w * sum([v * join(x, y) for x, v in cols])
+        return [acc >> _W_SHIFT]
+
+    @staticmethod
     def pairs(f, m, h, xs, ws):
-        # a tanh-sinh weight is at 2^-396, so the sum is formed at 2^-588
         acc = 0
         for x, w in zip(xs, ws):
             if x:
@@ -660,7 +679,7 @@ class _FixedPoint:
                 acc += w * (f(m + o) + f(m - o))
             else:
                 acc += w * f(m)
-        return [acc >> _W_SHIFT - _FIX]
+        return [acc]
 
 
 _LANES = {Tier.NATIVE64: _Native, Tier.DOUBLEWORD: _DoubleWord}
@@ -669,8 +688,8 @@ _LANES = {Tier.NATIVE64: _Native, Tier.DOUBLEWORD: _DoubleWord}
 def _own_lane(f, tier: Tier):
     """The lane that runs the registry lane ``f`` of a tier over its
     integrand's own domain, and what that lane calls: the integer lane
-    and ``f.fixed`` where ``f`` has an integer body (the DOUBLEWORD 1-D
-    chain lanes), else the tier's lane and ``f``."""
+    and ``f.fixed`` where ``f`` has an integer body (every DOUBLEWORD
+    lane but eq3_kernel's), else the tier's lane and ``f``."""
     body = getattr(f, "fixed", None)
     return (_LANES[tier], f) if body is None else (_FixedPoint, body)
 
@@ -906,7 +925,7 @@ def _ts_2d(lane, f, box, max_level: int):
         evals += len(py) * len(nx) + len(ny) * len(both)
         px = both
         py = py + ny
-        yield lane.mul(jac, lane.total(words)), evals
+        yield lane.rounded(lane.mul(jac, lane.total(words))), evals
 
 
 def _refine(lane, method: TanhSinh, levels):

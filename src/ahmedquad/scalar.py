@@ -3,24 +3,18 @@
 Two tiers share one interface: NATIVE64 is ordinary IEEE binary64, and
 DOUBLEWORD represents a value as an unevaluated sum ``hi + lo`` of two
 binary64 floats (a double-word, roughly 32 significant decimal digits).
-All double-word kernels are built from the classic error-free
-transformations: ``two_sum`` (Knuth) and ``two_prod`` (Dekker splitting,
-used on every interpreter, including those that provide ``math.fma``).
-The hot ``_dd_*`` kernels inline these transformations, with every
-floating-point operation in the same order, to save Python call
-overhead; the tests hold each kernel bit-identical to its composition
-of ``_two_sum``, ``_two_prod`` and a quick two-sum.
+The double-word sum and product kernels are built from the classic
+error-free transformations, Knuth's two-sum and Dekker's split product
+(used on every interpreter, including those that provide ``math.fma``),
+inlined with every floating-point operation in the same order to save
+Python call overhead; the tests hold each kernel bit-identical to its
+composition of the two transformations and a quick two-sum. The public
+``two_prod`` takes its error term from the exact ratios of its operands
+instead, so that it is exact wherever an exact pair exists.
 
 The hot paths inside the quadrature engines work on raw ``(hi, lo)``
 tuples through the module-private ``_dd_*`` functions; the :class:`Real`
 wrapper provides the safe, tier-checked public surface on top of them.
-
-A reciprocal 1/b, which the three 2-D kernels' joins and the eq3 lane
-form at every point, takes one Newton step from r = 1/b_hi
-(``_dd_recip``, Karp and Markstein, ACM TOMS 23, 1997): with
-two_prod(b_hi, r) = p + pe, e = (1 - p) - pe - b_lo r, and 1/b = r (1 +
-e + e^2). It stays within a unit of 2^-104, at under a fifth of the
-cost of the exact quotient that :class:`Real` division rounds.
 
 One block of fixed-point integer code, at 2^-192, builds every lazy
 constant and table on first use (pi, the 65 integers atan(k/64) and the
@@ -35,24 +29,24 @@ atan(k/64) from the table plus the series of t = (64p - kq)/(64q + kp),
 |t| <= 1/128, for k/64 the nearest to p/q, and as pi/2 - atan(q/p)
 above 1; ``sqrt`` takes ``math.isqrt`` of x at a shift that keeps 192
 bits. The integer
-bodies of the chain integrands in :mod:`.integrands` use the same code,
-and the quadrature module's integer lane sums them at 2^-192.
+bodies of the registry integrands in :mod:`.integrands` use the same
+code, and the quadrature module's integer lane sums them at 2^-192.
 Each value is rounded once, to the nearest double-word pair, by one
 routine, ``_pair_from_ratio(n, d)``: int / int rounds correctly, so the
 high word is n / d and the low word the exact rest divided by d. The
-same routine rounds :class:`Real` division at DOUBLEWORD and the
-double-word quadrature lane's quotients in Simpson's rule, from the
-exact ratios of both operands' words (``_dd_quotient``), an int with a
-low word given to the constructor, and a decimal literal.
+same routine rounds :class:`Real` division at DOUBLEWORD, the
+double-word quadrature lane's quotients in Simpson's rule and the eq3
+lane's 1/(x^2 + a^2), from the exact ratios of the words
+(``_pair_ratio``, ``_dd_quotient``), an int with a low word given to the
+constructor, and a decimal literal.
 
-Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul`` and
-``_dd_recip`` return NaN. Two rescuing entries redo such an operation
-through the same kernel on operands scaled by powers of two
-(``_dd_rescaled``), so that a product past 2^996 or a reciprocal of
-1e301 comes out finite: ``_dd_mul_rescued`` (:class:`Real` and the
-quadrature lanes) and ``_dd_recip_rescued`` (the eq3 lane). The raw
-kernels keep their NaNs. The :class:`Real` arithmetic operators share
-one tier-checked path (``_real_op``).
+Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``
+returns NaN. One rescuing entry, ``_dd_mul_rescued`` (:class:`Real` and
+the quadrature lanes), redoes such a product through the same kernel on
+operands scaled by powers of two (``_dd_rescaled``), so that a product
+past 2^996 comes out finite; the raw kernel keeps its NaNs. The
+:class:`Real` arithmetic operators share one tier-checked path
+(``_real_op``).
 """
 
 from __future__ import annotations
@@ -125,20 +119,6 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, e
 
 
-def _split(a: float) -> tuple[float, float]:
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
-
-
 def two_sum(a: float, b: float) -> tuple[float, float]:
     """Error-free sum: returns ``(s, e)`` with ``s + e == a + b`` exactly,
     ``s = fl(a + b)``. Raises :class:`NonFiniteError` on overflow or
@@ -155,16 +135,25 @@ def two_sum(a: float, b: float) -> tuple[float, float]:
 
 def two_prod(a: float, b: float) -> tuple[float, float]:
     """Error-free product: returns ``(p, e)`` with ``p + e == a * b``
-    exactly, ``p = fl(a * b)``. Raises :class:`NonFiniteError` on
-    overflow, underflow of the split, or non-finite input."""
+    exactly, ``p = fl(a * b)``, the error from the exact ratios of the
+    operands. Raises :class:`NonFiniteError` on non-finite input, on
+    overflow, and where no such ``e`` exists: where the product has bits
+    below 2^-1074, as it may at a subnormal or near-subnormal ``p``."""
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NonFiniteError("two_prod requires finite inputs")
-    p, e = _two_prod(a, b)
-    if not (math.isfinite(p) and math.isfinite(e)):
+    p = a * b
+    if not math.isfinite(p):
         raise NonFiniteError("two_prod overflowed")
-    return p, e
+    n, d = a.as_integer_ratio()
+    m, q = b.as_integer_ratio()
+    if d * q > 1 << 1074:
+        raise NonFiniteError("two_prod's error falls below 2^-1074")
+    # a * b = n m / (d q) has its last bit at or above 2^-1074, so the
+    # rest below p is a double, and int / int gives it exactly
+    r, s = p.as_integer_ratio()
+    return p, (n * m * s - r * d * q) / (d * q * s)
 
 
 # ----------------------------------------------------------------------
@@ -207,50 +196,18 @@ def _dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     return h, e - (h - p)
 
 
-def _dd_sqr(ah: float, al: float) -> tuple[float, float]:
-    # two_prod(ah, ah) with ah split once, then quick_two_sum, inlined
-    p = ah * ah
-    t = _SPLITTER * ah
-    a1 = t - (t - ah)
-    a2 = ah - a1
-    e = ((a1 * a1 - p) + a1 * a2 + a2 * a1) + a2 * a2
-    e += 2.0 * ah * al
-    h = p + e
-    return h, e - (h - p)
-
-
-def _dd_recip(bh: float, bl: float) -> tuple[float, float]:
-    # 1/b by one Newton step from r = 1/bh (Karp-Markstein, ACM TOMS 23,
-    # 1997): e = 1 - b r from two_prod(bh, r) = p + pe, then r (1 + e + e^2)
-    # by quick_two_sum, inlined. 1 - p is exact (Sterbenz)
-    r = 1.0 / bh
-    p = bh * r
-    t = _SPLITTER * bh
-    b1 = t - (t - bh)
-    b2 = bh - b1
-    t = _SPLITTER * r
-    r1 = t - (t - r)
-    r2 = r - r1
-    pe = ((b1 * r1 - p) + b1 * r2 + b2 * r1) + b2 * r2
-    e = (1.0 - p) - pe - bl * r
-    c = r * (e + e * e)
-    h = r + c
-    return h, c - (h - r)
-
-
 def _dd_rescaled(kernel, a: tuple, b: tuple) -> tuple[float, float]:
-    # kernel(*a, *b) on the words of a and of b, each scaled by a power of
-    # two to a high word in [0.5, 1), then scaled back: by 2^(ea + eb) for
-    # a product, and by 2^-eb for a reciprocal (a empty). Dekker's split
-    # overflows once a word it splits passes ~2^996, and the kernel then
-    # returns NaN, though the result may be representable; on scaled
-    # operands it cannot. A result beyond binary64 comes back infinite.
-    ea = math.frexp(a[0])[1] if a else 0
+    # the product kernel(*a, *b) on the words of a and of b, each scaled
+    # by a power of two to a high word in [0.5, 1), then scaled back by
+    # 2^(ea + eb). Dekker's split overflows once a word it splits passes
+    # ~2^996, and the kernel then returns NaN, though the product may be
+    # representable; on scaled operands it cannot. A product beyond
+    # binary64 comes back infinite.
+    ea = math.frexp(a[0])[1]
     eb = math.frexp(b[0])[1]
     rh, rl = kernel(*[math.ldexp(w, -ea) for w in a], *[math.ldexp(w, -eb) for w in b])
-    k = ea + eb if a else -eb
     try:
-        return math.ldexp(rh, k), math.ldexp(rl, k)
+        return math.ldexp(rh, ea + eb), math.ldexp(rl, ea + eb)
     except OverflowError:
         return math.inf, math.inf
 
@@ -273,14 +230,6 @@ def _dd_mul_rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, 
     if h != h:  # NaN: the split overflowed, or an operand is not finite
         return _dd_rescaled(_dd_mul, (ah, al), (bh, bl))
     return h, e - (h - p)
-
-
-def _dd_recip_rescued(bh: float, bl: float) -> tuple[float, float]:
-    # _dd_recip's bits, or where NaN its reciprocal redone by _dd_rescaled
-    r = _dd_recip(bh, bl)
-    if r[0] != r[0]:
-        return _dd_rescaled(_dd_recip, (), (bh, bl))
-    return r
 
 
 # ----------------------------------------------------------------------
@@ -478,11 +427,15 @@ def _dd_sincos(xh: float, xl: float) -> tuple[float, float, float, float]:
 def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
     # e^x = 2^k e^r for k, r = divmod(x, ln2) at the fixed point, rounded
     # once to the nearest pair at 2^(k - 1216): the shift stays positive,
-    # and a subnormal word rounds once too. Below |x| = 2^-12, where the
-    # low word of e^x holds the bits of x, the series alone runs m bits
-    # finer for |x| < 2^-m
-    if xh > 709.0 or xh < -709.0:
+    # a subnormal word rounds once too, and a value past binary64's range
+    # comes back infinite. Above 710 e^x overflows, and below -746 its
+    # nearest pair is zero. Below |x| = 2^-12, where the low word of e^x
+    # holds the bits of x, the series alone runs m bits finer for |x| <
+    # 2^-m
+    if xh > 710.0:
         raise NonFiniteError("exp argument out of range")
+    if xh < -746.0:
+        return 0.0, 0.0
     if abs(xh) < 2.0**-12:
         f = _FIX - math.frexp(xh)[1]
         return _pair_from_ratio(_fixed_exp_series(_fixed_from_pair(xh, xl, f), f), 1 << f)
@@ -807,5 +760,5 @@ def build_info() -> str:
     pi_check = "ok" if abs(machin - _PI_FIXED) < 1 << (_FIX - 160) else "FAILED"
     return (
         f"tiers: native64 (eps=2^-52), doubleword (eps=2^-104); "
-        f"two_prod=dekker-split; pi-self-check={pi_check}"
+        f"products=dekker-split; two_prod=exact-ratio; pi-self-check={pi_check}"
     )

@@ -309,10 +309,18 @@ class TestVerifyFormats:
     # and round each result once: the i1_x and i1_theta values move by one
     # low-word ulp, so S1's right side moves in its last printed digit and
     # the S1-S3 residuals move (S1's from 2.3e-33 to 7.7e-34), and every
-    # evaluation count and pass flag is unchanged
+    # evaluation count and pass flag is unchanged. Re-pinned when the 2-D
+    # registry integrals came to sum their integer bodies in integers at
+    # 2^-192 and the eq3 lane to round its exact quotient once: the
+    # shifted_kernel_eq6b value moves by one low-word ulp, so the S6 and
+    # S7 residuals move in their fifth digit (S6's from 1.39499e-29 to
+    # 1.39530e-29), and ten eq3 samples move in their low words (the
+    # worst distance to the same rule summed at 420 bits from 0.135 to
+    # 0.065 units of 2^-104), with every printed value, evaluation count
+    # and pass flag unchanged
     DOUBLEWORD_VERIFY_SHA256 = {
-        "csv": "6f48bfece247986d9516d6831455a3dac144d8c4190f480b7da7ffc533caae2c",
-        "json": "01d4dc2b97bc9d2e7cad98a198f3f718aabbc58c75a79b83be7c3136ea004e08",
+        "csv": "d3ae7eb8998948e10b4f10855eadbaa6e47c9f76e3cc30e7abc2932fb20dc9e6",
+        "json": "9b3664321b248a8735aa2d657634e59b4a366e26cbf4cd0bfd9bd204820a2952",
     }
 
     @pytest.mark.parametrize("fmt", sorted(DOUBLEWORD_VERIFY_SHA256))
@@ -412,7 +420,8 @@ class TestVersion:
         assert out.startswith(f"ahmedquad {__version__}\n")
         assert "native64 (eps=2^-52)" in out
         assert "doubleword (eps=2^-104)" in out
-        assert "two_prod=dekker-split" in out
+        assert "products=dekker-split" in out
+        assert "two_prod=exact-ratio" in out
         assert "pi-self-check=ok" in out
 
     def test_version_flag(self, capsys):

@@ -4,7 +4,9 @@ pointwise identities that drive the verification chain."""
 import gc
 import math
 import random
+import sys
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -31,7 +33,7 @@ from ahmedquad import (
 )
 from ahmedquad import quad
 from ahmedquad.integrands import Interval, get, raw_fn
-from ahmedquad.scalar import _dd_add, _dd_mul, _dd_recip, _dd_sqr, _two_sum
+from ahmedquad.scalar import _fixed_from_pair, _pair_from_ratio, _two_sum
 from ahmedquad.verify import seeded_a_values
 from helpers import (
     AHMED_AT_0_STR,
@@ -83,6 +85,17 @@ class TestRegistry:
         assert not get("ahmed_eq1").parametric
         assert get("product_kernel_eq6a").closed_form_name == "TWO_I2"
         assert get("eq3_kernel").closed_form_name is None
+
+    def test_interval_endpoints_checked(self):
+        native = Real.from_float(0.0, Tier.NATIVE64)
+        dd = Real.from_float(1.0, Tier.DOUBLEWORD)
+        with pytest.raises(TierMismatchError, match="different tiers"):
+            Interval(native, dd)
+        for tier in TIERS:
+            lo, hi = Real.from_float(0.0, tier), Real.from_float(1.0, tier)
+            with pytest.raises(ConfigError, match="out of order"):
+                Interval(hi, lo)
+            assert Interval(lo, lo).degenerate
 
     def test_unknown_id(self):
         with pytest.raises(ConfigError):
@@ -391,11 +404,12 @@ class TestPointwiseIdentities:
 # ----------------------------------------------------------------------
 # Axis-factored 2-D lanes
 # ----------------------------------------------------------------------
-# Each 2-D lane is an x-part, a y-part and a join, and the tensor cores
-# call the join alone at each point. The reference is each kernel as one
-# plain formula, in the operation order the engines' pins were taken
-# with; a regrouped sum or product moves the last bits. The double-word
-# formulas end in _dd_recip, the reciprocal the joins take.
+# Each native 2-D lane is an x-part, a y-part and a join, and the tensor
+# cores call the join alone at each point. The reference is each kernel
+# as one plain formula, in the operation order the engines' pins were
+# taken with; a regrouped sum or product moves the last bits. The
+# double-word lanes round their integer bodies once, and are held to the
+# exact values below.
 
 
 def _native_eq4(x, y):
@@ -412,67 +426,134 @@ def _native_eq6b(x, y):
     return 1.0 / ((1.0 + y2) * (2.0 + x * x + y2))
 
 
-def _add_d(ah, al, b):
-    # a double-word plus a float: two_sum(ah, b), then a quick two-sum
-    sh, se = _two_sum(ah, b)
-    se += al
-    h = sh + se
-    return h, se - (h - sh)
-
-
-def _dd_eq4(xh, xl, yh, yl):
-    x2h, x2l = _dd_sqr(xh, xl)
-    th, tl = _dd_add(*_dd_sqr(yh, yl), *_add_d(x2h, x2l, 2.0))
-    dh, dl = _dd_mul(*_add_d(x2h, x2l, 1.0), th, tl)
-    return _dd_recip(dh, dl)
-
-
-def _dd_eq6a(xh, xl, yh, yl):
-    dh, dl = _dd_mul(
-        *_add_d(*_dd_sqr(xh, xl), 1.0), *_add_d(*_dd_sqr(yh, yl), 1.0)
-    )
-    return _dd_recip(dh, dl)
-
-
-def _dd_eq6b(xh, xl, yh, yl):
-    y2h, y2l = _dd_sqr(yh, yl)
-    th, tl = _dd_add(*_dd_sqr(xh, xl), *_add_d(y2h, y2l, 2.0))
-    dh, dl = _dd_mul(*_add_d(y2h, y2l, 1.0), th, tl)
-    return _dd_recip(dh, dl)
-
-
 PLAIN_2D = {
-    Tier.NATIVE64: {
-        "i2_kernel_eq4": _native_eq4,
-        "product_kernel_eq6a": _native_eq6a,
-        "shifted_kernel_eq6b": _native_eq6b,
-    },
-    Tier.DOUBLEWORD: {
-        "i2_kernel_eq4": _dd_eq4,
-        "product_kernel_eq6a": _dd_eq6a,
-        "shifted_kernel_eq6b": _dd_eq6b,
-    },
+    "i2_kernel_eq4": _native_eq4,
+    "product_kernel_eq6a": _native_eq6a,
+    "shifted_kernel_eq6b": _native_eq6b,
 }
 
 
 def test_factored_lanes_equal_the_plain_formulas_word_for_word():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # a coordinate in [0, 1] with a full low word
-    coord = st.tuples(
-        st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=-0.5, max_value=0.5)
-    ).map(lambda p: _two_sum(p[0], p[1] * math.ulp(p[0])))
+    coord = st.floats(min_value=0.0, max_value=1.0)
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
     @hypothesis.given(coord, coord)
     def check(x, y):
-        for tier, plain in PLAIN_2D.items():
-            xs, ys = (x[:1], y[:1]) if tier is Tier.NATIVE64 else (x, y)
-            for iid, formula in plain.items():
-                lane = raw_fn(iid, tier)
-                xpart, ypart, join = lane.parts
-                want = formula(*xs, *ys)
-                assert join(xpart(*xs), ypart(*ys)) == want, (iid, tier, x, y)
-                assert lane(*xs, *ys) == want, (iid, tier, x, y)
+        for iid, formula in PLAIN_2D.items():
+            lane = raw_fn(iid, Tier.NATIVE64)
+            xpart, ypart, join = lane.parts
+            want = formula(x, y)
+            assert join(xpart(x), ypart(y)) == want, (iid, x, y)
+            assert lane(x, y) == want, (iid, x, y)
 
     check()
+
+
+# ----------------------------------------------------------------------
+# The double-word 2-D and eq3 lanes against exact Fractions
+# ----------------------------------------------------------------------
+
+EXACT_2D = {
+    "i2_kernel_eq4": lambda x, y: 1 / ((1 + x * x) * (2 + x * x + y * y)),
+    "product_kernel_eq6a": lambda x, y: 1 / ((1 + x * x) * (1 + y * y)),
+    "shifted_kernel_eq6b": lambda x, y: 1 / ((1 + y * y) * (2 + x * x + y * y)),
+}
+
+
+def _exact_nearest(v: Fraction) -> tuple[float, float]:
+    # the double-word nearest to an exact value: Fraction's float()
+    # rounds correctly
+    hi = float(v)
+    return hi, float(v - Fraction(hi))
+
+
+def _seeded_word(rng, k):
+    # a positive double-word with its high word in [2^k, 2^(k+1)) and a
+    # random low word
+    hi = rng.uniform(1.0, 2.0) * 2.0**k
+    return _two_sum(hi, rng.uniform(-0.5, 0.5) * math.ulp(hi))
+
+
+def _exact(word) -> Fraction:
+    return Fraction(word[0]) + Fraction(word[1])
+
+
+def _units(pair, want: Fraction) -> float:
+    # the relative error of a pair in units of 2^-104
+    return float(abs(_exact(pair) - want) / want * 2**104)
+
+
+@pytest.mark.parametrize("iid", list(EXACT_2D))
+class TestIntegerLanes2D:
+    def test_nearest_pair_on_seeded_coordinates(self, iid):
+        # coordinates in [2^-3, 2), each with a low word
+        rng = random.Random(0x2D0E)
+        lane, exact = raw_fn(iid, Tier.DOUBLEWORD), EXACT_2D[iid]
+        for _ in range(2_000):
+            x, y = _seeded_word(rng, rng.randint(-3, 0)), _seeded_word(rng, rng.randint(-3, 0))
+            assert lane(*x, *y) == _exact_nearest(exact(_exact(x), _exact(y))), (iid, x, y)
+
+    def test_within_an_eighth_unit_over_wide_coordinates(self, iid):
+        # each coordinate in a seeded binade from 2^-300 to 2^200
+        rng = random.Random(0x2D1F)
+        lane, exact = raw_fn(iid, Tier.DOUBLEWORD), EXACT_2D[iid]
+        worst = 0.0
+        for _ in range(2_000):
+            x, y = (_seeded_word(rng, rng.randint(-300, 199)) for _ in range(2))
+            err = _units(lane(*x, *y), exact(_exact(x), _exact(y)))
+            assert err <= 0.125, (iid, x, y, err)
+            worst = max(worst, err)
+        assert worst > 0.05
+
+    def test_the_integer_body_is_the_lane(self, iid):
+        # the integer lane's parts and join give the body's value, which
+        # the pair lane rounds once at 2^-192 on [0, 1]^2
+        rng = random.Random(0x2D2A)
+        lane = raw_fn(iid, Tier.DOUBLEWORD)
+        body = lane.fixed
+        xpart, ypart, join = body.parts
+        for _ in range(200):
+            x, y = (_seeded_word(rng, rng.randint(-8, -1)) for _ in range(2))
+            fx, fy = (_fixed_from_pair(*w) for w in (x, y))
+            v = join(xpart(fx), ypart(fy))
+            assert v == body(fx, fy)
+            assert _pair_from_ratio(v, 1 << 192) == lane(*x, *y)
+
+
+class TestExactEq3Lane:
+    def _assert_nearest(self, a_word, xs):
+        a = Real._raw(*a_word, Tier.DOUBLEWORD)
+        lane = raw_fn("eq3_kernel", Tier.DOUBLEWORD, a)
+        a2 = _exact(a_word) ** 2
+        for x in xs:
+            want = _exact_nearest(1 / (_exact(x) ** 2 + a2))
+            assert lane(*x) == want, (a_word, x)
+
+    def test_nearest_pair_across_a(self):
+        # seeded x in [0, 1) and a log-uniform across [0.1, 10], each with
+        # a low word, and x = 0 and 1
+        rng = random.Random(0xE93A)
+        for _ in range(200):
+            hi = 10.0 ** rng.uniform(-1.0, 1.0)
+            a = _two_sum(hi, rng.uniform(-0.5, 0.5) * math.ulp(hi))
+            xs = [(0.0, 0.0), (1.0, 0.0)] + [_seeded_word(rng, rng.randint(-12, -1)) for _ in range(20)]
+            self._assert_nearest(a, xs)
+
+    def test_nearest_pair_at_the_ends_of_the_a2_range(self):
+        # a^2 from just above the 2^-969 floor, where 1/a^2 nears 2^969,
+        # to just below the largest double, where 1/(x^2 + a^2) is
+        # subnormal
+        rng = random.Random(0xE93B)
+        low = math.sqrt(2.0**-969)
+        high = math.sqrt(sys.float_info.max)
+        ends = [low * (1 + 2.0**-40), low * 1.5, high * (1 - 2.0**-40), high * 0.75]
+        xs = [(0.0, 0.0), (1.0, 0.0)] + [_seeded_word(rng, rng.randint(-12, -1)) for _ in range(50)]
+        for hi in ends:
+            for lo in (0.0, 0.25 * math.ulp(hi), -0.375 * math.ulp(hi)):
+                self._assert_nearest(_two_sum(hi, lo), xs)
+        with pytest.raises(DomainError):
+            raw_fn("eq3_kernel", Tier.DOUBLEWORD, Real.from_float(low * (1 - 2.0**-40), Tier.DOUBLEWORD))
+        with pytest.raises(DomainError):
+            raw_fn("eq3_kernel", Tier.DOUBLEWORD, Real.from_float(high * (1 + 2.0**-40), Tier.DOUBLEWORD))

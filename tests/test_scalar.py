@@ -35,8 +35,8 @@ from ahmedquad import (
     two_prod,
     two_sum,
 )
-from ahmedquad import bounds, integrands, quad, scalar
-from ahmedquad.scalar import _two_prod, _two_sum
+from ahmedquad import integrands, quad, scalar
+from ahmedquad.scalar import _SPLITTER, _two_sum
 from helpers import (
     ATAN_SQRT2_STR,
     EXP_5_4_STR,
@@ -85,6 +85,53 @@ class TestEFT:
         assert two_prod(0.0, 1e300) == (0.0, 0.0)
         assert two_sum(0.0, 0.0) == (0.0, 0.0)
 
+    def test_two_prod_over_every_binade(self):
+        # factors drawn over the whole double range, seeded binades of a
+        # and of the product: where the exact error a b - fl(a b) is a
+        # double (the product has no bit below 2^-1074) two_prod returns
+        # it, and elsewhere, or past binary64's range, it raises. The
+        # products near the subnormal range and past Dekker's split range
+        # were the ones a split product got wrong
+        rng = random.Random(0x7E0D)
+        cases = [(1 + 2.0**-52, 2.0**-1070), (2.0**1000, 2.0**-10), (2.0**-1074, 2.0**1000)]
+        for _ in range(20_000):
+            k = rng.randint(-1074, 1023)
+            j = min(max(rng.randint(-1100, 1030) - k, -1074), 1023)
+            a = math.copysign(rng.uniform(1.0, 2.0) * 2.0**k, rng.random() - 0.5)
+            b = math.copysign(rng.uniform(1.0, 2.0) * 2.0**j, rng.random() - 0.5)
+            # and a whole number, with trailing zero bits, by a tiny b
+            n = float(rng.randrange(1, 1 << 53)) * 2.0 ** rng.randint(0, 960)
+            cases += [(a, b), (n, math.ldexp(b, -1074 - math.frexp(b)[1] + rng.randint(0, 60)))]
+        exact = raised = 0
+        for a, b in cases:
+            want = Fraction(a) * Fraction(b)
+            p = a * b
+            if math.isfinite(p) and Fraction(float(want - Fraction(p))) == want - Fraction(p):
+                assert two_prod(a, b) == (p, float(want - Fraction(p))), (a, b)
+                assert two_prod(b, a) == two_prod(a, b)
+                exact += 1
+            else:
+                with pytest.raises(NonFiniteError):
+                    two_prod(a, b)
+                raised += 1
+        assert two_prod(2.0**1000, 2.0**-10) == (2.0**990, 0.0)
+        with pytest.raises(NonFiniteError):
+            two_prod(1 + 2.0**-52, 2.0**-1070)
+        assert exact > 30_000 and raised > 500
+
+    def test_non_finite_input_and_overflow_raise(self):
+        big = sys.float_info.max
+        for fn in (two_sum, two_prod):
+            for a, b in ((math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0), (1.0, math.nan)):
+                with pytest.raises(NonFiniteError, match="finite inputs"):
+                    fn(a, b)
+        with pytest.raises(NonFiniteError, match="overflowed"):
+            two_sum(big, big)
+        with pytest.raises(NonFiniteError, match="overflowed"):
+            two_prod(big, 2.0)
+        with pytest.raises(NonFiniteError, match="overflowed"):
+            two_prod(1e200, -1e200)
+
     def test_residual_below_half_ulp(self):
         for a, b in _random_pairs(1_000, 0xACE):
             s, e = two_sum(a, b)
@@ -93,6 +140,25 @@ class TestEFT:
 
 
 class TestRealBasics:
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_repr_abs_and_bool(self, tier):
+        x = Real.from_float(-2.5, tier)
+        assert repr(x) == f"Real('{x.to_decimal_string()}', tier={tier.name})"
+        assert abs(x) == Real.from_float(2.5, tier) and abs(-x) == -x
+        assert bool(x) and not bool(Real.from_float(0.0, tier))
+        zero = Real.from_float(0.0, Tier.DOUBLEWORD)
+        assert zero.to_decimal_string() == str(zero) == "0.0"
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_an_infinite_float_operand_raises(self, tier):
+        x = Real.from_float(1.5, tier)
+        for v in (math.inf, -math.inf, math.nan):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+                with pytest.raises(NonFiniteError, match="operand is not finite"):
+                    op(x, v)
+                with pytest.raises(NonFiniteError, match="operand is not finite"):
+                    op(v, x)
+
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_from_float_exact(self, tier):
         x = Real.from_float(0.1, tier)
@@ -370,12 +436,15 @@ def test_build_info_contents():
 
 
 def test_build_info_reports_dekker_split_even_with_fma(monkeypatch):
-    # _two_prod splits by Dekker on every interpreter, so the presence of
-    # math.fma (Python 3.13+) must not change what build_info reports
+    # the double-word product kernels split by Dekker on every
+    # interpreter, and two_prod takes its error from exact ratios, so the
+    # presence of math.fma (Python 3.13+) must not change what build_info
+    # reports
     monkeypatch.setattr(math, "fma", lambda x, y, z: x * y + z, raising=False)
     info = build_info()
-    assert "two_prod=dekker-split" in info
-    assert "two_prod=fma" not in info
+    assert "products=dekker-split" in info
+    assert "two_prod=exact-ratio" in info
+    assert "fma" not in info
 
 
 def test_build_info_pi_self_check_fails_on_a_wrong_atan(monkeypatch):
@@ -438,6 +507,21 @@ def _quick_two_sum(a, b):
     return s, b - (s - a)
 
 
+def _split(a):
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    # Dekker's product, the one the fused product kernels inline
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, e
+
+
 def _ref_dd_add(ah, al, bh, bl):
     sh, se = _two_sum(ah, bh)
     th, te = _two_sum(al, bl)
@@ -466,27 +550,12 @@ def _ref_dd_mul_rescued(ah, al, bh, bl):
     return r
 
 
-def _ref_dd_sqr(ah, al):
-    p, e = _two_prod(ah, ah)
-    e += 2.0 * ah * al
-    return _quick_two_sum(p, e)
-
-
-def _ref_dd_recip(bh, bl):
-    r = 1.0 / bh
-    p, pe = _two_prod(bh, r)
-    e = (1.0 - p) - pe - bl * r
-    return _quick_two_sum(r, r * (e + e * e))
-
-
 # (name, reference, argument shape): each "dd" is one (hi, lo) operand
 FUSED_KERNELS = [
     ("_dd_add", _ref_dd_add, ("dd", "dd")),
     ("_dd_sub", _ref_dd_sub, ("dd", "dd")),
     ("_dd_mul", _ref_dd_mul, ("dd", "dd")),
     ("_dd_mul_rescued", _ref_dd_mul_rescued, ("dd", "dd")),
-    ("_dd_sqr", _ref_dd_sqr, ("dd",)),
-    ("_dd_recip", _ref_dd_recip, ("dd",)),
 ]
 
 
@@ -517,24 +586,17 @@ def _assert_bit_identical(name, reference, cases):
 
 
 def test_every_kernel_has_a_caller():
-    # every top-level _dd_* and _fixed_* function of scalar.py, and every
-    # private top-level function of quad.py, integrands.py and bounds.py,
-    # is named in the package's code outside its own definition (an
-    # import alone does not count), so that a helper whose last caller
-    # goes goes with it
+    # every private top-level function of every module of the package is
+    # named in the package's code outside its own definition (an import
+    # alone does not count), so that a helper whose last caller goes goes
+    # with it
     paths = Path(scalar.__file__).parent.glob("*.py")
     trees = {p.name: ast.parse(p.read_text()) for p in paths}
-    prefixes = {
-        "scalar.py": ("_dd_", "_fixed_"),
-        "quad.py": ("_",),
-        "integrands.py": ("_",),
-        "bounds.py": ("_",),
-    }
     kernels = {
         node.name
-        for name, prefix in prefixes.items()
-        for node in trees[name].body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith(prefix)
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
     }
     used = set()
     for module in trees.values():
@@ -544,7 +606,7 @@ def test_every_kernel_has_a_caller():
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if name in kernels and name != own:
                     used.add(name)
-    assert len(kernels) > 10
+    assert len(kernels) > 100
     assert kernels <= used, sorted(kernels - used)
 
 
@@ -576,13 +638,7 @@ def _seeded_operand_pairs():
 
 
 def _seeded_operands(shape):
-    cases = []
-    for x, y in _seeded_operand_pairs():
-        if shape == ("dd",):
-            cases += [x, y]
-        else:
-            cases.append(x + y)
-    return cases
+    return [x + y for x, y in _seeded_operand_pairs()]
 
 
 _SPECIAL_HI = [
@@ -612,125 +668,6 @@ class TestFusedKernelsBitIdentical:
 
 
 # ----------------------------------------------------------------------
-# One-Newton-step double-word reciprocal
-# ----------------------------------------------------------------------
-# _dd_recip takes r = 1/bh, e = 1 - b r and returns r (1 + e + e^2). Its
-# oracle bound is 1 unit of 2^-104 relative; it measures below 0.75, where
-# the nearest pair is within 0.5. Each 1/D lane calls it once.
-
-RECIP_BOUND = 1.0 * 2.0**-104
-
-
-def _recip_rel_err(bh, bl):
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 60
-    rh, rl = scalar._dd_recip(bh, bl)
-    return float(abs((mp.mpf(rh) + mp.mpf(rl)) * (mp.mpf(bh) + mp.mpf(bl)) - 1))
-
-
-def _in_recip_range(bh, bl):
-    # a double-word (|bl| at most half an ulp of bh) whose reciprocal and
-    # its low word stay normal and within the split's range
-    return bh + bl == bh and 2.0**-960 <= abs(bh) <= 2.0**960
-
-
-class TestReciprocal:
-    def _assert_bound(self, words):
-        for bh, bl in words:
-            err = _recip_rel_err(bh, bl)
-            assert err <= RECIP_BOUND, f"1/({bh!r}, {bl!r}): {err / 2.0**-104:.3g} units"
-
-    def test_seeded_words(self):
-        words = {w for pair in _seeded_operand_pairs() for w in pair}
-        words = sorted(w for w in words if _in_recip_range(*w))
-        assert len(words) > 5_000
-        self._assert_bound(words)
-
-    def test_every_binade(self):
-        rng = random.Random(0x2EC1)
-        words = []
-        for k in range(-960, 960):
-            for _ in range(3):
-                bh = math.copysign(rng.uniform(1.0, 2.0) * 2.0**k, rng.random() - 0.5)
-                words.append(_two_sum(bh, rng.uniform(-0.5, 0.5) * math.ulp(bh)))
-        self._assert_bound(words)
-
-    def test_special_values_as_the_quotient(self):
-        # ZeroDivisionError at b = 0; NaN only for a non-finite b or one
-        # whose reciprocal or itself is past the split's range; elsewhere
-        # the exact quotient's high word, the nearest double to 1/b
-        for args in _special_operands(("dd",)):
-            got = _outcome(scalar._dd_recip, args)
-            if isinstance(got, type):
-                assert got is ZeroDivisionError and args[0] == 0.0, (args, got)
-            elif math.isnan(got[0]):
-                bh = abs(args[0])
-                assert not math.isfinite(bh) or not 2.0**-990 < bh < 2.0**990, (args, got)
-            else:
-                want = float(1 / (Fraction(args[0]) + Fraction(args[1])))
-                assert got[0] == want, (args, got, want)
-        for zero in (0.0, -0.0):
-            with pytest.raises(ZeroDivisionError):
-                scalar._dd_recip(zero, 0.0)
-
-    def test_rescued_entry(self):
-        # the kernel redone on a rescaled operand where it is NaN (past
-        # the split's range), and elsewhere the kernel's own bits
-        rng = random.Random(0x2E5C)
-        cases = list(_special_operands(("dd",)))
-        for lo, hi in ((990, 1023), (-1022, -990), (-30, 30)):
-            for _ in range(200):
-                bh = math.copysign(rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(lo, hi - 1), rng.random() - 0.5)
-                cases.append(_two_sum(bh, rng.uniform(-0.5, 0.5) * math.ulp(bh)))
-        rescued = 0
-        for args in cases:
-            raw = _outcome(scalar._dd_recip, args)
-            nan = not isinstance(raw, type) and math.isnan(raw[0])
-            rescued += nan
-            want = (lambda h, l: scalar._dd_rescaled(scalar._dd_recip, (), (h, l))) if nan else scalar._dd_recip
-            _assert_bit_identical("_dd_recip_rescued", want, [args])
-        assert rescued > 300
-
-    def test_one_reciprocal_per_lane_evaluation(self, monkeypatch):
-        # the three 2-D joins and the eq3 lane form 1/D with one _dd_recip
-        # and no Real division, the one caller of the exact quotient
-        calls = {"div": 0, "recip": 0}
-
-        def counting(kind, fn):
-            def counted(*args):
-                calls[kind] += 1
-                return fn(*args)
-
-            return counted
-
-        recip = counting("recip", scalar._dd_recip)
-        for name in ("__truediv__", "__rtruediv__"):
-            monkeypatch.setattr(Real, name, counting("div", getattr(Real, name)))
-        for module in (scalar, integrands):
-            monkeypatch.setattr(module, "_dd_recip", recip)
-        D = Tier.DOUBLEWORD
-        # the counter sees a division either way round
-        Real.from_float(1.0, D) / Real.from_float(3.0, D)
-        assert calls == {"div": 1, "recip": 0}
-        1 / Real.from_float(3.0, D)
-        assert calls == {"div": 2, "recip": 0}
-        lanes = [integrands.raw_fn(i, D) for i in integrands.ids() if integrands.get(i).dim == 2]
-        eq3 = integrands.raw_fn("eq3_kernel", D, Real.from_float(0.7, D))
-        rng = random.Random(0xC0DE)
-        for _ in range(50):
-            x = _two_sum(rng.random(), rng.uniform(-1.0, 1.0) * 2.0**-54)
-            y = _two_sum(rng.random(), rng.uniform(-1.0, 1.0) * 2.0**-54)
-            evaluations = [(eq3, x)]
-            for lane in lanes:
-                xpart, ypart, join = lane.parts
-                evaluations += [(join, (xpart(*x), ypart(*y))), (lane, x + y)]
-            for fn, args in evaluations:
-                calls.update(div=0, recip=0)
-                fn(*args)
-                assert calls == {"div": 0, "recip": 1}, fn
-
-
-# ----------------------------------------------------------------------
 # Double-word atan and the atan lanes from the fixed-point block
 # ----------------------------------------------------------------------
 # atan(p/q) at 2^-192 (finer for |x| < 1/2) is atan(k/64), from a table
@@ -739,15 +676,6 @@ class TestReciprocal:
 # Public atan, ahmed_eq1 (atan s, s = sqrt(2 + x^2)) and i2_x (atan(1/s))
 # round each result once; every result tested is the nearest pair to the
 # mpmath value.
-
-# every double-word 2-D and eq3 lane against 50-digit mpmath, within the
-# lane term of the proven bound's rounding budget; on 4,200 seeded points
-# each the four that end in _dd_recip measure 1.28 units of 2^-104 at
-# most (i2_kernel_eq4)
-LANE_BOUND = bounds._ROUNDING_TERMS["lane"] * 2.0**-104
-# the lanes whose every value is the nearest pair to the mpmath value
-NEAREST_LANES = ("ahmed_eq1", "i1_x", "i1_theta", "i1_phi", "i2_x")
-
 
 def _assert_atan_nearest(xh, xl):
     # the public atan of (xh, xl), and of its negation, are the nearest
@@ -973,19 +901,13 @@ def _lane_points(integrand_id, rng):
 @pytest.mark.parametrize("integrand_id", integrands.ids())
 def test_every_lane_against_mpmath(integrand_id):
     # each doubleword registry lane against 50-digit mpmath: the nearest
-    # pair for the NEAREST_LANES, and within LANE_BOUND, the lane error
-    # the proven Gauss-Legendre bound charges (bounds._ROUNDING_TERMS),
-    # for the 2-D and eq3 lanes
+    # pair at every point, so well within the lane term the proven
+    # Gauss-Legendre bound charges (bounds._ROUNDING_TERMS)
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     rng = random.Random(0x1A2F)
     for lane, args, want in _lane_points(integrand_id, rng):
-        rh, rl = lane(*args)
-        if integrand_id in NEAREST_LANES:
-            assert (rh, rl) == nearest_pair(want), f"{integrand_id}{args}"
-            continue
-        err = float(abs((mp.mpf(rh) + mp.mpf(rl) - want) / want))
-        assert err <= LANE_BOUND, f"{integrand_id}{args}: {err / 2.0**-104:.3g} units"
+        assert lane(*args) == nearest_pair(want), f"{integrand_id}{args}"
 
 
 def test_atan_property_against_mpmath():
@@ -1036,10 +958,12 @@ def test_lanes_property_against_mpmath():
 # ----------------------------------------------------------------------
 # The kernel takes k, r = divmod(x, ln2) at 2^-192 and rounds 2^k e^r,
 # e^r from the power tables of _fixed_exp, once to the nearest pair;
-# below |x| = 2^-12 the series runs alone, finer by the bits x lacks. On
-# [-671, 709] every result tested is the nearest pair to the mpmath
-# value, so within a quarter unit of 2^-104 relative; below -671 a word
-# is subnormal and the nearest pair itself carries fewer bits.
+# below |x| = 2^-12 the series runs alone, finer by the bits x lacks.
+# Every result tested is the nearest pair to the mpmath value, up to
+# ln(DBL_MAX) ~ 709.78 and down to -746, below which it is zero; on
+# [-671, 709.78] that is within a quarter unit of 2^-104 relative, and
+# below -671 a word is subnormal and the nearest pair itself carries
+# fewer bits. Above 710 exp raises NonFiniteError.
 
 EXP_BOUND = 0.25 * 2.0**-104
 
@@ -1083,13 +1007,28 @@ class TestTableDrivenExp:
         self._assert_bound(_with_low_words(pts, 0xE4B))
 
     def test_range_ends_and_zero(self):
-        words = [(v, 0.0) for v in (709.0, -671.0, 5e-324, -5e-324, 1e-300, 1e-20, -1e-20)]
+        # e^x is finite up to ln(DBL_MAX) ~ 709.78 and its nearest pair
+        # nonzero down to ~ -745.13: at +-709.5, the ends of the native
+        # range, it is the nearest pair; past 709.78 it overflows, and
+        # Real's exp raises NonFiniteError, and below -746 it is the zero
+        # pair, as math.exp's value there is 0.0
+        words = [(v, 0.0) for v in (709.0, 709.5, 709.78, -671.0, 5e-324, -5e-324, 1e-300, 1e-20, -1e-20)]
         self._assert_bound(words)
+        for v in (-709.5, -745.0, -745.2, -746.0):
+            _exp_err(v, 0.0)
         assert scalar._dd_exp(0.0, 0.0) == (1.0, 0.0)
         assert scalar._dd_exp(-0.0, 0.0) == (1.0, 0.0)
-        for v in (709.5, -709.5, math.inf, -math.inf):
+        for v in (-745.2, -746.0, -746.5, -1e300, -math.inf):
+            assert scalar._dd_exp(v, 0.0) == (0.0, 0.0) == (math.exp(v), 0.0)
+        for v in (709.79, 709.8, 710.0, 710.5, 1e300, math.inf):
+            with pytest.raises(NonFiniteError):
+                exp(Real._raw(v, 0.0, Tier.DOUBLEWORD))
+        for v in (710.5, math.inf):
             with pytest.raises(NonFiniteError):
                 scalar._dd_exp(v, 0.0)
+        for v in (709.5, -709.5, 709.78, -745.0):
+            r = exp(Real.from_float(v, Tier.DOUBLEWORD))
+            assert r.hi == pytest.approx(math.exp(v), rel=1e-13)
 
     def test_every_binade(self):
         # a seeded word, with a low word, in every binade of |x| from
@@ -1097,7 +1036,9 @@ class TestTableDrivenExp:
         # [-709, -671], where the low word of e^x is subnormal: each the
         # nearest pair, taken from the mpmath value's exact binary fraction
         # (mpmath's float() rounds twice near a subnormal result, and so
-        # reported a false miss at x ~ -671.3958). Below -671 the nearest
+        # reported a false miss at x ~ -671.3958), and 300 seeded words of
+        # each range end, [709, 709.78] and [-745.2, -709], where the
+        # value nears overflow and underflows. Below -671 the nearest
         # pair itself is not within EXP_BOUND, so no bound is asserted
         rng = random.Random(0xE8B1)
         highs = []
@@ -1105,6 +1046,8 @@ class TestTableDrivenExp:
             lo, hi = 2.0**k, min(2.0 ** (k + 1), 709.0)
             highs += [rng.uniform(lo, hi), -rng.uniform(lo, hi)]
         highs += [rng.uniform(-709.0, -671.0) for _ in range(300)]
+        highs += [rng.uniform(709.0, 709.78) for _ in range(300)]
+        highs += [rng.uniform(-745.2, -709.0) for _ in range(300)]
         for xh in highs:
             _exp_err(*_two_sum(xh, rng.uniform(-0.5, 0.5) * math.ulp(xh)))
 
@@ -1407,15 +1350,14 @@ def test_sqrt_over_every_binade():
 
 
 # ----------------------------------------------------------------------
-# Real arithmetic and the rescued reciprocal over every binade
+# Real arithmetic over every binade
 # ----------------------------------------------------------------------
 # Seeded words in every binade from 2^-1074 to 2^1023, against exact
 # Fractions. Above the 2^-969 floor each result keeps the README's
-# relative claim: 4 units of 2^-104 (ARITH_DD) for +, - and *, and
-# RECIP_BOUND for the reciprocal. Below it the low word is subnormal;
-# there each stays within FLOOR_ABS, and on two runs of 60,000 seeded
-# draws a product measured 2.07 and a reciprocal 1.31 units of 2^-1074.
-# A quotient is the nearest pair everywhere.
+# relative claim: 4 units of 2^-104 (ARITH_DD) for +, - and *. Below it
+# the low word is subnormal; there each stays within FLOOR_ABS, and on
+# two runs of 60,000 seeded draws a product measured 2.07 units of
+# 2^-1074. A quotient is the nearest pair everywhere.
 
 FLOOR = Fraction(2) ** -969
 FLOOR_ABS = 4 * Fraction(2) ** -1074
@@ -1487,17 +1429,6 @@ class TestEveryBinade:
             j = min(max(rng.randint(-1080, 1023) - k, -1074), 1023)
             for y in (_word(rng, j), rng.choice(words)):
                 _assert_real_op(operator.mul, x, y, ARITH_DD)
-
-    def test_rescued_reciprocal(self):
-        # infinite where 1/b rounds past binary64, at the bottom binades
-        words, _ = _binade_words(0x2EC2)
-        for bh, bl in words:
-            want = 1 / (Fraction(bh) + Fraction(bl))
-            got = scalar._dd_recip_rescued(bh, bl)
-            if abs(want) >= _TOP:
-                assert math.isinf(got[0]), (bh, bl, got)
-            else:
-                _assert_within(got, want, RECIP_BOUND, (bh, bl))
 
 
 class TestExactQuotient:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from ahmedquad import (
+    AdaptiveSimpson,
     ClosedFormQ,
     CombinationQ,
     ConfigError,
@@ -37,7 +38,7 @@ from ahmedquad import (
     sub,
 )
 from ahmedquad.integrands import Interval, raw_fn
-from ahmedquad.verify import default_config
+from ahmedquad.verify import default_config, resolve_mode
 from helpers import (
     AHMED_AT_1_STR,
     I1_STR,
@@ -64,6 +65,18 @@ class TestChainStructure:
         for step in builtin_chain(tier):
             want = loose if step.key in ("S5", "S6") else tol
             assert step.tolerance == want, step.key
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_resolve_mode(self, tier):
+        # adaptive Simpson has no product rule, so it takes ITERATED unless
+        # a mode is given; every other rule takes TENSOR
+        simpson = EngineConfig(AdaptiveSimpson(1e-8), tier)
+        assert resolve_mode(None, simpson) is Mode.ITERATED
+        assert resolve_mode(Mode.TENSOR, simpson) is Mode.TENSOR
+        for method in (GaussLegendre(8), TanhSinh(3, 1e-8)):
+            config = EngineConfig(method, tier)
+            assert resolve_mode(None, config) is Mode.TENSOR
+            assert resolve_mode(Mode.ITERATED, config) is Mode.ITERATED
 
     def test_s1_split_shape(self):
         s1 = builtin_chain(Tier.NATIVE64)[0]
