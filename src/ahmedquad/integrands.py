@@ -20,7 +20,9 @@ lane as ``fixed``, at 2^-192; the double-word lane takes its pair
 coordinates to ints at a shift that keeps their bits and rounds the
 body's value once, to the nearest pair. The double-word eq3 lane is the
 nearest pair to the exact quotient 1/(x^2 + a^2), from the exact ratios
-of the words.
+of the words; its integer body is one quotient too, by x^2 + a^2 with
+a^2 held exactly, its value at a shift of its own (``out``) that keeps
+192 bits however large |a| is.
 The double-word i1_theta lane shares the reduction of ``sin`` and
 ``cos``, so it takes |t| <= 2^10 and raises :class:`DomainError`
 beyond, where the native lane returns a value; its own domain is
@@ -551,12 +553,14 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
     a new closure over a^2 on each call, so none outlives its caller. A
     native 2-D lane also carries ``parts``, its ``(xpart, ypart,
     join)``: an x-part of one coordinate, a y-part likewise, and the
-    join of the two parts, which is the lane's value at the point. A
-    DOUBLEWORD fixed lane carries ``fixed``, its integer body, and a 2-D
-    body carries its integer ``parts``. Every lane carries
-    ``certificate()``, which returns the :class:`Certificate` of the
-    integrand over its own domain; eq3_kernel's is built on that call,
-    from the lane's a^2, so a run that needs none pays nothing."""
+    join of the two parts, which is the lane's value at the point. Every
+    DOUBLEWORD lane carries ``fixed``, its integer body, and a 2-D body
+    carries its integer ``parts``. eq3_kernel's body takes x at 2^-192
+    and returns its value at 2^-out, which it carries as ``out``: 192 +
+    2e for a's binary exponent e > 0, else 192. Every lane and body
+    carries ``certificate()``, which returns the :class:`Certificate` of
+    the integrand over its own domain; eq3_kernel's is built on that
+    call, from the lane's a^2, so a run that needs none pays nothing."""
     entry = get(integrand_id)
     if entry.parametric:
         if a is None:
@@ -591,7 +595,21 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
             q2 = q * q
             return _pair_from_ratio(q2 * d2, p * p * d2 + n2 * q2)
 
-        f_dd.certificate = functools.partial(_eq3_certificate, a2h)
+        # the integer body: x^2 + a^2 exactly at 2^-(384 + g), d2 = 2^k
+        # (g = 0 while d <= 2^192); the value at 2^-out keeps 192 bits
+        # however large |a| is
+        k = d2.bit_length() - 1
+        g = max(0, k - 2 * _FIX)
+        a2 = n2 << 2 * _FIX + g - k
+        out = _FIX + 2 * max(0, math.frexp(a.hi)[1])
+        num = 1 << 2 * _FIX + out + g
+
+        def body(x: int) -> int:
+            return num // ((x * x << g) + a2)
+
+        body.out = out
+        f_dd.fixed = body
+        body.certificate = f_dd.certificate = functools.partial(_eq3_certificate, a2h)
         return f_dd
     if a is not None:
         raise ConfigError(f"{integrand_id} takes no parameter")

@@ -36,16 +36,16 @@ Each rule is written once, as a core that runs over a *lane*:
 as ``(hi, lo)`` pairs, and :class:`_FixedPoint` as ints at the 2^-192
 fixed point of :mod:`.scalar`. The lane owns the arithmetic (point
 mapping, exact power-of-two scaling, differences, ``hi``, conversion
-to and from :class:`Real`) and the rule tables it reads. A registry
-integrand with an integer body (every one but eq3_kernel) runs on the
-integer lane at DOUBLEWORD over its own domain, in 1-D and in 2-D,
-under every rule and mode; callables, eq3_kernel, other domains and
-NATIVE64 run on their tier's lane. A 2-D tensor rule is the 1-D
-weighted sum applied to row sums over prepared axes. A native 2-D lane
-and a 2-D integer body carry ``parts``, an x-part, a y-part and a join
-with ``f(x, y) == join(xpart(x), ypart(y))``: each column's x-part is
-computed once per rule (once per new node in tanh-sinh), each row's
-y-part once per row, and only the join runs at each of the n^2 points.
+to and from :class:`Real`) and the rule tables it reads. Every registry
+integrand runs its integer body on the integer lane at DOUBLEWORD over
+its own domain, in 1-D and in 2-D, under every rule and mode;
+callables, other domains and NATIVE64 run on their tier's lane. A 2-D
+tensor rule is the 1-D weighted sum applied to row sums over prepared
+axes. A native 2-D lane and a 2-D integer body carry ``parts``, an
+x-part, a y-part and a join with ``f(x, y) == join(xpart(x),
+ypart(y))``: each column's x-part is computed once per rule (once per
+new node in tanh-sinh), each row's y-part once per row, and only the
+join runs at each of the n^2 points.
 An integrand without parts (a callable, a double-word pair lane, or the
 checked re-run's wrapper) is its own join over the coordinates
 themselves; ITERATED runs call the plain lane or body.
@@ -630,23 +630,35 @@ class _FixedPoint:
     products ``w * f(p)`` at 2^-588. Sums are exact; products, quotients
     and halvings are floored at 2^-192, a tensor's sum once at 2^-588,
     far below the unit of a pair on these domains, and a value is rounded
-    once, to the nearest pair, where it leaves the lane (:meth:`real`)."""
+    once, to the nearest pair, where it leaves the lane (:meth:`real`).
+
+    A body whose values would lose bits at 2^-192 (eq3_kernel's near
+    1/a^2 for |a| >= 1) returns them at 2^-out and carries ``out``. It
+    runs on the lane of that ``out`` (:func:`_fixed_lane`), which differs
+    from this one in ``out`` alone: its values and sums sit at 2^-out,
+    and :meth:`hi`, :meth:`real` and :meth:`rounded` divide the power of
+    two back out."""
 
     tier = Tier.DOUBLEWORD
+    out = _FIX  # a value stands for itself x 2^-out
     add = operator.add
     sub = operator.sub
     mul = staticmethod(lambda a, b: a * b >> _FIX)
     div_d = staticmethod(lambda a, k: a // int(k))  # by an integral float
     scale = staticmethod(_shifted)
-    hi = staticmethod(lambda v: v / _ONE)  # int / int rounds correctly
-    real = staticmethod(lambda v: Real._raw(*_pair_from_ratio(v, _ONE), Tier.DOUBLEWORD))
+    hi = classmethod(lambda cls, v: v / (1 << cls.out))  # int / int rounds correctly
+    real = classmethod(
+        lambda cls, v: Real._raw(*_pair_from_ratio(v, 1 << cls.out), Tier.DOUBLEWORD)
+    )
     pack = staticmethod(_fixed_from_pair)
     words = staticmethod(lambda v: (v,))
     coords = staticmethod(lambda words: [_pair_from_ratio(v, _ONE) for v in words])
     total = staticmethod(lambda words: sum(words) >> _W_SHIFT)
     scale_words = staticmethod(lambda words, s: [_shifted(w, s) for w in words])
     # the int of the nearest pair, on which real is exact
-    rounded = staticmethod(lambda v: _fixed_from_pair(*_pair_from_ratio(v, _ONE)))
+    rounded = classmethod(
+        lambda cls, v: _fixed_from_pair(*_pair_from_ratio(v, 1 << cls.out), cls.out)
+    )
     gl_table = staticmethod(_gl_ints)
     ts_nodes = staticmethod(_ts_ints)
 
@@ -685,13 +697,24 @@ class _FixedPoint:
 _LANES = {Tier.NATIVE64: _Native, Tier.DOUBLEWORD: _DoubleWord}
 
 
+@functools.lru_cache(maxsize=None)
+def _fixed_lane(out: int):
+    # the integer lane of values at 2^-out: _FixedPoint, or beside it a
+    # lane that differs in out alone
+    return _FixedPoint if out == _FIX else type("_FixedPoint", (_FixedPoint,), {"out": out})
+
+
 def _own_lane(f, tier: Tier):
     """The lane that runs the registry lane ``f`` of a tier over its
     integrand's own domain, and what that lane calls: the integer lane
-    and ``f.fixed`` where ``f`` has an integer body (every DOUBLEWORD
-    lane but eq3_kernel's), else the tier's lane and ``f``."""
+    of the body's value shift ``out`` (2^-192 unless the body carries
+    another, as eq3_kernel's does for |a| >= 1) and ``f.fixed`` where
+    ``f`` has an integer body (every DOUBLEWORD lane), else the tier's
+    lane and ``f``."""
     body = getattr(f, "fixed", None)
-    return (_LANES[tier], f) if body is None else (_FixedPoint, body)
+    if body is None:
+        return _LANES[tier], f
+    return _fixed_lane(getattr(body, "out", _FIX)), body
 
 
 # ----------------------------------------------------------------------
@@ -795,10 +818,11 @@ def _own_box(integrand_id: str, lane):
     return _box(lane, domain_of(integrand_id, lane.tier))
 
 
-# The mapped (point, weight) rule of each (order, lane, axis) a proven run
-# has used. A proven run covers an integrand's own domain only, so the
-# keys are a bounded set: the picked orders of the fixed integrands and
-# at most the ladder's rungs on eq3_kernel's [0, 1].
+# The mapped (point, weight) rule of each (order, table, axis) a proven
+# run has used, keyed by the lane's table, which the integer lanes of
+# every value shift share. A proven run covers an integrand's own domain
+# only, so the keys are a bounded set: the picked orders of the fixed
+# integrands and at most the ladder's rungs on eq3_kernel's [0, 1].
 _OWN_AXES: dict = {}
 
 
@@ -812,7 +836,7 @@ def _gl_rule(lane, f, box, orders, own: bool = False):
     for n, (m, h) in zip(orders, axes):
         xs, ws = lane.gl_table(n)
         if own:
-            key = n, lane, m, h
+            key = n, lane.gl_table, m, h
             axis = _OWN_AXES.get(key)
             if axis is None:
                 axis = _OWN_AXES[key] = tuple(zip(lane.map(m, h, xs), ws))

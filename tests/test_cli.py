@@ -317,10 +317,16 @@ class TestVerifyFormats:
     # 1.39530e-29), and ten eq3 samples move in their low words (the
     # worst distance to the same rule summed at 420 bits from 0.135 to
     # 0.065 units of 2^-104), with every printed value, evaluation count
-    # and pass flag unchanged
+    # and pass flag unchanged. Re-pinned when eq3_kernel over its own
+    # domain came to run its integer body on the integer lane: three eq3
+    # samples move by one or two low-word ulps toward the same rule summed
+    # at 420 bits (a = 6.367 from 0.0029 to 0.0000, a = 3.396 from 0.0490
+    # to 0.0437 and a = 7.971 from 0.0182 to 0.0026 units of 2^-104), so
+    # their residuals move (a = 3.396's from 3.85e-34 to 0), with every
+    # printed value, evaluation count and pass flag unchanged
     DOUBLEWORD_VERIFY_SHA256 = {
-        "csv": "d3ae7eb8998948e10b4f10855eadbaa6e47c9f76e3cc30e7abc2932fb20dc9e6",
-        "json": "9b3664321b248a8735aa2d657634e59b4a366e26cbf4cd0bfd9bd204820a2952",
+        "csv": "3eeb9475fe43b7ffced1ad798b4c663502c474f42ad79d294cfb4279212c4bd6",
+        "json": "01e5c53f11f88e82913cad55b7cdddac01cd4fa8dd7e3e1a904b06344697c47f",
     }
 
     @pytest.mark.parametrize("fmt", sorted(DOUBLEWORD_VERIFY_SHA256))

@@ -557,3 +557,55 @@ class TestExactEq3Lane:
             raw_fn("eq3_kernel", Tier.DOUBLEWORD, Real.from_float(low * (1 - 2.0**-40), Tier.DOUBLEWORD))
         with pytest.raises(DomainError):
             raw_fn("eq3_kernel", Tier.DOUBLEWORD, Real.from_float(high * (1 + 2.0**-40), Tier.DOUBLEWORD))
+
+
+class TestEq3IntegerBody:
+    # the integer body that the integer lane runs at x = X 2^-192 is the
+    # floor of 1/(x^2 + a^2) at the lane's 2^-out, and rounded once by
+    # that lane's real it is the nearest pair, wherever that pair is a
+    # multiple of 2^-out; where its low word reaches below (at x = 1 for
+    # a^2 near 2^-969, 1 - a^2 + ...) it is within 2^-out of that pair.
+    # Returns how many points were of the second kind
+    def _assert_nearest(self, a_word, xs):
+        dd = Tier.DOUBLEWORD
+        lane, body = quad._own_lane(raw_fn("eq3_kernel", dd, Real._raw(*a_word, dd)), dd)
+        assert issubclass(lane, quad._FixedPoint)
+        a2 = _exact(a_word) ** 2
+        unit = Fraction(1, 1 << lane.out)
+        finer = 0
+        for x in xs:
+            exact = 1 / (Fraction(x, 1 << 192) ** 2 + a2)
+            v = body(x)
+            assert v == math.floor(exact / unit), (a_word, x)
+            got, want = lane.real(v), _exact_nearest(exact)
+            if (_exact(want) / unit).denominator == 1:
+                assert (got.hi, got.lo) == want, (a_word, x)
+            else:
+                finer += 1
+                assert abs(_exact((got.hi, got.lo)) - _exact(want)) <= unit, (a_word, x)
+        return finer
+
+    def _xs(self, rng, count):
+        return [0, 1 << 192] + [rng.randrange(1 << 192) for _ in range(count)]
+
+    def test_nearest_pair_across_a(self):
+        # a log-uniform across [0.1, 10], each with a low word, either sign
+        rng = random.Random(0xE93C)
+        for _ in range(200):
+            hi = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
+            a = _two_sum(hi, rng.uniform(-0.5, 0.5) * math.ulp(hi))
+            assert self._assert_nearest(a, self._xs(rng, 20)) == 0
+
+    def test_nearest_pair_at_the_ends_of_the_a2_range(self):
+        # a^2 just above 2^-969, where a's low word reaches below 2^-192
+        # and 1/a^2 nears 2^969, and a from 1e154 to just below the
+        # largest a^2, where the value is subnormal
+        rng = random.Random(0xE93D)
+        low = math.sqrt(2.0**-969)
+        high = math.sqrt(sys.float_info.max)
+        xs = self._xs(rng, 50)
+        finer = 0
+        for hi in (low * (1 + 2.0**-40), low * 1.5, 1e154, high * (1 - 2.0**-40)):
+            for lo in (0.0, 0.25 * math.ulp(hi), -0.375 * math.ulp(hi)):
+                finer += self._assert_nearest(_two_sum(hi, lo), xs)
+        assert finer == 6  # x = 1 at each of the six low a

@@ -535,15 +535,17 @@ class TestIntegrate1D:
         gap = abs(sub(res.value, gl.value).to_float())
         assert gap <= 4.0 * max(est, gl.error_estimate.to_float())
 
-    @pytest.mark.parametrize("iid", ["ahmed_eq1", "i1_theta"])
+    @pytest.mark.parametrize("iid", ["ahmed_eq1", "i1_theta", "eq3_kernel"])
     def test_doubleword_simpson_sums_its_leaves_exactly(self, iid):
         # a registry integrand's Simpson run over its own domain sums its
         # rules and leaves in integers and rounds once: its value is within
         # 0.05 units of 2^-104 of the same partition (the same recursion,
-        # acceptance test and points) summed at 400 bits
+        # acceptance test and points) summed at 400 bits. eq3_kernel runs
+        # at the double-word sqrt(2), on the integer lane of 2^-194
         mp = pytest.importorskip("mpmath")
         tol = 1e-12
-        res = integrate_1d(iid, config=EngineConfig(AdaptiveSimpson(tol), Tier.DOUBLEWORD))
+        root2 = sqrt(Real.from_float(2.0, Tier.DOUBLEWORD)) if iid == "eq3_kernel" else None
+        res = integrate_1d(iid, config=EngineConfig(AdaptiveSimpson(tol), Tier.DOUBLEWORD), a=root2)
         evals = 0
 
         def ev(x):
@@ -551,6 +553,8 @@ class TestIntegrate1D:
             evals += 1
             if iid == "i1_theta":
                 return mp.pi / 2 * mp.cos(x) / mp.sqrt(2 - mp.sin(x) ** 2)
+            if iid == "eq3_kernel":
+                return 1 / (x * x + (mp.mpf(root2.hi) + root2.lo) ** 2)
             s = mp.sqrt(2 + x * x)
             return mp.atan(s) / ((1 + x * x) * s)
 
@@ -1526,11 +1530,13 @@ class TestAdaptiveGaussLegendre:
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_the_mapped_axis_cache_is_bounded(self, tier):
         # a proven run reads each mapped axis from quad._OWN_AXES, keyed by
-        # (order, tier, own-domain axis): eq3_kernel at any a adds at most
+        # (order, table, own-domain axis): eq3_kernel at any a (on the
+        # integer lanes of every value shift at DOUBLEWORD) adds at most
         # one entry per ladder order, and only proven runs add entries
         from ahmedquad.quad import _gl_rungs
 
-        lane = quad._LANES[tier]
+        lane = quad._Native if tier is Tier.NATIVE64 else quad._FixedPoint
+        lanes = {own.gl_table: own for own in (quad._Native, quad._DoubleWord, quad._FixedPoint)}
         method = GaussLegendre(96, LADDER_TOLS[tier][-1])
         config = EngineConfig(method, tier)
         quad._OWN_AXES.clear()
@@ -1538,7 +1544,7 @@ class TestAdaptiveGaussLegendre:
             integrate_1d("eq3_kernel", config=config, a=Real.from_float(0.1 * 1.02**k, tier))
         ((m, h),) = [quad._mid_half(lane, *axis) for axis in quad._own_box("eq3_kernel", lane)]
         assert 1 < len(quad._OWN_AXES)
-        assert set(quad._OWN_AXES) <= {(n, lane, m, h) for n in _gl_rungs(method)}
+        assert set(quad._OWN_AXES) <= {(n, lane.gl_table, m, h) for n in _gl_rungs(method)}
         before = dict(quad._OWN_AXES)
         domain = domain_of("ahmed_eq1", tier)
         integrate_1d(_lane_callable("ahmed_eq1", tier), domain[0], config)
@@ -1550,7 +1556,8 @@ class TestAdaptiveGaussLegendre:
         for iid in ONE_D_IDS + TWO_D_IDS:
             _registry_run(iid, method, tier)
         assert len(quad._OWN_AXES) > len(before)
-        for (n, own, m, h), axis in quad._OWN_AXES.items():
+        for (n, table, m, h), axis in quad._OWN_AXES.items():
+            own = lanes[table]
             xs, ws = own.gl_table(n)
             fresh = list(zip(own.map(m, h, xs), ws))
 
@@ -1696,11 +1703,12 @@ def _random_words(n):
 
 
 def test_the_integer_lane_runs_the_registry_1d_integrals_at_doubleword(monkeypatch):
-    # the integer lane runs every registry integrand with an integer body
-    # at DOUBLEWORD over its own domain, in 1-D and 2-D, under every rule:
-    # Gauss-Legendre fixed, ladder and proven, tanh-sinh (tensors too),
-    # Simpson and ITERATED; callables, eq3_kernel, other domains and
-    # NATIVE64 keep their tier's lane
+    # the integer lane runs every registry integrand at DOUBLEWORD over its
+    # own domain, in 1-D and 2-D, under every rule: Gauss-Legendre fixed,
+    # ladder and proven, tanh-sinh (tensors too), Simpson and ITERATED;
+    # eq3_kernel at |a| >= 1 on the integer lane of its value shift, which
+    # differs from _FixedPoint in out alone. Callables, other domains
+    # (eq3_kernel's too) and NATIVE64 keep their tier's lane
     calls = []
     hi = quad._FixedPoint.hi
     monkeypatch.setattr(quad._FixedPoint, "hi", staticmethod(lambda v: calls.append(v) or hi(v)))
@@ -1714,6 +1722,10 @@ def test_the_integer_lane_runs_the_registry_1d_integrals_at_doubleword(monkeypat
             integrate_1d(iid, domain_of(iid, dd)[0], config)
             assert calls, (iid, method)
             assert quad._own_lane(raw_fn(iid, dd), dd) == (quad._FixedPoint, raw_fn(iid, dd).fixed)
+        for a in (0.75, 1.5):
+            calls.clear()
+            integrate_1d("eq3_kernel", config=config, a=Real.from_float(a, dd))
+            assert calls, (a, method)
         for iid in TWO_D_IDS:
             assert quad._own_lane(raw_fn(iid, dd), dd) == (quad._FixedPoint, raw_fn(iid, dd).fixed)
             modes = (Mode.ITERATED,) if isinstance(method, AdaptiveSimpson) else (Mode.TENSOR, Mode.ITERATED)
@@ -1726,12 +1738,17 @@ def test_the_integer_lane_runs_the_registry_1d_integrals_at_doubleword(monkeypat
         half = Interval(Real.from_float(0.0, dd), Real.from_float(0.5, dd))
         integrate_1d("ahmed_eq1", half, config)
         integrate_1d(_lane_callable("ahmed_eq1", dd), _unit(dd), config)
-        integrate_1d("eq3_kernel", config=config, a=Real.from_float(1.5, dd))
+        integrate_1d("eq3_kernel", half, config, Real.from_float(1.5, dd))
         mode = Mode.ITERATED if isinstance(method, AdaptiveSimpson) else Mode.TENSOR
         integrate_2d("i2_kernel_eq4", (half, _unit(dd)), config, mode)
         integrate_2d(_lane_callable("i2_kernel_eq4", dd), (_unit(dd), _unit(dd)), config, mode)
         assert calls == []
-    assert quad._own_lane(raw_fn("eq3_kernel", dd, Real.from_float(1.5, dd)), dd)[0] is quad._DoubleWord
+    for a, out in ((0.75, 192), (1.5, 194)):
+        fn = raw_fn("eq3_kernel", dd, Real.from_float(a, dd))
+        lane, body = quad._own_lane(fn, dd)
+        assert body is fn.fixed and issubclass(lane, quad._FixedPoint) and lane.out == out
+        assert (lane is quad._FixedPoint) == (out == 192)
+    assert quad._own_lane(fn, dd) == (lane, body)
     integrate_1d("ahmed_eq1", config=EngineConfig(GaussLegendre(8), Tier.NATIVE64))
     integrate_2d("i2_kernel_eq4", config=EngineConfig(GaussLegendre(8), Tier.NATIVE64))
     assert calls == []
@@ -1901,7 +1918,7 @@ PINNED = {
     'd-1d:ts4@eq3_kernel': ('0x1.bda7a85bd40cbp-2', '0x1.e42d810fa7af1p-56', '0x1.39dee07544800p-66', '0x0.0p+0', 123, False),
     'd-1d:as@ahmed_eq1': ('0x1.07307fd73e4e4p-1', '0x1.214d900b42a90p-55', '0x1.bf8fa94032d42p-42', '0x0.0p+0', 589, True),
     'd-1d:as@i1_theta': ('0x1.a51a6625307d3p-1', '0x1.a420899843503p-55', '0x1.bebd9b01e1064p-41', '0x0.0p+0', 257, True),
-    'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde57a3p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
+    'd-1d:as@eq3_kernel': ('0x1.bda7a85bd40d1p-2', '-0x1.8918d3bde57a2p-57', '0x1.11d8e0d21ae06p-42', '0x0.0p+0', 453, True),
     'd-tensor:gl8': ('0x1.3bd3cc9ba755dp-2', '-0x1.db65ecf7dfc56p-60', '0x1.fb5a88f510c58p-19', '0x0.0p+0', 80, True),
     'd-tensor:glp': ('0x1.3bd3cc9be45dep-2', '0x1.692b71366bb72p-56', '0x1.3b0fdec39805bp-88', '0x0.0p+0', 396, True),
     'd-tensor:glp@product_kernel_eq6a': ('0x1.3bd3cc9be45dep-1', '0x1.692b71366c44ap-55', '0x1.4315488116ac1p-89', '0x0.0p+0', 484, True),
@@ -1997,5 +2014,11 @@ def test_engine_paths_pinned_bit_for_bit(case):
     # iterated eq4 run from 0.078, 0.023, 0.028 and 0.078 to 0.0022 units
     # of 2^-104 relative, glp@shifted_kernel_eq6b from 0.148 to 0.054,
     # ts4@eq3_kernel from 0.203 to 0.059 and as@eq3_kernel from 0.129 to
-    # 0.057), with estimates, counts and flags unchanged
+    # 0.057), with estimates, counts and flags unchanged. d-1d:as@eq3_kernel
+    # was re-pinned when eq3_kernel over its own domain came to run its
+    # integer body on the integer lane, its value at 2^-194 for a = sqrt 2:
+    # its low word moved by one ulp toward the same partition summed at
+    # 400 bits (0.057 to 0.015 units of 2^-104 relative), with its
+    # estimate, count and flag unchanged; the other eq3 cases kept their
+    # bits
     assert _pin_of(_pin_run(case)) == PINNED[case]

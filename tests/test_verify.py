@@ -317,6 +317,31 @@ class TestCheckEq3:
             assert r.passed
             assert r.residual <= 1e-12
 
+    def test_doubleword_samples_are_their_exact_rules_rounded_once(self):
+        # each default-seed doubleword sample runs one proven Gauss-Legendre
+        # rule on the integer lane: its value is within 0.51 units of 2^-104
+        # of the same rule summed at 420 bits, its nodes and weights the
+        # exact rationals of quad._gl_ints mapped onto [0, 1]
+        mp = pytest.importorskip("mpmath")
+        from ahmedquad.quad import _gl_ints
+
+        tier = Tier.DOUBLEWORD
+        a_values = seeded_a_values(tier)
+        reports = check_eq3(a_values, tier=tier)
+        with mp.workprec(420):
+            for a, r in zip(a_values, reports):
+                assert r.passed, r.key
+                n = r.evaluations
+                assert n in (6, 12, 24, 48, 96), r.key
+                a2 = (mp.mpf(a.hi) + a.lo) ** 2
+                xs, ws = _gl_ints(n)
+                want = mp.fsum(
+                    mp.ldexp(w, -397) / ((1 + mp.ldexp(x, -192)) ** 2 / 4 + a2)
+                    for x, w in zip(xs, ws)
+                )
+                got = mp.mpf(r.lhs_value.hi) + r.lhs_value.lo
+                assert abs(got - want) / want <= 0.51 * mp.ldexp(1, -104), r.key
+
     def test_seeded_values_reproducible(self):
         assert seeded_a_values(Tier.NATIVE64) == seeded_a_values(Tier.NATIVE64)
         alt = seeded_a_values(Tier.NATIVE64, seed=0xBEEF)
