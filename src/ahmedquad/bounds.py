@@ -42,8 +42,10 @@ _ROUNDING_TERMS = {
     "weights": 0.5,
     # the mapped point's, about 1, times |x f'/f| <= 2 on the domains
     "point": 2.0,
-    # the weight and Jacobian products, about 1.25 each (Joldes, Muller
-    # and Popescu, ACM TOMS 2017)
+    # the weight and Jacobian products: 1.25 each, the bound of the
+    # double-word product the doubleword lanes once formed (Joldes,
+    # Muller and Popescu, ACM TOMS 2017); a binary64 product is within
+    # 0.5, and the integer lanes' products are exact
     "products": 2.5,
     "sum": 0.5,  # exactly rounded
 }

@@ -32,54 +32,55 @@ All reported evaluation counts are exact: every call into the integrand
 is counted once, including the points spent on error estimation.
 
 Each rule is written once, as a core that runs over a *lane*:
-:class:`_Native` carries values as binary64 floats, :class:`_DoubleWord`
-as ``(hi, lo)`` pairs, and :class:`_FixedPoint` as ints at the 2^-192
-fixed point of :mod:`.scalar`. The lane owns the arithmetic (point
-mapping, exact power-of-two scaling, differences, ``hi``, conversion
-to and from :class:`Real`) and the rule tables it reads. Every registry
-integrand runs its integer body on the integer lane at DOUBLEWORD over
-its own domain, in 1-D and in 2-D, under every rule and mode;
-callables, other domains and NATIVE64 run on their tier's lane. A 2-D
+:class:`_Native` carries values as binary64 floats, and the integer
+lanes of :class:`_FixedPoint` carry points and values as ints at fixed
+points of their own. The lane owns the arithmetic (point mapping,
+exact power-of-two scaling, differences, ``hi``, conversion to and from
+:class:`Real`) and the rule tables it reads. Every registry integrand
+runs its integer body at DOUBLEWORD over its own domain, in 1-D and in
+2-D, under every rule and mode, on the integer lane of the 2^-192 fixed
+point of :mod:`.scalar`; callables and other domains run on the
+DOUBLEWORD tier's lane, the integer lane of 2^-1266, where every pair
+is an exact int, and NATIVE64 on its own. A 2-D
 tensor rule is the 1-D weighted sum applied to row sums over prepared
 axes. A native 2-D lane and a 2-D integer body carry ``parts``, an
 x-part, a y-part and a join with ``f(x, y) == join(xpart(x),
 ypart(y))``: each column's x-part is computed once per rule (once per
 new node in tanh-sinh), each row's y-part once per row, and only the
 join runs at each of the n^2 points.
-An integrand without parts (a callable, a double-word pair lane, or the
-checked re-run's wrapper) is its own join over the coordinates
-themselves; ITERATED runs call the plain lane or body.
+An integrand without parts (a callable, a registry lane off its own
+domain, or the checked re-run's wrapper) is its own join over the
+coordinates themselves; ITERATED runs call the plain lane or body.
 
-Every weighted sum is exactly rounded: a running sum is the list of the
-binary64 words of its terms ``w * f(p)`` (one word per term at NATIVE64,
-both words of each double-word product at DOUBLEWORD), totalled by
+Every weighted sum is exactly rounded. At NATIVE64 a running sum is
+the list of the binary64 words of its terms ``w * f(p)``, totalled by
 :func:`math.fsum` (Shewchuk's algorithm), so it does not depend on the
-order of its terms. A double-word total is ``s = fsum(words)`` with the
-rounded remainder ``fsum(words + [-s])``. Across tanh-sinh levels the
-words are scaled by an exact power of two. On the integer lane the
-words are the exact int products of values and weights, each weight an
-int at 2^-396 in both rules' tables, so sums are exact; its products,
-quotients and halvings are floored at 2^-192, a tensor's sum once at
-2^-588, and each result (a rule, a tanh-sinh level, a Simpson run) is
-rounded once, to the nearest pair.
+order of its terms; across tanh-sinh levels the words are scaled by an
+exact power of two. On an integer lane the words are the exact int
+products of values and weights, each weight an int at 2^-396 in both
+rules' tables, so sums are exact, as in Kulisch's exact dot product;
+its products, quotients and halvings are floored at the shift of their
+result, far below the unit of a pair, a tensor's sum once, and each
+result (a rule, a tanh-sinh level, a Simpson run) is rounded once, to
+the nearest pair.
 
 Tier-specific code is confined to the tanh-sinh node arithmetic, each
-lane's packing of the Gauss-Legendre pairs, its point mapping and its
-per-evaluation loops (``sum``, ``tensor``, ``pairs``), which collect
-the terms and call the integrand at fixed arity. Measured on 2 vCPUs under CPython 3.11: over 167k native
-2-D evaluations a row loop calling ``f(x, *y)`` took 65-85% longer
-than one calling ``f(x, y)``; over a 96 x 96 double-word tensor,
+lane's rule tables, its point mapping and its per-evaluation loops
+(``sum``, ``tensor``, ``pairs``), which collect the terms and call the
+integrand at fixed arity. Measured on 2 vCPUs under CPython 3.11: over
+167k native 2-D evaluations a row loop calling ``f(x, *y)`` took 65-85%
+longer than one calling ``f(x, y)``; over a 96 x 96 double-word tensor,
 passing the row coordinate on as ``*y`` cost 2-5%, and mapping points
 inside the nested loop instead of once per axis cost 30%.
 
 Every integrand passes one evaluation boundary, :func:`_boundary`,
-which also converts user callables between Reals and lane values. When
-an evaluation raised or the result came out non-finite, the rule runs
+which also converts user callables between Reals and lane values: at
+DOUBLEWORD each point is rounded once to the nearest pair, and each
+value, which must be finite, enters the lane exactly. When an
+evaluation raised or the result came out non-finite, the rule runs
 once more with every evaluation checked, so that :class:`NonFiniteError`
 names the point, as does a package error the integrand raises; when
-every evaluation was finite, the error names the sum. A double-word
-product past the range of Dekker's split is not a failure: the lane
-forms every product through a rescuing entry.
+every evaluation was finite, the error names the sum.
 """
 
 from __future__ import annotations
@@ -107,10 +108,6 @@ from .scalar import (
     Real,
     Tier,
     _check_tier,
-    _dd_add,
-    _dd_mul_rescued,
-    _dd_quotient,
-    _dd_sub,
     _fixed_exp,
     _fixed_from_pair,
     _pair_from_ratio,
@@ -312,35 +309,41 @@ def _gl_ints(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(xs), tuple(ws)
 
 
-@functools.lru_cache(maxsize=None)
-def _gl_table(n: int, tier: Tier):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], as lane
-    values of the tier: the table the tier's lane reads. Each node and
-    weight is the nearest double-word pair to its int in
-    :func:`_gl_ints`, packed by the lane: NATIVE64 keeps its high word,
-    the nearest double."""
-    return _pair_table(_gl_ints(n), _LANES[tier].pack)
-
-
-def _pair_table(ints, pack):
+def _pair_table(ints, shift: int = 0):
     # the nearest pairs to an integer table's nodes, at 2^-192, and
-    # weights, at 2^-396, each packed by a lane
+    # weights, at 2^-(396 + shift)
     xs, ws = ints
     return (
-        tuple(pack(*_pair_from_ratio(x, _ONE)) for x in xs),
-        tuple(pack(*_pair_from_ratio(w, 1 << _W_SHIFT)) for w in ws),
+        [_pair_from_ratio(x, _ONE) for x in xs],
+        [_pair_from_ratio(w, 1 << _W_SHIFT + shift) for w in ws],
     )
+
+
+def _reals(pairs, tier: Tier) -> tuple[Real, ...]:
+    # (hi, lo) pairs as Reals of the tier: NATIVE64 keeps the high word
+    if tier is Tier.NATIVE64:
+        return tuple(Real._raw(hi, 0.0, tier) for hi, _ in pairs)
+    return tuple(Real._raw(hi, lo, tier) for hi, lo in pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _gl_table(n: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] as the
+    NATIVE64 lane reads them: the high words of the nearest pairs to the
+    ints of :func:`_gl_ints`, the nearest doubles."""
+    return tuple(tuple(hi for hi, _ in col) for col in _pair_table(_gl_ints(n)))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def gl_nodes(order: int, tier: Tier = Tier.NATIVE64) -> NodeTable:
     """The memoized Gauss-Legendre rule of a given order at a tier.
-    Repeated calls return the identical table object."""
+    Repeated calls return the identical table object. Each node and
+    weight is the nearest pair to its int in :func:`_gl_ints`, rounded
+    once; NATIVE64 keeps its high word, the nearest double."""
     _check_int(order, 2, _MAX_GL_ORDER, "order")
     _check_tier(tier)
-    real = _LANES[tier].real
-    xs, ws = _gl_table(order, tier)
-    return NodeTable(order, tier, tuple(map(real, xs)), tuple(map(real, ws)))
+    xs, ws = _pair_table(_gl_ints(order))
+    return NodeTable(order, tier, _reals(xs, tier), _reals(ws, tier))
 
 
 # ----------------------------------------------------------------------
@@ -415,13 +418,10 @@ def _ts_ints(level: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _ts_nodes(level: int, tier: Tier):
-    """Tanh-sinh ``(x, w)`` lane values new at ``level``, up to the
-    weight cutoff: the table the tier's lane reads. A DOUBLEWORD node and
-    weight is the nearest pair to its int in :func:`_ts_ints`."""
-    if tier is Tier.NATIVE64:
-        return _ts_level(level, _ts_point_native)
-    return _pair_table(_ts_ints(level), _pair)
+def _ts_nodes(level: int):
+    """Tanh-sinh ``(x, w)`` floats new at ``level``, up to the weight
+    cutoff: the table the NATIVE64 lane reads."""
+    return _ts_level(level, _ts_point_native)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -437,22 +437,27 @@ def tanh_sinh_abscissas(
     is exactly ``(pi/2) * h``. At NATIVE64 the finest levels place
     underlying points closer together than one binary64 spacing near the
     endpoints, so adjacent table entries there can round to equal
-    abscissas (their weights stay distinct)."""
+    abscissas (their weights stay distinct). A DOUBLEWORD node and
+    weight is the nearest pair to its int in :func:`_ts_ints`, rounded
+    once."""
     _check_int(level, 1, _MAX_TS_LEVEL, "level")
     _check_tier(tier)
-    lane = _LANES[tier]
-    nodes = []  # (t / h, x, w)
+    nodes = []  # (t / h, x, w) as (hi, lo) pairs
     for k in range(1, level + 1):
-        xs, ws = _ts_nodes(k, tier)
         shift = level - k
+        if tier is Tier.NATIVE64:
+            xs, ws = _ts_nodes(k)
+            xs = [(x, 0.0) for x in xs]
+            ws = [(w * 2.0**-shift, 0.0) for w in ws]
+        else:
+            xs, ws = _pair_table(_ts_ints(k), shift)
         js = itertools.count(0, 1) if k == 1 else itertools.count(1, 2)
-        nodes += [
-            (j << shift, x, lane.scale(w, 2.0**-shift)) for j, x, w in zip(js, xs, ws)
-        ]
+        nodes += zip((j << shift for j in js), xs, ws)
     nodes.sort(key=operator.itemgetter(0))
     right = [(x, w) for _, x, w in nodes]
-    left = [(lane.scale(x, -1.0), w) for x, w in reversed(right[1:])]
-    return tuple((lane.real(x), lane.real(w)) for x, w in left + right)
+    left = [((-x[0], -x[1]), w) for x, w in reversed(right[1:])]
+    xs, ws = zip(*(left + right))
+    return tuple(zip(_reals(xs, tier), _reals(ws, tier)))
 
 
 # ----------------------------------------------------------------------
@@ -469,13 +474,6 @@ def _fsum(words):
         return math.nan
 
 
-def _dd_fsum(words):
-    # the exactly rounded double-word sum: the high word rounds the exact
-    # sum, the low word rounds what the high word leaves
-    s = _fsum(words)
-    return s, _fsum(words + [-s])
-
-
 class _Native:
     """NATIVE64 lane: every value and point is a binary64 float, and a
     running sum is the list of its terms ``w * f(p)``."""
@@ -486,16 +484,17 @@ class _Native:
     mul = operator.mul
     div_d = operator.truediv
     scale = operator.mul  # by a power of two: exact
+    offset = operator.mul  # h x, a half-width times a node
     hi = float  # the identity on floats, at C speed
     real = staticmethod(lambda v: Real._raw(v, 0.0, Tier.NATIVE64))
-    pack = staticmethod(lambda hi, lo: hi)
+    pack = to_point = staticmethod(lambda hi, lo: hi)
     words = staticmethod(lambda v: (v,))
     coords = staticmethod(lambda words: [(x, 0.0) for x in words])
     total = staticmethod(_fsum)
     scale_words = staticmethod(lambda words, s: [w * s for w in words])
     rounded = staticmethod(lambda v: v)  # a value is already the tier's
-    gl_table = staticmethod(lambda n: _gl_table(n, Tier.NATIVE64))
-    ts_nodes = staticmethod(lambda level: _ts_nodes(level, Tier.NATIVE64))
+    gl_table = staticmethod(_gl_table)
+    ts_nodes = staticmethod(_ts_nodes)
 
     @staticmethod
     def map(m, h, xs):
@@ -528,94 +527,6 @@ class _Native:
         ]
 
 
-def _pair(hi: float, lo: float) -> tuple[float, float]:
-    return hi, lo
-
-
-def _on_pairs(kernel):
-    # a double-word kernel of two values, over (hi, lo) pairs
-    return staticmethod(lambda a, b: kernel(*a, *b))
-
-
-class _DoubleWord:
-    """DOUBLEWORD lane: every value and point is an ``(hi, lo)`` pair,
-    an integrand takes two words per coordinate, and a running sum is the
-    list of both words of each term ``w * f(p)``.
-
-    Its products take :mod:`.scalar`'s rescuing entry, which redoes one
-    past the range of Dekker's split, and its quotients are the nearest
-    pairs to the exact ones."""
-
-    tier = Tier.DOUBLEWORD
-    add = _on_pairs(_dd_add)
-    sub = _on_pairs(_dd_sub)
-    mul = _on_pairs(_dd_mul_rescued)
-    scale = staticmethod(lambda a, s: (a[0] * s, a[1] * s))  # by a power of two
-    hi = operator.itemgetter(0)
-    real = staticmethod(lambda a: Real._raw(a[0], a[1], Tier.DOUBLEWORD))
-    pack = staticmethod(_pair)
-    words = staticmethod(lambda a: a)
-    coords = staticmethod(lambda words: list(zip(words[::2], words[1::2])))
-    total = staticmethod(_dd_fsum)
-    scale_words = _Native.scale_words
-    rounded = _Native.rounded
-    gl_table = staticmethod(lambda n: _gl_table(n, Tier.DOUBLEWORD))
-    ts_nodes = staticmethod(lambda level: _ts_nodes(level, Tier.DOUBLEWORD))
-
-    @staticmethod
-    def div_d(a, k):
-        # the nearest pair to a / k; non-finite words, not an error, where
-        # a word of a is not finite
-        if math.isfinite(a[0]) and math.isfinite(a[1]):
-            return _dd_quotient(*a, k, 0.0)
-        return a[0] / k, a[1] / k
-
-    @staticmethod
-    def map(m, h, xs):
-        (mh, ml), (hh, hl) = m, h
-        return [_dd_add(mh, ml, *_dd_mul_rescued(hh, hl, xh, xl)) for xh, xl in xs]
-
-    @staticmethod
-    def sum(f, axis):
-        words = []
-        for (ph, pl), (wh, wl) in axis:
-            vh, vl = f(ph, pl)
-            words += _dd_mul_rescued(wh, wl, vh, vl)
-        return words
-
-    @staticmethod
-    def parts(f):
-        return getattr(f, "parts", None) or (_pair, _pair, lambda x, y: f(*x, *y))
-
-    @staticmethod
-    def tensor(join, cols, rows):
-        words = []
-        for y, (wh, wl) in rows:
-            row = []
-            for x, (vh, vl) in cols:
-                fh, fl = join(x, y)
-                row += _dd_mul_rescued(vh, vl, fh, fl)
-            rh, rl = _dd_fsum(row)
-            words += _dd_mul_rescued(wh, wl, rh, rl)
-        return words
-
-    @staticmethod
-    def pairs(f, m, h, xs, ws):
-        mh, ml = m
-        hh, hl = h
-        words = []
-        for (xh, xl), (wh, wl) in zip(xs, ws):
-            if xh == 0.0:
-                fh, fl = f(mh, ml)
-            else:
-                oh, ol = _dd_mul_rescued(hh, hl, xh, xl)
-                f1h, f1l = f(*_dd_add(mh, ml, oh, ol))
-                f2h, f2l = f(*_dd_sub(mh, ml, oh, ol))
-                fh, fl = _dd_add(f1h, f1l, f2h, f2l)
-            words += _dd_mul_rescued(wh, wl, fh, fl)
-        return words
-
-
 def _shifted(v: int, s: float) -> int:
     # v s for a power of two s, floored at the fixed point
     e = math.frexp(s)[1] - 1
@@ -623,44 +534,61 @@ def _shifted(v: int, s: float) -> int:
 
 
 class _FixedPoint:
-    """DOUBLEWORD lane of a registry integrand's integer body over its
-    own domain: every point and value is an int n standing for n 2^-192,
-    the fixed point of :mod:`.scalar`, every weight an int at 2^-396
-    (:data:`_W_SHIFT`), and a running sum is the list of the exact
-    products ``w * f(p)`` at 2^-588. Sums are exact; products, quotients
-    and halvings are floored at 2^-192, a tensor's sum once at 2^-588,
-    far below the unit of a pair on these domains, and a value is rounded
-    once, to the nearest pair, where it leaves the lane (:meth:`real`).
+    """DOUBLEWORD lane of integers: every point is an int n standing for
+    n 2^-point, every value one at 2^-out, every node of a rule table an
+    int at 2^-192, the fixed point of :mod:`.scalar`, and every weight
+    one at 2^-396 (:data:`_W_SHIFT`); a running sum is the list of the
+    exact products ``w * f(p)``. Sums are exact; products, quotients and
+    halvings are floored at the shift of their result, a tensor's sum
+    once at 2^-(out + 396), and a value is rounded once, to the nearest
+    pair, where it leaves the lane (:meth:`real`).
 
-    A body whose values would lose bits at 2^-192 (eq3_kernel's near
-    1/a^2 for |a| >= 1) returns them at 2^-out and carries ``out``. It
-    runs on the lane of that ``out`` (:func:`_fixed_lane`), which differs
-    from this one in ``out`` alone: its values and sums sit at 2^-out,
-    and :meth:`hi`, :meth:`real` and :meth:`rounded` divide the power of
-    two back out."""
+    This lane, with both shifts 192, runs a registry integrand's integer
+    body over its own domain. A body whose values would lose bits at
+    2^-192 (eq3_kernel's near 1/a^2 for |a| >= 1) returns them at 2^-out
+    and carries ``out``; it runs on the lane of that ``out``. The
+    DOUBLEWORD tier's lane (:data:`_LANES`) holds points and values at
+    2^-1266 (:data:`_PAIR_SHIFT`), where every pair is an exact int: it
+    runs callables and registry lanes off their own domains, which take
+    each point rounded once to the nearest pair (:meth:`coords`) and
+    whose pair values it takes exactly (:meth:`pack`). Each lane of
+    other shifts is made by :func:`_fixed_lane` and differs from this
+    one in them alone."""
 
     tier = Tier.DOUBLEWORD
-    out = _FIX  # a value stands for itself x 2^-out
+    point = out = _FIX  # a point stands for itself x 2^-point, a value x 2^-out
     add = operator.add
     sub = operator.sub
-    mul = staticmethod(lambda a, b: a * b >> _FIX)
+    mul = classmethod(lambda cls, a, b: a * b >> cls.point)  # by a point
+    offset = staticmethod(lambda h, x: h * x >> _FIX)  # h x, a half-width times a node
     div_d = staticmethod(lambda a, k: a // int(k))  # by an integral float
     scale = staticmethod(_shifted)
-    hi = classmethod(lambda cls, v: v / (1 << cls.out))  # int / int rounds correctly
     real = classmethod(
         lambda cls, v: Real._raw(*_pair_from_ratio(v, 1 << cls.out), Tier.DOUBLEWORD)
     )
-    pack = staticmethod(_fixed_from_pair)
+    pack = classmethod(lambda cls, hi, lo: _fixed_from_pair(hi, lo, cls.out))
+    to_point = classmethod(lambda cls, hi, lo: _fixed_from_pair(hi, lo, cls.point))
     words = staticmethod(lambda v: (v,))
-    coords = staticmethod(lambda words: [_pair_from_ratio(v, _ONE) for v in words])
+    coords = classmethod(lambda cls, words: [_pair_from_ratio(v, 1 << cls.point) for v in words])
     total = staticmethod(lambda words: sum(words) >> _W_SHIFT)
     scale_words = staticmethod(lambda words, s: [_shifted(w, s) for w in words])
-    # the int of the nearest pair, on which real is exact
-    rounded = classmethod(
-        lambda cls, v: _fixed_from_pair(*_pair_from_ratio(v, 1 << cls.out), cls.out)
-    )
     gl_table = staticmethod(_gl_ints)
     ts_nodes = staticmethod(_ts_ints)
+
+    @classmethod
+    def hi(cls, v) -> float:
+        # int / int rounds correctly; infinite past binary64's range
+        try:
+            return v / (1 << cls.out)
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf
+
+    @classmethod
+    def rounded(cls, v):
+        # the int of the nearest pair, on which real is exact; v itself
+        # past binary64's range, where hi is infinite
+        hi, lo = _pair_from_ratio(v, 1 << cls.out)
+        return _fixed_from_pair(hi, lo, cls.out) if math.isfinite(hi) else v
 
     @staticmethod
     def map(m, h, xs):
@@ -676,7 +604,7 @@ class _FixedPoint:
 
     @staticmethod
     def tensor(join, cols, rows):
-        # the exact sum of w * v * join(x, y), as one word at 2^-588
+        # the exact sum of w * v * join(x, y), as one word at 2^-(out + 396)
         acc = 0
         for y, w in rows:
             acc += w * sum([v * join(x, y) for x, v in cols])
@@ -694,23 +622,29 @@ class _FixedPoint:
         return [acc]
 
 
-_LANES = {Tier.NATIVE64: _Native, Tier.DOUBLEWORD: _DoubleWord}
-
-
 @functools.lru_cache(maxsize=None)
-def _fixed_lane(out: int):
-    # the integer lane of values at 2^-out: _FixedPoint, or beside it a
-    # lane that differs in out alone
-    return _FixedPoint if out == _FIX else type("_FixedPoint", (_FixedPoint,), {"out": out})
+def _fixed_lane(out: int, point: int = _FIX):
+    # the integer lane of values at 2^-out and points at 2^-point:
+    # _FixedPoint, or beside it a lane that differs in those shifts alone
+    if out == point == _FIX:
+        return _FixedPoint
+    return type("_FixedPoint", (_FixedPoint,), {"out": out, "point": point})
+
+
+# every binary64 word is a multiple of 2^-1074, so at 2^-1266 a pair is an
+# exact int with 192 bits below the smallest subnormal
+_PAIR_SHIFT = 1074 + _FIX
+
+_LANES = {Tier.NATIVE64: _Native, Tier.DOUBLEWORD: _fixed_lane(_PAIR_SHIFT, _PAIR_SHIFT)}
 
 
 def _own_lane(f, tier: Tier):
     """The lane that runs the registry lane ``f`` of a tier over its
     integrand's own domain, and what that lane calls: the integer lane
-    of the body's value shift ``out`` (2^-192 unless the body carries
-    another, as eq3_kernel's does for |a| >= 1) and ``f.fixed`` where
-    ``f`` has an integer body (every DOUBLEWORD lane), else the tier's
-    lane and ``f``."""
+    of points at 2^-192 and of the body's value shift ``out`` (2^-192
+    unless the body carries another, as eq3_kernel's does for |a| >= 1)
+    and ``f.fixed`` where ``f`` has an integer body (every DOUBLEWORD
+    lane), else the tier's lane and ``f``."""
     body = getattr(f, "fixed", None)
     if body is None:
         return _LANES[tier], f
@@ -722,10 +656,18 @@ def _own_lane(f, tier: Tier):
 # ----------------------------------------------------------------------
 
 
+def _not_finite(coords) -> NonFiniteError:
+    point = tuple(h for h, _ in coords)
+    return NonFiniteError(f"integrand is not finite at {point!r}", point=point)
+
+
 def _boundary(f, lane, user: bool, domain=None):
     """The integrand as the cores call it: lane words in, a lane value
-    out. A user callable (``user``) is passed Reals of the lane's tier
-    and may return a Real of that tier, an int or a float.
+    out. A user callable (``user``) is passed Reals of the lane's tier,
+    each point rounded once to the nearest pair at DOUBLEWORD, and may
+    return a Real of that tier, an int or a float, which enters the lane
+    exactly; a value that is not finite raises :class:`NonFiniteError`
+    carrying the point.
 
     With a ``domain`` every evaluation is checked: a non-finite value,
     or an arithmetic error raised on the domain's edge (where an
@@ -741,20 +683,27 @@ def _boundary(f, lane, user: bool, domain=None):
     if user:
 
         def call(*words):
-            r = f(*(Real._raw(h, l, tier) for h, l in lane.coords(words)))
+            coords = lane.coords(words)
+            r = f(*(Real._raw(h, l, tier) for h, l in coords))
             if isinstance(r, Real):
                 if r.tier is not tier:
                     raise TierMismatchError(
                         f"integrand returned a {r.tier.value} value "
                         f"to a {tier.value} engine"
                     )
-                return lane.pack(r.hi, r.lo)
-            if isinstance(r, (int, float)):
-                return lane.pack(float(r), 0.0)
-            raise ConfigError(
-                f"integrand returned {type(r).__name__}; "
-                "expected a Real, an int or a float"
-            )
+                hi, lo = r.hi, r.lo
+            elif isinstance(r, (int, float)):
+                hi, lo = float(r), 0.0
+            else:
+                raise ConfigError(
+                    f"integrand returned {type(r).__name__}; "
+                    "expected a Real, an int or a float"
+                )
+            # the integer lane takes a pair's exact ratio, which a word
+            # that is not finite has not
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                raise _not_finite(coords)
+            return lane.pack(hi, lo)
 
     if domain is None:
         return call
@@ -774,8 +723,7 @@ def _boundary(f, lane, user: bool, domain=None):
                 raise
             v = None
         if v is None or not math.isfinite(lane.hi(v)):
-            point = tuple(h for h, _ in coords)
-            raise NonFiniteError(f"integrand is not finite at {point!r}", point=point)
+            raise _not_finite(coords)
         return v
 
     # the re-run of a certified lane runs the same rung
@@ -898,10 +846,10 @@ def _signed_axis(lane, xs, ws, m, h):
     # m + h x then m - h x
     axis = []
     for x, w in zip(xs, ws):
-        if lane.hi(x) == 0.0:
+        if x == 0:
             axis.append((m, w))
         else:
-            o = lane.mul(h, x)
+            o = lane.offset(h, x)
             axis.append((lane.add(m, o), w))
             axis.append((lane.sub(m, o), w))
     return axis
@@ -1065,7 +1013,8 @@ def _iterated(lane, f, box, method):
         return v
 
     v, outer_est, _, outer_conv = _tensor(lane, g, box[1:], method)
-    est = outer_est + lane.hi(lane.sub(box[1][1], box[1][0])) * inner_est
+    (width, _), = lane.coords([lane.sub(box[1][1], box[1][0])])
+    est = outer_est + width * inner_est
     return v, _floored(lane, est, v), evals, outer_conv and conv
 
 
@@ -1086,7 +1035,8 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
     default a registry integrand's own) as ``core(lane, integrand, box,
     method)``, the box holding each axis's endpoints as lane values. A
     registry integrand over its own domain runs on :func:`_own_lane`'s
-    lane. When an evaluation raised or the value came out non-finite,
+    lane; off it, a DOUBLEWORD registry lane is called as a callable is.
+    When an evaluation raised or the value came out non-finite,
     the core runs again with every evaluation checked, to name the
     point; when none is named, :class:`NonFiniteError` names the sum. A
     degenerate domain costs one probing evaluation and yields zero."""
@@ -1115,15 +1065,18 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
     for iv in domain:
         if iv.tier is not tier:
             raise TierMismatchError(f"{what} tier does not match the engine tier")
-    box = _box(lane, domain)
+    if integrand_id is not None and tuple(domain) == domain_of(integrand_id, tier):
+        lane, f = _own_lane(f, tier)
+        box = _own_box(integrand_id, lane)
+    else:
+        if integrand_id is not None and tier is Tier.DOUBLEWORD:
+            f, user = _of_reals(f), True
+        box = _box(lane, domain)
     if any(iv.degenerate for iv in domain):
         probe = _boundary(f, lane, user, domain)
         probe(*(w for corner, _ in box for w in lane.words(corner)))
         zero = Real.from_float(0.0, tier)
         return QuadResult(zero, zero, 1, True)
-    if integrand_id is not None and box == _own_box(integrand_id, lane):
-        lane, f = _own_lane(f, tier)
-        box = _own_box(integrand_id, lane)
     try:
         out = core(lane, _boundary(f, lane, user), box, method)
     except (ArithmeticError, ValueError, AhmedQuadError):
@@ -1134,10 +1087,19 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
     return _result(lane, *out)
 
 
+def _of_reals(f):
+    # a DOUBLEWORD registry lane, (hi, lo) words in and a pair out, as a
+    # callable of Reals
+    def g(*xs):
+        return Real._raw(*f(*[w for x in xs for w in (x.hi, x.lo)]), Tier.DOUBLEWORD)
+
+    return g
+
+
 def _box(lane, domain):
     # each axis's endpoints as lane values
     return tuple(
-        [(lane.pack(iv.lower.hi, iv.lower.lo), lane.pack(iv.upper.hi, iv.upper.lo)) for iv in domain]
+        [(lane.to_point(iv.lower.hi, iv.lower.lo), lane.to_point(iv.upper.hi, iv.upper.lo)) for iv in domain]
     )
 
 

@@ -3,18 +3,14 @@
 Two tiers share one interface: NATIVE64 is ordinary IEEE binary64, and
 DOUBLEWORD represents a value as an unevaluated sum ``hi + lo`` of two
 binary64 floats (a double-word, roughly 32 significant decimal digits).
-The double-word sum and product kernels are built from the classic
-error-free transformations, Knuth's two-sum and Dekker's split product
-(used on every interpreter, including those that provide ``math.fma``),
-inlined with every floating-point operation in the same order to save
-Python call overhead; the tests hold each kernel bit-identical to its
-composition of the two transformations and a quick two-sum. The public
-``two_prod`` takes its error term from the exact ratios of its operands
-instead, so that it is exact wherever an exact pair exists.
-
-The hot paths inside the quadrature engines work on raw ``(hi, lo)``
-tuples through the module-private ``_dd_*`` functions; the :class:`Real`
-wrapper provides the safe, tier-checked public surface on top of them.
+Every binary64 word is a multiple of 2^-1074, so a pair is an exact
+ratio n / d with d a power of two (``_pair_ratio``): the
+:class:`Real` operators ``+``, ``-``, ``*`` and ``/`` at DOUBLEWORD
+form the exact result of the words' ratios and round it once, through
+one tier-checked path (``_real_op``). The public ``two_sum`` is Knuth's
+error-free sum, which :class:`Real`'s constructor uses too, and
+``two_prod`` takes its error term from the exact ratios of its operands,
+so that it is exact wherever an exact pair exists.
 
 One block of fixed-point integer code, at 2^-192, builds every lazy
 constant and table on first use (pi, the 65 integers atan(k/64) and the
@@ -30,23 +26,14 @@ atan(k/64) from the table plus the series of t = (64p - kq)/(64q + kp),
 above 1; ``sqrt`` takes ``math.isqrt`` of x at a shift that keeps 192
 bits. The integer
 bodies of the registry integrands in :mod:`.integrands` use the same
-code, and the quadrature module's integer lane sums them at 2^-192.
+code, and the quadrature module's integer lanes sum them exactly.
 Each value is rounded once, to the nearest double-word pair, by one
 routine, ``_pair_from_ratio(n, d)``: int / int rounds correctly, so the
 high word is n / d and the low word the exact rest divided by d. The
-same routine rounds :class:`Real` division at DOUBLEWORD, the
-double-word quadrature lane's quotients in Simpson's rule and the eq3
-lane's 1/(x^2 + a^2), from the exact ratios of the words
-(``_pair_ratio``, ``_dd_quotient``), an int with a low word given to the
-constructor, and a decimal literal.
-
-Dekker's split overflows beyond ~2^996, where the raw ``_dd_mul``
-returns NaN. One rescuing entry, ``_dd_mul_rescued`` (:class:`Real` and
-the quadrature lanes), redoes such a product through the same kernel on
-operands scaled by powers of two (``_dd_rescaled``), so that a product
-past 2^996 comes out finite; the raw kernel keeps its NaNs. The
-:class:`Real` arithmetic operators share one tier-checked path
-(``_real_op``).
+same routine rounds :class:`Real` arithmetic at DOUBLEWORD, every
+result of the quadrature module's integer lanes and the eq3 lane's
+1/(x^2 + a^2), from the exact ratios of the words, an int with a low
+word given to the constructor, and a decimal literal.
 """
 
 from __future__ import annotations
@@ -108,8 +95,6 @@ def _check_tier(tier) -> None:
 # Error-free transformations on raw floats
 # ----------------------------------------------------------------------
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker's split constant for binary64
-
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
     # Knuth's branch-free 6-op version: s + e == a + b exactly.
@@ -157,82 +142,6 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------
-# Double-word core arithmetic on raw (hi, lo) pairs
-# ----------------------------------------------------------------------
-
-
-def _dd_add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    # two_sum(ah, bh), two_sum(al, bl), then two quick_two_sums, inlined
-    sh = ah + bh
-    v = sh - ah
-    se = (ah - (sh - v)) + (bh - v)
-    th = al + bl
-    v = th - al
-    te = (al - (th - v)) + (bl - v)
-    se += th
-    h = sh + se
-    se = se - (h - sh)
-    se += te
-    sh = h + se
-    return sh, se - (sh - h)
-
-
-def _dd_sub(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    return _dd_add(ah, al, -bh, -bl)
-
-
-def _dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    # two_prod(ah, bh) by Dekker splitting, then quick_two_sum, inlined
-    p = ah * bh
-    t = _SPLITTER * ah
-    a1 = t - (t - ah)
-    a2 = ah - a1
-    t = _SPLITTER * bh
-    b1 = t - (t - bh)
-    b2 = bh - b1
-    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-    e += ah * bl + al * bh
-    h = p + e
-    return h, e - (h - p)
-
-
-def _dd_rescaled(kernel, a: tuple, b: tuple) -> tuple[float, float]:
-    # the product kernel(*a, *b) on the words of a and of b, each scaled
-    # by a power of two to a high word in [0.5, 1), then scaled back by
-    # 2^(ea + eb). Dekker's split overflows once a word it splits passes
-    # ~2^996, and the kernel then returns NaN, though the product may be
-    # representable; on scaled operands it cannot. A product beyond
-    # binary64 comes back infinite.
-    ea = math.frexp(a[0])[1]
-    eb = math.frexp(b[0])[1]
-    rh, rl = kernel(*[math.ldexp(w, -ea) for w in a], *[math.ldexp(w, -eb) for w in b])
-    try:
-        return math.ldexp(rh, ea + eb), math.ldexp(rl, ea + eb)
-    except OverflowError:
-        return math.inf, math.inf
-
-
-def _dd_mul_rescued(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    # _dd_mul's body in the same operation order, then one test of its high
-    # word: fused, as it runs at every weight and point product. On 2 vCPUs
-    # (CPython 3.11.7) a wrapper's extra call cost 1-5% on GL24 tensors, a
-    # doubleword verify round and level-8 tanh-sinh; this copy, under 1%
-    p = ah * bh
-    t = _SPLITTER * ah
-    a1 = t - (t - ah)
-    a2 = ah - a1
-    t = _SPLITTER * bh
-    b1 = t - (t - bh)
-    b2 = bh - b1
-    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-    e += ah * bl + al * bh
-    h = p + e
-    if h != h:  # NaN: the split overflowed, or an operand is not finite
-        return _dd_rescaled(_dd_mul, (ah, al), (bh, bl))
-    return h, e - (h - p)
-
-
-# ----------------------------------------------------------------------
 # Compiled-in decimal constants (parsed exactly via Fraction)
 # ----------------------------------------------------------------------
 
@@ -276,14 +185,6 @@ def _fixed_from_pair(hi: float, lo: float, shift: int = _FIX) -> int:
     # floor((hi + lo) 2^shift), from the words' exact ratio
     n, d = _pair_ratio(hi, lo)
     return (n << shift) // d
-
-
-def _dd_quotient(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    # the nearest pair to (ah + al) / (bh + bl), from the exact ratios;
-    # infinite past binary64's range
-    n, q = _pair_ratio(ah, al)
-    d, s = _pair_ratio(bh, bl)
-    return _pair_from_ratio(n * s, d * q)
 
 
 def _fixed_atan(p: int, q: int) -> int:
@@ -453,10 +354,21 @@ def _check_finite_pair(hi: float, lo: float, what: str) -> None:
         raise NonFiniteError(f"{what} produced a non-finite value")
 
 
-def _real_op(native, kernel, what: str, swap: bool = False):
+def _exact_ratio(native, a: "Real", b: "Real") -> tuple[int, int]:
+    # native(a, b) exactly, as n / d, from the exact ratios of the words
+    n, d = _pair_ratio(a.hi, a.lo)
+    m, q = _pair_ratio(b.hi, b.lo)
+    if native is operator.mul:
+        return n * m, d * q
+    if native is operator.truediv:
+        return n * q, d * m
+    return native(n * q, m * d), d * q
+
+
+def _real_op(native, what: str, swap: bool = False):
     # one Real operator, self op other (other op self when swap): at
-    # NATIVE64 the binary64 native(a, b), at DOUBLEWORD the kernel: the
-    # rescuing entry for a product, the nearest pair for a quotient
+    # NATIVE64 the binary64 native(a, b), at DOUBLEWORD the nearest pair
+    # to the exact result
     def op(self, other):
         o = self._coerce(other)
         if o is None:
@@ -467,7 +379,7 @@ def _real_op(native, kernel, what: str, swap: bool = False):
         if self.tier is Tier.NATIVE64:
             rh, rl = native(a.hi, b.hi), 0.0
         else:
-            rh, rl = kernel(a.hi, a.lo, b.hi, b.lo)
+            rh, rl = _pair_from_ratio(*_exact_ratio(native, a, b))
         _check_finite_pair(rh, rl, what)
         return Real._raw(rh, rl, self.tier)
 
@@ -509,12 +421,10 @@ class Real:
     An int past binary64's range equals no Real, and arithmetic or
     ordering with it raises :class:`NonFiniteError`.
 
-    At DOUBLEWORD, ``+`` and ``-`` return the double-word sum
-    (``_dd_add``) and ``*`` Dekker's product (``_dd_mul_rescued``),
-    each within 4 units of 2^-104 relative where the result lies above
-    2^-969; ``/`` returns the nearest pair to the exact quotient. A
-    result past binary64's range raises :class:`NonFiniteError`, and a
-    zero divisor :class:`ZeroDivisionError`.
+    At DOUBLEWORD, ``+``, ``-``, ``*`` and ``/`` return the nearest
+    pair to the exact result. A result past binary64's range raises
+    :class:`NonFiniteError`, and a zero divisor
+    :class:`ZeroDivisionError`.
     """
 
     __slots__ = ("hi", "lo", "tier")
@@ -653,12 +563,12 @@ class Real:
 
     # -- arithmetic -------------------------------------------------------
 
-    __add__ = __radd__ = _real_op(operator.add, _dd_add, "addition")
-    __sub__ = _real_op(operator.sub, _dd_sub, "subtraction")
-    __rsub__ = _real_op(operator.sub, _dd_sub, "subtraction", swap=True)
-    __mul__ = __rmul__ = _real_op(operator.mul, _dd_mul_rescued, "multiplication")
-    __truediv__ = _real_op(operator.truediv, _dd_quotient, "division")
-    __rtruediv__ = _real_op(operator.truediv, _dd_quotient, "division", swap=True)
+    __add__ = __radd__ = _real_op(operator.add, "addition")
+    __sub__ = _real_op(operator.sub, "subtraction")
+    __rsub__ = _real_op(operator.sub, "subtraction", swap=True)
+    __mul__ = __rmul__ = _real_op(operator.mul, "multiplication")
+    __truediv__ = _real_op(operator.truediv, "division")
+    __rtruediv__ = _real_op(operator.truediv, "division", swap=True)
 
     def __neg__(self):
         return Real._raw(-self.hi, -self.lo, self.tier)
@@ -760,5 +670,5 @@ def build_info() -> str:
     pi_check = "ok" if abs(machin - _PI_FIXED) < 1 << (_FIX - 160) else "FAILED"
     return (
         f"tiers: native64 (eps=2^-52), doubleword (eps=2^-104); "
-        f"products=dekker-split; two_prod=exact-ratio; pi-self-check={pi_check}"
+        f"products=exact-ratio; two_prod=exact-ratio; pi-self-check={pi_check}"
     )

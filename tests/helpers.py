@@ -8,6 +8,7 @@ values back into the expectations.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -67,7 +68,11 @@ def nearest_pair(v) -> tuple[float, float]:
     """The double-word nearest to an mpmath value, rounded from its
     exact binary fraction."""
     man, exp = v.man_exp  # the magnitude's
-    f = Fraction(-man if v < 0 else man) * Fraction(2) ** exp
+    return nearest_pair_of(Fraction(-man if v < 0 else man) * Fraction(2) ** exp)
+
+
+def nearest_pair_of(f: Fraction) -> tuple[float, float]:
+    """The double-word nearest to an exact Fraction."""
     hi = float(f)
     return hi, float(f - Fraction(hi))
 
@@ -100,3 +105,152 @@ def seeded_floats(n: int, seed: int = 0x5EED) -> list[float]:
 def ulp_of(x: float) -> float:
     """Spacing of binary64 floats at |x|."""
     return math.ulp(abs(x)) if x else math.ulp(0.0)
+
+
+def exact_rule(lane, f, box, method, mode=None):
+    """Replay at 420 bits the rule a doubleword run of ``method`` took,
+    and return ``(value, evaluations)``: the same Gauss-Legendre orders
+    (``method.order`` fixed, or the proven orders given as a tuple), the
+    same tanh-sinh levels (where the run's stopping rule stops, or given
+    as an int, the fixed run's level count) and the same Simpson
+    partition, on the lane's own points (``box`` holds the lane's
+    endpoints), with the nodes and weights of ``quad._gl_ints`` and
+    ``quad._ts_ints`` read as exact rationals. ``f`` takes mpf
+    coordinates and returns an mpf; it sees each point as the lane's
+    integrand does, an int at 2^-192 on a registry body's lane and the
+    nearest pair on the tier's lane. An ITERATED run (``mode``) rounds
+    each inner Gauss-Legendre and tanh-sinh value to the nearest pair,
+    as the lane does; every other sum is exact."""
+    import mpmath as mp
+
+    from ahmedquad import quad
+    from ahmedquad.quad import AdaptiveSimpson, GaussLegendre, Mode, TanhSinh
+
+    eps = lane.tier.eps
+    f = functools.lru_cache(maxsize=None)(f)  # each level of a run re-reads the last's points
+
+    def at(p):
+        # a lane point as the integrand sees it
+        if lane is quad._LANES[lane.tier]:
+            hi, lo = lane.coords([p])[0]
+            return mp.mpf(hi) + lo
+        return mp.ldexp(p, -lane.point)
+
+    def nearest(v):
+        hi, lo = nearest_pair(v)
+        return mp.mpf(hi) + lo
+
+    def gl_axis(a, b, n):
+        m, h = quad._mid_half(lane, a, b)
+        xs, ws = quad._gl_ints(n)
+        return [(at(p), mp.ldexp(w, -quad._W_SHIFT)) for p, w in zip(lane.map(m, h, xs), ws)], h
+
+    def ts_axis(a, b, level):
+        # the level's rule: every node new at k <= level, its weight
+        # scaled by 2^(k - level); the center once, every other node at
+        # m + h x and m - h x
+        m, h = quad._mid_half(lane, a, b)
+        axis = []
+        for k in range(1, level + 1):
+            xs, ws = quad._ts_ints(k)
+            for x, w in zip(xs, ws):
+                w = mp.ldexp(w, k - level - quad._W_SHIFT)
+                if x == 0:
+                    axis.append((at(m), w))
+                else:
+                    o = lane.offset(h, x)
+                    axis += [(at(m + o), w), (at(m - o), w)]
+        return axis, h
+
+    def tensor(g, axes):
+        # the product rule over one axis or two, and its evaluations
+        (xs, hx), *rest = axes
+        if not rest:
+            return mp.ldexp(hx, -lane.point) * mp.fsum(w * g(x) for x, w in xs), len(xs)
+        (ys, hy), = rest
+        total = mp.fsum(v * mp.fsum(w * g(x, y) for x, w in xs) for y, v in ys)
+        return mp.ldexp(hx * hy, -2 * lane.point) * total, len(xs) * len(ys)
+
+    def one(g, boxes, method):
+        # (value, evaluations) of the rule over boxes, one axis or two
+        if isinstance(method, tuple):  # proven orders
+            return tensor(g, [gl_axis(a, b, n) for (a, b), n in zip(boxes, method)])
+        if isinstance(method, int):  # tanh-sinh through exactly these levels
+            return tensor(g, [ts_axis(a, b, method) for a, b in boxes])
+        if isinstance(method, GaussLegendre):
+            assert method.tol is None, "a ladder run is not replayed"
+            evals = 0
+            for n in quad._gl_rungs(method):  # the last rung's rule, after every rung
+                value, count = tensor(g, [gl_axis(a, b, n) for a, b in boxes])
+                evals += count
+            return value, evals
+        if isinstance(method, TanhSinh):
+            # _refine's stopping rule on the rounded level values
+            prev, prev_diff = None, math.inf
+            for level in range(1, method.max_level + 1):
+                value, evals = tensor(g, [ts_axis(a, b, level) for a, b in boxes])
+                rounded = nearest(value)
+                if prev is not None:
+                    diff = abs(float(rounded - prev))
+                    floor = 16.0 * eps * max(1.0, abs(float(rounded)))
+                    if diff <= method.target_eps or (diff <= floor and prev_diff <= floor):
+                        break
+                    prev_diff = diff
+                prev = rounded
+            return value, evals
+        assert isinstance(method, AdaptiveSimpson) and len(boxes) == 1
+        return simpson(g, *boxes[0], method)
+
+    def simpson(g, a, b, method):
+        evals = 0
+
+        def ev(p):
+            nonlocal evals
+            evals += 1
+            return g(at(p))
+
+        def rule(a, b, fa, fm, fb):
+            return mp.ldexp(lane.sub(b, a), -lane.point) / 6 * (fa + 4 * fm + fb)
+
+        def rec(a, fa, m, fm, b, fb, whole, tol, depth):
+            lm = lane.scale(lane.add(a, m), 0.5)
+            rm = lane.scale(lane.add(m, b), 0.5)
+            flm, frm = ev(lm), ev(rm)
+            left, right = rule(a, m, fa, flm, fm), rule(m, b, fm, frm, fb)
+            s2 = left + right
+            d = s2 - whole
+            ad = abs(float(d))
+            if ad <= 15.0 * tol or depth >= method.max_depth or ad <= 16.0 * eps * abs(float(s2)):
+                return s2 + d / 15
+            return rec(a, fa, lm, flm, m, fm, left, 0.5 * tol, depth + 1) + rec(
+                m, fm, rm, frm, b, fb, right, 0.5 * tol, depth + 1
+            )
+
+        fa = ev(a)
+        m = lane.scale(lane.add(a, b), 0.5)
+        fm = ev(m)
+        fb = ev(b)
+        return rec(a, fa, m, fm, b, fb, rule(a, b, fa, fm, fb), method.tol, 0), evals
+
+    with mp.workprec(420):
+        if mode is not Mode.ITERATED:
+            return one(f, box, method)
+        floor = 10.0 * eps
+        if isinstance(method, TanhSinh):
+            inner = TanhSinh(method.max_level, max(method.target_eps * 0.1, floor))
+        elif isinstance(method, AdaptiveSimpson):
+            inner = AdaptiveSimpson(max(method.tol * 0.1, floor), method.max_depth)
+        else:
+            inner = method
+        evals = 0
+
+        @functools.lru_cache(maxsize=None)
+        def g(y):
+            # each outer point once, as the lane evaluates it
+            nonlocal evals
+            v, n = one(lambda x: f(x, y), box[:1], inner)
+            evals += n
+            return v if isinstance(inner, AdaptiveSimpson) else nearest(v)
+
+        value, _ = one(g, box[1:], method)
+        return value, evals

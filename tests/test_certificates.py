@@ -14,6 +14,7 @@ from ahmedquad import (
     GaussLegendre,
     Real,
     Tier,
+    gl_nodes,
     integrate_1d,
     seeded_a_values,
 )
@@ -323,11 +324,10 @@ def test_fixed_integrands_are_within_their_bound_near_their_picks(integrand_id):
     for (iid, tier, tol), orders in _picks().items():
         if iid != integrand_id:
             continue
-        lane = quad._LANES[tier]
+        lane, f = quad._own_lane(integrands.raw_fn(iid, tier), tier)
         box = quad._own_box(iid, lane)
         for near in _near_picks(orders):
-            value = quad._gl_rule(lane, integrands.raw_fn(iid, tier), box, near)
-            got = sum(mpmath.mpf(w) for w in lane.words(value))
+            got = _exact(lane.real(quad._gl_rule(lane, f, box, near)))
             bound = gl_bound(cert, tier, near)
             assert abs(got - truth) <= bound, (tier.value, tol, near)
 
@@ -394,7 +394,7 @@ def _newton_rule(n, nodes):
 def test_the_newton_oracle_agrees_with_calc_nodes(n):
     # mpmath's calc_nodes gives only the ladder orders (n = 3 * 2^(degree - 1))
     degree = n.bit_length() - 1
-    xs, _ = quad._gl_table(n, Tier.DOUBLEWORD)
+    xs = _pairs(gl_nodes(n, Tier.DOUBLEWORD).nodes)
     with mpmath.workprec(240):
         nodes = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(degree, 240)
         want = sorted(nodes, key=lambda p: p[0])
@@ -420,13 +420,17 @@ def _exact_half(n):
     # the 240-bit (node, weight) pairs of the upper half of the order-n
     # table, the middle one of an odd n first, computed once for both
     # tiers' checks
-    xs, _ = quad._gl_table(n, Tier.DOUBLEWORD)
+    xs = _pairs(gl_nodes(n, Tier.DOUBLEWORD).nodes)
     return _newton_rule(n, xs[n // 2 :])
 
 
-def _exact(v, tier):
-    # a lane value as one mpf, exactly
-    return mpmath.fsum(map(mpmath.mpf, quad._LANES[tier].words(v)))
+def _pairs(reals):
+    return [(r.hi, r.lo) for r in reals]
+
+
+def _exact(r):
+    # a Real as one mpf, exactly
+    return mpmath.mpf(r.hi) + mpmath.mpf(r.lo)
 
 
 @pytest.mark.parametrize("n", NEAREST_ORDERS)
@@ -439,10 +443,10 @@ def test_every_double_word_node_and_weight_is_the_nearest_pair(n):
     half = slice(n // 2, n)
     with mpmath.workprec(240):
         for tier in TIERS:
-            xs, ws = quad._gl_table(n, tier)
-            for got, want in zip(zip(xs[half], ws[half]), _exact_half(n)):
+            table = gl_nodes(n, tier)
+            for got, want in zip(zip(table.nodes[half], table.weights[half]), _exact_half(n)):
                 for v, exact in zip(got, want):
-                    assert abs(_exact(v, tier) - exact) <= 0.5 * tier.eps * abs(exact), (tier, v)
+                    assert abs(_exact(v) - exact) <= 0.5 * tier.eps * abs(exact), (tier, v)
 
 
 @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
@@ -453,12 +457,12 @@ def test_the_weight_tables_error_is_within_the_rounding_budget(n, tier):
     # bits, u the tier's eps (measured over n = 2 to 128, each weight
     # being the nearest pair or double: at most 0.056 u at doubleword, at
     # n = 9, and 0.29 u at native64, also at n = 9)
-    _, ws = quad._gl_table(n, tier)
+    ws = gl_nodes(n, tier).weights
     budget = bounds._ROUNDING_TERMS["weights"] * tier.eps
     with mpmath.workprec(240):
         half = [w for _, w in _exact_half(n)]
         want = half[::-1][: n // 2] + half
-        err = sum(abs(_exact(w, tier) - exact) for w, exact in zip(ws, want))
+        err = sum(abs(_exact(w) - exact) for w, exact in zip(ws, want))
         assert err <= budget * sum(want)
 
 

@@ -46,8 +46,10 @@ from helpers import (
     TIERS,
     TWO_I2_STR,
     assert_ulps,
+    exact_rule,
     gl_bound,
     nearest_pair,
+    nearest_pair_of,
     ref,
 )
 
@@ -121,13 +123,15 @@ class TestNodeTables:
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_symmetry_and_weight_sum_2_through_128(self, tier):
-        # each tier's table is the double-word one packed by its lane: the
-        # native nodes and weights are the high words of the nearest pairs
-        pack = quad._LANES[tier].pack
+        # the native lane's table and the native rule hold the high words
+        # of the nearest pairs of the double-word rule
         for n in range(2, 129):
-            pairs = quad._gl_table(n, Tier.DOUBLEWORD)
-            assert quad._gl_table(n, tier) == tuple(tuple(pack(*v) for v in vs) for vs in pairs)
+            pairs = gl_nodes(n, Tier.DOUBLEWORD)
+            highs = tuple(tuple(v.hi for v in vs) for vs in (pairs.nodes, pairs.weights))
             t = gl_nodes(n, tier)
+            if tier is Tier.NATIVE64:
+                assert quad._gl_table(n) == highs
+                assert (tuple(x.hi for x in t.nodes), tuple(w.hi for w in t.weights)) == highs
             assert t.order == n and len(t.nodes) == n and len(t.weights) == n
             lo = Real.from_float(-1.0, tier)
             hi = Real.from_float(1.0, tier)
@@ -181,8 +185,17 @@ class TestNodeTables:
 
 
 def _words(v):
-    # a lane value (a float, or an (hi, lo) pair) as the (hi, lo) of its Real
+    # a table value (a float, or an (hi, lo) pair) as the (hi, lo) of its Real
     return (v, 0.0) if isinstance(v, float) else tuple(v)
+
+
+def _ts_increment(level, tier):
+    # the (x, w) new at level: NATIVE64's floats, or at DOUBLEWORD the
+    # nearest pairs to the ints the integer lanes read, as the public
+    # table rounds them
+    if tier is Tier.NATIVE64:
+        return _ts_nodes(level)
+    return quad._pair_table(quad._ts_ints(level))
 
 
 def _scaled(v, s):
@@ -243,7 +256,7 @@ class TestTanhSinhAbscissas:
         for level in (1, 2, 7, 12):
             right = []
             for k in range(1, level + 1):
-                xs, ws = _ts_nodes(k, tier)
+                xs, ws = _ts_increment(k, tier)
                 right += [(x, _scaled(w, 2.0 ** (k - level))) for x, w in zip(xs, ws)]
             # in the order of t; weights fall as t grows
             right.sort(key=lambda p: (_words(p[0]), tuple(-v for v in _words(p[1]))))
@@ -277,7 +290,7 @@ class TestTanhSinhAbscissas:
                 seen.add((_words(x), _words(_scaled(w, 2.0**level))))
                 j = J >> 12 - level
                 if level == 1 or j % 2:
-                    xs, ws = _ts_nodes(level, tier)
+                    xs, ws = _ts_increment(level, tier)
                     i = j if level == 1 else j // 2
                     if i < len(xs):
                         assert (_words(xs[i]), _words(ws[i])) == (_words(x), _words(w))
@@ -289,7 +302,7 @@ class TestTanhSinhAbscissas:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 60
         for level in range(1, 13):
-            xs, ws = _ts_nodes(level, Tier.DOUBLEWORD)
+            xs, ws = _ts_increment(level, Tier.DOUBLEWORD)
             h = mp.mpf(2) ** -level
             for i in range(0, len(xs), 3):
                 t = (i if level == 1 else 2 * i + 1) * h
@@ -806,8 +819,8 @@ class TestIntegrate2D:
         # the same order, as the registry lane's prepared columns give. At
         # DOUBLEWORD the registry id runs its integer body on the integer
         # lane, so there the opaque join is that body without its parts,
-        # on the same lane; a callable runs on the pair lane, as the
-        # registry's pair lane, which has no parts, does over the region
+        # on the same lane; a callable runs on the tier's lane, as the
+        # registry's pair lane, which has no parts, does off its domain
         from ahmedquad import eval_integrand
 
         region = (_unit(tier), _unit(tier))
@@ -824,7 +837,8 @@ class TestIntegrate2D:
             config = EngineConfig(method, tier)
             assert _pin_of(opaque(method)) == _pin_of(integrate_2d(iid, config=config)), method
             if tier is Tier.DOUBLEWORD:
-                pair, f = quad._DoubleWord, raw_fn(iid, tier)
+                pair = quad._LANES[tier]
+                f = quad._boundary(quad._of_reals(raw_fn(iid, tier)), pair, True)
                 want = quad._result(pair, *quad._tensor(pair, f, quad._box(pair, region), method))
                 got = integrate_2d(lambda x, y: eval_integrand(iid, [x, y]), region, config)
                 assert _pin_of(got) == _pin_of(want), method
@@ -1052,10 +1066,42 @@ class TestEvaluationBoundary:
         # gives NonFiniteError, naming the point, not a raw ValueError
         big = 1.7976931348623157e308  # the largest double
         domain = Interval(Real.from_float(-big, tier), Real.from_float(big, tier))
+        if tier is Tier.DOUBLEWORD:
+            # at DOUBLEWORD the lane holds every point of the interval
+            # exactly, so none is non-finite: i1_theta's lane raises
+            # DomainError past |t| = 2^10, naming a finite point, and the
+            # other lanes' rules are their exact rules rounded once
+            self._widest_interval_at_doubleword(iid, method, domain)
+            return
         with pytest.raises(NonFiniteError) as exc_info:
             integrate_1d(iid, domain, EngineConfig(method, tier))
         point = exc_info.value.point
         assert point is None or not all(map(math.isfinite, point)), point
+
+    @staticmethod
+    def _widest_interval_at_doubleword(iid, method, domain):
+        mp = pytest.importorskip("mpmath")
+        tier = Tier.DOUBLEWORD
+        config = EngineConfig(method, tier)
+        if iid == "i1_theta":
+            with pytest.raises(DomainError) as exc_info:
+                integrate_1d(iid, domain, config)
+            (t,) = exc_info.value.point
+            assert math.isfinite(t) and abs(t) > 1024.0
+            return
+        res = integrate_1d(iid, domain, config)
+        lane = quad._LANES[tier]
+        fn = _lane_callable(iid, tier)
+
+        def f(x):
+            r = fn(Real._raw(*nearest_pair(x), tier))
+            return mp.mpf(r.hi) + r.lo
+
+        want, evals = exact_rule(lane, f, quad._box(lane, (domain,)), method)
+        assert res.evaluations == evals
+        with mp.workprec(420):
+            got = mp.mpf(res.value.hi) + res.value.lo
+            assert abs(got - want) <= 0.51 * mp.ldexp(abs(want), -104)
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_sum_that_overflows_is_not_finite(self, tier):
@@ -1063,10 +1109,28 @@ class TestEvaluationBoundary:
         # which math.fsum raises OverflowError
         huge = Real.from_float(1e308, tier)
         config = EngineConfig(GaussLegendre(8), tier)
-        for integrate, domain, f in (
-            (integrate_1d, _unit(tier), lambda x: huge),
-            (integrate_2d, (_unit(tier), _unit(tier)), lambda x, y: huge),
-        ):
+        if tier is Tier.DOUBLEWORD:
+            # the DOUBLEWORD lane sums exactly, and no sum overflows where
+            # the integral does not: 1e308 over [0, 1] is its exact value,
+            # up to the weights' 2^-180; over [0, 2] the rule is past
+            # binary64 and not finite
+            for integrate, domain, f in (
+                (integrate_1d, _unit(tier), lambda x: huge),
+                (integrate_2d, (_unit(tier), _unit(tier)), lambda x, y: huge),
+            ):
+                v = integrate(f, domain, config).value
+                assert v.hi == 1e308 and abs(Fraction(v.lo)) <= 2.0**-170 * 1e308
+            two = Interval(Real.from_float(0.0, tier), Real.from_float(2.0, tier))
+            cases = (
+                (integrate_1d, two, lambda x: huge),
+                (integrate_2d, (two, _unit(tier)), lambda x, y: huge),
+            )
+        else:
+            cases = (
+                (integrate_1d, _unit(tier), lambda x: huge),
+                (integrate_2d, (_unit(tier), _unit(tier)), lambda x, y: huge),
+            )
+        for integrate, domain, f in cases:
             with pytest.raises(NonFiniteError, match="non-finite sum"):
                 integrate(f, domain, config)
 
@@ -1090,12 +1154,11 @@ class TestEvaluationBoundary:
 
     @pytest.mark.parametrize("rule", ["gl8", "ts4", "tensor:gl8", "tensor:ts3"])
     def test_a_doubleword_value_past_the_split_range_is_rescued(self, rule):
-        # above ~2^996 a double-word product w * f(p) overflows Dekker's
-        # split and comes out NaN, though every value and the integral are
-        # finite; up to 2^1021 here, the sums stay below 2^1024. The lane
-        # redoes each such product on rescaled operands in the one run,
-        # which gives exactly 2^600 times the same rule over the integrand
-        # scaled by 2^-600, which stays in range
+        # above ~2^996 a double-word product w * f(p) overflowed Dekker's
+        # split, though every value and the integral are finite; up to
+        # 2^1021 here, the sums stay below 2^1024. The DOUBLEWORD lane's
+        # products are exact ints, so the one run gives exactly 2^600
+        # times the same rule over the integrand scaled by 2^-600
         tier = Tier.DOUBLEWORD
         unit = _unit(tier)
         kind, _, name = rule.rpartition(":")
@@ -1130,9 +1193,9 @@ class TestEvaluationBoundary:
     @pytest.mark.parametrize("mode", [None, Mode.ITERATED], ids=["1d", "iterated"])
     def test_a_doubleword_constant_of_1e300_integrates_as_at_native64(self, rule, mode):
         # at DOUBLEWORD the weight products of 1e300, and Simpson's rule
-        # products of 6e300, pass the split range; at 1e305 so do
-        # Simpson's 4 fm and every weight product. Native Simpson rounds
-        # 1e305 a few ulp off
+        # products of 6e300, passed the range of Dekker's split; at 1e305
+        # so did Simpson's 4 fm and every weight product. Native Simpson
+        # rounds 1e305 a few ulp off
         for value, native_ulps in ((1e300, 0), (1e305, 4)):
             values = {}
             for tier in TIERS:
@@ -1164,10 +1227,10 @@ class TestEvaluationBoundary:
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_half_width_past_the_split_range_maps_its_points(self, tier, rule):
         # at DOUBLEWORD the products h * x of a half-width of 2e300 and the
-        # nodes pass the split range; the lane forms them on rescaled
-        # operands instead of mapping every node to NaN. The integral of
-        # c x over [0, 4e300] is 8e600 c / 2, which rounds to
-        # 2.0000000000000004e300 for these binary64 constants
+        # nodes passed the range of Dekker's split; the lane maps every
+        # node exactly in ints. The integral of c x over [0, 4e300] is
+        # 8e600 c / 2, which rounds to 2.0000000000000004e300 for these
+        # binary64 constants
         kind, _, name = rule.rpartition(":")
         if name == "simpson":
             method = AdaptiveSimpson(1e-8 if tier is Tier.NATIVE64 else 1e-20)
@@ -1192,15 +1255,25 @@ class TestEvaluationBoundary:
             assert error(res, exact) / exact <= (1e-30 if tier is Tier.DOUBLEWORD else 2.0**-52)
             assert abs(res.value.to_float() - 2e300) <= math.ulp(2e300)
         # the constant 1e-302 over a width of 1e301: Simpson's (b - a)/6 is
-        # a quotient of 1.7e300. The double-word terms w f(p) are near
-        # 1e-303, where their low words are subnormal, each within 2^-1075,
-        # and the Jacobian (at most the width) scales those errors up
+        # a quotient of 1.7e300. The terms w f(p) are near 1e-303, where a
+        # pair's low word is subnormal; the DOUBLEWORD lane holds them
+        # exactly and rounds once. It is held to the same rule's value on
+        # the constant, exactly: the tanh-sinh rule of level 3 is 1.02e-30
+        # (in 2-D 2.04e-30) off on a constant, and that is no rounding
         c = Real.from_float(1e-302, tier)
         res = run(lambda x: c, 1e301)
         exact = Fraction(1e-302) * Fraction(1e301)
         if tier is Tier.DOUBLEWORD:
-            bound = 2.0**-100 * exact + res.evaluations * 2.0**-1074 * Fraction(1e301)
-            assert error(res, exact) <= bound
+            mp = pytest.importorskip("mpmath")
+            lane = quad._LANES[tier]
+            box = quad._box(lane, (_unit(tier),) * (2 if kind else 1))
+            mode = Mode.ITERATED if kind == "iterated" else None
+            factor, evals = exact_rule(lane, lambda *p: 1, box, method, mode)
+            assert evals == res.evaluations
+            with mp.workprec(420):
+                got = mp.mpf(res.value.hi) + res.value.lo
+                want = mp.mpf(exact.numerator) / exact.denominator * factor
+                assert abs(got - want) <= 2.0**-100 * want
         else:
             assert error(res, exact) <= 4 * math.ulp(0.1)
 
@@ -1208,17 +1281,30 @@ class TestEvaluationBoundary:
     def test_simpson_stops_at_a_rule_that_overflows(self, tier):
         # every value is finite, but fa + 4 fm + fb is not: the first
         # rule raises instead of splitting down to max_depth on every
-        # branch, which at the default depth would not end
+        # branch, which at the default depth would not end. The
+        # DOUBLEWORD lane's rules are exact ints, so there the constant
+        # over [0, 1] is its exact value, and over [0, 2], past binary64,
+        # the run stops as soon
         big = Real.from_float(1.5e308, tier)
         tol = 1e-8 if tier is Tier.NATIVE64 else 1e-20
+        config = EngineConfig(AdaptiveSimpson(tol, max_depth=12), tier)
         calls = []
 
         def f(x):
             calls.append(x)
             return big
 
+        domain = _unit(tier)
+        if tier is Tier.DOUBLEWORD:
+            # the exact value, but for the floor of Simpson's (b - a)/6 at
+            # the lane's 2^-1266, which the value 1.5e308 scales up
+            res = integrate_1d(f, domain, config)
+            assert (res.value.hi, res.evaluations, res.converged) == (1.5e308, 5, True)
+            assert abs(res.value.lo) <= 2.0**-200 * 1.5e308
+            calls.clear()
+            domain = Interval(Real.from_float(0.0, tier), Real.from_float(2.0, tier))
         with pytest.raises(NonFiniteError):
-            integrate_1d(f, _unit(tier), EngineConfig(AdaptiveSimpson(tol, max_depth=12), tier))
+            integrate_1d(f, domain, config)
         assert len(calls) <= 10
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
@@ -1242,10 +1328,21 @@ class TestEvaluationBoundary:
 
         res = integrate_1d(f, interval, EngineConfig(AdaptiveSimpson(tol), tier))
         assert res.evaluations == len(calls) < 100
+        exact = Fraction(2.5e-301) * Fraction(4e300) ** 2 / 2
         if tier is Tier.NATIVE64:
             assert (res.value.hi, res.evaluations, res.converged) == (2e300, 5, True)
         else:
-            exact = Fraction(2.5e-301) * Fraction(4e300) ** 2 / 2
+            # each value x c is an exact pair, and the DOUBLEWORD lane
+            # sums exactly, so Simpson's rule on a line is exact and meets
+            # its tol at once. Divided by 7, the values carry roundings
+            # that keep |S2 - S1| above 15 tol, and the run ends at the
+            # rounding floor, unconverged
+            assert (res.value.hi, res.value.lo) == nearest_pair_of(exact)
+            assert (res.evaluations, res.converged) == (5, True)
+            calls.clear()
+            res = integrate_1d(lambda x: f(x) / 7, interval, EngineConfig(AdaptiveSimpson(tol), tier))
+            assert res.evaluations == len(calls) < 100
+            exact /= 7
             assert abs(Fraction(res.value.hi) + Fraction(res.value.lo) - exact) <= 2.0**-100 * exact
             assert not res.converged
 
@@ -1383,7 +1480,7 @@ def _record_gl_tables(monkeypatch):
 
         return staticmethod(gl_table)
 
-    for lane in (quad._Native, quad._DoubleWord, quad._FixedPoint):
+    for lane in (quad._Native, quad._FixedPoint):
         monkeypatch.setattr(lane, "gl_table", recording(lane.gl_table))
     return orders
 
@@ -1536,7 +1633,7 @@ class TestAdaptiveGaussLegendre:
         from ahmedquad.quad import _gl_rungs
 
         lane = quad._Native if tier is Tier.NATIVE64 else quad._FixedPoint
-        lanes = {own.gl_table: own for own in (quad._Native, quad._DoubleWord, quad._FixedPoint)}
+        lanes = {own.gl_table: own for own in (quad._Native, quad._FixedPoint)}
         method = GaussLegendre(96, LADDER_TOLS[tier][-1])
         config = EngineConfig(method, tier)
         quad._OWN_AXES.clear()
@@ -1707,12 +1804,17 @@ def test_the_integer_lane_runs_the_registry_1d_integrals_at_doubleword(monkeypat
     # own domain, in 1-D and 2-D, under every rule: Gauss-Legendre fixed,
     # ladder and proven, tanh-sinh (tensors too), Simpson and ITERATED;
     # eq3_kernel at |a| >= 1 on the integer lane of its value shift, which
-    # differs from _FixedPoint in out alone. Callables, other domains
-    # (eq3_kernel's too) and NATIVE64 keep their tier's lane
+    # differs from _FixedPoint in out alone. Callables and other domains
+    # (eq3_kernel's too) run on the DOUBLEWORD tier's lane, the integer
+    # lane of points and values at 2^-1266; NATIVE64 on its own
     calls = []
-    hi = quad._FixedPoint.hi
-    monkeypatch.setattr(quad._FixedPoint, "hi", staticmethod(lambda v: calls.append(v) or hi(v)))
+    hi = quad._FixedPoint.hi.__func__
+    monkeypatch.setattr(quad._FixedPoint, "hi", classmethod(lambda cls, v: calls.append(cls) or hi(cls, v)))
     dd = Tier.DOUBLEWORD
+
+    def on_own_lanes():
+        return calls and all(c.point == 192 for c in calls)
+
     tensor_methods = (GaussLegendre(8), GaussLegendre(12, 1e-20), GaussLegendre(96, 1e-26), _pin_ts(dd, 3))
     for method in tensor_methods + (AdaptiveSimpson(1e-8),):
         config = EngineConfig(method, dd)
@@ -1720,12 +1822,12 @@ def test_the_integer_lane_runs_the_registry_1d_integrals_at_doubleword(monkeypat
             calls.clear()
             integrate_1d(iid, config=config)
             integrate_1d(iid, domain_of(iid, dd)[0], config)
-            assert calls, (iid, method)
+            assert on_own_lanes(), (iid, method)
             assert quad._own_lane(raw_fn(iid, dd), dd) == (quad._FixedPoint, raw_fn(iid, dd).fixed)
         for a in (0.75, 1.5):
             calls.clear()
             integrate_1d("eq3_kernel", config=config, a=Real.from_float(a, dd))
-            assert calls, (a, method)
+            assert on_own_lanes(), (a, method)
         for iid in TWO_D_IDS:
             assert quad._own_lane(raw_fn(iid, dd), dd) == (quad._FixedPoint, raw_fn(iid, dd).fixed)
             modes = (Mode.ITERATED,) if isinstance(method, AdaptiveSimpson) else (Mode.TENSOR, Mode.ITERATED)
@@ -1733,7 +1835,7 @@ def test_the_integer_lane_runs_the_registry_1d_integrals_at_doubleword(monkeypat
                 calls.clear()
                 integrate_2d(iid, config=config, mode=mode)
                 integrate_2d(iid, domain_of(iid, dd), config, mode)
-                assert calls, (iid, method, mode)
+                assert on_own_lanes(), (iid, method, mode)
         calls.clear()
         half = Interval(Real.from_float(0.0, dd), Real.from_float(0.5, dd))
         integrate_1d("ahmed_eq1", half, config)
@@ -1742,7 +1844,8 @@ def test_the_integer_lane_runs_the_registry_1d_integrals_at_doubleword(monkeypat
         mode = Mode.ITERATED if isinstance(method, AdaptiveSimpson) else Mode.TENSOR
         integrate_2d("i2_kernel_eq4", (half, _unit(dd)), config, mode)
         integrate_2d(_lane_callable("i2_kernel_eq4", dd), (_unit(dd), _unit(dd)), config, mode)
-        assert calls == []
+        assert calls and set(calls) == {quad._LANES[dd]}, method
+        calls.clear()
     for a, out in ((0.75, 192), (1.5, 194)):
         fn = raw_fn("eq3_kernel", dd, Real.from_float(a, dd))
         lane, body = quad._own_lane(fn, dd)
@@ -1752,6 +1855,9 @@ def test_the_integer_lane_runs_the_registry_1d_integrals_at_doubleword(monkeypat
     integrate_1d("ahmed_eq1", config=EngineConfig(GaussLegendre(8), Tier.NATIVE64))
     integrate_2d("i2_kernel_eq4", config=EngineConfig(GaussLegendre(8), Tier.NATIVE64))
     assert calls == []
+    # one lane per tier; at DOUBLEWORD every pair is an exact int at 2^-1266
+    assert quad._LANES == {Tier.NATIVE64: quad._Native, dd: quad._fixed_lane(1266, 1266)}
+    assert quad._LANES[dd].point == quad._LANES[dd].out == 1074 + 192
 
 
 @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
@@ -1762,33 +1868,83 @@ def test_lane_sums_are_exactly_rounded(tier, words):
     # the sum, tensor and pairs loops are fed terms w * f(p) of weight one
     # whose words are the given pairs (each word a term of its own at
     # NATIVE64); in either term order every total must be the exact sum
-    # of the words rounded to the tier: hi, then what hi leaves
+    # of the words rounded to the tier: hi, then what hi leaves. The
+    # DOUBLEWORD lane takes each pair exactly, at 2^-1266, and rounds its
+    # total once
     lane = quad._LANES[tier]
     exact = sum(Fraction(w) for pair in words for w in pair)
     hi = float(exact)
     if tier is Tier.NATIVE64:
         want, terms = hi, [w for pair in words for w in pair]
+        one, node, index, result = 1.0, float, int, lambda v: v
     else:
-        want, terms = (hi, float(exact - Fraction(hi))), words
-    zero, one = lane.pack(0.0, 0.0), lane.pack(1.0, 0.0)
+        want, terms = (hi, float(exact - Fraction(hi))), [lane.pack(*pair) for pair in words]
+        one, index = 1 << quad._W_SHIFT, lambda p: p >> lane.point
+        node = lambda i: i << 192  # a node at the 2^-192 of the rule tables
+        result = lambda v: (lane.real(v).hi, lane.real(v).lo)
+    zero = lane.pack(0.0, 0.0)
     for order in (terms, terms[::-1]):
 
         def at(p, *_):
             # the term at point index p, zero at a negative point
-            return order[int(p)] if p >= 0.0 else zero
+            return order[index(p)] if p >= 0 else zero
 
-        axis = [(lane.pack(float(i), 0.0), one) for i in range(len(order))]
-        assert lane.total(lane.sum(at, axis)) == want
+        axis = [(lane.to_point(float(i), 0.0), one) for i in range(len(order))]
+        assert result(lane.total(lane.sum(at, axis))) == want
         # one row of the tensor, through the parts of an integrand without
         # any: the points themselves and the integrand as its own join
         xpart, ypart, join = lane.parts(at)
         cols = quad._prepared(lane, xpart, axis)
-        rows = quad._prepared(lane, ypart, [(zero, one)])
-        assert lane.total(lane.tensor(join, cols, rows)) == want
+        rows = quad._prepared(lane, ypart, [(lane.to_point(0.0, 0.0), one)])
+        assert result(lane.total(lane.tensor(join, cols, rows))) == want
         # pairs about m = -1 with h = 1 evaluate at x - 1 and at -1 - x < 0
-        xs = [lane.pack(float(i + 1), 0.0) for i in range(len(order))]
-        m = lane.pack(-1.0, 0.0)
-        assert lane.total(lane.pairs(at, m, one, xs, [one] * len(xs))) == want
+        xs = [node(i + 1) for i in range(len(order))]
+        m, h = lane.to_point(-1.0, 0.0), lane.to_point(1.0, 0.0)
+        assert result(lane.total(lane.pairs(at, m, h, xs, [one] * len(xs)))) == want
+
+
+@pytest.mark.parametrize(
+    "method",
+    [GaussLegendre(8), GaussLegendre(24), TanhSinh(4, 1e-26), AdaptiveSimpson(1e-12)],
+    ids=["gl8", "gl24", "ts4", "simpson"],
+)
+def test_a_doubleword_callable_is_its_exact_rule_rounded_once(method):
+    # a rational callable's run at DOUBLEWORD, 1-D over [1, 2] and as a
+    # tensor over [1, 2] x [1/2, 3], is the nearest pair to its exact rule:
+    # the rule's exact weights times the callable's values at the lane's
+    # points, each rounded once to the nearest pair, summed exactly. The
+    # values are taken from exact Fractions, as Real's / and * round them
+    mp = pytest.importorskip("mpmath")
+    tier = Tier.DOUBLEWORD
+    lane = quad._LANES[tier]
+    one = Real.from_float(1.0, tier)
+
+    def frac(p):  # a point, a pair, as a Fraction
+        hi, lo = nearest_pair(p)
+        return Fraction(hi) + Fraction(lo)
+
+    def pair_mp(f):
+        hi, lo = nearest_pair_of(f)
+        return mp.mpf(hi) + lo
+
+    def recip(x):  # 1/x, rounded once
+        return pair_mp(1 / frac(x))
+
+    def recip_prod(x, y):  # 1/(x y), its product and quotient each rounded once
+        return pair_mp(1 / sum(map(Fraction, nearest_pair_of(frac(x) * frac(y)))))
+
+    x_axis = Interval(Real.from_float(1.0, tier), Real.from_float(2.0, tier))
+    y_axis = Interval(Real.from_float(0.5, tier), Real.from_float(3.0, tier))
+    runs = [(lambda x: one / x, recip, (x_axis,))]
+    if not isinstance(method, AdaptiveSimpson):
+        runs.append((lambda x, y: one / (x * y), recip_prod, (x_axis, y_axis)))
+    for fn, exact_f, domain in runs:
+        config = EngineConfig(method, tier)
+        res = integrate_1d(fn, domain[0], config) if len(domain) == 1 else integrate_2d(fn, domain, config)
+        with mp.workprec(420):
+            want, evals = exact_rule(lane, exact_f, quad._box(lane, domain), method)
+            assert res.evaluations == evals
+            assert (res.value.hi, res.value.lo) == nearest_pair(want), (len(domain), method)
 
 
 # ----------------------------------------------------------------------
@@ -1796,11 +1952,6 @@ def test_lane_sums_are_exactly_rounded(tier, words):
 # ----------------------------------------------------------------------
 
 _PIN_TIERS = {"n": Tier.NATIVE64, "d": Tier.DOUBLEWORD}
-
-
-def _pin_1d(tier, method, iid):
-    a = sqrt(Real.from_float(2.0, tier)) if iid == "eq3_kernel" else None
-    return integrate_1d(iid, config=EngineConfig(method, tier), a=a)
 
 
 def _pin_ts(tier, level):
@@ -1826,43 +1977,98 @@ def _pin_methods(tier):
     }
 
 
-def _pin_run(case):
-    """Run one pinned case, named ``<tier>-<what>``."""
+def _pin_case(case):
+    """A pinned case ``<tier>-<what>`` as ``(tier, integrand, method,
+    mode)``: the integrand a registry id or a callable, the mode None in
+    1-D, and the method the level count 5 for ts-fixed5."""
     t, what = case.split("-", 1)
     tier = _PIN_TIERS[t]
-    unit = _unit(tier)
     kind, _, rest = what.partition(":")
+    if kind == "ts-fixed5":
+        return tier, "ahmed_eq1", 5, None
     if kind == "1d":
         method, iid = rest.split("@")
-        return _pin_1d(tier, _pin_methods(tier)[method], iid)
-    if kind in ("tensor", "iterated"):
-        # <method> runs i2_kernel_eq4, <method>@<id> another 2-D integrand
-        rest, _, iid = rest.partition("@")
-        methods = {
-            "gl8": GaussLegendre(8),
-            "glp": _pin_glp(tier),
-            "ts3": _pin_ts(tier, 3),
-            "as": _pin_simpson(tier, 1e-6, 1e-8),
-        }
-        mode = Mode.TENSOR if kind == "tensor" else Mode.ITERATED
-        return integrate_2d(
-            iid or "i2_kernel_eq4", config=EngineConfig(methods[rest], tier), mode=mode
-        )
+        return tier, iid, _pin_methods(tier)[method], None
     if kind == "float-callable":
         # plain floats back from the callable, at either tier
-        return integrate_1d(
-            lambda x: 1.0 / (1.0 + x.hi * x.hi),
-            unit,
-            EngineConfig(_pin_methods(tier)[rest], tier),
-        )
+        return tier, _float_callable, _pin_methods(tier)[rest], None
     if kind == "real-callable-2d":
-        return integrate_2d(
-            lambda x, y: x * y + Real.from_float(1.0, tier),
-            (unit, unit),
-            EngineConfig(GaussLegendre(8) if rest == "gl8" else _pin_ts(tier, 3), tier),
-        )
-    assert kind == "ts-fixed5"
-    return _integrate_1d_ts_fixed("ahmed_eq1", 5, tier, 10.0 * tier.eps)
+        method = GaussLegendre(8) if rest == "gl8" else _pin_ts(tier, 3)
+        return tier, _real_callable_2d, method, Mode.TENSOR
+    # <method> runs i2_kernel_eq4, <method>@<id> another 2-D integrand
+    rest, _, iid = rest.partition("@")
+    methods = {
+        "gl8": GaussLegendre(8),
+        "glp": _pin_glp(tier),
+        "ts3": _pin_ts(tier, 3),
+        "as": _pin_simpson(tier, 1e-6, 1e-8),
+    }
+    mode = Mode.TENSOR if kind == "tensor" else Mode.ITERATED
+    return tier, iid or "i2_kernel_eq4", methods[rest], mode
+
+
+def _pin_run(case):
+    """Run one pinned case, named ``<tier>-<what>``."""
+    tier, f, method, mode = _pin_case(case)
+    if method == 5:
+        return _integrate_1d_ts_fixed(f, 5, tier, 10.0 * tier.eps)
+    config = EngineConfig(method, tier)
+    if mode is not None:
+        region = None if isinstance(f, str) else (_unit(tier), _unit(tier))
+        return integrate_2d(f, region, config, mode)
+    if not isinstance(f, str):
+        return integrate_1d(f, _unit(tier), config)
+    a = sqrt(Real.from_float(2.0, tier)) if f == "eq3_kernel" else None
+    return integrate_1d(f, config=config, a=a)
+
+
+def _float_callable(x):
+    return 1.0 / (1.0 + x.hi * x.hi)
+
+
+def _real_callable_2d(x, y):
+    return x * y + Real.from_float(1.0, x.tier)
+
+
+def _pin_replay(case):
+    """The doubleword pinned case replayed at 420 bits by
+    ``helpers.exact_rule``: its (value, evaluations)."""
+    mp = pytest.importorskip("mpmath")
+    tier, f, method, mode = _pin_case(case)
+    root2 = sqrt(Real.from_float(2.0, tier))
+    a = mp.fadd(root2.hi, root2.lo, exact=True)
+    a2 = mp.fmul(a, a, exact=True)
+
+    def ahmed(x):
+        s = mp.sqrt(2 + x * x)
+        return mp.atan(s) / ((1 + x * x) * s)
+
+    registry = {
+        "ahmed_eq1": ahmed,
+        "i1_theta": lambda t: mp.pi / 2 * mp.cos(t) / mp.sqrt(2 - mp.sin(t) ** 2),
+        "eq3_kernel": lambda x: 1 / (x * x + a2),
+        "i2_kernel_eq4": lambda x, y: 1 / ((1 + x * x) * (2 + x * x + y * y)),
+        "product_kernel_eq6a": lambda x, y: 1 / ((1 + x * x) * (1 + y * y)),
+        "shifted_kernel_eq6b": lambda x, y: 1 / ((1 + y * y) * (2 + x * x + y * y)),
+    }
+
+    def of_reals(fn):
+        # a callable's own value at each rounded point, exactly
+        def g(*ps):
+            r = fn(*(Real._raw(*nearest_pair(p), tier) for p in ps))
+            return mp.mpf(r) if isinstance(r, float) else mp.mpf(r.hi) + r.lo
+
+        return g
+
+    if not isinstance(f, str):
+        lane = quad._LANES[tier]
+        box = quad._box(lane, (_unit(tier),) * (1 if mode is None else 2))
+        return exact_rule(lane, of_reals(f), box, method)
+    fn = raw_fn(f, tier, root2 if f == "eq3_kernel" else None)
+    lane, _ = quad._own_lane(fn, tier)
+    if isinstance(method, GaussLegendre) and method.tol is not None:
+        method, _ = bounds._proven_rung(fn.certificate(), tier, method, quad._gl_rungs)
+    return exact_rule(lane, registry[f], quad._own_box(f, lane), method, mode)
 
 
 def _pin_of(res):
@@ -1932,93 +2138,40 @@ PINNED = {
     'd-iterated:ts3': ('0x1.3bd3cc9be45dep-2', '0x1.54b36d526c839p-56', '0x1.76ff14de5afacp-29', '0x0.0p+0', 3721, False),
     'd-iterated:as': ('0x1.3bd3cc9c91811p-2', '0x1.f2c16b1ccb662p-56', '0x1.35aa45f027d1bp-28', '0x0.0p+0', 3693, True),
     'd-float-callable:gl8': ('0x1.921fb5441bf6fp-1', '-0x1.4e1be5bf99fc7p-56', '0x1.42fd8958d5b5cp-18', '0x0.0p+0', 12, True),
-    'd-float-callable:ts4': ('0x1.921fb54442d18p-1', '0x1.c0c949bed8b18p-56', '0x1.4937830512ebap-57', '0x0.0p+0', 123, False),
+    'd-float-callable:ts4': ('0x1.921fb54442d18p-1', '0x1.c0c949bed8b18p-56', '0x1.4937830512eb8p-57', '0x0.0p+0', 123, False),
     'd-float-callable:as': ('0x1.921fb54442d19p-1', '-0x1.222d82d82d82ep-55', '0x1.077c1871c71c7p-41', '0x0.0p+0', 609, True),
-    'd-real-callable-2d:gl8': ('0x1.4000000000000p+0', '-0x1.0000000000000p-109', '0x1.4000000000000p-102', '0x0.0p+0', 80, True),
-    'd-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x1.9e22eafbbd673p-99', '0x1.9be6bc5336c90p-44', '0x0.0p+0', 3721, False),
+    'd-real-callable-2d:gl8': ('0x1.4000000000000p+0', '-0x1.7a4e3a622d7ecp-112', '0x1.4000000000000p-102', '0x0.0p+0', 80, True),
+    'd-real-callable-2d:ts3': ('0x1.4000000000000p+0', '0x1.9e03d75e4550ep-99', '0x1.9be6bc5336c90p-44', '0x0.0p+0', 3721, False),
     'd-ts-fixed5': ('0x1.07307fd73e4e4p-1', '-0x1.42de62952afe7p-58', '0x1.07307fd73e4e4p-103', '0x0.0p+0', 247, True),
 }
+
+
+@pytest.mark.parametrize("case", sorted(c for c in PINNED if c.startswith("d-")))
+def test_doubleword_pins_are_their_exact_rules_rounded_once(case):
+    # every doubleword pin is one rounding of an exact sum: the nearest
+    # pair, so within 0.51 units of 2^-104 relative, to the same rule
+    # (orders, levels or Simpson partition, and the lane's own points)
+    # summed at 420 bits, with the same evaluations. The ITERATED replays
+    # round each inner Gauss-Legendre and tanh-sinh value as the lane
+    # does. A registry body floors its values at 2^-192, far below what
+    # moves a rounding
+    mp = pytest.importorskip("mpmath")
+    res = _pin_run(case)
+    want, evals = _pin_replay(case)
+    assert evals == res.evaluations
+    with mp.workprec(420):
+        got = mp.mpf(res.value.hi) + res.value.lo
+        assert abs(got - want) <= 0.51 * mp.ldexp(abs(want), -104), float((got - want) / want * 2**104)
+        assert (res.value.hi, res.value.lo) == nearest_pair(want)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_engine_paths_pinned_bit_for_bit(case):
     # values captured from the engines before they were folded into one
-    # core per rule; a one-ulp reordering anywhere shows here. The three
-    # doubleword ahmed_eq1 cases d-1d:as, d-1d:ts4 and d-ts-fixed5 were
-    # re-pinned when double-word atan became table-driven: their values
-    # moved in the last bits (under 2^-104 relative), with evaluation
-    # counts and convergence flags unchanged. The eight doubleword
-    # tanh-sinh cases (ts3, ts4, ts-fixed5) were re-pinned when the node
-    # tables moved to step tables and a table-driven exp: each value
-    # moved by under 2^-100 relative, toward the exact-arithmetic sum of
-    # the same rule, with counts and flags unchanged. Ten doubleword cases
-    # were re-pinned when the lane sums became exactly rounded with
-    # math.fsum in place of a chunked double-word accumulator: only low
-    # words moved (and with them one tanh-sinh estimate), each by under
-    # half a unit of 2^-104 relative, toward the exact sum of the same
-    # terms; the native sums, compensated before, already rounded exactly.
-    # The doubleword ahmed_eq1 cases d-1d:as, d-1d:gl8 and d-1d:ts4 were
-    # re-pinned when atan above 1 came to reduce with one division against
-    # a table of atan(64/k) and its Horner steps were inlined: the atan
-    # values moved by under 2 units of 2^-104, and these sums by one or
-    # two low-word ulps (and with them the ts4 estimate), each by under
-    # a quarter of a unit of 2^-104 relative, with counts and flags
-    # unchanged. Ten doubleword cases were re-pinned when pi and the atan
-    # and tanh-sinh step tables became the nearest double-word pairs,
-    # rounded once from fixed-point integers: each value moved by under
-    # 1 unit of 2^-104 relative, with counts and flags unchanged. The
-    # product_kernel_eq6a and shifted_kernel_eq6b tensor cases were
-    # pinned from the plain two-coordinate lanes, before each 2-D lane
-    # was split into an x-part, a y-part and a join. Five doubleword 2-D
-    # cases (gl8 tensors of the three kernels, the gl8 iterated eq4 run and
-    # the ts3 eq6a tensor) were re-pinned when the joins came to take 1/D
-    # by one Newton step (_dd_recip): only low words moved, and each value
-    # stays within 0.15 units of 2^-104 relative of the same rule summed in
-    # 50-digit arithmetic, with counts, estimates and flags unchanged.
-    # The twelve glp cases pin the proven Gauss-Legendre path: each
-    # registry run's picked orders, value and proven bound. Thirteen
-    # doubleword gl8 and glp cases were re-pinned when the node and weight
-    # tables became the nearest pairs, from Newton in integers at the
-    # 2^-192 fixed point: only low words moved, each value toward the
-    # same rule with 240-bit nodes and weights summed in 50-digit
-    # arithmetic (the worst from 1.46 to 0.15 units of 2^-104 relative),
-    # with counts, estimates and flags unchanged. Ten native gl8 and glp
-    # cases were re-pinned when the native tables became the high words
-    # of those pairs, the nearest doubles: a value or gl8 estimate moved
-    # by 1 or 2 units in the last place of the value, every value now
-    # within 0.43 of them of the same rule summed at 240 bits (the worst
-    # was 1.59), with counts and flags unchanged. The ten doubleword
-    # tanh-sinh cases were re-pinned when each point came to be computed
-    # in integers at the 2^-192 fixed point, its node and weight the
-    # nearest pairs: only low words and estimates moved, each value toward
-    # the same rule summed at 60 digits (the worst from 0.40 to 0.06 units
-    # of 2^-104 relative), with counts and flags unchanged. The doubleword
-    # ahmed_eq1 and i1_theta cases that moved were re-pinned when those
-    # lanes came to round each value once from integers at 2^-192, and
-    # the eq3 cases when the double-word sqrt(2) they take as a became the
-    # nearest pair: only low words and two tanh-sinh estimates moved, each
-    # value within 0.25 units of 2^-104 relative of the same rule summed
-    # at 400 bits, with counts and flags unchanged. Four doubleword cases
-    # were re-pinned when the registry's 1-D integrals over their own
-    # domains came to sum in integers at 2^-192 and round each result
-    # once: d-1d:as@ahmed_eq1, as@i1_theta and glp@i1_theta moved by one
-    # low-word ulp toward the same rule summed at 400 bits (0.249 to
-    # 0.006, 0.126 to 0.026 and 0.054 to 0.022 units of 2^-104
-    # relative), and the ts4@i1_theta estimate moved with its level-3
-    # value, two low-word ulps, with every other value, count and flag
-    # unchanged. Seven doubleword cases were re-pinned when the 2-D
-    # registry integrals over their own domains came to sum their integer
-    # bodies in integers at 2^-192, and the eq3 lane to round its exact
-    # quotient once: only low words moved, each value toward the same rule
-    # summed at 420 bits (gl8 tensors of eq4, eq6a and eq6b and the gl8
-    # iterated eq4 run from 0.078, 0.023, 0.028 and 0.078 to 0.0022 units
-    # of 2^-104 relative, glp@shifted_kernel_eq6b from 0.148 to 0.054,
-    # ts4@eq3_kernel from 0.203 to 0.059 and as@eq3_kernel from 0.129 to
-    # 0.057), with estimates, counts and flags unchanged. d-1d:as@eq3_kernel
-    # was re-pinned when eq3_kernel over its own domain came to run its
-    # integer body on the integer lane, its value at 2^-194 for a = sqrt 2:
-    # its low word moved by one ulp toward the same partition summed at
-    # 400 bits (0.057 to 0.015 units of 2^-104 relative), with its
-    # estimate, count and flag unchanged; the other eq3 cases kept their
-    # bits
+    # core per rule; a one-ulp reordering anywhere shows here. A
+    # doubleword pin is re-pinned only when its exact rule moves or it
+    # comes closer to it: test_doubleword_pins_are_their_exact_rules_rounded_once
+    # holds every doubleword pin within 0.51 units of 2^-104 of the same
+    # rule summed at 420 bits, and CHANGES.md records each re-pinning,
+    # old -> new, with its distance to that rule
     assert _pin_of(_pin_run(case)) == PINNED[case]

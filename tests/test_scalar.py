@@ -6,7 +6,6 @@ import math
 import operator
 import os
 import random
-import struct
 import subprocess
 import sys
 from decimal import Decimal
@@ -36,7 +35,7 @@ from ahmedquad import (
     two_sum,
 )
 from ahmedquad import integrands, quad, scalar
-from ahmedquad.scalar import _SPLITTER, _two_sum
+from ahmedquad.scalar import _two_sum
 from helpers import (
     ATAN_SQRT2_STR,
     EXP_5_4_STR,
@@ -47,6 +46,7 @@ from helpers import (
     TIERS,
     assert_ulps,
     nearest_pair,
+    nearest_pair_of,
     ref,
     rel_err,
 )
@@ -432,17 +432,16 @@ def test_build_info_contents():
     assert "native64" in info and "doubleword" in info
     assert "2^-52" in info and "2^-104" in info
     assert "two_prod=" in info
-    assert ("fma" in info) or ("dekker-split" in info)
+    assert "products=exact-ratio" in info
 
 
-def test_build_info_reports_dekker_split_even_with_fma(monkeypatch):
-    # the double-word product kernels split by Dekker on every
-    # interpreter, and two_prod takes its error from exact ratios, so the
-    # presence of math.fma (Python 3.13+) must not change what build_info
-    # reports
+def test_build_info_reports_exact_ratios_even_with_fma(monkeypatch):
+    # Real's products and two_prod's error come from the exact ratios of
+    # the words on every interpreter, so the presence of math.fma (Python
+    # 3.13+) must not change what build_info reports
     monkeypatch.setattr(math, "fma", lambda x, y, z: x * y + z, raising=False)
     info = build_info()
-    assert "products=dekker-split" in info
+    assert "products=exact-ratio" in info
     assert "two_prod=exact-ratio" in info
     assert "fma" not in info
 
@@ -495,94 +494,8 @@ def test_tier_properties():
 
 
 # ----------------------------------------------------------------------
-# Fused double-word kernels against their compositions
+# Every private function has a caller; the operand sets of the Real tests
 # ----------------------------------------------------------------------
-# The references below are the kernels as compositions of the error-free
-# transforms. Every fused kernel in scalar.py must return the same bits.
-
-
-def _quick_two_sum(a, b):
-    # requires |a| >= |b| (or a == 0)
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a):
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    # Dekker's product, the one the fused product kernels inline
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
-
-
-def _ref_dd_add(ah, al, bh, bl):
-    sh, se = _two_sum(ah, bh)
-    th, te = _two_sum(al, bl)
-    se += th
-    sh, se = _quick_two_sum(sh, se)
-    se += te
-    return _quick_two_sum(sh, se)
-
-
-def _ref_dd_sub(ah, al, bh, bl):
-    return _ref_dd_add(ah, al, -bh, -bl)
-
-
-def _ref_dd_mul(ah, al, bh, bl):
-    p, e = _two_prod(ah, bh)
-    e += ah * bl + al * bh
-    return _quick_two_sum(p, e)
-
-
-def _ref_dd_mul_rescued(ah, al, bh, bl):
-    # _dd_mul's reference, or where that is NaN the product on rescaled
-    # operands
-    r = _ref_dd_mul(ah, al, bh, bl)
-    if math.isnan(r[0]):
-        return scalar._dd_rescaled(scalar._dd_mul, (ah, al), (bh, bl))
-    return r
-
-
-# (name, reference, argument shape): each "dd" is one (hi, lo) operand
-FUSED_KERNELS = [
-    ("_dd_add", _ref_dd_add, ("dd", "dd")),
-    ("_dd_sub", _ref_dd_sub, ("dd", "dd")),
-    ("_dd_mul", _ref_dd_mul, ("dd", "dd")),
-    ("_dd_mul_rescued", _ref_dd_mul_rescued, ("dd", "dd")),
-]
-
-
-def _outcome(fn, args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # both sides must raise the same type
-        return type(exc)
-
-
-def _bits(v):
-    # NaN matches NaN whatever its sign or payload; -0.0 differs from 0.0
-    return "nan" if math.isnan(v) else struct.pack("<d", v)
-
-
-def _assert_bit_identical(name, reference, cases):
-    fused = getattr(scalar, name)
-    for args in cases:
-        got = _outcome(fused, args)
-        want = _outcome(reference, args)
-        if isinstance(want, type) or isinstance(got, type):
-            assert got is want, f"{name}{args}: {got!r} != {want!r}"
-            continue
-        assert len(got) == len(want) == 2
-        assert [_bits(v) for v in got] == [_bits(v) for v in want], (
-            f"{name}{args}: {got!r} != {want!r}"
-        )
 
 
 def test_every_kernel_has_a_caller():
@@ -637,10 +550,6 @@ def _seeded_operand_pairs():
     return pairs
 
 
-def _seeded_operands(shape):
-    return [x + y for x, y in _seeded_operand_pairs()]
-
-
 _SPECIAL_HI = [
     0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
     1e300, -1e300, 1e-300, -1e-300, sys.float_info.max, -sys.float_info.max,
@@ -654,17 +563,6 @@ def _special_operands(shape):
     for _ in shape:
         cases = [c + w for c in cases for w in words]
     return cases
-
-
-@pytest.mark.parametrize(
-    "name,reference,shape", FUSED_KERNELS, ids=[k[0] for k in FUSED_KERNELS]
-)
-class TestFusedKernelsBitIdentical:
-    def test_seeded_pairs(self, name, reference, shape):
-        _assert_bit_identical(name, reference, _seeded_operands(shape))
-
-    def test_special_values(self, name, reference, shape):
-        _assert_bit_identical(name, reference, _special_operands(shape))
 
 
 # ----------------------------------------------------------------------
@@ -1197,24 +1095,22 @@ def test_sincos_property_against_mpmath():
 
 
 # ----------------------------------------------------------------------
-# Double-word products and quotients beyond Dekker's split range
+# Double-word products and quotients near the top of binary64's range
 # ----------------------------------------------------------------------
-# Dekker's split overflows once a high word (or, in a division, a
-# partial quotient) passes ~2^996, and the raw kernel returns NaN. The
-# rescuing entries that Real multiplication and the double-word lane
-# call then redo the operation on operands scaled by powers of two;
-# every other result is the raw kernel's. Real division rounds the exact
-# quotient, which needs no rescue.
+# Dekker's split, which Real's products and the double-word lane once
+# used, overflowed past ~2^996. Real's operators and the DOUBLEWORD
+# lane now take the exact ratios of the words, so these results are
+# held against exact Fractions with no rescue to test.
 
 
 def _exact(x):
     return Fraction(x.hi) + Fraction(x.lo)
 
 
-def _pair_of(f):
-    # the nearest pair to the Fraction f
-    hi = float(f)
-    return hi, float(f - Fraction(hi))
+def _words(v):
+    # a DOUBLEWORD lane value as its nearest pair
+    r = quad._LANES[Tier.DOUBLEWORD].real(v)
+    return r.hi, r.lo
 
 
 def _assert_dd_close(got, want):
@@ -1261,10 +1157,10 @@ class TestSplitOverflow:
 
     def test_lane_and_real_entries_against_fractions(self):
         # operands with a high word in [2^990, 2^1023) and a result in
-        # range, through the double-word lane's mul and div_d and
-        # Real's * and /: past 2^996 a product is rescued, and a quotient
-        # is the nearest pair to the exact one
-        lane = quad._DoubleWord
+        # range, through the DOUBLEWORD lane's mul and div_d and Real's *
+        # and /: a product is exact before its one rounding, and a
+        # quotient is the nearest pair to the exact one
+        lane = quad._LANES[self.D]
         rng = random.Random(0x5E1F)
 
         def close(got, want):
@@ -1279,12 +1175,16 @@ class TestSplitOverflow:
             top = self._dd(rng, 1021, 1023)
             y, z = self._dd(rng, -40, 0), self._dd(rng, 2, 30)
             k = math.copysign(rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-30, 1), rng.random() - 0.5)
-            xw, yw = (x.hi, x.lo), (y.hi, y.lo)
-            close(lane.mul(xw, yw), _exact(x) * _exact(y))
-            close(lane.mul(yw, xw), _exact(x) * _exact(y))
-            assert lane.div_d(xw, 1.0 / k) == _pair_of(_exact(x) / Fraction(1.0 / k))
+            # a point (a width in Simpson's rule) times a value
+            xw, yw = lane.to_point(x.hi, x.lo), lane.pack(y.hi, y.lo)
+            close(_words(lane.mul(xw, yw)), _exact(x) * _exact(y))
+            xw, yw = lane.pack(x.hi, x.lo), lane.to_point(y.hi, y.lo)
+            close(_words(lane.mul(yw, xw)), _exact(x) * _exact(y))
+            q = x / Real.from_float(1.0 / k, self.D)
+            assert (q.hi, q.lo) == nearest_pair_of(_exact(x) / Fraction(1.0 / k))
             for d in (6.0, 15.0):  # Simpson's divisors
-                assert lane.div_d((top.hi, top.lo), d) == _pair_of(_exact(top) / Fraction(d))
+                q = lane.div_d(lane.pack(top.hi, top.lo), d)
+                assert _words(q) == nearest_pair_of(_exact(top) / Fraction(d))
             for got, want in (
                 (x * y, _exact(x) * _exact(y)),
                 (x / z, _exact(x) / _exact(z)),
@@ -1292,14 +1192,17 @@ class TestSplitOverflow:
             ):
                 close((got.hi, got.lo), want)
 
-    def test_lane_quotient_of_non_finite_words(self):
-        # the double-word lane's div_d gives non-finite words where a word
-        # of its dividend is not finite, as on an overflowed width, rather
-        # than raising from the exact ratio
-        lane = quad._DoubleWord
-        for a in ((math.inf, math.nan), (-math.inf, 0.0), (math.nan, math.nan), (1.0, math.inf)):
-            for k in (6.0, 15.0):
-                assert not all(map(math.isfinite, lane.div_d(a, k))), (a, k)
+    def test_lane_quotient_of_the_widest_width(self):
+        # the width of [-DBL_MAX, DBL_MAX], which overflowed the words of
+        # the double-word lane, is an exact int on the DOUBLEWORD lane:
+        # Simpson's (b - a)/6 is the nearest pair to the exact quotient,
+        # and (b - a)/1 is past binary64, where hi is infinite
+        lane = quad._LANES[self.D]
+        big = sys.float_info.max
+        width = lane.sub(lane.to_point(big, 0.0), lane.to_point(-big, 0.0))
+        assert lane.hi(width) == math.inf and lane.hi(-width) == -math.inf
+        for k in (6.0, 15.0):
+            assert _words(lane.div_d(width, k)) == nearest_pair_of(2 * Fraction(big) / Fraction(k))
 
     def test_out_of_range_still_raises(self):
         D = self.D
@@ -1312,16 +1215,16 @@ class TestSplitOverflow:
         zero = Real.from_float(0.0, D)
         assert mul(zero, Real.from_float(sys.float_info.max, D)).hi == 0.0
 
-    def test_fast_path_is_the_raw_kernel(self):
-        # in the split's range the Real product is the kernel's, bit for
-        # bit, and the quotient is the nearest pair
+    def test_products_and_quotients_are_nearest_pairs(self):
+        # over high words spanning 2^-400 to 2^400, the Real product and
+        # quotient are the nearest pairs to the exact ones
         for (ah, bh) in _random_pairs(2_000, 0xFA57, span=400):
             x = Real.from_float(ah, self.D) / Real.from_float(3.0, self.D)
             y = Real.from_float(bh, self.D) / Real.from_float(7.0, self.D)
             p = mul(x, y)
-            assert (p.hi, p.lo) == scalar._dd_mul(x.hi, x.lo, y.hi, y.lo)
+            assert (p.hi, p.lo) == nearest_pair_of(_exact(x) * _exact(y))
             q = div(x, y)
-            assert (q.hi, q.lo) == _pair_of(_exact(x) / _exact(y))
+            assert (q.hi, q.lo) == nearest_pair_of(_exact(x) / _exact(y))
 
 
 def test_tier_hashes_by_identity():
@@ -1353,11 +1256,10 @@ def test_sqrt_over_every_binade():
 # Real arithmetic over every binade
 # ----------------------------------------------------------------------
 # Seeded words in every binade from 2^-1074 to 2^1023, against exact
-# Fractions. Above the 2^-969 floor each result keeps the README's
-# relative claim: 4 units of 2^-104 (ARITH_DD) for +, - and *. Below it
-# the low word is subnormal; there each stays within FLOOR_ABS, and on
-# two runs of 60,000 seeded draws a product measured 2.07 units of
-# 2^-1074. A quotient is the nearest pair everywhere.
+# Fractions. Every result of +, -, * and / is the nearest pair to the
+# exact one. The weaker claim that +, - and * once met is kept too: above
+# the 2^-969 floor 4 units of 2^-104 (ARITH_DD) relative, below it,
+# where the low word is subnormal, FLOOR_ABS.
 
 FLOOR = Fraction(2) ** -969
 FLOOR_ABS = 4 * Fraction(2) ** -1074
@@ -1398,14 +1300,16 @@ def _real_outcome(op, x, y):
 
 
 def _assert_real_op(op, x, y, units):
-    # op's Real result within units of the exact value, or NonFiniteError
-    # where the exact value rounds past binary64
+    # op's Real result the nearest pair to the exact value, and within
+    # units of it, or NonFiniteError where the exact value rounds past
+    # binary64
     want = op(Fraction(x[0]) + Fraction(x[1]), Fraction(y[0]) + Fraction(y[1]))
     got = _real_outcome(op, x, y)
     if abs(want) >= _TOP:
         assert got is NonFiniteError, (x, y, got)
     else:
         _assert_within(got, want, units, (x, y))
+        assert got == nearest_pair_of(want), (x, y, got)
 
 
 class TestEveryBinade:
@@ -1445,7 +1349,7 @@ class TestExactQuotient:
         if abs(want) >= _TOP:
             assert got is NonFiniteError, (x, y, got)
         else:
-            assert got == _pair_of(want), (x, y, got)
+            assert got == nearest_pair_of(want), (x, y, got)
 
     def test_every_binade(self):
         # a dividend in every binade, by a word picked so that the
@@ -1473,7 +1377,7 @@ class TestExactQuotient:
         pair = scalar._pair_from_ratio
         monkeypatch.setattr(scalar, "_pair_from_ratio", lambda n, d: calls.append(d) or pair(n, d))
         x = Real.from_float(1.0, Tier.DOUBLEWORD) / 3
-        assert len(calls) == 1 and (x.hi, x.lo) == _pair_of(Fraction(1, 3))
+        assert len(calls) == 1 and (x.hi, x.lo) == nearest_pair_of(Fraction(1, 3))
 
 
 def test_constructor_and_decimal_are_nearest_pairs():
@@ -1485,10 +1389,10 @@ def test_constructor_and_decimal_are_nearest_pairs():
         n = rng.getrandbits(rng.randint(1, 1000)) * rng.choice((1, -1))
         lo = rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-60, 1000)
         r = Real(n, lo, D)
-        assert (r.hi, r.lo) == _pair_of(n + Fraction(lo)), (n, lo)
+        assert (r.hi, r.lo) == nearest_pair_of(n + Fraction(lo)), (n, lo)
         text = f"{rng.randint(-10**40, 10**40)}e{rng.randint(-380, 260)}"
         r = Real.from_decimal(text, D)
-        assert (r.hi, r.lo) == _pair_of(Fraction(Decimal(text))), text
+        assert (r.hi, r.lo) == nearest_pair_of(Fraction(Decimal(text))), text
     with pytest.raises(NonFiniteError):
         Real(2**1023 + 2**1022 + 2**1021, sys.float_info.max, D)
     # a literal below half the least subnormal is zero, without forming
