@@ -56,33 +56,31 @@ _ROUNDING = 32.0
 _OUTWARD = 1.0 + 2.0**-20
 
 
-def _gl_terms(cert, tier: Tier):
-    """The bound of the rule over the integrand's own domain at ``tier``
-    as ``(terms, rounding)``, ``terms[i](n)`` axis i's at n points."""
-    halves = [0.5 * (iv.upper.hi - iv.lower.hi) for iv in domain_of(cert.id, tier)]
+@functools.lru_cache(maxsize=None)
+def _scales(integrand_id: str, tier: Tier):
+    # each axis's scale (volume / length x half-length), and rounding / sup|f|
+    halves = [0.5 * (iv.upper.hi - iv.lower.hi) for iv in domain_of(integrand_id, tier)]
     lengths = [2.0 * h for h in halves]
     volume = math.prod(lengths)
+    scales = tuple((volume / length) * h for h, length in zip(halves, lengths))
+    return scales, _ROUNDING * tier.eps * volume
 
-    def term(scale, pairs):
-        def at(n):
-            k = 4.0 * (1.0 + 1.0 / (4 * n * n - 1))
-            axis = min(
-                (m * rho ** (2 - 2 * n) / (rho * rho - 1.0) for rho, m in pairs),
-                default=math.inf,
-            )
-            return scale * k * axis
 
-        return at
-
-    terms = [term((volume / length) * h, pairs) for h, length, pairs in zip(halves, lengths, cert.axes)]
-    return terms, _ROUNDING * tier.eps * volume * cert.sup
+def _gl_terms(cert, tier: Tier):
+    """The bound of the rule over the integrand's own domain at ``tier``
+    as ``(terms, rounding)``, ``terms[i]`` axis i's ``(scale, pairs)``."""
+    scales, rounding = _scales(cert.id, tier)
+    return tuple(zip(scales, cert.axes)), rounding * cert.sup
 
 
 def _bound(terms, rounding: float, orders) -> float:
-    # the proven bound of :func:`_gl_terms` at per-axis orders
+    # the proven bound of :func:`_gl_terms` at per-axis orders: each axis's
+    # scale times its truncation term, the least over its (rho, M) pairs
     trunc = 0.0
-    for term, n in zip(terms, orders):
-        trunc += term(n)
+    for (scale, pairs), n in zip(terms, orders):
+        e = 2 - 2 * n
+        axis = min([m * rho**e / (rho * rho - 1.0) for rho, m in pairs], default=math.inf)
+        trunc += scale * (4.0 * (1.0 + 1.0 / (4 * n * n - 1))) * axis
     return (trunc + rounding) * _OUTWARD
 
 
@@ -127,6 +125,29 @@ def _cheapest(cert, tier: Tier, orders, tol: float):
     return best, bounds[best]
 
 
+def _first_rung(cert, tier: Tier, rungs, tol: float):
+    """In 1-D, :func:`_cheapest`'s pick from the ascending ``rungs``: it
+    starts at the first rung at or past the least n = 1 + log(max(1, 4
+    scale M / ((rho^2 - 1) room))) / (2 log rho) over the pairs, where a
+    term without its factor 1 + 1/(4n^2 - 1) meets room = tol / _OUTWARD
+    - rounding (the top with no pair or no room), then steps down while
+    the rung below is within tol and up while its own is not."""
+    terms, rounding = _gl_terms(cert, tier)
+    ((scale, pairs),) = terms
+    room = tol / _OUTWARD - rounding
+    c = 4.0 * scale / room if room > 0.0 else math.inf
+    logs = [math.log(max(c * m / (rho * rho - 1.0), 1.0), rho) for rho, m in pairs]
+    i = min(bisect.bisect_left(rungs, 1.0 + 0.5 * min(logs, default=math.inf)), len(rungs) - 1)
+    bound = _bound(terms, rounding, (rungs[i],))
+    down = bound <= tol  # False on a NaN bound too, as in _cheapest
+    while not bound <= tol and i + 1 < len(rungs):
+        i += 1
+        bound = _bound(terms, rounding, (rungs[i],))
+    while down and i > 0 and (below := _bound(terms, rounding, (rungs[i - 1],))) <= tol:
+        i, bound = i - 1, below
+    return ((rungs[i],), bound) if bound <= tol else None
+
+
 @functools.lru_cache(maxsize=None)
 def _fixed_proven(cert, tier: Tier, method):
     """The cheapest proven orders of a fixed integrand, each from 2 to
@@ -141,5 +162,5 @@ def _proven_rung(cert, tier: Tier, method, ladder):
     ``ladder(method)``, whose tables are built once while its orders
     move with a."""
     if get_integrand(cert.id).parametric:
-        return _cheapest(cert, tier, ladder(method), method.tol)
+        return _first_rung(cert, tier, ladder(method), method.tol)
     return _fixed_proven(cert, tier, method)

@@ -354,15 +354,14 @@ def _theta_shifts(th: float) -> tuple[int, int]:
 
 
 def _x_parts(x: int, f: int) -> tuple[int, int]:
-    # (x^2, s = sqrt(2 + x^2)) at 2^-f
-    x2 = x * x >> f
-    return x2, math.isqrt(x2 + (2 << f) << f)
+    # (1 + x^2, s = sqrt(2 + x^2)) at 2^-f
+    one_x2 = (x * x >> f) + (1 << f)
+    return one_x2, math.isqrt(one_x2 + (1 << f) << f)
 
 
-def _over_x_parts(n: int, f: int, x2: int, s: int) -> int:
-    # n / ((1 + x^2) s) for n at 2^-f, at 2^-(f + 3e), e = f - 192
-    out = 4 * f - 3 * _FIX
-    return (n << f + out) // ((x2 + (1 << f)) * s)
+def _over_x_parts(n: int, f: int, one_x2: int, s: int) -> int:
+    # n / ((1 + x^2) s) for n at 2^-f, at 2^-(f + 3e) = 2^-(4f - 576)
+    return (n << 5 * f - 3 * _FIX) // (one_x2 * s)
 
 
 def _native_ahmed(x: float) -> float:
@@ -372,8 +371,8 @@ def _native_ahmed(x: float) -> float:
 
 
 def _fixed_ahmed(x: int, f: int = _FIX) -> int:
-    x2, s = _x_parts(x, f)
-    return _over_x_parts(_fixed_atan_ratio(s, 1 << f, f), f, x2, s)
+    one_x2, s = _x_parts(x, f)
+    return _over_x_parts(_fixed_atan_ratio(s, 1 << f, f), f, one_x2, s)
 
 
 def _native_i1_x(x: float) -> float:
@@ -383,8 +382,8 @@ def _native_i1_x(x: float) -> float:
 
 
 def _fixed_i1_x(x: int, f: int = _FIX) -> int:
-    x2, s = _x_parts(x, f)
-    return _over_x_parts(_PI_FIXED << f - _FIX >> 1, f, x2, s)
+    one_x2, s = _x_parts(x, f)
+    return _over_x_parts(_PI_FIXED << f - _FIX >> 1, f, one_x2, s)
 
 
 def _native_i1_theta(t: float) -> float:
@@ -415,28 +414,37 @@ def _native_i2_x(x: float) -> float:
 
 
 def _fixed_i2_x(x: int, f: int = _FIX) -> int:
-    x2, s = _x_parts(x, f)
-    return _over_x_parts(_fixed_atan_ratio(1 << f, s, f), f, x2, s)
+    one_x2, s = _x_parts(x, f)
+    return _over_x_parts(_fixed_atan_ratio(1 << f, s, f), f, one_x2, s)
 
 
 # A 2-D lane is an x-part, a y-part and a join: f(x, y) = join(xpart(x),
 # ypart(y)). The tensor cores compute each part once per axis point and
 # call only the join at each of the n^2 points. An integer body's parts
-# and join take the shift f of its coordinates, 192 by default, and its
-# value is at 2^-(4f - 576), as a 1-D x body's.
+# take the shift f of its coordinates, 192 by default, and its join 2^(6f
+# - 576), so that its value is at 2^-(4f - 576), as a 1-D x body's.
 
 
 def _native_2d(xpart, ypart, join):
-    # the plain lane of a native or integer 2-D formula, carrying its parts;
-    # an integer body passes its shift on to each of the three
-    def f(x, y, *shift):
-        return join(xpart(x, *shift), ypart(y, *shift), *shift)
+    # the plain lane of a native 2-D formula, carrying its parts
+    def f(x, y):
+        return join(xpart(x), ypart(y))
 
     f.parts = xpart, ypart, join
     return f
 
 
-def _native_sqr(x: float) -> float:
+def _fixed_2d(xpart, ypart, join):
+    # the integer body of a 2-D formula, carrying its parts
+    def body(x, y, f=_FIX):
+        return join(xpart(x, f), ypart(y, f), 1 << 6 * f - 3 * _FIX)
+
+    body.parts = xpart, ypart, join
+    return body
+
+
+def _sqr(x):
+    # x^2: an int's exactly, as eq3_kernel's integer body takes it
     return x * x
 
 
@@ -488,21 +496,21 @@ def _fixed_one_two_plus_sqr(x: int, f: int = _FIX) -> tuple[int, int]:
     return x2 + (1 << f), x2 + (2 << f)
 
 
-def _fixed_eq4_join(x: tuple[int, int], y2: int, f: int = _FIX) -> int:
-    # 1 / ((1+x^2) (2+x^2+y^2)), the parts at 2^-f
+def _fixed_eq4_join(x: tuple[int, int], y2: int, one: int = 1 << 3 * _FIX) -> int:
+    # 1 / ((1+x^2) (2+x^2+y^2))
     one_x2, two_x2 = x
-    return (1 << 6 * f - 3 * _FIX) // (one_x2 * (two_x2 + y2))
+    return one // (one_x2 * (two_x2 + y2))
 
 
-def _fixed_eq6a_join(one_x2: int, one_y2: int, f: int = _FIX) -> int:
+def _fixed_eq6a_join(one_x2: int, one_y2: int, one: int = 1 << 3 * _FIX) -> int:
     # 1 / ((1+x^2) (1+y^2))
-    return (1 << 6 * f - 3 * _FIX) // (one_x2 * one_y2)
+    return one // (one_x2 * one_y2)
 
 
-def _fixed_eq6b_join(x2: int, y: tuple[int, int], f: int = _FIX) -> int:
+def _fixed_eq6b_join(x2: int, y: tuple[int, int], one: int = 1 << 3 * _FIX) -> int:
     # 1 / ((1+y^2) (2+x^2+y^2)): eq4's join with the axes exchanged
     one_y2, two_y2 = y
-    return (1 << 6 * f - 3 * _FIX) // (one_y2 * (x2 + two_y2))
+    return one // (one_y2 * (x2 + two_y2))
 
 
 _NATIVE_LANES = {
@@ -511,7 +519,7 @@ _NATIVE_LANES = {
     "i1_theta": _native_i1_theta,
     "i1_phi": _native_i1_phi,
     "i2_x": _native_i2_x,
-    "i2_kernel_eq4": _native_2d(_native_one_two_plus_sqr, _native_sqr, _native_eq4_join),
+    "i2_kernel_eq4": _native_2d(_native_one_two_plus_sqr, _sqr, _native_eq4_join),
     "product_kernel_eq6a": _native_2d(
         _native_one_plus_sqr, _native_one_plus_sqr, _native_eq6a_join
     ),
@@ -527,13 +535,13 @@ _DD_LANES = {
     "i1_phi": _pair_lane(_fixed_i1_phi, lambda _t: (_FIX, _FIX)),
     "i2_x": _pair_lane(_fixed_i2_x, _x_shifts),
     "i2_kernel_eq4": _pair_lane(
-        _native_2d(_fixed_one_two_plus_sqr, _fixed_sqr, _fixed_eq4_join), _x_shifts
+        _fixed_2d(_fixed_one_two_plus_sqr, _fixed_sqr, _fixed_eq4_join), _x_shifts
     ),
     "product_kernel_eq6a": _pair_lane(
-        _native_2d(_fixed_one_plus_sqr, _fixed_one_plus_sqr, _fixed_eq6a_join), _x_shifts
+        _fixed_2d(_fixed_one_plus_sqr, _fixed_one_plus_sqr, _fixed_eq6a_join), _x_shifts
     ),
     "shifted_kernel_eq6b": _pair_lane(
-        _native_2d(_fixed_sqr, _fixed_one_two_plus_sqr, _fixed_eq6b_join), _x_shifts
+        _fixed_2d(_fixed_sqr, _fixed_one_two_plus_sqr, _fixed_eq6b_join), _x_shifts
     ),
 }
 
@@ -557,7 +565,8 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
     DOUBLEWORD lane carries ``fixed``, its integer body, and a 2-D body
     carries its integer ``parts``. eq3_kernel's body takes x at 2^-192
     and returns its value at 2^-out, which it carries as ``out``: 192 +
-    2e for a's binary exponent e > 0, else 192. Every lane and body
+    2e for a's binary exponent e > 0, else 192, and ``parts``, x^2 and
+    the value from x^2, which is a-free. Every lane and body
     carries ``certificate()``, which returns the :class:`Certificate` of
     the integrand over its own domain; eq3_kernel's is built on that
     call, from the lane's a^2, so a run that needs none pays nothing."""
@@ -607,7 +616,10 @@ def raw_fn(integrand_id: str, tier: Tier, a: Real | None = None):
         def body(x: int) -> int:
             return num // ((x * x << g) + a2)
 
-        body.out = out
+        def join(x2: int) -> int:
+            return num // ((x2 << g) + a2)
+
+        body.out, body.parts = out, (_sqr, join)
         f_dd.fixed = body
         body.certificate = f_dd.certificate = functools.partial(_eq3_certificate, a2h)
         return f_dd

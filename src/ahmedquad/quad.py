@@ -483,6 +483,7 @@ class _Native:
     sub = operator.sub
     mul = operator.mul
     div_d = operator.truediv
+    sixth = staticmethod(lambda width, v: width / 6.0 * v)  # Simpson's (b - a)/6 v
     scale = operator.mul  # by a power of two: exact
     offset = operator.mul  # h x, a half-width times a node
     hi = float  # the identity on floats, at C speed
@@ -508,9 +509,8 @@ class _Native:
 
     @staticmethod
     def parts(f):
-        # a 2-D lane's (x-part, y-part, join); any other integrand is its
-        # own join over the coordinates themselves
-        return getattr(f, "parts", None) or (float, float, f)
+        # each axis's part and the join, or no parts and f its own join
+        return getattr(f, "parts", None) or (None, None, f)
 
     @staticmethod
     def tensor(join, cols, rows):
@@ -562,6 +562,7 @@ class _FixedPoint:
     mul = classmethod(lambda cls, a, b: a * b >> cls.point)  # by a point
     offset = staticmethod(lambda h, x: h * x >> _FIX)  # h x, a half-width times a node
     div_d = staticmethod(lambda a, k: a // int(k))  # by an integral float
+    sixth = classmethod(lambda cls, width, v: width * v // (6 << cls.point))  # floored once
     scale = staticmethod(_shifted)
     real = classmethod(
         lambda cls, v: Real._raw(*_pair_from_ratio(v, 1 << cls.out), Tier.DOUBLEWORD)
@@ -600,7 +601,7 @@ class _FixedPoint:
 
     @staticmethod
     def parts(f):
-        return getattr(f, "parts", None) or (int, int, f)
+        return getattr(f, "parts", None) or (None, None, f)
 
     @staticmethod
     def tensor(join, cols, rows):
@@ -744,6 +745,7 @@ def _floored(lane, est: float, value) -> float:
     return max(est, 4.0 * lane.tier.eps * abs(lane.hi(value)))
 
 
+@functools.lru_cache(maxsize=None)
 def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
     """The orders a Gauss-Legendre run goes through, lowest first. The
     fixed rule is the two rungs (order // 2, order); with a ``tol`` the
@@ -760,46 +762,44 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
     return tuple(reversed(rungs))
 
 
+class _OwnBox(tuple):
+    """A registry integrand's own domain as a lane's box, built once, with
+    each axis's ``(mid, half-width)``, the Jacobian and ``mapped``, the
+    prepared axis of each (axis, order, part) proven runs used: bounded."""
+
+
 @functools.lru_cache(maxsize=None)
 def _own_box(integrand_id: str, lane):
-    # the integrand's own domain as the lane's box
-    return _box(lane, domain_of(integrand_id, lane.tier))
+    box = _OwnBox(_box(lane, domain_of(integrand_id, lane.tier)))
+    box.halves, box.jac, box.mapped = *_halves(lane, box), {}
+    return box
 
 
-# The mapped (point, weight) rule of each (order, table, axis) a proven
-# run has used, keyed by the lane's table, which the integer lanes of
-# every value shift share. A proven run covers an integrand's own domain
-# only, so the keys are a bounded set: the picked orders of the fixed
-# integrands and at most the ladder's rungs on eq3_kernel's [0, 1].
-_OWN_AXES: dict = {}
+def _halves(lane, box):
+    # each axis's (mid, half-width), and the Jacobian, their product
+    halves = [_mid_half(lane, a, b) for a, b in box]
+    return halves, halves[0][1] if len(box) == 1 else lane.mul(halves[0][1], halves[1][1])
 
 
 def _gl_rule(lane, f, box, orders, own: bool = False):
     """The Gauss-Legendre rule of ``orders[i]`` points on axis i of the
-    box: the 1-D weighted sum, or in 2-D the tensor over the prepared
-    axes. ``own`` (the box is the integrand's own domain) reads each
-    mapped axis from :data:`_OWN_AXES`, bit-identical to mapping it."""
-    axes = [_mid_half(lane, a, b) for a, b in box]
-    mapped = []
-    for n, (m, h) in zip(orders, axes):
+    box, unrounded: the 1-D weighted sum, or in 2-D the tensor, over the
+    axes prepared by the lane's parts. ``own`` (the box is the
+    integrand's :class:`_OwnBox`) reads each prepared axis from the box,
+    bit-identical to preparing it."""
+    halves, jac = (box.halves, box.jac) if own else _halves(lane, box)
+    cache = box.mapped if own else {}
+    # a 1-D run off the box's cache calls f itself: its parts pay only when kept
+    *parts, join = lane.parts(f) if own or len(box) == 2 else (None, f)
+    axes = []
+    for i, (n, (m, h)) in enumerate(zip(orders, halves)):
         xs, ws = lane.gl_table(n)
-        if own:
-            key = n, lane.gl_table, m, h
-            axis = _OWN_AXES.get(key)
-            if axis is None:
-                axis = _OWN_AXES[key] = tuple(zip(lane.map(m, h, xs), ws))
-        else:
-            axis = list(zip(lane.map(m, h, xs), ws))
-        mapped.append(axis)
-    if len(box) == 1:
-        jac = axes[0][1]
-        words = lane.sum(f, mapped[0])
-    else:
-        jac = lane.mul(axes[0][1], axes[1][1])
-        xpart, ypart, join = lane.parts(f)
-        cols = _prepared(lane, xpart, mapped[0])
-        words = lane.tensor(join, cols, _prepared(lane, ypart, mapped[1]))
-    return lane.rounded(lane.mul(jac, lane.total(words)))
+        key = i, n, parts[i]
+        if key not in cache:
+            cache[key] = _prepared(lane, parts[i], zip(lane.map(m, h, xs), ws))
+        axes.append(cache[key])
+    words = lane.sum(join, axes[0]) if len(box) == 1 else lane.tensor(join, *axes)
+    return lane.mul(jac, lane.total(words))
 
 
 def _gl(lane, f, box, method: GaussLegendre):
@@ -815,9 +815,10 @@ def _gl(lane, f, box, method: GaussLegendre):
     tol = method.tol
     certificate = None if tol is None else getattr(f, "certificate", None)
     cert = None if certificate is None else certificate()
-    own = cert is not None and box == _own_box(cert.id, lane)
+    own = cert is not None and box is _own_box(cert.id, lane)
     proven = bounds._proven_rung(cert, lane.tier, method, _gl_rungs) if own else None
     if proven is not None:
+        # unrounded: _result rounds it to the pair rounded gives, and hi agrees
         orders, bound = proven
         value = _gl_rule(lane, f, box, orders, own=True)
         est = _floored(lane, bound, value)
@@ -825,7 +826,7 @@ def _gl(lane, f, box, method: GaussLegendre):
     prev = None
     evals = 0
     for n in _gl_rungs(method):
-        value = _gl_rule(lane, f, box, (n,) * len(box))
+        value = lane.rounded(_gl_rule(lane, f, box, (n,) * len(box)))
         evals += n ** len(box)
         if prev is not None:
             est = _floored(lane, abs(lane.hi(lane.sub(value, prev))), value)
@@ -838,6 +839,8 @@ def _gl(lane, f, box, method: GaussLegendre):
 
 def _prepared(lane, part, axis):
     # an axis's (point, weight) pairs as (part of the point, weight)
+    if part is None:  # no part: the points themselves
+        return list(axis)
     return [(part(*lane.words(p)), w) for p, w in axis]
 
 
@@ -943,7 +946,7 @@ def _simpson(lane, f, a, b, method: AdaptiveSimpson):
     def rule(a, b, fa, fm, fb):
         # (b - a)/6 * (fa + 4 fm + fb)
         weighted = lane.add(lane.add(fa, lane.scale(fm, 4.0)), fb)
-        return lane.mul(lane.div_d(lane.sub(b, a), 6.0), weighted)
+        return lane.sixth(lane.sub(b, a), weighted)
 
     def rec(a, fa, m, fm, b, fb, whole, tol, depth):
         nonlocal unmet
@@ -1053,7 +1056,6 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
             raise ConfigError(f"{f} is {entry.dim}D; use integrate_{entry.dim}d")
         f, user = raw_fn(f, tier, a), False
         integrand_id = entry.id
-        domain = domain_of(entry.id, tier) if domain is None else domain
     elif callable(f):
         if a is not None:
             raise ConfigError("parameter a applies only to registry integrands")
@@ -1062,21 +1064,23 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         user = True
     else:
         raise ConfigError("f must be an integrand id or a callable")
-    for iv in domain:
-        if iv.tier is not tier:
-            raise TierMismatchError(f"{what} tier does not match the engine tier")
-    if integrand_id is not None and tuple(domain) == domain_of(integrand_id, tier):
+    if integrand_id is not None and (domain is None or tuple(domain) == domain_of(integrand_id, tier)):
+        # the own domain: of the tier, not degenerate, its box resolved once
+        domain = domain_of(integrand_id, tier)
         lane, f = _own_lane(f, tier)
         box = _own_box(integrand_id, lane)
     else:
+        for iv in domain:
+            if iv.tier is not tier:
+                raise TierMismatchError(f"{what} tier does not match the engine tier")
         if integrand_id is not None and tier is Tier.DOUBLEWORD:
             f, user = _of_reals(f), True
         box = _box(lane, domain)
-    if any(iv.degenerate for iv in domain):
-        probe = _boundary(f, lane, user, domain)
-        probe(*(w for corner, _ in box for w in lane.words(corner)))
-        zero = Real.from_float(0.0, tier)
-        return QuadResult(zero, zero, 1, True)
+        if any(iv.degenerate for iv in domain):
+            probe = _boundary(f, lane, user, domain)
+            probe(*(w for corner, _ in box for w in lane.words(corner)))
+            zero = Real.from_float(0.0, tier)
+            return QuadResult(zero, zero, 1, True)
     try:
         out = core(lane, _boundary(f, lane, user), box, method)
     except (ArithmeticError, ValueError, AhmedQuadError):
@@ -1104,8 +1108,9 @@ def _box(lane, domain):
 
 
 def _result(lane, value, est: float, evals: int, converged: bool) -> QuadResult:
-    # a core's (value, estimate, evaluations, converged) at the API boundary
-    error = Real.from_float(est, lane.tier)
+    # a core's (value, estimate, evaluations, converged) at the API boundary;
+    # a positive finite estimate is a Real as it stands
+    error = Real._raw(est, 0.0, lane.tier) if 0.0 < est < math.inf else Real.from_float(est, lane.tier)
     return QuadResult(lane.real(value), error, evals, converged)
 
 

@@ -6,8 +6,8 @@ binary64 floats (a double-word, roughly 32 significant decimal digits).
 Every binary64 word is a multiple of 2^-1074, so a pair is an exact
 ratio n / d with d a power of two (``_pair_ratio``): the
 :class:`Real` operators ``+``, ``-``, ``*`` and ``/`` at DOUBLEWORD
-form the exact result of the words' ratios and round it once, through
-one tier-checked path (``_real_op``). The public ``two_sum`` is Knuth's
+round the exact result once, through one tier-checked path
+(``_real_op``), a sum by :func:`math.fsum` of the words. The public ``two_sum`` is Knuth's
 error-free sum, which :class:`Real`'s constructor uses too, and
 ``two_prod`` takes its error term from the exact ratios of its operands,
 so that it is exact wherever an exact pair exists.
@@ -30,7 +30,7 @@ code, and the quadrature module's integer lanes sum them exactly.
 Each value is rounded once, to the nearest double-word pair, by one
 routine, ``_pair_from_ratio(n, d)``: int / int rounds correctly, so the
 high word is n / d and the low word the exact rest divided by d. The
-same routine rounds :class:`Real` arithmetic at DOUBLEWORD, every
+same routine rounds :class:`Real` products and quotients, every
 result of the quadrature module's integer lanes and the eq3 lane's
 1/(x^2 + a^2), from the exact ratios of the words, an int with a low
 word given to the constructor, and a decimal literal.
@@ -365,6 +365,20 @@ def _exact_ratio(native, a: "Real", b: "Real") -> tuple[int, int]:
     return native(n * q, m * d), d * q
 
 
+def _nearest(native, a: "Real", b: "Real") -> tuple[float, float]:
+    # the nearest pair to native(a, b): a sum's hi is fsum of the signed
+    # words, correctly rounded as _pair_from_ratio rounds, and its lo the
+    # fsum with -hi; the exact ratio's where a partial sum overflows
+    if native is operator.add or native is operator.sub:
+        words = (a.hi, a.lo, b.hi, b.lo) if native is operator.add else (a.hi, a.lo, -b.hi, -b.lo)
+        try:
+            hi = math.fsum(words)
+            return hi, math.fsum(words + (-hi,))
+        except OverflowError:
+            pass
+    return _pair_from_ratio(*_exact_ratio(native, a, b))
+
+
 def _real_op(native, what: str, swap: bool = False):
     # one Real operator, self op other (other op self when swap): at
     # NATIVE64 the binary64 native(a, b), at DOUBLEWORD the nearest pair
@@ -379,7 +393,7 @@ def _real_op(native, what: str, swap: bool = False):
         if self.tier is Tier.NATIVE64:
             rh, rl = native(a.hi, b.hi), 0.0
         else:
-            rh, rl = _pair_from_ratio(*_exact_ratio(native, a, b))
+            rh, rl = _nearest(native, a, b)
         _check_finite_pair(rh, rl, what)
         return Real._raw(rh, rl, self.tier)
 

@@ -1282,9 +1282,9 @@ class TestEvaluationBoundary:
         # every value is finite, but fa + 4 fm + fb is not: the first
         # rule raises instead of splitting down to max_depth on every
         # branch, which at the default depth would not end. The
-        # DOUBLEWORD lane's rules are exact ints, so there the constant
-        # over [0, 1] is its exact value, and over [0, 2], past binary64,
-        # the run stops as soon
+        # DOUBLEWORD lane's rules are exact ints, floored once at the
+        # value shift, so there the constant over [0, 1] is its exact
+        # value, and over [0, 2], past binary64, the run stops as soon
         big = Real.from_float(1.5e308, tier)
         tol = 1e-8 if tier is Tier.NATIVE64 else 1e-20
         config = EngineConfig(AdaptiveSimpson(tol, max_depth=12), tier)
@@ -1296,11 +1296,8 @@ class TestEvaluationBoundary:
 
         domain = _unit(tier)
         if tier is Tier.DOUBLEWORD:
-            # the exact value, but for the floor of Simpson's (b - a)/6 at
-            # the lane's 2^-1266, which the value 1.5e308 scales up
             res = integrate_1d(f, domain, config)
-            assert (res.value.hi, res.evaluations, res.converged) == (1.5e308, 5, True)
-            assert abs(res.value.lo) <= 2.0**-200 * 1.5e308
+            assert (res.value.hi, res.value.lo, res.evaluations, res.converged) == (1.5e308, 0.0, 5, True)
             calls.clear()
             domain = Interval(Real.from_float(0.0, tier), Real.from_float(2.0, tier))
         with pytest.raises(NonFiniteError):
@@ -1468,6 +1465,14 @@ def _proven_run(iid, method, tier):
     return res, tuple(orders)
 
 
+def _bits(v):
+    # a value with each float by its bits and each int as itself, through
+    # tuples and lists
+    if isinstance(v, (tuple, list)):
+        return [_bits(u) for u in v]
+    return v.hex() if isinstance(v, float) else v
+
+
 def _record_gl_tables(monkeypatch):
     # the orders of the Gauss-Legendre tables the engines ask for, on
     # every lane
@@ -1591,6 +1596,80 @@ class TestAdaptiveGaussLegendre:
         assert len(picked) > 1, picked
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_eq3_rung_search_is_the_bisection(self, tier):
+        # bounds._first_rung, a closed-form start and the exact bound at the
+        # rungs beside it, against bounds._cheapest's bisection of the
+        # ladder: the same orders and the same bound bits over 2,000 seeded
+        # a in [0.1, 10], on both floats of each change of rung, at a =
+        # 1e-140 (no bound), at a = 2^-484, where a^2 = 2^-968 is just
+        # inside the input range and the certificate has no pair, and at
+        # a = 1e154, where its pairs overflow to NaN
+        from ahmedquad.quad import _gl_rungs
+        from ahmedquad.verify import default_config
+
+        method = default_config(tier).method if tier is Tier.DOUBLEWORD else GaussLegendre(96, 1e-13)
+        rungs = _gl_rungs(method)
+
+        def pick(a_val):
+            cert = raw_fn("eq3_kernel", tier, Real.from_float(a_val, tier)).certificate()
+            got = bounds._first_rung(cert, tier, rungs, method.tol)
+            want = bounds._cheapest(cert, tier, rungs, method.tol)
+            assert (got and (got[0], got[1].hex())) == (want and (want[0], want[1].hex())), a_val
+            return want and want[0]
+
+        rng = random.Random(0xF125)
+        a_values = sorted(rng.uniform(0.1, 10.0) for _ in range(2000))
+        picks = [pick(a) for a in a_values]
+        changes = set()
+        for lo, hi, p, q in zip(a_values, a_values[1:], picks, picks[1:]):
+            if p == q:
+                continue
+            # bisect down to the two neighbouring floats where the pick changes
+            while math.nextafter(lo, hi) != hi:
+                mid = lo + 0.5 * (hi - lo)
+                lo, hi = (mid, hi) if pick(mid) == p else (lo, mid)
+            changes.add((p, q))
+        assert len(changes) >= 2, changes
+        assert pick(1e-140) is None and pick(2.0**-484) is None and pick(1e154) is None
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_a_repeated_run_resolves_nothing_again(self, tier, monkeypatch):
+        # a proven eq3_kernel run computes the bound at most twice, and a
+        # registry run over its own domain, repeated, builds no box, lane
+        # or mapped axis: each comes from the caches of the first run
+        from collections import Counter
+
+        from ahmedquad.verify import default_config, seeded_a_values
+
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(bounds, "_bound", counting("bound", bounds._bound))
+        monkeypatch.setattr(quad, "_box", counting("box", quad._box))
+        for lane in (quad._Native, quad._FixedPoint):
+            monkeypatch.setattr(lane, "map", staticmethod(counting("map", lane.map)))
+        proven = GaussLegendre(96, LADDER_TOLS[tier][-1])
+        for a in seeded_a_values(tier, samples=200):
+            counts.clear()
+            res = integrate_1d("eq3_kernel", config=EngineConfig(proven, tier), a=a)
+            assert res.converged and 1 <= counts["bound"] <= 2, a
+        for method in (proven, default_config(tier).method):
+            for iid in ONE_D_IDS + ("eq3_kernel",) + TWO_D_IDS:
+                _registry_run(iid, method, tier)
+                lanes, boxes = quad._fixed_lane.cache_info(), quad._own_box.cache_info()
+                counts.clear()
+                _registry_run(iid, method, tier)
+                assert counts["box"] == counts["map"] == 0, (iid, method, counts)
+                assert quad._fixed_lane.cache_info().misses == lanes.misses
+                assert quad._own_box.cache_info().misses == boxes.misses
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_a_proven_run_reads_only_ladder_tables(self, tier, monkeypatch):
         # eq3_kernel's proven rung is one of _gl_rungs(method), so it asks
         # for no table the ladder would not build: its order moves with a
@@ -1626,43 +1705,52 @@ class TestAdaptiveGaussLegendre:
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_the_mapped_axis_cache_is_bounded(self, tier):
-        # a proven run reads each mapped axis from quad._OWN_AXES, keyed by
-        # (order, table, own-domain axis): eq3_kernel at any a (on the
-        # integer lanes of every value shift at DOUBLEWORD) adds at most
-        # one entry per ladder order, and only proven runs add entries
+        # a proven run reads each prepared axis from its integrand's own
+        # box (quad._own_box, one per integrand and lane), keyed by (axis,
+        # order, part): eq3_kernel at any a (on the integer lanes of every
+        # value shift at DOUBLEWORD) adds at most one entry per ladder
+        # order to its lane's box, and only proven runs add entries
         from ahmedquad.quad import _gl_rungs
 
-        lane = quad._Native if tier is Tier.NATIVE64 else quad._FixedPoint
-        lanes = {own.gl_table: own for own in (quad._Native, quad._FixedPoint)}
         method = GaussLegendre(96, LADDER_TOLS[tier][-1])
         config = EngineConfig(method, tier)
-        quad._OWN_AXES.clear()
+
+        def own_box(iid, a=None):
+            lane, _ = quad._own_lane(raw_fn(iid, tier, a), tier)
+            return lane, quad._own_box(iid, lane)
+
+        quad._own_box.cache_clear()
+        boxes = {}
         for k in range(200):
-            integrate_1d("eq3_kernel", config=config, a=Real.from_float(0.1 * 1.02**k, tier))
-        ((m, h),) = [quad._mid_half(lane, *axis) for axis in quad._own_box("eq3_kernel", lane)]
-        assert 1 < len(quad._OWN_AXES)
-        assert set(quad._OWN_AXES) <= {(n, lane.gl_table, m, h) for n in _gl_rungs(method)}
-        before = dict(quad._OWN_AXES)
+            a = Real.from_float(0.1 * 1.02**k, tier)
+            integrate_1d("eq3_kernel", config=config, a=a)
+            lane, box = own_box("eq3_kernel", a)
+            boxes[lane] = box
+        assert quad._own_box.cache_info().currsize == len(boxes)
+        assert 1 < sum(len(box.mapped) for box in boxes.values())
+        for box in boxes.values():
+            assert {key[:2] for key in box.mapped} <= {(0, n) for n in _gl_rungs(method)}
+        before = {lane: dict(box.mapped) for lane, box in boxes.items()}
         domain = domain_of("ahmed_eq1", tier)
         integrate_1d(_lane_callable("ahmed_eq1", tier), domain[0], config)
         half = Interval(domain[0].lower, Real.from_float(0.5, tier))
         integrate_1d("ahmed_eq1", half, config)
         integrate_1d("ahmed_eq1", config=EngineConfig(GaussLegendre(22), tier))
         integrate_2d("i2_kernel_eq4", config=EngineConfig(GaussLegendre(18), tier))
-        assert quad._OWN_AXES == before
+        assert {lane: box.mapped for lane, box in boxes.items()} == before
+        assert not own_box("ahmed_eq1")[1].mapped and not own_box("i2_kernel_eq4")[1].mapped
         for iid in ONE_D_IDS + TWO_D_IDS:
             _registry_run(iid, method, tier)
-        assert len(quad._OWN_AXES) > len(before)
-        for (n, table, m, h), axis in quad._OWN_AXES.items():
-            own = lanes[table]
-            xs, ws = own.gl_table(n)
-            fresh = list(zip(own.map(m, h, xs), ws))
-
-            def words(rule):
-                # an int word as itself, a float one by its bits
-                return [[getattr(w, "hex", lambda: w)() for v in pair for w in own.words(v)] for pair in rule]
-
-            assert words(axis) == words(fresh)
+            lane, box = own_box(iid)
+            boxes[lane, iid] = box
+            assert box.mapped
+        for key, box in boxes.items():
+            own = key[0] if isinstance(key, tuple) else key
+            for (i, n, part), axis in box.mapped.items():
+                m, h = box.halves[i]
+                xs, ws = own.gl_table(n)
+                fresh = [(part(p) if part else p, w) for p, w in zip(own.map(m, h, xs), ws)]
+                assert _bits(axis) == _bits(fresh)
 
     def test_fixed_order_never_looks_up_a_certificate(self, monkeypatch):
         from ahmedquad.bench import bench_rows

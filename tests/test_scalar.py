@@ -953,18 +953,21 @@ class TestTableDrivenExp:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        # every lazy constant and table of the scalar module
+        # every lazy constant and table of the scalar module, and what a
+        # run over an integrand's own domain resolves once: its box, the
+        # Gauss-Legendre ladder and the bound's scales
         code = (
             "import ahmedquad\n"
-            "from ahmedquad import scalar\n"
-            "for f in (scalar._pi_pair, scalar._atan_table, scalar._fixed_exp_tables):\n"
+            "from ahmedquad import bounds, quad, scalar\n"
+            "for f in (scalar._pi_pair, scalar._atan_table, scalar._fixed_exp_tables,\n"
+            "          quad._own_box, quad._gl_rungs, bounds._scales):\n"
             "    print(f.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "0"]
+        assert proc.stdout.split() == ["0"] * 6
 
 
 def test_exp_property_against_mpmath():
@@ -1323,6 +1326,42 @@ class TestEveryBinade:
                 for op in (operator.add, operator.sub):
                     _assert_real_op(op, x, y, ARITH_DD)
                     _assert_real_op(op, y, x, ARITH_DD)
+
+    def test_sums_are_the_exact_ratio_pairs(self):
+        # + and - (math.fsum of the four words) against the pair that the
+        # exact ratio rounds to, bit for bit: a word of every binade with
+        # one of any binade and one of the same binade or up to three
+        # below, where the sum cancels; signed zeros; and sums at and past
+        # DBL_MAX, where both raise NonFiniteError. (top, 0) + (2^970,
+        # -2^916) is finite, though fsum's partial sum top + 2^970 is not
+        D = Tier.DOUBLEWORD
+        top = sys.float_info.max
+
+        def bits(outcome):
+            if outcome is NonFiniteError or not all(map(math.isfinite, outcome)):
+                return NonFiniteError
+            return tuple(w.hex() for w in outcome)
+
+        words, rng = _binade_words(0xF5E)
+        cases = []
+        for k, x in enumerate(words):
+            cases += [(x, rng.choice(words)), (x, _word(rng, k // 2 - 1074 - rng.randint(0, 3)))]
+        zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+        big = [(top, 0.0), (top, -(2.0**969)), (-top, 2.0**969), (2.0**1023, 2.0**969), (2.0**970, -(2.0**916))]
+        cases += [(x, y) for x in zeros + big for y in zeros + big + words[::40]]
+        raised = 0
+        for x, y in cases:
+            for op in (operator.add, operator.sub):
+                for u, v in ((x, y), (y, x)):
+                    want = scalar._pair_from_ratio(*scalar._exact_ratio(op, Real._raw(*u, D), Real._raw(*v, D)))
+                    got = _real_outcome(op, u, v)
+                    assert bits(got) == bits(want), (op, u, v)
+                    raised += got is NonFiniteError
+        assert raised > 0
+        fallback = Real._raw(top, 0.0, D) + Real._raw(2.0**970, -(2.0**916), D)
+        assert (fallback.hi, fallback.lo) == (top, 2.0**970 - 2.0**916)
+        with pytest.raises(OverflowError):
+            math.fsum((top, 0.0, 2.0**970, -(2.0**916)))
 
     def test_mul(self):
         # with a word picked so that the product lands in a seeded binade
