@@ -125,29 +125,6 @@ def _cheapest(cert, tier: Tier, orders, tol: float):
     return best, bounds[best]
 
 
-def _first_rung(cert, tier: Tier, rungs, tol: float):
-    """In 1-D, :func:`_cheapest`'s pick from the ascending ``rungs``: it
-    starts at the first rung at or past the least n = 1 + log(max(1, 4
-    scale M / ((rho^2 - 1) room))) / (2 log rho) over the pairs, where a
-    term without its factor 1 + 1/(4n^2 - 1) meets room = tol / _OUTWARD
-    - rounding (the top with no pair or no room), then steps down while
-    the rung below is within tol and up while its own is not."""
-    terms, rounding = _gl_terms(cert, tier)
-    ((scale, pairs),) = terms
-    room = tol / _OUTWARD - rounding
-    c = 4.0 * scale / room if room > 0.0 else math.inf
-    logs = [math.log(max(c * m / (rho * rho - 1.0), 1.0), rho) for rho, m in pairs]
-    i = min(bisect.bisect_left(rungs, 1.0 + 0.5 * min(logs, default=math.inf)), len(rungs) - 1)
-    bound = _bound(terms, rounding, (rungs[i],))
-    down = bound <= tol  # False on a NaN bound too, as in _cheapest
-    while not bound <= tol and i + 1 < len(rungs):
-        i += 1
-        bound = _bound(terms, rounding, (rungs[i],))
-    while down and i > 0 and (below := _bound(terms, rounding, (rungs[i - 1],))) <= tol:
-        i, bound = i - 1, below
-    return ((rungs[i],), bound) if bound <= tol else None
-
-
 @functools.lru_cache(maxsize=None)
 def _fixed_proven(cert, tier: Tier, method):
     """The cheapest proven orders of a fixed integrand, each from 2 to
@@ -162,5 +139,5 @@ def _proven_rung(cert, tier: Tier, method, ladder):
     ``ladder(method)``, whose tables are built once while its orders
     move with a."""
     if get_integrand(cert.id).parametric:
-        return _first_rung(cert, tier, ladder(method), method.tol)
+        return _cheapest(cert, tier, ladder(method), method.tol)
     return _fixed_proven(cert, tier, method)

@@ -629,7 +629,14 @@ def _fixed_lane(out: int, point: int = _FIX):
     # _FixedPoint, or beside it a lane that differs in those shifts alone
     if out == point == _FIX:
         return _FixedPoint
-    return type("_FixedPoint", (_FixedPoint,), {"out": out, "point": point})
+    lane = type("_FixedPoint", (_FixedPoint,), {"out": out, "point": point})
+    lane.points = lane if out == point else _fixed_lane(point, point)
+    return lane
+
+
+# a lane's ``points``: the lane whose values sit at its point shift too;
+# an integrand's own box is built on it, so the value shifts share one
+_Native.points, _FixedPoint.points = _Native, _FixedPoint
 
 
 # every binary64 word is a multiple of 2^-1074, so at 2^-1266 a pair is an
@@ -745,7 +752,6 @@ def _floored(lane, est: float, value) -> float:
     return max(est, 4.0 * lane.tier.eps * abs(lane.hi(value)))
 
 
-@functools.lru_cache(maxsize=None)
 def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
     """The orders a Gauss-Legendre run goes through, lowest first. The
     fixed rule is the two rungs (order // 2, order); with a ``tol`` the
@@ -765,7 +771,9 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
 class _OwnBox(tuple):
     """A registry integrand's own domain as a lane's box, built once, with
     each axis's ``(mid, half-width)``, the Jacobian and ``mapped``, the
-    prepared axis of each (axis, order, part) proven runs used: bounded."""
+    prepared axis of each (axis, order, part) proven runs used: bounded.
+    Each is built on a lane's ``points``, so that the integer lanes of
+    every value shift share one; none of it depends on the value shift."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -815,7 +823,7 @@ def _gl(lane, f, box, method: GaussLegendre):
     tol = method.tol
     certificate = None if tol is None else getattr(f, "certificate", None)
     cert = None if certificate is None else certificate()
-    own = cert is not None and box is _own_box(cert.id, lane)
+    own = cert is not None and box is _own_box(cert.id, lane.points)
     proven = bounds._proven_rung(cert, lane.tier, method, _gl_rungs) if own else None
     if proven is not None:
         # unrounded: _result rounds it to the pair rounded gives, and hi agrees
@@ -1068,7 +1076,7 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         # the own domain: of the tier, not degenerate, its box resolved once
         domain = domain_of(integrand_id, tier)
         lane, f = _own_lane(f, tier)
-        box = _own_box(integrand_id, lane)
+        box = _own_box(integrand_id, lane.points)
     else:
         for iv in domain:
             if iv.tier is not tier:
@@ -1108,9 +1116,8 @@ def _box(lane, domain):
 
 
 def _result(lane, value, est: float, evals: int, converged: bool) -> QuadResult:
-    # a core's (value, estimate, evaluations, converged) at the API boundary;
-    # a positive finite estimate is a Real as it stands
-    error = Real._raw(est, 0.0, lane.tier) if 0.0 < est < math.inf else Real.from_float(est, lane.tier)
+    # a core's (value, estimate, evaluations, converged) at the API boundary
+    error = Real.from_float(est, lane.tier)
     return QuadResult(lane.real(value), error, evals, converged)
 
 

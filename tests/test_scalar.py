@@ -954,20 +954,20 @@ class TestTableDrivenExp:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         # every lazy constant and table of the scalar module, and what a
-        # run over an integrand's own domain resolves once: its box, the
-        # Gauss-Legendre ladder and the bound's scales
+        # run over an integrand's own domain resolves once: its box and the
+        # bound's scales
         code = (
             "import ahmedquad\n"
             "from ahmedquad import bounds, quad, scalar\n"
             "for f in (scalar._pi_pair, scalar._atan_table, scalar._fixed_exp_tables,\n"
-            "          quad._own_box, quad._gl_rungs, bounds._scales):\n"
+            "          quad._own_box, bounds._scales):\n"
             "    print(f.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"] * 6
+        assert proc.stdout.split() == ["0"] * 5
 
 
 def test_exp_property_against_mpmath():
