@@ -50,7 +50,12 @@ from .verify import (
 
 _ENV_TIER = "AHMEDQUAD_TIER"
 
-_METHOD_NAMES = ("tanh-sinh", "gauss-legendre", "simpson")
+# each method's flags; --method is one of its keys
+_METHOD_FLAGS = {
+    "tanh-sinh": ("level", "tol"),
+    "gauss-legendre": ("order", "tol"),
+    "simpson": ("tol", "max_depth"),
+}
 
 
 def _resolve_tier(flag: str | None) -> Tier:
@@ -73,14 +78,13 @@ def _build_engine(args, tier: Tier) -> EngineConfig:
         "max_depth": args.max_depth,
     }
     if method is None:
-        if all(v is None for v in flags.values()):
+        given = {name for name, v in flags.items() if v is not None}
+        if not given:
             return default_config(tier)
-        method = "tanh-sinh"
-    allowed = {
-        "tanh-sinh": ("level", "tol"),
-        "gauss-legendre": ("order", "tol"),
-        "simpson": ("tol", "max_depth"),
-    }[method]
+        # the one method that takes every given flag, else tanh-sinh
+        owners = [m for m, names in _METHOD_FLAGS.items() if given <= set(names)]
+        method = owners[0] if len(owners) == 1 else "tanh-sinh"
+    allowed = _METHOD_FLAGS[method]
     for name, value in flags.items():
         if value is not None and name not in allowed:
             raise ConfigError(f"--{name.replace('_', '-')} does not apply to {method}")
@@ -240,7 +244,7 @@ def _cmd_version(args) -> int:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tier", choices=[t.value for t in Tier], default=None)
-    p.add_argument("--method", choices=_METHOD_NAMES, default=None)
+    p.add_argument("--method", choices=list(_METHOD_FLAGS), default=None)
     p.add_argument("--order", type=int, default=None,
                    help="Gauss-Legendre order")
     p.add_argument("--level", type=int, default=None,

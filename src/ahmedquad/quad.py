@@ -31,26 +31,28 @@ Three rules share one result contract:
 All reported evaluation counts are exact: every call into the integrand
 is counted once, including the points spent on error estimation.
 
-Each rule is written once, as a core that runs over a *lane*:
-:class:`_Native` carries values as binary64 floats, and the integer
-lanes of :class:`_FixedPoint` carry points and values as ints at fixed
-points of their own. The lane owns the arithmetic (point mapping,
+Each rule is written once, as a core that runs over a *lane* and a
+*box*. :class:`_Native` carries values as binary64 floats, and the
+integer lanes of :class:`_FixedPoint` carry points and values as ints at
+fixed points of their own. The lane owns the arithmetic (point mapping,
 exact power-of-two scaling, differences, ``hi``, conversion to and from
-:class:`Real`) and the rule tables it reads. Every registry integrand
-runs its integer body at DOUBLEWORD over its own domain, in 1-D and in
-2-D, under every rule and mode, on the integer lane of the 2^-192 fixed
-point of :mod:`.scalar`; callables and other domains run on the
-DOUBLEWORD tier's lane, the integer lane of 2^-1266, where every pair
-is an exact int, and NATIVE64 on its own. A 2-D
-tensor rule is the 1-D weighted sum applied to row sums over prepared
-axes. A native 2-D lane and a 2-D integer body carry ``parts``, an
-x-part, a y-part and a join with ``f(x, y) == join(xpart(x),
-ypart(y))``: each column's x-part is computed once per rule (once per
-new node in tanh-sinh), each row's y-part once per row, and only the
-join runs at each of the n^2 points.
-An integrand without parts (a callable, a registry lane off its own
-domain, or the checked re-run's wrapper) is its own join over the
-coordinates themselves; ITERATED runs call the plain lane or body.
+:class:`Real`) and the rule tables it reads. The box (:class:`_Box`),
+built once per run, or per integrand and tier over its own domain, holds
+each axis's endpoints, midpoint and half-width, and the Jacobian. Every
+registry integrand runs its integer body at DOUBLEWORD over its own
+domain, in 1-D and in 2-D, under every rule and mode, on the integer
+lane of the 2^-192 fixed point of :mod:`.scalar`; callables and other
+domains run on the DOUBLEWORD tier's lane, the integer lane of 2^-1266,
+where every pair is an exact int, and NATIVE64 on its own. A 2-D tensor
+rule is the 1-D weighted sum applied to row sums over prepared axes. A
+native 2-D lane and a 2-D integer body carry ``parts``, an x-part, a
+y-part and a join with ``f(x, y) == join(xpart(x), ypart(y))``: each
+column's x-part is computed once per rule (once per new node in
+tanh-sinh), each row's y-part once per row, and only the join runs at
+each of the n^2 points. An integrand without parts (a callable, a
+registry lane off its own domain, or the checked re-run's wrapper) is
+its own join over the coordinates themselves; ITERATED runs call the
+plain lane or body.
 
 Every weighted sum is exactly rounded. At NATIVE64 a running sum is
 the list of the binary64 words of its terms ``w * f(p)``, totalled by
@@ -90,7 +92,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bounds
 from .errors import (
@@ -334,7 +336,6 @@ def _gl_table(n: int):
     return tuple(tuple(hi for hi, _ in col) for col in _pair_table(_gl_ints(n)))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def gl_nodes(order: int, tier: Tier = Tier.NATIVE64) -> NodeTable:
     """The memoized Gauss-Legendre rule of a given order at a tier.
     Repeated calls return the identical table object. Each node and
@@ -342,6 +343,11 @@ def gl_nodes(order: int, tier: Tier = Tier.NATIVE64) -> NodeTable:
     once; NATIVE64 keeps its high word, the nearest double."""
     _check_int(order, 2, _MAX_GL_ORDER, "order")
     _check_tier(tier)
+    return _gl_nodes(order, tier)
+
+
+@functools.lru_cache(maxsize=None)
+def _gl_nodes(order: int, tier: Tier) -> NodeTable:
     xs, ws = _pair_table(_gl_ints(order))
     return NodeTable(order, tier, _reals(xs, tier), _reals(ws, tier))
 
@@ -424,7 +430,6 @@ def _ts_nodes(level: int):
     return _ts_level(level, _ts_point_native)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def tanh_sinh_abscissas(
     level: int, tier: Tier = Tier.NATIVE64
 ) -> tuple[tuple[Real, Real], ...]:
@@ -439,9 +444,14 @@ def tanh_sinh_abscissas(
     endpoints, so adjacent table entries there can round to equal
     abscissas (their weights stay distinct). A DOUBLEWORD node and
     weight is the nearest pair to its int in :func:`_ts_ints`, rounded
-    once."""
+    once. Repeated calls return the identical tuple."""
     _check_int(level, 1, _MAX_TS_LEVEL, "level")
     _check_tier(tier)
+    return _ts_abscissas(level, tier)
+
+
+@functools.lru_cache(maxsize=None)
+def _ts_abscissas(level: int, tier: Tier) -> tuple[tuple[Real, Real], ...]:
     nodes = []  # (t / h, x, w) as (hi, lo) pairs
     for k in range(1, level + 1):
         shift = level - k
@@ -489,18 +499,13 @@ class _Native:
     hi = float  # the identity on floats, at C speed
     real = staticmethod(lambda v: Real._raw(v, 0.0, Tier.NATIVE64))
     pack = to_point = staticmethod(lambda hi, lo: hi)
-    words = staticmethod(lambda v: (v,))
-    coords = staticmethod(lambda words: [(x, 0.0) for x in words])
+    coords = staticmethod(lambda vs: [(x, 0.0) for x in vs])
     total = staticmethod(_fsum)
     scale_words = staticmethod(lambda words, s: [w * s for w in words])
     rounded = staticmethod(lambda v: v)  # a value is already the tier's
     gl_table = staticmethod(_gl_table)
     ts_nodes = staticmethod(_ts_nodes)
-
-    @staticmethod
-    def map(m, h, xs):
-        # the points m + h x of a rule's nodes
-        return [m + h * x for x in xs]
+    map = staticmethod(lambda m, h, xs: [m + h * x for x in xs])  # the points m + h x of nodes xs
 
     @staticmethod
     def sum(f, axis):
@@ -569,12 +574,14 @@ class _FixedPoint:
     )
     pack = classmethod(lambda cls, hi, lo: _fixed_from_pair(hi, lo, cls.out))
     to_point = classmethod(lambda cls, hi, lo: _fixed_from_pair(hi, lo, cls.point))
-    words = staticmethod(lambda v: (v,))
-    coords = classmethod(lambda cls, words: [_pair_from_ratio(v, 1 << cls.point) for v in words])
+    coords = classmethod(lambda cls, vs: [_pair_from_ratio(v, 1 << cls.point) for v in vs])
     total = staticmethod(lambda words: sum(words) >> _W_SHIFT)
     scale_words = staticmethod(lambda words, s: [_shifted(w, s) for w in words])
     gl_table = staticmethod(_gl_ints)
     ts_nodes = staticmethod(_ts_ints)
+    map = staticmethod(lambda m, h, xs: [m + (h * x >> _FIX) for x in xs])
+    sum = staticmethod(_Native.sum)
+    parts = staticmethod(_Native.parts)
 
     @classmethod
     def hi(cls, v) -> float:
@@ -590,18 +597,6 @@ class _FixedPoint:
         # past binary64's range, where hi is infinite
         hi, lo = _pair_from_ratio(v, 1 << cls.out)
         return _fixed_from_pair(hi, lo, cls.out) if math.isfinite(hi) else v
-
-    @staticmethod
-    def map(m, h, xs):
-        return [m + (h * x >> _FIX) for x in xs]
-
-    @staticmethod
-    def sum(f, axis):
-        return [w * f(p) for p, w in axis]
-
-    @staticmethod
-    def parts(f):
-        return getattr(f, "parts", None) or (None, None, f)
 
     @staticmethod
     def tensor(join, cols, rows):
@@ -629,14 +624,7 @@ def _fixed_lane(out: int, point: int = _FIX):
     # _FixedPoint, or beside it a lane that differs in those shifts alone
     if out == point == _FIX:
         return _FixedPoint
-    lane = type("_FixedPoint", (_FixedPoint,), {"out": out, "point": point})
-    lane.points = lane if out == point else _fixed_lane(point, point)
-    return lane
-
-
-# a lane's ``points``: the lane whose values sit at its point shift too;
-# an integrand's own box is built on it, so the value shifts share one
-_Native.points, _FixedPoint.points = _Native, _FixedPoint
+    return type("_FixedPoint", (_FixedPoint,), {"out": out, "point": point})
 
 
 # every binary64 word is a multiple of 2^-1074, so at 2^-1266 a pair is an
@@ -670,12 +658,12 @@ def _not_finite(coords) -> NonFiniteError:
 
 
 def _boundary(f, lane, user: bool, domain=None):
-    """The integrand as the cores call it: lane words in, a lane value
-    out. A user callable (``user``) is passed Reals of the lane's tier,
-    each point rounded once to the nearest pair at DOUBLEWORD, and may
-    return a Real of that tier, an int or a float, which enters the lane
-    exactly; a value that is not finite raises :class:`NonFiniteError`
-    carrying the point.
+    """The integrand as the cores call it: a lane value per coordinate
+    in, a lane value out. A user callable (``user``) is passed Reals of
+    the lane's tier, each point rounded once to the nearest pair at
+    DOUBLEWORD, and may return a Real of that tier, an int or a float,
+    which enters the lane exactly; a value that is not finite raises
+    :class:`NonFiniteError` carrying the point.
 
     With a ``domain`` every evaluation is checked: a non-finite value,
     or an arithmetic error raised on the domain's edge (where an
@@ -690,8 +678,8 @@ def _boundary(f, lane, user: bool, domain=None):
     call = f
     if user:
 
-        def call(*words):
-            coords = lane.coords(words)
+        def call(*vs):
+            coords = lane.coords(vs)
             r = f(*(Real._raw(h, l, tier) for h, l in coords))
             if isinstance(r, Real):
                 if r.tier is not tier:
@@ -717,10 +705,10 @@ def _boundary(f, lane, user: bool, domain=None):
         return call
     edges = [((iv.lower.hi, iv.lower.lo), (iv.upper.hi, iv.upper.lo)) for iv in domain]
 
-    def located(*words):
-        coords = lane.coords(words)
+    def located(*vs):
+        coords = lane.coords(vs)
         try:
-            v = call(*words)
+            v = call(*vs)
         except AhmedQuadError as exc:
             if exc.point is None:
                 exc.point = tuple(h for h, _ in coords)
@@ -748,6 +736,18 @@ def _mid_half(lane, a, b):
     return lane.scale(lane.add(a, b), 0.5), lane.scale(lane.sub(b, a), 0.5)
 
 
+class _Box(tuple):
+    """A run's box, built once per run (:func:`_box`): each axis's
+    endpoints as lane values, with each axis's ``(mid, half-width)`` in
+    ``halves`` and the Jacobian, their product, in ``jac``."""
+
+    def __new__(cls, lane, axes):
+        box = super().__new__(cls, axes)
+        box.halves = [_mid_half(lane, a, b) for a, b in axes]
+        box.jac = functools.reduce(lane.mul, [h for _, h in box.halves])
+        return box
+
+
 def _floored(lane, est: float, value) -> float:
     return max(est, 4.0 * lane.tier.eps * abs(lane.hi(value)))
 
@@ -768,46 +768,36 @@ def _gl_rungs(method: GaussLegendre) -> tuple[int, ...]:
     return tuple(reversed(rungs))
 
 
-class _OwnBox(tuple):
-    """A registry integrand's own domain as a lane's box, built once, with
-    each axis's ``(mid, half-width)``, the Jacobian and ``mapped``, the
-    prepared axis of each (axis, order, part) proven runs used: bounded.
-    Each is built on a lane's ``points``, so that the integer lanes of
-    every value shift share one; none of it depends on the value shift."""
-
-
 @functools.lru_cache(maxsize=None)
-def _own_box(integrand_id: str, lane):
-    box = _OwnBox(_box(lane, domain_of(integrand_id, lane.tier)))
-    box.halves, box.jac, box.mapped = *_halves(lane, box), {}
+def _own_box(integrand_id: str, tier: Tier) -> _Box:
+    """A registry integrand's own domain as the box of its runs at a
+    tier, built once on the tier's lane of points at 2^-192, which the
+    integer lanes of every value shift share (none of the box depends on
+    the value shift), with ``mapped``, the prepared axis of each (axis,
+    order, part) proven runs used: bounded."""
+    box = _box(_Native if tier is Tier.NATIVE64 else _FixedPoint, domain_of(integrand_id, tier))
+    box.mapped = {}
     return box
-
-
-def _halves(lane, box):
-    # each axis's (mid, half-width), and the Jacobian, their product
-    halves = [_mid_half(lane, a, b) for a, b in box]
-    return halves, halves[0][1] if len(box) == 1 else lane.mul(halves[0][1], halves[1][1])
 
 
 def _gl_rule(lane, f, box, orders, own: bool = False):
     """The Gauss-Legendre rule of ``orders[i]`` points on axis i of the
     box, unrounded: the 1-D weighted sum, or in 2-D the tensor, over the
     axes prepared by the lane's parts. ``own`` (the box is the
-    integrand's :class:`_OwnBox`) reads each prepared axis from the box,
+    integrand's :func:`_own_box`) reads each prepared axis from the box,
     bit-identical to preparing it."""
-    halves, jac = (box.halves, box.jac) if own else _halves(lane, box)
     cache = box.mapped if own else {}
     # a 1-D run off the box's cache calls f itself: its parts pay only when kept
     *parts, join = lane.parts(f) if own or len(box) == 2 else (None, f)
     axes = []
-    for i, (n, (m, h)) in enumerate(zip(orders, halves)):
+    for i, (n, (m, h)) in enumerate(zip(orders, box.halves)):
         xs, ws = lane.gl_table(n)
         key = i, n, parts[i]
         if key not in cache:
             cache[key] = _prepared(lane, parts[i], zip(lane.map(m, h, xs), ws))
         axes.append(cache[key])
     words = lane.sum(join, axes[0]) if len(box) == 1 else lane.tensor(join, *axes)
-    return lane.mul(jac, lane.total(words))
+    return lane.mul(box.jac, lane.total(words))
 
 
 def _gl(lane, f, box, method: GaussLegendre):
@@ -823,7 +813,7 @@ def _gl(lane, f, box, method: GaussLegendre):
     tol = method.tol
     certificate = None if tol is None else getattr(f, "certificate", None)
     cert = None if certificate is None else certificate()
-    own = cert is not None and box is _own_box(cert.id, lane.points)
+    own = cert is not None and box is _own_box(cert.id, lane.tier)
     proven = bounds._proven_rung(cert, lane.tier, method, _gl_rungs) if own else None
     if proven is not None:
         # unrounded: _result rounds it to the pair rounded gives, and hi agrees
@@ -849,7 +839,7 @@ def _prepared(lane, part, axis):
     # an axis's (point, weight) pairs as (part of the point, weight)
     if part is None:  # no part: the points themselves
         return list(axis)
-    return [(part(*lane.words(p)), w) for p, w in axis]
+    return [(part(p), w) for p, w in axis]
 
 
 def _signed_axis(lane, xs, ws, m, h):
@@ -866,11 +856,11 @@ def _signed_axis(lane, xs, ws, m, h):
     return axis
 
 
-def _ts_1d(lane, f, a, b, max_level: int):
+def _ts_1d(lane, f, box, max_level: int):
     # yields (value, evaluations) after each level; the running sum's
     # words halve with the step (exact), a no-op on the empty sum before
     # level 1
-    m, h = _mid_half(lane, a, b)
+    (m, h), = box.halves
     words = []
     evals = 0
     for level in range(1, max_level + 1):
@@ -879,7 +869,7 @@ def _ts_1d(lane, f, a, b, max_level: int):
         words += lane.pairs(f, m, h, xs, ws)
         # two points per node, but one at the center of the first level
         evals += 2 * len(xs) - (level == 1)
-        yield lane.rounded(lane.mul(h, lane.total(words))), evals
+        yield lane.rounded(lane.mul(box.jac, lane.total(words))), evals
 
 
 def _ts_2d(lane, f, box, max_level: int):
@@ -888,8 +878,7 @@ def _ts_2d(lane, f, box, max_level: int):
     # each column and row is prepared once, when its node is new; kept
     # weights halve per axis and the running sum's words quarter (a
     # no-op on the empty sum before level 1)
-    (mx, hx), (my, hy) = (_mid_half(lane, a, b) for a, b in box)
-    jac = lane.mul(hx, hy)
+    (mx, hx), (my, hy) = box.halves
     xpart, ypart, join = lane.parts(f)
     px: list = []
     py: list = []
@@ -908,7 +897,7 @@ def _ts_2d(lane, f, box, max_level: int):
         evals += len(py) * len(nx) + len(ny) * len(both)
         px = both
         py = py + ny
-        yield lane.rounded(lane.mul(jac, lane.total(words))), evals
+        yield lane.rounded(lane.mul(box.jac, lane.total(words))), evals
 
 
 def _refine(lane, method: TanhSinh, levels):
@@ -934,22 +923,18 @@ def _refine(lane, method: TanhSinh, levels):
     return value, _floored(lane, est, value), evals, converged
 
 
-def _simpson(lane, f, a, b, method: AdaptiveSimpson):
+def _simpson(lane, f, box, method: AdaptiveSimpson):
     # an interval stops splitting once |S2 - S1| <= 15 tol, at max_depth,
     # or once |S2 - S1| is within the rounding floor 16 eps |S2| that
     # _refine also uses: on a large integral rounding alone can exceed the
     # absolute 15 tol, and splitting on would reach max_depth on every
     # branch. An interval that stops without meeting 15 tol leaves the
     # run unconverged
+    (a, b), = box
+    (m, _), = box.halves
     max_depth = method.max_depth
     floor_eps = 16.0 * lane.tier.eps
-    evals = 0
     unmet = False
-
-    def ev(x):
-        nonlocal evals
-        evals += 1
-        return f(*lane.words(x))
 
     def rule(a, b, fa, fm, fb):
         # (b - a)/6 * (fa + 4 fm + fb)
@@ -957,11 +942,12 @@ def _simpson(lane, f, a, b, method: AdaptiveSimpson):
         return lane.sixth(lane.sub(b, a), weighted)
 
     def rec(a, fa, m, fm, b, fb, whole, tol, depth):
-        nonlocal unmet
+        nonlocal evals, unmet
         lm = lane.scale(lane.add(a, m), 0.5)
         rm = lane.scale(lane.add(m, b), 0.5)
-        flm = ev(lm)
-        frm = ev(rm)
+        flm = f(lm)
+        frm = f(rm)
+        evals += 2
         left = rule(a, m, fa, flm, fm)
         right = rule(m, b, fm, frm, fb)
         s2 = lane.add(left, right)
@@ -980,10 +966,8 @@ def _simpson(lane, f, a, b, method: AdaptiveSimpson):
         rv, re = rec(m, fm, rm, frm, b, fb, right, half, depth + 1)
         return lane.add(lv, rv), le + re
 
-    fa = ev(a)
-    m = lane.scale(lane.add(a, b), 0.5)
-    fm = ev(m)
-    fb = ev(b)
+    fa, fm, fb = f(a), f(m), f(b)
+    evals = 3
     value, est = rec(a, fa, m, fm, b, fb, rule(a, b, fa, fm, fb), method.tol, 0)
     return value, _floored(lane, est, value), evals, not unmet
 
@@ -992,38 +976,33 @@ def _tensor(lane, f, box, method):
     # the rule over a box of one axis, or the product rule over two
     if isinstance(method, GaussLegendre):
         return _gl(lane, f, box, method)
-    if len(box) == 2:
-        return _refine(lane, method, _ts_2d(lane, f, box, method.max_level))
     if isinstance(method, AdaptiveSimpson):
-        return _simpson(lane, f, *box[0], method)
-    return _refine(lane, method, _ts_1d(lane, f, *box[0], method.max_level))
+        return _simpson(lane, f, box, method)
+    ts = _ts_1d if len(box) == 1 else _ts_2d
+    return _refine(lane, method, ts(lane, f, box, method.max_level))
 
 
 def _iterated(lane, f, box, method):
     # adaptive 1-D passes over x inside a 1-D pass over y, the inner
     # tolerance ten times tighter; only inner evaluations are counted
+    name = "target_eps" if isinstance(method, TanhSinh) else "tol"
+    tol = getattr(method, name)
     floor = 10.0 * lane.tier.eps
-    if isinstance(method, TanhSinh):
-        inner = TanhSinh(method.max_level, max(method.target_eps * 0.1, floor))
-    elif isinstance(method, AdaptiveSimpson):
-        inner = AdaptiveSimpson(max(method.tol * 0.1, floor), method.max_depth)
-    elif method.tol is not None:
-        inner = GaussLegendre(method.order, max(method.tol * 0.1, floor))
-    else:
-        inner = method
+    inner = method if tol is None else replace(method, **{name: max(0.1 * tol, floor)})
+    xbox, ybox = (_Box(lane, [axis]) for axis in box)
     evals = 0
     conv = True
     inner_est = 0.0
 
-    def g(*y):
+    def g(y):
         nonlocal evals, conv, inner_est
-        v, est, ev, c = _tensor(lane, lambda *x: f(*x, *y), box[:1], inner)
+        v, est, ev, c = _tensor(lane, lambda x: f(x, y), xbox, inner)
         evals += ev
         conv = conv and c
         inner_est = max(inner_est, est)
         return v
 
-    v, outer_est, _, outer_conv = _tensor(lane, g, box[1:], method)
+    v, outer_est, _, outer_conv = _tensor(lane, g, ybox, method)
     (width, _), = lane.coords([lane.sub(box[1][1], box[1][0])])
     est = outer_est + width * inner_est
     return v, _floored(lane, est, v), evals, outer_conv and conv
@@ -1044,9 +1023,10 @@ def _check_config(config) -> None:
 def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
     """Integrate ``f``, a registry id or a callable, over ``domain`` (by
     default a registry integrand's own) as ``core(lane, integrand, box,
-    method)``, the box holding each axis's endpoints as lane values. A
-    registry integrand over its own domain runs on :func:`_own_lane`'s
-    lane; off it, a DOUBLEWORD registry lane is called as a callable is.
+    method)``, the box a :class:`_Box` built once per run. A registry
+    integrand over its own domain runs on :func:`_own_lane`'s lane over
+    :func:`_own_box`; off it, a DOUBLEWORD registry lane is called as a
+    callable is.
     When an evaluation raised or the value came out non-finite,
     the core runs again with every evaluation checked, to name the
     point; when none is named, :class:`NonFiniteError` names the sum. A
@@ -1076,7 +1056,7 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         # the own domain: of the tier, not degenerate, its box resolved once
         domain = domain_of(integrand_id, tier)
         lane, f = _own_lane(f, tier)
-        box = _own_box(integrand_id, lane.points)
+        box = _own_box(integrand_id, tier)
     else:
         for iv in domain:
             if iv.tier is not tier:
@@ -1086,7 +1066,7 @@ def _integrate(f, domain, tier: Tier, method, core, dim: int = 1, a=None):
         box = _box(lane, domain)
         if any(iv.degenerate for iv in domain):
             probe = _boundary(f, lane, user, domain)
-            probe(*(w for corner, _ in box for w in lane.words(corner)))
+            probe(*(corner for corner, _ in box))
             zero = Real.from_float(0.0, tier)
             return QuadResult(zero, zero, 1, True)
     try:
@@ -1109,9 +1089,9 @@ def _of_reals(f):
 
 
 def _box(lane, domain):
-    # each axis's endpoints as lane values
-    return tuple(
-        [(lane.to_point(iv.lower.hi, iv.lower.lo), lane.to_point(iv.upper.hi, iv.upper.lo)) for iv in domain]
+    # the run's box of each axis's endpoints as lane values
+    return _Box(
+        lane, [(lane.to_point(iv.lower.hi, iv.lower.lo), lane.to_point(iv.upper.hi, iv.upper.lo)) for iv in domain]
     )
 
 
@@ -1172,7 +1152,7 @@ def _ts_fixed(lane, f, box, method: TanhSinh, on_level=None):
     it again."""
     eps = method.target_eps
     prev = None
-    for value, evals in _ts_1d(lane, f, *box[0], method.max_level):
+    for value, evals in _ts_1d(lane, f, box, method.max_level):
         if prev is None:
             est, converged = abs(lane.hi(value)), False
         else:

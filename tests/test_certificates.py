@@ -325,7 +325,7 @@ def test_fixed_integrands_are_within_their_bound_near_their_picks(integrand_id):
         if iid != integrand_id:
             continue
         lane, f = quad._own_lane(integrands.raw_fn(iid, tier), tier)
-        box = quad._own_box(iid, lane)
+        box = quad._own_box(iid, tier)
         for near in _near_picks(orders):
             got = _exact(lane.real(quad._gl_rule(lane, f, box, near)))
             bound = gl_bound(cert, tier, near)

@@ -196,6 +196,24 @@ class TestEvalFormats:
         )
         assert json.loads(out)["evaluations"] == 24  # order + embedded half rule
 
+    @pytest.mark.parametrize(
+        "flags, method", [(["--order", "32"], "gauss-legendre"), (["--max-depth", "20"], "simpson")]
+    )
+    def test_an_engine_flag_without_method_picks_its_method(self, capsys, flags, method):
+        # with no --method, flags that one method alone takes select it
+        code, out, err = run(capsys, "eval", "ahmed_eq1", *flags, "--format", "json")
+        assert code == 0 and err == ""
+        named = run(capsys, "eval", "ahmed_eq1", "--method", method, *flags, "--format", "json")
+        assert out == named[1]
+        default = run(capsys, "eval", "ahmed_eq1", "--format", "json")
+        assert out != default[1]
+        if method == "gauss-legendre":
+            assert json.loads(out)["evaluations"] == 48  # GL(16) and GL(32)
+
+    def test_flags_of_two_methods_without_method_rejected(self, capsys):
+        code, _, err = run(capsys, "eval", "ahmed_eq1", "--order", "32", "--level", "6")
+        assert code == 2 and "does not apply" in err
+
     def test_gauss_legendre_tol_names_the_doubleword_default(self, capsys):
         # --tol makes the Gauss-Legendre order adaptive, so the flags can
         # name the engine that verify uses at DOUBLEWORD

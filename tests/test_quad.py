@@ -170,6 +170,15 @@ class TestNodeTables:
         assert gl_nodes(16, Tier.NATIVE64).nodes is gl_nodes(16, Tier.NATIVE64).nodes
         assert gl_nodes(16, Tier.DOUBLEWORD).nodes is gl_nodes(16, Tier.DOUBLEWORD).nodes
 
+    def test_every_call_form_returns_one_table(self):
+        # the default tier, the tier passed by position and by keyword
+        # name one memoized object
+        assert gl_nodes(4) is gl_nodes(4, Tier.NATIVE64) is gl_nodes(4, tier=Tier.NATIVE64)
+        assert gl_nodes(order=4, tier=Tier.NATIVE64) is gl_nodes(4)
+        ts = tanh_sinh_abscissas(3)
+        assert ts is tanh_sinh_abscissas(3, Tier.NATIVE64) is tanh_sinh_abscissas(3, tier=Tier.NATIVE64)
+        assert tanh_sinh_abscissas(level=3) is ts
+
     def test_range_guard(self):
         with pytest.raises(ConfigError):
             gl_nodes(1, Tier.NATIVE64)
@@ -1557,7 +1566,7 @@ class TestAdaptiveGaussLegendre:
                     assert gl_bound(cert, tier, other) > tol, other
         # the plain rule of the picked orders, on the lane the run takes
         lane, fn = quad._own_lane(raw_fn(iid, tier, a), tier)
-        fixed = lane.real(quad._gl_rule(lane, fn, quad._own_box(iid, lane), orders))
+        fixed = lane.real(quad._gl_rule(lane, fn, quad._own_box(iid, tier), orders))
         assert _pin_of(res)[:2] == (fixed.hi.hex(), fixed.lo.hex())
 
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
@@ -1673,7 +1682,7 @@ class TestAdaptiveGaussLegendre:
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_the_mapped_axis_cache_is_bounded(self, tier):
         # a proven run reads each prepared axis from its integrand's own
-        # box (quad._own_box, one per integrand and points lane), keyed by
+        # box (quad._own_box, one per integrand and tier), keyed by
         # (axis, order, part): eq3_kernel at any a, on the integer lanes of
         # every value shift at DOUBLEWORD, shares one box and adds at most
         # one entry per ladder order to it, and only proven runs add entries
@@ -1682,9 +1691,9 @@ class TestAdaptiveGaussLegendre:
         method = GaussLegendre(96, LADDER_TOLS[tier][-1])
         config = EngineConfig(method, tier)
 
-        def own_box(iid, a=None):
-            lane, _ = quad._own_lane(raw_fn(iid, tier, a), tier)
-            return lane.points, quad._own_box(iid, lane.points)
+        def own_box(iid):
+            points = quad._Native if tier is Tier.NATIVE64 else quad._FixedPoint
+            return points, quad._own_box(iid, tier)
 
         quad._own_box.cache_clear()
         shifts, boxes = set(), {}
@@ -1692,7 +1701,7 @@ class TestAdaptiveGaussLegendre:
             a = Real.from_float(0.1 * 1.02**k, tier)
             integrate_1d("eq3_kernel", config=config, a=a)
             shifts.add(quad._own_lane(raw_fn("eq3_kernel", tier, a), tier)[0])
-            lane, box = own_box("eq3_kernel", a)
+            lane, box = own_box("eq3_kernel")
             boxes[lane] = box
         assert (len(shifts) > 1) == (tier is Tier.DOUBLEWORD), shifts
         assert quad._own_box.cache_info().currsize == len(boxes) == 1
@@ -2125,7 +2134,7 @@ def _pin_replay(case):
     lane, _ = quad._own_lane(fn, tier)
     if isinstance(method, GaussLegendre) and method.tol is not None:
         method, _ = bounds._proven_rung(fn.certificate(), tier, method, quad._gl_rungs)
-    return exact_rule(lane, registry[f], quad._own_box(f, lane), method, mode)
+    return exact_rule(lane, registry[f], quad._own_box(f, tier), method, mode)
 
 
 def _pin_of(res):

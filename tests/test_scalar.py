@@ -523,6 +523,44 @@ def test_every_kernel_has_a_caller():
     assert kernels <= used, sorted(kernels - used)
 
 
+def test_every_lane_and_box_member_is_read():
+    # every member that the class body of a lane (quad._Native,
+    # quad._FixedPoint) or of the run's box (quad._Box) defines, by a
+    # class-level name, a method or an attribute a method assigns, is
+    # read as an attribute by the package's code outside its own
+    # definition (a shift such as _FixedPoint.point is read by the other
+    # members), so that a member whose last reader goes goes with it
+    paths = Path(scalar.__file__).parent.glob("*.py")
+    trees = {p.name: ast.parse(p.read_text()) for p in paths}
+    names = {"_Native", "_FixedPoint", "_Box"}
+    classes = [node for node in trees["quad.py"].body if getattr(node, "name", None) in names]
+    assert {cls.name for cls in classes} == names
+    members = []  # (class, member, the node that defines it)
+    for cls in classes:
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign):
+                members += [(cls.name, t.id, stmt) for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+                members.append((cls.name, stmt.name, stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Assign):
+                    stored = [t.attr for t in node.targets if isinstance(t, ast.Attribute)]
+                    members += [(cls.name, attr, node) for attr in stored]
+    reads = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for owner, name, definition in members:
+        own = {id(node) for node in ast.walk(definition)}
+        if not any(node.attr == name and id(node) not in own for node in reads):
+            unread.append(f"{owner}.{name}")
+    assert len(members) > 40
+    assert not unread, unread
+
+
 def _seeded_operand_pairs():
     # pairs (x, y) of double-words built from the seeded pair sets. A
     # re-associated sum only rounds differently when its terms overlap, so
