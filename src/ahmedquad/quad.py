@@ -360,7 +360,8 @@ def _gl_nodes(order: int, tier: Tier) -> NodeTable:
 # absorbs the slow per-node weight decay at the finest levels, where
 # truncating at ~eps/4 would discard a visible tail
 _TS_CUTOFF_NATIVE = 2.0**-60
-_TS_CUTOFF_DD = 2.0**-106
+# DOUBLEWORD's 2^-106, as the weight's int at 2^-396 (see _ts_point_fixed)
+_TS_CUTOFF_DD = (1 << _W_SHIFT - 106) - (1 << _W_SHIFT - 160)
 
 
 def _ts_point_native(J: int, level: int) -> tuple[float, float, bool]:
@@ -388,7 +389,11 @@ def _ts_point_fixed(J: int, level: int) -> tuple[int, int, bool]:
     # every level, and each of x and w rounds to its nearest pair. Past
     # the end once the abscissa rounds to 1 at 106 bits, 1 - x = 2/(E +
     # 1) <= 2^-107 (exactly when k >= 108, where E + 1 has k bits above
-    # 1), or the weight's high word falls below the cutoff
+    # 1), or the weight's high word falls below 2^-106: w / 2^396 rounds
+    # to nearest-even, and 2^-106 - 2^-160 is the midpoint below 2^-106,
+    # which ties up to it, so the high word is under 2^-106 exactly when
+    # w < 2^290 - 2^236, an int test that skips the float division of w's
+    # ~400 bits
     et = _fixed_exp(J << _FIX - _MAX_TS_LEVEL)
     rt = _ONE * _ONE // et
     e2u = _fixed_exp(_PI_FIXED * (et - rt) >> _FIX + 1)
@@ -396,7 +401,7 @@ def _ts_point_fixed(J: int, level: int) -> tuple[int, int, bool]:
     k = d.bit_length() - 1 - _FIX
     x = (e2u - _ONE << _FIX) // d
     w = (_PI_FIXED * (et + rt) * e2u << _FIX) // (d * d) << _MAX_TS_LEVEL - level
-    return x, w, k >= 108 or w / (1 << _W_SHIFT) < _TS_CUTOFF_DD
+    return x, w, k >= 108 or w < _TS_CUTOFF_DD
 
 
 def _ts_level(level: int, point) -> tuple[tuple, tuple]:
@@ -794,7 +799,7 @@ def _gl_rule(lane, f, box, orders, own: bool = False):
         xs, ws = lane.gl_table(n)
         key = i, n, parts[i]
         if key not in cache:
-            cache[key] = _prepared(lane, parts[i], zip(lane.map(m, h, xs), ws))
+            cache[key] = _prepared(parts[i], zip(lane.map(m, h, xs), ws))
         axes.append(cache[key])
     words = lane.sum(join, axes[0]) if len(box) == 1 else lane.tensor(join, *axes)
     return lane.mul(box.jac, lane.total(words))
@@ -835,7 +840,7 @@ def _gl(lane, f, box, method: GaussLegendre):
     return value, est, evals, converged
 
 
-def _prepared(lane, part, axis):
+def _prepared(part, axis):
     # an axis's (point, weight) pairs as (part of the point, weight)
     if part is None:  # no part: the points themselves
         return list(axis)
@@ -889,8 +894,8 @@ def _ts_2d(lane, f, box, max_level: int):
         px = [(p, lane.scale(w, 0.5)) for p, w in px]
         py = [(p, lane.scale(w, 0.5)) for p, w in py]
         words = lane.scale_words(words, 0.25)
-        nx = _prepared(lane, xpart, _signed_axis(lane, xs, ws, mx, hx))
-        ny = _prepared(lane, ypart, _signed_axis(lane, xs, ws, my, hy))
+        nx = _prepared(xpart, _signed_axis(lane, xs, ws, mx, hx))
+        ny = _prepared(ypart, _signed_axis(lane, xs, ws, my, hy))
         words += lane.tensor(join, nx, py)
         both = px + nx
         words += lane.tensor(join, both, ny)

@@ -13,20 +13,21 @@ error-free sum, which :class:`Real`'s constructor uses too, and
 so that it is exact wherever an exact pair exists.
 
 One block of fixed-point integer code, at 2^-192, builds every lazy
-constant and table on first use (pi, the 65 integers atan(k/64) and the
-power tables of ``_fixed_exp``, which the quadrature module calls for
-each tanh-sinh point), and computes double-word ``sin``, ``cos``,
+constant and table on first use (pi, the 65 integers atan(k/64), each
+entry atan(k/1024) that is read, and the power tables of
+``_fixed_exp``, which the quadrature module calls for each tanh-sinh
+point), and computes double-word ``sin``, ``cos``,
 ``exp``, ``atan`` and ``sqrt``: ``_fixed_sincos`` takes the nearest
 multiple of pi/2 off an int x, |x| <= 2^10, and sums both Taylor series
 (``_sincos_shift`` gives the shift a double-word x enters at, and
 raises :class:`DomainError` beyond 2^10); ``_dd_exp`` takes e^r for r =
 x mod ln2 from ``_fixed_exp``; ``_fixed_atan_ratio`` gives atan(p/q) as
-atan(k/64) from the table plus the series of t = (64p - kq)/(64q + kp),
-|t| <= 1/128, for k/64 the nearest to p/q, and as pi/2 - atan(q/p)
-above 1; ``sqrt`` takes ``math.isqrt`` of x at a shift that keeps 192
-bits. The integer
-bodies of the registry integrands in :mod:`.integrands` use the same
-code, and the quadrature module's integer lanes sum them exactly.
+atan(k/1024) from the table plus the series of t = (1024p - kq)/(1024q
++ kp), |t| <= 2^-11, for k/1024 the nearest to p/q, and as pi/2 -
+atan(q/p) above 1; ``sqrt`` takes ``math.isqrt`` of x at a shift that
+keeps 192 bits. The integer bodies of the registry integrands in
+:mod:`.integrands` use the same code, and the quadrature module's
+integer lanes sum them exactly.
 Each value is rounded once, to the nearest double-word pair, by one
 routine, ``_pair_from_ratio(n, d)``: int / int rounds correctly, so the
 high word is n / d and the low word the exact rest divided by d. The
@@ -187,20 +188,23 @@ def _fixed_from_pair(hi: float, lo: float, shift: int = _FIX) -> int:
     return (n << shift) // d
 
 
-def _fixed_atan(p: int, q: int) -> int:
-    # atan(p/q) for 0 <= p <= q by Euler's series: with d = p^2 + q^2,
-    # the first term is p q / d and each next one the last times
-    # m p^2 / ((m + 1) d) for m = 2, 4, ..., a ratio of at most 1/2;
-    # no term cancels
+def _fixed_atan(p: int, q: int, shift: int = _FIX) -> int:
+    # atan(p/q) at 2^-shift for 0 <= p <= q by Euler's series: with d =
+    # p^2 + q^2, the first term is p q / d and each next one the last
+    # times m p^2 / ((m + 1) d) for m = 2, 4, ..., a ratio of at most
+    # 1/2; no term cancels. The terms are floored 16 bits finer and the
+    # sum rounded once, so that the at most shift + 17 of them lose under
+    # 2^-8 units between them, and the result is within 0.5 + 2^-8 units
+    g = shift + 16
     p2 = p * p
     d = p2 + q * q
-    term = total = (p * q << _FIX) // d
+    term = total = (p * q << g) // d
     n = 2
     while term:
         term = term * n * p2 // ((n + 1) * d)
         total += term
         n += 2
-    return total
+    return total + (1 << 15) >> 16
 
 
 def _fixed_exp_series(x: int, shift: int = _FIX) -> int:
@@ -226,23 +230,29 @@ def _fixed_exp_powers(x: int, count: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _fixed_exp_tables() -> tuple[tuple[int, ...], ...]:
-    # e^i for i < 128 and e^(i/64), e^(i/4096) for i < 64, built on first
-    # use; one table of e^(i/64) for i < 8192 would cost 0.5 MiB more
+    # e^i for i < 128 and e^(i/64), e^(i/2^12), e^(i/2^18), e^(i/2^24)
+    # for i < 64, built on first use: 384 ints, about 25 KB
     return (
         _fixed_exp_powers(_ONE, 128),
-        _fixed_exp_powers(_ONE >> 6, 64),
-        _fixed_exp_powers(_ONE >> 12, 64),
+        *(_fixed_exp_powers(_ONE >> s, 64) for s in (6, 12, 18, 24)),
     )
 
 
 def _fixed_exp(v: int) -> int:
-    # e^v for 0 <= v < 128 at the fixed point: v = i + j/64 + k/4096 + r
-    # with r < 2^-12, e^i, e^(j/64) and e^(k/4096) read from the tables
-    # and e^r summed; the relative error stays below 2^-180
-    ones, steps, fine = _fixed_exp_tables()
-    e = ones[v >> _FIX] * steps[(v >> _FIX - 6) & 63] >> _FIX
-    e = e * fine[(v >> _FIX - 12) & 63] >> _FIX
-    return e * _fixed_exp_series(v & ((_ONE >> 12) - 1)) >> _FIX
+    # e^v for 0 <= v < 128 at the fixed point: v = i + j/64 + k/2^12 +
+    # l/2^18 + m/2^24 + r with r < 2^-24, each power read from its table
+    # and e^r summed in about 7 terms; the relative error stays below
+    # 2^-180. A v with no bits below 2^-12, as every tanh-sinh e^t, is
+    # the product of the first three tables alone
+    ones, s6, s12, s18, s24 = _fixed_exp_tables()
+    e = ones[v >> _FIX] * s6[(v >> _FIX - 6) & 63] >> _FIX
+    e = e * s12[(v >> _FIX - 12) & 63] >> _FIX
+    r = v & (_ONE >> 12) - 1
+    if not r:
+        return e
+    e = e * s18[r >> _FIX - 18] >> _FIX
+    e = e * s24[(r >> _FIX - 24) & 63] >> _FIX
+    return e * _fixed_exp_series(r & (_ONE >> 24) - 1) >> _FIX
 
 
 def _sincos_shift(xh: float) -> int:
@@ -285,13 +295,16 @@ def _fixed_sincos(x: int, f: int) -> tuple[int, int, int]:
 
 def _fixed_atan_ratio(p: int, q: int, shift: int) -> int:
     # atan(p/q) at 2^-shift for p, q >= 0, shift >= 192: below 1 it is
-    # atan(k/64) + atan t with k/64 the nearest to p/q and t = (64p -
-    # kq)/(64q + kp), |t| <= 1/128, whose Taylor terms each fall under
-    # 2^-14 of the last; above 1, pi/2 - atan(q/p)
+    # atan(k/1024) + atan t with k/1024 the nearest to p/q and t = (1024p
+    # - kq)/(1024q + kp), |t| <= 2^-11, whose Taylor terms each fall under
+    # 2^-22 of the last (about 8 of them at 2^-192); above 1, pi/2 -
+    # atan(q/p). The error is under 1.5 units of 2^-192, from the entry
+    # (0.5) and pi/2 (1), plus 16 units of 2^-shift, from the floored t
+    # and terms; against mpmath the worst seen is 5.5 units at 2^-192
     if p > q:
         return (_PI_FIXED << shift - _FIX >> 1) - _fixed_atan_ratio(q, p, shift)
-    k = (p << 7) // q + 1 >> 1
-    t = ((p << 6) - k * q << shift) // ((q << 6) + k * p)
+    k = (p << 11) // q + 1 >> 1
+    t = ((p << 10) - k * q << shift) // ((q << 10) + k * p)
     t2 = t * t >> shift
     total = term = t
     n = 1
@@ -299,7 +312,7 @@ def _fixed_atan_ratio(p: int, q: int, shift: int) -> int:
         term = -(term * t2 >> shift)
         n += 2
         total += term // n
-    return (_atan_table()[k] << shift - _FIX) + total
+    return (_atan_entry(k) << shift - _FIX) + total
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,8 +322,22 @@ def _pi_pair() -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=None)
 def _atan_table() -> tuple[int, ...]:
-    # atan(k / 64) at 2^-192 for k = 0..64, built on first use
-    return tuple(_fixed_atan(k, 64) for k in range(65))
+    # atan(k/64) at 2^-208, 16 bits below the fixed point, for k =
+    # 0..64, built on first use: the base of every _atan_entry
+    return tuple(_fixed_atan(k, 64, _FIX + 16) for k in range(65))
+
+
+@functools.lru_cache(maxsize=None)
+def _atan_entry(k: int) -> int:
+    # atan(k/1024) at 2^-192 for 0 <= k <= 1024, each built on first use:
+    # atan(j/64) for j/64 the nearest to k/1024, plus atan(a/b), a =
+    # 64(k - 16j), b = 65536 + jk, |a/b| <= 2^-7, whose Euler series
+    # stops after about 15 terms, both at 2^-208 and the sum rounded
+    # once; within 0.5 + 2^-15 units
+    j = k + 8 >> 4
+    a, b = 64 * (k - 16 * j), 65536 + j * k
+    t = _fixed_atan(a, b, _FIX + 16) if a >= 0 else -_fixed_atan(-a, b, _FIX + 16)
+    return _atan_table()[j] + t + (1 << 15) >> 16
 
 
 # ----------------------------------------------------------------------

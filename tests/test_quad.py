@@ -339,6 +339,34 @@ class TestTanhSinhAbscissas:
                 assert abs(mp.ldexp(xs[i], -192) - x) <= mp.ldexp(1, -180), f"level {level}, t = {t}"
                 assert abs(mp.ldexp(ws[i], -quad._W_SHIFT) - w) <= mp.ldexp(1, -180), f"level {level}, t = {t}"
 
+    def test_integer_cutoff_is_the_float_cutoff(self):
+        # w < 2^290 - 2^236 holds exactly where w / 2^396, rounded to the
+        # nearest double, is below 2^-106: at the two ints around the
+        # midpoint, and at every point of levels 1-12 up to each level's
+        # first point past the end, where the weight test is the float
+        # test or the abscissa is within 2^-107 of 1, so each level keeps
+        # the same points
+        cut = quad._TS_CUTOFF_DD
+        assert cut == (1 << 290) - (1 << 236) and quad._W_SHIFT == 396
+        for w in (cut - 1, cut, cut + 1):
+            assert (w < cut) == (w / (1 << 396) < 2.0**-106), w
+        assert (cut - 1) / (1 << 396) < 2.0**-106 == cut / (1 << 396)
+        lengths = []
+        for level in range(1, 13):
+            j, step = (0, 1) if level == 1 else (1, 2)
+            while True:
+                x, w, past_end = quad._ts_point_fixed(j << 12 - level, level)
+                below = w / (1 << 396) < 2.0**-106
+                assert (w < cut) == below, (level, j)
+                if past_end:
+                    assert below or (1 << 192) - x <= (1 << 85) + 1, (level, j)
+                    break
+                assert not below, (level, j)
+                j += step
+            lengths.append(len(quad._ts_ints(level)[0]))
+            assert lengths[-1] == (j - (level > 1)) // step
+        assert lengths == [8, 8, 15, 31, 62, 123, 246, 491, 980, 1955, 3900, 7780]
+
     @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
     def test_per_level_error_shrinks_4x_until_floor(self, tier):
         truth = ref(I_STR, tier)
@@ -1960,8 +1988,8 @@ def test_lane_sums_are_exactly_rounded(tier, words):
         # one row of the tensor, through the parts of an integrand without
         # any: the points themselves and the integrand as its own join
         xpart, ypart, join = lane.parts(at)
-        cols = quad._prepared(lane, xpart, axis)
-        rows = quad._prepared(lane, ypart, [(lane.to_point(0.0, 0.0), one)])
+        cols = quad._prepared(xpart, axis)
+        rows = quad._prepared(ypart, [(lane.to_point(0.0, 0.0), one)])
         assert result(lane.total(lane.tensor(join, cols, rows))) == want
         # pairs about m = -1 with h = 1 evaluate at x - 1 and at -1 - x < 0
         xs = [node(i + 1) for i in range(len(order))]

@@ -460,28 +460,60 @@ def test_every_constant_and_table_entry_is_the_nearest_pair():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     assert scalar._pi_pair() == nearest_pair(mp.pi)
+    # atan(k/64) at 2^-208, the base of the entries atan(k/1024) at 2^-192
     atan_k = [mp.atan(mp.mpf(k) / 64) for k in range(65)]
     table = scalar._atan_table()
-    assert [scalar._pair_from_ratio(n, scalar._ONE) for n in table] == [nearest_pair(a) for a in atan_k]
-    # e^i, e^(i/64) and e^(i/4096), read by the tanh-sinh points
+    assert [scalar._pair_from_ratio(n, scalar._ONE << 16) for n in table] == [nearest_pair(a) for a in atan_k]
+    entries = [scalar._pair_from_ratio(scalar._atan_entry(k), scalar._ONE) for k in range(1025)]
+    assert entries == [nearest_pair(mp.atan(mp.mpf(k) / 1024)) for k in range(1025)]
+    # e^i, e^(i/64), e^(i/2^12), e^(i/2^18) and e^(i/2^24), read by the
+    # tanh-sinh points
     tables = scalar._fixed_exp_tables()
-    for table, q in zip(tables, (1, 64, 4096)):
+    for table, q in zip(tables, (1, 64, 2**12, 2**18, 2**24)):
         want = [nearest_pair(mp.exp(mp.mpf(i) / q)) for i in range(len(table))]
         assert [scalar._pair_from_ratio(n, scalar._ONE) for n in table] == want
-    assert tuple(map(len, tables)) == (128, 64, 64)
+    assert tuple(map(len, tables)) == (128, 64, 64, 64, 64)
 
 
 def test_fixed_exp_against_mpmath():
-    # relative error below 2^-180 over the range 0 <= v < 128
+    # relative error below 2^-180 over the range 0 <= v < 128, also at
+    # the multiples of 2^-12 of the tanh-sinh e^t, which read the first
+    # three tables alone, and past each table's last entry
     mp = pytest.importorskip("mpmath")
     one = scalar._ONE
     rng = random.Random(0xE4F)
     vs = [rng.randrange(128 * one) for _ in range(500)]
     vs += [0, 1, one - 1, one, (one >> 12) - 1, 111 * one, 128 * one - 1]
+    vs += [(one >> 18) - 1, one >> 18, (one >> 24) - 1, one >> 24, (one >> 12) + (one >> 24)]
+    vs += [J << scalar._FIX - 12 for J in range(0, 128 << 12, 487)] + [(128 << 12) - 1 << scalar._FIX - 12]
     with mp.workprec(400):
         for v in vs:
             want = mp.exp(mp.mpf(v) / one) * one
             assert abs(scalar._fixed_exp(v) - want) <= want * mp.mpf(2) ** -180, v
+
+
+def test_fixed_atan_and_its_tables_against_mpmath():
+    # _fixed_atan_ratio(p, q, shift) is within 1.5 units of 2^-192 (the
+    # table entry and, above 1, pi/2) plus 16 units of 2^-shift (the
+    # floored t and series), below and above 1, at shift 192 and at 192 +
+    # 3e for p/q in [2^-e-1, 2^-e); the k/64 table at 2^-208 and the
+    # entries atan(k/1024) at 2^-192 are within a unit of their own
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(0xA7E3)
+    with mp.workprec(700):
+        for k, n in enumerate(scalar._atan_table()):
+            assert abs(n - mp.atan(mp.mpf(k) / 64) * 2**208) <= 1, k
+        for k in range(1025):
+            assert abs(scalar._atan_entry(k) - mp.atan(mp.mpf(k) / 1024) * 2**192) <= 1, k
+        for e in (0, 1, 2, 4, 7, 10, 11, 12, 20, 40):
+            shift = scalar._FIX + 3 * e
+            q = 1 << shift
+            bound = 1.5 * 2 ** (3 * e) + 16
+            for _ in range(60):
+                p = rng.randrange(q >> e + 1, q >> e) if e else rng.randrange(1, q)
+                for a, b in ((p, q), (q, p)):
+                    err = scalar._fixed_atan_ratio(a, b, shift) - mp.atan(mp.mpf(a) / b) * 2**shift
+                    assert abs(err) <= bound, (e, a, b)
 
 
 def test_tier_properties():
@@ -606,9 +638,10 @@ def _special_operands(shape):
 # ----------------------------------------------------------------------
 # Double-word atan and the atan lanes from the fixed-point block
 # ----------------------------------------------------------------------
-# atan(p/q) at 2^-192 (finer for |x| < 1/2) is atan(k/64), from a table
-# of 65 integers, plus the series of t = (64p - kq)/(64q + kp), |t| <=
-# 1/128, for k/64 the nearest to p/q; above 1 it is pi/2 - atan(q/p).
+# atan(p/q) at 2^-192 (finer for |x| < 1/2) is atan(k/1024), each entry
+# built on first use from a table of the 65 atan(k/64), plus the series
+# of t = (1024p - kq)/(1024q + kp), |t| <= 2^-11, for k/1024 the nearest
+# to p/q; above 1 it is pi/2 - atan(q/p).
 # Public atan, ahmed_eq1 (atan s, s = sqrt(2 + x^2)) and i2_x (atan(1/s))
 # round each result once; every result tested is the nearest pair to the
 # mpmath value.
@@ -669,11 +702,15 @@ class TestTableDrivenAtan:
             _assert_atan_nearest(*word)
 
     def test_table_points_and_cell_edges(self):
+        # the points k/64 of the first table, and every point k/1024 and
+        # edge (k + 1/2)/1024 of the reduction's cells
         pts = []
         for k in range(65):
             pts.append(k / 64.0)
             if k < 64:
                 pts += _ulps_around((k + 0.5) / 64.0)
+        for k in range(1024):
+            pts += [(k + 1) / 1024.0, (k + 0.5) / 1024.0]
         for word in _with_low_words([p for p in pts if p > 0.0], 0xED6E):
             _assert_atan_nearest(*word)
 
@@ -685,25 +722,34 @@ class TestTableDrivenAtan:
             _assert_atan_nearest(*word)
 
     def test_reduction_above_one(self):
-        # the cells k = round(64/x) of the reduction above 1: their points
-        # 64/k and edges 64/(k + 1/2), and the switch to k = 0 at 128
+        # the cells k = round(1024/x) of the reduction above 1: their
+        # points 1024/k and edges 1024/(k + 1/2), those of the earlier
+        # cells k/64 too, and the switch to k = 0 at 2048
         pts = []
         for k in range(1, 65):
             pts += _ulps_around(64.0 / k) + _ulps_around(64.0 / (k + 0.5))
-        pts += _ulps_around(128.0, 4) + _ulps_around(2.0**60, 1)
+        for k in range(1, 1025):
+            pts += [1024.0 / k, 1024.0 / (k + 0.5)]
+        pts += _ulps_around(128.0, 4) + _ulps_around(2048.0, 4) + _ulps_around(2.0**60, 1)
         for word in _with_low_words(pts, 0xAB0E):
             _assert_atan_nearest(*word)
 
     def test_i2_x_through_the_reduction_cells(self):
         # the i2_x lane's atan(1/s) at the x where s = sqrt(2 + x^2) sits
-        # on a cell's point 64/k or edge 64/(k + 1/2), k <= 45 (s >= sqrt2),
-        # and past the switch to k = 0 at s = 128
+        # on a point 64/k or 1024/k or an edge 64/(k + 1/2) or 1024/(k +
+        # 1/2) of the reduction's cells: k <= 45 and k <= 724 (s >=
+        # sqrt2), every cell of [0, 1] (k >= 591) and every 16th past it;
+        # and past the switch to k = 0 at s = 128 and at s = 2048
+        cells = [(64.0, k) for k in range(1, 46)]
+        cells += [(1024.0, k) for k in range(1, 725) if k >= 591 or k % 16 == 5]
         pts = []
-        for k in range(1, 46):
-            for s in (64.0 / k, 64.0 / (k + 0.5)):
+        for n, k in cells:
+            for s in (n / k, n / (k + 0.5)):
                 if s * s > 2.0:
                     pts += _ulps_around(math.sqrt(s * s - 2.0), 1)
-        pts += _ulps_around(math.sqrt(128.0**2 - 2.0), 2) + [2.0**60, 1e300]
+        for s in (128.0, 2048.0):
+            pts += _ulps_around(math.sqrt(s * s - 2.0), 2)
+        pts += [2.0**60, 1e300]
         for word in _with_low_words(pts, 0x12E1):
             _assert_lane_nearest("i2_x", *word)
             _assert_lane_nearest("ahmed_eq1", *word)
@@ -780,12 +826,13 @@ class TestTableDrivenAtan:
             "import ahmedquad\n"
             "from ahmedquad import scalar\n"
             "print(scalar._atan_table.cache_info().currsize)\n"
+            "print(scalar._atan_entry.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"]
+        assert proc.stdout.split() == ["0", "0"]
 
 
 def _lane_points(integrand_id, rng):
@@ -997,15 +1044,15 @@ class TestTableDrivenExp:
         code = (
             "import ahmedquad\n"
             "from ahmedquad import bounds, quad, scalar\n"
-            "for f in (scalar._pi_pair, scalar._atan_table, scalar._fixed_exp_tables,\n"
-            "          quad._own_box, bounds._scales):\n"
+            "for f in (scalar._pi_pair, scalar._atan_table, scalar._atan_entry,\n"
+            "          scalar._fixed_exp_tables, quad._own_box, bounds._scales):\n"
             "    print(f.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"] * 5
+        assert proc.stdout.split() == ["0"] * 6
 
 
 def test_exp_property_against_mpmath():
