@@ -18,7 +18,6 @@ their bound, or None; nothing here evaluates an integrand.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -84,45 +83,58 @@ def _bound(terms, rounding: float, orders) -> float:
     return (trunc + rounding) * _OUTWARD
 
 
-def _lowest(ok, seq):
-    # the lowest n of the ascending seq with ok(n), for an ok that turns
-    # true as n rises and stays true; None when there is none
-    i = bisect.bisect_left(seq, True, key=ok)
-    return seq[i] if i < len(seq) else None
+def _lowest(bound, seq, i: int, tol: float):
+    # (index, bound) of the lowest n of the ascending seq with bound(n) <=
+    # tol, for a bound that falls as n rises, or None: a walk from index i,
+    # down while the n below is within tol, else up to the first that is,
+    # so the pick is confirmed (the n below it not within tol) whatever i is
+    b = bound(seq[i])
+    if b <= tol:
+        while i and (below := bound(seq[i - 1])) <= tol:
+            i, b = i - 1, below
+        return i, b
+    for j in range(i + 1, len(seq)):
+        if (b := bound(seq[j])) <= tol:
+            return j, b
+    return None
+
+
+def _rung(cert, tier: Tier, orders, tol: float, start: int):
+    """The lowest of the ascending ``orders`` whose 1-D bound is within
+    ``tol``, as ``(index, bound)``, or None: :func:`_lowest` from index
+    ``start``, the middle one for a single run; :func:`.quad._eq3_results`
+    starts each a's walk at the last a's pick."""
+    terms, rounding = _gl_terms(cert, tier)
+    return _lowest(lambda n: _bound(terms, rounding, (n,)), orders, start, tol)
 
 
 def _cheapest(cert, tier: Tier, orders, tol: float):
     """The cheapest proven orders, one per axis and each from the
     ascending ``orders``, as ``(orders, bound)``, or None when even the
     highest is not within ``tol``: in 1-D the lowest order whose bound is
-    within tol; in 2-D the (n_x, n_y) of fewest points, the lower n_x on
-    a tie. Each axis's term falls as its own order rises, so each search
-    bisects one axis with the other's order fixed. The pick is one of the
-    orders tried, and its bound the one computed there."""
+    within tol (:func:`_rung`); in 2-D the (n_x, n_y) of fewest points,
+    the lower n_x on a tie. Each axis's term falls as its own order
+    rises, so each search walks one axis with the other's order fixed,
+    n_y's from the last pick. The pick is one of the orders tried, and
+    its bound the one computed there."""
+    mid = len(orders) // 2
+    if len(cert.axes) == 1:
+        pick = _rung(cert, tier, orders, tol, mid)
+        return None if pick is None else ((orders[pick[0]],), pick[1])
     terms, rounding = _gl_terms(cert, tier)
     top = orders[-1]
-    bounds = {}
-
-    def ok(*picked):
-        bounds[picked] = _bound(terms, rounding, picked)
-        return bounds[picked] <= tol
-
-    if len(terms) == 1:
-        n = _lowest(ok, orders)
-        return None if n is None else ((n,), bounds[n,])
-    lo_x = _lowest(lambda n: ok(n, top), orders)
+    lo_x = _lowest(lambda n: _bound(terms, rounding, (n, top)), orders, mid, tol)
     if lo_x is None:
         return None
-    lo_y = _lowest(lambda n: ok(top, n), orders)
-    ys = orders[orders.index(lo_y):]
-    best = None
-    for nx in orders[orders.index(lo_x):]:
-        if best is not None and nx * lo_y >= best[0] * best[1]:
+    j = _lowest(lambda n: _bound(terms, rounding, (top, n)), orders, mid, tol)[0]
+    lo_y, best = orders[j], None
+    for nx in orders[lo_x[0]:]:
+        if best is not None and nx * lo_y >= math.prod(best[0]):
             break
-        ny = _lowest(lambda n: ok(nx, n), ys)
-        if best is None or nx * ny < best[0] * best[1]:
-            best = nx, ny
-    return best, bounds[best]
+        j, b = _lowest(lambda n: _bound(terms, rounding, (nx, n)), orders, j, tol)
+        if best is None or nx * orders[j] < math.prod(best[0]):
+            best = (nx, orders[j]), b
+    return best
 
 
 @functools.lru_cache(maxsize=None)

@@ -821,11 +821,7 @@ def _gl(lane, f, box, method: GaussLegendre):
     own = cert is not None and box is _own_box(cert.id, lane.tier)
     proven = bounds._proven_rung(cert, lane.tier, method, _gl_rungs) if own else None
     if proven is not None:
-        # unrounded: _result rounds it to the pair rounded gives, and hi agrees
-        orders, bound = proven
-        value = _gl_rule(lane, f, box, orders, own=True)
-        est = _floored(lane, bound, value)
-        return value, est, math.prod(orders), est <= tol
+        return _gl_proven(lane, f, box, *proven, tol)
     prev = None
     evals = 0
     for n in _gl_rungs(method):
@@ -838,6 +834,15 @@ def _gl(lane, f, box, method: GaussLegendre):
         prev = value
     converged = tol is None and est <= 0.1 * abs(lane.hi(value))
     return value, est, evals, converged
+
+
+def _gl_proven(lane, f, box, orders, bound: float, tol: float):
+    # the proven orders over the integrand's own box, the proven bound
+    # (floored) the estimate; unrounded: _result rounds it to the pair
+    # rounded gives, and hi agrees
+    value = _gl_rule(lane, f, box, orders, own=True)
+    est = _floored(lane, bound, value)
+    return value, est, math.prod(orders), est <= tol
 
 
 def _prepared(part, axis):
@@ -1141,6 +1146,42 @@ def integrate_2d(
         )
     core = _iterated if mode is Mode.ITERATED else _tensor
     return _integrate(f, region, config.tier, config.method, core, 2)
+
+
+def _eq3_results(a_values, config: EngineConfig, single) -> list:
+    """Per a of ``a_values``, ``integrate_1d("eq3_kernel", config=config,
+    a=a)`` bit for bit, or the package error it raises. A proven
+    Gauss-Legendre run resolves its box, prepared axes and ladder once,
+    and per a only :func:`raw_fn`'s body and lane, the rung
+    (:func:`.bounds._rung`, from the last a's pick) and the rule. The
+    rest runs ``single``, the caller's own name for :func:`integrate_1d`,
+    which a wrapper on it (perfbench's trace) sees: another method, an a
+    with no rung proven, a sum that is not finite."""
+    tier, method = config.tier, config.method
+    tol = method.tol if isinstance(method, GaussLegendre) else None
+    rungs = _gl_rungs(method) if tol is not None else ()
+    box = _own_box("eq3_kernel", tier)
+    start = len(rungs) // 2
+
+    def run(a):
+        nonlocal start
+        if tol is not None:
+            lane, body = _own_lane(raw_fn("eq3_kernel", tier, a), tier)
+            pick = bounds._rung(body.certificate(), tier, rungs, tol, start)
+            if pick is not None:
+                start, bound = pick
+                out = _gl_proven(lane, body, box, (rungs[start],), bound, tol)
+                if math.isfinite(lane.hi(out[0])):
+                    return _result(lane, *out)
+        return single("eq3_kernel", config=config, a=a)
+
+    results = []
+    for a in a_values:
+        try:
+            results.append(run(a))
+        except AhmedQuadError as exc:
+            results.append(exc)
+    return results
 
 
 def _ts_fixed(lane, f, box, method: TanhSinh, on_level=None):

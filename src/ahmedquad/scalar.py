@@ -352,6 +352,15 @@ def _dd_sincos(xh: float, xl: float) -> tuple[float, float, float, float]:
     return *_pair_from_ratio(s, 1 << g), *_pair_from_ratio(c, 1 << g)
 
 
+def _dd_atan(xh: float, xl: float) -> tuple[float, float]:
+    # the nearest pair to atan x, as atan computes it
+    if xh < 0.0:
+        rh, rl = _dd_atan(-xh, -xl)
+        return -rh, -rl
+    f = _FIX - 3 * min(math.frexp(xh)[1], 0)
+    return _pair_from_ratio(_fixed_atan_ratio(_fixed_from_pair(xh, xl, f), 1 << f, f), 1 << f)
+
+
 def _dd_exp(xh: float, xl: float) -> tuple[float, float]:
     # e^x = 2^k e^r for k, r = divmod(x, ln2) at the fixed point, rounded
     # once to the nearest pair at 2^(k - 1216): the shift stays positive,
@@ -661,11 +670,7 @@ def atan(x: Real) -> Real:
     x^3/3 keeps its bits below a small x."""
     if x.tier is Tier.NATIVE64:
         return Real._raw(math.atan(x.hi), 0.0, x.tier)
-    neg = x.hi < 0.0
-    xh, xl = (-x.hi, -x.lo) if neg else (x.hi, x.lo)
-    f = _FIX - 3 * min(math.frexp(xh)[1], 0)
-    rh, rl = _pair_from_ratio(_fixed_atan_ratio(_fixed_from_pair(xh, xl, f), 1 << f, f), 1 << f)
-    return Real._raw(-rh, -rl, x.tier) if neg else Real._raw(rh, rl, x.tier)
+    return Real._raw(*_dd_atan(x.hi, x.lo), x.tier)
 
 
 def sin(x: Real) -> Real:

@@ -47,10 +47,12 @@ from .quad import (
     Mode,
     TanhSinh,
     _check_config,
+    _eq3_results,
     integrate_1d,
     integrate_2d,
 )
 from .scalar import Real, Tier, atan, div, mul, pi, sqrt, sub
+from .scalar import _check_finite_pair, _dd_atan, _pair_from_ratio, _pair_ratio
 
 __all__ = [
     "ClosedFormQ",
@@ -203,8 +205,18 @@ def evaluate(
 
 
 def _inv_a_atan_inv_a(a: Real) -> Real:
-    inv = 1.0 / a
-    return inv * atan(inv)
+    # (1/a) atan(1/a), bit for bit as Real's /, atan and * round it; at
+    # DOUBLEWORD on the words, from the exact ratios of a and of 1/a
+    if a.tier is Tier.NATIVE64:
+        inv = 1.0 / a
+        return inv * atan(inv)
+    n, d = _pair_ratio(a.hi, a.lo)
+    inv = _pair_from_ratio(d, n)
+    _check_finite_pair(*inv, "division")
+    (m, q), (p, s) = _pair_ratio(*inv), _pair_ratio(*_dd_atan(*inv))
+    rh, rl = _pair_from_ratio(m * p, q * s)
+    _check_finite_pair(rh, rl, "multiplication")
+    return Real._raw(rh, rl, a.tier)
 
 
 def _step_tols(tier: Tier) -> tuple[float, float]:
@@ -379,10 +391,15 @@ def check_eq3(
 ) -> tuple[StepReport, ...]:
     """One report per parameter value a, comparing
 
-        integral[0,1] dx / (x^2 + a^2)   with   (1/a) atan(1/a).
+        integral[0,1] dx / (x^2 + a^2)   with   (1/a) atan(1/a),
 
-    The excluded case a = 0 raises :class:`DomainError` up front, and a
-    ``config`` at another tier than ``tier`` :class:`ConfigError`."""
+    as :func:`run_step` reports each sample's step over one shared memo:
+    an engine error on either side fails only that report, with its
+    note, and a repeated a costs no evaluations again. The left sides
+    run in one batch, which under Gauss-Legendre with a ``tol`` resolves
+    the run once for every a. The excluded case a = 0 raises
+    :class:`DomainError` up front, and a ``config`` at another tier than
+    ``tier`` :class:`ConfigError`."""
     if config is None:
         config = default_config(tier if tier is not None else Tier.NATIVE64)
     _check_config(config)
@@ -395,13 +412,20 @@ def check_eq3(
             raise ConfigError("a_values must contain Real parameters")
         if a.hi == 0.0:
             raise DomainError("a = 0 is excluded")
-    # each sample's step as run_step runs it, without building the step
-    reports = []
-    memo: dict = {}
-    for a in values:
-        lhs, rhs = Integral1DQ("eq3_kernel", a=a), _inv_a_atan_inv_a(a)
-        reports.append(_compared(f"eq3[a={float(a)!r}]", tol, lambda: (*evaluate(lhs, config, memo), rhs, 0)))
-    return tuple(reports)
+    # the left sides from one batch over the distinct a
+    distinct = list(dict.fromkeys(values))
+    lhs = dict(zip(distinct, _eq3_results(distinct, config, integrate_1d)))
+    seen = set()
+
+    def sides(a):
+        r = lhs[a]
+        if isinstance(r, AhmedQuadError):
+            raise r
+        evals = 0 if a in seen else r.evaluations
+        seen.add(a)
+        return r.value, evals, _inv_a_atan_inv_a(a), 0
+
+    return tuple(_compared(f"eq3[a={float(a)!r}]", tol, lambda a=a: sides(a)) for a in values)
 
 
 def _fmt_value(v: Real | None) -> str:

@@ -1874,6 +1874,109 @@ class TestAdaptiveGaussLegendre:
         assert abs(sub(res.value, ref(I2_STR, tier)).to_float()) <= tol
 
 
+# the proven Gauss-Legendre runs of the eq3 samples: the verify default at
+# DOUBLEWORD, and its native counterpart
+PROVEN_EQ3 = {Tier.NATIVE64: GaussLegendre(96, 1e-13), Tier.DOUBLEWORD: GaussLegendre(96, 1e-26)}
+
+
+def _eq3_a_values(tier):
+    # the 20 default seeded a, 200 more, and the edges: a spike with no
+    # rung proven (1e-140), a past the split range (1.2e150, 1e152) and
+    # past the certificate's (1e154), negative a, and sqrt 2
+    from ahmedquad.verify import seeded_a_values
+
+    seeded = seeded_a_values(tier) + seeded_a_values(tier, samples=200, seed=0xBA7C)
+    edges = (1e-140, 1.2e150, 1e152, 1e154, -0.37, -2.5, -9.0)
+    return seeded + tuple(Real.from_float(x, tier) for x in edges) + (sqrt(Real.from_float(2.0, tier)),)
+
+
+class TestEq3Batch:
+    """quad._eq3_results, eq3_kernel at many a in one call, against
+    integrate_1d at one a at a time."""
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_every_result_is_the_single_calls_bit_for_bit(self, tier):
+        other = Tier.NATIVE64 if tier is Tier.DOUBLEWORD else Tier.DOUBLEWORD
+        config = EngineConfig(PROVEN_EQ3[tier], tier)
+        a_values = _eq3_a_values(tier)
+        # a^2 underflows, and an a of the other tier
+        bad = (Real.from_float(1e-200, tier), Real.from_float(2.0, other))
+        ran = []
+
+        def single(*args, **kwargs):
+            ran.append(kwargs["a"])
+            return integrate_1d(*args, **kwargs)
+
+        got = quad._eq3_results(a_values + bad, config, single)
+        assert len(got) == len(a_values) + len(bad)
+        for a, r in zip(a_values, got):
+            assert _pin_of(r) == _pin_of(integrate_1d("eq3_kernel", config=config, a=a)), a
+        for a, r in zip(bad, got[len(a_values):]):
+            with pytest.raises(type(r)) as exc_info:
+                integrate_1d("eq3_kernel", config=config, a=a)
+            assert str(exc_info.value) == str(r)
+        # only the a with no rung proven run the single call: at NATIVE64
+        # also the a below about 0.3, where the rounding term 32 eps / a^2
+        # alone passes tol
+        unproven = [
+            a.hi
+            for a in a_values
+            if bounds._proven_rung(raw_fn("eq3_kernel", tier, a).certificate(), tier, config.method, quad._gl_rungs)
+            is None
+        ]
+        assert [a.hi for a in ran] == unproven and len(unproven) < len(a_values) // 4
+        if tier is Tier.DOUBLEWORD:
+            assert unproven == [1e-140, 1e154]
+            pins = {a.hi: _pin_of(r) for a, r in zip(a_values, got)}
+            rungs = quad._gl_rungs(config.method)
+            assert pins[1e-140][4:] == (sum(rungs), False)
+            assert [pins[x][4:] for x in (1.2e150, 1e152, 1e154)] == [(6, True), (6, True), (18, True)]
+            assert pins[a_values[-1].hi][4:] == (24, True)
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_another_method_runs_the_single_call_at_each_a(self, tier):
+        from ahmedquad.verify import default_config
+
+        a_values = _eq3_a_values(tier)[:24]
+        for method in (default_config(tier).method, GaussLegendre(24), AdaptiveSimpson(1e-10)):
+            config = EngineConfig(method, tier)
+            ran = []
+
+            def single(*args, **kwargs):
+                ran.append(kwargs["a"])
+                return integrate_1d(*args, **kwargs)
+
+            got = quad._eq3_results(a_values, config, single)
+            proven = isinstance(method, GaussLegendre) and method.tol is not None
+            assert ran == ([] if proven else list(a_values))
+            want = [integrate_1d("eq3_kernel", config=config, a=a) for a in a_values]
+            assert [_pin_of(r) for r in got] == [_pin_of(r) for r in want]
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_the_warm_started_pick_is_the_proven_rung(self, tier):
+        # each walk starts at the last a's pick, with the a in ascending and
+        # in descending |a|: the pick and its bound are bounds._proven_rung's,
+        # and the lowest rung whose bound is within tol
+        method = PROVEN_EQ3[tier]
+        rungs = quad._gl_rungs(method)
+        a_values = sorted(_eq3_a_values(tier), key=lambda a: abs(a.hi))
+        picked = set()
+        for ordered in (a_values, a_values[::-1]):
+            start = len(rungs) // 2
+            for a in ordered:
+                cert = raw_fn("eq3_kernel", tier, a).certificate()
+                pick = bounds._rung(cert, tier, rungs, method.tol, start)
+                want = [n for n in rungs if gl_bound(cert, tier, (n,)) <= method.tol][:1]
+                proven = bounds._proven_rung(cert, tier, method, quad._gl_rungs)
+                if pick is None:
+                    assert proven is None and not want, a
+                    continue
+                start, bound = pick
+                assert proven == ((rungs[start],), bound) == (tuple(want), gl_bound(cert, tier, want)), a
+                picked.add(rungs[start])
+        assert len(picked) > 2, picked
+
+
 # ----------------------------------------------------------------------
 # Exactly rounded lane sums
 # ----------------------------------------------------------------------

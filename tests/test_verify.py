@@ -18,6 +18,7 @@ from ahmedquad import (
     Integral1DQ,
     Integral2DQ,
     Mode,
+    NonFiniteError,
     Real,
     Step,
     TanhSinh,
@@ -38,7 +39,8 @@ from ahmedquad import (
     sub,
 )
 from ahmedquad.integrands import Interval, raw_fn
-from ahmedquad.verify import default_config, resolve_mode
+from ahmedquad.scalar import atan
+from ahmedquad.verify import _inv_a_atan_inv_a, default_config, resolve_mode
 from helpers import (
     AHMED_AT_1_STR,
     I1_STR,
@@ -396,6 +398,66 @@ class TestCheckEq3:
         assert (res.evaluations, res.converged) == (evaluations, True)
         (report,) = check_eq3([ra], tier=tier)
         assert report.passed
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_a_subnormal_parameter_fails_only_its_own_report(self, tier):
+        # 1/a overflows at a = 1e-320: the right side's error is captured
+        # with the sample's, so the report fails with the left side's note,
+        # as at a = 1e-200, and a = 2 passes
+        values = [Real.from_float(x, tier) for x in (1e-320, 2.0, 1e-200)]
+        tiny, two, small = check_eq3(values, tier=tier)
+        for r in (tiny, small):
+            assert not r.passed and r.lhs_value is None, r.key
+            assert r.note.startswith("DomainError: a^2 underflows"), r.note
+        assert two.passed and two.note == ""
+        with pytest.raises(NonFiniteError, match="division produced a non-finite value"):
+            _inv_a_atan_inv_a(values[0])
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_the_right_side_is_reals_division_atan_and_product(self, tier):
+        # bit for bit (1/a) atan(1/a) as Real's /, atan and * round it
+        values = seeded_a_values(tier, samples=200, seed=0xA7A) + tuple(
+            Real.from_float(x, tier) for x in (-0.37, -4.0, 1e-200, 1e150, 2.0**-1000, 1e300)
+        )
+        for a in values + (sqrt(Real.from_float(2.0, tier)),):
+            inv = Real.from_float(1.0, tier) / a
+            want = inv * atan(inv)
+            got = _inv_a_atan_inv_a(a)
+            assert (got.hi, got.lo, got.tier) == (want.hi, want.lo, want.tier), a
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_reports_are_run_steps_over_a_shared_memo(self, tier):
+        # check_eq3 against each sample run as a Step by run_step, with one
+        # memo: a repeated a's second report costs 0 evaluations, an a of
+        # the other tier or with a^2 out of range fails only its own report
+        # with the same note, under the default engine (tanh-sinh at
+        # NATIVE64) and under proven Gauss-Legendre
+        other = Tier.NATIVE64 if tier is Tier.DOUBLEWORD else Tier.DOUBLEWORD
+        seeded = seeded_a_values(tier)
+        values = list(seeded[:5]) + [
+            seeded[2],
+            Real.from_float(2.0, other),
+            Real.from_float(1e-200, tier),
+            Real.from_float(1e200, tier),
+            Real.from_float(1e-140, tier),
+            seeded[4],
+        ]
+        tol = 1e-12 if tier is Tier.NATIVE64 else 1e-25
+        proven = GaussLegendre(96, 1e-13 if tier is Tier.NATIVE64 else 1e-26)
+        for config in (default_config(tier), EngineConfig(proven, tier)):
+            memo = {}
+            want = []
+            for a in values:
+                inv = Real.from_float(1.0, a.tier) / a
+                rhs = ConstantQ(inv * atan(inv), "(1/a) atan(1/a)")
+                step = Step(f"eq3[a={float(a)!r}]", Integral1DQ("eq3_kernel", a=a), rhs, tol, "eq3")
+                want.append(run_step(step, config, memo))
+            got = check_eq3(values, config)
+            assert got == tuple(want)
+            assert [r.evaluations for r in got][5] == 0 and got[2].evaluations > 0
+            notes = [r.note.split(":")[0] for r in got[6:9]]
+            assert notes == ["TierMismatchError", "DomainError", "DomainError"]
+            assert all(r.passed for r in got[:6])
 
     def test_zero_parameter_rejected_up_front(self):
         with pytest.raises(DomainError):
